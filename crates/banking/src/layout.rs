@@ -1,10 +1,13 @@
 //! Device-memory layout for one cohort and the kernel parameter
 //! conventions shared by every banking kernel.
 //!
-//! A cohort of `N` requests owns five 2-D buffer regions (paper §5.3:
-//! 512 B request slots, 1 KB backend requests, 4 KB backend responses,
-//! and a power-of-two response buffer per type) plus the session array and
-//! the device backend store. Each 2-D buffer can be laid out row-major
+//! Device memory starts with the state that outlives a cohort — the
+//! session array, then the device backend store — at bases that do not
+//! depend on the cohort, so a [`crate::runner::DeviceContext`] can keep
+//! them resident and re-cut only what follows. A cohort of `N` requests
+//! then owns five 2-D buffer regions (paper §5.3: 512 B request slots,
+//! 1 KB backend requests, 4 KB backend responses, and a power-of-two
+//! response buffer per type). Each 2-D buffer can be laid out row-major
 //! (lane-contiguous) or transposed (element-interleaved); kernels receive
 //! `(lane_stride, elem_stride)` pairs so the *same program* runs either
 //! layout — the instruction stream is identical, only the memory system
@@ -136,8 +139,10 @@ pub struct CohortLayout {
 }
 
 impl CohortLayout {
-    /// Lay out the regions sequentially. `store_bytes` may be zero when
-    /// the cohort never touches a device backend (Titan A).
+    /// Lay out the regions sequentially, resident state first: sessions,
+    /// store, then the cohort's buffers, every base 128-byte aligned.
+    /// `store_bytes` may be zero when the cohort never touches a device
+    /// backend (Titan A).
     pub fn new(
         cohort: u32,
         resp_size: u32,
@@ -147,14 +152,14 @@ impl CohortLayout {
         transposed: bool,
     ) -> Self {
         let align = |x: u32| (x + 127) & !127;
-        let reqbuf_base = 0;
+        let session_base = 0;
+        let store_base = align(session_base + session_capacity * crate::session_array::NODE_BYTES);
+        let reqbuf_base = align(store_base + store_bytes);
         let struct_base = align(reqbuf_base + cohort * REQBUF_BYTES);
         let breq_base = align(struct_base + cohort * STRUCT_WORDS * 4);
         let bresp_base = align(breq_base + cohort * BREQ_BYTES);
         let resp_base = align(bresp_base + cohort * BRESP_BYTES);
-        let session_base = align(resp_base + cohort * resp_size);
-        let store_base = align(session_base + session_capacity * crate::session_array::NODE_BYTES);
-        let total_bytes = align(store_base + store_bytes);
+        let total_bytes = align(resp_base + cohort * resp_size);
         CohortLayout {
             cohort,
             resp_size,
@@ -183,17 +188,30 @@ impl CohortLayout {
     pub fn regions(&self) -> rhythm_verify::effects::RegionMap {
         let span = |base: u32, bytes: u32| (base as u64, base as u64 + bytes as u64);
         rhythm_verify::effects::RegionMap::new(vec![
-            span(self.reqbuf_base, self.cohort * REQBUF_BYTES),
-            span(self.struct_base, self.cohort * STRUCT_WORDS * 4),
-            span(self.breq_base, self.cohort * BREQ_BYTES),
-            span(self.bresp_base, self.cohort * BRESP_BYTES),
-            span(self.resp_base, self.cohort * self.resp_size),
             span(
                 self.session_base,
                 self.session_capacity * crate::session_array::NODE_BYTES,
             ),
             span(self.store_base, self.store_bytes),
+            span(self.reqbuf_base, self.cohort * REQBUF_BYTES),
+            span(self.struct_base, self.cohort * STRUCT_WORDS * 4),
+            span(self.breq_base, self.cohort * BREQ_BYTES),
+            span(self.bresp_base, self.cohort * BRESP_BYTES),
+            span(self.resp_base, self.cohort * self.resp_size),
         ])
+    }
+
+    /// Bytes of the resident head (session array + store): everything
+    /// below the first per-cohort buffer. Depends on the session capacity
+    /// and the store size only, never on the cohort.
+    pub fn resident_bytes(&self) -> u32 {
+        self.reqbuf_base
+    }
+
+    /// Bytes of the five per-cohort buffers (with their alignment gaps):
+    /// what one more cohort in flight costs in device memory.
+    pub fn cohort_bytes(&self) -> u32 {
+        self.total_bytes - self.reqbuf_base
     }
 
     /// The session array's `[lo, hi)` byte span in device memory — the
@@ -298,19 +316,52 @@ impl CohortLayout {
         slot: u32,
         lane: u32,
     ) -> Result<Vec<u8>, MemError> {
-        if self.transposed {
-            (0..slot)
-                .map(|pos| {
-                    mem.read_byte(self.elem_addr(base, slot, lane, pos))
-                        .map(|b| b as u8)
-                })
-                .collect()
-        } else {
-            mem.slice(base + lane * slot, slot).map(<[u8]>::to_vec)
-        }
+        self.read_lane_prefix(mem, base, slot, lane, slot)
     }
 
-    /// Scatter `data` into lane `lane`'s logical buffer.
+    /// Gather the first `len` bytes of lane `lane`'s logical buffer. One
+    /// bounds check covers the whole gather.
+    ///
+    /// # Errors
+    ///
+    /// Out-of-bounds when the prefix does not lie inside device memory or
+    /// `len` exceeds the slot (a length word a kernel got wrong).
+    pub fn read_lane_prefix(
+        &self,
+        mem: &DeviceMemory,
+        base: u32,
+        slot: u32,
+        lane: u32,
+        len: u32,
+    ) -> Result<Vec<u8>, MemError> {
+        let (first, span, stride) = self.lane_span(base, slot, lane, len);
+        if len > slot {
+            return Err(MemError::OutOfBounds {
+                space: rhythm_simt::ir::MemSpace::Global,
+                addr: first,
+                len,
+                size: mem.len(),
+            });
+        }
+        let bytes = mem.slice(first, span)?;
+        Ok(bytes.iter().step_by(stride).copied().collect())
+    }
+
+    /// Where the first `len` bytes of lane `lane`'s logical buffer lie:
+    /// the address of the first, the bytes from it up to and including the
+    /// last (saturating, so an overflowing span fails the bounds check),
+    /// and the step between consecutive ones.
+    fn lane_span(&self, base: u32, slot: u32, lane: u32, len: u32) -> (u32, u32, usize) {
+        let (_, stride) = self.strides(slot);
+        let span = match len {
+            0 => 0,
+            _ => (len - 1).saturating_mul(stride).saturating_add(1),
+        };
+        (self.elem_addr(base, slot, lane, 0), span, stride as usize)
+    }
+
+    /// Scatter `data` into lane `lane`'s logical buffer, after one bounds
+    /// check of the span it lands in.
     ///
     /// # Errors
     ///
@@ -328,14 +379,12 @@ impl CohortLayout {
         data: &[u8],
     ) -> Result<(), MemError> {
         assert!(data.len() <= slot as usize, "lane data exceeds slot");
-        if self.transposed {
-            for (pos, &b) in data.iter().enumerate() {
-                mem.write_byte(self.elem_addr(base, slot, lane, pos as u32), b as u32)?;
-            }
-            Ok(())
-        } else {
-            mem.load(base + lane * slot, data)
+        let (first, span, stride) = self.lane_span(base, slot, lane, data.len() as u32);
+        let bytes = mem.slice_mut(first, span)?;
+        for (dst, &b) in bytes.iter_mut().step_by(stride).zip(data) {
+            *dst = b;
         }
+        Ok(())
     }
 }
 
@@ -346,13 +395,39 @@ mod tests {
     #[test]
     fn regions_do_not_overlap() {
         let l = CohortLayout::new(256, 32 * 1024, 1024, 0xAB, 64 * 2048, true);
-        assert!(l.struct_base >= l.reqbuf_base + 256 * REQBUF_BYTES);
-        assert!(l.breq_base >= l.struct_base + 256 * STRUCT_WORDS * 4);
-        assert!(l.bresp_base >= l.breq_base + 256 * BREQ_BYTES);
-        assert!(l.resp_base >= l.bresp_base + 256 * BRESP_BYTES);
-        assert!(l.session_base >= l.resp_base + 256 * 32 * 1024);
-        assert!(l.store_base >= l.session_base + 1024 * 16);
-        assert!(l.total_bytes >= l.store_base + 64 * 2048);
+        let regions = l.regions();
+        let spans = regions.spans();
+        assert_eq!(spans.len(), 7, "one span per region, none empty");
+        for (i, &(lo, hi)) in spans.iter().enumerate() {
+            assert!(hi <= l.total_bytes as u64, "region {i} inside the image");
+            for &(lo2, hi2) in &spans[i + 1..] {
+                assert!(hi <= lo2 || hi2 <= lo, "regions {i} and later overlap");
+            }
+        }
+        for base in [
+            l.session_base,
+            l.store_base,
+            l.reqbuf_base,
+            l.struct_base,
+            l.breq_base,
+            l.bresp_base,
+            l.resp_base,
+        ] {
+            assert_eq!(base % 128, 0, "bases stay transaction-aligned");
+        }
+    }
+
+    #[test]
+    fn resident_head_is_cohort_independent() {
+        let a = CohortLayout::new(1, 1024, 4096, 7, 16 * 2048, true);
+        let b = CohortLayout::new(32, 32 * 1024, 4096, 7, 16 * 2048, false);
+        assert_eq!(
+            (a.session_base, a.store_base, a.resident_bytes()),
+            (b.session_base, b.store_base, b.resident_bytes())
+        );
+        assert_eq!(a.session_span(), b.session_span());
+        assert_eq!(a.total_bytes, a.resident_bytes() + a.cohort_bytes());
+        assert!(b.cohort_bytes() > a.cohort_bytes());
     }
 
     #[test]
@@ -387,6 +462,31 @@ mod tests {
             // Other lanes untouched.
             let other = l.read_lane(&mem, l.resp_base, l.resp_size, 2).unwrap();
             assert!(other.iter().all(|&b| b == 0));
+        }
+    }
+
+    #[test]
+    fn lane_prefix_is_bounds_checked_once() {
+        for transposed in [false, true] {
+            let l = CohortLayout::new(8, 64, 8, 0, 0, transposed);
+            let mut mem = DeviceMemory::new(l.total_bytes as usize);
+            for lane in 0..8 {
+                let text = [b'a' + lane as u8; 64];
+                l.write_lane(&mut mem, l.resp_base, 64, lane, &text)
+                    .unwrap();
+            }
+            let read = |lane, len| l.read_lane_prefix(&mem, l.resp_base, 64, lane, len);
+            assert_eq!(read(7, 5).unwrap(), b"hhhhh");
+            assert_eq!(read(0, 0).unwrap(), b"");
+            assert_eq!(read(7, 64).unwrap(), [b'h'; 64]);
+            assert!(read(7, 65).is_err(), "length word past the slot");
+            // The last lane's last byte is the image's last byte: one more
+            // lane would run off it.
+            assert_eq!(l.total_bytes, l.resp_base + 8 * 64);
+            assert!(read(8, 64).is_err());
+            assert!(l
+                .write_lane(&mut mem, l.resp_base, 64, 8, &[1; 64])
+                .is_err());
         }
     }
 

@@ -65,7 +65,7 @@ pub mod prelude {
     pub use crate::runner::{
         cohort_writes_sessions, plan_stream_groups, run_cohort, run_cohort_traced,
         run_cohorts_hyperq, run_parser_only, run_request_scalar, BackendMode, CohortOptions,
-        ScalarRunResult, StreamGroup,
+        DeviceContext, ScalarRunResult, StreamGroup,
     };
     pub use crate::serve::{banking_request_from_http, DeviceMetrics, ScalarHandler, SimtHandler};
     pub use crate::session_array::SessionArrayHost;

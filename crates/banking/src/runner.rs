@@ -1,12 +1,18 @@
-//! Single-cohort reference runner: drives one cohort through the parser,
-//! process stages, and backend on the simulated device, and harvests the
-//! responses and statistics.
+//! Cohort runner: drives one cohort through the parser, process stages,
+//! and backend on the simulated device, and harvests the responses and
+//! statistics.
 //!
-//! This is the measurement workhorse used by the differential tests and
-//! the benchmark harness. The full event-driven pipeline (with cohort
-//! formation, timeouts and overlapping cohorts) lives in `rhythm-core`;
-//! this runner executes one already-formed cohort to completion.
+//! [`DeviceContext`] holds what stays on the device between cohorts (the
+//! session array and the store image) and runs cohorts against it; the
+//! serving path keeps one per shard. [`run_cohort`] is the copy-in/copy-out
+//! form of the same routine — a fresh context per cohort — used by the
+//! differential tests and the offline figure bins. The full event-driven
+//! pipeline (with cohort formation, timeouts and overlapping cohorts) lives
+//! in `rhythm-core`; this runner executes already-formed cohorts to
+//! completion.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use rhythm_obs::{s_to_us, ArgValue, Clock, NoopRecorder, Recorder};
@@ -15,13 +21,15 @@ use rhythm_simt::gpu::{Gpu, LaunchResult};
 use rhythm_simt::ir::MemSpace;
 use rhythm_simt::mem::DeviceMemory;
 use rhythm_simt::streams::execute_streams_on;
-use rhythm_simt::ExecError;
+use rhythm_simt::{ExecError, Program};
 use rhythm_verify::{pack_width_cached, LaunchSpec, Verifier};
 
 use crate::backend::BankStore;
 use crate::genreq::GeneratedRequest;
 use crate::kernels::Workload;
-use crate::layout::{CohortLayout, BREQ_BYTES, BRESP_BYTES, F_RESP_LEN};
+use crate::layout::{
+    CohortLayout, BREQ_BYTES, BRESP_BYTES, F_P0, F_P1, F_RESP_LEN, F_TOKEN, F_TYPE, REQBUF_BYTES,
+};
 use crate::session_array::SessionArrayHost;
 use crate::types::RequestType;
 
@@ -46,8 +54,6 @@ pub struct CohortResult {
     pub launches: Vec<(String, LaunchResult)>,
     /// The layout used (for byte accounting).
     pub layout: CohortLayout,
-    /// Device session-array state after the cohort.
-    pub sessions_after: SessionArrayHost,
 }
 
 impl CohortResult {
@@ -157,7 +163,7 @@ fn kernel_cfg(
     base: &LaunchConfig,
     opts: &CohortOptions,
     layout: &CohortLayout,
-    program: &rhythm_simt::Program,
+    program: &Program,
     mem: &DeviceMemory,
     pool: &rhythm_simt::mem::ConstPool,
 ) -> LaunchConfig {
@@ -184,11 +190,12 @@ fn shared_verifier() -> Arc<Verifier> {
 
 /// Apply [`CohortOptions::workers`], [`CohortOptions::verify`], and
 /// [`CohortOptions::plan_cache`] to a device handle, returning the device
-/// to launch on.
-fn effective_gpu<'a>(gpu: &'a Gpu, opts: &CohortOptions, slot: &'a mut Option<Gpu>) -> &'a Gpu {
+/// to launch on. Owned when the options change anything: the serving path
+/// resolves it once per handler, the oracle once per call.
+pub(crate) fn effective_gpu<'a>(gpu: &'a Gpu, opts: &CohortOptions) -> Cow<'a, Gpu> {
     let needs_gate = opts.verify && gpu.gate().is_none();
     if opts.workers.is_none() && !needs_gate && gpu.plan_cache() == opts.plan_cache {
-        return gpu;
+        return Cow::Borrowed(gpu);
     }
     let mut g = match opts.workers {
         None => gpu.clone(),
@@ -203,15 +210,335 @@ fn effective_gpu<'a>(gpu: &'a Gpu, opts: &CohortOptions, slot: &'a mut Option<Gp
     if needs_gate {
         g = g.with_gate(shared_verifier());
     }
-    g = g.with_plan_cache(opts.plan_cache);
-    slot.insert(g)
+    Cow::Owned(g.with_plan_cache(opts.plan_cache))
 }
 
-/// Run one uniform-type cohort through parse → process stages → response.
+/// The layout of a `cohort`-request cohort with `resp_size`-byte response
+/// slots under `opts`, over a `store_bytes`-byte store image.
+fn cohort_layout(
+    opts: &CohortOptions,
+    store_bytes: u32,
+    cohort: u32,
+    resp_size: u32,
+) -> CohortLayout {
+    CohortLayout::new(
+        cohort,
+        resp_size,
+        opts.session_capacity,
+        opts.session_salt,
+        store_bytes,
+        opts.transposed,
+    )
+}
+
+/// The session array inside a device image laid out by `layout`.
+fn session_bytes<'a>(mem: &'a DeviceMemory, layout: &CohortLayout) -> &'a [u8] {
+    mem.slice(
+        layout.session_base,
+        SessionArrayHost::device_bytes(layout.session_capacity),
+    )
+    .expect("device image holds the session array")
+}
+
+/// The base launch config every kernel of a cohort starts from.
+fn cohort_cfg(layout: &CohortLayout) -> LaunchConfig {
+    LaunchConfig {
+        lanes: layout.cohort,
+        params: layout.params(),
+        local_bytes: 64,
+        shared_bytes: 1024,
+        ..Default::default()
+    }
+}
+
+/// Scatter each request's raw text into its request slot.
+fn write_requests(
+    layout: &CohortLayout,
+    mem: &mut DeviceMemory,
+    reqs: &[GeneratedRequest],
+) -> Result<(), ExecError> {
+    for (lane, r) in reqs.iter().enumerate() {
+        layout.write_lane(mem, layout.reqbuf_base, REQBUF_BYTES, lane as u32, &r.raw)?;
+    }
+    Ok(())
+}
+
+/// Gather every lane's response, trimmed to the length its response stage
+/// recorded in `F_RESP_LEN`.
+fn read_responses(layout: &CohortLayout, mem: &DeviceMemory) -> Result<Vec<Vec<u8>>, ExecError> {
+    (0..layout.cohort)
+        .map(|lane| {
+            let len = layout.read_struct(mem, lane, F_RESP_LEN)?;
+            Ok(layout.read_lane_prefix(mem, layout.resp_base, layout.resp_size, lane, len)?)
+        })
+        .collect()
+}
+
+fn assert_uniform(reqs: &[GeneratedRequest]) -> RequestType {
+    assert!(!reqs.is_empty(), "empty cohort");
+    let ty = reqs[0].ty;
+    assert!(
+        reqs.iter().all(|r| r.ty == ty),
+        "mixed-type cohort passed to a type-specific process pipeline"
+    );
+    ty
+}
+
+/// One shard's resident device state: a single [`DeviceMemory`] whose head
+/// holds the session array and the store image — written once, here — and
+/// whose tail is the current cohort's request/struct/breq/bresp/response
+/// buffers.
+///
+/// Per cohort the tail is re-cut ([`DeviceMemory::recut`]) to the cohort's
+/// own [`CohortLayout`]: the image is exactly `layout.total_bytes` long (so
+/// out-of-bounds faults and the verify gate's `LaunchSpec` are those of a
+/// freshly allocated image), the scratch reads as zero, and the
+/// allocation is kept. Session writes persist in place from one cohort to
+/// the next; nothing on this path writes the store.
+#[derive(Debug)]
+pub struct DeviceContext {
+    opts: CohortOptions,
+    mem: DeviceMemory,
+    store_bytes: u32,
+    /// Session span saved before a writer cohort (reused between cohorts).
+    saved_sessions: Vec<u8>,
+    /// [`cohort_writes_sessions`] verdicts by (type, cohort size).
+    writers: HashMap<(RequestType, u32), bool>,
+}
+
+impl DeviceContext {
+    /// Upload `store` and `sessions` to a new context.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sessions.capacity()` disagrees with
+    /// `opts.session_capacity`.
+    pub fn new(store: &BankStore, sessions: &SessionArrayHost, opts: &CohortOptions) -> Self {
+        assert_eq!(
+            sessions.capacity(),
+            opts.session_capacity,
+            "session array capacity must match options"
+        );
+        let store_img = store.serialize_device();
+        let store_bytes = store_img.len() as u32;
+        let head = cohort_layout(opts, store_bytes, 0, 0);
+        let mut mem = DeviceMemory::new(head.resident_bytes() as usize);
+        mem.load(head.session_base, &sessions.to_device_bytes())
+            .expect("resident head holds the session array");
+        mem.load(head.store_base, &store_img)
+            .expect("resident head holds the store image");
+        DeviceContext {
+            opts: opts.clone(),
+            mem,
+            store_bytes,
+            saved_sessions: Vec::new(),
+            writers: HashMap::new(),
+        }
+    }
+
+    /// The options this context lays cohorts out with.
+    pub fn opts(&self) -> &CohortOptions {
+        &self.opts
+    }
+
+    /// The device session array, as bytes.
+    pub fn session_bytes(&self) -> &[u8] {
+        session_bytes(
+            &self.mem,
+            &cohort_layout(&self.opts, self.store_bytes, 0, 0),
+        )
+    }
+
+    /// The device session array, decoded (a copy: the device array stays
+    /// the live one).
+    pub fn sessions(&self) -> SessionArrayHost {
+        SessionArrayHost::from_device_bytes(self.session_bytes(), self.opts.session_salt)
+    }
+
+    /// Bytes the context's device allocation can hold without growing.
+    pub fn memory_capacity(&self) -> usize {
+        self.mem.capacity()
+    }
+
+    /// [`cohort_writes_sessions`] for this context's layout, asked once per
+    /// (type, cohort size).
+    fn writes_sessions(&mut self, workload: &Workload, ty: RequestType, cohort: u32) -> bool {
+        let (store_bytes, opts) = (self.store_bytes, &self.opts);
+        *self
+            .writers
+            .entry((ty, cohort))
+            .or_insert_with(|| cohort_writes_sessions(workload, store_bytes, ty, cohort, opts))
+    }
+
+    /// [`plan_stream_groups`] for this context's layout, from the memoised
+    /// writer verdicts.
+    pub fn plan_stream_groups(
+        &mut self,
+        workload: &Workload,
+        cohorts: &[(RequestType, usize)],
+    ) -> Vec<StreamGroup> {
+        let streams_ok = streams_ok(&self.opts);
+        group_streams(cohorts, streams_ok, |ty, n| {
+            self.writes_sessions(workload, ty, n)
+        })
+    }
+
+    /// Run one uniform-type cohort through parse → process stages →
+    /// response against the resident state. `gpu` is launched on as given
+    /// (resolve [`CohortOptions`] into it beforehand); `store` must be the
+    /// store this context was built from (the host backend answers from
+    /// it).
+    ///
+    /// With tracing, in addition to the per-kernel and per-warp wall-time
+    /// spans emitted by [`Gpu::launch_traced`], the cohort's kernels are
+    /// laid out back-to-back on a **virtual-time** `device` track using
+    /// each launch's modelled latency, so the timeline shows where the
+    /// device time of one cohort goes (parser vs. process stages vs.
+    /// backend rounds). Host-served backend rounds appear as instants
+    /// (they spend no modelled device time). The recorder is observational
+    /// only.
+    ///
+    /// # Errors
+    ///
+    /// Propagates kernel execution faults. A faulting cohort's session
+    /// writes never happened: cohorts the effect proofs classify as
+    /// session writers (Login, Logout) run between a save and a
+    /// restore-on-error of the session span; the others are proven not to
+    /// touch it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reqs` is empty or contains mixed request types (process
+    /// kernels are type-specific; the dispatcher forms uniform cohorts).
+    pub fn run_cohort<R: Recorder + ?Sized>(
+        &mut self,
+        workload: &Workload,
+        store: &BankStore,
+        reqs: &[GeneratedRequest],
+        gpu: &Gpu,
+        rec: &R,
+    ) -> Result<CohortResult, ExecError> {
+        let ty = assert_uniform(reqs);
+        let layout = cohort_layout(
+            &self.opts,
+            self.store_bytes,
+            reqs.len() as u32,
+            ty.response_buffer_bytes(),
+        );
+        let writer = self.writes_sessions(workload, ty, layout.cohort);
+        if writer {
+            self.saved_sessions.clear();
+            self.saved_sessions
+                .extend_from_slice(session_bytes(&self.mem, &layout));
+        }
+        self.mem.recut(
+            layout.resident_bytes() as usize,
+            layout.total_bytes as usize,
+        );
+        let result = self.launch_cohort(workload, store, &layout, reqs, gpu, rec);
+        if writer && result.is_err() {
+            self.mem
+                .load(layout.session_base, &self.saved_sessions)
+                .expect("resident head holds the session array");
+        }
+        result
+    }
+
+    /// Fill the request slots, launch the cohort's kernels in order, read
+    /// the responses back.
+    fn launch_cohort<R: Recorder + ?Sized>(
+        &mut self,
+        workload: &Workload,
+        store: &BankStore,
+        layout: &CohortLayout,
+        reqs: &[GeneratedRequest],
+        gpu: &Gpu,
+        rec: &R,
+    ) -> Result<CohortResult, ExecError> {
+        let (opts, mem) = (&self.opts, &mut self.mem);
+        let cohort = layout.cohort;
+        let mut launches = Vec::new();
+        // Virtual device-time cursor: a cohort's kernels execute back to
+        // back, so each launch's modelled latency extends the cursor and
+        // becomes a span on the `device` track. Each launch returns it.
+        let mut device_t = 0.0f64;
+        let cfg = cohort_cfg(layout);
+        let mut launch = |name: &str, program: &Program, mem: &mut DeviceMemory| {
+            let kcfg = kernel_cfg(&cfg, opts, layout, program, mem, &workload.pool);
+            let res = gpu.launch_traced(program, &kcfg, mem, &workload.pool, rec)?;
+            if rec.enabled() {
+                rec.span(
+                    Clock::Virtual,
+                    "device",
+                    name,
+                    s_to_us(device_t),
+                    s_to_us(res.time_s),
+                    &[("requests", ArgValue::U64(cohort as u64))],
+                );
+            }
+            device_t += res.time_s;
+            launches.push((name.to_string(), res));
+            Ok::<f64, ExecError>(device_t)
+        };
+
+        if opts.skip_parser {
+            for (lane, r) in reqs.iter().enumerate() {
+                let lane = lane as u32;
+                layout.write_struct(mem, lane, F_TYPE, r.ty.id())?;
+                layout.write_struct(mem, lane, F_TOKEN, r.token)?;
+                for (i, &p) in r.params.iter().enumerate() {
+                    layout.write_struct(mem, lane, F_P0 + i as u32, p)?;
+                }
+            }
+        } else {
+            write_requests(layout, mem, reqs)?;
+            launch("parser", &workload.parser, mem)?;
+        }
+
+        let stages = workload.stages_of(reqs[0].ty);
+        let n_backend = stages.len() - 1;
+        for (i, stage) in stages.iter().enumerate() {
+            let now = launch(stage.name(), stage, mem)?;
+            if i < n_backend {
+                match opts.backend {
+                    BackendMode::Device => {
+                        launch("device_backend", &workload.backend, mem)?;
+                    }
+                    BackendMode::Host => {
+                        if rec.enabled() {
+                            rec.instant(
+                                Clock::Virtual,
+                                "device",
+                                "host_backend",
+                                s_to_us(now),
+                                &[("requests", ArgValue::U64(cohort as u64))],
+                            );
+                        }
+                        host_backend_step(store, layout, mem)?;
+                    }
+                }
+            }
+        }
+        Ok(CohortResult {
+            responses: read_responses(layout, mem)?,
+            launches,
+            layout: layout.clone(),
+        })
+    }
+}
+
+/// Run one uniform-type cohort copy-in/copy-out: upload `store` and
+/// `sessions` to a fresh [`DeviceContext`], run the cohort on it
+/// ([`DeviceContext::run_cohort`] — the routine the serving path runs on
+/// its resident context), and decode the session array back.
+///
+/// Paying the whole upload per cohort makes this the reference the
+/// resident path is checked against, and what the offline figure bins
+/// measure one cohort at a time with.
 ///
 /// `sessions` provides the pre-existing sessions (it must be the same
 /// array the requests' tokens were created in) and is updated to the
-/// device's post-cohort state.
+/// device's post-cohort state; on a fault it is left untouched.
 ///
 /// # Errors
 ///
@@ -219,8 +546,8 @@ fn effective_gpu<'a>(gpu: &'a Gpu, opts: &CohortOptions, slot: &'a mut Option<Gp
 ///
 /// # Panics
 ///
-/// Panics if `reqs` is empty or contains mixed request types (process
-/// kernels are type-specific; the dispatcher forms uniform cohorts).
+/// Panics if `reqs` is empty or contains mixed request types, or if
+/// `sessions.capacity()` disagrees with `opts.session_capacity`.
 pub fn run_cohort(
     workload: &Workload,
     store: &BankStore,
@@ -232,16 +559,9 @@ pub fn run_cohort(
     run_cohort_traced(workload, store, sessions, reqs, gpu, opts, &NoopRecorder)
 }
 
-/// [`run_cohort`] with tracing: in addition to the per-kernel and
-/// per-warp wall-time spans emitted by [`Gpu::launch_traced`], the
-/// cohort's kernels are laid out back-to-back on a **virtual-time**
-/// `device` track using each launch's modelled latency, so the timeline
-/// shows where the device time of one cohort goes (parser vs. process
-/// stages vs. backend rounds). Host-served backend rounds appear as
-/// instants (they spend no modelled device time).
-///
-/// The recorder is observational only — responses, launches, and session
-/// state are bit-identical to [`run_cohort`].
+/// [`run_cohort`] with tracing (see [`DeviceContext::run_cohort`] for the
+/// tracks). The recorder is observational only — responses, launches, and
+/// session state are bit-identical to [`run_cohort`].
 ///
 /// # Errors
 ///
@@ -259,141 +579,11 @@ pub fn run_cohort_traced<R: Recorder + ?Sized>(
     opts: &CohortOptions,
     rec: &R,
 ) -> Result<CohortResult, ExecError> {
-    assert!(!reqs.is_empty(), "empty cohort");
-    let ty = reqs[0].ty;
-    assert!(
-        reqs.iter().all(|r| r.ty == ty),
-        "mixed-type cohort passed to a type-specific process pipeline"
-    );
-    assert_eq!(
-        sessions.capacity(),
-        opts.session_capacity,
-        "session array capacity must match options"
-    );
-    let mut gpu_slot = None;
-    let gpu = effective_gpu(gpu, opts, &mut gpu_slot);
-
-    let cohort = reqs.len() as u32;
-    let store_img = store.serialize_device();
-    let layout = CohortLayout::new(
-        cohort,
-        ty.response_buffer_bytes(),
-        opts.session_capacity,
-        opts.session_salt,
-        store_img.len() as u32,
-        opts.transposed,
-    );
-
-    let mut mem = DeviceMemory::new(layout.total_bytes as usize);
-    mem.load(layout.store_base, &store_img)?;
-    mem.load(layout.session_base, &sessions.to_device_bytes())?;
-
-    let mut launches = Vec::new();
-    // Virtual device-time cursor: this runner executes one cohort's
-    // kernels back to back, so each launch's modelled latency extends the
-    // cursor and becomes a span on the `device` track.
-    let mut device_t = 0.0f64;
-    macro_rules! trace_launch {
-        ($name:expr, $res:expr) => {{
-            if rec.enabled() {
-                rec.span(
-                    Clock::Virtual,
-                    "device",
-                    $name,
-                    s_to_us(device_t),
-                    s_to_us($res.time_s),
-                    &[("requests", ArgValue::U64(cohort as u64))],
-                );
-            }
-            device_t += $res.time_s;
-        }};
-    }
-    let cfg = LaunchConfig {
-        lanes: cohort,
-        params: layout.params(),
-        local_bytes: 64,
-        shared_bytes: 1024,
-        ..Default::default()
-    };
-
-    if opts.skip_parser {
-        for (lane, r) in reqs.iter().enumerate() {
-            let lane = lane as u32;
-            layout.write_struct(&mut mem, lane, crate::layout::F_TYPE, r.ty.id())?;
-            layout.write_struct(&mut mem, lane, crate::layout::F_TOKEN, r.token)?;
-            for (i, &p) in r.params.iter().enumerate() {
-                layout.write_struct(&mut mem, lane, crate::layout::F_P0 + i as u32, p)?;
-            }
-        }
-    } else {
-        for (lane, r) in reqs.iter().enumerate() {
-            layout.write_lane(
-                &mut mem,
-                layout.reqbuf_base,
-                crate::layout::REQBUF_BYTES,
-                lane as u32,
-                &r.raw,
-            )?;
-        }
-        let pcfg = kernel_cfg(&cfg, opts, &layout, &workload.parser, &mem, &workload.pool);
-        let res = gpu.launch_traced(&workload.parser, &pcfg, &mut mem, &workload.pool, rec)?;
-        trace_launch!("parser", &res);
-        launches.push(("parser".to_string(), res));
-    }
-
-    let stages = workload.stages_of(ty);
-    let n_backend = stages.len() - 1;
-    for (i, stage) in stages.iter().enumerate() {
-        let scfg = kernel_cfg(&cfg, opts, &layout, stage, &mem, &workload.pool);
-        let res = gpu.launch_traced(stage, &scfg, &mut mem, &workload.pool, rec)?;
-        trace_launch!(stage.name(), &res);
-        launches.push((stage.name().to_string(), res));
-        if i < n_backend {
-            match opts.backend {
-                BackendMode::Device => {
-                    let bcfg =
-                        kernel_cfg(&cfg, opts, &layout, &workload.backend, &mem, &workload.pool);
-                    let res =
-                        gpu.launch_traced(&workload.backend, &bcfg, &mut mem, &workload.pool, rec)?;
-                    trace_launch!("device_backend", &res);
-                    launches.push(("device_backend".to_string(), res));
-                }
-                BackendMode::Host => {
-                    if rec.enabled() {
-                        rec.instant(
-                            Clock::Virtual,
-                            "device",
-                            "host_backend",
-                            s_to_us(device_t),
-                            &[("requests", ArgValue::U64(cohort as u64))],
-                        );
-                    }
-                    host_backend_step(store, &layout, &mut mem)?;
-                }
-            }
-        }
-    }
-
-    let mut responses = Vec::with_capacity(reqs.len());
-    for lane in 0..cohort {
-        let len = layout.read_struct(&mem, lane, F_RESP_LEN)?;
-        let full = layout.read_lane(&mem, layout.resp_base, layout.resp_size, lane)?;
-        responses.push(full[..len as usize].to_vec());
-    }
-
-    let sess_bytes = mem.slice(
-        layout.session_base,
-        SessionArrayHost::device_bytes(opts.session_capacity),
-    )?;
-    let sessions_after = SessionArrayHost::from_device_bytes(sess_bytes, opts.session_salt);
-    *sessions = sessions_after.clone();
-
-    Ok(CohortResult {
-        responses,
-        launches,
-        layout,
-        sessions_after,
-    })
+    let gpu = effective_gpu(gpu, opts);
+    let mut ctx = DeviceContext::new(store, sessions, opts);
+    let result = ctx.run_cohort(workload, store, reqs, &gpu, rec)?;
+    *sessions = ctx.sessions();
+    Ok(result)
 }
 
 /// One scheduling unit of [`plan_stream_groups`]: the half-open cohort
@@ -440,14 +630,7 @@ pub fn cohort_writes_sessions(
     cohort: u32,
     opts: &CohortOptions,
 ) -> bool {
-    let layout = CohortLayout::new(
-        cohort,
-        ty.response_buffer_bytes(),
-        opts.session_capacity,
-        opts.session_salt,
-        store_bytes,
-        opts.transposed,
-    );
+    let layout = cohort_layout(opts, store_bytes, cohort, ty.response_buffer_bytes());
     // Mirror `LaunchSpec::from_launch` for the real launch environment so
     // these queries share the verifier's effect cache with the sanitizer.
     let spec = LaunchSpec {
@@ -497,34 +680,34 @@ pub fn plan_stream_groups(
     cohorts: &[(RequestType, usize)],
     opts: &CohortOptions,
 ) -> Vec<StreamGroup> {
-    let streams_ok = opts.backend == BackendMode::Device && !opts.skip_parser;
-    let mut groups = Vec::new();
-    let mut i = 0;
-    while i < cohorts.len() {
-        let (ty, n) = cohorts[i];
-        if !streams_ok || cohort_writes_sessions(workload, store_bytes, ty, n as u32, opts) {
-            groups.push(StreamGroup {
+    group_streams(cohorts, streams_ok(opts), |ty, n| {
+        cohort_writes_sessions(workload, store_bytes, ty, n, opts)
+    })
+}
+
+/// Can this configuration's cohorts be expressed as streams at all?
+fn streams_ok(opts: &CohortOptions) -> bool {
+    opts.backend == BackendMode::Device && !opts.skip_parser
+}
+
+/// [`plan_stream_groups`] over any writer oracle (asked at most once per
+/// cohort).
+fn group_streams(
+    cohorts: &[(RequestType, usize)],
+    streams_ok: bool,
+    mut writes_sessions: impl FnMut(RequestType, u32) -> bool,
+) -> Vec<StreamGroup> {
+    let mut groups: Vec<StreamGroup> = Vec::new();
+    for (i, &(ty, n)) in cohorts.iter().enumerate() {
+        let concurrent = streams_ok && !writes_sessions(ty, n as u32);
+        match groups.last_mut() {
+            Some(g) if concurrent && g.concurrent => g.end = i + 1,
+            _ => groups.push(StreamGroup {
                 start: i,
                 end: i + 1,
-                concurrent: false,
-            });
-            i += 1;
-            continue;
+                concurrent,
+            }),
         }
-        let mut j = i + 1;
-        while j < cohorts.len() {
-            let (t, m) = cohorts[j];
-            if cohort_writes_sessions(workload, store_bytes, t, m as u32, opts) {
-                break;
-            }
-            j += 1;
-        }
-        groups.push(StreamGroup {
-            start: i,
-            end: j,
-            concurrent: true,
-        });
-        i = j;
     }
     groups
 }
@@ -572,14 +755,13 @@ pub fn run_cohorts_hyperq(
     let shapes: Vec<(RequestType, usize)> = cohorts.iter().map(|c| (c[0].ty, c.len())).collect();
     let groups = plan_stream_groups(workload, store_img.len() as u32, &shapes, opts);
 
-    let mut gpu_slot = None;
     // Stream-level concurrency already fans out; warp workers would
     // oversubscribe, and `execute_streams` sets the same precedent.
     let stream_opts = CohortOptions {
         workers: Some(1),
         ..opts.clone()
     };
-    let streams_gpu = effective_gpu(gpu, &stream_opts, &mut gpu_slot);
+    let streams_gpu = effective_gpu(gpu, &stream_opts);
 
     let mut out: Vec<Option<Result<CohortResult, ExecError>>> =
         cohorts.iter().map(|_| None).collect();
@@ -615,24 +797,12 @@ pub fn run_cohorts_hyperq(
                 Err(e) => out[i + k] = Some(Err(e)),
             }
         }
-        let results = execute_streams_on(streams_gpu, streams, 0);
+        let results = execute_streams_on(&streams_gpu, streams, 0);
         for ((idx, layout, names), result) in meta.into_iter().zip(results) {
             out[idx] = Some(result.and_then(|sr| {
-                let mut responses = Vec::with_capacity(cohorts[idx].len());
-                for lane in 0..layout.cohort {
-                    let len = layout.read_struct(&sr.mem, lane, F_RESP_LEN)?;
-                    let full =
-                        layout.read_lane(&sr.mem, layout.resp_base, layout.resp_size, lane)?;
-                    responses.push(full[..len as usize].to_vec());
-                }
-                let sess_bytes = sr.mem.slice(
-                    layout.session_base,
-                    SessionArrayHost::device_bytes(opts.session_capacity),
-                )?;
-                let sessions_after =
-                    SessionArrayHost::from_device_bytes(sess_bytes, opts.session_salt);
+                let responses = read_responses(&layout, &sr.mem)?;
                 debug_assert_eq!(
-                    sess_bytes,
+                    session_bytes(&sr.mem, &layout),
                     &snapshot[..],
                     "read-only cohort mutated the session array"
                 );
@@ -645,7 +815,6 @@ pub fn run_cohorts_hyperq(
                     responses,
                     launches,
                     layout,
-                    sessions_after,
                 })
             }));
         }
@@ -675,44 +844,24 @@ fn build_cohort_stream<'a>(
     ),
     ExecError,
 > {
-    let ty = reqs[0].ty;
-    assert!(
-        reqs.iter().all(|r| r.ty == ty),
-        "mixed-type cohort passed to a type-specific process pipeline"
-    );
+    let ty = assert_uniform(reqs);
     assert_eq!(
         sessions.capacity(),
         opts.session_capacity,
         "session array capacity must match options"
     );
     let cohort = reqs.len() as u32;
-    let layout = CohortLayout::new(
+    let layout = cohort_layout(
+        opts,
+        store_img.len() as u32,
         cohort,
         ty.response_buffer_bytes(),
-        opts.session_capacity,
-        opts.session_salt,
-        store_img.len() as u32,
-        opts.transposed,
     );
     let mut mem = DeviceMemory::new(layout.total_bytes as usize);
     mem.load(layout.store_base, store_img)?;
     mem.load(layout.session_base, session_snapshot)?;
-    for (lane, r) in reqs.iter().enumerate() {
-        layout.write_lane(
-            &mut mem,
-            layout.reqbuf_base,
-            crate::layout::REQBUF_BYTES,
-            lane as u32,
-            &r.raw,
-        )?;
-    }
-    let cfg = LaunchConfig {
-        lanes: cohort,
-        params: layout.params(),
-        local_bytes: 64,
-        shared_bytes: 1024,
-        ..Default::default()
-    };
+    write_requests(&layout, &mut mem, reqs)?;
+    let cfg = cohort_cfg(&layout);
     let mut kernels = Vec::new();
     let mut names = Vec::new();
     kernels.push((
@@ -826,21 +975,8 @@ pub fn run_request_scalar(
     let mut mem = DeviceMemory::new(layout.total_bytes as usize);
     mem.load(layout.store_base, &store_img)?;
     mem.load(layout.session_base, &sessions.to_device_bytes())?;
-    layout.write_lane(
-        &mut mem,
-        layout.reqbuf_base,
-        crate::layout::REQBUF_BYTES,
-        0,
-        &req.raw,
-    )?;
-
-    let cfg = LaunchConfig {
-        lanes: 1,
-        params: layout.params(),
-        local_bytes: 64,
-        shared_bytes: 1024,
-        ..Default::default()
-    };
+    write_requests(&layout, &mut mem, std::slice::from_ref(req))?;
+    let cfg = cohort_cfg(&layout);
 
     let mut stats = rhythm_simt::ScalarStats::default();
     let mut trace = capture_trace.then(Vec::new);
@@ -874,17 +1010,12 @@ pub fn run_request_scalar(
         }
     }
 
-    let len = layout.read_struct(&mem, 0, F_RESP_LEN)?;
-    let full = layout.read_lane(&mem, layout.resp_base, layout.resp_size, 0)?;
-    let sess_bytes = mem.slice(
-        layout.session_base,
-        SessionArrayHost::device_bytes(sessions.capacity()),
-    )?;
-    *sessions = SessionArrayHost::from_device_bytes(sess_bytes, sessions.salt());
+    let response = read_responses(&layout, &mem)?.remove(0);
+    *sessions = SessionArrayHost::from_device_bytes(session_bytes(&mem, &layout), sessions.salt());
 
     Ok(ScalarRunResult {
         stats,
-        response: full[..len as usize].to_vec(),
+        response,
         trace,
     })
 }
@@ -906,8 +1037,7 @@ pub fn run_parser_only(
     opts: &CohortOptions,
 ) -> Result<(LaunchResult, Vec<ParsedLane>), ExecError> {
     assert!(!reqs.is_empty(), "empty cohort");
-    let mut gpu_slot = None;
-    let gpu = effective_gpu(gpu, opts, &mut gpu_slot);
+    let gpu = effective_gpu(gpu, opts);
     let cohort = reqs.len() as u32;
     // Parser doesn't touch responses/store; use the largest response size
     // so the layout is valid for any type.
@@ -916,40 +1046,25 @@ pub fn run_parser_only(
         .map(|t| t.response_buffer_bytes())
         .max()
         .expect("nonempty");
-    let layout = CohortLayout::new(
-        cohort,
-        resp_size,
-        opts.session_capacity,
-        opts.session_salt,
-        0,
-        opts.transposed,
-    );
+    let layout = cohort_layout(opts, 0, cohort, resp_size);
     let mut mem = DeviceMemory::new(layout.total_bytes as usize);
-    for (lane, r) in reqs.iter().enumerate() {
-        layout.write_lane(
-            &mut mem,
-            layout.reqbuf_base,
-            crate::layout::REQBUF_BYTES,
-            lane as u32,
-            &r.raw,
-        )?;
-    }
-    let cfg = LaunchConfig {
-        lanes: cohort,
-        params: layout.params(),
-        local_bytes: 64,
-        shared_bytes: 1024,
-        ..Default::default()
-    };
-    let cfg = kernel_cfg(&cfg, opts, &layout, &workload.parser, &mem, &workload.pool);
+    write_requests(&layout, &mut mem, reqs)?;
+    let cfg = kernel_cfg(
+        &cohort_cfg(&layout),
+        opts,
+        &layout,
+        &workload.parser,
+        &mem,
+        &workload.pool,
+    );
     let res = gpu.launch(&workload.parser, &cfg, &mut mem, &workload.pool)?;
     let mut parsed = Vec::with_capacity(reqs.len());
     for lane in 0..cohort {
         parsed.push((
-            layout.read_struct(&mem, lane, crate::layout::F_TYPE)?,
-            layout.read_struct(&mem, lane, crate::layout::F_TOKEN)?,
-            layout.read_struct(&mem, lane, crate::layout::F_P0)?,
-            layout.read_struct(&mem, lane, crate::layout::F_P1)?,
+            layout.read_struct(&mem, lane, F_TYPE)?,
+            layout.read_struct(&mem, lane, F_TOKEN)?,
+            layout.read_struct(&mem, lane, F_P0)?,
+            layout.read_struct(&mem, lane, F_P1)?,
         ));
     }
     Ok((res, parsed))

@@ -3,8 +3,9 @@
 //!
 //! [`ScalarHandler`] answers each request with the native (CPU) handler —
 //! the paper's "standalone C version" serving path. [`SimtHandler`] runs
-//! each cohort through [`crate::runner::run_cohort`] on the simulated
-//! data-parallel device — the paper's GPU serving path. Both implement
+//! each cohort on the simulated data-parallel device, against a
+//! [`DeviceContext`] that keeps the session array and the store image
+//! resident — the paper's GPU serving path. Both implement
 //! [`rhythm_net::CohortHandler`], so the same non-blocking TCP front end
 //! drives either.
 
@@ -12,7 +13,7 @@ use std::sync::Arc;
 
 use rhythm_http::HttpRequest;
 use rhythm_net::CohortHandler;
-use rhythm_obs::{AtomicHistogram, Counter, Gauge, MetricRegistry};
+use rhythm_obs::{AtomicHistogram, Counter, Gauge, MetricRegistry, NoopRecorder};
 use rhythm_simt::gpu::Gpu;
 use rhythm_simt::{plan_cache_stats, WARP_SIZE};
 
@@ -20,9 +21,7 @@ use crate::backend::BankStore;
 use crate::genreq::{raw_http, GeneratedRequest};
 use crate::kernels::Workload;
 use crate::native::{handle_native, BankingRequest};
-use crate::runner::{
-    plan_stream_groups, run_cohort, run_cohorts_hyperq, CohortOptions, CohortResult,
-};
+use crate::runner::{effective_gpu, CohortOptions, CohortResult, DeviceContext};
 use crate::session_array::SessionArrayHost;
 use crate::subkey::{self, ParserFeatures, SubkeyTable};
 use crate::templates::SESSION_COOKIE;
@@ -130,7 +129,7 @@ impl DeviceMetrics {
             // octave over [1, 64) keeps them distinguishable.
             hyperq_streams: registry.histogram(
                 "rhythm_device_hyperq_streams",
-                "Concurrent streams per HyperQ launch group (1 = serial barrier)",
+                "Cohorts per HyperQ stream group the effect proofs allow (1 = serial barrier)",
                 0.5,
                 2,
                 8,
@@ -273,21 +272,44 @@ impl CohortHandler for ScalarHandler {
     }
 }
 
+/// Re-render each wire request into the canonical ≤512 B slot text the
+/// parser kernel consumes. The front end guarantees a single-key cohort,
+/// so the runner's uniformity requirement holds by construction; requests
+/// outside the 14 Banking types drop out (the front end pads the short
+/// answer with 500s).
+fn device_requests(requests: &[HttpRequest]) -> Vec<GeneratedRequest> {
+    requests
+        .iter()
+        .filter_map(banking_request_from_http)
+        .map(|b| GeneratedRequest {
+            ty: b.ty,
+            token: b.token,
+            params: b.params,
+            raw: raw_http(b.ty, b.token, &b.params),
+        })
+        .collect()
+}
+
 /// The SIMT serving path: each cohort becomes one device run through
-/// parse → process → response kernels via [`run_cohort`] — the paper's
-/// end-to-end GPU pipeline behind a real socket front end.
+/// parse → process → response kernels on this shard's resident
+/// [`DeviceContext`] — the paper's end-to-end GPU pipeline behind a real
+/// socket front end. The session array lives in the context's device
+/// memory; only request bytes go up and response bytes come back per
+/// cohort.
 ///
-/// Executor knobs ride on [`CohortOptions`]: with the default options
-/// each kernel launch gets the sub-warp packing width the verifier
-/// endorses for it (see `CohortOptions::pack`), which changes host
-/// simulation throughput and nothing else.
+/// Executor knobs ride on [`CohortOptions`] and are resolved into the
+/// device handle once, here: with the default options each kernel launch
+/// gets the sub-warp packing width the verifier endorses for it (see
+/// `CohortOptions::pack`), which changes host simulation throughput and
+/// nothing else.
 #[derive(Debug)]
 pub struct SimtHandler {
     workload: Workload,
     store: BankStore,
-    sessions: SessionArrayHost,
+    ctx: DeviceContext,
+    /// The device with [`CohortOptions`]' gate, plan-cache and worker
+    /// choices applied.
     gpu: Gpu,
-    opts: CohortOptions,
     /// Cohorts executed on the device.
     pub cohorts: u64,
     /// Requests served across all cohorts.
@@ -303,7 +325,8 @@ pub struct SimtHandler {
 }
 
 impl SimtHandler {
-    /// A device-backed handler.
+    /// A device-backed handler: uploads `store` and `sessions` to the
+    /// shard's device context.
     ///
     /// # Panics
     ///
@@ -316,17 +339,11 @@ impl SimtHandler {
         gpu: Gpu,
         opts: CohortOptions,
     ) -> Self {
-        assert_eq!(
-            sessions.capacity(),
-            opts.session_capacity,
-            "session array capacity must match cohort options"
-        );
         SimtHandler {
+            ctx: DeviceContext::new(&store, &sessions, &opts),
+            gpu: effective_gpu(&gpu, &opts).into_owned(),
             workload,
             store,
-            sessions,
-            gpu,
-            opts,
             cohorts: 0,
             served: 0,
             device_time_s: 0.0,
@@ -357,9 +374,10 @@ impl SimtHandler {
         self
     }
 
-    /// The live session table (post-traffic state).
-    pub fn sessions(&self) -> &SessionArrayHost {
-        &self.sessions
+    /// The live session table (post-traffic state), decoded from the
+    /// device array on demand.
+    pub fn sessions(&self) -> SessionArrayHost {
+        self.ctx.sessions()
     }
 
     /// Mean modelled device time per cohort, in seconds.
@@ -368,6 +386,59 @@ impl SimtHandler {
             0.0
         } else {
             self.device_time_s / self.cohorts as f64
+        }
+    }
+
+    /// Run a batch of cohorts in order on this thread and this shard's
+    /// context: results are those of `run_cohort` per cohort chained
+    /// through one session array.
+    fn run_batch(&mut self, batch: &[Vec<GeneratedRequest>]) -> Vec<Vec<Vec<u8>>> {
+        if let Some(m) = &self.metrics {
+            // How the batch would split into HyperQ stream groups: proven
+            // session writers are barriers (a group of 1), consecutive
+            // proven-read-only cohorts form one group, and off the device
+            // backend every cohort is its own. Planned once per batch from
+            // the verdicts the context memoises.
+            let shapes: Vec<(RequestType, usize)> = batch
+                .iter()
+                .filter(|reqs| !reqs.is_empty())
+                .map(|reqs| (reqs[0].ty, reqs.len()))
+                .collect();
+            for g in self.ctx.plan_stream_groups(&self.workload, &shapes) {
+                m.note_stream_group(g.len());
+            }
+        }
+        batch.iter().map(|reqs| self.run_one(reqs)).collect()
+    }
+
+    /// Run one cohort on the resident context and book it.
+    fn run_one(&mut self, reqs: &[GeneratedRequest]) -> Vec<Vec<u8>> {
+        if reqs.is_empty() {
+            return Vec::new();
+        }
+        let run = self
+            .ctx
+            .run_cohort(&self.workload, &self.store, reqs, &self.gpu, &NoopRecorder);
+        match run {
+            Ok(result) => {
+                self.cohorts += 1;
+                self.served += reqs.len() as u64;
+                self.device_time_s += result.kernel_time_s();
+                if let Some(m) = &self.metrics {
+                    m.note_cohort(&result, reqs.len() as u64);
+                }
+                result.responses
+            }
+            Err(_) => {
+                // A device fault answers the whole cohort with 500s (the
+                // front end pads the short vec) instead of killing the
+                // server; the context has undone its session writes.
+                self.faults += 1;
+                if let Some(m) = &self.metrics {
+                    m.note_fault();
+                }
+                Vec::new()
+            }
         }
     }
 }
@@ -389,132 +460,17 @@ impl CohortHandler for SimtHandler {
     }
 
     fn execute(&mut self, _key: u32, requests: &[HttpRequest]) -> Vec<Vec<u8>> {
-        // Re-render each wire request into the canonical ≤512 B slot text
-        // the parser kernel consumes. The front end guarantees a
-        // non-empty, single-key cohort, so the runner's uniformity
-        // requirements hold by construction.
-        let reqs: Vec<GeneratedRequest> = requests
-            .iter()
-            .filter_map(banking_request_from_http)
-            .map(|b| GeneratedRequest {
-                ty: b.ty,
-                token: b.token,
-                params: b.params,
-                raw: raw_http(b.ty, b.token, &b.params),
-            })
-            .collect();
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        match run_cohort(
-            &self.workload,
-            &self.store,
-            &mut self.sessions,
-            &reqs,
-            &self.gpu,
-            &self.opts,
-        ) {
-            Ok(result) => {
-                self.cohorts += 1;
-                self.served += reqs.len() as u64;
-                self.device_time_s += result.kernel_time_s();
-                if let Some(m) = &self.metrics {
-                    m.note_cohort(&result, reqs.len() as u64);
-                    m.note_stream_group(1);
-                }
-                result.responses
-            }
-            Err(_) => {
-                // A device fault answers the whole cohort with 500s (the
-                // front end pads the short vec) instead of killing the
-                // server.
-                self.faults += 1;
-                if let Some(m) = &self.metrics {
-                    m.note_fault();
-                }
-                Vec::new()
-            }
-        }
+        self.run_batch(&[device_requests(requests)])
+            .pop()
+            .expect("one answer per cohort")
     }
 
     fn execute_many(&mut self, cohorts: &[(u32, Vec<HttpRequest>)]) -> Vec<Vec<Vec<u8>>> {
-        // The batched entry point: every cohort the reactor marked in one
-        // poll goes through `run_cohorts_hyperq`, which keeps the device
-        // saturated by running consecutive session-read-only cohorts as
-        // concurrent streams while Login/Logout cohorts stay serial write
-        // barriers. Results are bit-identical to calling `execute` per
-        // cohort in order.
-        let batches: Vec<Vec<GeneratedRequest>> = cohorts
+        let batch: Vec<Vec<GeneratedRequest>> = cohorts
             .iter()
-            .map(|(_, requests)| {
-                requests
-                    .iter()
-                    .filter_map(banking_request_from_http)
-                    .map(|b| GeneratedRequest {
-                        ty: b.ty,
-                        token: b.token,
-                        params: b.params,
-                        raw: raw_http(b.ty, b.token, &b.params),
-                    })
-                    .collect()
-            })
+            .map(|(_, requests)| device_requests(requests))
             .collect();
-        if batches.iter().any(Vec::is_empty) {
-            // An all-unmappable cohort cannot go to the device; fall back
-            // to the per-cohort path, which answers it with padded 500s.
-            return cohorts
-                .iter()
-                .map(|(key, reqs)| self.execute(*key, reqs))
-                .collect();
-        }
-        let results = run_cohorts_hyperq(
-            &self.workload,
-            &self.store,
-            &mut self.sessions,
-            &batches,
-            &self.gpu,
-            &self.opts,
-        );
-        if let Some(m) = &self.metrics {
-            // The same planner the runner schedules from, so the metric
-            // can never drift from the real grouping: proven session
-            // writers are serial barriers (stream group of 1), consecutive
-            // proven-read-only cohorts launch as one concurrent group, and
-            // off the device path every cohort degrades to serial.
-            let shapes: Vec<(RequestType, usize)> =
-                batches.iter().map(|b| (b[0].ty, b.len())).collect();
-            let groups = plan_stream_groups(
-                &self.workload,
-                self.store.device_bytes(),
-                &shapes,
-                &self.opts,
-            );
-            for g in &groups {
-                m.note_stream_group(g.len());
-            }
-        }
-        batches
-            .iter()
-            .zip(results)
-            .map(|(reqs, result)| match result {
-                Ok(r) => {
-                    self.cohorts += 1;
-                    self.served += reqs.len() as u64;
-                    self.device_time_s += r.kernel_time_s();
-                    if let Some(m) = &self.metrics {
-                        m.note_cohort(&r, reqs.len() as u64);
-                    }
-                    r.responses
-                }
-                Err(_) => {
-                    self.faults += 1;
-                    if let Some(m) = &self.metrics {
-                        m.note_fault();
-                    }
-                    Vec::new()
-                }
-            })
-            .collect()
+        self.run_batch(&batch)
     }
 }
 
@@ -584,7 +540,7 @@ mod tests {
             Gpu::new(GpuConfig::gtx_titan()),
             opts,
         );
-        let mut native_sessions = SessionArrayHost::new(64, h.opts.session_salt);
+        let mut native_sessions = SessionArrayHost::new(64, h.ctx.opts().session_salt);
 
         let login = parse(b"POST /bank/login.php HTTP/1.1\r\nContent-Length: 8\r\n\r\nuserid=5");
         let key = h.classify(&login).expect("classifies");

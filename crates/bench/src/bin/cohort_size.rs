@@ -35,7 +35,7 @@ fn main() {
         rows.push(vec![
             format!("{cohort}"),
             kreqs(r.tput),
-            format!("{:.1}", layout.session_base as f64 / 1e6),
+            format!("{:.1}", layout.cohort_bytes() as f64 / 1e6),
             time_s(r.device_time_per_cohort),
         ]);
     }

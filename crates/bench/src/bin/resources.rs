@@ -82,7 +82,7 @@ fn main() {
             true,
         );
         // Exclude sessions/store: those are shared, not per cohort.
-        let per_cohort = layout.session_base as u64;
+        let per_cohort = layout.cohort_bytes() as u64;
         worst = worst.max(per_cohort);
         rows.push(vec![
             ty.to_string(),

@@ -41,16 +41,30 @@ impl RawResponse {
     }
 }
 
-/// Find the end of the header block. Tolerates both CRLF and bare-LF
-/// line endings: the Rhythm response builder emits `\r\n\r\n`, but the
-/// workload's page templates end their header block with `\n\n`.
+/// Longest header block a response may carry. The search for its end
+/// never reads past this many bytes, so framing `n` pipelined responses
+/// out of one buffer costs `n` bounded searches, not `n` scans of all the
+/// bodies behind the first head.
+pub const MAX_HEADER_BYTES: usize = 8 * 1024;
+
+/// Find the end of the header block: the earlier of `\r\n\r\n` and `\n\n`,
+/// in one pass over at most [`MAX_HEADER_BYTES`]. Both occur: the Rhythm
+/// response builder emits `\r\n\r\n`, but the workload's page templates
+/// end their header block with `\n\n`.
 fn find_header_end(buf: &[u8]) -> Option<usize> {
-    let crlf = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4);
-    let lf = buf.windows(2).position(|w| w == b"\n\n").map(|p| p + 2);
-    match (crlf, lf) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
+    let head = &buf[..buf.len().min(MAX_HEADER_BYTES)];
+    let mut from = 0;
+    while let Some(lf) = head[from..].iter().position(|&b| b == b'\n') {
+        let lf = from + lf;
+        if head.get(lf + 1) == Some(&b'\n') {
+            return Some(lf + 2);
+        }
+        if lf > 0 && head[lf - 1] == b'\r' && head.get(lf + 1..lf + 3) == Some(b"\r\n") {
+            return Some(lf + 3);
+        }
+        from = lf + 1;
     }
+    None
 }
 
 /// Parse `Content-Length` out of a header block (case-insensitive).
@@ -84,7 +98,8 @@ fn parse_status(buf: &[u8]) -> u16 {
 /// that own their buffering (the open-loop load generator): feed socket
 /// bytes into a buffer, call this in a loop, and drain `total_len` bytes
 /// per framed response. Responses without a `Content-Length` cannot be
-/// framed this way and report their header block as the whole response.
+/// framed this way and report their header block as the whole response;
+/// one whose header block exceeds [`MAX_HEADER_BYTES`] is never framed.
 pub fn scan_response(buf: &[u8]) -> Option<(u16, usize)> {
     let head_end = find_header_end(buf)?;
     let total = match content_length(&buf[..head_end]) {
@@ -118,8 +133,9 @@ pub fn send_request(stream: &mut TcpStream, raw: &[u8]) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// `UnexpectedEof` if the peer closes mid-response; otherwise socket
-/// read errors.
+/// `UnexpectedEof` if the peer closes mid-response, `InvalidData` if the
+/// header block exceeds [`MAX_HEADER_BYTES`]; otherwise socket read
+/// errors.
 pub fn read_response(stream: &mut TcpStream, carry: &mut Vec<u8>) -> io::Result<RawResponse> {
     let mut buf = std::mem::take(carry);
     let mut chunk = [0u8; 4096];
@@ -129,6 +145,12 @@ pub fn read_response(stream: &mut TcpStream, carry: &mut Vec<u8>) -> io::Result<
     let head_end = loop {
         if let Some(end) = find_header_end(&buf) {
             break end;
+        }
+        if buf.len() >= MAX_HEADER_BYTES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "response header block exceeds MAX_HEADER_BYTES",
+            ));
         }
         if eof {
             return Err(io::Error::new(
@@ -187,6 +209,48 @@ mod tests {
         );
         assert_eq!(find_header_end(b"HTTP/1.1 200 OK\nA: b\n\nxy"), Some(22));
         assert_eq!(find_header_end(b"HTTP/1.1 200 OK\r\nA: b"), None);
+        // The earlier terminator wins, whichever kind it is.
+        assert_eq!(find_header_end(b"A\n\nB\r\n\r\n"), Some(3));
+        assert_eq!(find_header_end(b"A\r\n\r\nB\n\n"), Some(5));
+        assert_eq!(find_header_end(b"A\n\r\nB"), None, "mixed endings");
+    }
+
+    #[test]
+    fn header_search_is_capped() {
+        let mut buf = vec![b'x'; MAX_HEADER_BYTES];
+        buf.extend_from_slice(b"\n\nbody");
+        assert_eq!(find_header_end(&buf), None, "terminator past the cap");
+        // Straddling the cap does not count either: the head must fit.
+        buf[MAX_HEADER_BYTES - 1] = b'\n';
+        assert_eq!(find_header_end(&buf), None);
+        buf[MAX_HEADER_BYTES - 2] = b'\n';
+        assert_eq!(find_header_end(&buf), Some(MAX_HEADER_BYTES));
+    }
+
+    /// Eight pipelined bare-LF pages of 17 KB in one buffer frame in
+    /// order. Each `scan_response` looks at its first response's head only
+    /// (`header_search_is_capped`), where it used to search every body
+    /// behind it for a `\r\n\r\n` that bare-LF pages never contain.
+    #[test]
+    fn pipelined_large_responses_frame_in_order() {
+        let mut buf = Vec::new();
+        let mut sizes = Vec::new();
+        for i in 0..8usize {
+            let body = vec![b'a' + i as u8; 17 * 1024 + i];
+            let head = format!("HTTP/1.1 200 OK\nContent-Length: {}\n\n", body.len());
+            sizes.push((head.len() + body.len(), body[0]));
+            buf.extend_from_slice(head.as_bytes());
+            buf.extend_from_slice(&body);
+        }
+        let mut rest = &buf[..];
+        for (total, fill) in sizes {
+            let (status, len) = scan_response(rest).expect("a whole response is buffered");
+            assert_eq!((status, len), (200, total));
+            assert_eq!(rest[len - 1], fill);
+            rest = &rest[len..];
+        }
+        assert!(rest.is_empty());
+        assert_eq!(scan_response(&buf[..17 * 1024]), None, "body incomplete");
     }
 
     #[test]

@@ -87,7 +87,11 @@ pub struct NetConfig {
     /// Formation timeout: a PartiallyFull cohort launches at this age
     /// even if not full (paper: bounded extra delay).
     pub fill_timeout: Duration,
-    /// Preallocated cohort contexts; running out sheds with `503`.
+    /// Preallocated cohort contexts; running out sheds with `503`. One
+    /// context is open per distinct cohort key inside a fill window, so
+    /// the default (16) must cover the key population: the banking
+    /// workload has 14 request types, and with fewer contexts its Table 2
+    /// mix is shed at light load.
     pub pool_contexts: u32,
     /// Initial sleep between polls when nothing progressed. Grows
     /// exponentially up to [`NetConfig::idle_sleep_max`] while the loop
@@ -141,7 +145,7 @@ impl Default for NetConfig {
             read_deadline: Duration::from_secs(10),
             cohort_size: 32,
             fill_timeout: Duration::from_millis(2),
-            pool_contexts: 8,
+            pool_contexts: 16,
             idle_sleep: Duration::from_micros(200),
             idle_sleep_max: Duration::from_millis(5),
             max_queued_bytes: 256 * 1024,

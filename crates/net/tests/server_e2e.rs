@@ -3,13 +3,15 @@
 //! shedding (503), size caps (413), malformed input (400), and idle
 //! reaping — all over real TCP connections.
 
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use rhythm_http::{HttpRequest, ResponseBuilder};
-use rhythm_net::{read_response, send_request, CohortHandler, NetConfig, NetServer, NetStats};
+use rhythm_net::{
+    read_response, send_request, CohortHandler, NetConfig, NetServer, NetStats, Reactor,
+};
 
 /// Echoes each request's path back, recording every cohort's size.
 struct EchoHandler {
@@ -120,6 +122,47 @@ fn single_request_round_trip() {
         stats.timeout_launches, 1,
         "lone request launches by timeout"
     );
+}
+
+/// The shipped defaults hold the banking workload's 14 request types at
+/// once: 14 distinct keys pipelined in one write are read and dispatched
+/// by one poll — all inside one fill window — and none is shed. (With 8
+/// contexts six of them were answered 503.)
+#[test]
+fn default_pool_holds_fourteen_keys_in_one_fill_window() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let mut client = connect(listener.local_addr().expect("addr"));
+    let (accepted, _) = listener.accept().expect("accept");
+    let mut reactor = Reactor::new(
+        NetConfig::default(),
+        EchoHandler {
+            cohort_sizes: Vec::new(),
+        },
+        None,
+    );
+    reactor.admit(accepted);
+
+    let keys = b'a'..=b'n';
+    let mut burst = Vec::new();
+    for k in keys.clone() {
+        burst.extend_from_slice(&get(&format!("/{}", k as char)));
+    }
+    send_request(&mut client, &burst).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while reactor.stats().responses < 14 && std::time::Instant::now() < deadline {
+        reactor.poll();
+    }
+
+    let mut carry = Vec::new();
+    for k in keys {
+        let resp = read_response(&mut client, &mut carry).unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.body(), format!("echo /{}", k as char).as_bytes());
+    }
+    let (stats, handler) = reactor.into_parts();
+    assert_eq!((stats.requests, stats.responses), (14, 14));
+    assert_eq!(stats.shed_503, 0);
+    assert_eq!(handler.cohort_sizes, vec![1; 14], "14 cohorts of one");
 }
 
 #[test]

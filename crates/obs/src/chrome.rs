@@ -327,13 +327,24 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                Some(lead) => {
+                    // Consume one UTF-8 scalar. Its length is in the lead
+                    // byte, so only those ≤ 4 bytes are validated — never
+                    // the rest of the document.
+                    let len = match lead {
+                        0x00..=0x7f => 1,
+                        0xc0..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        0xf0..=0xf7 => 4,
+                        _ => return Err(self.err("invalid utf-8")),
+                    };
+                    let scalar = self
+                        .bytes
+                        .get(self.pos..self.pos + len)
+                        .and_then(|b| std::str::from_utf8(b).ok())
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
+                    out.push_str(scalar);
+                    self.pos += len;
                 }
             }
         }
@@ -555,6 +566,64 @@ mod tests {
         }
         assert_eq!(v.get("b"), Some(&Json::Bool(true)));
         assert_eq!(v.get("n"), Some(&Json::Null));
+    }
+
+    fn string_of(bytes: &[u8]) -> Result<String, String> {
+        Parser { bytes, pos: 0 }.string()
+    }
+
+    #[test]
+    fn strings_decode_multibyte_scalars() {
+        let text = "\"é€😀 — naïve\"";
+        assert_eq!(string_of(text.as_bytes()).unwrap(), "é€😀 — naïve");
+        let v = parse_json("{\"k\":\"日本語\"}").unwrap();
+        assert_eq!(v.get("k").and_then(Json::as_str), Some("日本語"));
+    }
+
+    #[test]
+    fn strings_reject_truncated_and_invalid_utf8() {
+        // '€' is e2 82 ac: cut short by the closing quote, and by the end
+        // of input.
+        let err = string_of(b"\"\xe2\x82\"").unwrap_err();
+        assert!(err.contains("invalid utf-8 at byte 1"), "{err}");
+        assert!(string_of(b"\"\xe2\x82").is_err());
+        // A lone continuation byte, an overlong '/', a surrogate, and a
+        // lead byte no scalar starts with.
+        for bad in [
+            &b"\"\x80\""[..],
+            b"\"\xc0\xaf\"",
+            b"\"\xed\xa0\x80\"",
+            b"\"\xff\"",
+        ] {
+            assert!(string_of(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    /// Parse time is linear in the document: a 2 MB trace used to take
+    /// minutes (every string character re-validated the rest of it).
+    #[test]
+    fn large_trace_validates() {
+        let r = TraceRecorder::new();
+        let mut n = 0u64;
+        let json = loop {
+            for _ in 0..2_000 {
+                r.span(
+                    Clock::Wall,
+                    "loadgen:c0:s0",
+                    "account_summary.php — résumé",
+                    n as f64,
+                    0.5,
+                    &[("rid", ArgValue::U64(n)), ("kind", ArgValue::Str("x\"y"))],
+                );
+                n += 1;
+            }
+            let json = r.chrome_json();
+            if json.len() >= 2 << 20 {
+                break json;
+            }
+        };
+        let check = validate_chrome_trace(&json).expect("valid trace");
+        assert_eq!(check.events as u64, n);
     }
 
     #[test]

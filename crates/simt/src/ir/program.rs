@@ -32,12 +32,20 @@ impl Block {
 ///
 /// Construct with [`super::ProgramBuilder`]; direct construction is possible
 /// for tests via [`Program::from_parts`] followed by validation.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+///
+/// Deliberately not `Deserialize`: the memoised fingerprint is a cache key
+/// for verifier verdicts and decoded plans, so it is only ever computed
+/// from the blocks in [`Program::from_parts`], never read from input.
+/// Ship the parts ([`Block`] is serialisable) and reassemble.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Program {
     name: String,
     blocks: Vec<Block>,
     num_regs: u16,
     entry: BlockId,
+    /// Structural hash of the fields above; fixed at construction (a
+    /// program is immutable afterwards).
+    fingerprint: u64,
 }
 
 /// Structural validation failure for a [`Program`].
@@ -92,14 +100,26 @@ impl Program {
         num_regs: u16,
         entry: BlockId,
     ) -> Result<Self, ValidateError> {
-        let p = Program {
+        let mut p = Program {
             name: name.into(),
             blocks,
             num_regs,
             entry,
+            fingerprint: 0,
         };
         p.validate()?;
+        p.fingerprint = p.compute_fingerprint();
         Ok(p)
+    }
+
+    fn compute_fingerprint(&self) -> u64 {
+        use std::hash::{Hash as _, Hasher as _};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        self.name.hash(&mut h);
+        self.num_regs.hash(&mut h);
+        self.entry.hash(&mut h);
+        self.blocks.hash(&mut h);
+        h.finish()
     }
 
     fn validate(&self) -> Result<(), ValidateError> {
@@ -186,15 +206,10 @@ impl Program {
     /// A structural fingerprint of the whole program (name, blocks, ops,
     /// register-file size), suitable as a cache key for per-program
     /// analyses. Two equal programs hash equal; distinct programs collide
-    /// only with ordinary 64-bit-hash probability.
+    /// only with ordinary 64-bit-hash probability. Computed once in
+    /// [`Program::from_parts`]; this is a field read.
     pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash as _, Hasher as _};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.name.hash(&mut h);
-        self.num_regs.hash(&mut h);
-        self.entry.hash(&mut h);
-        self.blocks.hash(&mut h);
-        h.finish()
+        self.fingerprint
     }
 
     /// Render a human-readable disassembly listing.

@@ -77,6 +77,22 @@ impl DeviceMemory {
         self.bytes.is_empty()
     }
 
+    /// Bytes the allocation holds without growing (≥ [`Self::len`]).
+    pub fn capacity(&self) -> usize {
+        self.bytes.capacity()
+    }
+
+    /// Re-cut the image to exactly `size` bytes: the first `keep` bytes
+    /// survive, everything after them reads as zero. The allocation is
+    /// reused, so a resident image whose tail is scratch can be re-cut per
+    /// use at the cost of zeroing the tail — while [`Self::len`], and with
+    /// it every out-of-bounds fault, is exactly that of a fresh
+    /// `DeviceMemory::new(size)`.
+    pub fn recut(&mut self, keep: usize, size: usize) {
+        self.bytes.truncate(keep.min(size));
+        self.bytes.resize(size, 0);
+    }
+
     fn check(&self, addr: u32, len: u32) -> Result<usize, MemError> {
         let a = addr as usize;
         let end = a.checked_add(len as usize).ok_or(MemError::OutOfBounds {
@@ -442,6 +458,26 @@ mod tests {
     fn overflow_address_rejected() {
         let m = DeviceMemory::new(4);
         assert!(m.read_word(u32::MAX).is_err());
+    }
+
+    #[test]
+    fn recut_keeps_head_zeroes_tail_reuses_allocation() {
+        let mut m = DeviceMemory::new(64);
+        m.load(0, b"head").unwrap();
+        m.load(32, b"scratch").unwrap();
+        let cap = m.capacity();
+        m.recut(8, 40);
+        assert_eq!(m.len(), 40);
+        assert_eq!(m.slice(0, 4).unwrap(), b"head");
+        assert!(m.slice(8, 32).unwrap().iter().all(|&b| b == 0));
+        assert!(m.read_byte(40).is_err(), "extent is exact");
+        assert_eq!(m.capacity(), cap);
+        m.recut(8, 64);
+        assert_eq!(m, {
+            let mut fresh = DeviceMemory::new(64);
+            fresh.load(0, b"head").unwrap();
+            fresh
+        });
     }
 
     #[test]

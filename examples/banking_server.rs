@@ -8,7 +8,9 @@
 //! so you can drive it with curl, `--simt` to serve cohorts on the
 //! simulated data-parallel device instead of the scalar path,
 //! `--shards <n>` to run the multi-reactor front end (each shard owns its
-//! connections, cohort pool, and device), and `--stats-interval <secs>`
+//! connections, cohort pool, and device — on the SIMT path a resident
+//! device context holding its session array and store image), and
+//! `--stats-interval <secs>`
 //! to print a one-line live summary (rps, p99 latency, shed counts) from
 //! the telemetry plane every interval:
 //!
@@ -184,6 +186,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             handler.cohorts,
             stats.mean_fill(),
             handler.device_time_s * 1e3,
+            // Decoded from the shard's device session array on demand.
             handler.sessions().len()
         );
     } else {
