@@ -49,7 +49,6 @@ pub mod quickpay;
 pub mod runner;
 pub mod serve;
 pub mod session_array;
-pub mod subkey;
 pub mod templates;
 pub mod types;
 
@@ -69,6 +68,5 @@ pub mod prelude {
     };
     pub use crate::serve::{banking_request_from_http, DeviceMetrics, ScalarHandler, SimtHandler};
     pub use crate::session_array::SessionArrayHost;
-    pub use crate::subkey::{ParserFeatures, SubkeyTable, SUBKEY_SPACE};
     pub use crate::types::{RequestType, TypeInfo, TABLE2};
 }

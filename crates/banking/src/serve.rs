@@ -23,9 +23,15 @@ use crate::kernels::Workload;
 use crate::native::{handle_native, BankingRequest};
 use crate::runner::{effective_gpu, CohortOptions, CohortResult, DeviceContext};
 use crate::session_array::SessionArrayHost;
-use crate::subkey::{self, ParserFeatures, SubkeyTable};
 use crate::templates::SESSION_COOKIE;
 use crate::types::RequestType;
+
+/// The cohort key of a wire request: its request type's id, as the paper
+/// groups cohorts. `None` for pages outside the 14 Banking types (shared
+/// by both handlers' [`CohortHandler::classify`]).
+fn banking_classify(req: &HttpRequest) -> Option<u32> {
+    RequestType::from_file_name(req.file_name()).map(RequestType::id)
+}
 
 /// Map a Banking cohort key to its page name for latency labels (shared
 /// by both handlers' [`CohortHandler::key_name`]).
@@ -208,8 +214,6 @@ pub fn banking_request_from_http(req: &HttpRequest) -> Option<BankingRequest> {
 pub struct ScalarHandler {
     store: BankStore,
     sessions: SessionArrayHost,
-    /// Similarity sub-key table (`None` keys cohorts by type alone).
-    subkeys: Option<SubkeyTable>,
     /// Requests served.
     pub served: u64,
 }
@@ -220,18 +224,8 @@ impl ScalarHandler {
         ScalarHandler {
             store,
             sessions,
-            subkeys: None,
             served: 0,
         }
-    }
-
-    /// Key cohorts by `(type, similarity sub-key)` instead of type
-    /// alone (see [`crate::subkey`]). Purely a grouping hint: responses
-    /// are byte-identical with sub-keys on or off.
-    #[must_use]
-    pub fn with_subkeys(mut self) -> Self {
-        self.subkeys = Some(SubkeyTable::BUILTIN);
-        self
     }
 
     /// The live session table (post-traffic state).
@@ -242,18 +236,11 @@ impl ScalarHandler {
 
 impl CohortHandler for ScalarHandler {
     fn classify(&self, req: &HttpRequest) -> Option<u32> {
-        let b = banking_request_from_http(req)?;
-        Some(match &self.subkeys {
-            Some(t) => t.composite_key(b.ty, &ParserFeatures::of(req)),
-            None => b.ty.id(),
-        })
+        banking_classify(req)
     }
 
     fn key_name(&self, key: u32) -> String {
-        match self.subkeys {
-            Some(_) => subkey::key_label(key),
-            None => banking_key_name(key),
-        }
+        banking_key_name(key)
     }
 
     fn execute(&mut self, _key: u32, requests: &[HttpRequest]) -> Vec<Vec<u8>> {
@@ -265,8 +252,8 @@ impl CohortHandler for ScalarHandler {
                     handle_native(&b, &self.store, &mut self.sessions)
                 }
                 // Unreachable for dispatched cohorts (classify gated
-                // them), but a short vec would only cost a 500.
-                None => Vec::new(),
+                // them); replies stay positional, so it costs one 500.
+                None => rhythm_net::responses::internal_500(),
             })
             .collect()
     }
@@ -274,20 +261,26 @@ impl CohortHandler for ScalarHandler {
 
 /// Re-render each wire request into the canonical ≤512 B slot text the
 /// parser kernel consumes. The front end guarantees a single-key cohort,
-/// so the runner's uniformity requirement holds by construction; requests
-/// outside the 14 Banking types drop out (the front end pads the short
-/// answer with 500s).
+/// so the runner's uniformity requirement holds by construction.
+///
+/// Replies are positional, so a request outside the 14 Banking types
+/// (which `classify` never lets into a cohort) must not simply drop out:
+/// every later member would be answered with its neighbour's page. It
+/// voids the cohort instead — empty in, empty out, and the front end
+/// answers each member with a `500`.
 fn device_requests(requests: &[HttpRequest]) -> Vec<GeneratedRequest> {
     requests
         .iter()
-        .filter_map(banking_request_from_http)
-        .map(|b| GeneratedRequest {
-            ty: b.ty,
-            token: b.token,
-            params: b.params,
-            raw: raw_http(b.ty, b.token, &b.params),
+        .map(|r| {
+            banking_request_from_http(r).map(|b| GeneratedRequest {
+                ty: b.ty,
+                token: b.token,
+                params: b.params,
+                raw: raw_http(b.ty, b.token, &b.params),
+            })
         })
-        .collect()
+        .collect::<Option<Vec<_>>>()
+        .unwrap_or_default()
 }
 
 /// The SIMT serving path: each cohort becomes one device run through
@@ -320,8 +313,6 @@ pub struct SimtHandler {
     pub faults: u64,
     /// Live device counters (when attached to a telemetry registry).
     metrics: Option<DeviceMetrics>,
-    /// Similarity sub-key table (`None` keys cohorts by type alone).
-    subkeys: Option<SubkeyTable>,
 }
 
 impl SimtHandler {
@@ -349,19 +340,7 @@ impl SimtHandler {
             device_time_s: 0.0,
             faults: 0,
             metrics: None,
-            subkeys: None,
         }
-    }
-
-    /// Key cohorts by `(type, similarity sub-key)` instead of type
-    /// alone (see [`crate::subkey`]): same-shape requests share a warp,
-    /// which lifts SIMD efficiency on the divergent parser/stage0
-    /// kernels. Purely a grouping hint: responses are byte-identical
-    /// with sub-keys on or off.
-    #[must_use]
-    pub fn with_subkeys(mut self) -> Self {
-        self.subkeys = Some(SubkeyTable::BUILTIN);
-        self
     }
 
     /// Publish this handler's device counters into `registry` (one shard's
@@ -445,18 +424,11 @@ impl SimtHandler {
 
 impl CohortHandler for SimtHandler {
     fn classify(&self, req: &HttpRequest) -> Option<u32> {
-        let b = banking_request_from_http(req)?;
-        Some(match &self.subkeys {
-            Some(t) => t.composite_key(b.ty, &ParserFeatures::of(req)),
-            None => b.ty.id(),
-        })
+        banking_classify(req)
     }
 
     fn key_name(&self, key: u32) -> String {
-        match self.subkeys {
-            Some(_) => subkey::key_label(key),
-            None => banking_key_name(key),
-        }
+        banking_key_name(key)
     }
 
     fn execute(&mut self, _key: u32, requests: &[HttpRequest]) -> Vec<Vec<u8>> {
@@ -552,22 +524,68 @@ mod tests {
         assert!(h.device_time_s > 0.0);
     }
 
-    #[test]
-    fn device_metrics_track_cohorts_and_streams() {
-        let store = BankStore::generate(16, 1);
+    fn simt_handler() -> SimtHandler {
         let opts = CohortOptions {
             session_capacity: 64,
             ..CohortOptions::default()
         };
-        let registry = MetricRegistry::new();
-        let mut h = SimtHandler::new(
+        SimtHandler::new(
             Workload::build(),
-            store,
+            BankStore::generate(16, 1),
             SessionArrayHost::new(64, opts.session_salt),
             Gpu::new(GpuConfig::gtx_titan()),
             opts,
         )
-        .with_metrics(&registry);
+    }
+
+    /// Both handlers key cohorts by request type and nothing else, and
+    /// label each key with its page name.
+    #[test]
+    fn both_handlers_classify_by_type_id_and_name_keys_by_page() {
+        let scalar = ScalarHandler::new(BankStore::generate(16, 1), SessionArrayHost::new(64, 1));
+        let simt = simt_handler();
+        let handlers: [&dyn CohortHandler; 2] = [&scalar, &simt];
+        for ty in RequestType::ALL {
+            let raw = raw_http(ty, 42, &[3, 5, 0, 0]);
+            let req = parse(&raw);
+            for h in handlers {
+                assert_eq!(h.classify(&req), Some(ty.id()), "{ty}");
+                assert_eq!(h.key_name(ty.id()), ty.file_name(), "{ty}");
+            }
+        }
+        let unknown = parse(b"GET /bank/nope.php?userid=3 HTTP/1.1\r\nCookie: SID=42\r\n\r\n");
+        for h in handlers {
+            assert_eq!(h.classify(&unknown), None);
+        }
+    }
+
+    /// A non-banking request in the middle of a device cohort (which
+    /// `classify` never admits, but `execute` must survive) may not shift
+    /// the members behind it onto their neighbours' pages: the cohort is
+    /// voided, and the front end pads the empty reply with 500s.
+    #[test]
+    fn non_banking_request_mid_cohort_misroutes_no_reply() {
+        let mut h = simt_handler();
+        let summary =
+            |user: u32| parse(&raw_http(RequestType::AccountSummary, 0, &[user, 0, 0, 0]));
+        let stray = parse(b"GET /bank/nope.php?userid=9 HTTP/1.1\r\n\r\n");
+        let cohort = vec![summary(3), stray, summary(5)];
+        let key = RequestType::AccountSummary.id();
+
+        // No reply at any position, so none at the wrong one. (Dropping
+        // the stray alone would put user 5's page at position 1.)
+        assert!(h.execute(key, &cohort).is_empty());
+        let clean = vec![summary(3), summary(5)];
+        let many = h.execute_many(&[(key, cohort), (key, clean.clone())]);
+        assert!(many[0].is_empty(), "voided cohort");
+        assert_eq!(many[1], h.execute(key, &clean), "its batch neighbour runs");
+        assert_eq!((h.cohorts, h.served), (2, 4));
+    }
+
+    #[test]
+    fn device_metrics_track_cohorts_and_streams() {
+        let registry = MetricRegistry::new();
+        let mut h = simt_handler().with_metrics(&registry);
 
         let login = parse(b"POST /bank/login.php HTTP/1.1\r\nContent-Length: 8\r\n\r\nuserid=5");
         let key = h.classify(&login).expect("classifies");

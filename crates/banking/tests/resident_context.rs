@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rhythm_banking::genreq::GeneratedRequest;
 use rhythm_banking::prelude::*;
-use rhythm_net::{read_response, send_request, NetConfig, NetServer};
+use rhythm_net::{read_response, send_request, NetConfig, ShardedServer};
 use rhythm_obs::NoopRecorder;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
@@ -232,7 +232,7 @@ fn faulting_login_cohort_answers_500_and_leaves_no_trace() {
             fill_timeout: Duration::from_millis(200),
             ..NetConfig::default()
         };
-        let server = NetServer::bind("127.0.0.1:0", config, handler).expect("bind");
+        let server = ShardedServer::bind("127.0.0.1:0", config, vec![handler]).expect("bind");
         let addr = server.local_addr().expect("addr");
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
@@ -257,7 +257,8 @@ fn faulting_login_cohort_answers_500_and_leaves_no_trace() {
         }
         drop(conn);
         stop.store(true, Ordering::Relaxed);
-        let (_, handler) = join.join().expect("server thread");
+        let mut run = join.join().expect("server thread");
+        let (_, handler) = run.shards.pop().expect("one shard");
         (answers, handler, admitted_armed.load(Ordering::SeqCst))
     };
 

@@ -17,16 +17,16 @@
 //! measurement window, the post-window drain, and the overload probe are
 //! reported (and asserted) independently, so steady-state throughput and
 //! latency are never contaminated by warmup or overload traffic. The
-//! emitted `BENCH_net.json` is schema version 5: each phase object
+//! emitted `BENCH_net.json` is schema version 6: each phase object
 //! carries a `"phase"` field plus a `"degenerate"` flag (true when the
 //! phase has no wall time or no completions, so its rate/latency
 //! summaries are placeholders), the run records `mode` and `shards`,
 //! `--scrape` adds a `"scrape"` object cross-checking the server's
 //! `/metrics` request counters against the loadgen's own totals, and the
-//! additive v5 fields record the declared SLO (`slo_ms`), the cohort
-//! `controller` configuration (adaptive batching + similarity sub-keys),
-//! and — under `--ramp` — the per-step latency/throughput `frontier`
-//! with adaptation off vs on.
+//! v5 fields record the declared SLO (`slo_ms`), the cohort `controller`
+//! configuration (adaptive batching; v6 dropped its second field), and
+//! — under `--ramp` — the per-step latency/throughput `frontier` with
+//! adaptation off vs on.
 //!
 //! Flags:
 //!
@@ -45,8 +45,6 @@
 //! * `--adaptive` — enable the SLO-aware adaptive cohort controller
 //!   (per-shard dynamic target depth and fill deadline).
 //! * `--slo-ms <ms>` — declared p99 latency SLO (default 20).
-//! * `--subkeys` — similarity sub-keyed cohort formation (split each
-//!   request type by divergence-clustered parser features).
 //! * `--ramp` — open-loop rate-ramp: sweep offered load at several
 //!   fractions of `--rate` with adaptation off and on, recording the
 //!   latency/throughput frontier before the main measured run.
@@ -86,7 +84,6 @@ struct Args {
     scrape: bool,
     no_telemetry: bool,
     adaptive: bool,
-    subkeys: bool,
     ramp: bool,
     slo_ms: f64,
     gate: Option<String>,
@@ -108,7 +105,6 @@ fn parse_args() -> Args {
         scrape: false,
         no_telemetry: false,
         adaptive: false,
-        subkeys: false,
         ramp: false,
         slo_ms: 20.0,
         gate: None,
@@ -137,7 +133,6 @@ fn parse_args() -> Args {
             "--scrape" => parsed.scrape = true,
             "--no-telemetry" => parsed.no_telemetry = true,
             "--adaptive" => parsed.adaptive = true,
-            "--subkeys" => parsed.subkeys = true,
             "--ramp" => {
                 parsed.ramp = true;
                 parsed.open_loop = true;
@@ -193,7 +188,7 @@ fn parse_args() -> Args {
             "--out" => parsed.out = args.next().expect("--out needs a path"),
             other => panic!(
                 "unknown flag {other:?} (expected --smoke, --scalar, --open-loop, --paced, \
-                 --scrape, --no-telemetry, --adaptive, --subkeys, --ramp, --slo-ms <ms>, \
+                 --scrape, --no-telemetry, --adaptive, --ramp, --slo-ms <ms>, \
                  --gate <path>, --shards <n>, --conns <n>, --rate <rps>, \
                  --duration <s>, --clients <n>, --requests <n>, --out <path>)"
             ),
@@ -210,36 +205,26 @@ fn parse_args() -> Args {
     parsed
 }
 
-fn simt_handler(subkeys: bool) -> SimtHandler {
+fn simt_handler() -> SimtHandler {
     let opts = CohortOptions {
         session_capacity: SESSION_CAPACITY,
         session_salt: SESSION_SALT,
         ..CohortOptions::default()
     };
-    let h = SimtHandler::new(
+    SimtHandler::new(
         Workload::build(),
         BankStore::generate(NUM_USERS, 1),
         SessionArrayHost::new(SESSION_CAPACITY, SESSION_SALT),
         Gpu::new(GpuConfig::gtx_titan()),
         opts,
-    );
-    if subkeys {
-        h.with_subkeys()
-    } else {
-        h
-    }
+    )
 }
 
-fn scalar_handler(subkeys: bool) -> ScalarHandler {
-    let h = ScalarHandler::new(
+fn scalar_handler() -> ScalarHandler {
+    ScalarHandler::new(
         BankStore::generate(NUM_USERS, 1),
         SessionArrayHost::new(SESSION_CAPACITY, SESSION_SALT),
-    );
-    if subkeys {
-        h.with_subkeys()
-    } else {
-        h
-    }
+    )
 }
 
 /// A booted server: bound address, stop flag, and the join handle
@@ -827,25 +812,9 @@ fn run_overload(scalar: bool, shards: usize) -> LoadResult {
     let clients = shards * 2 + 8;
     let requests = 8;
     let mut result = if scalar {
-        run_closed(
-            || scalar_handler(false),
-            config,
-            shards,
-            clients,
-            requests,
-            false,
-        )
-        .0
+        run_closed(scalar_handler, config, shards, clients, requests, false).0
     } else {
-        run_closed(
-            || simt_handler(false),
-            config,
-            shards,
-            clients,
-            requests,
-            false,
-        )
-        .0
+        run_closed(simt_handler, config, shards, clients, requests, false).0
     };
     for p in &mut result.phases {
         // Overload traffic is its own phase in the report; the inner
@@ -926,7 +895,7 @@ fn run_ramp(args: &Args, base: &NetConfig) -> Vec<FrontierStep> {
             };
             let load = if args.scalar {
                 run_open(
-                    || scalar_handler(args.subkeys),
+                    scalar_handler,
                     config,
                     args.shards,
                     args.conns,
@@ -938,7 +907,7 @@ fn run_ramp(args: &Args, base: &NetConfig) -> Vec<FrontierStep> {
                 .0
             } else {
                 run_open(
-                    || simt_handler(args.subkeys),
+                    simt_handler,
                     config,
                     args.shards,
                     args.conns,
@@ -1104,7 +1073,7 @@ fn main() {
         if scalar {
             let (load, _h) = if args.open_loop {
                 run_open(
-                    || scalar_handler(args.subkeys),
+                    scalar_handler,
                     config.clone(),
                     args.shards,
                     args.conns,
@@ -1115,7 +1084,7 @@ fn main() {
                 )
             } else {
                 run_closed(
-                    || scalar_handler(args.subkeys),
+                    scalar_handler,
                     config.clone(),
                     args.shards,
                     args.clients,
@@ -1127,7 +1096,7 @@ fn main() {
         } else {
             let (load, handlers) = if args.open_loop {
                 run_open(
-                    || simt_handler(args.subkeys),
+                    simt_handler,
                     config.clone(),
                     args.shards,
                     args.conns,
@@ -1138,7 +1107,7 @@ fn main() {
                 )
             } else {
                 run_closed(
-                    || simt_handler(args.subkeys),
+                    simt_handler,
                     config.clone(),
                     args.shards,
                     args.clients,
@@ -1309,12 +1278,9 @@ fn main() {
                 .join(",\n    ")
         ),
     };
-    let controller_json = format!(
-        "{{\"adaptive\": {}, \"subkeys\": {}}}",
-        args.adaptive, args.subkeys
-    );
+    let controller_json = format!("{{\"adaptive\": {}}}", args.adaptive);
     let json = format!(
-        "{{\n  \"schema_version\": 5,\n  \"path\": \"{path}\",\n  \"mode\": \"{mode}\",\n  \
+        "{{\n  \"schema_version\": 6,\n  \"path\": \"{path}\",\n  \"mode\": \"{mode}\",\n  \
          \"telemetry\": {},\n  \"slo_ms\": {},\n  \"controller\": {controller_json},\n  \
          \"shards\": {},\n  \"cohort_size\": {},\n  \"conns\": {},\n  \"rate_rps\": {},\n  \
          \"clients\": {},\n  \"requests_per_client\": {},\n  \"completed\": {},\n  \
@@ -1433,9 +1399,8 @@ mod tests {
         assert!(j.contains("\"degenerate\": false"), "flag wrong in {j}");
     }
 
-    /// The additive schema-v5 fields — frontier steps and the controller
-    /// object — must be well-formed JSON objects carrying every key a
-    /// consumer needs to reconstruct the latency/throughput frontier.
+    /// Frontier steps must be well-formed JSON objects carrying every key
+    /// a consumer needs to reconstruct the latency/throughput frontier.
     #[test]
     fn frontier_step_json_is_well_formed() {
         let step = FrontierStep {
@@ -1477,7 +1442,7 @@ mod tests {
     /// array (those live on single indented lines).
     #[test]
     fn gate_extracts_top_level_fields_only() {
-        let baseline = "{\n  \"schema_version\": 5,\n  \"phases\": [\n    \
+        let baseline = "{\n  \"schema_version\": 6,\n  \"phases\": [\n    \
                         {\"phase\": \"steady\", \"throughput_rps\": 999.0, \
                         \"mean_cohort_fill\": 0.9}\n  ],\n  \
                         \"throughput_rps\": 11983.333333,\n  \

@@ -19,24 +19,24 @@
 //!   [`server::CohortHandler`] as a single batch (so device handlers can
 //!   run them as concurrent streams), and responses are transposed back
 //!   onto the originating connections in request order.
-//! * [`server::NetServer`] runs one reactor behind one listener;
-//!   [`shard::ShardedServer`] runs N reactor threads behind a dedicated
-//!   acceptor with round-robin connection handoff — each shard owns its
-//!   connections, cohort pool, stats, and handler (device), and
-//!   connection pinning doubles as session-affinity routing.
+//! * [`shard::ShardedServer`] is the one server type: an acceptor hands
+//!   connections round-robin to one reactor thread per handler. Bound
+//!   with a single handler it is the paper's single event loop; with N,
+//!   each shard owns its connections, cohort pool, stats, and handler
+//!   (device), and connection pinning doubles as session-affinity
+//!   routing. Every configuration runs the same service loop.
 //! * Robustness under load: a connection cap (excess connections are shed
 //!   with `503` + `Retry-After`), pool-exhaustion shedding (`503`),
 //!   request size caps (`413`), malformed-input rejection (`400`), and a
 //!   read deadline that reaps half-open connections. All FSM transitions
 //!   use the fallible cohort API, so one bad dispatch can never panic the
 //!   event loop.
-//! * Everything is instrumented through `rhythm-obs`: per-cohort execute
-//!   spans, FSM transition instants, `cohort_fill` /
-//!   `net_request_latency_s` histograms, and shed/stall counters.
-//! * A live telemetry plane ([`metrics::Telemetry`]) aggregates one
-//!   lock-free registry per shard (seqlock counter snapshots, per-type
-//!   latency and cohort-fill histograms, an always-on flight recorder)
-//!   and serves it through in-band admin endpoints ([`admin`]):
+//! * The live telemetry plane ([`metrics::Telemetry`]) is the crate's
+//!   one event sink: it aggregates one lock-free registry per shard
+//!   (seqlock counter snapshots, per-type latency and cohort-fill
+//!   histograms, an always-on flight recorder holding cohort-batch
+//!   spans, sheds and a sampled poll heartbeat) and serves it through
+//!   in-band admin endpoints ([`admin`]):
 //!   `GET /metrics` (Prometheus text), `GET /healthz`, and `GET /trace`
 //!   (Chrome trace of recent events). Admin requests are answered before
 //!   cohort formation and counted separately, so workload accounting
@@ -65,5 +65,5 @@ pub use client::{read_response, scan_response, send_request, RawResponse};
 pub use conn::RequestAccumulator;
 pub use controller::{decide, Controller, ControllerConfig, Decision};
 pub use metrics::{LaunchView, LiveSnapshot, ShardMetrics, StatsCell, Telemetry};
-pub use server::{CohortHandler, NetConfig, NetServer, NetStats, Reactor};
+pub use server::{CohortHandler, NetConfig, NetStats, Reactor};
 pub use shard::{ShardedRun, ShardedServer};

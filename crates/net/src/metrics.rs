@@ -35,10 +35,10 @@ use crate::server::NetStats;
 /// Events each shard's flight recorder retains.
 const FLIGHT_CAPACITY: usize = 4096;
 /// Distinct cohort keys with their own latency histogram and launch
-/// counters; higher keys share the last slot. Sized for the banking
-/// workload's composite similarity keys (14 types × 8 sub-keys) with
+/// counters; higher keys share the last slot. Cohort keys are request
+/// type ids, so this covers the banking workload's 14 types with
 /// headroom.
-const KEY_SLOTS: usize = 128;
+const KEY_SLOTS: usize = 32;
 
 /// A consistent, torn-read-proof snapshot of one shard's live counters.
 #[derive(Clone, Debug, Default, PartialEq)]

@@ -4,20 +4,17 @@
 //!
 //! The connection/cohort state machine lives in [`Reactor`], which owns
 //! admitted connections but no listener: streams are handed to it via
-//! [`Reactor::admit`]. [`NetServer`] is the single-reactor server (one
-//! listener feeding one reactor); [`crate::shard::ShardedServer`] runs N
-//! reactors behind one acceptor for the multi-reactor front end.
+//! [`Reactor::admit`]. [`crate::shard::ShardedServer`] is the server: one
+//! acceptor feeding one reactor thread per handler.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rhythm_core::{CohortPool, CohortState, ContextId};
 use rhythm_http::{HttpRequest, ParseError};
-use rhythm_obs::{ArgValue, Clock, NoopRecorder, Recorder};
 
 use crate::admin;
 use crate::conn::RequestAccumulator;
@@ -360,8 +357,9 @@ struct Pending {
 /// connections, per-type cohort contexts, and the run's counters.
 ///
 /// A reactor owns no listener — streams are pushed in through
-/// [`Reactor::admit`] (by [`NetServer`]'s accept loop or by the sharded
-/// acceptor). Each [`Reactor::poll_traced`] reads every readable socket,
+/// [`Reactor::admit`] (by the [`crate::shard::ShardedServer`] acceptor, or
+/// by a test stepping the reactor by hand). Each [`Reactor::poll`] reads
+/// every readable socket,
 /// parses complete requests, dispatches them into cohort contexts, marks
 /// full or timed-out cohorts, launches the marked batch through the
 /// [`CohortHandler`] (one `execute_many` call, so device handlers can
@@ -375,9 +373,6 @@ pub struct Reactor<H> {
     next_conn_id: u64,
     stats: NetStats,
     epoch: Instant,
-    /// Shard index for obs track names; `None` keeps the single-reactor
-    /// names (`net`, `net:device`, `net:ctx<N>`).
-    shard: Option<usize>,
     /// Contexts marked launchable this poll: `(context, by_timeout)`.
     launchable: Vec<(ContextId, bool)>,
     /// The cross-shard telemetry plane this reactor publishes into (a
@@ -427,14 +422,12 @@ impl FlightNames {
 }
 
 impl<H: CohortHandler> Reactor<H> {
-    /// A reactor over `handler`. `shard` selects the obs track namespace:
-    /// `Some(i)` prefixes tracks with `s<i>:` so per-shard timelines stay
-    /// distinguishable in one trace.
+    /// A reactor over `handler`.
     ///
     /// # Panics
     ///
     /// Panics on a zero cohort size, context count, or connection cap.
-    pub fn new(config: NetConfig, handler: H, shard: Option<usize>) -> Self {
+    pub fn new(config: NetConfig, handler: H) -> Self {
         assert!(config.cohort_size > 0, "cohort size must be nonzero");
         assert!(config.pool_contexts > 0, "need at least one context");
         assert!(config.max_connections > 0, "need at least one connection");
@@ -459,7 +452,6 @@ impl<H: CohortHandler> Reactor<H> {
             next_conn_id: 0,
             stats: NetStats::default(),
             epoch: Instant::now(),
-            shard,
             launchable: Vec::new(),
             telemetry,
             metrics,
@@ -515,27 +507,6 @@ impl<H: CohortHandler> Reactor<H> {
         self.stats.idle_polls += 1;
     }
 
-    fn net_track(&self) -> String {
-        match self.shard {
-            None => "net".to_string(),
-            Some(s) => format!("net:s{s}"),
-        }
-    }
-
-    fn device_track(&self) -> String {
-        match self.shard {
-            None => "net:device".to_string(),
-            Some(s) => format!("net:s{s}:device"),
-        }
-    }
-
-    fn ctx_track(&self, id: ContextId) -> String {
-        match self.shard {
-            None => format!("net:ctx{id}"),
-            Some(s) => format!("net:s{s}:ctx{id}"),
-        }
-    }
-
     /// Take ownership of an accepted stream: admit it (non-blocking, slot
     /// accounting) or shed it with `503` when this reactor is at its
     /// connection cap.
@@ -565,20 +536,15 @@ impl<H: CohortHandler> Reactor<H> {
     /// One non-blocking service iteration; returns whether anything
     /// progressed (callers should back off briefly when it did not).
     pub fn poll(&mut self) -> bool {
-        self.poll_traced(&NoopRecorder)
-    }
-
-    /// [`Reactor::poll`] with a recorder attached.
-    pub fn poll_traced<R: Recorder + ?Sized>(&mut self, rec: &R) -> bool {
         let mut progress = false;
         let parsed = self.read_sockets(&mut progress);
         for p in parsed {
-            self.dispatch(p, rec);
+            self.dispatch(p);
             progress = true;
         }
         self.tick_controller();
         self.mark_launchable();
-        progress |= self.flush_launches(rec);
+        progress |= self.flush_launches();
         progress |= self.write_sockets();
         self.reap();
         self.publish_metrics();
@@ -630,13 +596,13 @@ impl<H: CohortHandler> Reactor<H> {
 
     /// After the stop flag: launch whatever is still partially formed and
     /// push out pending bytes (bounded, best effort).
-    pub fn drain<R: Recorder + ?Sized>(&mut self, rec: &R) {
+    pub fn drain(&mut self) {
         for id in 0..self.pool.len() as ContextId {
             if self.pool.get(id).state() == CohortState::PartiallyFull {
                 self.launchable.push((id, true));
             }
         }
-        self.flush_launches(rec);
+        self.flush_launches();
         for _ in 0..64 {
             if !self.write_sockets() {
                 break;
@@ -742,11 +708,11 @@ impl<H: CohortHandler> Reactor<H> {
     /// Dispatch one parsed request into a cohort context, shedding with
     /// `503` when no context can take it. Never panics: FSM refusals
     /// (which the guarded lookup makes unreachable) shed the request too.
-    fn dispatch<R: Recorder + ?Sized>(&mut self, p: Pending, rec: &R) {
+    fn dispatch(&mut self, p: Pending) {
         let Some(key) = self.handler.classify(&p.req) else {
             self.stats.unclassified += 1;
             let resp = self.handler.reject(&p.req);
-            self.route(p.conn, p.seq, resp, None, rec);
+            self.route(p.conn, p.seq, resp);
             return;
         };
         let now_s = self.epoch.elapsed().as_secs_f64();
@@ -759,36 +725,16 @@ impl<H: CohortHandler> Reactor<H> {
             // immediate-launch server would have taken.
             self.mark_launchable();
             if !self.launchable.is_empty() {
-                self.flush_launches(rec);
+                self.flush_launches();
                 ctx = self.pool.open_for(key).or_else(|| self.pool.acquire());
             }
         }
         let Some(id) = ctx else {
-            self.shed(p, rec);
+            self.shed(p);
             return;
         };
-        let fresh = self.pool.get(id).state() == CohortState::Free;
         match self.pool.get_mut(id).add(p, key, now_s) {
             Ok(()) => {
-                if rec.enabled() {
-                    let full = self.pool.get(id).state() == CohortState::Full;
-                    let name = match (fresh, full) {
-                        (true, true) => "Free→Full",
-                        (true, false) => "Free→PartiallyFull",
-                        (false, true) => "PartiallyFull→Full",
-                        (false, false) => "",
-                    };
-                    if !name.is_empty() {
-                        let fill = self.pool.get(id).fill();
-                        rec.instant(
-                            Clock::Wall,
-                            &self.ctx_track(id),
-                            name,
-                            rec.wall_now_us(),
-                            &[("fill", ArgValue::F64(fill))],
-                        );
-                    }
-                }
                 if self.pool.get(id).state() == CohortState::Full {
                     self.launchable.push((id, false));
                 }
@@ -797,29 +743,20 @@ impl<H: CohortHandler> Reactor<H> {
                 // One bad dispatch must never take down the loop: the
                 // refused request is shed like a pool-exhaustion stall.
                 self.stats.fsm_rejections += 1;
-                self.shed(rej.request, rec);
+                self.shed(rej.request);
             }
         }
     }
 
     /// Answer `503` + `Retry-After` for a request no context can hold.
-    fn shed<R: Recorder + ?Sized>(&mut self, p: Pending, rec: &R) {
+    fn shed(&mut self, p: Pending) {
         self.stats.shed_503 += 1;
         if self.config.telemetry {
             let flight = self.metrics.flight();
             flight.instant(self.flight_names.shed, 0, flight.now_us(), 1);
         }
-        if rec.enabled() {
-            rec.counter(
-                Clock::Wall,
-                &self.net_track(),
-                "shed_503",
-                rec.wall_now_us(),
-                self.stats.shed_503 as f64,
-            );
-        }
         let resp = responses::shed_503(self.config.retry_after_s);
-        self.route(p.conn, p.seq, resp, None, rec);
+        self.route(p.conn, p.seq, resp);
     }
 
     /// Re-evaluate the adaptive controller (no-op between ticks and in
@@ -877,15 +814,14 @@ impl<H: CohortHandler> Reactor<H> {
     /// Launch every context marked this poll through one
     /// [`CohortHandler::execute_many`] call and route the responses back
     /// onto their connections. Returns whether anything launched.
-    fn flush_launches<R: Recorder + ?Sized>(&mut self, rec: &R) -> bool {
+    fn flush_launches(&mut self) -> bool {
         if self.launchable.is_empty() {
             return false;
         }
         let marked = std::mem::take(&mut self.launchable);
         let mut batch: Vec<(u32, Vec<HttpRequest>)> = Vec::with_capacity(marked.len());
-        // Per launched cohort: context id, member count, fill at launch,
-        // cohort key.
-        let mut meta: Vec<(ContextId, usize, f64, u32)> = Vec::with_capacity(marked.len());
+        // Per launched cohort: context id, member count, cohort key.
+        let mut meta: Vec<(ContextId, usize, u32)> = Vec::with_capacity(marked.len());
         for (id, by_timeout) in marked {
             let fill = self.pool.get(id).fill();
             let n = self.pool.get(id).members().len();
@@ -915,21 +851,6 @@ impl<H: CohortHandler> Reactor<H> {
                     fill,
                 );
             }
-            if rec.enabled() {
-                let name = if by_timeout {
-                    "PartiallyFull→Busy (timeout)"
-                } else {
-                    "Full→Busy"
-                };
-                rec.instant(
-                    Clock::Wall,
-                    &self.ctx_track(id),
-                    name,
-                    rec.wall_now_us(),
-                    &[("fill", ArgValue::F64(fill))],
-                );
-                rec.sample("cohort_fill", fill);
-            }
             let reqs: Vec<HttpRequest> = self
                 .pool
                 .get(id)
@@ -938,7 +859,7 @@ impl<H: CohortHandler> Reactor<H> {
                 .map(|m| m.req.clone())
                 .collect();
             batch.push((key, reqs));
-            meta.push((id, n, fill, key));
+            meta.push((id, n, key));
         }
         if batch.is_empty() {
             return false;
@@ -946,8 +867,7 @@ impl<H: CohortHandler> Reactor<H> {
 
         // The contexts stay Busy for the duration of the batched handler
         // call — the wall-clock analogue of the pipeline's execute phase.
-        let total: usize = meta.iter().map(|&(_, n, _, _)| n).sum();
-        let t0 = rec.wall_now_us();
+        let total: usize = meta.iter().map(|&(_, n, _)| n).sum();
         let ft0 = if self.config.telemetry {
             self.metrics.flight().now_us()
         } else {
@@ -959,30 +879,13 @@ impl<H: CohortHandler> Reactor<H> {
             let ft1 = flight.now_us();
             flight.span(self.flight_names.cohorts, 1, ft0, ft1 - ft0, total as u64);
         }
-        if rec.enabled() {
-            let t1 = rec.wall_now_us();
-            rec.span(
-                Clock::Wall,
-                &self.device_track(),
-                &format!("cohorts x{}", batch.len()),
-                t0,
-                t1 - t0,
-                &[
-                    ("cohorts", ArgValue::U64(batch.len() as u64)),
-                    ("requests", ArgValue::U64(total as u64)),
-                ],
-            );
-            for &(id, _, _, _) in &meta {
-                rec.instant(Clock::Wall, &self.ctx_track(id), "Busy→Free", t1, &[]);
-            }
-        }
         if replies.len() < batch.len() {
             // A handler that answered fewer cohorts than launched is a
             // bug it survives: the missing cohorts get padded 500s below.
             replies.resize_with(batch.len(), Vec::new);
         }
 
-        for ((id, n, _, key), mut cohort_replies) in meta.into_iter().zip(replies) {
+        for ((id, n, key), mut cohort_replies) in meta.into_iter().zip(replies) {
             if cohort_replies.len() < n {
                 cohort_replies.resize_with(n, responses::internal_500);
             }
@@ -997,24 +900,14 @@ impl<H: CohortHandler> Reactor<H> {
                         m.arrived.elapsed().as_secs_f64(),
                     );
                 }
-                self.route(m.conn, m.seq, resp, Some(m.arrived), rec);
+                self.route(m.conn, m.seq, resp);
             }
         }
         true
     }
 
     /// Deliver a response to its connection's ordered output queue.
-    fn route<R: Recorder + ?Sized>(
-        &mut self,
-        conn: u64,
-        seq: u64,
-        bytes: Vec<u8>,
-        arrived: Option<Instant>,
-        rec: &R,
-    ) {
-        if let (Some(at), true) = (arrived, rec.enabled()) {
-            rec.sample("net_request_latency_s", at.elapsed().as_secs_f64());
-        }
+    fn route(&mut self, conn: u64, seq: u64, bytes: Vec<u8>) {
         match self.conns.get_mut(&conn) {
             Some(c) => {
                 c.complete(seq, bytes);
@@ -1095,136 +988,5 @@ impl<H: CohortHandler> Reactor<H> {
             }
             true
         });
-    }
-}
-
-/// The single-reactor non-blocking cohort front end: one listener feeding
-/// one [`Reactor`] on the calling thread, mirroring the paper's
-/// event-loop server. For the sharded multi-reactor server, see
-/// [`crate::shard::ShardedServer`].
-#[derive(Debug)]
-pub struct NetServer<H> {
-    listener: TcpListener,
-    reactor: Reactor<H>,
-}
-
-impl<H: CohortHandler> NetServer<H> {
-    /// Bind a listener and prepare the cohort pool.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors from bind/configure.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero cohort size, context count, or connection cap.
-    pub fn bind<A: ToSocketAddrs>(addr: A, config: NetConfig, handler: H) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(NetServer {
-            listener,
-            reactor: Reactor::new(config, handler, None),
-        })
-    }
-
-    /// Publish into a caller-created single-shard telemetry plane instead
-    /// of the internal default — lets the caller build device handlers
-    /// against [`Telemetry::device`] before binding, and scrape the plane
-    /// from outside while the server runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the plane has exactly one shard.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: &Arc<Telemetry>) -> Self {
-        assert_eq!(telemetry.shards(), 1, "single-reactor server, one shard");
-        self.reactor.attach_telemetry(telemetry, 0);
-        self
-    }
-
-    /// The telemetry plane this server publishes into.
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
-        self.reactor.telemetry()
-    }
-
-    /// The bound address (use with an ephemeral port).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket error.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> &NetStats {
-        self.reactor.stats()
-    }
-
-    /// Borrow the workload handler.
-    pub fn handler(&self) -> &H {
-        self.reactor.handler()
-    }
-
-    /// Serve until `stop` is raised, then drain and return the run's
-    /// counters along with the handler.
-    pub fn run(self, stop: &AtomicBool) -> (NetStats, H) {
-        self.run_traced(stop, &NoopRecorder)
-    }
-
-    /// [`NetServer::run`] with `rhythm-obs` instrumentation: wall-clock
-    /// cohort execute spans on the `net:device` track, FSM transition
-    /// instants on `net:ctx<N>` tracks, `cohort_fill` and
-    /// `net_request_latency_s` histograms, and shed counters on the
-    /// `net` track. The recorder is observational only.
-    pub fn run_traced<R: Recorder + ?Sized>(mut self, stop: &AtomicBool, rec: &R) -> (NetStats, H) {
-        let mut idle = self.reactor.config.idle_sleep;
-        while !stop.load(Ordering::Relaxed) {
-            if self.poll_traced(rec) {
-                idle = self.reactor.config.idle_sleep;
-            } else {
-                self.reactor.note_idle();
-                // Clamp the backoff to the earliest pending cohort fill
-                // deadline: a grown idle sleep must not overshoot it and
-                // add up to idle_sleep_max of queue latency.
-                let sleep = match self.reactor.next_fill_deadline() {
-                    Some(d) => idle.min(d),
-                    None => idle,
-                };
-                if !sleep.is_zero() {
-                    std::thread::sleep(sleep);
-                }
-                idle = (idle * 2).min(self.reactor.config.idle_sleep_max);
-            }
-        }
-        self.reactor.drain(rec);
-        self.reactor.into_parts()
-    }
-
-    /// One non-blocking service iteration; returns whether anything
-    /// progressed (callers may back off briefly when it did not).
-    pub fn poll(&mut self) -> bool {
-        self.poll_traced(&NoopRecorder)
-    }
-
-    /// [`NetServer::poll`] with a recorder attached.
-    pub fn poll_traced<R: Recorder + ?Sized>(&mut self, rec: &R) -> bool {
-        let progress = self.accept_new();
-        self.reactor.poll_traced(rec) || progress
-    }
-
-    fn accept_new(&mut self) -> bool {
-        let mut progress = false;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    progress = true;
-                    self.reactor.admit(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-        progress
     }
 }

@@ -1,5 +1,7 @@
-//! The sharded multi-reactor front end: one acceptor thread feeding N
-//! [`Reactor`] threads over channels.
+//! The server: one acceptor thread feeding N [`Reactor`] threads over
+//! channels. One handler gives the paper's single event loop; more give
+//! the sharded multi-reactor front end. Either way it is this type and
+//! this loop.
 //!
 //! Each reactor owns its accepted connections, its own `CohortPool`,
 //! [`NetStats`], and — through its own [`CohortHandler`] instance — its
@@ -23,8 +25,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
-use rhythm_obs::{NoopRecorder, Recorder};
-
 use crate::metrics::Telemetry;
 use crate::server::{CohortHandler, NetConfig, NetStats, Reactor};
 
@@ -47,9 +47,9 @@ impl<H> ShardedRun<H> {
     }
 }
 
-/// The multi-reactor server: a listener plus N per-shard configurations
-/// and handlers. Built with [`ShardedServer::bind`], driven to completion
-/// by [`ShardedServer::run`].
+/// The server: a listener plus one handler per reactor shard (a single
+/// handler is the single-reactor server). Built with
+/// [`ShardedServer::bind`], driven to completion by [`ShardedServer::run`].
 #[derive(Debug)]
 pub struct ShardedServer<H> {
     listener: TcpListener,
@@ -133,17 +133,6 @@ impl<H: CohortHandler + Send> ShardedServer<H> {
     /// Serve until `stop` is raised, then drain every shard and return
     /// the per-shard counters and handlers.
     pub fn run(self, stop: &AtomicBool) -> ShardedRun<H> {
-        self.run_traced(stop, &NoopRecorder)
-    }
-
-    /// [`ShardedServer::run`] with a recorder attached. Shard `i`'s
-    /// events land on `net:s<i>`-prefixed tracks, so per-shard timelines
-    /// stay distinguishable in one trace.
-    pub fn run_traced<R: Recorder + Sync + ?Sized>(
-        self,
-        stop: &AtomicBool,
-        rec: &R,
-    ) -> ShardedRun<H> {
         let ShardedServer {
             listener,
             config,
@@ -162,9 +151,9 @@ impl<H: CohortHandler + Send> ShardedServer<H> {
         let mut results: Vec<Option<(NetStats, H)>> = std::thread::scope(|scope| {
             let mut joins = Vec::with_capacity(shards);
             for (shard, (handler, rx)) in handlers.into_iter().zip(receivers).enumerate() {
-                let mut reactor = Reactor::new(config.clone(), handler, Some(shard));
+                let mut reactor = Reactor::new(config.clone(), handler);
                 reactor.attach_telemetry(&telemetry, shard);
-                joins.push(scope.spawn(move || reactor_loop(reactor, rx, stop, rec)));
+                joins.push(scope.spawn(move || reactor_loop(reactor, rx, stop)));
             }
 
             // The calling thread is the acceptor: round-robin accepted
@@ -179,8 +168,10 @@ impl<H: CohortHandler + Send> ShardedServer<H> {
                         Ok((stream, _)) => {
                             progress = true;
                             // A send only fails if the reactor died; the
-                            // stream drops (peer sees a reset).
+                            // stream drops (peer sees a reset). The unpark
+                            // ends the reactor's idle backoff early.
                             let _ = senders[next].send(stream);
+                            joins[next].thread().unpark();
                             next = (next + 1) % shards;
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -210,11 +201,10 @@ impl<H: CohortHandler + Send> ShardedServer<H> {
 
 /// One shard's service loop: drain the handoff channel into the reactor,
 /// poll, and back off exponentially while idle.
-fn reactor_loop<H: CohortHandler, R: Recorder + ?Sized>(
+fn reactor_loop<H: CohortHandler>(
     mut reactor: Reactor<H>,
     rx: Receiver<TcpStream>,
     stop: &AtomicBool,
-    rec: &R,
 ) -> (NetStats, H) {
     let idle_start = reactor.config().idle_sleep;
     let idle_max = reactor.config().idle_sleep_max;
@@ -225,19 +215,23 @@ fn reactor_loop<H: CohortHandler, R: Recorder + ?Sized>(
             reactor.admit(stream);
             progress = true;
         }
-        progress |= reactor.poll_traced(rec);
+        progress |= reactor.poll();
         if progress {
             idle = idle_start;
         } else {
             reactor.note_idle();
             // Clamp the backoff to the earliest pending cohort fill
-            // deadline (see `NetServer::run_traced`).
+            // deadline: a grown idle sleep must not overshoot it and add
+            // up to idle_sleep_max of queue latency.
             let sleep = match reactor.next_fill_deadline() {
                 Some(d) => idle.min(d),
                 None => idle,
             };
+            // Parked, not asleep: the acceptor is another thread, and a
+            // connection it hands over mid-backoff (its first request
+            // often already in the socket) must not sit the backoff out.
             if !sleep.is_zero() {
-                std::thread::sleep(sleep);
+                std::thread::park_timeout(sleep);
             }
             idle = (idle * 2).min(idle_max);
         }
@@ -247,6 +241,6 @@ fn reactor_loop<H: CohortHandler, R: Recorder + ?Sized>(
     while let Ok(stream) = rx.try_recv() {
         reactor.admit(stream);
     }
-    reactor.drain(rec);
+    reactor.drain();
     reactor.into_parts()
 }

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use rhythm_http::{HttpRequest, ResponseBuilder};
 use rhythm_net::{
-    read_response, send_request, CohortHandler, NetConfig, NetServer, ShardedRun, ShardedServer,
+    read_response, send_request, CohortHandler, NetConfig, ShardedRun, ShardedServer,
 };
 
 /// Echoes the request path; classifies every path by its first character.
@@ -138,7 +138,7 @@ fn accounting_invariant_holds_on_every_concurrent_scrape() {
 /// valid documents, and are counted apart from workload requests.
 #[test]
 fn admin_endpoints_serve_valid_documents_in_band() {
-    let server = NetServer::bind("127.0.0.1:0", config(), EchoHandler).expect("bind");
+    let server = ShardedServer::bind("127.0.0.1:0", config(), vec![EchoHandler]).expect("bind");
     let telemetry = Arc::clone(server.telemetry());
     let addr = server.local_addr().expect("addr");
     let stop = Arc::new(AtomicBool::new(false));
@@ -190,7 +190,7 @@ fn admin_endpoints_serve_valid_documents_in_band() {
     assert!(requests_of(&body2) >= requests_of(&body));
 
     stop.store(true, Ordering::Relaxed);
-    let (stats, _) = join.join().expect("server");
+    let stats = join.join().expect("server").total();
     // Admin hits never leak into workload accounting.
     assert_eq!(stats.requests, 4);
     assert_eq!(stats.responses, 4);
@@ -207,7 +207,7 @@ fn telemetry_off_disables_admin_and_publication() {
         telemetry: false,
         ..config()
     };
-    let server = NetServer::bind("127.0.0.1:0", config, EchoHandler).expect("bind");
+    let server = ShardedServer::bind("127.0.0.1:0", config, vec![EchoHandler]).expect("bind");
     let telemetry = Arc::clone(server.telemetry());
     let addr = server.local_addr().expect("addr");
     let stop = Arc::new(AtomicBool::new(false));
@@ -226,7 +226,7 @@ fn telemetry_off_disables_admin_and_publication() {
     );
 
     stop.store(true, Ordering::Relaxed);
-    let (stats, _) = join.join().expect("server");
+    let stats = join.join().expect("server").total();
     assert_eq!(stats.requests, 1);
     assert_eq!(stats.admin_requests, 0);
     let snap = telemetry.shard(0).live();

@@ -1,4 +1,5 @@
-//! End-to-end socket tests for `NetServer` with a workload-agnostic echo
+//! End-to-end socket tests for a one-handler `ShardedServer` (the
+//! single-reactor server) with a workload-agnostic echo
 //! handler: cohort batching, pipelining, formation timeouts, overload
 //! shedding (503), size caps (413), malformed input (400), and idle
 //! reaping — all over real TCP connections.
@@ -10,7 +11,8 @@ use std::time::Duration;
 
 use rhythm_http::{HttpRequest, ResponseBuilder};
 use rhythm_net::{
-    read_response, send_request, CohortHandler, NetConfig, NetServer, NetStats, Reactor,
+    read_response, send_request, CohortHandler, NetConfig, NetStats, Reactor, ShardedRun,
+    ShardedServer,
 };
 
 /// Echoes each request's path back, recording every cohort's size.
@@ -45,22 +47,29 @@ impl CohortHandler for EchoHandler {
     }
 }
 
+/// Bind the single-reactor server: one echo handler, one shard.
+fn bind(config: NetConfig) -> ShardedServer<EchoHandler> {
+    let handler = EchoHandler {
+        cohort_sizes: Vec::new(),
+    };
+    ShardedServer::bind("127.0.0.1:0", config, vec![handler]).expect("bind")
+}
+
+/// The one shard's counters and handler.
+fn only_shard(mut run: ShardedRun<EchoHandler>) -> (NetStats, EchoHandler) {
+    assert_eq!(run.shards.len(), 1);
+    run.shards.pop().expect("one shard")
+}
+
 struct Server {
     addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<(NetStats, EchoHandler)>>,
+    join: Option<std::thread::JoinHandle<ShardedRun<EchoHandler>>>,
 }
 
 impl Server {
     fn start(config: NetConfig) -> Self {
-        let server = NetServer::bind(
-            "127.0.0.1:0",
-            config,
-            EchoHandler {
-                cohort_sizes: Vec::new(),
-            },
-        )
-        .expect("bind");
+        let server = bind(config);
         let addr = server.local_addr().expect("addr");
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
@@ -74,11 +83,13 @@ impl Server {
 
     fn finish(mut self) -> (NetStats, EchoHandler) {
         self.stop.store(true, Ordering::Relaxed);
-        self.join
-            .take()
-            .expect("not yet joined")
-            .join()
-            .expect("server thread")
+        only_shard(
+            self.join
+                .take()
+                .expect("not yet joined")
+                .join()
+                .expect("server thread"),
+        )
     }
 }
 
@@ -138,7 +149,6 @@ fn default_pool_holds_fourteen_keys_in_one_fill_window() {
         EchoHandler {
             cohort_sizes: Vec::new(),
         },
-        None,
     );
     reactor.admit(accepted);
 
@@ -379,8 +389,9 @@ fn two_connections_interleave_into_shared_cohorts() {
 
 /// Regression: a grown idle backoff must not overshoot an open cohort's
 /// fill deadline. The request is queued in the socket *before* the run
-/// loop starts, so the very first poll accepts and reads it and the
-/// cohort's fill wait is the only latency left to measure. With
+/// loop starts, so the acceptor's first pass hands it over and unparks
+/// the reactor, whose next poll reads it: the cohort's fill wait is the
+/// only latency left to measure. With
 /// `idle_sleep == idle_sleep_max == 120ms` and a 25ms fill timeout, the
 /// clamped loop launches at ~25ms; an unclamped loop would sleep the
 /// full 120ms past the deadline.
@@ -393,14 +404,7 @@ fn idle_backoff_clamps_to_fill_deadline() {
         idle_sleep_max: Duration::from_millis(120),
         ..NetConfig::default()
     };
-    let server = NetServer::bind(
-        "127.0.0.1:0",
-        config,
-        EchoHandler {
-            cohort_sizes: Vec::new(),
-        },
-    )
-    .expect("bind");
+    let server = bind(config);
     let addr = server.local_addr().expect("addr");
 
     let mut conn = connect(addr);
@@ -419,7 +423,7 @@ fn idle_backoff_clamps_to_fill_deadline() {
     assert_eq!(resp.body(), b"echo /clamp");
 
     stop.store(true, Ordering::Relaxed);
-    let (stats, _) = join.join().expect("server thread");
+    let (stats, _) = only_shard(join.join().expect("server thread"));
     assert_eq!(stats.timeout_launches, 1, "cohort must launch on deadline");
     assert!(
         elapsed < Duration::from_millis(80),

@@ -12,8 +12,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use rhythm_http::{HttpRequest, ResponseBuilder};
 use rhythm_net::{
-    read_response, send_request, CohortHandler, NetConfig, NetServer, NetStats, ShardedRun,
-    ShardedServer,
+    read_response, send_request, CohortHandler, NetConfig, ShardedRun, ShardedServer,
 };
 
 /// Echo handler whose batched entry point retires the cohorts of each
@@ -228,10 +227,10 @@ proptest! {
 /// with the 200 µs → 5 ms doubling backoff it is ~35.
 #[test]
 fn idle_backoff_bounds_idle_polls() {
-    let server = NetServer::bind(
+    let server = ShardedServer::bind(
         "127.0.0.1:0",
         NetConfig::default(),
-        ReverseEchoHandler::new(),
+        vec![ReverseEchoHandler::new()],
     )
     .expect("bind");
     let stop = Arc::new(AtomicBool::new(false));
@@ -239,7 +238,7 @@ fn idle_backoff_bounds_idle_polls() {
     let join = std::thread::spawn(move || server.run(&flag));
     std::thread::sleep(Duration::from_millis(150));
     stop.store(true, Ordering::Relaxed);
-    let (stats, _): (NetStats, _) = join.join().expect("server thread");
+    let stats = join.join().expect("server thread").total();
 
     assert!(
         stats.idle_polls > 0,
@@ -288,7 +287,7 @@ impl CohortHandler for BulkHandler {
 fn write_backpressure_pauses_reads_and_stays_bounded() {
     const REQUESTS: usize = 48;
     const RESPONSE_BYTES: u64 = 256 * 1024;
-    let server = NetServer::bind(
+    let server = ShardedServer::bind(
         "127.0.0.1:0",
         NetConfig {
             cohort_size: 4,
@@ -297,7 +296,7 @@ fn write_backpressure_pauses_reads_and_stays_bounded() {
             max_parse_per_poll: 8,
             ..NetConfig::default()
         },
-        BulkHandler,
+        vec![BulkHandler],
     )
     .expect("bind");
     let addr = server.local_addr().expect("addr");
@@ -334,7 +333,7 @@ fn write_backpressure_pauses_reads_and_stays_bounded() {
     drop(conn);
 
     stop.store(true, Ordering::Relaxed);
-    let (stats, _) = join.join().expect("server thread");
+    let stats = join.join().expect("server thread").total();
     assert_eq!(stats.requests, REQUESTS as u64);
     assert_eq!(stats.responses, REQUESTS as u64);
     assert_eq!(stats.responses_dropped, 0);
@@ -366,7 +365,7 @@ fn write_backpressure_pauses_reads_and_stays_bounded() {
 /// reader, and the server keeps serving other connections.
 #[test]
 fn stalled_reader_is_reaped_and_server_stays_healthy() {
-    let server = NetServer::bind(
+    let server = ShardedServer::bind(
         "127.0.0.1:0",
         NetConfig {
             cohort_size: 4,
@@ -375,7 +374,7 @@ fn stalled_reader_is_reaped_and_server_stays_healthy() {
             read_deadline: Duration::from_millis(150),
             ..NetConfig::default()
         },
-        BulkHandler,
+        vec![BulkHandler],
     )
     .expect("bind");
     let addr = server.local_addr().expect("addr");
@@ -405,7 +404,7 @@ fn stalled_reader_is_reaped_and_server_stays_healthy() {
     drop(stalled);
 
     stop.store(true, Ordering::Relaxed);
-    let (stats, _) = join.join().expect("server thread");
+    let stats = join.join().expect("server thread").total();
     assert!(
         stats.reaped_stalled >= 1,
         "a never-reading peer with queued output must be reaped \

@@ -7,7 +7,7 @@
 //! connection and logs out, then exits. Pass `--serve` to keep listening
 //! so you can drive it with curl, `--simt` to serve cohorts on the
 //! simulated data-parallel device instead of the scalar path,
-//! `--shards <n>` to run the multi-reactor front end (each shard owns its
+//! `--shards <n>` to run more than one reactor (each shard owns its
 //! connections, cohort pool, and device — on the SIMT path a resident
 //! device context holding its session array and store image), and
 //! `--stats-interval <secs>`
@@ -35,8 +35,7 @@ use std::time::Duration;
 
 use rhythm_banking::prelude::*;
 use rhythm_net::{
-    read_response, send_request, CohortHandler, NetConfig, NetServer, NetStats, ShardedServer,
-    Telemetry,
+    read_response, send_request, CohortHandler, NetConfig, NetStats, ShardedServer, Telemetry,
 };
 use rhythm_obs::StreamingHistogram;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
@@ -124,55 +123,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or(0);
 
     if serve_forever {
-        // Serve until killed. The run loop polls; ctrl-C exits the
-        // process, so the stop flag never fires here.
-        let stop = AtomicBool::new(false);
-        let banner = |addr: std::net::SocketAddr, path: &str| {
-            println!("rhythm banking server ({path} path, {shards} shards) on http://{addr}/bank/");
-            println!("  live endpoints: /metrics /healthz /trace");
-        };
-        let stats = |telemetry: &Arc<Telemetry>| {
-            if stats_interval > 0 {
-                spawn_stats_printer(Arc::clone(telemetry), Duration::from_secs(stats_interval));
-            }
-        };
-        if shards > 1 {
-            // Multi-reactor front end: each shard owns its connections,
-            // cohort pool, and handler (its own device on the SIMT path).
-            if simt {
-                // One telemetry plane up front so each handler's device
-                // counters land in its own shard's registry.
-                let telemetry = Arc::new(Telemetry::new(shards));
-                let handlers: Vec<_> = (0..shards)
-                    .map(|i| simt_handler().with_metrics(telemetry.device(i)))
-                    .collect();
-                let server = ShardedServer::bind("127.0.0.1:0", config(), handlers)?
-                    .with_telemetry(&telemetry);
-                banner(server.local_addr()?, "SIMT cohort");
-                stats(server.telemetry());
-                server.run(&stop);
-            } else {
-                let handlers: Vec<_> = (0..shards).map(|_| scalar_handler()).collect();
-                let server = ShardedServer::bind("127.0.0.1:0", config(), handlers)?;
-                banner(server.local_addr()?, "scalar");
-                stats(server.telemetry());
-                server.run(&stop);
-            }
-        } else if simt {
-            let telemetry = Arc::new(Telemetry::new(1));
-            let handler = simt_handler().with_metrics(telemetry.device(0));
-            let server =
-                NetServer::bind("127.0.0.1:0", config(), handler)?.with_telemetry(&telemetry);
-            banner(server.local_addr()?, "SIMT cohort");
-            stats(server.telemetry());
-            server.run(&stop);
-        } else {
-            let server = NetServer::bind("127.0.0.1:0", config(), scalar_handler())?;
-            banner(server.local_addr()?, "scalar");
-            stats(server.telemetry());
-            server.run(&stop);
+        // One telemetry plane up front, so each SIMT handler's device
+        // counters land in its own shard's registry.
+        let telemetry = Arc::new(Telemetry::new(shards));
+        if stats_interval > 0 {
+            spawn_stats_printer(Arc::clone(&telemetry), Duration::from_secs(stats_interval));
         }
-        return Ok(());
+        return if simt {
+            let handlers = (0..shards)
+                .map(|i| simt_handler().with_metrics(telemetry.device(i)))
+                .collect();
+            serve(handlers, &telemetry, "SIMT cohort")
+        } else {
+            let handlers = (0..shards).map(|_| scalar_handler()).collect();
+            serve(handlers, &telemetry, "scalar")
+        };
     }
 
     // Demo mode: run the server on a thread and drive it with one
@@ -203,10 +168,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// Serve until killed: one reactor per handler, each owning its
+/// connections, cohort pool, and handler (its own device on the SIMT
+/// path). Ctrl-C exits the process, so the stop flag never fires.
+fn serve<H: CohortHandler + Send>(
+    handlers: Vec<H>,
+    telemetry: &Arc<Telemetry>,
+    path: &str,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let shards = handlers.len();
+    let server = ShardedServer::bind("127.0.0.1:0", config(), handlers)?.with_telemetry(telemetry);
+    let addr = server.local_addr()?;
+    println!("rhythm banking server ({path} path, {shards} shards) on http://{addr}/bank/");
+    println!("  live endpoints: /metrics /healthz /trace");
+    server.run(&AtomicBool::new(false));
+    Ok(())
+}
+
 fn demo<H: CohortHandler + Send + 'static>(
     handler: H,
 ) -> Result<(NetStats, H), Box<dyn std::error::Error>> {
-    let server = NetServer::bind("127.0.0.1:0", config(), handler)?;
+    let server = ShardedServer::bind("127.0.0.1:0", config(), vec![handler])?;
     let addr = server.local_addr()?;
     println!("rhythm banking server listening on http://{addr}/bank/");
 
@@ -262,7 +244,8 @@ fn demo<H: CohortHandler + Send + 'static>(
     drop(conn);
 
     stop.store(true, Ordering::Relaxed);
-    let (stats, handler) = join.join().expect("server thread");
+    let mut run = join.join().expect("server thread");
+    let (stats, handler) = run.shards.pop().expect("one shard");
     assert_eq!(stats.requests, 5, "demo sends five requests");
     assert_eq!(stats.shed_503, 0, "no shedding at demo load");
     Ok((stats, handler))

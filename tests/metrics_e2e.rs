@@ -11,9 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rhythm_banking::prelude::*;
-use rhythm_net::{
-    read_response, send_request, CohortHandler, NetConfig, NetServer, ShardedServer, Telemetry,
-};
+use rhythm_net::{read_response, send_request, CohortHandler, NetConfig, ShardedServer, Telemetry};
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 
 const NUM_USERS: u32 = 64;
@@ -183,7 +181,7 @@ fn metrics_counters_match_loadgen_totals_across_shard_counts() {
 fn simt_device_counters_surface_in_metrics() {
     let telemetry = Arc::new(Telemetry::new(1));
     let handler = simt_handler().with_metrics(telemetry.device(0));
-    let server = NetServer::bind("127.0.0.1:0", config(true), handler).expect("bind");
+    let server = ShardedServer::bind("127.0.0.1:0", config(true), vec![handler]).expect("bind");
     let server = server.with_telemetry(&telemetry);
     let addr = server.local_addr().expect("addr");
     let stop = Arc::new(AtomicBool::new(false));
@@ -206,7 +204,8 @@ fn simt_device_counters_surface_in_metrics() {
     assert!(body.contains("rhythm_request_latency_seconds_count{type=\"login.php\"}"));
 
     stop.store(true, Ordering::Relaxed);
-    let (stats, handler) = join.join().expect("server");
+    let mut run = join.join().expect("server");
+    let (stats, handler) = run.shards.pop().expect("one shard");
     assert_eq!(stats.requests, 5);
     assert!(handler.cohorts > 0);
 }
@@ -216,7 +215,8 @@ fn simt_device_counters_surface_in_metrics() {
 #[test]
 fn metered_and_bare_responses_are_byte_identical_scalar_and_simt() {
     fn run<H: CohortHandler + Send + 'static>(handler: H, telemetry: bool) -> Vec<Vec<u8>> {
-        let server = NetServer::bind("127.0.0.1:0", config(telemetry), handler).expect("bind");
+        let server =
+            ShardedServer::bind("127.0.0.1:0", config(telemetry), vec![handler]).expect("bind");
         let addr = server.local_addr().expect("addr");
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);

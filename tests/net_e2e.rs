@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rhythm_banking::prelude::*;
-use rhythm_net::{read_response, send_request, CohortHandler, NetConfig, NetServer, ShardedServer};
+use rhythm_net::{read_response, send_request, CohortHandler, NetConfig, ShardedServer};
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 
 const NUM_USERS: u32 = 64;
@@ -27,64 +27,19 @@ const PAGES: [RequestType; 4] = [
 ];
 const USERID: u32 = 7;
 
-/// Serve the conversation through a socket front end and return the raw
-/// responses in order (login first, then each page).
-fn serve_conversation<H: CohortHandler + Send + 'static>(handler: H) -> Vec<Vec<u8>> {
-    let config = NetConfig {
+fn fixed_config() -> NetConfig {
+    NetConfig {
         cohort_size: 4,
         fill_timeout: Duration::from_millis(1),
         ..NetConfig::default()
-    };
-    let server = NetServer::bind("127.0.0.1:0", config, handler).expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&stop);
-    let join = std::thread::spawn(move || server.run(&flag));
-
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut carry = Vec::new();
-    let mut out = Vec::new();
-
-    send_request(
-        &mut conn,
-        format!(
-            "POST /bank/login.php HTTP/1.1\r\nHost: t\r\nContent-Length: 8\r\n\r\nuserid={USERID}"
-        )
-        .as_bytes(),
-    )
-    .unwrap();
-    let login = read_response(&mut conn, &mut carry).expect("login response");
-    assert_eq!(login.status, 200);
-    let token: u32 = login
-        .header("Set-Cookie")
-        .and_then(|v| v.strip_prefix("SID=").map(|t| t.trim().to_string()))
-        .and_then(|t| t.parse().ok())
-        .expect("login sets SID");
-    out.push(login.bytes);
-
-    for ty in PAGES {
-        send_request(
-            &mut conn,
-            format!(
-                "GET /bank/{}?userid={USERID} HTTP/1.1\r\nHost: t\r\nCookie: SID={token}\r\n\r\n",
-                ty.file_name()
-            )
-            .as_bytes(),
-        )
-        .unwrap();
-        let resp = read_response(&mut conn, &mut carry).expect("page response");
-        assert_eq!(resp.status, 200, "{ty} must succeed over the wire");
-        out.push(resp.bytes);
     }
-    drop(conn);
+}
 
-    stop.store(true, Ordering::Relaxed);
-    let (stats, _) = join.join().expect("server thread");
-    assert_eq!(stats.requests as usize, 1 + PAGES.len());
-    assert_eq!(stats.shed_503, 0, "no shedding at this load");
-    out
+/// Serve the conversation through the single-reactor server (one handler,
+/// one shard) and return the raw responses in order (login first, then
+/// each page).
+fn serve_conversation<H: CohortHandler + Send + 'static>(handler: H) -> Vec<Vec<u8>> {
+    serve_conversation_on(fixed_config(), vec![handler])
 }
 
 /// Serve the conversation through the sharded multi-reactor front end.
@@ -95,12 +50,7 @@ where
     H: CohortHandler + Send + 'static,
     F: Fn() -> H,
 {
-    let config = NetConfig {
-        cohort_size: 4,
-        fill_timeout: Duration::from_millis(1),
-        ..NetConfig::default()
-    };
-    serve_conversation_sharded_cfg(config, mk, shards)
+    serve_conversation_sharded_cfg(fixed_config(), mk, shards)
 }
 
 /// [`serve_conversation_sharded`] with an explicit [`NetConfig`] — used
@@ -111,7 +61,15 @@ where
     H: CohortHandler + Send + 'static,
     F: Fn() -> H,
 {
-    let handlers: Vec<H> = (0..shards).map(|_| mk()).collect();
+    serve_conversation_on(config, (0..shards).map(|_| mk()).collect())
+}
+
+/// The one conversation driver: a server with one reactor per handler.
+fn serve_conversation_on<H>(config: NetConfig, handlers: Vec<H>) -> Vec<Vec<u8>>
+where
+    H: CohortHandler + Send + 'static,
+{
+    let shards = handlers.len();
     let server = ShardedServer::bind("127.0.0.1:0", config, handlers).expect("bind");
     let addr = server.local_addr().expect("addr");
     let stop = Arc::new(AtomicBool::new(false));
@@ -356,11 +314,10 @@ fn scalar_and_simt_net_paths_agree_modulo_padding() {
     }
 }
 
-/// The adaptive cohort controller (with similarity sub-keys on) may only
-/// change *when* and *how deep* cohorts launch, never *what* they
-/// return: the conversation must stay byte-identical to both the
-/// fixed-timeout wire path and the offline native reference at every
-/// shard count.
+/// The adaptive cohort controller may only change *when* and *how deep*
+/// cohorts launch, never *what* they return: the conversation must stay
+/// byte-identical to both the fixed-timeout wire path and the offline
+/// native reference at every shard count.
 #[test]
 fn adaptive_scalar_path_is_byte_identical_at_every_shard_count() {
     let offline = native_conversation();
@@ -369,7 +326,6 @@ fn adaptive_scalar_path_is_byte_identical_at_every_shard_count() {
             BankStore::generate(NUM_USERS, 1),
             SessionArrayHost::new(CAPACITY, SALT),
         )
-        .with_subkeys()
     };
     let fixed = serve_conversation_sharded(mk, 1);
     for shards in [1usize, 2, 4] {
@@ -396,8 +352,8 @@ fn adaptive_scalar_path_is_byte_identical_at_every_shard_count() {
 }
 
 /// Same determinism contract on the SIMT device path: adaptive batching
-/// plus sub-keyed cohort formation must stay byte-identical to the
-/// fixed-timeout wire path and the offline cohort runner.
+/// must stay byte-identical to the fixed-timeout wire path and the
+/// offline cohort runner.
 #[test]
 fn adaptive_simt_path_is_byte_identical_at_every_shard_count() {
     let offline = device_conversation();
@@ -414,7 +370,6 @@ fn adaptive_simt_path_is_byte_identical_at_every_shard_count() {
             Gpu::new(GpuConfig::gtx_titan()),
             opts,
         )
-        .with_subkeys()
     };
     let fixed = serve_conversation_sharded(mk, 1);
     for shards in [1usize, 2, 4] {
