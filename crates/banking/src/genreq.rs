@@ -9,9 +9,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::native::BankingRequest;
+use crate::backend::BankStore;
+use crate::native::{cached_spec, field_of, BankingRequest};
 use crate::session_array::SessionArrayHost;
-use crate::templates::SESSION_COOKIE;
+use crate::templates::{Action, SESSION_COOKIE};
 use crate::types::{RequestType, TABLE2};
 
 /// One generated request: raw bytes plus the expected parsed form.
@@ -31,6 +32,20 @@ impl GeneratedRequest {
     /// The parsed form consumed by the native handlers.
     pub fn banking_request(&self) -> BankingRequest {
         BankingRequest::new(self.ty, self.token, self.params)
+    }
+
+    /// Rows the page's [`Action::Rows`] table renders for this request's
+    /// user; `None` for a page without one. Cohort members that differ
+    /// here leave the table with their cursors at different offsets.
+    pub fn table_rows(&self, store: &BankStore) -> Option<usize> {
+        let spec = cached_spec(self.ty);
+        let access = spec.actions.iter().find_map(|a| match a {
+            Action::Rows { req, .. } => Some(&spec.backend[*req as usize]),
+            _ => None,
+        })?;
+        field_of(&store.respond(access.cmd, self.params[0], &[]), 0)
+            .parse()
+            .ok()
     }
 }
 

@@ -15,7 +15,7 @@ use rhythm_http::HttpRequest;
 use rhythm_net::CohortHandler;
 use rhythm_obs::{AtomicHistogram, Counter, Gauge, MetricRegistry, NoopRecorder};
 use rhythm_simt::gpu::Gpu;
-use rhythm_simt::{plan_cache_stats, WARP_SIZE};
+use rhythm_simt::{plan_cache_stats, wide_copy_stats, WARP_SIZE};
 
 use crate::backend::BankStore;
 use crate::genreq::{raw_http, GeneratedRequest};
@@ -46,9 +46,9 @@ fn banking_key_name(key: u32) -> String {
 ///
 /// All handles are relaxed atomics owned by the shard's registry, so the
 /// serving hot path records without locks and `/metrics` scrapes
-/// concurrently. The `rhythm_device_plan_cache_*` counters mirror the
-/// process-wide decode-plan cache by absolute `set` (every shard
-/// publishes the same process total).
+/// concurrently. The `rhythm_plan_cache_*` and `rhythm_wide_copy_*`
+/// counters mirror the executor's process-wide totals by absolute `set`
+/// (every shard publishes the same process total).
 #[derive(Debug)]
 pub struct DeviceMetrics {
     launches: Arc<Counter>,
@@ -62,6 +62,8 @@ pub struct DeviceMetrics {
     divergent_branches: Arc<Counter>,
     plan_cache_hits: Arc<Counter>,
     plan_cache_misses: Arc<Counter>,
+    wide_copy_commits: Arc<Counter>,
+    wide_copy_fallbacks: Arc<Counter>,
     simd_efficiency: Arc<Gauge>,
     divergence_rate: Arc<Gauge>,
     kernel_seconds: Arc<AtomicHistogram>,
@@ -113,6 +115,15 @@ impl DeviceMetrics {
             plan_cache_misses: registry.counter(
                 "rhythm_plan_cache_misses_total",
                 "Decode-plan cache misses (process-wide)",
+            ),
+            wide_copy_commits: registry.counter(
+                "rhythm_wide_copy_commits_total",
+                "Static byte-copy loops committed as one wide copy (process-wide)",
+            ),
+            wide_copy_fallbacks: registry.counter(
+                "rhythm_wide_copy_fallbacks_total",
+                "Static byte-copy loops interpreted byte by byte instead (process-wide; \
+                 expected 0)",
             ),
             simd_efficiency: registry.gauge(
                 "rhythm_device_simd_efficiency",
@@ -174,6 +185,9 @@ impl DeviceMetrics {
         let cache = plan_cache_stats();
         self.plan_cache_hits.set(cache.hits);
         self.plan_cache_misses.set(cache.misses);
+        let copies = wide_copy_stats();
+        self.wide_copy_commits.set(copies.hits);
+        self.wide_copy_fallbacks.set(copies.misses);
     }
 
     /// Record one HyperQ launch group's stream count.

@@ -312,6 +312,58 @@ fn divergence_appears_in_variable_row_counts() {
     );
 }
 
+/// The pages whose body holds an `Action::Rows` table.
+const ROWS_PAGES: [RequestType; 5] = [
+    RequestType::Login,
+    RequestType::AccountSummary,
+    RequestType::BillPayStatusOutput,
+    RequestType::OrderCheck,
+    RequestType::Transfer,
+];
+
+/// Cohorts that diverge on purpose. Users hold different numbers of
+/// accounts, payees and transactions, so a cohort of any `Rows` page
+/// leaves its table with its members' cursors at different offsets, and
+/// every static fragment after the table — most of the page — is copied
+/// from diverged cursors. For each such page a full warp whose members
+/// provably differ in row count must still answer byte-for-byte like the
+/// native handler. (Launch stats against the legacy engine, on cohorts
+/// held to the same row-count assertion:
+/// `executor_differential::banking_kernels_legacy_vs_predecoded_lockstep`.)
+#[test]
+fn rows_pages_with_mixed_row_counts_match_native() {
+    use std::collections::BTreeSet;
+
+    let (workload, store, gpu) = harness();
+    for ty in RequestType::ALL {
+        let mut sessions = SessionArrayHost::new(1024, SALT);
+        let mut generator = RequestGenerator::new(128, 31 + ty.id() as u64);
+        let cohort = generator.uniform(ty, 32, &mut sessions);
+        let row_counts: BTreeSet<usize> =
+            cohort.iter().filter_map(|r| r.table_rows(&store)).collect();
+        if !ROWS_PAGES.contains(&ty) {
+            assert!(row_counts.is_empty(), "{ty}: ROWS_PAGES is stale");
+            continue;
+        }
+        assert!(
+            row_counts.len() >= 2,
+            "{ty}: cohort must mix row counts to diverge its cursors, got {row_counts:?}"
+        );
+
+        let mut native_sessions = sessions.clone();
+        let native: Vec<Vec<u8>> = cohort
+            .iter()
+            .map(|r| handle_native(&r.banking_request(), &store, &mut native_sessions))
+            .collect();
+        let result = run_cohort(&workload, &store, &mut sessions, &cohort, &gpu, &opts(true))
+            .expect("cohort runs");
+        for (lane, (k, n)) in result.responses.iter().zip(&native).enumerate() {
+            assert_equivalent(k, n, &format!("{ty} lane {lane}"));
+            assert_clen_consistent(k, &format!("{ty} lane {lane}"));
+        }
+    }
+}
+
 /// Footprint sanitizer differential: every request type, in both memory
 /// layouts, runs its full cohort pipeline with every kernel launch
 /// checked against its inferred static footprint — zero escapes, and

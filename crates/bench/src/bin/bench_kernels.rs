@@ -8,10 +8,12 @@
 //! Execution uses one worker thread so the numbers are pure interpreter
 //! throughput, not host parallelism.
 //!
-//! Emits `BENCH_simt.json` with per-kernel ops/s, warps/s, the
-//! legacy→pre-decoded speedup, and the process-wide decode-cache hit rate,
-//! plus a convergent-kernel speedup summary (the tentpole claim: the
-//! convergent fast paths at least double interpreter warp throughput).
+//! Emits `BENCH_simt.json` with the machine it ran on (the block every
+//! `benchmark/` result carries), per-kernel ops/s, warps/s, the
+//! legacy→pre-decoded speedup, the process-wide decode-cache hit rate and
+//! wide-copy commit/fallback totals, plus a convergent-kernel speedup
+//! summary (the tentpole claim: the convergent fast paths at least double
+//! interpreter warp throughput).
 //!
 //! The pre-decoded engine runs with sub-warp packing enabled (`--pack`,
 //! default 4): up to four warps fuse into one gang wherever the plan's
@@ -24,8 +26,9 @@
 //!
 //! * `--smoke` — small CI run (tiny cohort, few iterations) that checks
 //!   the two engines stay bit-identical in every measured environment —
-//!   packing included — and that the JSON is written; makes no speed
-//!   assertions (debug builds and CI noise make those meaningless).
+//!   packing included — and that the JSON is written (CI reads the
+//!   wide-copy totals from it); makes no speed assertions (debug builds
+//!   and CI noise make those meaningless).
 //! * `--cohort <n>` / `--iters <n>` — launch width and timing repetitions.
 //! * `--pack <k>` — sub-warp packing width for the pre-decoded engine
 //!   (1, 2, or 4; default 4; 1 disables packing).
@@ -39,10 +42,11 @@ use rhythm_banking::kernels::Workload;
 use rhythm_banking::layout::{CohortLayout, REQBUF_BYTES};
 use rhythm_banking::session_array::SessionArrayHost;
 use rhythm_banking::types::RequestType;
+use rhythm_bench::fmt::json_str;
 use rhythm_simt::exec::simt::{execute_simt_legacy_workers, execute_simt_workers};
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
-use rhythm_simt::{plan_cache_stats, plan_for, Program};
+use rhythm_simt::{plan_cache_stats, plan_for, wide_copy_stats, Program};
 
 const SESSION_SALT: u32 = 0x5EED_0001;
 const NUM_USERS: u32 = 2048;
@@ -333,6 +337,7 @@ fn main() {
     }
 
     let cache = plan_cache_stats();
+    let copies = wide_copy_stats();
     let convergent: Vec<&KernelRow> = rows.iter().filter(|r| r.convergent()).collect();
     let min_speedup = convergent
         .iter()
@@ -369,11 +374,13 @@ fn main() {
         ));
     }
     let json = format!(
-        "{{\"bench\":\"bench_kernels\",\"mode\":\"{}\",\"cohort\":{},\"iters\":{},\
-         \"workers\":1,\"pack\":{},\"kernel_count\":{},\
+        "{{\"bench\":\"bench_kernels\",\"machine\":{},\"mode\":\"{}\",\"cohort\":{},\
+         \"iters\":{},\"workers\":1,\"pack\":{},\"kernel_count\":{},\
          \"plan_cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{}}},\
+         \"wide_copy\":{{\"commits\":{},\"fallbacks\":{}}},\
          \"convergent_kernels\":{},\"convergent_min_speedup\":{},\
          \"convergent_mean_speedup\":{},\"mean_speedup_all\":{},\"kernels\":[{}]}}",
+        machine_block(),
         if args.smoke { "smoke" } else { "full" },
         args.cohort,
         args.iters,
@@ -382,12 +389,15 @@ fn main() {
         cache.hits,
         cache.misses,
         json_f(cache.hit_rate()),
+        copies.hits,
+        copies.misses,
         convergent.len(),
         json_f(min_speedup),
         json_f(mean_speedup),
         json_f(mean_speedup_all),
         kernels_json.join(",")
     );
+    rhythm_obs::parse_json(&json).expect("result is valid JSON");
     std::fs::write(&args.out, &json).expect("write result json");
 
     println!(
@@ -419,6 +429,10 @@ fn main() {
         cache.hit_rate() * 100.0
     );
     println!(
+        "wide copies: {} committed, {} fell back to interpretation",
+        copies.hits, copies.misses
+    );
+    println!(
         "convergent kernels ({}): min speedup {:.2}x, mean {:.2}x; all {} kernels mean {:.2}x -> {}",
         convergent.len(),
         min_speedup,
@@ -434,6 +448,47 @@ fn main() {
         cache.hit_rate()
     );
     assert!(!rows.is_empty(), "no kernels measured");
+}
+
+/// The machine a result was measured on — the fields every `benchmark/`
+/// result carries (`nproc`, `cpu`, `kernel`, `rustc`, `commit`) — as a JSON
+/// object. The commit is read from `.git` of the working directory and is
+/// `unknown` outside a checkout.
+fn machine_block() -> String {
+    let read = |path: &str| {
+        std::fs::read_to_string(path)
+            .ok()
+            .map(|s| s.trim().to_string())
+    };
+    let unknown = || "unknown".to_string();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpu = read("/proc/cpuinfo")
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split(':').nth(1)?.trim().to_string())
+        })
+        .unwrap_or_else(unknown);
+    let kernel = read("/proc/sys/kernel/osrelease").unwrap_or_else(unknown);
+    let rustc = std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(unknown);
+    let commit = read(".git/HEAD")
+        .and_then(|head| match head.strip_prefix("ref: ") {
+            Some(reference) => read(&format!(".git/{reference}")),
+            None => Some(head),
+        })
+        .unwrap_or_else(unknown);
+    format!(
+        "{{\"nproc\":{nproc},\"cpu\":{},\"kernel\":{},\"rustc\":{},\"commit\":{}}}",
+        json_str(&cpu),
+        json_str(&kernel),
+        json_str(&rustc),
+        json_str(&commit),
+    )
 }
 
 fn json_f(v: f64) -> String {

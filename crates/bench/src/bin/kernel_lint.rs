@@ -30,6 +30,7 @@ use rhythm_banking::backend::BankStore;
 use rhythm_banking::kernels::Workload;
 use rhythm_banking::layout::CohortLayout;
 use rhythm_banking::types::RequestType;
+use rhythm_bench::fmt::json_str;
 use rhythm_simt::exec::AccessKind;
 use rhythm_simt::ir::MemSpace;
 use rhythm_verify::effects::{effect_lints, infer_effects, KernelEffects, SpaceFootprint};
@@ -308,22 +309,4 @@ fn diag_json(d: &Diagnostic) -> String {
         d.op_index.map_or("null".to_string(), |i| i.to_string()),
         json_str(&d.message),
     )
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

@@ -1,4 +1,5 @@
-//! Plain-text table rendering for experiment output.
+//! Plain-text table rendering and JSON string literals for experiment
+//! output.
 
 /// Render an aligned text table: a header row, a rule, then data rows.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -54,6 +55,25 @@ pub fn ratio(v: f64) -> String {
     format!("{v:.2}x")
 }
 
+/// `s` as a JSON string literal, quotes included.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,6 +99,12 @@ mod tests {
     #[should_panic(expected = "ragged")]
     fn ragged_rows_rejected() {
         render_table(&["a", "b"], &[vec!["x".into()]]);
+    }
+
+    #[test]
+    fn json_strings_are_escaped() {
+        assert_eq!(json_str("plain"), "\"plain\"");
+        assert_eq!(json_str("a\"b\\c\n\u{1}"), r#""a\"b\\c\n\u0001""#);
     }
 
     #[test]

@@ -35,11 +35,14 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use rhythm_obs::{ArgValue, Clock, NoopRecorder, PoolCounters, PoolSnapshot, Recorder};
+use rhythm_obs::{
+    ArgValue, CacheCounters, CacheSnapshot, Clock, NoopRecorder, PoolCounters, PoolSnapshot,
+    Recorder,
+};
 
 use crate::ir::{BinOp, CfgInfo, MemSpace, Op, Program, Reg, Terminator, UnOp, Width, EXIT_BLOCK};
 use crate::mem::{ConstPool, DeviceMemory, MemError, SharedMem};
-use crate::stats::{contiguous_segments, DivergenceStats, KernelStats};
+use crate::stats::{DivergenceStats, KernelStats};
 
 use super::plan::{plan_for, DecodedOp, DecodedTerm, ExecPlan, PlanBlock, RegSlot, WideCopy};
 use super::scalar::{read_buf, write_buf};
@@ -860,6 +863,19 @@ fn plan_warp_loop(
     Ok(stats)
 }
 
+/// Cumulative [`try_wide_copy`] outcomes (see [`wide_copy_stats`]).
+static WIDE_COPY_COUNTERS: CacheCounters = CacheCounters::new();
+
+/// Cumulative wide-copy outcomes for this process, both counted once per
+/// loop a warp enters: a *hit* is one recognized byte-copy loop
+/// ([`WideCopy`]) committed whole, a *miss* is one such loop, with bytes
+/// to copy, that had to be interpreted instead. Serving traffic is
+/// expected to read zero misses: every static page fragment of every
+/// cohort then takes the fast path.
+pub fn wide_copy_stats() -> CacheSnapshot {
+    WIDE_COPY_COUNTERS.snapshot()
+}
+
 /// The register's value when every active lane agrees on it.
 #[inline]
 fn uniform_reg(regs: &[u32], slot: RegSlot, mask: u32) -> Option<u32> {
@@ -880,7 +896,7 @@ fn uniform_reg(regs: &[u32], slot: RegSlot, mask: u32) -> Option<u32> {
 /// it — and `Ok(false)` when any runtime precondition fails, in which case
 /// *nothing* was touched and the caller falls back to byte-at-a-time
 /// interpretation (which reproduces faults, budget trips, and wrap-around
-/// arithmetic exactly).
+/// arithmetic exactly). Both outcomes are counted in [`wide_copy_stats`].
 ///
 /// Preconditions proved before committing anything:
 /// - loop counter, length, source offset, element stride, and increment are
@@ -890,14 +906,23 @@ fn uniform_reg(regs: &[u32], slot: RegSlot, mask: u32) -> Option<u32> {
 ///   fits in the remaining instruction budget;
 /// - every constant read and every lane's whole store walk stay in bounds
 ///   with no u32 wrap-around, so u64 address math equals the interpreter's
-///   wrapping math.
+///   wrapping math;
+/// - under the footprint sanitizer, every lane's walk lies inside one
+///   claimed write interval.
 ///
-/// Committed stores then take one of two tiers: lanes whose start addresses
-/// form a dense ascending run (the cohort layout emitted by
-/// `BufCursor`-style kernels) are written with a block fill and charged via
-/// the closed-form [`contiguous_segments`]; any other layout is written
-/// per-lane per-iteration and charged through [`charge_access`], the same
-/// coalescing model the interpreter uses.
+/// Lane `l` stores `src[t]` at `start_l + t * es` in iteration `t`; the
+/// lanes' starts need not be adjacent, ordered, or in step (cursors
+/// diverge after any per-lane variable-length output). The stores are one
+/// iteration-major [`SharedMem::store_strided`], so overlapping walks end
+/// as lockstep execution leaves them. The memory system is charged through
+/// the interpreter's own [`global_access_counts`], but only for one period:
+/// with `G = max(tx_bytes, SECTOR_BYTES)` and `P = G / gcd(es, G)`, every
+/// address moves by `P * es`, a multiple of both granularities, each `P`
+/// iterations, so every transaction and sector id shifts by one constant
+/// and iteration `t + P` touches as many of each as iteration `t`. Only
+/// the first `min(P, trip)` iterations are counted, each weighted by how
+/// often it recurs — `trip / P` whole periods plus the first `trip % P`
+/// iterations of one more.
 fn try_wide_copy(
     wc: &WideCopy,
     mask: u32,
@@ -907,36 +932,43 @@ fn try_wide_copy(
     bufs: &mut WarpBuffers,
     stats: &mut WarpStats,
 ) -> Result<bool, ExecError> {
-    if !launch.tx_bytes.is_power_of_two() {
+    let regs = &bufs.regs;
+    // A fallback is counted on the loop's first header visit only, not on
+    // the one per byte that follows: `for_loop` starts its index at 0.
+    let decline = || {
+        if iter_lanes(mask).any(|l| regs[wc.idx as usize + l as usize] == 0) {
+            WIDE_COPY_COUNTERS.record_miss();
+        }
+        Ok(false)
+    };
+    let (Some(i0), Some(n), Some(src), Some(es), Some(one)) = (
+        uniform_reg(regs, wc.idx, mask),
+        uniform_reg(regs, wc.len, mask),
+        uniform_reg(regs, wc.src, mask),
+        uniform_reg(regs, wc.elem_stride, mask),
+        uniform_reg(regs, wc.one, mask),
+    ) else {
+        return decline();
+    };
+    if i0 >= n {
+        // Nothing left to copy (an empty string, or the exit pass of an
+        // interpreted loop): the header is interpreted, not a fallback.
         return Ok(false);
     }
-    let (i0, n, src, es) = {
-        let regs = &bufs.regs;
-        let (Some(i0), Some(n), Some(src), Some(es), Some(one)) = (
-            uniform_reg(regs, wc.idx, mask),
-            uniform_reg(regs, wc.len, mask),
-            uniform_reg(regs, wc.src, mask),
-            uniform_reg(regs, wc.elem_stride, mask),
-            uniform_reg(regs, wc.one, mask),
-        ) else {
-            return Ok(false);
-        };
-        if one != 1 || i0 >= n {
-            return Ok(false);
-        }
-        (i0, n, src, es)
-    };
+    if one != 1 || !launch.tx_bytes.is_power_of_two() {
+        return decline();
+    }
     let trip = n - i0;
     let cost = trip as u64 * 12 + 2;
     match stats.warp_instructions.checked_add(cost) {
         Some(total) if total <= launch.max_instructions => {}
-        _ => return Ok(false),
+        _ => return decline(),
     }
     // Constant source: addresses src+i0 .. src+n-1, ascending. Bounds or
     // wrap failures fall back so interpretation faults at the right issue.
     let src_last = src as u64 + n as u64 - 1;
     if src_last > u32::MAX as u64 || src_last >= pool.len() as u64 {
-        return Ok(false);
+        return decline();
     }
 
     // Per-lane store walk: lane writes start_l + t*es for t in 0..trip.
@@ -944,91 +976,75 @@ fn try_wide_copy(
     // intermediate wraps u32, hence equals the interpreter's arithmetic.
     let mut addrs = std::mem::take(&mut bufs.addrs);
     addrs.clear();
-    {
-        let regs = &bufs.regs;
-        let glen = gmem.len() as u128;
-        for lane in iter_lanes(mask) {
-            let l = lane as usize;
-            let lane_base =
-                regs[wc.base as usize + l] as u128 + regs[wc.lane_term as usize + l] as u128;
-            let p0 = regs[wc.pos as usize + l] as u128;
-            let start = lane_base + p0 * es as u128;
-            let end = lane_base + (p0 + trip as u128 - 1) * es as u128;
-            if end > u32::MAX as u128 || end >= glen {
-                addrs.clear();
-                bufs.addrs = addrs;
-                return Ok(false);
-            }
-            // Footprint sanitizer: prove the lane's whole store walk lies
-            // inside one claimed write interval, else fall back to
-            // interpretation, which checks each access exactly (and
-            // reports the precise escaping address).
-            if let Some(spec) = &launch.sanitize {
-                if !spec.covers(AccessKind::Write, start as u64, end as u64 + 1) {
-                    addrs.clear();
-                    bufs.addrs = addrs;
-                    return Ok(false);
-                }
-            }
-            addrs.push((lane, start as u32));
+    let glen = gmem.len() as u128;
+    for lane in iter_lanes(mask) {
+        let l = lane as usize;
+        let lane_base =
+            regs[wc.base as usize + l] as u128 + regs[wc.lane_term as usize + l] as u128;
+        let p0 = regs[wc.pos as usize + l] as u128;
+        let start = lane_base + p0 * es as u128;
+        let end = lane_base + (p0 + trip as u128 - 1) * es as u128;
+        // Footprint sanitizer: prove the lane's whole store walk lies
+        // inside one claimed write interval, else fall back to
+        // interpretation, which checks each access exactly (and reports
+        // the precise escaping address).
+        let covered = launch
+            .sanitize
+            .as_ref()
+            .is_none_or(|spec| spec.covers(AccessKind::Write, start as u64, end as u64 + 1));
+        if end > u32::MAX as u128 || end >= glen || !covered {
+            bufs.addrs = addrs;
+            return decline();
         }
+        addrs.push((lane, start as u32));
     }
 
     // All preconditions hold: the interpreted loop would run to completion
-    // without faulting. Commit the batched issue accounting (12 per
-    // iteration: header op + branch + 9 body ops + jump; final header pass
-    // is 2 more), then the stores.
-    let nact = mask.count_ones();
+    // without faulting. Ascending starts stay ascending in every iteration
+    // (all move by the same `t * es`), so sorting once keeps the accounting
+    // below on the single-pass path; the stores do not care about order.
+    addrs.sort_unstable_by_key(|&(_, a)| a);
+    let cbytes = pool.as_bytes();
+    let starts = &mut bufs.segs;
+    starts.clear();
+    starts.extend(addrs.iter().map(|&(_, a)| a));
+    gmem.store_strided(starts, es, &cbytes[(src + i0) as usize..=src_last as usize])?;
+
+    // Issue accounting, batched (12 per iteration: header op + branch + 9
+    // body ops + jump; the final header pass is 2 more). The uniform
+    // constant load broadcasts at zero charge, so only the store is billed
+    // to the memory system, exactly like the interpreter.
+    let nact = mask.count_ones() as u64;
     stats.warp_instructions += cost;
-    stats.lane_instructions += cost * nact as u64;
+    stats.lane_instructions += cost * nact;
     stats.warp_cycles += cost;
     stats.divergence.branches += trip as u64 + 1;
 
-    let cbytes = pool.as_bytes();
-    let src0 = (src + i0) as usize;
-    let dense = addrs
-        .windows(2)
-        .all(|w| w[0].1.checked_add(1) == Some(w[1].1));
-    if dense {
-        // Tier A: one fill per iteration; transaction/sector counts in
-        // closed form (the run is contiguous so the coalescing model's
-        // distinct-segment count is exact).
-        let s0 = addrs[0].1;
-        for t in 0..trip {
-            let byte = cbytes[src0 + t as usize];
-            let s = s0 + t * es;
-            gmem.fill(s, nact, byte)?;
-            let ntx = contiguous_segments(s, nact, launch.tx_bytes);
-            stats.mem_transactions += ntx;
-            stats.warp_cycles += ntx;
-            stats.dram_bytes += contiguous_segments(s, nact, SECTOR_BYTES) * SECTOR_BYTES as u64;
-        }
-        stats.mem_accesses += trip as u64;
-    } else {
-        // Tier B: per-lane stores with the shared cost model per
-        // iteration. (The uniform constant load broadcasts — zero charge —
-        // so only the store is billed, exactly like the interpreter.)
-        for t in 0..trip {
-            let byte = cbytes[src0 + t as usize] as u32;
-            for &(_, a) in &addrs {
-                gmem.write_byte(a, byte)?;
-            }
-            charge_access(
-                MemSpace::Global,
-                Width::Byte,
-                &addrs,
-                launch,
-                &mut bufs.segs,
-                stats,
-            );
-            if t + 1 < trip {
-                for e in &mut addrs {
-                    e.1 += es;
-                }
+    let g = launch.tx_bytes.max(SECTOR_BYTES);
+    // gcd(es, g) for a power-of-two g is es's lowest set bit capped at g
+    // (es = 0 gives g itself, hence a period of 1).
+    let period = g >> es.trailing_zeros().min(g.trailing_zeros());
+    // Iteration `t` of the first period stands for `t, t + P, t + 2P, ...`:
+    // once per whole period, and once more if the last, partial period
+    // reaches it.
+    let (whole, partial) = ((trip / period) as u64, trip % period);
+    let measured = period.min(trip);
+    let (mut ntx, mut nsec) = (0u64, 0u64);
+    for t in 0..measured {
+        let (tx, sec) = global_access_counts(&addrs, Width::Byte, launch.tx_bytes, &mut bufs.segs);
+        let times = whole + (t < partial) as u64;
+        ntx += times * tx;
+        nsec += times * sec;
+        if t + 1 < measured {
+            for e in &mut addrs {
+                e.1 += es;
             }
         }
     }
-    addrs.clear();
+    stats.mem_accesses += trip as u64;
+    stats.mem_transactions += ntx;
+    stats.warp_cycles += ntx;
+    stats.dram_bytes += nsec * SECTOR_BYTES as u64;
     bufs.addrs = addrs;
 
     // Final register state for the active lanes, matching the interpreted
@@ -1056,6 +1072,7 @@ fn try_wide_copy(
         regs[wc.addr as usize + l] = lane_base.wrapping_add(scaled);
         regs[wc.pos as usize + l] = p0.wrapping_add(trip);
     }
+    WIDE_COPY_COUNTERS.record_hit();
     Ok(true)
 }
 
@@ -1981,13 +1998,7 @@ fn charge_access(
             // Transactions at `tx_bytes` granularity drive issue
             // replays; DRAM traffic is counted in 32 B sectors so a
             // coalesced byte access is not charged a full line.
-            let (ntx, nsec) = match fused_segment_counts(addrs, width, launch.tx_bytes) {
-                Some(counts) => counts,
-                None => (
-                    distinct_segments_sorted(addrs, width, launch.tx_bytes, segs),
-                    distinct_segments_sorted(addrs, width, SECTOR_BYTES, segs),
-                ),
-            };
+            let (ntx, nsec) = global_access_counts(addrs, width, launch.tx_bytes, segs);
             stats.mem_transactions += ntx;
             stats.warp_cycles += ntx;
             stats.dram_bytes += nsec * SECTOR_BYTES as u64;
@@ -2439,6 +2450,54 @@ fn warp_store(
         MemSpace::Shared => write_buf(shared, MemSpace::Shared, width, addr, value)?,
     }
     Ok(())
+}
+
+/// Distinct `(transactions, sectors)` one warp access to global memory
+/// touches: `tx_bytes`-sized segments and [`SECTOR_BYTES`]-sized sectors.
+/// `segs` is reusable scratch.
+///
+/// Ascending addresses count in one pass. Anything else is sorted, once:
+/// when `tx_bytes` is a power of two no smaller than a sector, a
+/// transaction id is a sector id shifted right, so the sorted sector ids
+/// are also sorted by transaction and one walk counts both.
+fn global_access_counts(
+    addrs: &[(u32, u32)],
+    width: Width,
+    tx_bytes: u32,
+    segs: &mut Vec<u32>,
+) -> (u64, u64) {
+    if let Some(counts) = fused_segment_counts(addrs, width, tx_bytes) {
+        return counts;
+    }
+    if !tx_bytes.is_power_of_two() || tx_bytes < SECTOR_BYTES {
+        return (
+            distinct_segments_sorted(addrs, width, tx_bytes, segs),
+            distinct_segments_sorted(addrs, width, SECTOR_BYTES, segs),
+        );
+    }
+    const SEC_SH: u32 = SECTOR_BYTES.trailing_zeros();
+    let tx_sh = tx_bytes.trailing_zeros() - SEC_SH;
+    segs.clear();
+    for &(_, a) in addrs {
+        let first = a >> SEC_SH;
+        let last = a.wrapping_add(width.bytes() - 1) >> SEC_SH;
+        segs.push(first);
+        if last != first {
+            segs.push(last);
+        }
+    }
+    segs.sort_unstable();
+    let (mut ntx, mut nsec) = (0u64, 0u64);
+    let mut prev = None;
+    for &sec in segs.iter() {
+        if prev == Some(sec) {
+            continue;
+        }
+        nsec += 1;
+        ntx += (prev.map(|p: u32| p >> tx_sh) != Some(sec >> tx_sh)) as u64;
+        prev = Some(sec);
+    }
+    (ntx, nsec)
 }
 
 /// Single-pass transaction and DRAM-sector counts for an access whose lane
@@ -3042,9 +3101,10 @@ mod tests {
     }
 
     /// The wide-copy fast path must be bit-identical to the legacy engine
-    /// on both cohort layouts: transposed (dense lane run per iteration —
-    /// the block-fill tier) and row-major (scattered starts — the per-lane
-    /// tier). Memory bytes and every stats counter must match.
+    /// on both cohort layouts: transposed (a dense lane run per iteration,
+    /// period 2 at stride 64) and row-major (starts a slot apart, period
+    /// 128 at stride 1, longer than the copy). Memory bytes and every
+    /// stats counter must match.
     #[test]
     fn wide_copy_bit_identical_on_both_layouts() {
         for (lane_stride, elem_stride, label) in [(1u32, 64u32, "transposed"), (64, 1, "row-major")]
@@ -3239,6 +3299,50 @@ mod tests {
                     err, serial,
                     "error differs at pack={pack} workers={workers}"
                 );
+            }
+        }
+    }
+
+    /// The sorted fallback of [`global_access_counts`] sorts sector ids once
+    /// and reads the transaction count off the same sorted run. On random
+    /// scattered accesses of both widths — word accesses straddling sector
+    /// and transaction boundaries and wrapping the address space included —
+    /// it must equal the two independent sorts it replaced, at every
+    /// transaction size; sizes it does not cover keep the two sorts.
+    #[test]
+    fn one_sort_counts_match_two_sorts() {
+        let mut x = 0x9E37_79B9u32;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x
+        };
+        let mut segs = Vec::new();
+        for round in 0..400 {
+            let n = 1 + next() % 32;
+            // Alternate wide-ranging addresses with ones clustered around a
+            // boundary, where neighbouring lanes share segments.
+            let spread = if round % 2 == 0 { u32::MAX } else { 700 };
+            let origin = next();
+            let mut addrs: Vec<(u32, u32)> = (0..n)
+                .map(|lane| (lane, origin.wrapping_add(next() % spread)))
+                .collect();
+            if addrs.windows(2).all(|w| w[0].1 <= w[1].1) {
+                addrs.reverse(); // keep it off the ascending single-pass path
+            }
+            for width in [Width::Byte, Width::Word] {
+                for tx in [16u32, 32, 64, 96, 128, 256] {
+                    let two_sorts = (
+                        distinct_segments_sorted(&addrs, width, tx, &mut segs),
+                        distinct_segments_sorted(&addrs, width, SECTOR_BYTES, &mut segs),
+                    );
+                    assert_eq!(
+                        global_access_counts(&addrs, width, tx, &mut segs),
+                        two_sorts,
+                        "tx {tx}, {width:?}, addrs {addrs:?}"
+                    );
+                }
             }
         }
     }

@@ -65,7 +65,9 @@ pub mod streams;
 pub mod transpose;
 
 pub use exec::plan::{plan_cache_stats, plan_for, ExecPlan};
-pub use exec::simt::{execute_plan_workers_traced, execute_simt_legacy_workers, warp_arena_stats};
+pub use exec::simt::{
+    execute_plan_workers_traced, execute_simt_legacy_workers, warp_arena_stats, wide_copy_stats,
+};
 pub use exec::{AccessKind, ExecError, FootprintSpec, GateRejection, LaunchConfig, WARP_SIZE};
 pub use gpu::{Gpu, GpuConfig, LaunchGate, LaunchResult};
 pub use ir::{Program, ProgramBuilder};

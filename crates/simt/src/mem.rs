@@ -311,16 +311,47 @@ impl<'a> SharedMem<'a> {
         Ok(old)
     }
 
-    /// Fill `len` bytes starting at `addr` with `value`. Bounds are
-    /// checked once up front; the stores are the same `Relaxed` atomic
-    /// byte stores as [`SharedMem::write_byte`], so a fill is equivalent
-    /// to (and safe to interleave with) per-byte writes from other warps.
-    /// Used by the executor's wide-copy fast path to splat template
-    /// bytes across a contiguous run of lane buffers.
-    pub fn fill(&self, addr: u32, len: u32, value: u8) -> Result<(), MemError> {
-        let a = self.check(addr, len)?;
-        for b in &self.bytes[a..a + len as usize] {
-            b.store(value, Ordering::Relaxed);
+    /// Strided splat: for every `t`, store `src[t]` at `start + t * stride`
+    /// for each `start` in `starts` — one byte-copy loop of a whole warp,
+    /// where each lane walks its own buffer from its own position.
+    ///
+    /// Stores are issued iteration-major (all of iteration `t` before any
+    /// of `t + 1`), the order lockstep execution gives them, so walks that
+    /// overlap (`stride == 0`, or one walk running into another's range)
+    /// leave exactly the bytes per-byte execution leaves. Within one
+    /// iteration every store carries the same byte, so the order of
+    /// `starts` cannot matter.
+    ///
+    /// The highest address of the whole operation is checked once, before
+    /// the first store; the stores are the same `Relaxed` atomic byte
+    /// stores as [`SharedMem::write_byte`], so the splat is equivalent to
+    /// (and safe to interleave with) per-byte writes from other warps.
+    ///
+    /// # Errors
+    ///
+    /// Fails, with nothing written, if any store would fall outside the
+    /// allocation or past the 32-bit address space.
+    pub fn store_strided(&self, starts: &[u32], stride: u32, src: &[u8]) -> Result<(), MemError> {
+        let (Some(&top), Some(last_t)) = (starts.iter().max(), src.len().checked_sub(1)) else {
+            return Ok(());
+        };
+        let reach = last_t as u128 * stride as u128;
+        let highest = top as u128 + reach;
+        if highest > u32::MAX as u128 || highest >= self.bytes.len() as u128 {
+            return Err(MemError::OutOfBounds {
+                space: MemSpace::Global,
+                addr: top,
+                len: u32::try_from(reach + 1).unwrap_or(u32::MAX),
+                size: self.bytes.len(),
+            });
+        }
+        for (t, &byte) in src.iter().enumerate() {
+            // In bounds by the check above: `t * stride <= reach`, and
+            // `start <= top`, so no index passes `highest`.
+            let row = &self.bytes[t * stride as usize..];
+            for &start in starts {
+                row[start as usize].store(byte, Ordering::Relaxed);
+            }
         }
         Ok(())
     }
@@ -527,6 +558,46 @@ mod tests {
             0x0102_0304,
             "writes land in the image"
         );
+    }
+
+    /// `store_strided` against per-byte stores issued in lockstep order,
+    /// including the layouts where order decides the result: stride 0
+    /// (each walk rewrites one address) and a walk overrunning into its
+    /// neighbour's range.
+    #[test]
+    fn store_strided_matches_lockstep_byte_stores() {
+        let src = b"abcdefgh";
+        for (starts, stride) in [
+            (vec![0u32, 1, 2], 3u32), // interleaved walks
+            (vec![0, 16, 32], 1),     // disjoint contiguous walks
+            (vec![5, 9, 2], 0),       // stride 0: last byte wins
+            (vec![12, 8, 0], 1),      // overlapping walks, unsorted starts
+        ] {
+            let mut fast = DeviceMemory::new(64);
+            fast.shared().store_strided(&starts, stride, src).unwrap();
+            let mut slow = DeviceMemory::new(64);
+            for (t, &b) in src.iter().enumerate() {
+                for &s in &starts {
+                    slow.write_byte(s + t as u32 * stride, b as u32).unwrap();
+                }
+            }
+            assert_eq!(fast, slow, "starts {starts:?} stride {stride}");
+        }
+    }
+
+    #[test]
+    fn store_strided_checks_bounds_before_storing() {
+        let mut m = DeviceMemory::new(16);
+        let v = m.shared();
+        // The second walk's last store lands at 9 + 7 = 16: one past.
+        assert!(v.store_strided(&[0, 9], 1, b"abcdefgh").is_err());
+        assert!(v.store_strided(&[0], u32::MAX, b"ab").is_err(), "no wrap");
+        assert!(v.store_strided(&[], 1, b"ab").is_ok());
+        assert!(v.store_strided(&[99], 1, b"").is_ok(), "nothing to store");
+        drop(v);
+        assert!(m.as_bytes().iter().all(|&b| b == 0), "nothing was written");
+        m.shared().store_strided(&[0, 8], 1, b"abcdefgh").unwrap();
+        assert_eq!(m.as_bytes(), b"abcdefghabcdefgh");
     }
 
     #[test]

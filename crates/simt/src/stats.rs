@@ -124,61 +124,9 @@ impl KernelStats {
     }
 }
 
-/// Number of `gran`-byte aligned segments (transactions or sectors)
-/// touched by the contiguous byte range `[addr, addr + len)`.
-///
-/// `gran` must be a power of two. This is the closed form of the
-/// coalescing model's distinct-segment count for a dense ascending
-/// address run — the executor's wide-copy fast path uses it to charge
-/// a block store in O(1) with exactly the counts the per-byte
-/// interpreted path would produce.
-pub fn contiguous_segments(addr: u32, len: u32, gran: u32) -> u64 {
-    debug_assert!(gran.is_power_of_two(), "granularity must be a power of two");
-    if len == 0 {
-        return 0;
-    }
-    let shift = gran.trailing_zeros();
-    let first = (addr as u64) >> shift;
-    let last = (addr as u64 + len as u64 - 1) >> shift;
-    last - first + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn contiguous_segments_closed_form_matches_naive() {
-        // Closed form must equal the number of distinct addr>>shift values
-        // over every byte of the range, for assorted ranges/granularities.
-        for &gran in &[32u32, 128] {
-            let shift = gran.trailing_zeros();
-            for &(addr, len) in &[
-                (0u32, 1u32),
-                (0, 32),
-                (31, 2),
-                (127, 1),
-                (127, 2),
-                (100, 300),
-                (4096, 128),
-                (u32::MAX - 7, 8),
-            ] {
-                let naive = {
-                    let mut segs: Vec<u64> = (0..len as u64)
-                        .map(|i| (addr as u64 + i) >> shift)
-                        .collect();
-                    segs.dedup();
-                    segs.len() as u64
-                };
-                assert_eq!(
-                    contiguous_segments(addr, len, gran),
-                    naive,
-                    "addr={addr} len={len} gran={gran}"
-                );
-            }
-        }
-        assert_eq!(contiguous_segments(17, 0, 32), 0);
-    }
 
     #[test]
     fn scalar_merge() {

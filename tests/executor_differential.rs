@@ -175,6 +175,224 @@ fn wide_copy_budget_fault_differential() {
     }
 }
 
+/// A response-template kernel whose cursors have diverged, as they do
+/// after any per-lane variable-length output: every lane first writes
+/// `gid % 5` filler bytes, then all lanes copy the same `trip` constant
+/// bytes from wherever their own cursor stands. Each warp owns a disjoint
+/// `param(0)`-byte region (warps must stay independent); inside it lane
+/// `l` starts at `l * param(1)` and steps by `param(2)`, so one program
+/// serves every layout.
+fn diverged_copy_kernel(pool: &mut ConstPool, trip: u32) -> rhythm_simt::Program {
+    use rhythm_simt::ir::{BinOp, ProgramBuilder};
+
+    // Neighbouring bytes differ, so a store landing in the wrong iteration
+    // or the wrong order shows in the image.
+    let text: Vec<u8> = (0..trip).map(|i| b'A' + (i % 53) as u8).collect();
+    let (off, len) = pool.intern(&text);
+    let mut b = ProgramBuilder::new("diverged_copy");
+    let gid = b.global_id();
+    let lane = b.lane_id();
+    let warp_bytes = b.param(0);
+    let lane_stride = b.param(1);
+    let elem_stride = b.param(2);
+    let warp_size = b.imm(32);
+    let warp = b.bin(BinOp::DivU, gid, warp_size);
+    let base = b.bin(BinOp::Mul, warp, warp_bytes);
+    let cur = b.cursor(base, lane, lane_stride, elem_stride);
+    let five = b.imm(5);
+    let prefix = b.bin(BinOp::RemU, gid, five);
+    let filler = b.imm(b'#' as u32);
+    b.for_loop(prefix, |b, _| b.cursor_write_byte(&cur, filler));
+    b.write_const_str(&cur, off, len);
+    b.halt();
+    b.build().unwrap()
+}
+
+/// Bytes one warp of [`diverged_copy_kernel`] can reach: the last lane's
+/// start plus the longest prefix (4) and the copy, at `elem_stride` apart.
+fn diverged_warp_bytes(lane_stride: u32, elem_stride: u32, trip: u32) -> u32 {
+    31 * lane_stride + (trip + 3) * elem_stride + 1
+}
+
+/// Run `program` on the legacy engine once and on the pre-decoded engine
+/// at every worker count and pack width, demanding the same image and the
+/// same counters everywhere.
+fn assert_plan_matches_legacy(
+    program: &rhythm_simt::Program,
+    cfg: &LaunchConfig,
+    pool: &ConstPool,
+    size: usize,
+    ctx: &str,
+) {
+    let mut mem_legacy = DeviceMemory::new(size);
+    let legacy = execute_simt_legacy_workers(program, cfg, &mut mem_legacy, pool, 1)
+        .unwrap_or_else(|e| panic!("legacy fault ({ctx}): {e}"));
+    for workers in WORKER_COUNTS {
+        for pack in PACK_WIDTHS {
+            let mut pcfg = cfg.clone();
+            pcfg.pack = pack;
+            let mut mem_plan = DeviceMemory::new(size);
+            let plan = execute_simt_workers(program, &pcfg, &mut mem_plan, pool, workers)
+                .unwrap_or_else(|e| panic!("pre-decoded fault ({ctx}): {e}"));
+            assert_eq!(
+                plan, legacy,
+                "stats diverged ({ctx}, workers {workers}, pack {pack})"
+            );
+            assert!(
+                mem_plan.as_bytes() == mem_legacy.as_bytes(),
+                "memory diverged ({ctx}, workers {workers}, pack {pack})"
+            );
+        }
+    }
+}
+
+/// Wide copies from diverged cursors, swept over everything the periodic
+/// accounting depends on: element stride (zero, odd, sector- and
+/// transaction-sized, huge), transaction size, trip counts on both sides
+/// of the period `P = G / gcd(es, G)`, `G = max(tx_bytes, 32)` — a lone
+/// iteration, a partial period, exact periods, periods plus a remainder —
+/// a single lane, a full warp, and three warps ending in a partial mask.
+/// Small strides use a row-major layout whose 37-byte slots the longer
+/// copies overrun, so lanes' walks also overlap.
+#[test]
+fn diverged_cursor_copy_differential() {
+    fn gcd(a: u32, b: u32) -> u32 {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
+    }
+    let commits_before = rhythm_simt::wide_copy_stats().hits;
+    for tx_bytes in [32u32, 64, 128, 256] {
+        for es in [0u32, 1, 3, 4, 32, 33, 128, 4096] {
+            let g = tx_bytes.max(32);
+            let period = g / gcd(es, g);
+            let mut trips = vec![1, period - 1, period, period + 1, 3 * period + 2, 1000];
+            trips.retain(|&t| t > 0);
+            trips.sort_unstable();
+            trips.dedup();
+            let ls = if es >= 32 { 1 } else { 37 };
+            for trip in trips {
+                let mut pool = ConstPool::new();
+                let program = diverged_copy_kernel(&mut pool, trip);
+                let warp_bytes = diverged_warp_bytes(ls, es, trip);
+                for lanes in [1u32, 32, 77] {
+                    let mut cfg = LaunchConfig::new(lanes, [warp_bytes, ls, es]);
+                    cfg.tx_bytes = tx_bytes;
+                    let size = (cfg.warps() * warp_bytes) as usize;
+                    assert_plan_matches_legacy(
+                        &program,
+                        &cfg,
+                        &pool,
+                        size,
+                        &format!("tx {tx_bytes}, es {es}, trip {trip}, lanes {lanes}"),
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        rhythm_simt::wide_copy_stats().hits > commits_before,
+        "the sweep never took the wide-copy path"
+    );
+}
+
+/// Overlapping walks: row-major 16-byte slots, a 24-byte copy. Every lane
+/// overruns into its neighbour's slot, where the neighbour wrote the same
+/// addresses in *earlier* iterations — so lockstep order leaves the lower
+/// lane's bytes there, and a lane-at-a-time copy would leave the upper
+/// lane's. The committed copy must leave what lockstep leaves.
+#[test]
+fn overlapping_walks_keep_lockstep_store_order() {
+    let (ls, es, trip) = (16u32, 1u32, 24u32);
+    let mut pool = ConstPool::new();
+    let program = diverged_copy_kernel(&mut pool, trip);
+    let warp_bytes = diverged_warp_bytes(ls, es, trip);
+    let cfg = LaunchConfig::new(77, [warp_bytes, ls, es]);
+    let size = (cfg.warps() * warp_bytes) as usize;
+    assert_plan_matches_legacy(&program, &cfg, &pool, size, "overrunning row-major slots");
+
+    // The case really is order-sensitive: lane 0 (no prefix) copies to
+    // 0..24 and lane 1 (one filler byte) to 17..41. Address 20 holds lane
+    // 0's byte 20, not lane 1's byte 3.
+    let mut mem = DeviceMemory::new(size);
+    execute_simt_workers(&program, &cfg, &mut mem, &pool, 1).unwrap();
+    let text = pool.as_bytes();
+    assert_eq!(mem.as_bytes()[20], text[20]);
+    assert_ne!(text[20], text[3]);
+}
+
+/// A diverged copy that cannot run to completion commits nothing: with a
+/// budget that trips mid-copy, and with a claimed footprint that leaves
+/// out the tail of one lane's walk, the loop is interpreted and stops at
+/// the exact instruction, with the exact partial image, interpretation
+/// gives — and both count as fallbacks.
+#[test]
+fn diverged_copy_faults_commit_nothing() {
+    use rhythm_simt::{AccessKind, ExecError, FootprintSpec};
+    use std::sync::Arc;
+
+    // Row-major 64-byte slots, 24-byte copy: walks are disjoint and every
+    // slot keeps a gap, so claimed intervals never merge across lanes.
+    let (ls, es, trip, lanes) = (64u32, 1u32, 24u32, 32u32);
+    let mut pool = ConstPool::new();
+    let program = diverged_copy_kernel(&mut pool, trip);
+    let warp_bytes = diverged_warp_bytes(ls, es, trip);
+    let size = warp_bytes as usize;
+    let base_cfg = LaunchConfig::new(lanes, [warp_bytes, ls, es]);
+    let fallbacks_before = rhythm_simt::wide_copy_stats().misses;
+
+    // Budget: the prefixes finish (a few dozen issues), the copy does not.
+    let mut cfg = base_cfg.clone();
+    cfg.max_instructions = 200;
+    let mut mem_legacy = DeviceMemory::new(size);
+    let legacy = execute_simt_legacy_workers(&program, &cfg, &mut mem_legacy, &pool, 1);
+    let mut mem_plan = DeviceMemory::new(size);
+    let plan = execute_simt_workers(&program, &cfg, &mut mem_plan, &pool, 1);
+    assert!(matches!(plan, Err(ExecError::Budget { .. })), "{plan:?}");
+    assert_eq!(plan, legacy);
+    assert_eq!(mem_plan.as_bytes(), mem_legacy.as_bytes());
+    assert!(
+        mem_plan.as_bytes().contains(&b'A'),
+        "the budget should trip after the copy has begun"
+    );
+
+    // Footprint: lane 9's claim ends `cut` bytes into its copy. The first
+    // escaping store is its iteration `cut`; by then every lane has stored
+    // `cut` bytes — exactly the image of the same kernel copying `cut`.
+    let (odd_lane, cut) = (9u32, 10u32);
+    let claims: Vec<(u64, u64)> = (0..lanes)
+        .map(|l| {
+            let copied = if l == odd_lane { cut } else { trip };
+            let lo = (l * ls) as u64;
+            (lo, lo + (l % 5 + copied) as u64)
+        })
+        .collect();
+    let mut cfg = base_cfg.clone();
+    cfg.sanitize = Some(Arc::new(FootprintSpec::new(None, Some(claims), None)));
+    let mut mem_plan = DeviceMemory::new(size);
+    let err = execute_simt_workers(&program, &cfg, &mut mem_plan, &pool, 1).unwrap_err();
+    assert_eq!(
+        err,
+        ExecError::FootprintEscape {
+            kind: AccessKind::Write,
+            addr: odd_lane * ls + odd_lane % 5 + cut,
+            width: 1,
+        }
+    );
+    let mut cut_pool = ConstPool::new();
+    let cut_program = diverged_copy_kernel(&mut cut_pool, cut);
+    let mut mem_cut = DeviceMemory::new(size);
+    execute_simt_legacy_workers(&cut_program, &base_cfg, &mut mem_cut, &cut_pool, 1).unwrap();
+    assert_eq!(mem_plan.as_bytes(), mem_cut.as_bytes());
+
+    assert!(
+        rhythm_simt::wide_copy_stats().misses >= fallbacks_before + 2,
+        "both declined copies count as fallbacks"
+    );
+}
+
 /// The production banking kernels, end to end: drive a full device-backend
 /// cohort (parser → stages with backend rounds) through the legacy and
 /// pre-decoded engines in lockstep, comparing the entire memory image and
@@ -186,6 +404,7 @@ fn wide_copy_budget_fault_differential() {
 #[test]
 fn banking_kernels_legacy_vs_predecoded_lockstep() {
     use rhythm_simt::ir::Op;
+    use std::collections::BTreeSet;
 
     const COHORT: u32 = 48; // one full warp + one partial warp
     const CAPACITY: u32 = 1024;
@@ -200,6 +419,14 @@ fn banking_kernels_legacy_vs_predecoded_lockstep() {
         let mut generator = RequestGenerator::new(128, 0xD1FF + workers as u64);
         for ty in RequestType::ALL {
             let reqs = generator.uniform(ty, COHORT as usize, &mut sessions);
+            // A page with a table must leave it with diverged cursors, so
+            // the static copies after it run from per-lane offsets: each
+            // warp's members span at least two row counts.
+            for warp in reqs.chunks(32) {
+                let rows: BTreeSet<usize> =
+                    warp.iter().filter_map(|r| r.table_rows(&store)).collect();
+                assert_ne!(rows.len(), 1, "{ty:?}: a warp with one row count");
+            }
             let layout = CohortLayout::new(
                 COHORT,
                 ty.response_buffer_bytes(),

@@ -200,6 +200,9 @@ fn simt_device_counters_surface_in_metrics() {
     assert!(body.contains("rhythm_device_kernel_seconds_count"));
     assert!(body.contains("rhythm_device_hyperq_streams_count"));
     assert!(body.contains("rhythm_plan_cache_hits_total"));
+    // Every page's static fragments take the wide-copy path.
+    assert!(sum_family(&body, "rhythm_wide_copy_commits_total") > 0);
+    assert!(body.contains("rhythm_wide_copy_fallbacks_total"));
     // Latency histograms are tagged with real Banking page names.
     assert!(body.contains("rhythm_request_latency_seconds_count{type=\"login.php\"}"));
 
