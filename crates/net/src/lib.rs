@@ -10,12 +10,16 @@
 //!   pipelined request, and enforces a per-connection size cap so an
 //!   oversized or lying `Content-Length` gets 413 instead of unbounded
 //!   buffering.
-//! * [`server::Reactor`] is the poll-style connection/cohort state
-//!   machine over nonblocking `std::net` sockets. Parsed requests are
+//! * [`server::Reactor`] is the readiness-driven connection/cohort state
+//!   machine over nonblocking `std::net` sockets: each turn makes one
+//!   level-triggered `epoll` wait (with no timeout, or none at all),
+//!   reads what was reported readable and writes what was answered; a
+//!   one-shot `timerfd` stands for the earliest fill deadline and an
+//!   `eventfd` for the acceptor's hand-off. Parsed requests are
 //!   dispatched into per-type cohort contexts from `rhythm-core`'s
 //!   [`rhythm_core::CohortPool`] (the Free → PartiallyFull → Full → Busy
 //!   FSM); cohorts launch on fill or on the formation timeout, all
-//!   launches marked in one poll go to the pluggable
+//!   launches marked in one turn go to the pluggable
 //!   [`server::CohortHandler`] as a single batch (so device handlers can
 //!   run them as concurrent streams), and responses are transposed back
 //!   onto the originating connections in request order.
@@ -47,9 +51,17 @@
 //! about the banking workload; `rhythm-banking` provides
 //! [`server::CohortHandler`] implementations for the native and SIMT
 //! device paths.
+//!
+//! **Linux only.** The reactor waits on `epoll`, `eventfd` and `timerfd`
+//! through the glibc `std` already links (the private `sys` module: the
+//! crate's only `unsafe`, and the one seam a virtual-time transport would
+//! replace). There is no portable fallback.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("rhythm-net waits on epoll, eventfd and timerfd: it builds on Linux only");
 
 pub mod admin;
 pub mod client;
@@ -59,6 +71,7 @@ pub mod metrics;
 pub mod responses;
 pub mod server;
 pub mod shard;
+mod sys;
 
 pub use admin::{admin_route, AdminRoute};
 pub use client::{read_response, scan_response, send_request, RawResponse};

@@ -855,7 +855,12 @@ mod tests {
             })
         };
         let mut last_requests = 0u64;
-        for _ in 0..100_000 {
+        let mut reads = 0u32;
+        // Keep reading until the writer has been seen at work: an
+        // optimised reader can finish 100 000 reads before the writer
+        // thread is even scheduled.
+        while reads < 100_000 || last_requests == 0 {
+            reads += 1;
             let snap = cell.read();
             assert!(
                 snap.accounting_balanced(),

@@ -1,6 +1,6 @@
-//! The poll-style cohort reactor: non-blocking accept/read over
-//! `std::net`, cohort formation via `rhythm-core`'s context pool, and
-//! overload shedding.
+//! The readiness-driven cohort reactor: one level-triggered `epoll` wait
+//! per turn over non-blocking `std::net` sockets, cohort formation via
+//! `rhythm-core`'s context pool, and overload shedding.
 //!
 //! The connection/cohort state machine lives in [`Reactor`], which owns
 //! admitted connections but no listener: streams are handed to it via
@@ -8,8 +8,9 @@
 //! acceptor feeding one reactor thread per handler.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -21,6 +22,7 @@ use crate::conn::RequestAccumulator;
 use crate::controller::{Controller, ControllerConfig};
 use crate::metrics::{ShardMetrics, Telemetry};
 use crate::responses;
+use crate::sys::{Interest, Poller, Timer, Waker};
 
 /// Executes one uniform-key cohort of parsed requests.
 ///
@@ -38,8 +40,8 @@ pub trait CohortHandler {
     /// short return is padded with `500`s by the server.
     fn execute(&mut self, key: u32, requests: &[HttpRequest]) -> Vec<Vec<u8>>;
 
-    /// Execute a batch of cohorts that became launchable in the same poll
-    /// iteration, in launch order, returning one response vector per
+    /// Execute a batch of cohorts that became launchable in the same
+    /// reactor turn, in launch order, returning one response vector per
     /// cohort (aligned with `cohorts`).
     ///
     /// The default runs each cohort through [`CohortHandler::execute`]
@@ -90,26 +92,20 @@ pub struct NetConfig {
     /// workload has 14 request types, and with fewer contexts its Table 2
     /// mix is shed at light load.
     pub pool_contexts: u32,
-    /// Initial sleep between polls when nothing progressed. Grows
-    /// exponentially up to [`NetConfig::idle_sleep_max`] while the loop
-    /// stays idle and resets on any progress, so an idle reactor does not
-    /// burn its core (with N reactors, N cores).
-    pub idle_sleep: Duration,
-    /// Cap for the idle-sleep exponential backoff.
-    pub idle_sleep_max: Duration,
     /// Per-connection queued-output cap in bytes (write buffer plus
     /// out-of-order responses waiting for earlier sequences). A
     /// connection at or over the cap stops being **read** until the
     /// backlog drains, so a pipelining client that stops reading cannot
     /// grow server memory without bound.
     pub max_queued_bytes: usize,
-    /// Max complete requests parsed per connection per poll. Responses
+    /// Max complete requests parsed per connection per turn. Responses
     /// are only produced for parsed requests, so together with
     /// [`NetConfig::max_queued_bytes`] this bounds how far a deep
     /// pipeline released from a backpressure pause can spike the queued
-    /// backlog in a single poll; leftover bytes stay buffered and parse
-    /// on later polls. Sized generously by default — it only binds on
-    /// pipelines deeper than several cohorts per poll.
+    /// backlog in a single turn; leftover bytes stay buffered and parse
+    /// on the following turns, which do not wait. Sized generously by
+    /// default — it only binds on pipelines deeper than several cohorts
+    /// per turn.
     pub max_parse_per_poll: usize,
     /// `Retry-After` seconds advertised on `503` sheds.
     pub retry_after_s: u32,
@@ -143,8 +139,6 @@ impl Default for NetConfig {
             cohort_size: 32,
             fill_timeout: Duration::from_millis(2),
             pool_contexts: 16,
-            idle_sleep: Duration::from_micros(200),
-            idle_sleep_max: Duration::from_millis(5),
             max_queued_bytes: 256 * 1024,
             max_parse_per_poll: 256,
             retry_after_s: 1,
@@ -195,10 +189,14 @@ pub struct NetStats {
     /// Connections with queued output reaped because the peer stopped
     /// reading for a full read-deadline.
     pub reaped_stalled: u64,
-    /// No-progress poll iterations that slept (idle backoff engaged).
+    /// Turns that made no progress, whatever woke them: an expired timer
+    /// with nothing due, the acceptor's reaping tick, or — the failure
+    /// this counter exists to expose — readiness the reactor keeps being
+    /// told about and does nothing with.
     pub idle_polls: u64,
-    /// Socket reads skipped because the connection's queued output was at
-    /// or over [`NetConfig::max_queued_bytes`] (write backpressure).
+    /// Times a connection entered the backpressure pause: its queued
+    /// output reached [`NetConfig::max_queued_bytes`], so it stopped being
+    /// read until the backlog drained.
     pub reads_paused: u64,
     /// Largest per-connection queued-output backlog observed, in bytes.
     pub peak_queued_bytes: u64,
@@ -286,6 +284,16 @@ struct Connection {
     eof: bool,
     /// I/O error; drop without draining.
     dead: bool,
+    /// What the poller currently reports this socket for.
+    armed: Interest,
+    /// The parse quantum ran out with bytes still buffered: the
+    /// connection is on the reactor's backlog and needs no readiness to
+    /// be serviced again.
+    unparsed: bool,
+    /// On this turn's touched list (events arrived or a response was
+    /// routed), so the end of the turn writes, re-arms and maybe closes
+    /// it.
+    touched: bool,
 }
 
 impl Connection {
@@ -303,6 +311,9 @@ impl Connection {
             closing: false,
             eof: false,
             dead: false,
+            armed: Interest::READ,
+            unparsed: false,
+            touched: false,
         }
     }
 
@@ -320,6 +331,35 @@ impl Connection {
     /// bounds.
     fn queued_bytes(&self) -> usize {
         (self.out.len() - self.out_pos) + self.ready_bytes
+    }
+
+    /// May requests be taken from this connection: not after a fatal
+    /// parse error was answered, and not while its queued output is at or
+    /// over the cap (write backpressure: the peer is not draining its
+    /// responses, so stop creating work for it until the backlog clears).
+    fn accepting(&self, max_queued_bytes: usize) -> bool {
+        !self.closing && !self.dead && self.queued_bytes() < max_queued_bytes
+    }
+
+    /// What the poller should report this socket for — the one place
+    /// interest is derived from state: readable while requests are being
+    /// accepted and the peer has not finished sending, writable while
+    /// output is undrained.
+    fn interest(&self, max_queued_bytes: usize) -> Interest {
+        Interest {
+            readable: self.accepting(max_queued_bytes) && !self.eof,
+            writable: !self.out_drained(),
+        }
+    }
+
+    /// Nothing more will happen on this connection: it failed, or it is
+    /// closing (ours or the peer's doing) and every response owed has
+    /// been written.
+    fn finished(&self) -> bool {
+        self.dead
+            || ((self.closing || (self.eof && !self.unparsed))
+                && self.out_drained()
+                && self.outstanding() == 0)
     }
 
     /// Record the response for `seq` and move every now-in-order response
@@ -343,38 +383,86 @@ impl Connection {
     }
 }
 
-/// A parsed request waiting in a cohort context, remembering where its
-/// response must go.
-#[derive(Clone, Debug)]
+/// Where the response of a request waiting in a cohort context must go.
+/// The request itself waits in [`Reactor::requests`] under the same
+/// context id, so a launch can hand it to the handler without a copy.
+#[derive(Clone, Copy, Debug)]
 struct Pending {
     conn: u64,
     seq: u64,
-    req: HttpRequest,
     arrived: Instant,
+}
+
+/// Poller tokens of the reactor's own two descriptors; connection ids
+/// count up from zero and never reach them.
+const WAKE_TOKEN: u64 = u64::MAX;
+const TIMER_TOKEN: u64 = u64::MAX - 1;
+
+/// The acceptor's end of a reactor: hands streams over and ends the
+/// reactor's wait.
+#[derive(Clone, Debug)]
+pub(crate) struct Handoff {
+    streams: Sender<TcpStream>,
+    waker: Arc<Waker>,
+}
+
+impl Handoff {
+    /// Queue an accepted stream and wake the reactor to admit it.
+    pub(crate) fn send(&self, stream: TcpStream) {
+        // A send only fails if the reactor is gone; the stream drops and
+        // the peer sees a reset.
+        let _ = self.streams.send(stream);
+        self.waker.wake();
+    }
+
+    /// End the reactor's wait so it looks at the clock and the stop flag.
+    pub(crate) fn wake(&self) {
+        self.waker.wake();
+    }
 }
 
 /// The connection/cohort state machine of one reactor thread: admitted
 /// connections, per-type cohort contexts, and the run's counters.
 ///
-/// A reactor owns no listener — streams are pushed in through
-/// [`Reactor::admit`] (by the [`crate::shard::ShardedServer`] acceptor, or
-/// by a test stepping the reactor by hand). Each [`Reactor::poll`] reads
-/// every readable socket,
-/// parses complete requests, dispatches them into cohort contexts, marks
-/// full or timed-out cohorts, launches the marked batch through the
-/// [`CohortHandler`] (one `execute_many` call, so device handlers can
-/// keep concurrent per-type launches in flight), and flushes responses.
+/// A reactor owns no listener — streams reach it over its hand-off
+/// channel from the [`crate::shard::ShardedServer`] acceptor, or through
+/// [`Reactor::admit`] from a test stepping it by hand. Each
+/// [`Reactor::turn`] takes one readiness report from the poller, reads
+/// the sockets it names, parses complete requests, dispatches them into
+/// cohort contexts, marks full or timed-out cohorts, launches the marked
+/// batch through the [`CohortHandler`] (one `execute_many` call, so
+/// device handlers can keep concurrent per-type launches in flight), and
+/// writes the connections that were answered.
 #[derive(Debug)]
 pub struct Reactor<H> {
     config: NetConfig,
     handler: H,
     pool: CohortPool<Pending>,
+    /// The parsed requests of each context's members, in member order,
+    /// indexed by context id.
+    requests: Vec<Vec<HttpRequest>>,
     conns: HashMap<u64, Connection>,
     next_conn_id: u64,
     stats: NetStats,
     epoch: Instant,
-    /// Contexts marked launchable this poll: `(context, by_timeout)`.
+    /// Contexts marked launchable this turn: `(context, by_timeout)`.
     launchable: Vec<(ContextId, bool)>,
+    poller: Poller,
+    /// Fires at the earliest fill deadline of a forming cohort.
+    timer: Timer,
+    /// When the timer's current arming fires, in seconds since `epoch`;
+    /// `None` once it has fired.
+    timer_due_s: Option<f64>,
+    /// Streams the acceptor has handed over but this reactor has not yet
+    /// admitted.
+    inbox: Receiver<TcpStream>,
+    handoff: Handoff,
+    /// Connections to write, re-arm and maybe close when the turn ends.
+    touched: Vec<u64>,
+    /// Connections whose parse quantum ran out with bytes left over.
+    backlog: Vec<u64>,
+    /// When every connection was last checked against the read deadline.
+    last_reap: Instant,
     /// The cross-shard telemetry plane this reactor publishes into (a
     /// standalone single-shard plane until
     /// [`Reactor::attach_telemetry`] rebinds it).
@@ -405,7 +493,7 @@ struct FlightNames {
     shed: u32,
     /// "admin" instant (track 0).
     admin: u32,
-    /// Sampled "poll" instant (track 0; arg = 1 when the poll progressed).
+    /// Sampled "poll" instant (track 0; arg = 1 when the turn progressed).
     poll: u32,
 }
 
@@ -421,13 +509,62 @@ impl FlightNames {
     }
 }
 
+/// Put a connection on the turn's touched list (once).
+fn touch(conn: &mut Connection, id: u64, touched: &mut Vec<u64>) {
+    if !conn.touched {
+        conn.touched = true;
+        touched.push(id);
+    }
+}
+
+/// Write as much queued output as the socket takes; returns whether any
+/// went out.
+fn write_out(conn: &mut Connection, stats: &mut NetStats) -> bool {
+    let mut progress = false;
+    while !conn.out_drained() {
+        match conn.stream.write(&conn.out[conn.out_pos..]) {
+            Ok(0) => {
+                conn.dead = true;
+                break;
+            }
+            Ok(n) => {
+                conn.out_pos += n;
+                stats.bytes_out += n as u64;
+                conn.last_activity = Instant::now();
+                progress = true;
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => {
+                conn.dead = true;
+                break;
+            }
+        }
+    }
+    if conn.out_drained() && !conn.out.is_empty() {
+        conn.out.clear();
+        conn.out_pos = 0;
+    } else if conn.out_pos >= 16 * 1024 {
+        // Partial drain: reclaim the written prefix so a slowly
+        // reading peer does not keep already-sent bytes resident.
+        conn.out.drain(..conn.out_pos);
+        conn.out_pos = 0;
+    }
+    progress
+}
+
 impl<H: CohortHandler> Reactor<H> {
     /// A reactor over `handler`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the failure to create or register the reactor's poller,
+    /// wake descriptor or timer (descriptor exhaustion).
     ///
     /// # Panics
     ///
     /// Panics on a zero cohort size, context count, or connection cap.
-    pub fn new(config: NetConfig, handler: H) -> Self {
+    pub fn new(config: NetConfig, handler: H) -> io::Result<Self> {
         assert!(config.cohort_size > 0, "cohort size must be nonzero");
         assert!(config.pool_contexts > 0, "need at least one context");
         assert!(config.max_connections > 0, "need at least one connection");
@@ -435,7 +572,14 @@ impl<H: CohortHandler> Reactor<H> {
             !config.adaptive || config.telemetry,
             "adaptive batching observes the live histograms; enable telemetry"
         );
+        let poller = Poller::new()?;
+        let waker = Arc::new(Waker::new()?);
+        poller.add(&*waker, WAKE_TOKEN, Interest::READ)?;
+        let timer = Timer::new()?;
+        poller.add(&timer, TIMER_TOKEN, Interest::READ)?;
+        let (streams, inbox) = std::sync::mpsc::channel();
         let pool = CohortPool::new(config.pool_contexts, config.cohort_size);
+        let requests = (0..config.pool_contexts).map(|_| Vec::new()).collect();
         let telemetry = Telemetry::new(1);
         let metrics = Arc::clone(telemetry.shard(0));
         let flight_names = FlightNames::intern(&metrics);
@@ -444,22 +588,31 @@ impl<H: CohortHandler> Reactor<H> {
             .then(|| Controller::new(ControllerConfig::from_net(&config), config.fill_timeout));
         let target_depth = config.cohort_size;
         let deadline_s = config.fill_timeout.as_secs_f64();
-        Reactor {
+        Ok(Reactor {
             config,
             handler,
             pool,
+            requests,
             conns: HashMap::new(),
             next_conn_id: 0,
             stats: NetStats::default(),
             epoch: Instant::now(),
             launchable: Vec::new(),
+            poller,
+            timer,
+            timer_due_s: None,
+            inbox,
+            handoff: Handoff { streams, waker },
+            touched: Vec::new(),
+            backlog: Vec::new(),
+            last_reap: Instant::now(),
             telemetry,
             metrics,
             flight_names,
             controller,
             target_depth,
             deadline_s,
-        }
+        })
     }
 
     /// Rebind this reactor to shard `shard` of a shared telemetry plane
@@ -501,15 +654,14 @@ impl<H: CohortHandler> Reactor<H> {
         (self.stats, self.handler)
     }
 
-    /// Record one no-progress poll that slept (idle backoff accounting;
-    /// run loops call this before sleeping).
-    pub fn note_idle(&mut self) {
-        self.stats.idle_polls += 1;
+    /// The acceptor's end of this reactor.
+    pub(crate) fn handoff(&self) -> Handoff {
+        self.handoff.clone()
     }
 
     /// Take ownership of an accepted stream: admit it (non-blocking, slot
-    /// accounting) or shed it with `503` when this reactor is at its
-    /// connection cap.
+    /// accounting, registered for reading) or shed it with `503` when
+    /// this reactor is at its connection cap.
     pub fn admit(&mut self, stream: TcpStream) {
         if self.conns.len() >= self.config.max_connections {
             // Over the cap: shed at the door with an explicit retry hint
@@ -521,37 +673,101 @@ impl<H: CohortHandler> Reactor<H> {
             let _ = s.shutdown(Shutdown::Both);
             return;
         }
-        if stream.set_nonblocking(true).is_err() {
+        let id = self.next_conn_id;
+        if stream.set_nonblocking(true).is_err()
+            || self.poller.add(&stream, id, Interest::READ).is_err()
+        {
             return;
         }
         let _ = stream.set_nodelay(true);
         self.stats.accepted += 1;
-        let id = self.next_conn_id;
         self.next_conn_id += 1;
         self.conns
             .insert(id, Connection::new(stream, self.config.max_request_bytes));
         self.stats.peak_connections = self.stats.peak_connections.max(self.conns.len());
     }
 
-    /// One non-blocking service iteration; returns whether anything
-    /// progressed (callers should back off briefly when it did not).
+    /// One service iteration that never waits: [`Reactor::turn`] with
+    /// `block` off, for stepping a reactor by hand.
     pub fn poll(&mut self) -> bool {
+        self.turn(false)
+    }
+
+    /// One service iteration; returns whether anything progressed.
+    ///
+    /// With `block` the turn first waits — with no timeout — until a
+    /// socket is ready, the fill timer fires or the acceptor wakes it;
+    /// without, and whenever work is already in hand (a marked cohort, a
+    /// connection whose parse quantum ran out), it only collects what is
+    /// ready now.
+    pub fn turn(&mut self, block: bool) -> bool {
+        let max_queued = self.config.max_queued_bytes;
+        let in_hand = !self.launchable.is_empty()
+            || self
+                .backlog
+                .iter()
+                .any(|id| self.conns.get(id).is_some_and(|c| c.accepting(max_queued)));
+        let timeout = (!block || in_hand).then_some(Duration::ZERO);
+
+        // Backlogged connections are serviced whatever the poller says;
+        // the others only when it reports them.
+        let mut service = std::mem::take(&mut self.backlog);
         let mut progress = false;
-        let parsed = self.read_sockets(&mut progress);
-        for p in parsed {
-            self.dispatch(p);
+        let mut woken = false;
+        // A failed wait (only a bad descriptor causes one) is a turn
+        // without reports.
+        for ready in self.poller.wait(timeout).into_iter().flatten() {
+            match ready.token {
+                WAKE_TOKEN => woken = true,
+                TIMER_TOKEN => {
+                    self.timer.acknowledge();
+                    self.timer_due_s = None;
+                }
+                id => {
+                    let Some(conn) = self.conns.get_mut(&id) else {
+                        continue;
+                    };
+                    touch(conn, id, &mut self.touched);
+                    if ready.hangup && !conn.armed.readable {
+                        // Nobody is going to read the error off this
+                        // socket, and level-triggering would report it
+                        // forever: the peer is gone.
+                        conn.dead = true;
+                        progress = true;
+                    } else if (ready.readable || ready.hangup) && !conn.unparsed {
+                        service.push(id);
+                    }
+                }
+            }
+        }
+        if woken {
+            // Drained before the channel is emptied: a stream sent after
+            // this point raises the wake again.
+            self.handoff.waker.drain();
+            while let Ok(stream) = self.inbox.try_recv() {
+                self.admit(stream);
+                progress = true;
+            }
+        }
+
+        for (p, req) in self.read_sockets(&service, &mut progress) {
+            self.dispatch(p, req);
             progress = true;
         }
         self.tick_controller();
         self.mark_launchable();
         progress |= self.flush_launches();
-        progress |= self.write_sockets();
-        self.reap();
+        progress |= self.settle_touched();
+        self.reap_stale();
+        self.arm_timer();
+        if !progress {
+            self.stats.idle_polls += 1;
+        }
         self.publish_metrics();
         if self.config.telemetry {
             // Sampled heartbeat on the flight recorder's shard track, so
-            // a /trace dump shows the poll cadence without flooding the
-            // ring at megahertz poll rates.
+            // a /trace dump shows the turn cadence without flooding the
+            // ring under load.
             let flight = self.metrics.flight();
             if flight.tick(256) {
                 flight.instant(self.flight_names.poll, 0, flight.now_us(), progress as u64);
@@ -577,7 +793,7 @@ impl<H: CohortHandler> Reactor<H> {
     }
 
     /// Publish a consistent counter snapshot into the shard's seqlock
-    /// cell (end of every poll, and after drain). This is the point at
+    /// cell (end of every turn, and after drain). This is the point at
     /// which `requests == responses + shed_503 + unclassified +
     /// in_cohort` must balance.
     fn publish_metrics(&self) {
@@ -594,9 +810,14 @@ impl<H: CohortHandler> Reactor<H> {
             .publish(&self.stats, in_cohort, self.conns.len() as u64);
     }
 
-    /// After the stop flag: launch whatever is still partially formed and
-    /// push out pending bytes (bounded, best effort).
+    /// After the stop flag: admit what the acceptor had already handed
+    /// over (so those sockets close like any other), launch whatever is
+    /// still partially formed and push out pending bytes (bounded, best
+    /// effort).
     pub fn drain(&mut self) {
+        while let Ok(stream) = self.inbox.try_recv() {
+            self.admit(stream);
+        }
         for id in 0..self.pool.len() as ContextId {
             if self.pool.get(id).state() == CohortState::PartiallyFull {
                 self.launchable.push((id, true));
@@ -604,44 +825,66 @@ impl<H: CohortHandler> Reactor<H> {
         }
         self.flush_launches();
         for _ in 0..64 {
-            if !self.write_sockets() {
+            let mut progress = false;
+            for conn in self.conns.values_mut() {
+                if !conn.dead {
+                    progress |= write_out(conn, &mut self.stats);
+                }
+            }
+            if !progress {
                 break;
             }
         }
         self.publish_metrics();
     }
 
-    /// Read every readable socket and parse complete requests. Requests
-    /// are returned (rather than dispatched inline) so the borrow of the
-    /// connection map ends before cohort dispatch begins.
-    fn read_sockets(&mut self, progress: &mut bool) -> Vec<Pending> {
+    /// Read the sockets in `service` and parse complete requests off
+    /// them. Requests are returned (rather than dispatched inline) so the
+    /// borrow of the connection map ends before cohort dispatch begins.
+    fn read_sockets(
+        &mut self,
+        service: &[u64],
+        progress: &mut bool,
+    ) -> Vec<(Pending, HttpRequest)> {
         let mut parsed = Vec::new();
         let mut chunk = [0u8; 4096];
-        for (&id, conn) in self.conns.iter_mut() {
-            if conn.closing || conn.dead || conn.eof {
+        for &id in service {
+            let Some(conn) = self.conns.get_mut(&id) else {
+                continue;
+            };
+            if conn.closing || conn.dead {
+                conn.unparsed = false;
                 continue;
             }
             if conn.queued_bytes() >= self.config.max_queued_bytes {
-                // Write backpressure: the peer is not draining its
-                // responses, so stop reading (and thus stop creating
-                // work) for this socket until the backlog clears.
-                self.stats.reads_paused += 1;
+                // Paused: leftover requests keep their place until the
+                // backlog clears.
+                if conn.unparsed {
+                    self.backlog.push(id);
+                }
                 continue;
             }
-            loop {
+            conn.unparsed = false;
+            touch(conn, id, &mut self.touched);
+            while !conn.eof {
                 match conn.stream.read(&mut chunk) {
                     Ok(0) => {
                         conn.eof = true;
-                        break;
+                        *progress = true;
                     }
                     Ok(n) => {
                         conn.acc.feed(&chunk[..n]);
                         self.stats.bytes_in += n as u64;
                         conn.last_activity = Instant::now();
                         *progress = true;
+                        if n < chunk.len() {
+                            // A short read emptied the socket; if more
+                            // has arrived since, the poller says so.
+                            break;
+                        }
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(_) => {
                         conn.dead = true;
                         break;
@@ -652,7 +895,7 @@ impl<H: CohortHandler> Reactor<H> {
                 continue;
             }
             // Bounded parse quantum: the backpressure check above only
-            // sees the backlog between polls, so without this cap a deep
+            // sees the backlog between turns, so without this cap a deep
             // pipeline released from a pause would be parsed (and
             // answered) all at once, spiking the queue to the whole
             // pipeline's response volume.
@@ -679,12 +922,12 @@ impl<H: CohortHandler> Reactor<H> {
                         self.stats.requests += 1;
                         let seq = conn.next_seq;
                         conn.next_seq += 1;
-                        parsed.push(Pending {
+                        let routing = Pending {
                             conn: id,
                             seq,
-                            req,
                             arrived: Instant::now(),
-                        });
+                        };
+                        parsed.push((routing, req));
                     }
                     Ok(None) => break,
                     Err(ParseError::TooLarge { .. }) => {
@@ -701,6 +944,10 @@ impl<H: CohortHandler> Reactor<H> {
                     }
                 }
             }
+            if taken == budget && !conn.closing && !conn.acc.is_empty() {
+                conn.unparsed = true;
+                self.backlog.push(id);
+            }
         }
         parsed
     }
@@ -708,10 +955,10 @@ impl<H: CohortHandler> Reactor<H> {
     /// Dispatch one parsed request into a cohort context, shedding with
     /// `503` when no context can take it. Never panics: FSM refusals
     /// (which the guarded lookup makes unreachable) shed the request too.
-    fn dispatch(&mut self, p: Pending) {
-        let Some(key) = self.handler.classify(&p.req) else {
+    fn dispatch(&mut self, p: Pending, req: HttpRequest) {
+        let Some(key) = self.handler.classify(&req) else {
             self.stats.unclassified += 1;
-            let resp = self.handler.reject(&p.req);
+            let resp = self.handler.reject(&req);
             self.route(p.conn, p.seq, resp);
             return;
         };
@@ -719,7 +966,7 @@ impl<H: CohortHandler> Reactor<H> {
         let mut ctx = self.pool.open_for(key).or_else(|| self.pool.acquire());
         if ctx.is_none() {
             // Every context is occupied but some may only be waiting for
-            // this poll's batched launch (already marked Full, past the
+            // this turn's batched launch (already marked Full, past the
             // deadline, or at the adaptive target depth): flush the
             // batch to free them instead of shedding a request the old
             // immediate-launch server would have taken.
@@ -735,6 +982,7 @@ impl<H: CohortHandler> Reactor<H> {
         };
         match self.pool.get_mut(id).add(p, key, now_s) {
             Ok(()) => {
+                self.requests[id as usize].push(req);
                 if self.pool.get(id).state() == CohortState::Full {
                     self.launchable.push((id, false));
                 }
@@ -772,7 +1020,7 @@ impl<H: CohortHandler> Reactor<H> {
         self.deadline_s = d.deadline_s;
     }
 
-    /// Mark PartiallyFull cohorts for this poll's launch batch: cohorts
+    /// Mark PartiallyFull cohorts for this turn's launch batch: cohorts
     /// at or past the controller's target depth launch as "full" (in
     /// fixed mode depth equals capacity, so only the FSM's own Full
     /// transition in [`Reactor::dispatch`] fires that reason); cohorts
@@ -791,17 +1039,37 @@ impl<H: CohortHandler> Reactor<H> {
         }
     }
 
-    /// Time until the earliest PartiallyFull cohort's fill deadline, or
-    /// `None` when no cohort is forming. Idle run loops clamp their
-    /// backoff sleep to this so an exponentially grown idle sleep cannot
-    /// overshoot a pending deadline and silently add queue latency.
-    pub fn next_fill_deadline(&self) -> Option<Duration> {
-        let now_s = self.epoch.elapsed().as_secs_f64();
+    /// When the earliest PartiallyFull cohort's fill deadline falls, in
+    /// seconds since `epoch`; `None` when no cohort is forming. The same
+    /// cohort under the same deadline always gives the same value.
+    fn earliest_due_s(&self) -> Option<f64> {
         (0..self.pool.len() as ContextId)
             .filter(|&id| self.pool.get(id).state() == CohortState::PartiallyFull)
-            .map(|id| self.deadline_s - (now_s - self.pool.get(id).opened_at()))
+            .map(|id| self.pool.get(id).opened_at() + self.deadline_s)
             .min_by(f64::total_cmp)
-            .map(|s| Duration::from_secs_f64(s.max(0.0)))
+    }
+
+    /// Make sure the timer fires by the earliest fill deadline. It is
+    /// armed only when that deadline is earlier than what is armed, or
+    /// the last arming has fired: a forming cohort costs one arming
+    /// (arming and cancelling are the expensive calls here), a cohort
+    /// that fills early or a deadline the controller moves later leaves
+    /// one spurious firing behind, and an idle reactor holds no timer.
+    fn arm_timer(&mut self) {
+        let Some(due_s) = self.earliest_due_s() else {
+            return;
+        };
+        if self.timer_due_s.is_some_and(|armed_s| armed_s <= due_s) {
+            return;
+        }
+        let wait_s = (due_s - self.epoch.elapsed().as_secs_f64()).max(0.0);
+        // A microsecond late rather than a nanosecond early: firing
+        // before the mark pass agrees the deadline has passed would waste
+        // the turn.
+        let wait = Duration::from_secs_f64(wait_s) + Duration::from_micros(1);
+        if self.timer.arm(wait).is_ok() {
+            self.timer_due_s = Some(due_s);
+        }
     }
 
     /// The batching policy currently in force as `(target_depth,
@@ -811,7 +1079,7 @@ impl<H: CohortHandler> Reactor<H> {
         (self.target_depth, Duration::from_secs_f64(self.deadline_s))
     }
 
-    /// Launch every context marked this poll through one
+    /// Launch every context marked this turn through one
     /// [`CohortHandler::execute_many`] call and route the responses back
     /// onto their connections. Returns whether anything launched.
     fn flush_launches(&mut self) -> bool {
@@ -851,14 +1119,9 @@ impl<H: CohortHandler> Reactor<H> {
                     fill,
                 );
             }
-            let reqs: Vec<HttpRequest> = self
-                .pool
-                .get(id)
-                .members()
-                .iter()
-                .map(|m| m.req.clone())
-                .collect();
-            batch.push((key, reqs));
+            // The members' requests move into the batch; only their
+            // routing stays behind in the context.
+            batch.push((key, std::mem::take(&mut self.requests[id as usize])));
             meta.push((id, n, key));
         }
         if batch.is_empty() {
@@ -885,7 +1148,9 @@ impl<H: CohortHandler> Reactor<H> {
             replies.resize_with(batch.len(), Vec::new);
         }
 
-        for ((id, n, key), mut cohort_replies) in meta.into_iter().zip(replies) {
+        for (((id, n, key), mut cohort_replies), (_, mut reqs)) in
+            meta.into_iter().zip(replies).zip(batch)
+        {
             if cohort_replies.len() < n {
                 cohort_replies.resize_with(n, responses::internal_500);
             }
@@ -902,6 +1167,10 @@ impl<H: CohortHandler> Reactor<H> {
                 }
                 self.route(m.conn, m.seq, resp);
             }
+            // The emptied buffer goes back to its context for the next
+            // cohort to fill.
+            reqs.clear();
+            self.requests[id as usize] = reqs;
         }
         true
     }
@@ -911,6 +1180,7 @@ impl<H: CohortHandler> Reactor<H> {
         match self.conns.get_mut(&conn) {
             Some(c) => {
                 c.complete(seq, bytes);
+                touch(c, conn, &mut self.touched);
                 self.stats.peak_queued_bytes =
                     self.stats.peak_queued_bytes.max(c.queued_bytes() as u64);
             }
@@ -918,68 +1188,67 @@ impl<H: CohortHandler> Reactor<H> {
         }
     }
 
-    fn write_sockets(&mut self) -> bool {
+    /// End of turn for every connection that had readiness reported or a
+    /// response routed: write what is queued, drop it if it is finished,
+    /// and otherwise re-register it if its interest is no longer what is
+    /// armed. Returns whether any bytes went out.
+    fn settle_touched(&mut self) -> bool {
+        let max_queued = self.config.max_queued_bytes;
         let mut progress = false;
-        for conn in self.conns.values_mut() {
-            if conn.dead {
+        let mut touched = std::mem::take(&mut self.touched);
+        for id in touched.drain(..) {
+            let Some(conn) = self.conns.get_mut(&id) else {
                 continue;
+            };
+            conn.touched = false;
+            if !conn.dead {
+                progress |= write_out(conn, &mut self.stats);
             }
-            while !conn.out_drained() {
-                match conn.stream.write(&conn.out[conn.out_pos..]) {
-                    Ok(0) => {
-                        conn.dead = true;
-                        break;
+            let mut keep = !conn.finished();
+            if keep {
+                let want = conn.interest(max_queued);
+                if want != conn.armed {
+                    if conn.armed.readable && !want.readable && !conn.closing && !conn.eof {
+                        // Still open for requests, but no longer read:
+                        // it has just entered the backpressure pause.
+                        self.stats.reads_paused += 1;
                     }
-                    Ok(n) => {
-                        conn.out_pos += n;
-                        self.stats.bytes_out += n as u64;
-                        conn.last_activity = Instant::now();
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
+                    keep = self.poller.modify(&conn.stream, id, want).is_ok();
+                    conn.armed = want;
                 }
             }
-            if conn.out_drained() && !conn.out.is_empty() {
-                conn.out.clear();
-                conn.out_pos = 0;
-            } else if conn.out_pos >= 16 * 1024 {
-                // Partial drain: reclaim the written prefix so a slowly
-                // reading peer does not keep already-sent bytes resident.
-                conn.out.drain(..conn.out_pos);
-                conn.out_pos = 0;
+            if !keep {
+                // Closing the socket takes it out of the poller.
+                self.conns.remove(&id);
             }
         }
+        self.touched = touched;
         progress
     }
 
-    /// Drop dead connections, finished `Connection: close` conversations,
-    /// idle/half-open peers past the read deadline, and stalled readers
-    /// that accepted no queued output for a full deadline.
-    fn reap(&mut self) {
+    /// Drop idle/half-open peers past the read deadline and stalled
+    /// readers that accepted no queued output for a full deadline. This
+    /// is the only pass over every connection, so it runs once per eighth
+    /// of the deadline; the acceptor's tick guarantees a turn that often.
+    fn reap_stale(&mut self) {
         let deadline = self.config.read_deadline;
-        let stats = &mut self.stats;
         let now = Instant::now();
+        if now.duration_since(self.last_reap) < deadline / 8 {
+            return;
+        }
+        self.last_reap = now;
+        let stats = &mut self.stats;
         self.conns.retain(|_, c| {
-            if c.dead {
-                return false;
+            if now.duration_since(c.last_activity) < deadline {
+                return true;
             }
-            let drained = c.out_drained() && c.outstanding() == 0;
-            if (c.closing || c.eof) && drained {
-                return false;
-            }
-            let stale = now.duration_since(c.last_activity) >= deadline;
-            if drained && stale {
+            if c.out_drained() && c.outstanding() == 0 {
                 // No response owed and nothing arriving: a stalled or
                 // half-open client. Reap so it cannot hold a slot.
                 stats.reaped_idle += 1;
                 return false;
             }
-            if !drained && stale && c.queued_bytes() > 0 {
+            if c.queued_bytes() > 0 {
                 // Output queued but the peer accepted nothing for a full
                 // deadline: a stalled reader. Reaping bounds how long the
                 // backpressured backlog can sit in memory.
@@ -988,5 +1257,72 @@ impl<H: CohortHandler> Reactor<H> {
             }
             true
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    struct Echo;
+
+    impl CohortHandler for Echo {
+        fn classify(&self, _req: &HttpRequest) -> Option<u32> {
+            Some(0)
+        }
+
+        fn execute(&mut self, _key: u32, requests: &[HttpRequest]) -> Vec<Vec<u8>> {
+            requests
+                .iter()
+                .map(|r| {
+                    format!(
+                        "HTTP/1.1 200 OK\r\nContent-Length: 0\r\nX-Path: {}\r\n\r\n",
+                        r.path
+                    )
+                })
+                .map(String::into_bytes)
+                .collect()
+        }
+    }
+
+    /// The fill deadline moving later under a cohort that is already
+    /// forming — which only the adaptive controller does, and which this
+    /// test does in its place — costs the one firing already armed and
+    /// nothing more: that firing finds nothing due, the timer is armed
+    /// again for the new deadline, and the cohort launches on it.
+    #[test]
+    fn deadline_moved_later_costs_one_spurious_wake() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let config = NetConfig {
+            cohort_size: 4,
+            fill_timeout: Duration::from_millis(30),
+            ..NetConfig::default()
+        };
+        let mut reactor = Reactor::new(config, Echo).unwrap();
+        reactor.admit(accepted);
+
+        client
+            .write_all(b"GET /late HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        let start = Instant::now();
+        assert!(reactor.turn(true), "the request is read and joins a cohort");
+        assert!(reactor.earliest_due_s().is_some());
+
+        reactor.deadline_s = 0.120;
+        assert!(!reactor.turn(true), "the 30 ms firing finds nothing due");
+        assert!(start.elapsed() >= Duration::from_millis(30));
+        assert_eq!(reactor.stats().cohorts, 0);
+
+        assert!(reactor.turn(true), "the re-armed timer launches the cohort");
+        assert!(start.elapsed() >= Duration::from_millis(120));
+        assert_eq!(reactor.stats().timeout_launches, 1);
+        assert_eq!(reactor.stats().idle_polls, 1, "one spurious wake, no more");
+
+        let mut got = [0u8; 128];
+        let n = client.read(&mut got).unwrap();
+        assert!(got[..n].ends_with(b"X-Path: /late\r\n\r\n"));
     }
 }

@@ -11,22 +11,35 @@
 //! used by later requests on that same connection, so pinning the
 //! connection pins the session's device-resident state to its shard. No
 //! cross-shard state, no cross-shard locks — the only shared structure is
-//! the handoff channel.
+//! the handoff channel (and the wake descriptor that says it has mail).
+//!
+//! Nothing here polls: every reactor waits in its poller until a socket,
+//! its fill timer or the acceptor gives it something to do, and the
+//! acceptor waits on the listener. The acceptor's wait carries the
+//! server's one periodic timer (`ACCEPT_TICK`, 10 ms), which is how the
+//! stop flag is noticed and how idle reactors get a clock to reap stale
+//! connections by.
 //!
 //! ```text
-//!             accept()            mpsc (round-robin)
+//!             accept()        mpsc + eventfd (round-robin)
 //! listener ─────────▶ acceptor ──┬─────▶ reactor 0 ── handler 0 / device 0
 //!                                ├─────▶ reactor 1 ── handler 1 / device 1
 //!                                └─────▶ reactor N ── handler N / device N
 //! ```
 
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use crate::metrics::Telemetry;
-use crate::server::{CohortHandler, NetConfig, NetStats, Reactor};
+use crate::server::{CohortHandler, Handoff, NetConfig, NetStats, Reactor};
+use crate::sys::{Interest, Poller};
+
+/// How long the acceptor waits on a quiet listener before it looks at the
+/// stop flag and the reaping clock — the bound on how long `stop` takes
+/// to reach every shard.
+const ACCEPT_TICK: Duration = Duration::from_millis(10);
 
 /// Result of a sharded run: each shard's counters and handler, in shard
 /// order.
@@ -47,26 +60,29 @@ impl<H> ShardedRun<H> {
     }
 }
 
-/// The server: a listener plus one handler per reactor shard (a single
-/// handler is the single-reactor server). Built with
-/// [`ShardedServer::bind`], driven to completion by [`ShardedServer::run`].
+/// The server: a listener plus one reactor per handler (a single handler
+/// is the single-reactor server). Built with [`ShardedServer::bind`],
+/// driven to completion by [`ShardedServer::run`].
 #[derive(Debug)]
 pub struct ShardedServer<H> {
     listener: TcpListener,
-    config: NetConfig,
-    handlers: Vec<H>,
+    /// The acceptor's own readiness set: the listener and nothing else.
+    poller: Poller,
+    reactors: Vec<Reactor<H>>,
     telemetry: Arc<Telemetry>,
 }
 
 impl<H: CohortHandler + Send> ShardedServer<H> {
-    /// Bind a listener for a reactor per handler (`handlers.len()` is the
-    /// shard count). Every shard uses the same `config`; note
+    /// Bind a listener and build a reactor per handler (`handlers.len()`
+    /// is the shard count). Every shard uses the same `config`; note
     /// `max_connections` is per reactor, so the server-wide cap is
     /// `shards × max_connections`.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors from bind/configure.
+    /// Propagates socket errors from bind/configure and the failure to
+    /// create any reactor's poller, wake descriptor or timer, so nothing
+    /// on the serving path has a descriptor left to create.
     ///
     /// # Panics
     ///
@@ -78,16 +94,21 @@ impl<H: CohortHandler + Send> ShardedServer<H> {
         handlers: Vec<H>,
     ) -> std::io::Result<Self> {
         assert!(!handlers.is_empty(), "need at least one shard handler");
-        assert!(config.cohort_size > 0, "cohort size must be nonzero");
-        assert!(config.pool_contexts > 0, "need at least one context");
-        assert!(config.max_connections > 0, "need at least one connection");
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
+        let poller = Poller::new()?;
+        poller.add(&listener, 0, Interest::READ)?;
         let telemetry = Telemetry::new(handlers.len());
+        let mut reactors = Vec::with_capacity(handlers.len());
+        for (shard, handler) in handlers.into_iter().enumerate() {
+            let mut reactor = Reactor::new(config.clone(), handler)?;
+            reactor.attach_telemetry(&telemetry, shard);
+            reactors.push(reactor);
+        }
         Ok(ShardedServer {
             listener,
-            config,
-            handlers,
+            poller,
+            reactors,
             telemetry,
         })
     }
@@ -104,10 +125,13 @@ impl<H: CohortHandler + Send> ShardedServer<H> {
     pub fn with_telemetry(mut self, telemetry: &Arc<Telemetry>) -> Self {
         assert_eq!(
             telemetry.shards(),
-            self.handlers.len(),
+            self.reactors.len(),
             "telemetry shard count must match the handler count"
         );
         self.telemetry = Arc::clone(telemetry);
+        for (shard, reactor) in self.reactors.iter_mut().enumerate() {
+            reactor.attach_telemetry(telemetry, shard);
+        }
         self
     }
 
@@ -118,7 +142,7 @@ impl<H: CohortHandler + Send> ShardedServer<H> {
 
     /// Number of reactor shards.
     pub fn shards(&self) -> usize {
-        self.handlers.len()
+        self.reactors.len()
     }
 
     /// The bound address (use with an ephemeral port).
@@ -135,111 +159,68 @@ impl<H: CohortHandler + Send> ShardedServer<H> {
     pub fn run(self, stop: &AtomicBool) -> ShardedRun<H> {
         let ShardedServer {
             listener,
-            config,
-            handlers,
-            telemetry,
+            mut poller,
+            reactors,
+            ..
         } = self;
-        let shards = handlers.len();
-        let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(shards);
-        let mut receivers: Vec<Receiver<TcpStream>> = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = std::sync::mpsc::channel();
-            senders.push(tx);
-            receivers.push(rx);
-        }
+        let handoffs: Vec<Handoff> = reactors.iter().map(Reactor::handoff).collect();
+        let reap_tick = reactors[0].config().read_deadline / 8;
 
-        let mut results: Vec<Option<(NetStats, H)>> = std::thread::scope(|scope| {
-            let mut joins = Vec::with_capacity(shards);
-            for (shard, (handler, rx)) in handlers.into_iter().zip(receivers).enumerate() {
-                let mut reactor = Reactor::new(config.clone(), handler);
-                reactor.attach_telemetry(&telemetry, shard);
-                joins.push(scope.spawn(move || reactor_loop(reactor, rx, stop)));
-            }
+        let shards = std::thread::scope(|scope| {
+            let joins: Vec<_> = reactors
+                .into_iter()
+                .map(|reactor| scope.spawn(move || reactor_loop(reactor, stop)))
+                .collect();
 
             // The calling thread is the acceptor: round-robin accepted
             // streams over the shard channels. Admission control (the
             // connection cap, 503 shed) happens in the owning reactor.
             let mut next = 0usize;
-            let mut idle = config.idle_sleep;
+            let mut last_wake = Instant::now();
             while !stop.load(Ordering::Relaxed) {
-                let mut progress = false;
+                // Which descriptor is ready is not in question; a failed
+                // wait just goes on to try the listener.
+                let _ = poller.wait(Some(ACCEPT_TICK));
                 loop {
                     match listener.accept() {
                         Ok((stream, _)) => {
-                            progress = true;
-                            // A send only fails if the reactor died; the
-                            // stream drops (peer sees a reset). The unpark
-                            // ends the reactor's idle backoff early.
-                            let _ = senders[next].send(stream);
-                            joins[next].thread().unpark();
-                            next = (next + 1) % shards;
+                            handoffs[next].send(stream);
+                            next = (next + 1) % handoffs.len();
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(_) => break,
+                        Err(_) => {
+                            // Out of descriptors, or the peer gave up: the
+                            // listener may stay readable, so sit a tick
+                            // out rather than spin on it.
+                            std::thread::sleep(ACCEPT_TICK);
+                            break;
+                        }
                     }
                 }
-                if progress {
-                    idle = config.idle_sleep;
-                } else {
-                    std::thread::sleep(idle);
-                    idle = (idle * 2).min(config.idle_sleep_max);
+                if last_wake.elapsed() >= reap_tick {
+                    // A reactor nobody talks to would never look at the
+                    // clock; stale connections are reaped on this beat.
+                    last_wake = Instant::now();
+                    handoffs.iter().for_each(Handoff::wake);
                 }
             }
-            drop(senders);
+            handoffs.iter().for_each(Handoff::wake);
 
-            joins.into_iter().map(|j| j.join().ok()).collect()
+            joins
+                .into_iter()
+                .map(|j| j.join().expect("shard thread"))
+                .collect()
         });
-
-        ShardedRun {
-            shards: results
-                .drain(..)
-                .map(|r| r.expect("shard thread"))
-                .collect(),
-        }
+        ShardedRun { shards }
     }
 }
 
-/// One shard's service loop: drain the handoff channel into the reactor,
-/// poll, and back off exponentially while idle.
-fn reactor_loop<H: CohortHandler>(
-    mut reactor: Reactor<H>,
-    rx: Receiver<TcpStream>,
-    stop: &AtomicBool,
-) -> (NetStats, H) {
-    let idle_start = reactor.config().idle_sleep;
-    let idle_max = reactor.config().idle_sleep_max;
-    let mut idle = idle_start;
+/// One shard's service loop: turn the reactor, waiting whenever it has
+/// nothing in hand, until the stop flag is up (the acceptor wakes it to
+/// see that).
+fn reactor_loop<H: CohortHandler>(mut reactor: Reactor<H>, stop: &AtomicBool) -> (NetStats, H) {
     while !stop.load(Ordering::Relaxed) {
-        let mut progress = false;
-        while let Ok(stream) = rx.try_recv() {
-            reactor.admit(stream);
-            progress = true;
-        }
-        progress |= reactor.poll();
-        if progress {
-            idle = idle_start;
-        } else {
-            reactor.note_idle();
-            // Clamp the backoff to the earliest pending cohort fill
-            // deadline: a grown idle sleep must not overshoot it and add
-            // up to idle_sleep_max of queue latency.
-            let sleep = match reactor.next_fill_deadline() {
-                Some(d) => idle.min(d),
-                None => idle,
-            };
-            // Parked, not asleep: the acceptor is another thread, and a
-            // connection it hands over mid-backoff (its first request
-            // often already in the socket) must not sit the backoff out.
-            if !sleep.is_zero() {
-                std::thread::park_timeout(sleep);
-            }
-            idle = (idle * 2).min(idle_max);
-        }
-    }
-    // Streams still in flight on the channel at stop are admitted so
-    // their sockets close through the normal drain path.
-    while let Ok(stream) = rx.try_recv() {
-        reactor.admit(stream);
+        reactor.turn(true);
     }
     reactor.drain();
     reactor.into_parts()

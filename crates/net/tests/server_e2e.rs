@@ -149,7 +149,8 @@ fn default_pool_holds_fourteen_keys_in_one_fill_window() {
         EchoHandler {
             cohort_sizes: Vec::new(),
         },
-    );
+    )
+    .expect("reactor");
     reactor.admit(accepted);
 
     let keys = b'a'..=b'n';
@@ -387,28 +388,25 @@ fn two_connections_interleave_into_shared_cohorts() {
     assert_eq!(handler.cohort_sizes, vec![2]);
 }
 
-/// Regression: a grown idle backoff must not overshoot an open cohort's
-/// fill deadline. The request is queued in the socket *before* the run
-/// loop starts, so the acceptor's first pass hands it over and unparks
-/// the reactor, whose next poll reads it: the cohort's fill wait is the
-/// only latency left to measure. With
-/// `idle_sleep == idle_sleep_max == 120ms` and a 25ms fill timeout, the
-/// clamped loop launches at ~25ms; an unclamped loop would sleep the
-/// full 120ms past the deadline.
+/// The fill deadline is a timer, not a polling interval: a lone request
+/// on an otherwise silent server — nothing else will ever wake the
+/// reactor — is launched by the deadline's own firing. The request is
+/// queued in the socket *before* the run loop starts, so the cohort's
+/// fill wait is the only latency left to measure: 25 ms, where a reactor
+/// that waited for its next outside wake-up would sit until the
+/// acceptor's reaping tick (1.25 s at the default read deadline).
 #[test]
-fn idle_backoff_clamps_to_fill_deadline() {
+fn lone_request_launches_on_the_fill_timer() {
     let config = NetConfig {
         cohort_size: 32,
         fill_timeout: Duration::from_millis(25),
-        idle_sleep: Duration::from_millis(120),
-        idle_sleep_max: Duration::from_millis(120),
         ..NetConfig::default()
     };
     let server = bind(config);
     let addr = server.local_addr().expect("addr");
 
     let mut conn = connect(addr);
-    send_request(&mut conn, &get("/clamp")).expect("send");
+    send_request(&mut conn, &get("/timer")).expect("send");
     // Let the bytes land in the accept queue before the loop starts.
     std::thread::sleep(Duration::from_millis(20));
 
@@ -420,15 +418,18 @@ fn idle_backoff_clamps_to_fill_deadline() {
     let mut carry = Vec::new();
     let resp = read_response(&mut conn, &mut carry).expect("response");
     let elapsed = start.elapsed();
-    assert_eq!(resp.body(), b"echo /clamp");
+    assert_eq!(resp.body(), b"echo /timer");
 
     stop.store(true, Ordering::Relaxed);
     let (stats, _) = only_shard(join.join().expect("server thread"));
     assert_eq!(stats.timeout_launches, 1, "cohort must launch on deadline");
     assert!(
+        elapsed >= Duration::from_millis(25),
+        "launched before the fill deadline: {elapsed:?}"
+    );
+    assert!(
         elapsed < Duration::from_millis(80),
-        "idle sleep overshot the fill deadline: response took {elapsed:?} \
-         (clamped launch should land at ~25ms, an unclamped idle sleep \
-         at ~120ms)"
+        "the fill timer did not wake the reactor: response took {elapsed:?} \
+         for a 25 ms deadline"
     );
 }

@@ -1,10 +1,10 @@
 //! End-to-end tests for the sharded multi-reactor front end and the
 //! front-end bugfix sweep: response ordering under out-of-order cohort
-//! retirement, the idle-backoff poll bound, and write backpressure
+//! retirement, the no-turns-while-idle bound, and write backpressure
 //! against stalled readers — all over real TCP sockets.
 
-use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -222,40 +222,229 @@ proptest! {
     }
 }
 
-/// The idle loop must back off exponentially, not spin at the initial
-/// sleep. 150 ms of idle at a fixed 200 µs sleep would be ~750 polls;
-/// with the 200 µs → 5 ms doubling backoff it is ~35.
+/// An idle server does not turn: with four connections open and silent
+/// for 150 ms, nothing wakes the reactor but the acceptor's hand-offs
+/// (which are progress) and the stop. A level-triggered interest left
+/// armed with nothing to do for it would show up here as thousands.
 #[test]
-fn idle_backoff_bounds_idle_polls() {
-    let server = ShardedServer::bind(
-        "127.0.0.1:0",
-        NetConfig::default(),
-        vec![ReverseEchoHandler::new()],
-    )
-    .expect("bind");
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&stop);
-    let join = std::thread::spawn(move || server.run(&flag));
+fn idle_server_with_open_connections_does_not_turn() {
+    let server = Sharded::start(NetConfig::default(), 1);
+    let conns: Vec<TcpStream> = (0..4).map(|_| connect(server.addr)).collect();
     std::thread::sleep(Duration::from_millis(150));
-    stop.store(true, Ordering::Relaxed);
-    let stats = join.join().expect("server thread").total();
+    let stats = server.finish().total();
+    drop(conns);
 
+    assert_eq!(stats.accepted, 4);
     assert!(
-        stats.idle_polls > 0,
-        "an idle server must record idle polls"
-    );
-    assert!(
-        stats.idle_polls < 100,
-        "idle backoff must engage: {} polls in ~150ms means the loop \
-         is spinning at the initial sleep",
+        stats.idle_polls <= 3,
+        "{} no-progress turns in 150 ms of silence",
         stats.idle_polls
     );
 }
 
-/// Handler returning a 256 KiB body per request, so a modest pipeline of
-/// queued responses dwarfs `max_queued_bytes` and decisively exceeds what
-/// kernel socket buffers (sndbuf autotunes to ~4 MiB here) can absorb.
-struct BulkHandler;
+/// The most no-progress turns a test below tolerates. A handful is
+/// bookkeeping — the turn that reads an EOF, the one that sees the stop —
+/// while readiness left armed with nothing to do for it turns the reactor
+/// thousands of times in the 100 ms and more each test stays quiet.
+const QUIET: u64 = 8;
+
+/// A client that sends its request and half-closes while the cohort is
+/// still filling gets its answer when the cohort launches, and the
+/// reactor sleeps through the fill window: the EOF is read once and the
+/// socket is then no longer watched for reading.
+#[test]
+fn half_closed_client_is_answered_when_its_cohort_launches() {
+    let server = Sharded::start(
+        NetConfig {
+            cohort_size: 4,
+            fill_timeout: Duration::from_millis(120),
+            ..NetConfig::default()
+        },
+        1,
+    );
+    let mut conn = connect(server.addr);
+    send_request(&mut conn, &get("/a0")).unwrap();
+    conn.shutdown(Shutdown::Write).unwrap();
+
+    let mut carry = Vec::new();
+    let resp = read_response(&mut conn, &mut carry).unwrap();
+    assert_eq!(resp.body(), b"echo /a0");
+    let mut rest = Vec::new();
+    conn.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "the server closes once it has answered");
+
+    let stats = server.finish().total();
+    assert_eq!((stats.requests, stats.responses), (1, 1));
+    assert_eq!(stats.timeout_launches, 1, "the cohort filled for 120 ms");
+    assert!(
+        stats.idle_polls <= QUIET,
+        "{} no-progress turns while a half-closed peer waited",
+        stats.idle_polls
+    );
+}
+
+/// A peer that resets while its response is still owed is dropped on the
+/// spot. It had half-closed, so its socket was not being watched for
+/// reading; the reset is reported anyway, on every wait, until the
+/// connection is let go.
+#[test]
+fn reset_peer_with_a_response_outstanding_is_dropped() {
+    let server = Sharded::start(
+        NetConfig {
+            cohort_size: 4,
+            fill_timeout: Duration::from_millis(150),
+            ..NetConfig::default()
+        },
+        1,
+    );
+    let mut doomed = connect(server.addr);
+    // `/a0` waits in its cohort. The other request is answered at once
+    // with a page the client never reads, and closing a socket with
+    // unread input is what makes the kernel send a reset.
+    let mut burst = get("/metrics");
+    burst.extend_from_slice(&get("/a0"));
+    send_request(&mut doomed, &burst).unwrap();
+    doomed.shutdown(Shutdown::Write).unwrap();
+    std::thread::sleep(Duration::from_millis(30));
+    drop(doomed);
+    std::thread::sleep(Duration::from_millis(200));
+
+    let mut healthy = connect(server.addr);
+    let mut carry = Vec::new();
+    send_request(&mut healthy, &get("/b0")).unwrap();
+    let resp = read_response(&mut healthy, &mut carry).unwrap();
+    assert_eq!(resp.body(), b"echo /b0");
+    drop(healthy);
+
+    let stats = server.finish().total();
+    assert_eq!((stats.requests, stats.responses), (2, 2));
+    assert_eq!(
+        stats.responses_dropped, 1,
+        "the reset connection was gone before its cohort launched"
+    );
+    assert!(
+        stats.idle_polls <= QUIET,
+        "{} no-progress turns: the reset kept being reported",
+        stats.idle_polls
+    );
+}
+
+/// A pipeline deeper than the parse quantum is answered in full although
+/// nothing further arrives to wake the reactor: requests left buffered
+/// make the next turn not wait. True of a client that has half-closed
+/// too — the end of its input does not strand what it already sent.
+#[test]
+fn pipeline_deeper_than_the_parse_quantum_needs_no_further_input() {
+    const DEPTH: usize = 19;
+    let server = Sharded::start(
+        NetConfig {
+            cohort_size: 4,
+            fill_timeout: Duration::from_millis(1),
+            max_parse_per_poll: 4,
+            // No reaping tick inside the clients' 5 s read timeout: the
+            // reactor has only itself to rely on.
+            read_deadline: Duration::from_secs(80),
+            ..NetConfig::default()
+        },
+        1,
+    );
+    let mut conns: Vec<TcpStream> = (0..2).map(|_| connect(server.addr)).collect();
+    for (c, conn) in conns.iter_mut().enumerate() {
+        let mut burst = Vec::new();
+        for r in 0..DEPTH {
+            burst.extend_from_slice(&get(&format!("/a{c}r{r}")));
+        }
+        send_request(conn, &burst).unwrap();
+    }
+    conns[1].shutdown(Shutdown::Write).unwrap();
+    for (c, conn) in conns.iter_mut().enumerate() {
+        let mut carry = Vec::new();
+        for r in 0..DEPTH {
+            let resp = read_response(conn, &mut carry).unwrap();
+            assert_eq!(resp.body(), format!("echo /a{c}r{r}").as_bytes());
+        }
+    }
+    std::thread::sleep(Duration::from_millis(100));
+
+    let stats = server.finish().total();
+    assert_eq!(stats.requests, 2 * DEPTH as u64);
+    assert_eq!(stats.responses, 2 * DEPTH as u64);
+    assert!(
+        stats.idle_polls <= QUIET,
+        "{} no-progress turns around a buffered pipeline",
+        stats.idle_polls
+    );
+}
+
+/// A response larger than the socket buffers take: the write stops at
+/// `WouldBlock`, the reactor waits (without turning) for the socket to
+/// become writable, and the rest goes out as the peer reads.
+#[test]
+fn blocked_write_completes_once_the_peer_reads() {
+    const BODY: usize = 24 * 1024 * 1024;
+    let server = ShardedServer::bind(
+        "127.0.0.1:0",
+        NetConfig {
+            cohort_size: 1,
+            ..NetConfig::default()
+        },
+        vec![BulkHandler { body_bytes: BODY }],
+    )
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let stop = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&stop);
+    let join = std::thread::spawn(move || server.run(&flag));
+
+    let mut conn = connect(addr);
+    send_request(&mut conn, &get("/big")).unwrap();
+    std::thread::sleep(Duration::from_millis(150));
+    let mut carry = Vec::new();
+    let resp = read_response(&mut conn, &mut carry).unwrap();
+    let body = resp.body();
+    assert!(body.starts_with(b"/big|"));
+    assert_eq!(body.len(), "/big|".len() + BODY);
+    assert!(body[5..].iter().all(|&b| b == b'x'));
+    drop(conn);
+
+    stop.store(true, Ordering::Relaxed);
+    let stats = join.join().expect("server thread").total();
+    assert_eq!(stats.bytes_out, resp.bytes.len() as u64);
+    assert!(
+        stats.idle_polls <= QUIET,
+        "{} no-progress turns while the write was blocked",
+        stats.idle_polls
+    );
+}
+
+/// Raising the stop flag brings every shard home within the acceptor's
+/// tick, idle or not: the acceptor wakes each reactor out of a wait that
+/// has no timeout of its own.
+#[test]
+fn stop_reaches_every_idle_shard_promptly() {
+    let server = Sharded::start(NetConfig::default(), 4);
+    let _conns: Vec<TcpStream> = (0..4).map(|_| connect(server.addr)).collect();
+    std::thread::sleep(Duration::from_millis(50));
+    let asked = std::time::Instant::now();
+    let run = server.finish();
+    let took = asked.elapsed();
+    assert_eq!(run.shards.len(), 4);
+    assert_eq!(run.total().accepted, 4);
+    // One 10 ms tick, with room for a loaded machine.
+    assert!(took < Duration::from_millis(250), "stop took {took:?}");
+}
+
+/// Handler returning a large body per request — 256 KiB in the
+/// backpressure tests, so a modest pipeline of queued responses dwarfs
+/// `max_queued_bytes` and decisively exceeds what kernel socket buffers
+/// (sndbuf autotunes to ~4 MiB here) can absorb.
+struct BulkHandler {
+    body_bytes: usize,
+}
+
+const BULK: BulkHandler = BulkHandler {
+    body_bytes: 256 * 1024,
+};
 
 impl CohortHandler for BulkHandler {
     fn classify(&self, _req: &HttpRequest) -> Option<u32> {
@@ -271,7 +460,7 @@ impl CohortHandler for BulkHandler {
                 b.reserve_content_length();
                 b.finish_headers();
                 b.write_str(&format!("{}|", r.path));
-                b.write_str(&"x".repeat(256 * 1024));
+                b.write_str(&"x".repeat(self.body_bytes));
                 b.finish()
             })
             .collect()
@@ -282,7 +471,10 @@ impl CohortHandler for BulkHandler {
 /// per-connection queued-bytes cap must pause reads (bounding server
 /// memory) instead of letting the backlog track the request stream, and
 /// every response must still arrive intact and in order once the client
-/// finally drains.
+/// finally drains — the paused connection goes back to being read as its
+/// queue clears, with requests still waiting in the kernel buffer and
+/// nothing new arriving to announce them. While it is paused (120 ms of
+/// it here) the reactor has nothing to do and must not turn.
 #[test]
 fn write_backpressure_pauses_reads_and_stays_bounded() {
     const REQUESTS: usize = 48;
@@ -296,7 +488,7 @@ fn write_backpressure_pauses_reads_and_stays_bounded() {
             max_parse_per_poll: 8,
             ..NetConfig::default()
         },
-        vec![BulkHandler],
+        vec![BULK],
     )
     .expect("bind");
     let addr = server.local_addr().expect("addr");
@@ -342,6 +534,11 @@ fn write_backpressure_pauses_reads_and_stays_bounded() {
         "the queued-bytes cap must pause reads at least once"
     );
     assert!(
+        stats.idle_polls <= QUIET,
+        "{} no-progress turns: a paused connection kept waking the reactor",
+        stats.idle_polls
+    );
+    assert!(
         stats.peak_queued_bytes >= 4096,
         "a single 256 KiB response exceeds the cap, so the peak must too"
     );
@@ -374,7 +571,7 @@ fn stalled_reader_is_reaped_and_server_stays_healthy() {
             read_deadline: Duration::from_millis(150),
             ..NetConfig::default()
         },
-        vec![BulkHandler],
+        vec![BULK],
     )
     .expect("bind");
     let addr = server.local_addr().expect("addr");
