@@ -173,9 +173,12 @@ fn kernel_cfg(
     pool: &rhythm_simt::mem::ConstPool,
 ) -> LaunchConfig {
     let mut cfg = base.clone();
-    let spec = (opts.pack || opts.sanitize).then(|| LaunchSpec::from_launch(&cfg, mem, pool));
+    // One warp has nothing to pack (the executor forces width 1), so only
+    // the sanitizer still needs the launch's spec.
+    let pack = opts.pack && cfg.warps() > 1;
+    let spec = (pack || opts.sanitize).then(|| LaunchSpec::from_launch(&cfg, mem, pool));
     cfg.pack = match &spec {
-        Some(spec) if opts.pack => pack_width_cached(program, spec),
+        Some(spec) if pack => pack_width_cached(program, spec),
         _ => 1,
     };
     if opts.sanitize {
@@ -305,8 +308,6 @@ pub struct DeviceContext {
     opts: CohortOptions,
     mem: DeviceMemory,
     store_bytes: u32,
-    /// Session span saved before a writer cohort (reused between cohorts).
-    saved_sessions: Vec<u8>,
     /// [`cohort_writes_sessions`] verdicts by (type, cohort size).
     writers: HashMap<(RequestType, u32), bool>,
 }
@@ -336,7 +337,6 @@ impl DeviceContext {
             opts: opts.clone(),
             mem,
             store_bytes,
-            saved_sessions: Vec::new(),
             writers: HashMap::new(),
         }
     }
@@ -363,6 +363,12 @@ impl DeviceContext {
     /// Bytes the context's device allocation can hold without growing.
     pub fn memory_capacity(&self) -> usize {
         self.mem.capacity()
+    }
+
+    /// Session bytes the most recent writer cohort journaled (what undoing
+    /// it would have cost).
+    pub fn journaled_bytes(&self) -> usize {
+        self.mem.journal_len()
     }
 
     /// [`cohort_writes_sessions`] for this context's layout, asked once per
@@ -407,9 +413,10 @@ impl DeviceContext {
     ///
     /// Propagates kernel execution faults. A faulting cohort's session
     /// writes never happened: cohorts the effect proofs classify as
-    /// session writers (Login, Logout) run between a save and a
-    /// restore-on-error of the session span; the others are proven not to
-    /// touch it.
+    /// session writers (Login, Logout) run with the device's undo journal
+    /// open over the session span and are rolled back on error — work
+    /// proportional to the bytes they wrote, not to the table; the others
+    /// are proven not to touch it.
     ///
     /// # Panics
     ///
@@ -431,20 +438,22 @@ impl DeviceContext {
             ty.response_buffer_bytes(),
         );
         let writer = self.writes_sessions(workload, ty, layout.cohort);
-        if writer {
-            self.saved_sessions.clear();
-            self.saved_sessions
-                .extend_from_slice(session_bytes(&self.mem, &layout));
-        }
         self.mem.recut(
             layout.resident_bytes() as usize,
             layout.total_bytes as usize,
         );
-        let result = self.launch_cohort(workload, store, &layout, reqs, gpu, rec);
-        if writer && result.is_err() {
+        if writer {
+            let len = SessionArrayHost::device_bytes(layout.session_capacity);
             self.mem
-                .load(layout.session_base, &self.saved_sessions)
+                .begin_journal(layout.session_base, len)
                 .expect("resident head holds the session array");
+        }
+        let result = self.launch_cohort(workload, store, &layout, reqs, gpu, rec);
+        if writer {
+            match result {
+                Ok(_) => self.mem.commit_journal(),
+                Err(_) => self.mem.rollback_journal(),
+            }
         }
         result
     }

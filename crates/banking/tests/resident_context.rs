@@ -17,6 +17,7 @@ use rhythm_net::{read_response, send_request, NetConfig, ShardedServer};
 use rhythm_obs::NoopRecorder;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
+use rhythm_simt::ir::{BinOp, MemSpace};
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
 use rhythm_simt::{GateRejection, LaunchGate, Program, ProgramBuilder};
 
@@ -159,6 +160,109 @@ fn fault_after_session_writes_restores_the_array() {
     assert_eq!(after_fault.responses, never_sent.responses);
     assert_eq!(hit.session_bytes(), clean.session_bytes());
     assert_eq!(hit.sessions().len(), 5, "3 + 2 logins, none of the lost 5");
+}
+
+/// A kernel in which every lane bumps one of four words of the session
+/// array, after which the lanes of warp 1 store far outside device memory:
+/// warp 0 finishes its session writes, warp 1 faults after its own.
+fn scribble_then_fault_in_warp_1(session_base: u32) -> Program {
+    let mut b = ProgramBuilder::new("scribble_then_fault_in_warp_1");
+    let g = b.global_id();
+    let three = b.imm(3);
+    let slot = b.bin(BinOp::And, g, three);
+    let four = b.imm(4);
+    let word = b.bin(BinOp::Mul, slot, four);
+    let one = b.imm(1);
+    b.atomic_add(MemSpace::Global, word, session_base, one);
+    let warp = b.imm(32);
+    let in_warp_1 = b.bin(BinOp::GeU, g, warp);
+    b.if_then(in_warp_1, |b| {
+        let addr = b.imm(0xFFFF_FF00);
+        b.st_global_word(addr, 0, one);
+    });
+    b.halt();
+    b.build().expect("assembles")
+}
+
+/// A two-warp Login (then Logout) cohort whose sessions are inserted
+/// (removed) by both warps and which then faults in warp 1 only, on one
+/// warp worker and on two racing ones: the journal puts back every byte
+/// either warp wrote, and the table keeps serving.
+#[test]
+fn two_warp_writer_cohorts_faulting_in_warp_1_leave_no_trace() {
+    const CAPACITY: u32 = 1024;
+    let workload = Workload::build();
+    let store = BankStore::generate(USERS, 77);
+    let opts = CohortOptions {
+        verify: false,
+        ..opts(CAPACITY, false)
+    };
+    for (ty, workers) in [
+        (RequestType::Login, 1),
+        (RequestType::Login, 2),
+        (RequestType::Logout, 1),
+        (RequestType::Logout, 2),
+    ] {
+        let what = format!("{ty} on {workers} workers");
+        let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(workers));
+        let mut generator = RequestGenerator::new(USERS, 11);
+        let mut table = SessionArrayHost::new(CAPACITY, SALT);
+        let warm = generator.uniform(RequestType::Login, 7, &mut table);
+        let lost = generator.uniform(ty, 64, &mut table);
+        let mut ctx = DeviceContext::new(&store, &table, &opts);
+        let layout = ctx
+            .run_cohort(&workload, &store, &warm, &gpu, &NoopRecorder)
+            .expect("warm-up logins")
+            .layout;
+
+        let mut poisoned = Workload::build();
+        poisoned.stages[ty.id() as usize].push(scribble_then_fault_in_warp_1(layout.session_base));
+        let before = ctx.session_bytes().to_vec();
+        let live = ctx.sessions().len();
+        assert!(
+            ctx.run_cohort(&poisoned, &store, &lost, &gpu, &NoopRecorder)
+                .is_err(),
+            "{what}: warp 1 faults"
+        );
+        assert!(
+            ctx.session_bytes() == &before[..],
+            "{what}: session bytes differ from the pre-cohort bytes"
+        );
+
+        // Unpoisoned, the same cohort goes through and changes the table.
+        ctx.run_cohort(&workload, &store, &lost, &gpu, &NoopRecorder)
+            .unwrap_or_else(|e| panic!("{what}: clean rerun: {e}"));
+        let expect = if ty.is_login() { live + 64 } else { live - 64 };
+        assert_eq!(ctx.sessions().len(), expect, "{what}: clean rerun");
+    }
+}
+
+/// What a writer cohort's fault insurance costs is what it wrote: a warm
+/// full-warp Login on the benchmark's 65 536-slot table (1 MiB of session
+/// array) journals under 4 KiB.
+#[test]
+fn login_cohort_journal_is_proportional_to_its_writes_not_the_table() {
+    const CAPACITY: u32 = 65_536;
+    let workload = Workload::build();
+    let store = BankStore::generate(USERS, 77);
+    let gpu = Gpu::new(GpuConfig::gtx_titan());
+    let opts = opts(CAPACITY, false);
+    let mut generator = RequestGenerator::new(USERS, 3);
+    let mut table = SessionArrayHost::new(CAPACITY, SALT);
+    let cold = generator.uniform(RequestType::Login, 32, &mut table);
+    let warm = generator.uniform(RequestType::Login, 32, &mut table);
+    let mut ctx = DeviceContext::new(&store, &table, &opts);
+    assert!(ctx.session_bytes().len() >= 1 << 20);
+    for reqs in [&cold, &warm] {
+        ctx.run_cohort(&workload, &store, reqs, &gpu, &NoopRecorder)
+            .expect("logins");
+    }
+    assert_eq!(ctx.sessions().len(), 64);
+    let journaled = ctx.journaled_bytes();
+    assert!(
+        (32..4096).contains(&journaled),
+        "a 32-login cohort journaled {journaled} bytes"
+    );
 }
 
 /// Admits everything except `login_response` while armed.

@@ -11,8 +11,9 @@
 //! Emits `BENCH_simt.json` with the machine it ran on (the block every
 //! `benchmark/` result carries), per-kernel ops/s, warps/s, the
 //! legacy→pre-decoded speedup, the process-wide decode-cache hit rate and
-//! wide-copy commit/fallback totals, plus a convergent-kernel speedup
-//! summary (the tentpole claim: the convergent fast paths at least double
+//! wide-copy commit/fallback totals, the host cost of a launch that does
+//! nothing (`launch_floor_us`), plus a convergent-kernel speedup summary
+//! (the tentpole claim: the convergent fast paths at least double
 //! interpreter warp throughput).
 //!
 //! The pre-decoded engine runs with sub-warp packing enabled (`--pack`,
@@ -34,6 +35,7 @@
 //!   (1, 2, or 4; default 4; 1 disables packing).
 //! * `--out <path>` — result file (default `BENCH_simt.json`).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rhythm_banking::backend::BankStore;
@@ -45,8 +47,10 @@ use rhythm_banking::types::RequestType;
 use rhythm_bench::fmt::json_str;
 use rhythm_simt::exec::simt::{execute_simt_legacy_workers, execute_simt_workers};
 use rhythm_simt::exec::LaunchConfig;
+use rhythm_simt::gpu::{Gpu, GpuConfig};
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
-use rhythm_simt::{plan_cache_stats, plan_for, wide_copy_stats, Program};
+use rhythm_simt::{plan_cache_stats, plan_for, wide_copy_stats, Program, ProgramBuilder};
+use rhythm_verify::Verifier;
 
 const SESSION_SALT: u32 = 0x5EED_0001;
 const NUM_USERS: u32 = 2048;
@@ -242,6 +246,32 @@ fn measure_kernel(
     }
 }
 
+/// Median host time, in µs, of a 1-lane `halt` kernel through
+/// [`Gpu::launch`] on the default device behind the verify gate, warm:
+/// what a launch costs on the host before its first instruction, and so
+/// what every kernel of a cohort pays whatever its lanes do.
+fn launch_floor_us() -> f64 {
+    let mut b = ProgramBuilder::new("halt");
+    b.halt();
+    let kernel = b.build().expect("assembles");
+    let gpu = Gpu::new(GpuConfig::gtx_titan()).with_gate(Arc::new(Verifier::new()));
+    let (pool, cfg) = (ConstPool::new(), LaunchConfig::new(1, []));
+    let mut mem = DeviceMemory::new(64);
+    let mut launch_us = || {
+        let t0 = Instant::now();
+        gpu.launch(&kernel, &cfg, &mut mem, &pool)
+            .expect("halt kernel launches");
+        t0.elapsed().as_secs_f64() * 1e6
+    };
+    // The first launches decode the plan and fill the gate's verdict cache.
+    for _ in 0..100 {
+        launch_us();
+    }
+    let mut samples: Vec<f64> = (0..2001).map(|_| launch_us()).collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 fn main() {
     let args = parse_args();
     let workload = Workload::build();
@@ -338,6 +368,7 @@ fn main() {
 
     let cache = plan_cache_stats();
     let copies = wide_copy_stats();
+    let launch_floor_us = launch_floor_us();
     let convergent: Vec<&KernelRow> = rows.iter().filter(|r| r.convergent()).collect();
     let min_speedup = convergent
         .iter()
@@ -377,7 +408,7 @@ fn main() {
         "{{\"bench\":\"bench_kernels\",\"machine\":{},\"mode\":\"{}\",\"cohort\":{},\
          \"iters\":{},\"workers\":1,\"pack\":{},\"kernel_count\":{},\
          \"plan_cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{}}},\
-         \"wide_copy\":{{\"commits\":{},\"fallbacks\":{}}},\
+         \"wide_copy\":{{\"commits\":{},\"fallbacks\":{}}},\"launch_floor_us\":{},\
          \"convergent_kernels\":{},\"convergent_min_speedup\":{},\
          \"convergent_mean_speedup\":{},\"mean_speedup_all\":{},\"kernels\":[{}]}}",
         machine_block(),
@@ -391,6 +422,7 @@ fn main() {
         json_f(cache.hit_rate()),
         copies.hits,
         copies.misses,
+        json_f(launch_floor_us),
         convergent.len(),
         json_f(min_speedup),
         json_f(mean_speedup),
@@ -432,6 +464,7 @@ fn main() {
         "wide copies: {} committed, {} fell back to interpretation",
         copies.hits, copies.misses
     );
+    println!("launch floor: {launch_floor_us:.2} us of host time per 1-lane halt kernel");
     println!(
         "convergent kernels ({}): min speedup {:.2}x, mean {:.2}x; all {} kernels mean {:.2}x -> {}",
         convergent.len(),

@@ -32,7 +32,7 @@
 //! pool while keeping results bit-for-bit identical to the serial
 //! [`execute_simt`] path.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use rhythm_obs::{
@@ -329,7 +329,7 @@ where
     RUN: Fn(&mut S, u32, u32) -> Result<WarpStats, ExecError> + Sync,
 {
     let nwarps = cfg.warps() as usize;
-    let workers = resolve_workers(workers).min(nwarps.max(1));
+    let workers = resolve_workers(workers, nwarps);
 
     let per_warp: Vec<(u32, Result<WarpStats, ExecError>)> = if workers <= 1 {
         let mut state = new_state();
@@ -466,7 +466,7 @@ fn dispatch_gangs<R: Recorder + ?Sized>(
 ) -> Result<KernelStats, ExecError> {
     let nwarps = cfg.warps() as usize;
     let ngangs = nwarps.div_ceil(pack);
-    let workers = resolve_workers(workers).min(ngangs.max(1));
+    let workers = resolve_workers(workers, ngangs);
 
     // Run one gang and append its per-warp results; true if any warp of
     // the gang faulted. Captures only shared state, so the parallel path
@@ -546,15 +546,39 @@ fn dispatch_gangs<R: Recorder + ?Sized>(
     merge_warp_results(cfg, per_warp)
 }
 
-/// Resolve a worker-count knob: `0` means one worker per available core.
-pub(crate) fn resolve_workers(workers: usize) -> usize {
-    if workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        workers
+/// Host threads for `units` independent units of work (warps, gangs,
+/// streams) under a worker-count knob: never more than there are units,
+/// and `0` means one per available core. The clamp comes first, so a launch
+/// of one unit — every served cohort — runs serially without asking the OS
+/// anything.
+pub(crate) fn resolve_workers(workers: usize, units: usize) -> usize {
+    if units <= 1 {
+        return 1;
     }
+    match workers {
+        0 => auto_worker_count(),
+        n => n,
+    }
+    .min(units)
+}
+
+/// Times [`auto_worker_count`] asked the OS (see
+/// [`auto_worker_resolutions`]).
+static AUTO_WORKER_RESOLUTIONS: AtomicU64 = AtomicU64::new(0);
+
+/// One worker per available core. `available_parallelism` reads the
+/// affinity mask and the cgroup quota files — microseconds per call — so
+/// [`crate::gpu::Gpu`] asks once per device, not once per launch.
+pub(crate) fn auto_worker_count() -> usize {
+    AUTO_WORKER_RESOLUTIONS.fetch_add(1, Ordering::Relaxed);
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// How many times this process resolved an automatic (`0`) worker count by
+/// asking the OS. A window in which it did not move proves the launches
+/// inside it made no such call.
+pub fn auto_worker_resolutions() -> u64 {
+    AUTO_WORKER_RESOLUTIONS.load(Ordering::Relaxed)
 }
 
 // ---------------------------------------------------------------------------
@@ -3031,8 +3055,11 @@ mod tests {
             execute_simt_workers(&p, &LaunchConfig::new(128, []), &mut mem, &pool, 0).unwrap();
         assert_eq!(stats.warps, 4);
         assert_eq!(mem.read_byte(127).unwrap(), 127);
-        assert!(resolve_workers(0) >= 1);
-        assert_eq!(resolve_workers(3), 3);
+        assert!((1..=4).contains(&resolve_workers(0, 4)));
+        assert_eq!(resolve_workers(3, 4), 3);
+        assert_eq!(resolve_workers(3, 2), 2, "never more workers than units");
+        assert_eq!(resolve_workers(0, 1), 1);
+        assert_eq!(resolve_workers(8, 0), 1);
     }
 
     /// Nested divergence exercises stack depth > 2.

@@ -13,13 +13,15 @@
 //! launches that cannot fill the machine.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rhythm_obs::{ArgValue, Clock, NoopRecorder, Recorder};
 use serde::{Deserialize, Serialize};
 
 use crate::exec::plan::{plan_cache_stats, plan_for, ExecPlan};
-use crate::exec::simt::{execute_plan_workers_traced, warp_arena_stats};
+use crate::exec::simt::{
+    auto_worker_count, execute_plan_workers_traced, resolve_workers, warp_arena_stats,
+};
 use crate::exec::{ExecError, GateRejection, LaunchConfig};
 use crate::ir::Program;
 use crate::mem::{ConstPool, DeviceMemory};
@@ -74,7 +76,8 @@ pub struct GpuConfig {
     pub hw_queues: u32,
     /// Host worker threads used to execute a launch's warps
     /// (simulation-speed knob only — modelled latencies are unaffected):
-    /// `0` = one per available core, `1` = serial execution.
+    /// `0` = one per available core (asked of the OS once per [`Gpu`], and
+    /// never by a launch of a single warp), `1` = serial execution.
     pub workers: u32,
     /// Device-side cap on sub-warp request packing (see
     /// [`LaunchConfig::pack`]): every launch's requested pack width is
@@ -193,6 +196,10 @@ pub struct Gpu {
     config: GpuConfig,
     gate: Option<Arc<dyn LaunchGate>>,
     plan_cache: bool,
+    /// What `workers: 0` ("one per core") means on this host: asked of the
+    /// OS by the first launch that has more than one unit of work, kept
+    /// for every later one. [`GpuConfig::workers`] keeps reporting `0`.
+    auto_workers: OnceLock<usize>,
 }
 
 impl fmt::Debug for Gpu {
@@ -213,6 +220,7 @@ impl Gpu {
             config,
             gate: None,
             plan_cache: true,
+            auto_workers: OnceLock::new(),
         }
     }
 
@@ -247,6 +255,17 @@ impl Gpu {
     /// Whether launches consult the process-wide decode-plan cache.
     pub fn plan_cache(&self) -> bool {
         self.plan_cache
+    }
+
+    /// Host threads this device runs `units` independent units of work
+    /// on under a `workers` knob ([`resolve_workers`], with the automatic
+    /// count resolved once per device).
+    pub(crate) fn worker_count(&self, workers: usize, units: usize) -> usize {
+        let workers = match workers {
+            0 if units > 1 => *self.auto_workers.get_or_init(auto_worker_count),
+            n => n,
+        };
+        resolve_workers(workers, units)
     }
 
     /// Execute a kernel and model its latency.
@@ -323,8 +342,8 @@ impl Gpu {
         } else {
             Arc::new(ExecPlan::build(program))
         };
-        let stats =
-            execute_plan_workers_traced(&plan, &cfg, mem, pool, self.config.workers as usize, rec)?;
+        let workers = self.worker_count(self.config.workers as usize, cfg.warps() as usize);
+        let stats = execute_plan_workers_traced(&plan, &cfg, mem, pool, workers, rec)?;
         let result = self.time(stats);
         if rec.enabled() {
             let now = rec.wall_now_us();

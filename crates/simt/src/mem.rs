@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 
@@ -54,9 +55,34 @@ impl std::error::Error for MemError {}
 /// assert_eq!(mem.read_word(0).unwrap(), 0xDEAD_BEEF);
 /// assert_eq!(mem.read_byte(0).unwrap(), 0xEF); // little endian
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+///
+/// An image can carry an open **undo journal** over one guarded span
+/// ([`DeviceMemory::begin_journal`]): device-side stores into the span are
+/// logged so a faulting run can be undone in time proportional to what it
+/// wrote. The journal is bookkeeping, not content: an image clones with
+/// it, but compares and serialises as its bytes alone.
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DeviceMemory {
     bytes: Vec<u8>,
+    #[serde(skip)]
+    journal: Journal,
+}
+
+impl PartialEq for DeviceMemory {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for DeviceMemory {}
+
+/// The undo log of one guarded run: `(address, byte it held)` for every
+/// byte stored inside `span`, in store order.
+#[derive(Clone, Default, Debug)]
+struct Journal {
+    /// Guarded byte range; empty while no journal is open.
+    span: Range<usize>,
+    log: Vec<(u32, u8)>,
 }
 
 impl DeviceMemory {
@@ -64,6 +90,7 @@ impl DeviceMemory {
     pub fn new(size: usize) -> Self {
         DeviceMemory {
             bytes: vec![0; size],
+            journal: Journal::default(),
         }
     }
 
@@ -129,16 +156,28 @@ impl DeviceMemory {
         ]))
     }
 
+    /// [`Self::check`] for a host-side write. Host writes are not
+    /// journaled, so none may land in the guarded span while a journal is
+    /// open (rolling back would silently keep them).
+    fn check_host_write(&self, addr: u32, len: u32) -> Result<usize, MemError> {
+        let a = self.check(addr, len)?;
+        debug_assert!(
+            !touches(&self.journal.span, a, len as usize),
+            "host write into the journaled span"
+        );
+        Ok(a)
+    }
+
     /// Write one byte (low 8 bits of `value`).
     pub fn write_byte(&mut self, addr: u32, value: u32) -> Result<(), MemError> {
-        let a = self.check(addr, 1)?;
+        let a = self.check_host_write(addr, 1)?;
         self.bytes[a] = value as u8;
         Ok(())
     }
 
     /// Write a little-endian word.
     pub fn write_word(&mut self, addr: u32, value: u32) -> Result<(), MemError> {
-        let a = self.check(addr, 4)?;
+        let a = self.check_host_write(addr, 4)?;
         self.bytes[a..a + 4].copy_from_slice(&value.to_le_bytes());
         Ok(())
     }
@@ -159,13 +198,13 @@ impl DeviceMemory {
     ///
     /// Fails if the range exceeds the allocation.
     pub fn slice_mut(&mut self, addr: u32, len: u32) -> Result<&mut [u8], MemError> {
-        let a = self.check(addr, len)?;
+        let a = self.check_host_write(addr, len)?;
         Ok(&mut self.bytes[a..a + len as usize])
     }
 
     /// Copy a host byte slice into global memory at `addr`.
     pub fn load(&mut self, addr: u32, data: &[u8]) -> Result<(), MemError> {
-        let a = self.check(addr, data.len() as u32)?;
+        let a = self.check_host_write(addr, data.len() as u32)?;
         self.bytes[a..a + data.len()].copy_from_slice(data);
         Ok(())
     }
@@ -175,13 +214,65 @@ impl DeviceMemory {
         &self.bytes
     }
 
-    /// A lock-free shared view over this image for concurrent warp
-    /// execution. While the view lives, all access goes through it; the
-    /// exclusive borrow guarantees no plain reads or writes race with the
-    /// view's atomic ones.
-    pub fn shared(&mut self) -> SharedMem<'_> {
-        SharedMem::new(&mut self.bytes)
+    /// Open the undo journal over the `len` bytes at `addr`: until it is
+    /// committed or rolled back, every store a [`SharedMem`] view makes
+    /// into the span first logs the byte it overwrites. The log starts
+    /// empty; its buffer is kept from one journal to the next.
+    ///
+    /// Only views journal. Host-side writes ([`Self::load`],
+    /// [`Self::slice_mut`], [`Self::write_byte`], [`Self::write_word`]) and
+    /// [`Self::recut`] must stay out of the span while the journal is open.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the span exceeds the allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a journal is already open.
+    pub fn begin_journal(&mut self, addr: u32, len: u32) -> Result<(), MemError> {
+        assert!(self.journal.span.is_empty(), "journal already open");
+        let a = self.check(addr, len)?;
+        self.journal.span = a..a + len as usize;
+        self.journal.log.clear();
+        Ok(())
     }
+
+    /// Bytes logged since the last [`Self::begin_journal`]: exactly the
+    /// bytes stored inside the span. Still readable after a commit, until
+    /// the next journal opens.
+    pub fn journal_len(&self) -> usize {
+        self.journal.log.len()
+    }
+
+    /// Close the journal and keep what was stored.
+    pub fn commit_journal(&mut self) {
+        self.journal.span = 0..0;
+    }
+
+    /// Close the journal and undo every logged store, newest first, so the
+    /// span holds what it held at [`Self::begin_journal`].
+    pub fn rollback_journal(&mut self) {
+        self.journal.span = 0..0;
+        for (addr, old) in self.journal.log.drain(..).rev() {
+            self.bytes[addr as usize] = old;
+        }
+    }
+
+    /// A shared view over this image for concurrent warp execution. While
+    /// the view lives, all access goes through it; the exclusive borrow
+    /// guarantees no plain reads or writes race with the view's atomic
+    /// ones.
+    pub fn shared(&mut self) -> SharedMem<'_> {
+        SharedMem::new(&mut self.bytes, &mut self.journal)
+    }
+}
+
+/// Does the access `[a, a + len)` overlap `span`? One compare when the span
+/// is empty (no journal) or lies wholly below the access.
+#[inline]
+fn touches(span: &Range<usize>, a: usize, len: usize) -> bool {
+    a < span.end && a + len > span.start
 }
 
 /// Number of address stripes used to serialize read-modify-write
@@ -189,7 +280,7 @@ impl DeviceMemory {
 const ATOMIC_STRIPES: usize = 64;
 
 /// Interior-mutability view of a [`DeviceMemory`] image that multiple warp
-/// workers can read and write concurrently without locks.
+/// workers can read and write concurrently.
 ///
 /// Plain loads and stores are `Relaxed` atomic byte operations: warps that
 /// touch disjoint lanes (the cohort layout guarantee) proceed completely
@@ -197,6 +288,15 @@ const ATOMIC_STRIPES: usize = 64;
 /// undefined behavior. Read-modify-write operations
 /// ([`SharedMem::atomic_add_word`]) serialize through a striped lock table
 /// so cross-warp atomics never lose updates.
+///
+/// While the image's undo journal is open
+/// ([`DeviceMemory::begin_journal`]), a store that touches the guarded span
+/// takes the journal lock and, under it, reads the bytes it is about to
+/// overwrite, appends them to the log and stores — so log order is store
+/// order whatever the workers' interleaving, and replaying the log
+/// newest-first restores the span exactly. Stores outside the span pay one
+/// compare and take no lock. The stripe lock of an atomic is taken before
+/// the journal lock and never the other way round.
 ///
 /// # Example
 ///
@@ -213,7 +313,10 @@ const ATOMIC_STRIPES: usize = 64;
 /// ```
 pub struct SharedMem<'a> {
     bytes: &'a [AtomicU8],
-    stripes: Vec<Mutex<()>>,
+    stripes: [Mutex<()>; ATOMIC_STRIPES],
+    /// The image's guarded span (empty: no journal open) and its log.
+    guard: Range<usize>,
+    log: Mutex<&'a mut Vec<(u32, u8)>>,
 }
 
 impl fmt::Debug for SharedMem<'_> {
@@ -225,7 +328,7 @@ impl fmt::Debug for SharedMem<'_> {
 }
 
 impl<'a> SharedMem<'a> {
-    fn new(bytes: &'a mut [u8]) -> Self {
+    fn new(bytes: &'a mut [u8], journal: &'a mut Journal) -> Self {
         // SAFETY: `AtomicU8` has the same size and alignment as `u8`
         // (guaranteed by its documentation), and the exclusive `&mut`
         // borrow means no other plain reference can observe these bytes
@@ -233,7 +336,9 @@ impl<'a> SharedMem<'a> {
         let bytes = unsafe { &*(bytes as *mut [u8] as *const [AtomicU8]) };
         SharedMem {
             bytes,
-            stripes: (0..ATOMIC_STRIPES).map(|_| Mutex::new(())).collect(),
+            stripes: [const { Mutex::new(()) }; ATOMIC_STRIPES],
+            guard: journal.span.clone(),
+            log: Mutex::new(&mut journal.log),
         }
     }
 
@@ -283,19 +388,43 @@ impl<'a> SharedMem<'a> {
         ]))
     }
 
+    /// Store `byte` at `a`, first logging the byte it replaces if `a` is
+    /// guarded. `log` is the held journal lock.
+    #[inline]
+    fn store_logged(&self, log: &mut Vec<(u32, u8)>, a: usize, byte: u8) {
+        if self.guard.contains(&a) {
+            log.push((a as u32, self.bytes[a].load(Ordering::Relaxed)));
+        }
+        self.bytes[a].store(byte, Ordering::Relaxed);
+    }
+
+    /// Store `src` at `a..` (bounds already checked), under the journal
+    /// lock if the range touches the guarded span.
+    #[inline]
+    fn store(&self, a: usize, src: &[u8]) {
+        if touches(&self.guard, a, src.len()) {
+            let mut log = self.log.lock().expect("journal lock poisoned");
+            for (i, &b) in src.iter().enumerate() {
+                self.store_logged(&mut log, a + i, b);
+            }
+        } else {
+            for (i, &b) in src.iter().enumerate() {
+                self.bytes[a + i].store(b, Ordering::Relaxed);
+            }
+        }
+    }
+
     /// Write one byte (low 8 bits of `value`).
     pub fn write_byte(&self, addr: u32, value: u32) -> Result<(), MemError> {
         let a = self.check(addr, 1)?;
-        self.bytes[a].store(value as u8, Ordering::Relaxed);
+        self.store(a, &[value as u8]);
         Ok(())
     }
 
     /// Write a little-endian word.
     pub fn write_word(&self, addr: u32, value: u32) -> Result<(), MemError> {
         let a = self.check(addr, 4)?;
-        for (i, b) in value.to_le_bytes().into_iter().enumerate() {
-            self.bytes[a + i].store(b, Ordering::Relaxed);
-        }
+        self.store(a, &value.to_le_bytes());
         Ok(())
     }
 
@@ -345,12 +474,29 @@ impl<'a> SharedMem<'a> {
                 size: self.bytes.len(),
             });
         }
-        for (t, &byte) in src.iter().enumerate() {
-            // In bounds by the check above: `t * stride <= reach`, and
-            // `start <= top`, so no index passes `highest`.
-            let row = &self.bytes[t * stride as usize..];
-            for &start in starts {
-                row[start as usize].store(byte, Ordering::Relaxed);
+        // In bounds by the check above: `t * stride <= reach`, and
+        // `start <= top`, so no index passes `highest`.
+        let rows = src
+            .iter()
+            .enumerate()
+            .map(|(t, &byte)| (t * stride as usize, byte));
+        // The whole splat lies in `[lowest start, highest]`; only one that
+        // reaches into the guarded span takes the journaled path.
+        if highest as usize >= self.guard.start
+            && starts.iter().any(|&s| (s as usize) < self.guard.end)
+        {
+            let mut log = self.log.lock().expect("journal lock poisoned");
+            for (row, byte) in rows {
+                for &start in starts {
+                    self.store_logged(&mut log, row + start as usize, byte);
+                }
+            }
+        } else {
+            for (row, byte) in rows {
+                let row = &self.bytes[row..];
+                for &start in starts {
+                    row[start as usize].store(byte, Ordering::Relaxed);
+                }
             }
         }
         Ok(())
@@ -594,7 +740,6 @@ mod tests {
         assert!(v.store_strided(&[0], u32::MAX, b"ab").is_err(), "no wrap");
         assert!(v.store_strided(&[], 1, b"ab").is_ok());
         assert!(v.store_strided(&[99], 1, b"").is_ok(), "nothing to store");
-        drop(v);
         assert!(m.as_bytes().iter().all(|&b| b == 0), "nothing was written");
         m.shared().store_strided(&[0, 8], 1, b"abcdefgh").unwrap();
         assert_eq!(m.as_bytes(), b"abcdefghabcdefgh");
@@ -614,6 +759,179 @@ mod tests {
             }
         });
         assert_eq!(v.read_word(0).unwrap(), 4000);
+    }
+
+    /// One store of the journal tests' random programs.
+    #[derive(Copy, Clone, Debug)]
+    enum Store {
+        Byte(u32, u32),
+        Word(u32, u32),
+        Add(u32, u32),
+        Strided([u32; 3], u32, [u8; 5]),
+    }
+
+    impl Store {
+        fn apply(self, v: &SharedMem<'_>) {
+            match self {
+                Store::Byte(a, x) => v.write_byte(a, x).unwrap(),
+                Store::Word(a, x) => v.write_word(a, x).unwrap(),
+                Store::Add(a, x) => drop(v.atomic_add_word(a, x).unwrap()),
+                Store::Strided(starts, stride, src) => {
+                    v.store_strided(&starts, stride, &src).unwrap()
+                }
+            }
+        }
+
+        /// Every byte address the store writes, once per write.
+        fn addresses(self) -> Vec<u32> {
+            match self {
+                Store::Byte(a, _) => vec![a],
+                Store::Word(a, _) | Store::Add(a, _) => (a..a + 4).collect(),
+                Store::Strided(starts, stride, src) => (0..src.len() as u32)
+                    .flat_map(|t| starts.map(|s| s + t * stride))
+                    .collect(),
+            }
+        }
+    }
+
+    const IMAGE: usize = 256;
+    /// Guarded span of the journal tests: `[SPAN, SPAN + SPAN_LEN)`.
+    const SPAN: u32 = 96;
+    const SPAN_LEN: u32 = 64;
+
+    /// A random image and a random store sequence over it: addresses are
+    /// uniform over the image, so stores fall inside, outside and across
+    /// both edges of the span.
+    fn random_program(seed: u64) -> (DeviceMemory, Vec<Store>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut image = DeviceMemory::new(IMAGE);
+        for b in image.bytes.iter_mut() {
+            *b = rng.gen();
+        }
+        let stores = (0..200)
+            .map(|_| match rng.gen_range(0..4u32) {
+                0 => Store::Byte(rng.gen_range(0..IMAGE as u32), rng.gen()),
+                1 => Store::Word(rng.gen_range(0..IMAGE as u32 - 3), rng.gen()),
+                2 => Store::Add(rng.gen_range(0..IMAGE as u32 - 3), rng.gen()),
+                _ => {
+                    let stride = rng.gen_range(0..8u32);
+                    let top = IMAGE as u32 - 4 * stride;
+                    Store::Strided(
+                        [(); 3].map(|_| rng.gen_range(0..top)),
+                        stride,
+                        [(); 5].map(|_| rng.gen()),
+                    )
+                }
+            })
+            .collect();
+        (image, stores)
+    }
+
+    #[test]
+    fn journal_rollback_restores_commit_keeps_and_only_the_span_is_logged() {
+        for seed in 0..20 {
+            let (original, stores) = random_program(seed);
+            let inside = stores
+                .iter()
+                .flat_map(|s| s.addresses())
+                .filter(|a| (SPAN..SPAN + SPAN_LEN).contains(a))
+                .count();
+            assert!(inside > 0, "seed {seed}: nothing stored inside the span");
+
+            let mut plain = original.clone();
+            let view = plain.shared();
+            stores.iter().for_each(|s| s.apply(&view));
+
+            let mut journaled = original.clone();
+            journaled.begin_journal(SPAN, SPAN_LEN).unwrap();
+            // One view per store: the log carries over from launch to launch.
+            for s in &stores {
+                s.apply(&journaled.shared());
+            }
+            assert_eq!(journaled, plain, "seed {seed}: journaling changed a store");
+            assert_eq!(journaled.journal_len(), inside, "seed {seed}: log length");
+
+            let mut kept = journaled.clone();
+            kept.commit_journal();
+            assert_eq!(kept, plain, "seed {seed}: commit");
+
+            journaled.rollback_journal();
+            let (span, all) = (SPAN as usize..(SPAN + SPAN_LEN) as usize, 0..IMAGE);
+            assert_eq!(
+                journaled.bytes[span.clone()],
+                original.bytes[span.clone()],
+                "seed {seed}: rollback restores the span byte for byte"
+            );
+            for outside in [all.start..span.start, span.end..all.end] {
+                assert_eq!(
+                    journaled.bytes[outside.clone()],
+                    plain.bytes[outside],
+                    "seed {seed}: stores outside the span are not undone"
+                );
+            }
+        }
+    }
+
+    /// Workers sweep the same guarded words in step, racing atomics and
+    /// plain stores (the last word crosses the span's edge); whatever the
+    /// interleaving, rollback puts every guarded byte back. Only the first
+    /// entry logged for an address decides what rollback leaves there, so
+    /// the race that matters is over each word's *first* store: hence many
+    /// words and a fresh journal per round rather than a long run over few.
+    #[test]
+    fn journal_rollback_is_exact_under_racing_workers() {
+        for workers in [1u32, 2, 4] {
+            let (original, _) = random_program(u64::from(workers));
+            let mut m = original.clone();
+            let span = SPAN as usize..(SPAN + SPAN_LEN) as usize;
+            for round in 0..500u32 {
+                m.begin_journal(SPAN, SPAN_LEN).unwrap();
+                let view = m.shared();
+                let start = std::sync::Barrier::new(workers as usize);
+                std::thread::scope(|s| {
+                    for w in 0..workers {
+                        let (view, start) = (&view, &start);
+                        s.spawn(move || {
+                            start.wait();
+                            for word in (SPAN + 2..SPAN + SPAN_LEN).step_by(4) {
+                                let x = round ^ word ^ w;
+                                match (word / 4 + w + round) % 3 {
+                                    0 => drop(view.atomic_add_word(word, x | 1).unwrap()),
+                                    1 => view.write_word(word, !x).unwrap(),
+                                    _ => view.write_byte(word + 1, !x).unwrap(),
+                                }
+                            }
+                        });
+                    }
+                });
+                assert!(m.journal_len() > 0);
+                m.rollback_journal();
+                assert_eq!(
+                    m.bytes[span.clone()],
+                    original.bytes[span.clone()],
+                    "{workers} workers, round {round}: guarded bytes after rollback"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn open_journal_is_not_part_of_the_image() {
+        let mut plain = DeviceMemory::new(16);
+        plain.shared().write_word(4, 0xAABB_CCDD).unwrap();
+        let mut open = DeviceMemory::new(16);
+        open.begin_journal(0, 8).unwrap();
+        open.shared().write_word(4, 0xAABB_CCDD).unwrap();
+        assert_eq!(open.journal_len(), 4);
+        assert_eq!(open, plain, "compares as its bytes");
+        let mut copy = open.clone();
+        assert_eq!(copy, open);
+        assert_eq!(copy.as_bytes(), plain.as_bytes());
+        copy.rollback_journal();
+        assert_eq!(copy, DeviceMemory::new(16), "the clone carries the journal");
+        let mut small = DeviceMemory::new(16);
+        assert!(small.begin_journal(8, 9).is_err(), "span is bounds-checked");
     }
 
     #[test]

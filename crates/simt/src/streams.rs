@@ -203,7 +203,7 @@ pub fn execute_streams_on(
     workers: usize,
 ) -> Vec<Result<StreamExecResult, ExecError>> {
     let nstreams = streams.len();
-    let workers = crate::exec::simt::resolve_workers(workers).min(nstreams.max(1));
+    let workers = gpu.worker_count(workers, nstreams);
 
     let run_stream = |s: ExecStream<'_>| -> Result<StreamExecResult, ExecError> {
         let ExecStream {

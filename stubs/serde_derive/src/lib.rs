@@ -8,13 +8,13 @@
 use proc_macro::TokenStream;
 
 /// No-op `Serialize` derive.
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(_input: TokenStream) -> TokenStream {
     TokenStream::new()
 }
 
 /// No-op `Deserialize` derive.
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
     TokenStream::new()
 }
