@@ -96,12 +96,7 @@ pub struct CohortOptions {
     /// Warp-execution worker threads for this cohort's kernel launches:
     /// `None` keeps the [`Gpu`]'s configured count; `Some(n)` overrides it
     /// (`0` = one per available core, `1` = serial). Responses and stats
-    /// are bit-identical at any worker count, with one exception:
-    /// `login_response` claims session slots by cross-warp `AtomicAdd`
-    /// probing, so a login cohort wider than one warp whose inserts
-    /// collide hands out its tokens in whichever order the workers reach
-    /// the table (see `execute_simt_workers`). Every such assignment is
-    /// valid; only `Some(1)` reproduces the serial one.
+    /// are bit-identical at any worker count.
     pub workers: Option<u32>,
     /// Run every kernel through the `rhythm-verify` static analyzer
     /// before launch (default **on**): programs with `Error`-severity

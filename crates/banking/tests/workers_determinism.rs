@@ -99,3 +99,40 @@ fn parser_only_identical_across_worker_counts() {
         assert_eq!(run_with(workers), base, "workers={workers:?}");
     }
 }
+
+/// A Login cohort wider than one warp claims session slots by
+/// cross-warp `AtomicAdd` probing. On a table small enough that inserts
+/// collide, which warp reaches a slot first would decide who gets which
+/// token — so a launch whose plan holds a global atomic runs its warps
+/// in order on one worker, whatever the device's worker count. Repeated
+/// because a race only shows up on some schedules.
+#[test]
+fn colliding_login_cohort_is_identical_at_any_device_worker_count() {
+    const SLOTS: u32 = 256;
+    let workload = Workload::build();
+    let store = BankStore::generate(256, 1);
+    let run = |device_workers: u32, workers: Option<u32>| {
+        let opts = CohortOptions {
+            session_capacity: SLOTS,
+            session_salt: SALT,
+            workers,
+            ..Default::default()
+        };
+        let mut sessions = SessionArrayHost::new(SLOTS, SALT);
+        let mut generator = RequestGenerator::new(128, 9);
+        let reqs = generator.uniform(RequestType::Login, 96, &mut sessions);
+        let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(device_workers));
+        let result = run_cohort(&workload, &store, &mut sessions, &reqs, &gpu, &opts).unwrap();
+        (result.responses, sessions.to_device_bytes())
+    };
+    let serial = run(1, Some(1));
+    assert!(serial.0[0].starts_with(b"HTTP/1.1 200 OK"));
+    for device_workers in [2, 0] {
+        for round in 0..50 {
+            assert!(
+                run(device_workers, None) == serial,
+                "device workers={device_workers}, round {round}: login cohort differs from the serial run"
+            );
+        }
+    }
+}

@@ -17,16 +17,16 @@
 //! measurement window, the post-window drain, and the overload probe are
 //! reported (and asserted) independently, so steady-state throughput and
 //! latency are never contaminated by warmup or overload traffic. The
-//! emitted `BENCH_net.json` is schema version 6: each phase object
+//! emitted `BENCH_net.json` is schema version 7: each phase object
 //! carries a `"phase"` field plus a `"degenerate"` flag (true when the
 //! phase has no wall time or no completions, so its rate/latency
 //! summaries are placeholders), the run records `mode` and `shards`,
-//! `--scrape` adds a `"scrape"` object cross-checking the server's
-//! `/metrics` request counters against the loadgen's own totals, and the
-//! v5 fields record the declared SLO (`slo_ms`), the cohort `controller`
-//! configuration (adaptive batching; v6 dropped its second field), and
-//! — under `--ramp` — the per-step latency/throughput `frontier` with
-//! adaptation off vs on.
+//! a `"machine"` object names the box it ran on (as in `BENCH_simt.json`),
+//! and `--scrape` adds a `"scrape"` object cross-checking the server's
+//! `/metrics` request counters against the loadgen's own totals. (v5
+//! added `slo_ms`, `controller` and `frontier` for the SLO batching
+//! controller, v6 dropped the controller's sub-key field, and v7 dropped
+//! all three with the controller itself: see DESIGN.md §5j.)
 //!
 //! Flags:
 //!
@@ -42,12 +42,6 @@
 //! * `--paced` — deterministic arrival gaps instead of Poisson.
 //! * `--clients <n>` / `--requests <n>` — closed-loop client count and
 //!   per-client request count.
-//! * `--adaptive` — enable the SLO-aware adaptive cohort controller
-//!   (per-shard dynamic target depth and fill deadline).
-//! * `--slo-ms <ms>` — declared p99 latency SLO (default 20).
-//! * `--ramp` — open-loop rate-ramp: sweep offered load at several
-//!   fractions of `--rate` with adaptation off and on, recording the
-//!   latency/throughput frontier before the main measured run.
 //! * `--gate <path>` — regression gate: after the run, compare steady
 //!   throughput and mean cohort fill against the checked-in result at
 //!   `<path>` and fail if either regressed beyond the noise threshold.
@@ -66,6 +60,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use rhythm_banking::prelude::*;
+use rhythm_bench::fmt::machine_block;
 use rhythm_core::LatencyStats;
 use rhythm_net::{
     read_response, scan_response, send_request, CohortHandler, NetConfig, NetStats, ShardedServer,
@@ -83,9 +78,6 @@ struct Args {
     paced: bool,
     scrape: bool,
     no_telemetry: bool,
-    adaptive: bool,
-    ramp: bool,
-    slo_ms: f64,
     gate: Option<String>,
     shards: usize,
     conns: usize,
@@ -104,9 +96,6 @@ fn parse_args() -> Args {
         paced: false,
         scrape: false,
         no_telemetry: false,
-        adaptive: false,
-        ramp: false,
-        slo_ms: 20.0,
         gate: None,
         shards: 1,
         conns: 64,
@@ -132,18 +121,6 @@ fn parse_args() -> Args {
             "--paced" => parsed.paced = true,
             "--scrape" => parsed.scrape = true,
             "--no-telemetry" => parsed.no_telemetry = true,
-            "--adaptive" => parsed.adaptive = true,
-            "--ramp" => {
-                parsed.ramp = true;
-                parsed.open_loop = true;
-            }
-            "--slo-ms" => {
-                parsed.slo_ms = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s: &f64| s > 0.0)
-                    .expect("--slo-ms needs a positive number")
-            }
             "--gate" => parsed.gate = Some(args.next().expect("--gate needs a path")),
             "--shards" => {
                 parsed.shards = args
@@ -188,19 +165,14 @@ fn parse_args() -> Args {
             "--out" => parsed.out = args.next().expect("--out needs a path"),
             other => panic!(
                 "unknown flag {other:?} (expected --smoke, --scalar, --open-loop, --paced, \
-                 --scrape, --no-telemetry, --adaptive, --ramp, --slo-ms <ms>, \
-                 --gate <path>, --shards <n>, --conns <n>, --rate <rps>, \
-                 --duration <s>, --clients <n>, --requests <n>, --out <path>)"
+                 --scrape, --no-telemetry, --gate <path>, --shards <n>, --conns <n>, \
+                 --rate <rps>, --duration <s>, --clients <n>, --requests <n>, --out <path>)"
             ),
         }
     }
     assert!(
         !(parsed.scrape && parsed.no_telemetry),
         "--scrape needs the telemetry plane; drop --no-telemetry"
-    );
-    assert!(
-        !(parsed.adaptive && parsed.no_telemetry),
-        "the adaptive controller observes the telemetry plane; drop --no-telemetry"
     );
     parsed
 }
@@ -828,130 +800,6 @@ fn run_overload(scalar: bool, shards: usize) -> LoadResult {
     result
 }
 
-/// One step of the `--ramp` latency/throughput frontier: the steady
-/// phase of a short open-loop run at one offered rate, with the adaptive
-/// controller off or on.
-struct FrontierStep {
-    rate: f64,
-    adaptive: bool,
-    completed: u64,
-    shed: u64,
-    errors: u64,
-    throughput_rps: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-    mean_fill: f64,
-    full_launches: u64,
-    timeout_launches: u64,
-}
-
-impl FrontierStep {
-    fn json(&self) -> String {
-        format!(
-            "{{\"rate_rps\": {}, \"adaptive\": {}, \"completed\": {}, \"shed\": {}, \
-             \"errors\": {}, \"throughput_rps\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \
-             \"mean_cohort_fill\": {}, \"full_launches\": {}, \"timeout_launches\": {}}}",
-            json_f(self.rate),
-            self.adaptive,
-            self.completed,
-            self.shed,
-            self.errors,
-            json_f(self.throughput_rps),
-            json_f(self.p50_ms),
-            json_f(self.p99_ms),
-            json_f(self.mean_fill),
-            self.full_launches,
-            self.timeout_launches
-        )
-    }
-}
-
-/// Offered-load fractions of `--rate` swept by the ramp.
-const RAMP_FRACS: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
-
-/// Sweep offered load with adaptation off then on, one short open-loop
-/// run per (rate, mode) point, and return the frontier in sweep order.
-fn run_ramp(args: &Args, base: &NetConfig) -> Vec<FrontierStep> {
-    let fracs: &[f64] = if args.smoke {
-        &RAMP_FRACS[2..]
-    } else {
-        &RAMP_FRACS
-    };
-    let step_s = if args.smoke {
-        0.5
-    } else {
-        args.duration_s.min(1.5)
-    };
-    let mut frontier = Vec::new();
-    for adaptive in [false, true] {
-        for &frac in fracs {
-            let rate = args.rate * frac;
-            let config = NetConfig {
-                adaptive,
-                // The controller observes the telemetry plane, so the
-                // adaptive steps force it on even under --no-telemetry.
-                telemetry: base.telemetry || adaptive,
-                ..base.clone()
-            };
-            let load = if args.scalar {
-                run_open(
-                    scalar_handler,
-                    config,
-                    args.shards,
-                    args.conns,
-                    rate,
-                    step_s,
-                    args.paced,
-                    false,
-                )
-                .0
-            } else {
-                run_open(
-                    simt_handler,
-                    config,
-                    args.shards,
-                    args.conns,
-                    rate,
-                    step_s,
-                    args.paced,
-                    false,
-                )
-                .0
-            };
-            let steady = load.phase("steady");
-            let (p50_ms, p99_ms) = steady
-                .latency
-                .as_ref()
-                .map_or((0.0, 0.0), |l| (l.p50 * 1e3, l.p99 * 1e3));
-            let step = FrontierStep {
-                rate,
-                adaptive,
-                completed: steady.completed,
-                shed: steady.shed,
-                errors: steady.errors,
-                throughput_rps: steady.throughput_rps,
-                p50_ms,
-                p99_ms,
-                mean_fill: load.stats.mean_fill(),
-                full_launches: load.stats.full_launches,
-                timeout_launches: load.stats.timeout_launches,
-            };
-            eprintln!(
-                "[ramp] rate {:>7.0} adaptive {:<5} -> {:>7.0} rps  p50 {:>6.2} ms  \
-                 p99 {:>6.2} ms  fill {:.3}",
-                step.rate,
-                step.adaptive,
-                step.throughput_rps,
-                step.p50_ms,
-                step.p99_ms,
-                step.mean_fill
-            );
-            frontier.push(step);
-        }
-    }
-    frontier
-}
-
 /// Pull a top-level numeric field out of a previously emitted
 /// `BENCH_net.json` (two-space-indented keys; phase objects are nested
 /// on single lines and can never match).
@@ -1042,8 +890,6 @@ fn main() {
         },
         fill_timeout: Duration::from_millis(2),
         telemetry: !args.no_telemetry,
-        adaptive: args.adaptive,
-        slo_p99: Duration::from_secs_f64(args.slo_ms / 1e3),
         ..NetConfig::default()
     };
     if args.open_loop {
@@ -1064,10 +910,6 @@ fn main() {
             args.clients, args.requests, args.shards, config.cohort_size
         );
     }
-
-    // The frontier sweep runs first so its servers are gone before the
-    // measured run boots.
-    let frontier = args.ramp.then(|| run_ramp(&args, &config));
 
     let run = |scalar: bool| -> (LoadResult, f64, u64) {
         if scalar {
@@ -1267,22 +1109,9 @@ fn main() {
             o.phases.iter().map(|p| p.shed).sum::<u64>()
         ),
     };
-    let frontier_json = match &frontier {
-        None => "null".to_string(),
-        Some(steps) => format!(
-            "[\n    {}\n  ]",
-            steps
-                .iter()
-                .map(FrontierStep::json)
-                .collect::<Vec<_>>()
-                .join(",\n    ")
-        ),
-    };
-    let controller_json = format!("{{\"adaptive\": {}}}", args.adaptive);
     let json = format!(
-        "{{\n  \"schema_version\": 6,\n  \"path\": \"{path}\",\n  \"mode\": \"{mode}\",\n  \
-         \"telemetry\": {},\n  \"slo_ms\": {},\n  \"controller\": {controller_json},\n  \
-         \"shards\": {},\n  \"cohort_size\": {},\n  \"conns\": {},\n  \"rate_rps\": {},\n  \
+        "{{\n  \"schema_version\": 7,\n  \"machine\": {},\n  \"path\": \"{path}\",\n  \"mode\": \"{mode}\",\n  \
+         \"telemetry\": {},\n  \"shards\": {},\n  \"cohort_size\": {},\n  \"conns\": {},\n  \"rate_rps\": {},\n  \
          \"clients\": {},\n  \"requests_per_client\": {},\n  \"completed\": {},\n  \
          \"wall_s\": {},\n  \"throughput_rps\": {},\n  \"phases\": [\n    {}\n  ],\n  \
          \"cohorts\": {},\n  \"full_launches\": {},\n  \"timeout_launches\": {},\n  \
@@ -1290,10 +1119,9 @@ fn main() {
          \"device_cohorts\": {device_cohorts},\n  \"mean_cohort_device_s\": {},\n  \
          \"shed_503\": {},\n  \"responses_dropped\": {},\n  \"idle_polls\": {},\n  \
          \"reads_paused\": {},\n  \"scrape\": {scrape_json},\n  \
-         \"frontier\": {frontier_json},\n  \
          \"overload\": {overload_json}\n}}\n",
+        machine_block(),
         !args.no_telemetry,
-        json_f(args.slo_ms),
         args.shards,
         config.cohort_size,
         if args.open_loop { args.conns } else { 0 },
@@ -1399,50 +1227,12 @@ mod tests {
         assert!(j.contains("\"degenerate\": false"), "flag wrong in {j}");
     }
 
-    /// Frontier steps must be well-formed JSON objects carrying every key
-    /// a consumer needs to reconstruct the latency/throughput frontier.
-    #[test]
-    fn frontier_step_json_is_well_formed() {
-        let step = FrontierStep {
-            rate: 3000.0,
-            adaptive: true,
-            completed: 2980,
-            shed: 0,
-            errors: 0,
-            throughput_rps: 2975.5,
-            p50_ms: 1.25,
-            p99_ms: 4.75,
-            mean_fill: 0.61,
-            full_launches: 80,
-            timeout_launches: 11,
-        };
-        let j = step.json();
-        for key in [
-            "\"rate_rps\"",
-            "\"adaptive\": true",
-            "\"completed\": 2980",
-            "\"throughput_rps\"",
-            "\"p50_ms\"",
-            "\"p99_ms\"",
-            "\"mean_cohort_fill\"",
-            "\"full_launches\": 80",
-            "\"timeout_launches\": 11",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
-        }
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced JSON: {j}"
-        );
-    }
-
     /// The regression gate must read the baseline's *top-level* steady
     /// numbers, never the per-phase copies nested inside the `phases`
     /// array (those live on single indented lines).
     #[test]
     fn gate_extracts_top_level_fields_only() {
-        let baseline = "{\n  \"schema_version\": 6,\n  \"phases\": [\n    \
+        let baseline = "{\n  \"schema_version\": 7,\n  \"phases\": [\n    \
                         {\"phase\": \"steady\", \"throughput_rps\": 999.0, \
                         \"mean_cohort_fill\": 0.9}\n  ],\n  \
                         \"throughput_rps\": 11983.333333,\n  \

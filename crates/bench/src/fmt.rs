@@ -74,6 +74,47 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
+/// The machine a result was measured on — the fields every `benchmark/`
+/// result carries (`nproc`, `cpu`, `kernel`, `rustc`, `commit`) — as a JSON
+/// object. The commit is read from `.git` of the working directory and is
+/// `unknown` outside a checkout.
+pub fn machine_block() -> String {
+    let read = |path: &str| {
+        std::fs::read_to_string(path)
+            .ok()
+            .map(|s| s.trim().to_string())
+    };
+    let unknown = || "unknown".to_string();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpu = read("/proc/cpuinfo")
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split(':').nth(1)?.trim().to_string())
+        })
+        .unwrap_or_else(unknown);
+    let kernel = read("/proc/sys/kernel/osrelease").unwrap_or_else(unknown);
+    let rustc = std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(unknown);
+    let commit = read(".git/HEAD")
+        .and_then(|head| match head.strip_prefix("ref: ") {
+            Some(reference) => read(&format!(".git/{reference}")),
+            None => Some(head),
+        })
+        .unwrap_or_else(unknown);
+    format!(
+        "{{\"nproc\":{nproc},\"cpu\":{},\"kernel\":{},\"rustc\":{},\"commit\":{}}}",
+        json_str(&cpu),
+        json_str(&kernel),
+        json_str(&rustc),
+        json_str(&commit),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

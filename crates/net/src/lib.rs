@@ -66,7 +66,6 @@ compile_error!("rhythm-net waits on epoll, eventfd and timerfd: it builds on Lin
 pub mod admin;
 pub mod client;
 pub mod conn;
-pub mod controller;
 pub mod metrics;
 pub mod responses;
 pub mod server;
@@ -76,7 +75,6 @@ mod sys;
 pub use admin::{admin_route, AdminRoute};
 pub use client::{read_response, scan_response, send_request, RawResponse};
 pub use conn::RequestAccumulator;
-pub use controller::{decide, Controller, ControllerConfig, Decision};
 pub use metrics::{LaunchView, LiveSnapshot, ShardMetrics, StatsCell, Telemetry};
 pub use server::{CohortHandler, NetConfig, NetStats, Reactor};
 pub use shard::{ShardedRun, ShardedServer};

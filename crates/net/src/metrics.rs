@@ -261,7 +261,7 @@ impl KeyedLatency {
 pub struct LaunchView {
     /// The cohort key's label (the handler's `key_name`).
     pub name: String,
-    /// Cohorts of this key launched at target depth ("full").
+    /// Cohorts of this key launched full.
     pub full: u64,
     /// Cohorts of this key launched by the fill deadline.
     pub timeout: u64,
@@ -273,7 +273,7 @@ pub struct LaunchView {
 
 /// Per-cohort-key launch counters (full vs timeout launch reason, fill
 /// sums) with lazily named slots, sharing the [`KEY_SLOTS`] overflow
-/// convention with [`KeyedLatency`]. These make the adaptive controller's
+/// convention with [`KeyedLatency`]. These make the batching policy's
 /// behavior observable per key from `/metrics`.
 #[derive(Debug)]
 struct KeyedLaunches {
@@ -386,8 +386,8 @@ impl ShardMetrics {
         self.fill.record(fill);
     }
 
-    /// Record one cohort launch under its key: the launch reason (at
-    /// target depth vs fill deadline), the member count, and the fill
+    /// Record one cohort launch under its key: the launch reason (full
+    /// vs fill deadline), the member count, and the fill
     /// ratio (`name` is only invoked the first time `key` is seen).
     pub fn record_launch(
         &self,
@@ -660,11 +660,10 @@ impl Telemetry {
             );
         }
         // Per-cohort-key launch counters: how each key's cohorts
-        // launched (target depth vs fill deadline) and how full they
-        // were — the observable trace of the adaptive controller.
+        // launched (full vs fill deadline) and how full they were.
         t.header(
             "rhythm_key_cohorts_total",
-            "Cohorts launched by cohort key and reason (full = target depth, timeout = fill deadline)",
+            "Cohorts launched by cohort key and reason (full = cohort size reached, timeout = fill deadline)",
             MetricKind::Counter,
         );
         for (i, shard) in self.shards.iter().enumerate() {

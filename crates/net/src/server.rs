@@ -19,7 +19,6 @@ use rhythm_http::{HttpRequest, ParseError};
 
 use crate::admin;
 use crate::conn::RequestAccumulator;
-use crate::controller::{Controller, ControllerConfig};
 use crate::metrics::{ShardMetrics, Telemetry};
 use crate::responses;
 use crate::sys::{Interest, Poller, Timer, Waker};
@@ -116,18 +115,6 @@ pub struct NetConfig {
     /// which is the baseline for the metering-overhead gate. Responses on
     /// the workload path are byte-identical either way.
     pub telemetry: bool,
-    /// Declared end-to-end p99 latency SLO the adaptive controller
-    /// steers against. Ignored unless [`NetConfig::adaptive`] is set.
-    pub slo_p99: Duration,
-    /// Enable SLO-aware adaptive batching: a per-shard
-    /// [`crate::controller::Controller`] observes the live latency/fill
-    /// histograms and drives target cohort depth and fill deadline in
-    /// place of the fixed `cohort_size`/`fill_timeout` pair
-    /// (`cohort_size` stays the capacity ceiling, `fill_timeout` the
-    /// pre-first-tick deadline). Purely observational with respect to
-    /// results: responses are byte-identical at any setting. Requires
-    /// [`NetConfig::telemetry`].
-    pub adaptive: bool,
 }
 
 impl Default for NetConfig {
@@ -143,8 +130,6 @@ impl Default for NetConfig {
             max_parse_per_poll: 256,
             retry_after_s: 1,
             telemetry: true,
-            slo_p99: Duration::from_millis(20),
-            adaptive: false,
         }
     }
 }
@@ -472,15 +457,9 @@ pub struct Reactor<H> {
     metrics: Arc<ShardMetrics>,
     /// Interned flight-recorder name ids (see [`FlightNames`]).
     flight_names: FlightNames,
-    /// The adaptive batching controller (`None` runs the fixed
-    /// `cohort_size`/`fill_timeout` policy).
-    controller: Option<Controller>,
-    /// Cohorts launch without waiting for the deadline once they hold
-    /// this many requests. Fixed mode: `cohort_size` (so only the FSM's
-    /// own Full transition triggers early launch).
-    target_depth: usize,
-    /// Current fill deadline, seconds. Fixed mode: `fill_timeout`.
-    deadline_s: f64,
+    /// [`NetConfig::fill_timeout`] in seconds, the unit cohort ages are
+    /// kept in.
+    fill_s: f64,
 }
 
 /// Interned flight-recorder event-name ids, re-interned whenever the
@@ -568,10 +547,6 @@ impl<H: CohortHandler> Reactor<H> {
         assert!(config.cohort_size > 0, "cohort size must be nonzero");
         assert!(config.pool_contexts > 0, "need at least one context");
         assert!(config.max_connections > 0, "need at least one connection");
-        assert!(
-            !config.adaptive || config.telemetry,
-            "adaptive batching observes the live histograms; enable telemetry"
-        );
         let poller = Poller::new()?;
         let waker = Arc::new(Waker::new()?);
         poller.add(&*waker, WAKE_TOKEN, Interest::READ)?;
@@ -583,11 +558,7 @@ impl<H: CohortHandler> Reactor<H> {
         let telemetry = Telemetry::new(1);
         let metrics = Arc::clone(telemetry.shard(0));
         let flight_names = FlightNames::intern(&metrics);
-        let controller = config
-            .adaptive
-            .then(|| Controller::new(ControllerConfig::from_net(&config), config.fill_timeout));
-        let target_depth = config.cohort_size;
-        let deadline_s = config.fill_timeout.as_secs_f64();
+        let fill_s = config.fill_timeout.as_secs_f64();
         Ok(Reactor {
             config,
             handler,
@@ -609,9 +580,7 @@ impl<H: CohortHandler> Reactor<H> {
             telemetry,
             metrics,
             flight_names,
-            controller,
-            target_depth,
-            deadline_s,
+            fill_s,
         })
     }
 
@@ -754,7 +723,6 @@ impl<H: CohortHandler> Reactor<H> {
             self.dispatch(p, req);
             progress = true;
         }
-        self.tick_controller();
         self.mark_launchable();
         progress |= self.flush_launches();
         progress |= self.settle_touched();
@@ -966,10 +934,10 @@ impl<H: CohortHandler> Reactor<H> {
         let mut ctx = self.pool.open_for(key).or_else(|| self.pool.acquire());
         if ctx.is_none() {
             // Every context is occupied but some may only be waiting for
-            // this turn's batched launch (already marked Full, past the
-            // deadline, or at the adaptive target depth): flush the
-            // batch to free them instead of shedding a request the old
-            // immediate-launch server would have taken.
+            // this turn's batched launch (already marked Full, or past
+            // the deadline): flush the batch to free them instead of
+            // shedding a request the old immediate-launch server would
+            // have taken.
             self.mark_launchable();
             if !self.launchable.is_empty() {
                 self.flush_launches();
@@ -1007,33 +975,15 @@ impl<H: CohortHandler> Reactor<H> {
         self.route(p.conn, p.seq, resp);
     }
 
-    /// Re-evaluate the adaptive controller (no-op between ticks and in
-    /// fixed mode), updating the target depth and fill deadline the mark
-    /// pass below launches against.
-    fn tick_controller(&mut self) {
-        let Some(ctl) = &mut self.controller else {
-            return;
-        };
-        let now_s = self.epoch.elapsed().as_secs_f64();
-        let d = ctl.observe(now_s, self.stats.requests, &self.metrics);
-        self.target_depth = d.depth.min(self.config.cohort_size).max(1);
-        self.deadline_s = d.deadline_s;
-    }
-
-    /// Mark PartiallyFull cohorts for this turn's launch batch: cohorts
-    /// at or past the controller's target depth launch as "full" (in
-    /// fixed mode depth equals capacity, so only the FSM's own Full
-    /// transition in [`Reactor::dispatch`] fires that reason); cohorts
-    /// older than the fill deadline launch as "timeout".
+    /// Mark PartiallyFull cohorts older than the fill time-out for this
+    /// turn's launch batch, as "timeout" launches. (A cohort launches as
+    /// "full" only through the FSM's own Full transition in
+    /// [`Reactor::dispatch`].)
     fn mark_launchable(&mut self) {
         let now_s = self.epoch.elapsed().as_secs_f64();
         for id in 0..self.pool.len() as ContextId {
-            if self.pool.get(id).state() != CohortState::PartiallyFull {
-                continue;
-            }
-            if self.pool.get(id).members().len() >= self.target_depth {
-                self.launchable.push((id, false));
-            } else if now_s - self.pool.get(id).opened_at() >= self.deadline_s {
+            let ctx = self.pool.get(id);
+            if ctx.state() == CohortState::PartiallyFull && now_s - ctx.opened_at() >= self.fill_s {
                 self.launchable.push((id, true));
             }
         }
@@ -1041,11 +991,11 @@ impl<H: CohortHandler> Reactor<H> {
 
     /// When the earliest PartiallyFull cohort's fill deadline falls, in
     /// seconds since `epoch`; `None` when no cohort is forming. The same
-    /// cohort under the same deadline always gives the same value.
+    /// cohort always gives the same value.
     fn earliest_due_s(&self) -> Option<f64> {
         (0..self.pool.len() as ContextId)
             .filter(|&id| self.pool.get(id).state() == CohortState::PartiallyFull)
-            .map(|id| self.pool.get(id).opened_at() + self.deadline_s)
+            .map(|id| self.pool.get(id).opened_at() + self.fill_s)
             .min_by(f64::total_cmp)
     }
 
@@ -1053,8 +1003,8 @@ impl<H: CohortHandler> Reactor<H> {
     /// armed only when that deadline is earlier than what is armed, or
     /// the last arming has fired: a forming cohort costs one arming
     /// (arming and cancelling are the expensive calls here), a cohort
-    /// that fills early or a deadline the controller moves later leaves
-    /// one spurious firing behind, and an idle reactor holds no timer.
+    /// that fills early leaves one spurious firing behind, and an idle
+    /// reactor holds no timer.
     fn arm_timer(&mut self) {
         let Some(due_s) = self.earliest_due_s() else {
             return;
@@ -1070,13 +1020,6 @@ impl<H: CohortHandler> Reactor<H> {
         if self.timer.arm(wait).is_ok() {
             self.timer_due_s = Some(due_s);
         }
-    }
-
-    /// The batching policy currently in force as `(target_depth,
-    /// fill_deadline)` — the fixed config pair, or the adaptive
-    /// controller's latest decision.
-    pub fn batching(&self) -> (usize, Duration) {
-        (self.target_depth, Duration::from_secs_f64(self.deadline_s))
     }
 
     /// Launch every context marked this turn through one
@@ -1286,43 +1229,64 @@ mod tests {
         }
     }
 
-    /// The fill deadline moving later under a cohort that is already
-    /// forming — which only the adaptive controller does, and which this
-    /// test does in its place — costs the one firing already armed and
-    /// nothing more: that firing finds nothing due, the timer is armed
-    /// again for the new deadline, and the cohort launches on it.
+    /// A cohort that fills before its deadline leaves the firing armed
+    /// for it behind, and that costs one idle turn and nothing more: the
+    /// next cohort's deadline is later than what is armed, so nothing is
+    /// re-armed until the stale firing finds nothing due; the timer is
+    /// then armed for the cohort that is forming, which launches on it.
     #[test]
-    fn deadline_moved_later_costs_one_spurious_wake() {
+    fn cohort_filled_early_costs_one_spurious_wake() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (accepted, _) = listener.accept().unwrap();
         let config = NetConfig {
-            cohort_size: 4,
+            cohort_size: 2,
             fill_timeout: Duration::from_millis(30),
             ..NetConfig::default()
         };
         let mut reactor = Reactor::new(config, Echo).unwrap();
         reactor.admit(accepted);
+        let mut send = |path: &str| {
+            let req = format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n");
+            client.write_all(req.as_bytes()).unwrap();
+            Instant::now()
+        };
 
-        client
-            .write_all(b"GET /late HTTP/1.1\r\nHost: t\r\n\r\n")
-            .unwrap();
-        let start = Instant::now();
+        let first_sent = send("/a");
         assert!(reactor.turn(true), "the request is read and joins a cohort");
-        assert!(reactor.earliest_due_s().is_some());
+        let armed_s = reactor
+            .timer_due_s
+            .expect("a forming cohort arms the timer");
 
-        reactor.deadline_s = 0.120;
-        assert!(!reactor.turn(true), "the 30 ms firing finds nothing due");
-        assert!(start.elapsed() >= Duration::from_millis(30));
-        assert_eq!(reactor.stats().cohorts, 0);
+        send("/b");
+        assert!(reactor.turn(true), "the second request fills the cohort");
+        assert_eq!(reactor.stats().full_launches, 1);
+
+        // Half a time-out later, so the stale firing is handled well
+        // before this cohort is due however late the wake is delivered.
+        std::thread::sleep(Duration::from_millis(15));
+        let third_sent = send("/late");
+        assert!(reactor.turn(true), "the third request forms a new cohort");
+        assert!(reactor.earliest_due_s().unwrap() > armed_s);
+        assert_eq!(reactor.timer_due_s, Some(armed_s), "nothing was re-armed");
+
+        assert!(!reactor.turn(true), "the stale firing finds nothing due");
+        assert!(first_sent.elapsed() >= Duration::from_millis(30));
+        assert_eq!(reactor.stats().cohorts, 1);
 
         assert!(reactor.turn(true), "the re-armed timer launches the cohort");
-        assert!(start.elapsed() >= Duration::from_millis(120));
+        assert!(third_sent.elapsed() >= Duration::from_millis(30));
+        assert_eq!(reactor.stats().full_launches, 1);
         assert_eq!(reactor.stats().timeout_launches, 1);
         assert_eq!(reactor.stats().idle_polls, 1, "one spurious wake, no more");
 
-        let mut got = [0u8; 128];
-        let n = client.read(&mut got).unwrap();
-        assert!(got[..n].ends_with(b"X-Path: /late\r\n\r\n"));
+        let mut got = Vec::new();
+        let mut chunk = [0u8; 256];
+        while got.windows(4).filter(|w| w == b"\r\n\r\n").count() < 3 {
+            let n = client.read(&mut chunk).unwrap();
+            assert!(n > 0, "connection closed early");
+            got.extend_from_slice(&chunk[..n]);
+        }
+        assert!(got.ends_with(b"X-Path: /late\r\n\r\n"));
     }
 }

@@ -271,9 +271,10 @@ impl Gpu {
     /// Execute a kernel and model its latency.
     ///
     /// The launch's `tx_bytes` is overridden by the device configuration,
-    /// and the warps execute on [`GpuConfig::workers`] host threads. The
-    /// result (memory image, stats, modelled time) is bit-identical at any
-    /// worker count; only the host wall-clock time changes.
+    /// and the warps execute on [`GpuConfig::workers`] host threads — in
+    /// order on one, when the kernel contains an atomic. The result
+    /// (memory image, stats, modelled time) is bit-identical at any worker
+    /// count; only the host wall-clock time changes.
     ///
     /// # Errors
     ///
@@ -342,7 +343,12 @@ impl Gpu {
         } else {
             Arc::new(ExecPlan::build(program))
         };
-        let workers = self.worker_count(self.config.workers as usize, cfg.warps() as usize);
+        // A plan with a global atomic (`pack_max() == 1`) is one unit:
+        // its warps run in order on one worker, so what a cross-warp
+        // `AtomicAdd` observes never depends on the host's scheduling.
+        let warps = cfg.warps() as usize;
+        let units = if plan.pack_max() == 1 { 1 } else { warps };
+        let workers = self.worker_count(self.config.workers as usize, units);
         let stats = execute_plan_workers_traced(&plan, &cfg, mem, pool, workers, rec)?;
         let result = self.time(stats);
         if rec.enabled() {

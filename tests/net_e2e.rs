@@ -27,19 +27,11 @@ const PAGES: [RequestType; 4] = [
 ];
 const USERID: u32 = 7;
 
-fn fixed_config() -> NetConfig {
-    NetConfig {
-        cohort_size: 4,
-        fill_timeout: Duration::from_millis(1),
-        ..NetConfig::default()
-    }
-}
-
 /// Serve the conversation through the single-reactor server (one handler,
 /// one shard) and return the raw responses in order (login first, then
 /// each page).
 fn serve_conversation<H: CohortHandler + Send + 'static>(handler: H) -> Vec<Vec<u8>> {
-    serve_conversation_on(fixed_config(), vec![handler])
+    serve_conversation_on(vec![handler])
 }
 
 /// Serve the conversation through the sharded multi-reactor front end.
@@ -50,25 +42,19 @@ where
     H: CohortHandler + Send + 'static,
     F: Fn() -> H,
 {
-    serve_conversation_sharded_cfg(fixed_config(), mk, shards)
-}
-
-/// [`serve_conversation_sharded`] with an explicit [`NetConfig`] — used
-/// to flip the adaptive cohort controller on while keeping everything
-/// else about the conversation identical.
-fn serve_conversation_sharded_cfg<H, F>(config: NetConfig, mk: F, shards: usize) -> Vec<Vec<u8>>
-where
-    H: CohortHandler + Send + 'static,
-    F: Fn() -> H,
-{
-    serve_conversation_on(config, (0..shards).map(|_| mk()).collect())
+    serve_conversation_on((0..shards).map(|_| mk()).collect())
 }
 
 /// The one conversation driver: a server with one reactor per handler.
-fn serve_conversation_on<H>(config: NetConfig, handlers: Vec<H>) -> Vec<Vec<u8>>
+fn serve_conversation_on<H>(handlers: Vec<H>) -> Vec<Vec<u8>>
 where
     H: CohortHandler + Send + 'static,
 {
+    let config = NetConfig {
+        cohort_size: 4,
+        fill_timeout: Duration::from_millis(1),
+        ..NetConfig::default()
+    };
     let shards = handlers.len();
     let server = ShardedServer::bind("127.0.0.1:0", config, handlers).expect("bind");
     let addr = server.local_addr().expect("addr");
@@ -311,86 +297,5 @@ fn scalar_and_simt_net_paths_agree_modulo_padding() {
             rhythm_http::padding::eq_modulo_padding(a, b),
             "response {i}: scalar and SIMT paths disagree beyond padding"
         );
-    }
-}
-
-/// The adaptive cohort controller may only change *when* and *how deep*
-/// cohorts launch, never *what* they return: the conversation must stay
-/// byte-identical to both the fixed-timeout wire path and the offline
-/// native reference at every shard count.
-#[test]
-fn adaptive_scalar_path_is_byte_identical_at_every_shard_count() {
-    let offline = native_conversation();
-    let mk = || {
-        ScalarHandler::new(
-            BankStore::generate(NUM_USERS, 1),
-            SessionArrayHost::new(CAPACITY, SALT),
-        )
-    };
-    let fixed = serve_conversation_sharded(mk, 1);
-    for shards in [1usize, 2, 4] {
-        let config = NetConfig {
-            cohort_size: 4,
-            fill_timeout: Duration::from_millis(1),
-            adaptive: true,
-            slo_p99: Duration::from_millis(10),
-            ..NetConfig::default()
-        };
-        let wire = serve_conversation_sharded_cfg(config, mk, shards);
-        assert_eq!(wire.len(), offline.len());
-        for (i, ((w, f), o)) in wire.iter().zip(&fixed).zip(&offline).enumerate() {
-            assert_eq!(
-                w, f,
-                "response {i}: adaptive differs from fixed at {shards} shards"
-            );
-            assert_eq!(
-                w, o,
-                "response {i}: adaptive differs from offline at {shards} shards"
-            );
-        }
-    }
-}
-
-/// Same determinism contract on the SIMT device path: adaptive batching
-/// must stay byte-identical to the fixed-timeout wire path and the
-/// offline cohort runner.
-#[test]
-fn adaptive_simt_path_is_byte_identical_at_every_shard_count() {
-    let offline = device_conversation();
-    let mk = || {
-        let opts = CohortOptions {
-            session_capacity: CAPACITY,
-            session_salt: SALT,
-            ..CohortOptions::default()
-        };
-        SimtHandler::new(
-            Workload::build(),
-            BankStore::generate(NUM_USERS, 1),
-            SessionArrayHost::new(CAPACITY, SALT),
-            Gpu::new(GpuConfig::gtx_titan()),
-            opts,
-        )
-    };
-    let fixed = serve_conversation_sharded(mk, 1);
-    for shards in [1usize, 2, 4] {
-        let config = NetConfig {
-            cohort_size: 4,
-            fill_timeout: Duration::from_millis(1),
-            adaptive: true,
-            slo_p99: Duration::from_millis(10),
-            ..NetConfig::default()
-        };
-        let wire = serve_conversation_sharded_cfg(config, mk, shards);
-        assert_eq!(wire.len(), offline.len());
-        for (i, ((w, f), o)) in wire.iter().zip(&fixed).zip(&offline).enumerate() {
-            assert_eq!(
-                w, f,
-                "response {i}: adaptive differs from fixed at {shards} shards"
-            );
-            assert_eq!(
-                w, o,
-                "response {i}: adaptive differs from offline at {shards} shards"
-            );
-        }
     }
 }

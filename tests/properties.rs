@@ -6,7 +6,6 @@ use rhythm_banking::session_array::SessionArrayHost;
 use rhythm_http::padding::{cohort_padding, eq_modulo_padding, next_pow2};
 use rhythm_http::query::{url_decode, url_encode};
 use rhythm_http::{HttpRequest, ResponseBuilder};
-use rhythm_net::{decide, ControllerConfig};
 use rhythm_simt::exec::simt::execute_simt;
 use rhythm_simt::exec::{scalar::execute_scalar, scalar::ScalarRun, LaunchConfig};
 use rhythm_simt::ir::{BinOp, ProgramBuilder};
@@ -200,93 +199,5 @@ proptest! {
             execute_scalar(&ScalarRun::new(&p, id), &cfg, &mut mem_scalar, &pool, None).unwrap();
         }
         prop_assert_eq!(mem_simt.as_bytes(), mem_scalar.as_bytes());
-    }
-}
-
-/// A controller config over the proptest-drawn tunables, with the rest
-/// held at the `ControllerConfig::from_net` defaults.
-fn controller_cfg(slo_p99: f64, budget_frac: f64, max_depth: usize) -> ControllerConfig {
-    ControllerConfig {
-        slo_p99,
-        budget_frac,
-        min_deadline: 100e-6,
-        min_depth: 1,
-        max_depth,
-        ewma_alpha: 0.3,
-        tick: 2e-3,
-    }
-}
-
-proptest! {
-    /// The adaptive controller's outputs are always within the
-    /// configured bounds — depth in `[min_depth, max_depth]`, deadline
-    /// in `[min(min_deadline, base), base]` — for any observation,
-    /// including negative or extreme values.
-    #[test]
-    fn controller_decision_is_bounded(
-        slo in 1e-3f64..0.1,
-        frac in 0.05f64..1.0,
-        max_depth in 1u32..64,
-        rate in -10.0f64..1e6,
-        p99 in -1.0f64..1.0,
-        fill in -1.0f64..2.0,
-    ) {
-        let cfg = controller_cfg(slo, frac, max_depth as usize);
-        let d = decide(&cfg, rate, p99, fill);
-        let base = frac * slo;
-        let lo = cfg.min_deadline.min(base);
-        prop_assert!(d.depth >= cfg.min_depth && d.depth <= cfg.max_depth);
-        prop_assert!(d.deadline_s.is_finite());
-        prop_assert!(d.deadline_s >= lo - 1e-15);
-        prop_assert!(d.deadline_s <= base.max(lo) + 1e-15);
-    }
-
-    /// Target depth is monotone nondecreasing in observed load: more
-    /// arrival rate or more recent fill never asks for a *shallower*
-    /// cohort.
-    #[test]
-    fn controller_depth_is_monotone_in_load(
-        slo in 1e-3f64..0.1,
-        frac in 0.05f64..1.0,
-        max_depth in 1u32..64,
-        rate_lo in 0.0f64..5e5,
-        rate_extra in 0.0f64..5e5,
-        fill_lo in 0.0f64..1.0,
-        fill_extra in 0.0f64..1.0,
-        p99 in 0.0f64..0.5,
-    ) {
-        let cfg = controller_cfg(slo, frac, max_depth as usize);
-        let fill_hi = (fill_lo + fill_extra).min(1.0);
-        let a = decide(&cfg, rate_lo, p99, fill_lo);
-        let b = decide(&cfg, rate_lo + rate_extra, p99, fill_hi);
-        prop_assert!(
-            b.depth >= a.depth,
-            "depth must not shrink as load grows: {} -> {}",
-            a.depth,
-            b.depth
-        );
-    }
-
-    /// The fill deadline is monotone nonincreasing in observed p99
-    /// latency: more SLO pressure never *lengthens* cohort formation.
-    #[test]
-    fn controller_deadline_is_monotone_in_pressure(
-        slo in 1e-3f64..0.1,
-        frac in 0.05f64..1.0,
-        max_depth in 1u32..64,
-        rate in 0.0f64..1e6,
-        fill in 0.0f64..1.0,
-        p99_lo in 0.0f64..0.5,
-        p99_extra in 0.0f64..0.5,
-    ) {
-        let cfg = controller_cfg(slo, frac, max_depth as usize);
-        let a = decide(&cfg, rate, p99_lo, fill);
-        let b = decide(&cfg, rate, p99_lo + p99_extra, fill);
-        prop_assert!(
-            b.deadline_s <= a.deadline_s + 1e-15,
-            "deadline must not grow under pressure: {} -> {}",
-            a.deadline_s,
-            b.deadline_s
-        );
     }
 }
