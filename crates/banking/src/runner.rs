@@ -22,7 +22,7 @@ use rhythm_simt::ir::MemSpace;
 use rhythm_simt::mem::DeviceMemory;
 use rhythm_simt::streams::execute_streams_on;
 use rhythm_simt::{ExecError, Program};
-use rhythm_verify::{pack_width_cached, LaunchSpec, Verifier};
+use rhythm_verify::{LaunchSpec, Verifier};
 
 use crate::backend::BankStore;
 use crate::genreq::GeneratedRequest;
@@ -90,35 +90,12 @@ pub struct CohortOptions {
     pub session_capacity: u32,
     /// Session token salt.
     pub session_salt: u32,
-    /// Skip the parser kernel and load pre-parsed structs directly
-    /// (used when measuring process stages in isolation).
-    pub skip_parser: bool,
-    /// Warp-execution worker threads for this cohort's kernel launches:
-    /// `None` keeps the [`Gpu`]'s configured count; `Some(n)` overrides it
-    /// (`0` = one per available core, `1` = serial). Responses and stats
-    /// are bit-identical at any worker count.
-    pub workers: Option<u32>,
     /// Run every kernel through the `rhythm-verify` static analyzer
     /// before launch (default **on**): programs with `Error`-severity
     /// findings are rejected with [`ExecError::Rejected`] instead of
     /// executing. Verdicts are cached per (kernel, launch shape), so the
     /// steady-state cost is one hash lookup per launch.
     pub verify: bool,
-    /// Serve kernel launches from the process-wide decode-plan cache
-    /// (default **on**): each kernel is flattened into its pre-decoded
-    /// `ExecPlan` once per process and every later cohort launch skips
-    /// decode and CFG analysis. Turn off only to measure decode cost;
-    /// results are bit-identical either way.
-    pub plan_cache: bool,
-    /// Pack sub-warp request groups (default **on**): each kernel launch
-    /// asks the `rhythm-verify` analyzer for the widest legal packing
-    /// width (4 for race-free atomics-free kernels, else 1) and sets
-    /// [`LaunchConfig::pack`] accordingly, so convergent cohorts execute
-    /// up to four warps in fused lockstep. Legality verdicts are memoized
-    /// per (kernel, launch shape). Responses and stats are bit-identical
-    /// either way; this, like `workers`, only changes host simulation
-    /// throughput.
-    pub pack: bool,
     /// Run every kernel launch under the footprint sanitizer (default
     /// **off**): each launch carries the effect-summary engine's claimed
     /// static footprint for its (kernel, launch environment) pair, and the
@@ -138,27 +115,16 @@ impl Default for CohortOptions {
             backend: BackendMode::Device,
             session_capacity: 4096,
             session_salt: 0x5EED_0001,
-            skip_parser: false,
-            workers: None,
             verify: true,
-            plan_cache: true,
-            pack: true,
             sanitize: false,
         }
     }
 }
 
-/// The launch config for one kernel of a cohort: `base` with the packing
-/// width the analyzer endorses for this (kernel, launch environment)
-/// pair — 4 for race-free atomics-free kernels, 1 otherwise or when
-/// packing is disabled. The device and the executor's static plan profile
-/// clamp further; widening never changes results, so this is purely a
-/// host-throughput decision.
-///
-/// With [`CohortOptions::sanitize`] on, the config also carries the
-/// kernel's inferred global footprint (anchored to the cohort layout's
-/// declared regions) so the executor checks every global access against
-/// it.
+/// The launch config for one kernel of a cohort: `base`, and with
+/// [`CohortOptions::sanitize`] on also the kernel's inferred global
+/// footprint (anchored to the cohort layout's declared regions) so the
+/// executor checks every global access against it.
 fn kernel_cfg(
     base: &LaunchConfig,
     opts: &CohortOptions,
@@ -168,17 +134,9 @@ fn kernel_cfg(
     pool: &rhythm_simt::mem::ConstPool,
 ) -> LaunchConfig {
     let mut cfg = base.clone();
-    // One warp has nothing to pack (the executor forces width 1), so only
-    // the sanitizer still needs the launch's spec.
-    let pack = opts.pack && cfg.warps() > 1;
-    let spec = (pack || opts.sanitize).then(|| LaunchSpec::from_launch(&cfg, mem, pool));
-    cfg.pack = match &spec {
-        Some(spec) if pack => pack_width_cached(program, spec),
-        _ => 1,
-    };
     if opts.sanitize {
-        let spec = spec.as_ref().expect("spec built when sanitize is on");
-        let cached = shared_verifier().effects(program, spec, &layout.regions());
+        let spec = LaunchSpec::from_launch(&cfg, mem, pool);
+        let cached = shared_verifier().effects(program, &spec, &layout.regions());
         cfg.sanitize = Some(Arc::clone(&cached.footprint));
     }
     cfg
@@ -191,29 +149,16 @@ fn shared_verifier() -> Arc<Verifier> {
     VERIFIER.get_or_init(|| Arc::new(Verifier::new())).clone()
 }
 
-/// Apply [`CohortOptions::workers`], [`CohortOptions::verify`], and
-/// [`CohortOptions::plan_cache`] to a device handle, returning the device
-/// to launch on. Owned when the options change anything: the serving path
-/// resolves it once per handler, the oracle once per call.
+/// The device to launch on: `gpu` itself, or — when
+/// [`CohortOptions::verify`] is set and `gpu` has no gate — a copy behind
+/// the shared verify gate. The serving path resolves it once per handler,
+/// the oracle once per call.
 pub(crate) fn effective_gpu<'a>(gpu: &'a Gpu, opts: &CohortOptions) -> Cow<'a, Gpu> {
-    let needs_gate = opts.verify && gpu.gate().is_none();
-    if opts.workers.is_none() && !needs_gate && gpu.plan_cache() == opts.plan_cache {
-        return Cow::Borrowed(gpu);
+    if opts.verify && gpu.gate().is_none() {
+        Cow::Owned(gpu.clone().with_gate(shared_verifier()))
+    } else {
+        Cow::Borrowed(gpu)
     }
-    let mut g = match opts.workers {
-        None => gpu.clone(),
-        Some(w) => {
-            let mut fresh = Gpu::new(gpu.config().clone().with_workers(w));
-            if let Some(gate) = gpu.gate() {
-                fresh = fresh.with_gate(gate.clone());
-            }
-            fresh
-        }
-    };
-    if needs_gate {
-        g = g.with_gate(shared_verifier());
-    }
-    Cow::Owned(g.with_plan_cache(opts.plan_cache))
 }
 
 /// The layout of a `cohort`-request cohort with `resp_size`-byte response
@@ -490,19 +435,8 @@ impl DeviceContext {
             Ok::<f64, ExecError>(device_t)
         };
 
-        if opts.skip_parser {
-            for (lane, r) in reqs.iter().enumerate() {
-                let lane = lane as u32;
-                layout.write_struct(mem, lane, F_TYPE, r.ty.id())?;
-                layout.write_struct(mem, lane, F_TOKEN, r.token)?;
-                for (i, &p) in r.params.iter().enumerate() {
-                    layout.write_struct(mem, lane, F_P0 + i as u32, p)?;
-                }
-            }
-        } else {
-            write_requests(layout, mem, reqs)?;
-            launch("parser", &workload.parser, mem)?;
-        }
+        write_requests(layout, mem, reqs)?;
+        launch("parser", &workload.parser, mem)?;
 
         let stages = workload.stages_of(reqs[0].ty);
         let n_backend = stages.len() - 1;
@@ -680,9 +614,9 @@ pub fn cohort_writes_sessions(
 /// serialized store image size (layout input). Cohorts proven not to
 /// write the session array ([`cohort_writes_sessions`]) coalesce into
 /// maximal concurrent groups; each proven writer becomes a singleton
-/// barrier. Host-backend and skip-parser configurations interleave host
-/// work between kernels, which streams cannot express, so every cohort
-/// degrades to a singleton serial group.
+/// barrier. A host backend interleaves host work between kernels, which
+/// streams cannot express, so every cohort degrades to a singleton serial
+/// group.
 pub fn plan_stream_groups(
     workload: &Workload,
     store_bytes: u32,
@@ -696,7 +630,7 @@ pub fn plan_stream_groups(
 
 /// Can this configuration's cohorts be expressed as streams at all?
 fn streams_ok(opts: &CohortOptions) -> bool {
-    opts.backend == BackendMode::Device && !opts.skip_parser
+    opts.backend == BackendMode::Device
 }
 
 /// [`plan_stream_groups`] over any writer oracle (asked at most once per
@@ -741,9 +675,8 @@ fn group_streams(
 /// session writes never happened, matching [`run_cohort`]'s fault
 /// behaviour).
 ///
-/// Host-backend and skip-parser configurations interleave host work
-/// between kernels, which streams cannot express; those fall back to
-/// serial [`run_cohort`] per cohort.
+/// A host backend interleaves host work between kernels, which streams
+/// cannot express; it falls back to serial [`run_cohort`] per cohort.
 ///
 /// # Panics
 ///
@@ -766,11 +699,11 @@ pub fn run_cohorts_hyperq(
 
     // Stream-level concurrency already fans out; warp workers would
     // oversubscribe, and `execute_streams` sets the same precedent.
-    let stream_opts = CohortOptions {
-        workers: Some(1),
-        ..opts.clone()
-    };
-    let streams_gpu = effective_gpu(gpu, &stream_opts);
+    let gated = effective_gpu(gpu, opts);
+    let mut streams_gpu = Gpu::new(gated.config().clone().with_workers(1));
+    if let Some(gate) = gated.gate() {
+        streams_gpu = streams_gpu.with_gate(gate.clone());
+    }
 
     let mut out: Vec<Option<Result<CohortResult, ExecError>>> =
         cohorts.iter().map(|_| None).collect();

@@ -303,19 +303,13 @@ fn device_requests(requests: &[HttpRequest]) -> Vec<GeneratedRequest> {
 /// socket front end. The session array lives in the context's device
 /// memory; only request bytes go up and response bytes come back per
 /// cohort.
-///
-/// Executor knobs ride on [`CohortOptions`] and are resolved into the
-/// device handle once, here: with the default options each kernel launch
-/// gets the sub-warp packing width the verifier endorses for it (see
-/// `CohortOptions::pack`), which changes host simulation throughput and
-/// nothing else.
 #[derive(Debug)]
 pub struct SimtHandler {
     workload: Workload,
     store: BankStore,
     ctx: DeviceContext,
-    /// The device with [`CohortOptions`]' gate, plan-cache and worker
-    /// choices applied.
+    /// The device, behind the verify gate when [`CohortOptions::verify`]
+    /// is set.
     gpu: Gpu,
     /// Cohorts executed on the device.
     pub cohorts: u64,

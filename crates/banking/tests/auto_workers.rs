@@ -21,30 +21,27 @@ fn cohorts_of_every_type_resolve_no_worker_count() {
         "the default is one worker per core"
     );
 
-    for pack in [false, true] {
-        let opts = CohortOptions {
-            session_capacity: CAPACITY,
-            pack,
-            ..CohortOptions::default()
-        };
-        let mut sessions = SessionArrayHost::new(CAPACITY, opts.session_salt);
-        let mut generator = RequestGenerator::new(128, 9);
-        let cohorts: Vec<_> = RequestType::ALL
-            .into_iter()
-            .flat_map(|ty| [1, 5, 32].map(|n| (ty, n)))
-            .map(|(ty, n)| generator.uniform(ty, n, &mut sessions))
-            .collect();
-        let mut ctx = DeviceContext::new(&store, &sessions, &opts);
+    let opts = CohortOptions {
+        session_capacity: CAPACITY,
+        ..CohortOptions::default()
+    };
+    let mut sessions = SessionArrayHost::new(CAPACITY, opts.session_salt);
+    let mut generator = RequestGenerator::new(128, 9);
+    let cohorts: Vec<_> = RequestType::ALL
+        .into_iter()
+        .flat_map(|ty| [1, 5, 32].map(|n| (ty, n)))
+        .map(|(ty, n)| generator.uniform(ty, n, &mut sessions))
+        .collect();
+    let mut ctx = DeviceContext::new(&store, &sessions, &opts);
 
-        let before = auto_worker_resolutions();
-        for reqs in &cohorts {
-            ctx.run_cohort(&workload, &store, reqs, &gpu, &NoopRecorder)
-                .expect("cohort runs");
-        }
-        assert_eq!(
-            auto_worker_resolutions(),
-            before,
-            "pack {pack}: a cohort launch asked for the core count"
-        );
+    let before = auto_worker_resolutions();
+    for reqs in &cohorts {
+        ctx.run_cohort(&workload, &store, reqs, &gpu, &NoopRecorder)
+            .expect("cohort runs");
     }
+    assert_eq!(
+        auto_worker_resolutions(),
+        before,
+        "a cohort launch asked for the core count"
+    );
 }

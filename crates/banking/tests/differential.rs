@@ -24,11 +24,7 @@ fn opts(transposed: bool) -> CohortOptions {
         backend: BackendMode::Device,
         session_capacity: 1024,
         session_salt: SALT,
-        skip_parser: false,
-        workers: None,
         verify: true,
-        plan_cache: true,
-        pack: true,
         sanitize: false,
     }
 }
@@ -247,42 +243,46 @@ fn logout_cohort_destroys_sessions_on_device() {
 }
 
 #[test]
-fn packed_cohorts_are_bit_identical_to_unpacked() {
-    // Sub-warp packing is selected per kernel by the verifier's legality
-    // analysis and fuses up to four warps; it must never change a byte of
-    // any response, the session evolution, or a single stats counter on
-    // any launch, for any request type.
-    let (workload, store, gpu) = harness();
+fn multi_warp_cohorts_are_bit_identical_at_every_worker_count() {
+    // How a three-warp cohort's warps are spread over host workers must
+    // never change a byte of any response, the session evolution, or a
+    // single stats counter on any launch, for any request type — Login
+    // included, whose warps claim session slots by cross-warp atomics.
+    let (workload, store, _) = harness();
     for ty in RequestType::ALL {
         let mut sessions = SessionArrayHost::new(1024, SALT);
         let mut generator = RequestGenerator::new(128, 100 + ty.id() as u64);
         let cohort = generator.uniform(ty, 96, &mut sessions);
+        let run = |workers: u32| {
+            let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(workers));
+            let mut s = sessions.clone();
+            let result = run_cohort(&workload, &store, &mut s, &cohort, &gpu, &opts(true)).unwrap();
+            (result, s.to_device_bytes())
+        };
 
-        let mut s_off = sessions.clone();
-        let mut o = opts(true);
-        o.pack = false;
-        let unpacked = run_cohort(&workload, &store, &mut s_off, &cohort, &gpu, &o).unwrap();
-
-        let mut s_on = sessions.clone();
-        let packed = run_cohort(&workload, &store, &mut s_on, &cohort, &gpu, &opts(true)).unwrap();
-
-        assert_eq!(
-            packed.responses, unpacked.responses,
-            "{ty}: packing changed response bytes"
-        );
-        assert_eq!(
-            s_on.to_device_bytes(),
-            s_off.to_device_bytes(),
-            "{ty}: packing changed session state"
-        );
-        assert_eq!(
-            packed.launches.len(),
-            unpacked.launches.len(),
-            "{ty}: launch count"
-        );
-        for ((n_p, l_p), (n_u, l_u)) in packed.launches.iter().zip(&unpacked.launches) {
-            assert_eq!(n_p, n_u, "{ty}: launch order");
-            assert_eq!(l_p.stats, l_u.stats, "{ty}/{n_p}: packing changed stats");
+        let (serial, serial_sessions) = run(1);
+        for workers in [2, 4] {
+            let (pooled, pooled_sessions) = run(workers);
+            assert_eq!(
+                pooled.responses, serial.responses,
+                "{ty}: {workers} workers changed response bytes"
+            );
+            assert_eq!(
+                pooled_sessions, serial_sessions,
+                "{ty}: {workers} workers changed session state"
+            );
+            assert_eq!(
+                pooled.launches.len(),
+                serial.launches.len(),
+                "{ty}: launch count"
+            );
+            for ((n_p, l_p), (n_s, l_s)) in pooled.launches.iter().zip(&serial.launches) {
+                assert_eq!(n_p, n_s, "{ty}: launch order");
+                assert_eq!(
+                    l_p.stats, l_s.stats,
+                    "{ty}/{n_p}: {workers} workers changed stats"
+                );
+            }
         }
     }
 }

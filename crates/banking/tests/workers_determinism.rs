@@ -8,26 +8,22 @@ use rhythm_simt::gpu::{Gpu, GpuConfig};
 
 const SALT: u32 = 0x5EED_0001;
 
-fn run_with(workers: Option<u32>) -> (Vec<Vec<u8>>, String, Vec<u8>) {
+fn run_with(workers: u32) -> (Vec<Vec<u8>>, String, Vec<u8>) {
     run_traced_with(workers, &rhythm_obs::NoopRecorder)
 }
 
-fn run_traced_with<R: Recorder + ?Sized>(
-    workers: Option<u32>,
-    rec: &R,
-) -> (Vec<Vec<u8>>, String, Vec<u8>) {
+fn run_traced_with<R: Recorder + ?Sized>(workers: u32, rec: &R) -> (Vec<Vec<u8>>, String, Vec<u8>) {
     let workload = Workload::build();
     let store = BankStore::generate(256, 1);
     let opts = CohortOptions {
         session_capacity: 1024,
         session_salt: SALT,
-        workers,
         ..Default::default()
     };
     let mut sessions = SessionArrayHost::new(1024, SALT);
     let mut generator = RequestGenerator::new(64, 2);
     let reqs = generator.uniform(RequestType::AccountSummary, 96, &mut sessions);
-    let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(1));
+    let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(workers));
     let result =
         run_cohort_traced(&workload, &store, &mut sessions, &reqs, &gpu, &opts, rec).unwrap();
     (
@@ -39,13 +35,13 @@ fn run_traced_with<R: Recorder + ?Sized>(
 
 #[test]
 fn cohort_identical_across_worker_counts() {
-    let base = run_with(Some(1));
+    let base = run_with(1);
     assert!(base.0[0].starts_with(b"HTTP/1.1 200 OK"));
-    for workers in [Some(2), Some(4), Some(0), None] {
+    for workers in [2, 4, 0] {
         let run = run_with(workers);
-        assert_eq!(run.0, base.0, "responses differ at workers={workers:?}");
-        assert_eq!(run.1, base.1, "launch stats differ at workers={workers:?}");
-        assert_eq!(run.2, base.2, "sessions differ at workers={workers:?}");
+        assert_eq!(run.0, base.0, "responses differ at workers={workers}");
+        assert_eq!(run.1, base.1, "launch stats differ at workers={workers}");
+        assert_eq!(run.2, base.2, "sessions differ at workers={workers}");
     }
 }
 
@@ -55,13 +51,13 @@ fn cohort_identical_across_worker_counts() {
 /// non-decreasing per-track timestamps.
 #[test]
 fn traced_cohort_identical_and_trace_valid() {
-    let untraced = run_with(Some(1));
-    for workers in [Some(1), Some(2), Some(4)] {
+    let untraced = run_with(1);
+    for workers in [1, 2, 4] {
         let rec = TraceRecorder::new();
         let traced = run_traced_with(workers, &rec);
         assert_eq!(
             traced, untraced,
-            "tracing changed results at workers={workers:?}"
+            "tracing changed results at workers={workers}"
         );
         assert!(!rec.is_empty(), "recorder captured nothing");
 
@@ -80,23 +76,22 @@ fn traced_cohort_identical_and_trace_valid() {
 #[test]
 fn parser_only_identical_across_worker_counts() {
     let workload = Workload::build();
-    let run_with = |workers: Option<u32>| {
+    let run_with = |workers: u32| {
         let opts = CohortOptions {
             session_capacity: 1024,
             session_salt: SALT,
-            workers,
             ..Default::default()
         };
         let mut sessions = SessionArrayHost::new(1024, SALT);
         let mut generator = RequestGenerator::new(64, 5);
         let reqs = generator.mixed(128, &mut sessions);
-        let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(1));
+        let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(workers));
         let (res, parsed) = run_parser_only(&workload, &reqs, &gpu, &opts).unwrap();
         (format!("{res:?}"), parsed)
     };
-    let base = run_with(Some(1));
-    for workers in [Some(2), Some(4)] {
-        assert_eq!(run_with(workers), base, "workers={workers:?}");
+    let base = run_with(1);
+    for workers in [2, 4] {
+        assert_eq!(run_with(workers), base, "workers={workers}");
     }
 }
 
@@ -111,11 +106,10 @@ fn colliding_login_cohort_is_identical_at_any_device_worker_count() {
     const SLOTS: u32 = 256;
     let workload = Workload::build();
     let store = BankStore::generate(256, 1);
-    let run = |device_workers: u32, workers: Option<u32>| {
+    let run = |device_workers: u32| {
         let opts = CohortOptions {
             session_capacity: SLOTS,
             session_salt: SALT,
-            workers,
             ..Default::default()
         };
         let mut sessions = SessionArrayHost::new(SLOTS, SALT);
@@ -125,12 +119,12 @@ fn colliding_login_cohort_is_identical_at_any_device_worker_count() {
         let result = run_cohort(&workload, &store, &mut sessions, &reqs, &gpu, &opts).unwrap();
         (result.responses, sessions.to_device_bytes())
     };
-    let serial = run(1, Some(1));
+    let serial = run(1);
     assert!(serial.0[0].starts_with(b"HTTP/1.1 200 OK"));
     for device_workers in [2, 0] {
         for round in 0..50 {
             assert!(
-                run(device_workers, None) == serial,
+                run(device_workers) == serial,
                 "device workers={device_workers}, round {round}: login cohort differs from the serial run"
             );
         }

@@ -16,23 +16,17 @@
 //! (the tentpole claim: the convergent fast paths at least double
 //! interpreter warp throughput).
 //!
-//! The pre-decoded engine runs with sub-warp packing enabled (`--pack`,
-//! default 4): up to four warps fuse into one gang wherever the plan's
-//! static profile allows, on top of the wide-copy block stores. Every
-//! timed launch is still bit-checked against the legacy engine's memory
-//! image and stats, so the packed numbers are semantics-proven, not
-//! trusted.
+//! Every timed launch is bit-checked against the legacy engine's memory
+//! image and stats, so the numbers are semantics-proven, not trusted.
 //!
 //! Flags:
 //!
 //! * `--smoke` — small CI run (tiny cohort, few iterations) that checks
-//!   the two engines stay bit-identical in every measured environment —
-//!   packing included — and that the JSON is written (CI reads the
-//!   wide-copy totals from it); makes no speed assertions (debug builds
-//!   and CI noise make those meaningless).
+//!   the two engines stay bit-identical in every measured environment
+//!   and that the JSON is written (CI reads the wide-copy totals from
+//!   it); makes no speed assertions (debug builds and CI noise make those
+//!   meaningless).
 //! * `--cohort <n>` / `--iters <n>` — launch width and timing repetitions.
-//! * `--pack <k>` — sub-warp packing width for the pre-decoded engine
-//!   (1, 2, or 4; default 4; 1 disables packing).
 //! * `--out <path>` — result file (default `BENCH_simt.json`).
 
 use std::sync::Arc;
@@ -45,7 +39,8 @@ use rhythm_banking::layout::{CohortLayout, REQBUF_BYTES};
 use rhythm_banking::session_array::SessionArrayHost;
 use rhythm_banking::types::RequestType;
 use rhythm_bench::fmt::machine_block;
-use rhythm_simt::exec::simt::{execute_simt_legacy_workers, execute_simt_workers};
+use rhythm_simt::exec::legacy::execute_simt_legacy_workers;
+use rhythm_simt::exec::simt::execute_simt_workers;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
@@ -59,7 +54,6 @@ struct Args {
     smoke: bool,
     cohort: u32,
     iters: u32,
-    pack: u32,
     out: String,
 }
 
@@ -68,7 +62,6 @@ fn parse_args() -> Args {
         smoke: false,
         cohort: 1024,
         iters: 5,
-        pack: 4,
         out: "BENCH_simt.json".to_string(),
     };
     let mut args = std::env::args().skip(1);
@@ -91,17 +84,10 @@ fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .expect("--iters needs a positive integer")
             }
-            "--pack" => {
-                parsed.pack = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|k| [1, 2, 4].contains(k))
-                    .expect("--pack needs 1, 2, or 4")
-            }
             "--out" => parsed.out = args.next().expect("--out needs a path"),
             other => panic!(
                 "unknown flag {other:?} (expected --smoke, --cohort <n>, --iters <n>, \
-                 --pack <k>, --out <path>)"
+                 --out <path>)"
             ),
         }
     }
@@ -170,18 +156,11 @@ fn measure_kernel(
     ty: String,
     kernel: &Program,
     cfg: &LaunchConfig,
-    pack: u32,
     pool: &ConstPool,
     snapshot: &DeviceMemory,
     iters: u32,
     calibrate: bool,
 ) -> KernelRow {
-    // The requested pack width rides on the launch config; only the
-    // pre-decoded engine's gang scheduler reads it (clamped by the plan's
-    // static profile), the legacy engine is unconditionally unpacked.
-    let mut pcfg = cfg.clone();
-    pcfg.pack = pack;
-    let cfg = &pcfg;
     // Reference run fixes the expected output and the stats, and checks
     // the engines agree before any timing happens.
     let mut mem_plan = snapshot.clone();
@@ -317,7 +296,6 @@ fn main() {
             params: layout.params(),
             local_bytes: 64,
             shared_bytes: 1024,
-            pack: args.pack,
             ..Default::default()
         };
 
@@ -344,7 +322,6 @@ fn main() {
                     ty.to_string(),
                     kernel,
                     &cfg,
-                    args.pack,
                     &workload.pool,
                     &mem,
                     args.iters,
@@ -406,7 +383,7 @@ fn main() {
     }
     let json = format!(
         "{{\"bench\":\"bench_kernels\",\"machine\":{},\"mode\":\"{}\",\"cohort\":{},\
-         \"iters\":{},\"workers\":1,\"pack\":{},\"kernel_count\":{},\
+         \"iters\":{},\"workers\":1,\"kernel_count\":{},\
          \"plan_cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{}}},\
          \"wide_copy\":{{\"commits\":{},\"fallbacks\":{}}},\"launch_floor_us\":{},\
          \"convergent_kernels\":{},\"convergent_min_speedup\":{},\
@@ -415,7 +392,6 @@ fn main() {
         if args.smoke { "smoke" } else { "full" },
         args.cohort,
         args.iters,
-        args.pack,
         rows.len(),
         cache.hits,
         cache.misses,
@@ -433,11 +409,10 @@ fn main() {
     std::fs::write(&args.out, &json).expect("write result json");
 
     println!(
-        "bench_kernels: {} kernels, cohort {}, {} iters (1 worker, pack {})",
+        "bench_kernels: {} kernels, cohort {}, {} iters (1 worker)",
         rows.len(),
         args.cohort,
-        args.iters,
-        args.pack
+        args.iters
     );
     println!(
         "{:<22} {:>6} {:>9} {:>12} {:>12} {:>8}",

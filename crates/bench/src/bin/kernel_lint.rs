@@ -6,12 +6,6 @@
 //! a synthetic context. Exits nonzero if any kernel has an
 //! `Error`-severity finding — this is the CI gate.
 //!
-//! Each kernel also gets the analyzer's sub-warp packing verdict
-//! ([`rhythm_verify::pack_width`]) in the same environments — the width
-//! the cohort runner will actually launch with. The reported width is the
-//! minimum over every environment the kernel can see, so CI gates packing
-//! legality on exactly the analysis production uses.
-//!
 //! The effect-summary engine ([`rhythm_verify::effects`]) runs alongside:
 //! each kernel's global read/write/atomic footprint — anchored to the
 //! layout's declared regions — is joined across environments into the
@@ -34,7 +28,7 @@ use rhythm_bench::fmt::json_str;
 use rhythm_simt::exec::AccessKind;
 use rhythm_simt::ir::MemSpace;
 use rhythm_verify::effects::{effect_lints, infer_effects, KernelEffects, SpaceFootprint};
-use rhythm_verify::{pack_width, verify_program, Diagnostic, LaunchSpec, Report, Severity};
+use rhythm_verify::{verify_program, Diagnostic, LaunchSpec, Report, Severity};
 
 const DEFAULT_COHORT: u32 = 1024;
 const SESSION_CAPACITY: u32 = 4096;
@@ -79,7 +73,6 @@ fn main() -> ExitCode {
     // same way; the session-writer verdict is an OR (a kernel that writes
     // the session array in any environment is a writer).
     let mut merged: BTreeMap<String, Report> = BTreeMap::new();
-    let mut packs: BTreeMap<String, u32> = BTreeMap::new();
     let mut effects: BTreeMap<String, KernelEffects> = BTreeMap::new();
     let mut session_writers: BTreeMap<String, bool> = BTreeMap::new();
     for ty in RequestType::ALL {
@@ -109,11 +102,6 @@ fn main() -> ExitCode {
             report
                 .diagnostics
                 .extend(effect_lints(program, &spec, &regions));
-            let pack = pack_width(program, &spec);
-            packs
-                .entry(report.program.clone())
-                .and_modify(|p| *p = (*p).min(pack))
-                .or_insert(pack);
             let fx = infer_effects(program, &spec, &regions);
             let writes_sessions = fx.mutates(MemSpace::Global, sess_lo, sess_hi);
             effects
@@ -142,9 +130,9 @@ fn main() -> ExitCode {
     if effects_json {
         print_effects_json(cohort, &effects, &session_writers);
     } else if json {
-        print_json(cohort, &merged, &packs, &effects, total_errors);
+        print_json(cohort, &merged, &effects, total_errors);
     } else {
-        print_table(cohort, &merged, &packs, &effects, total_errors, verbose);
+        print_table(cohort, &merged, &effects, total_errors, verbose);
     }
     if total_errors > 0 {
         ExitCode::FAILURE
@@ -183,15 +171,14 @@ fn effects_code(fx: &KernelEffects) -> String {
 fn print_table(
     cohort: u32,
     merged: &BTreeMap<String, Report>,
-    packs: &BTreeMap<String, u32>,
     effects: &BTreeMap<String, KernelEffects>,
     total_errors: usize,
     verbose: bool,
 ) {
     println!("kernel lint (cohort={cohort}, {} kernels)", merged.len());
     println!(
-        "{:<24} {:>6} {:>8} {:>6} {:>5} {:>7}",
-        "kernel", "errors", "warnings", "infos", "pack", "effects"
+        "{:<24} {:>6} {:>8} {:>6} {:>7}",
+        "kernel", "errors", "warnings", "infos", "effects"
     );
     for report in merged.values() {
         let code = effects
@@ -199,12 +186,11 @@ fn print_table(
             .map(effects_code)
             .unwrap_or_else(|| "???".to_string());
         println!(
-            "{:<24} {:>6} {:>8} {:>6} {:>5} {:>7}",
+            "{:<24} {:>6} {:>8} {:>6} {:>7}",
             report.program,
             report.count(Severity::Error),
             report.count(Severity::Warning),
             report.count(Severity::Info),
-            packs.get(&report.program).copied().unwrap_or(1),
             code,
         );
         for d in &report.diagnostics {
@@ -223,7 +209,6 @@ fn print_table(
 fn print_json(
     cohort: u32,
     merged: &BTreeMap<String, Report>,
-    packs: &BTreeMap<String, u32>,
     effects: &BTreeMap<String, KernelEffects>,
     total_errors: usize,
 ) {
@@ -235,13 +220,12 @@ fn print_json(
             .map(effects_code)
             .unwrap_or_else(|| "???".to_string());
         programs.push(format!(
-            "{{\"name\":{},\"errors\":{},\"warnings\":{},\"infos\":{},\"pack\":{},\
+            "{{\"name\":{},\"errors\":{},\"warnings\":{},\"infos\":{},\
              \"effects\":{},\"diagnostics\":[{}]}}",
             json_str(&report.program),
             report.count(Severity::Error),
             report.count(Severity::Warning),
             report.count(Severity::Info),
-            packs.get(&report.program).copied().unwrap_or(1),
             json_str(&code),
             diags.join(",")
         ));

@@ -147,11 +147,7 @@ pub fn titan_type_measurement(
         },
         session_capacity: 4 * cohort,
         session_salt: SALT,
-        skip_parser: false,
-        workers: None,
         verify: true,
-        plan_cache: true,
-        pack: true,
         sanitize: false,
     };
     let mut s = sessions.clone();

@@ -1,5 +1,6 @@
 //! Kernel executors: scalar (CPU model) and SIMT warp-lockstep (GPU model).
 
+pub mod legacy;
 pub mod plan;
 pub mod scalar;
 pub mod simt;
@@ -129,16 +130,6 @@ pub struct LaunchConfig {
     /// Per-lane (scalar) / per-warp (SIMT) dynamic instruction budget;
     /// exceeding it aborts execution, guarding against runaway loops.
     pub max_instructions: u64,
-    /// Maximum sub-warp packing width for the pre-decoded engine: up to
-    /// `pack` warps of independent requests are dispatched as one packed
-    /// gang and executed in fused lockstep while their control flow
-    /// agrees (see `exec::simt` module docs). The executor clamps the
-    /// effective width to a power of two in `{1, 2, 4}` and to the plan's
-    /// static packing profile (`ExecPlan::pack_max`). `1` (the default)
-    /// disables packing. Results are bit-identical at every width for
-    /// kernels whose warps are independent — the same contract parallel
-    /// warp workers already rely on.
-    pub pack: u32,
     /// Optional footprint sanitizer: when set, the plan executor checks
     /// every executed **global** access against this claimed static
     /// footprint and aborts with [`ExecError::FootprintEscape`] on the
@@ -185,7 +176,6 @@ impl Default for LaunchConfig {
             shared_bytes: 1024,
             tx_bytes: 128,
             max_instructions: 1_000_000_000,
-            pack: 1,
             sanitize: None,
         }
     }

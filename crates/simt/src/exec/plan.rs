@@ -205,9 +205,7 @@ pub struct ExecPlan {
     /// Parallel to `blocks`: the wide-copy annotation for blocks that are
     /// recognized byte-copy loop headers.
     wide_copies: Vec<Option<WideCopy>>,
-    /// Static packing profile: the widest sub-warp packing the program's
-    /// op mix admits (1 when it contains atomics, else 4).
-    pack_max: u32,
+    has_atomics: bool,
 }
 
 #[inline]
@@ -253,14 +251,7 @@ impl ExecPlan {
         let wide_copies = (0..blocks.len())
             .map(|h| detect_wide_copy(&blocks, &ops, h as BlockId))
             .collect();
-        let pack_max = if ops.iter().any(|o| matches!(o, DecodedOp::AtomicAdd { .. })) {
-            // Atomic return values observe lane/warp execution order, so a
-            // packed gang could legally see different old values than the
-            // unpacked schedule; keep such kernels unpacked.
-            1
-        } else {
-            4
-        };
+        let has_atomics = ops.iter().any(|o| matches!(o, DecodedOp::AtomicAdd { .. }));
         ExecPlan {
             name: program.name().to_string(),
             fingerprint: program.fingerprint(),
@@ -269,7 +260,7 @@ impl ExecPlan {
             ops,
             blocks,
             wide_copies,
-            pack_max,
+            has_atomics,
         }
     }
 
@@ -327,13 +318,11 @@ impl ExecPlan {
         self.wide_copies.iter().flatten().count()
     }
 
-    /// Static packing profile: the widest sub-warp packing width this
-    /// program admits (a power of two ≤ 4). Programs containing atomics
-    /// report 1; everything else reports 4. Dynamic legality (race
-    /// freedom across packed requests) is `rhythm-verify`'s job — see
-    /// `pack_width` there.
-    pub fn pack_max(&self) -> u32 {
-        self.pack_max
+    /// Whether the program contains an `AtomicAdd`. What an atomic returns
+    /// depends on the order warps execute in, so [`crate::gpu::Gpu::launch`]
+    /// runs such a plan's warps in order on one worker.
+    pub fn has_atomics(&self) -> bool {
+        self.has_atomics
     }
 }
 
@@ -779,18 +768,5 @@ mod tests {
         let p = b.build().unwrap();
         let plan = ExecPlan::build(&p);
         assert_eq!(plan.num_wide_copies(), 0);
-    }
-
-    #[test]
-    fn pack_max_profiles_atomics() {
-        let copy = ExecPlan::build(&const_copy("plan_pack_max_copy", 8));
-        assert_eq!(copy.pack_max(), 4);
-        let mut b = ProgramBuilder::new("plan_pack_max_atomic");
-        let addr = b.imm(0);
-        let one = b.imm(1);
-        let _old = b.atomic_add(MemSpace::Global, addr, 0, one);
-        b.halt();
-        let p = b.build().unwrap();
-        assert_eq!(ExecPlan::build(&p).pack_max(), 1);
     }
 }

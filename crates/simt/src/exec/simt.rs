@@ -13,24 +13,22 @@
 //! rejoin at the branch block's immediate post-dominator, the scheme used
 //! by real hardware and by GPGPU-Sim.
 //!
-//! Two interpreter engines share this timing model:
+//! This module is the **pre-decoded engine**
+//! ([`execute_plan_workers_traced`]): it runs [`ExecPlan`]s — flat
+//! decoded-op arrays with SoA register addressing (`regs[r * 32 + lane]`),
+//! decode-time reconvergence points, convergent full-mask fast paths that
+//! process a register's 32 contiguous lanes in straight auto-vectorizable
+//! loops, and per-warp buffers leased from a process-wide
+//! [`warp arena`](warp_arena_stats) so steady-state launches allocate
+//! nothing. The warp scheduler and the memory cost model defined here are
+//! also what the legacy masked engine ([`super::legacy`], the
+//! differential-testing oracle and `bench_kernels` baseline) runs on, so
+//! the two produce bit-identical memory, stats, and errors at every worker
+//! count.
 //!
-//! * the **pre-decoded engine** (default, [`execute_plan_workers_traced`])
-//!   runs [`ExecPlan`]s — flat decoded-op arrays with SoA register
-//!   addressing (`regs[r * 32 + lane]`), decode-time reconvergence points,
-//!   convergent full-mask fast paths that process a register's 32
-//!   contiguous lanes in straight auto-vectorizable loops, and per-warp
-//!   buffers leased from a process-wide [`warp arena`](warp_arena_stats)
-//!   so steady-state launches allocate nothing;
-//! * the **legacy engine** ([`execute_simt_legacy_workers`]) walks the
-//!   boxed IR directly, lane-major and fully masked — retained as the
-//!   differential-testing oracle and the `bench_kernels` baseline.
-//!
-//! Both engines produce bit-identical memory, stats, and errors at every
-//! worker count. Warps between barriers are independent, so
-//! [`execute_simt_workers`] can execute them concurrently on a host worker
-//! pool while keeping results bit-for-bit identical to the serial
-//! [`execute_simt`] path.
+//! Warps between barriers are independent, so [`execute_simt_workers`] can
+//! execute them concurrently on a host worker pool while keeping results
+//! bit-for-bit identical to the serial [`execute_simt`] path.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -40,11 +38,11 @@ use rhythm_obs::{
     Recorder,
 };
 
-use crate::ir::{BinOp, CfgInfo, MemSpace, Op, Program, Reg, Terminator, UnOp, Width, EXIT_BLOCK};
+use crate::ir::{BinOp, MemSpace, Program, UnOp, Width, EXIT_BLOCK};
 use crate::mem::{ConstPool, DeviceMemory, MemError, SharedMem};
 use crate::stats::{DivergenceStats, KernelStats};
 
-use super::plan::{plan_for, DecodedOp, DecodedTerm, ExecPlan, PlanBlock, RegSlot, WideCopy};
+use super::plan::{plan_for, DecodedOp, DecodedTerm, ExecPlan, RegSlot, WideCopy};
 use super::scalar::{read_buf, write_buf};
 use super::{AccessKind, ExecError, LaunchConfig, WARP_SIZE};
 
@@ -52,19 +50,19 @@ use super::{AccessKind, ExecError, LaunchConfig, WARP_SIZE};
 pub const SECTOR_BYTES: u32 = 32;
 
 /// [`WARP_SIZE`] as a usize, for slice arithmetic.
-const LANES: usize = WARP_SIZE as usize;
+pub(super) const LANES: usize = WARP_SIZE as usize;
 
 /// One entry of the per-warp reconvergence stack.
 #[derive(Copy, Clone, Debug)]
-struct StackEntry {
+pub(super) struct StackEntry {
     /// Next block to execute for this entry's lanes.
-    block: u32,
+    pub(super) block: u32,
     /// Active lanes (bit i = lane i of the warp).
-    mask: u32,
+    pub(super) mask: u32,
     /// Block at which this entry pops and its lanes rejoin the entry
     /// below; [`EXIT_BLOCK`] for the bottom entry and branches whose paths
     /// only rejoin at kernel exit.
-    reconv: u32,
+    pub(super) reconv: u32,
 }
 
 /// Execute a kernel launch on the SIMT engine, one warp at a time.
@@ -196,10 +194,6 @@ pub fn execute_plan_workers_traced<R: Recorder + ?Sized>(
     rec: &R,
 ) -> Result<KernelStats, ExecError> {
     let gmem = mem.shared();
-    let pack = effective_pack(cfg, plan);
-    if pack > 1 {
-        return dispatch_gangs(plan, cfg, workers, pack, &gmem, pool, rec);
-    }
     dispatch_warps(
         cfg,
         workers,
@@ -207,55 +201,6 @@ pub fn execute_plan_workers_traced<R: Recorder + ?Sized>(
         rec,
         WarpLease::acquire,
         |lease, base, count| run_plan_warp(plan, cfg, &gmem, pool, lease.bufs(), base, count),
-    )
-}
-
-/// Resolve the packing width a launch actually runs with: the requested
-/// [`LaunchConfig::pack`] rounded down to a power of two in `{1, 2, 4}`,
-/// clamped by the plan's static profile ([`ExecPlan::pack_max`]), and
-/// forced to 1 for single-warp launches (there is nothing to pack).
-fn effective_pack(cfg: &LaunchConfig, plan: &ExecPlan) -> usize {
-    if cfg.warps() <= 1 {
-        return 1;
-    }
-    let req = match cfg.pack {
-        0 | 1 => 1,
-        2 | 3 => 2,
-        _ => 4,
-    };
-    req.min(plan.pack_max()).max(1) as usize
-}
-
-/// Execute a launch on the legacy (non-pre-decoded) engine: lane-major
-/// registers, per-launch CFG analysis, fully masked lane iteration.
-///
-/// Kept as the independently implemented oracle for differential tests and
-/// as the `bench_kernels` baseline; production paths use the pre-decoded
-/// engine. Memory, stats, and errors are bit-identical to
-/// [`execute_simt_workers`] at every worker count.
-///
-/// # Errors
-///
-/// Same failures as [`execute_simt_workers`].
-pub fn execute_simt_legacy_workers(
-    program: &Program,
-    cfg: &LaunchConfig,
-    mem: &mut DeviceMemory,
-    pool: &ConstPool,
-    workers: usize,
-) -> Result<KernelStats, ExecError> {
-    let cfginfo = CfgInfo::analyze(program);
-    let gmem = mem.shared();
-    dispatch_warps(
-        cfg,
-        workers,
-        program.name(),
-        &NoopRecorder,
-        || WarpState::new(program, cfg),
-        |warp, base, count| {
-            warp.reset(base, count);
-            warp.run(program, &cfginfo, cfg, &gmem, pool)
-        },
     )
 }
 
@@ -313,9 +258,9 @@ fn trace_warp<R: Recorder + ?Sized>(
 /// This is the one scheduler both engines share: dynamic self-scheduling
 /// over a monotonic claim counter, per-warp tracing, deterministic merge in
 /// warp order, and lowest-faulting-warp error selection. `new_state` builds
-/// one reusable per-worker execution state (a [`WarpState`] or an arena
-/// [`WarpLease`]).
-fn dispatch_warps<S, R, NEW, RUN>(
+/// one reusable per-worker execution state (an arena [`WarpLease`], or the
+/// legacy engine's warp state).
+pub(super) fn dispatch_warps<S, R, NEW, RUN>(
     cfg: &LaunchConfig,
     workers: usize,
     kernel: &str,
@@ -413,16 +358,8 @@ where
         merged
     };
 
-    merge_warp_results(cfg, per_warp)
-}
-
-/// Deterministic launch-total merge shared by the warp and gang
-/// schedulers: fold per-warp stats in warp order and report the error of
-/// the lowest-numbered faulting warp.
-fn merge_warp_results(
-    cfg: &LaunchConfig,
-    per_warp: Vec<(u32, Result<WarpStats, ExecError>)>,
-) -> Result<KernelStats, ExecError> {
+    // Fold per-warp stats in warp order; the first error met is the
+    // lowest-numbered faulting warp's.
     let mut total = KernelStats {
         lanes: cfg.lanes,
         warps: cfg.warps(),
@@ -444,110 +381,8 @@ fn merge_warp_results(
     Ok(total)
 }
 
-/// Run every warp of a launch through the packed-gang executor: warps are
-/// grouped into gangs of `pack` consecutive sub-groups, and gangs are
-/// scheduled exactly like [`dispatch_warps`] schedules warps — dynamic
-/// self-scheduling over a monotonic claim counter, deterministic merge in
-/// warp order, lowest-faulting-warp error selection.
-///
-/// Because every sub-group's execution (registers, memory effects, stats,
-/// faults) is bit-identical to its solo run — see [`run_plan_gang`] — the
-/// launch result is bit-identical to the unpacked path at every worker
-/// count for kernels whose warps are independent.
-#[allow(clippy::too_many_arguments)] // scheduler entry; grouping would cost indirection
-fn dispatch_gangs<R: Recorder + ?Sized>(
-    plan: &ExecPlan,
-    cfg: &LaunchConfig,
-    workers: usize,
-    pack: usize,
-    gmem: &SharedMem<'_>,
-    pool: &ConstPool,
-    rec: &R,
-) -> Result<KernelStats, ExecError> {
-    let nwarps = cfg.warps() as usize;
-    let ngangs = nwarps.div_ceil(pack);
-    let workers = resolve_workers(workers, ngangs);
-
-    // Run one gang and append its per-warp results; true if any warp of
-    // the gang faulted. Captures only shared state, so the parallel path
-    // can call it from every worker.
-    let run_gang = |leases: &mut Vec<WarpLease>,
-                    g: usize,
-                    worker: usize,
-                    out: &mut Vec<(u32, Result<WarpStats, ExecError>)>|
-     -> bool {
-        let first_warp = (g * pack) as u32;
-        let k = pack.min(nwarps - g * pack);
-        let start_us = if rec.enabled() {
-            rec.wall_now_us()
-        } else {
-            0.0
-        };
-        let before = out.len();
-        run_plan_gang(plan, cfg, gmem, pool, &mut leases[..k], first_warp, k, out);
-        if rec.enabled() {
-            // Sub-groups run interleaved, so each warp's span covers the
-            // whole gang; tracing only observes, results are unchanged.
-            for (w, r) in &out[before..] {
-                trace_warp(rec, worker, plan.name(), *w, start_us, r);
-            }
-        }
-        out[before..].iter().any(|(_, r)| r.is_err())
-    };
-
-    let per_warp: Vec<(u32, Result<WarpStats, ExecError>)> = if workers <= 1 {
-        let mut leases: Vec<WarpLease> = (0..pack).map(|_| WarpLease::acquire()).collect();
-        let mut out = Vec::with_capacity(nwarps);
-        for g in 0..ngangs {
-            if run_gang(&mut leases, g, 0, &mut out) {
-                break;
-            }
-        }
-        out
-    } else {
-        let next = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let outs: Vec<Vec<(u32, Result<WarpStats, ExecError>)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let next = &next;
-                    let abort = &abort;
-                    let run_gang = &run_gang;
-                    s.spawn(move || {
-                        let mut leases: Vec<WarpLease> =
-                            (0..pack).map(|_| WarpLease::acquire()).collect();
-                        let mut out = Vec::with_capacity(nwarps / workers + pack);
-                        loop {
-                            if abort.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let g = next.fetch_add(1, Ordering::Relaxed);
-                            if g >= ngangs {
-                                break;
-                            }
-                            if run_gang(&mut leases, g, worker, &mut out) {
-                                abort.store(true, Ordering::Relaxed);
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("gang worker panicked"))
-                .collect()
-        });
-        let mut merged: Vec<_> = outs.into_iter().flatten().collect();
-        merged.sort_unstable_by_key(|&(w, _)| w);
-        merged
-    };
-
-    merge_warp_results(cfg, per_warp)
-}
-
-/// Host threads for `units` independent units of work (warps, gangs,
-/// streams) under a worker-count knob: never more than there are units,
+/// Host threads for `units` independent units of work (warps, streams)
+/// under a worker-count knob: never more than there are units,
 /// and `0` means one per available core. The clamp comes first, so a launch
 /// of one unit — every served cohort — runs serially without asking the OS
 /// anything.
@@ -656,16 +491,16 @@ impl Drop for WarpLease {
 }
 
 #[derive(Default)]
-struct WarpStats {
-    warp_instructions: u64,
-    lane_instructions: u64,
-    mem_accesses: u64,
-    mem_transactions: u64,
-    dram_bytes: u64,
-    const_replays: u64,
-    atomic_serializations: u64,
-    warp_cycles: u64,
-    divergence: DivergenceStats,
+pub(super) struct WarpStats {
+    pub(super) warp_instructions: u64,
+    pub(super) lane_instructions: u64,
+    pub(super) mem_accesses: u64,
+    pub(super) mem_transactions: u64,
+    pub(super) dram_bytes: u64,
+    pub(super) const_replays: u64,
+    pub(super) atomic_serializations: u64,
+    pub(super) warp_cycles: u64,
+    pub(super) divergence: DivergenceStats,
 }
 
 // ---------------------------------------------------------------------------
@@ -698,105 +533,24 @@ fn run_plan_warp(
     } else {
         (1u32 << count) - 1
     };
-    let mut stack = std::mem::take(&mut bufs.stack);
-    stack.clear();
-    stack.push(StackEntry {
+    bufs.stack.clear();
+    bufs.stack.push(StackEntry {
         block: plan.entry(),
         mask: full,
         reconv: EXIT_BLOCK,
     });
-    let r = plan_warp_loop(
-        plan,
-        launch,
-        gmem,
-        pool,
-        bufs,
-        base,
-        local_bytes,
-        &mut stack,
-        WarpStats::default(),
-    );
-    bufs.stack = stack;
-    r
-}
-
-/// Execute one block's ops plus the terminator *issue* accounting (the
-/// control-flow effect of the terminator stays with the caller). Shared
-/// verbatim by the solo warp loop and the fused gang phase so the two
-/// cannot drift.
-#[allow(clippy::too_many_arguments)] // internal hot loop; grouping would cost indirection
-#[inline(always)]
-fn run_block_ops(
-    plan: &ExecPlan,
-    block: &PlanBlock,
-    mask: u32,
-    base: u32,
-    local_bytes: usize,
-    launch: &LaunchConfig,
-    gmem: &SharedMem<'_>,
-    pool: &ConstPool,
-    bufs: &mut WarpBuffers,
-    stats: &mut WarpStats,
-) -> Result<(), ExecError> {
-    let ops = plan.block_ops(block);
-    let nops = ops.len() as u64;
-    let lanes_on = mask.count_ones() as u64;
-    if stats.warp_instructions + nops <= launch.max_instructions {
-        // Whole block fits in the budget: batch the per-issue
-        // accounting. A prefix of per-op checks can only fail if the
-        // block total would, so this is exactly the per-op semantics.
-        stats.warp_instructions += nops;
-        stats.lane_instructions += nops * lanes_on;
-        stats.warp_cycles += nops;
-        for op in ops {
-            exec_decoded(op, mask, base, local_bytes, launch, gmem, pool, bufs, stats)?;
-        }
-    } else {
-        // Budget trips inside this block: per-op accounting pins the
-        // fault to the exact instruction, matching the legacy engine.
-        for op in ops {
-            stats.warp_instructions += 1;
-            stats.lane_instructions += lanes_on;
-            stats.warp_cycles += 1;
-            if stats.warp_instructions > launch.max_instructions {
-                return Err(ExecError::Budget {
-                    executed: stats.warp_instructions,
-                });
-            }
-            exec_decoded(op, mask, base, local_bytes, launch, gmem, pool, bufs, stats)?;
-        }
-    }
-
-    // Terminator: also one issue.
-    stats.warp_instructions += 1;
-    stats.lane_instructions += lanes_on;
-    stats.warp_cycles += 1;
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)] // internal hot loop; grouping would cost indirection
-fn plan_warp_loop(
-    plan: &ExecPlan,
-    launch: &LaunchConfig,
-    gmem: &SharedMem<'_>,
-    pool: &ConstPool,
-    bufs: &mut WarpBuffers,
-    base: u32,
-    local_bytes: usize,
-    stack: &mut Vec<StackEntry>,
-    mut stats: WarpStats,
-) -> Result<WarpStats, ExecError> {
+    let mut stats = WarpStats::default();
     let mut halted: u32 = 0;
 
-    while let Some(top) = stack.last_mut() {
+    while let Some(top) = bufs.stack.last_mut() {
         top.mask &= !halted;
         if top.mask == 0 {
-            stack.pop();
+            bufs.stack.pop();
             continue;
         }
         if top.block == top.reconv {
             stats.divergence.reconvergences += 1;
-            stack.pop();
+            bufs.stack.pop();
             continue;
         }
         if top.block == EXIT_BLOCK {
@@ -812,28 +566,69 @@ fn plan_warp_loop(
         // through to byte-at-a-time interpretation, faults included).
         if let Some(wc) = plan.wide_copy(cur) {
             if try_wide_copy(wc, mask, launch, gmem, pool, bufs, &mut stats)? {
-                stack.last_mut().expect("stack nonempty").block = wc.exit;
+                bufs.stack.last_mut().expect("stack nonempty").block = wc.exit;
                 continue;
             }
         }
 
         let block = *plan.block(cur);
-        run_block_ops(
-            plan,
-            &block,
-            mask,
-            base,
-            local_bytes,
-            launch,
-            gmem,
-            pool,
-            bufs,
-            &mut stats,
-        )?;
+        let ops = plan.block_ops(&block);
+        let nops = ops.len() as u64;
+        let lanes_on = mask.count_ones() as u64;
+        if stats.warp_instructions + nops <= launch.max_instructions {
+            // Whole block fits in the budget: batch the per-issue
+            // accounting. A prefix of per-op checks can only fail if the
+            // block total would, so this is exactly the per-op semantics.
+            stats.warp_instructions += nops;
+            stats.lane_instructions += nops * lanes_on;
+            stats.warp_cycles += nops;
+            for op in ops {
+                exec_decoded(
+                    op,
+                    mask,
+                    base,
+                    local_bytes,
+                    launch,
+                    gmem,
+                    pool,
+                    bufs,
+                    &mut stats,
+                )?;
+            }
+        } else {
+            // Budget trips inside this block: per-op accounting pins the
+            // fault to the exact instruction, matching the legacy engine.
+            for op in ops {
+                stats.warp_instructions += 1;
+                stats.lane_instructions += lanes_on;
+                stats.warp_cycles += 1;
+                if stats.warp_instructions > launch.max_instructions {
+                    return Err(ExecError::Budget {
+                        executed: stats.warp_instructions,
+                    });
+                }
+                exec_decoded(
+                    op,
+                    mask,
+                    base,
+                    local_bytes,
+                    launch,
+                    gmem,
+                    pool,
+                    bufs,
+                    &mut stats,
+                )?;
+            }
+        }
+
+        // Terminator: also one issue.
+        stats.warp_instructions += 1;
+        stats.lane_instructions += lanes_on;
+        stats.warp_cycles += 1;
 
         match block.term {
             DecodedTerm::Jmp(t) => {
-                let top = stack.last_mut().expect("stack nonempty");
+                let top = bufs.stack.last_mut().expect("stack nonempty");
                 top.block = t;
             }
             DecodedTerm::Halt => {
@@ -856,7 +651,7 @@ fn plan_warp_loop(
                 }
                 mask_t &= mask;
                 let mask_f = mask & !mask_t;
-                let top = stack.last_mut().expect("stack nonempty");
+                let top = bufs.stack.last_mut().expect("stack nonempty");
                 if mask_f == 0 {
                     top.block = then_bb;
                 } else if mask_t == 0 {
@@ -865,21 +660,23 @@ fn plan_warp_loop(
                     stats.divergence.divergent_branches += 1;
                     top.block = reconv;
                     if else_bb != reconv {
-                        stack.push(StackEntry {
+                        bufs.stack.push(StackEntry {
                             block: else_bb,
                             mask: mask_f,
                             reconv,
                         });
                     }
                     if then_bb != reconv {
-                        stack.push(StackEntry {
+                        bufs.stack.push(StackEntry {
                             block: then_bb,
                             mask: mask_t,
                             reconv,
                         });
                     }
-                    stats.divergence.max_stack_depth =
-                        stats.divergence.max_stack_depth.max(stack.len() as u32);
+                    stats.divergence.max_stack_depth = stats
+                        .divergence
+                        .max_stack_depth
+                        .max(bufs.stack.len() as u32);
                 }
             }
         }
@@ -1098,350 +895,6 @@ fn try_wide_copy(
     }
     WIDE_COPY_COUNTERS.record_hit();
     Ok(true)
-}
-
-/// Finish one sub-group solo after a gang split: seed the reconvergence
-/// stack with the split-point entries and resume [`plan_warp_loop`] with
-/// the statistics accumulated during the fused phase.
-#[allow(clippy::too_many_arguments)] // internal hot loop; grouping would cost indirection
-fn run_sg_solo(
-    plan: &ExecPlan,
-    launch: &LaunchConfig,
-    gmem: &SharedMem<'_>,
-    pool: &ConstPool,
-    bufs: &mut WarpBuffers,
-    base: u32,
-    local_bytes: usize,
-    entries: &[StackEntry],
-    stats: WarpStats,
-) -> Result<WarpStats, ExecError> {
-    let mut stack = std::mem::take(&mut bufs.stack);
-    stack.clear();
-    stack.extend_from_slice(entries);
-    let r = plan_warp_loop(
-        plan,
-        launch,
-        gmem,
-        pool,
-        bufs,
-        base,
-        local_bytes,
-        &mut stack,
-        stats,
-    );
-    bufs.stack = stack;
-    r
-}
-
-/// Execute `k` consecutive warps ("sub-groups") of a launch as one packed
-/// gang, pushing each warp's `(warp_id, result)` onto `out`.
-///
-/// While every live sub-group's control flow agrees — same block, uniform
-/// branch outcomes in the same direction — the gang walks the CFG once and
-/// executes each sub-group's block body with the *same* code the solo path
-/// uses ([`run_block_ops`] / [`try_wide_copy`]), against that sub-group's
-/// own registers, statistics, and budget. Warps are independent (the
-/// contract parallel warp workers already rely on), so running sub-group
-/// bodies back-to-back per block is indistinguishable from running the
-/// warps to completion one at a time: memory bytes, per-warp stats, and
-/// fault identity are bit-identical to the unpacked engine.
-///
-/// On the first disagreement — a divergent branch in any sub-group, mixed
-/// branch directions, or a wide copy that only some sub-groups can take —
-/// the gang splits and every live sub-group finishes solo from its exact
-/// split-point state. A sub-group fault records that warp's error and the
-/// rest continue, preserving lowest-faulting-warp error selection.
-#[allow(clippy::too_many_arguments)] // internal hot loop; grouping would cost indirection
-fn run_plan_gang(
-    plan: &ExecPlan,
-    launch: &LaunchConfig,
-    gmem: &SharedMem<'_>,
-    pool: &ConstPool,
-    leases: &mut [WarpLease],
-    first_warp: u32,
-    k: usize,
-    out: &mut Vec<(u32, Result<WarpStats, ExecError>)>,
-) {
-    debug_assert!((1..=4).contains(&k) && leases.len() >= k);
-    let num_regs = plan.num_regs() as usize;
-    let local_bytes = launch.local_bytes as usize;
-
-    let mut masks = [0u32; 4];
-    let mut bases = [0u32; 4];
-    let mut stats: [WarpStats; 4] = Default::default();
-    let mut done: [Option<Result<WarpStats, ExecError>>; 4] = [None, None, None, None];
-    let mut alive = [false; 4];
-
-    for sg in 0..k {
-        let base = (first_warp + sg as u32) * WARP_SIZE;
-        let count = WARP_SIZE.min(launch.lanes - base);
-        let bufs = leases[sg].bufs();
-        bufs.regs.clear();
-        bufs.regs.resize(num_regs * LANES, 0);
-        bufs.local.clear();
-        bufs.local.resize(local_bytes * LANES, 0);
-        bufs.shared.clear();
-        bufs.shared.resize(launch.shared_bytes as usize, 0);
-        masks[sg] = if count >= WARP_SIZE {
-            u32::MAX
-        } else {
-            (1u32 << count) - 1
-        };
-        bases[sg] = base;
-        alive[sg] = true;
-    }
-
-    let mut bb = plan.entry();
-    loop {
-        if !alive[..k].iter().any(|&a| a) {
-            break;
-        }
-        if bb == EXIT_BLOCK {
-            // Mirror of the solo base entry reaching its reconvergence
-            // point (`block == reconv == EXIT_BLOCK`): count the pop and
-            // finish cleanly.
-            for sg in 0..k {
-                if alive[sg] {
-                    stats[sg].divergence.reconvergences += 1;
-                    alive[sg] = false;
-                    done[sg] = Some(Ok(std::mem::take(&mut stats[sg])));
-                }
-            }
-            break;
-        }
-
-        if let Some(wc) = plan.wide_copy(bb) {
-            let mut applied = [false; 4];
-            let (mut napplied, mut nlive) = (0usize, 0usize);
-            for sg in 0..k {
-                if !alive[sg] {
-                    continue;
-                }
-                match try_wide_copy(
-                    wc,
-                    masks[sg],
-                    launch,
-                    gmem,
-                    pool,
-                    leases[sg].bufs(),
-                    &mut stats[sg],
-                ) {
-                    Ok(a) => {
-                        applied[sg] = a;
-                        nlive += 1;
-                        napplied += a as usize;
-                    }
-                    Err(e) => {
-                        alive[sg] = false;
-                        done[sg] = Some(Err(e));
-                    }
-                }
-            }
-            if nlive > 0 && napplied == nlive {
-                bb = wc.exit;
-                continue;
-            }
-            if napplied > 0 {
-                // Mixed eligibility: the fast sub-groups already sit at the
-                // loop exit, the rest must interpret the loop. Split.
-                for sg in 0..k {
-                    if !alive[sg] {
-                        continue;
-                    }
-                    let start = if applied[sg] { wc.exit } else { bb };
-                    let entries = [StackEntry {
-                        block: start,
-                        mask: masks[sg],
-                        reconv: EXIT_BLOCK,
-                    }];
-                    let r = run_sg_solo(
-                        plan,
-                        launch,
-                        gmem,
-                        pool,
-                        leases[sg].bufs(),
-                        bases[sg],
-                        local_bytes,
-                        &entries,
-                        std::mem::take(&mut stats[sg]),
-                    );
-                    alive[sg] = false;
-                    done[sg] = Some(r);
-                }
-                break;
-            }
-            // No sub-group qualified: interpret the block fused, below.
-        }
-
-        let block = *plan.block(bb);
-        for sg in 0..k {
-            if !alive[sg] {
-                continue;
-            }
-            if let Err(e) = run_block_ops(
-                plan,
-                &block,
-                masks[sg],
-                bases[sg],
-                local_bytes,
-                launch,
-                gmem,
-                pool,
-                leases[sg].bufs(),
-                &mut stats[sg],
-            ) {
-                alive[sg] = false;
-                done[sg] = Some(Err(e));
-            }
-        }
-
-        match block.term {
-            DecodedTerm::Jmp(t) => {
-                bb = t;
-            }
-            DecodedTerm::Halt => {
-                // Fused masks are the full warp, so Halt retires every
-                // live sub-group (solo: mask drains, stack pops, Ok).
-                for sg in 0..k {
-                    if alive[sg] {
-                        alive[sg] = false;
-                        done[sg] = Some(Ok(std::mem::take(&mut stats[sg])));
-                    }
-                }
-                break;
-            }
-            DecodedTerm::Br {
-                cond,
-                then_bb,
-                else_bb,
-                reconv,
-            } => {
-                // Per-sub-group branch outcome from its own registers.
-                let mut dirs = [(0u32, 0u32); 4];
-                for sg in 0..k {
-                    if !alive[sg] {
-                        continue;
-                    }
-                    stats[sg].divergence.branches += 1;
-                    let bufs = leases[sg].bufs();
-                    let mut mask_t = 0u32;
-                    let c = &bufs.regs[cond as usize..cond as usize + LANES];
-                    for (lane, &v) in c.iter().enumerate() {
-                        mask_t |= ((v != 0) as u32) << lane;
-                    }
-                    mask_t &= masks[sg];
-                    dirs[sg] = (mask_t, masks[sg] & !mask_t);
-                }
-
-                // Stay fused only when every live sub-group is uniform and
-                // they all take the same direction.
-                let mut common: Option<u32> = None;
-                let mut fused_ok = true;
-                for sg in 0..k {
-                    if !alive[sg] {
-                        continue;
-                    }
-                    let (t, f) = dirs[sg];
-                    let dir = if f == 0 {
-                        Some(then_bb)
-                    } else if t == 0 {
-                        Some(else_bb)
-                    } else {
-                        None
-                    };
-                    match (dir, common) {
-                        (None, _) => fused_ok = false,
-                        (Some(d), None) => common = Some(d),
-                        (Some(d), Some(c0)) if d == c0 => {}
-                        _ => fused_ok = false,
-                    }
-                }
-                if fused_ok {
-                    match common {
-                        Some(d) => bb = d,
-                        None => break, // no live sub-groups remain
-                    }
-                    continue;
-                }
-
-                // Split: seed each live sub-group's stack exactly as the
-                // solo Br handler would have left it, then finish solo.
-                for sg in 0..k {
-                    if !alive[sg] {
-                        continue;
-                    }
-                    let (mask_t, mask_f) = dirs[sg];
-                    let mut entries = [StackEntry {
-                        block: 0,
-                        mask: 0,
-                        reconv: 0,
-                    }; 3];
-                    let ne;
-                    if mask_f == 0 {
-                        entries[0] = StackEntry {
-                            block: then_bb,
-                            mask: masks[sg],
-                            reconv: EXIT_BLOCK,
-                        };
-                        ne = 1;
-                    } else if mask_t == 0 {
-                        entries[0] = StackEntry {
-                            block: else_bb,
-                            mask: masks[sg],
-                            reconv: EXIT_BLOCK,
-                        };
-                        ne = 1;
-                    } else {
-                        stats[sg].divergence.divergent_branches += 1;
-                        entries[0] = StackEntry {
-                            block: reconv,
-                            mask: masks[sg],
-                            reconv: EXIT_BLOCK,
-                        };
-                        let mut d = 1;
-                        if else_bb != reconv {
-                            entries[d] = StackEntry {
-                                block: else_bb,
-                                mask: mask_f,
-                                reconv,
-                            };
-                            d += 1;
-                        }
-                        if then_bb != reconv {
-                            entries[d] = StackEntry {
-                                block: then_bb,
-                                mask: mask_t,
-                                reconv,
-                            };
-                            d += 1;
-                        }
-                        ne = d;
-                        stats[sg].divergence.max_stack_depth =
-                            stats[sg].divergence.max_stack_depth.max(ne as u32);
-                    }
-                    let r = run_sg_solo(
-                        plan,
-                        launch,
-                        gmem,
-                        pool,
-                        leases[sg].bufs(),
-                        bases[sg],
-                        local_bytes,
-                        &entries[..ne],
-                        std::mem::take(&mut stats[sg]),
-                    );
-                    alive[sg] = false;
-                    done[sg] = Some(r);
-                }
-                break;
-            }
-        }
-    }
-
-    for (sg, slot) in done.iter_mut().enumerate().take(k) {
-        let r = slot.take().expect("gang sub-group left unresolved");
-        out.push((first_warp + sg as u32, r));
-    }
 }
 
 /// Copy a register's 32 lanes into a stack array — one bounds check, and a
@@ -2008,7 +1461,7 @@ fn exec_decoded(
 /// Charge memory-system cost for one warp access. `segs` is reusable
 /// scratch; both engines route through this one implementation so the cost
 /// model cannot drift between them.
-fn charge_access(
+pub(super) fn charge_access(
     space: MemSpace,
     width: Width,
     addrs: &[(u32, u32)],
@@ -2061,419 +1514,6 @@ fn charge_access(
             // Bank conflicts are not modelled.
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Legacy engine (differential oracle / benchmark baseline).
-// ---------------------------------------------------------------------------
-
-/// Reusable per-warp execution state of the legacy engine (lane-major
-/// register file, local/shared memory).
-struct WarpState {
-    /// Flat register file: `regs[lane * num_regs + r]`.
-    regs: Vec<u32>,
-    /// Flat per-lane local memory: `local[lane * local_bytes ..]`.
-    local: Vec<u8>,
-    /// Per-warp shared memory.
-    shared: Vec<u8>,
-    num_regs: usize,
-    local_bytes: usize,
-    base: u32,
-    count: u32,
-    /// Scratch for gathering lane addresses on memory ops.
-    addrs: Vec<(u32, u32)>,
-    /// Scratch for segment ids and sorted-address dedup.
-    segs: Vec<u32>,
-}
-
-impl WarpState {
-    fn new(program: &Program, cfg: &LaunchConfig) -> Self {
-        let num_regs = program.num_regs() as usize;
-        WarpState {
-            regs: vec![0; num_regs * LANES],
-            local: vec![0; cfg.local_bytes as usize * LANES],
-            shared: vec![0; cfg.shared_bytes as usize],
-            num_regs,
-            local_bytes: cfg.local_bytes as usize,
-            base: 0,
-            count: 0,
-            addrs: Vec::with_capacity(LANES),
-            segs: Vec::with_capacity(LANES * 2),
-        }
-    }
-
-    fn reset(&mut self, base: u32, count: u32) {
-        self.base = base;
-        self.count = count;
-        self.regs.fill(0);
-        self.local.fill(0);
-        self.shared.fill(0);
-    }
-
-    #[inline]
-    fn reg(&self, lane: u32, r: Reg) -> u32 {
-        self.regs[lane as usize * self.num_regs + r.0 as usize]
-    }
-
-    #[inline]
-    fn set_reg(&mut self, lane: u32, r: Reg, v: u32) {
-        self.regs[lane as usize * self.num_regs + r.0 as usize] = v;
-    }
-
-    fn full_mask(&self) -> u32 {
-        if self.count >= 32 {
-            u32::MAX
-        } else {
-            (1u32 << self.count) - 1
-        }
-    }
-
-    fn run(
-        &mut self,
-        program: &Program,
-        cfg: &CfgInfo,
-        launch: &LaunchConfig,
-        gmem: &SharedMem<'_>,
-        pool: &ConstPool,
-    ) -> Result<WarpStats, ExecError> {
-        let mut stats = WarpStats::default();
-        let mut stack: Vec<StackEntry> = vec![StackEntry {
-            block: program.entry(),
-            mask: self.full_mask(),
-            reconv: EXIT_BLOCK,
-        }];
-        let mut halted: u32 = 0;
-
-        while let Some(top) = stack.last_mut() {
-            top.mask &= !halted;
-            if top.mask == 0 {
-                stack.pop();
-                continue;
-            }
-            if top.block == top.reconv {
-                stats.divergence.reconvergences += 1;
-                stack.pop();
-                continue;
-            }
-            if top.block == EXIT_BLOCK {
-                return Err(ExecError::Reconvergence(
-                    "union entry surfaced at exit with live lanes",
-                ));
-            }
-            let mask = top.mask;
-            let cur = top.block;
-            let block = program.block(cur);
-
-            for op in &block.ops {
-                stats.warp_instructions += 1;
-                stats.lane_instructions += mask.count_ones() as u64;
-                stats.warp_cycles += 1;
-                if stats.warp_instructions > launch.max_instructions {
-                    return Err(ExecError::Budget {
-                        executed: stats.warp_instructions,
-                    });
-                }
-                self.exec_op(op, mask, launch, gmem, pool, &mut stats)?;
-            }
-
-            // Terminator: also one issue.
-            stats.warp_instructions += 1;
-            stats.lane_instructions += mask.count_ones() as u64;
-            stats.warp_cycles += 1;
-
-            match block.term {
-                Terminator::Jmp(t) => {
-                    let top = stack.last_mut().expect("stack nonempty");
-                    top.block = t;
-                }
-                Terminator::Halt => {
-                    halted |= mask;
-                }
-                Terminator::Br {
-                    cond,
-                    then_bb,
-                    else_bb,
-                } => {
-                    stats.divergence.branches += 1;
-                    let mut mask_t = 0u32;
-                    for lane in iter_lanes(mask) {
-                        if self.reg(lane, cond) != 0 {
-                            mask_t |= 1 << lane;
-                        }
-                    }
-                    let mask_f = mask & !mask_t;
-                    let top = stack.last_mut().expect("stack nonempty");
-                    if mask_f == 0 {
-                        top.block = then_bb;
-                    } else if mask_t == 0 {
-                        top.block = else_bb;
-                    } else {
-                        stats.divergence.divergent_branches += 1;
-                        let r = cfg.ipdom(cur);
-                        top.block = r;
-                        if else_bb != r {
-                            stack.push(StackEntry {
-                                block: else_bb,
-                                mask: mask_f,
-                                reconv: r,
-                            });
-                        }
-                        if then_bb != r {
-                            stack.push(StackEntry {
-                                block: then_bb,
-                                mask: mask_t,
-                                reconv: r,
-                            });
-                        }
-                        stats.divergence.max_stack_depth =
-                            stats.divergence.max_stack_depth.max(stack.len() as u32);
-                    }
-                }
-            }
-        }
-        Ok(stats)
-    }
-
-    fn exec_op(
-        &mut self,
-        op: &Op,
-        mask: u32,
-        launch: &LaunchConfig,
-        gmem: &SharedMem<'_>,
-        pool: &ConstPool,
-        stats: &mut WarpStats,
-    ) -> Result<(), ExecError> {
-        match *op {
-            Op::Imm { dst, value } => {
-                for lane in iter_lanes(mask) {
-                    self.set_reg(lane, dst, value);
-                }
-            }
-            Op::Mov { dst, src } => {
-                for lane in iter_lanes(mask) {
-                    let v = self.reg(lane, src);
-                    self.set_reg(lane, dst, v);
-                }
-            }
-            Op::Bin { op, dst, a, b } => {
-                for lane in iter_lanes(mask) {
-                    let v = op.eval(self.reg(lane, a), self.reg(lane, b));
-                    self.set_reg(lane, dst, v);
-                }
-            }
-            Op::Un { op, dst, a } => {
-                for lane in iter_lanes(mask) {
-                    let v = op.eval(self.reg(lane, a));
-                    self.set_reg(lane, dst, v);
-                }
-            }
-            Op::LaneId { dst } => {
-                for lane in iter_lanes(mask) {
-                    self.set_reg(lane, dst, lane);
-                }
-            }
-            Op::GlobalId { dst } => {
-                for lane in iter_lanes(mask) {
-                    self.set_reg(lane, dst, self.base + lane);
-                }
-            }
-            Op::Param { dst, index } => {
-                let v = launch
-                    .params
-                    .get(index as usize)
-                    .copied()
-                    .ok_or(ExecError::MissingParam { index })?;
-                for lane in iter_lanes(mask) {
-                    self.set_reg(lane, dst, v);
-                }
-            }
-            Op::Ld {
-                width,
-                space,
-                dst,
-                addr,
-                offset,
-            } => {
-                self.addrs.clear();
-                for lane in iter_lanes(mask) {
-                    let a = self.reg(lane, addr).wrapping_add(offset);
-                    self.addrs.push((lane, a));
-                }
-                let addrs = std::mem::take(&mut self.addrs);
-                for &(lane, a) in &addrs {
-                    let lo = lane as usize * self.local_bytes;
-                    let v = warp_load(
-                        space,
-                        width,
-                        a,
-                        &self.local[lo..lo + self.local_bytes],
-                        &self.shared,
-                        gmem,
-                        pool,
-                    )?;
-                    self.set_reg(lane, dst, v);
-                }
-                charge_access(space, width, &addrs, launch, &mut self.segs, stats);
-                self.addrs = addrs;
-            }
-            Op::St {
-                width,
-                space,
-                src,
-                addr,
-                offset,
-            } => {
-                self.addrs.clear();
-                for lane in iter_lanes(mask) {
-                    let a = self.reg(lane, addr).wrapping_add(offset);
-                    self.addrs.push((lane, a));
-                }
-                let addrs = std::mem::take(&mut self.addrs);
-                for &(lane, a) in &addrs {
-                    let v = self.reg(lane, src);
-                    let lo = lane as usize * self.local_bytes;
-                    warp_store(
-                        space,
-                        width,
-                        a,
-                        v,
-                        &mut self.local[lo..lo + self.local_bytes],
-                        &mut self.shared,
-                        gmem,
-                    )?;
-                }
-                charge_access(space, width, &addrs, launch, &mut self.segs, stats);
-                self.addrs = addrs;
-            }
-            Op::WarpRedMax { dst, src } => {
-                // Butterfly reduction over active lanes: log2(32) = 5 steps
-                // through shared memory.
-                let mut m = 0u32;
-                for lane in iter_lanes(mask) {
-                    m = m.max(self.reg(lane, src));
-                }
-                for lane in iter_lanes(mask) {
-                    self.set_reg(lane, dst, m);
-                }
-                // 5 extra warp issues beyond the one already charged.
-                stats.warp_instructions += 4;
-                stats.lane_instructions += 4 * mask.count_ones() as u64;
-                stats.warp_cycles += 4;
-            }
-            Op::AtomicAdd {
-                dst,
-                space,
-                addr,
-                offset,
-                src,
-            } => {
-                self.addrs.clear();
-                for lane in iter_lanes(mask) {
-                    let a = self.reg(lane, addr).wrapping_add(offset);
-                    self.addrs.push((lane, a));
-                }
-                let addrs = std::mem::take(&mut self.addrs);
-                // Lanes are serviced in lane order; same-address lanes
-                // serialize (each sees the previous lane's update). Global
-                // adds go through the shared view's locked RMW so
-                // cross-warp atomics never lose updates under concurrent
-                // warp workers.
-                for &(lane, a) in &addrs {
-                    let add = self.reg(lane, src);
-                    let old = if space == MemSpace::Global {
-                        gmem.atomic_add_word(a, add)?
-                    } else {
-                        let lo = lane as usize * self.local_bytes;
-                        let old = warp_load(
-                            space,
-                            Width::Word,
-                            a,
-                            &self.local[lo..lo + self.local_bytes],
-                            &self.shared,
-                            gmem,
-                            pool,
-                        )?;
-                        warp_store(
-                            space,
-                            Width::Word,
-                            a,
-                            old.wrapping_add(add),
-                            &mut self.local[lo..lo + self.local_bytes],
-                            &mut self.shared,
-                            gmem,
-                        )?;
-                        old
-                    };
-                    self.set_reg(lane, dst, old);
-                }
-                // Cost: transactions as a word access plus serialization of
-                // duplicate addresses.
-                charge_access(space, Width::Word, &addrs, launch, &mut self.segs, stats);
-                self.segs.clear();
-                self.segs.extend(addrs.iter().map(|&(_, a)| a));
-                self.segs.sort_unstable();
-                let distinct = count_distinct(&self.segs);
-                let dups = addrs.len() as u64 - distinct as u64;
-                stats.atomic_serializations += dups;
-                stats.warp_cycles += dups;
-                self.addrs = addrs;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Lane load used by the legacy engine: identical to the scalar path but
-/// global memory goes through the concurrent [`SharedMem`] view.
-fn warp_load(
-    space: MemSpace,
-    width: Width,
-    addr: u32,
-    local: &[u8],
-    shared: &[u8],
-    gmem: &SharedMem<'_>,
-    pool: &ConstPool,
-) -> Result<u32, ExecError> {
-    let out = match space {
-        MemSpace::Global => match width {
-            Width::Byte => gmem.read_byte(addr)?,
-            Width::Word => gmem.read_word(addr)?,
-        },
-        MemSpace::Const => match width {
-            Width::Byte => pool.read_byte(addr)?,
-            Width::Word => pool.read_word(addr)?,
-        },
-        MemSpace::Local => read_buf(local, MemSpace::Local, width, addr)?,
-        MemSpace::Shared => read_buf(shared, MemSpace::Shared, width, addr)?,
-    };
-    Ok(out)
-}
-
-/// Lane store counterpart of [`warp_load`].
-fn warp_store(
-    space: MemSpace,
-    width: Width,
-    addr: u32,
-    value: u32,
-    local: &mut [u8],
-    shared: &mut [u8],
-    gmem: &SharedMem<'_>,
-) -> Result<(), ExecError> {
-    match space {
-        MemSpace::Global => match width {
-            Width::Byte => gmem.write_byte(addr, value)?,
-            Width::Word => gmem.write_word(addr, value)?,
-        },
-        MemSpace::Const => {
-            return Err(MemError::ReadOnly {
-                space: MemSpace::Const,
-            }
-            .into())
-        }
-        MemSpace::Local => write_buf(local, MemSpace::Local, width, addr, value)?,
-        MemSpace::Shared => write_buf(shared, MemSpace::Shared, width, addr, value)?,
-    }
-    Ok(())
 }
 
 /// Distinct `(transactions, sectors)` one warp access to global memory
@@ -2617,7 +1657,7 @@ fn distinct_sorted_by(
     segs.len() as u64
 }
 
-fn count_distinct(sorted: &[u32]) -> usize {
+pub(super) fn count_distinct(sorted: &[u32]) -> usize {
     let mut n = 0;
     let mut last = None;
     for &a in sorted {
@@ -2630,7 +1670,7 @@ fn count_distinct(sorted: &[u32]) -> usize {
 }
 
 /// Iterate over set lane bits.
-fn iter_lanes(mask: u32) -> impl Iterator<Item = u32> {
+pub(super) fn iter_lanes(mask: u32) -> impl Iterator<Item = u32> {
     let mut m = mask;
     std::iter::from_fn(move || {
         if m == 0 {
@@ -2645,6 +1685,7 @@ fn iter_lanes(mask: u32) -> impl Iterator<Item = u32> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::legacy::execute_simt_legacy_workers;
     use super::*;
     use crate::ir::{BinOp, ProgramBuilder};
 
@@ -3179,157 +2220,6 @@ mod tests {
         assert_eq!(mem_plan.as_bytes(), mem_legacy.as_bytes());
     }
 
-    /// Sub-warp packing must be invisible: for a kernel mixing a uniform
-    /// (fused) loop, a divergent (split) loop, reductions, and a partial
-    /// last warp, every pack width times every worker count produces the
-    /// unpacked result bit-for-bit, and tracing still records one span per
-    /// warp.
-    #[test]
-    fn gang_packing_bit_identical() {
-        use rhythm_obs::TraceRecorder;
-        let mut b = ProgramBuilder::new("gang_eq");
-        let g = b.global_id();
-        let trips = b.param(0);
-        let acc = b.imm(0);
-        // Uniform loop: every sub-group branches the same way → stays fused.
-        b.for_loop(trips, |b, i| {
-            b.bin_into(acc, BinOp::Add, acc, i);
-        });
-        // Data-dependent loop: sub-groups diverge → gang splits.
-        let three = b.imm(3);
-        let n = b.bin(BinOp::RemU, g, three);
-        b.for_loop(n, |b, i| {
-            b.bin_into(acc, BinOp::Add, acc, i);
-        });
-        let m = b.warp_red_max(acc);
-        let merged = b.bin(BinOp::Xor, acc, m);
-        let four = b.imm(4);
-        let addr = b.bin(BinOp::Mul, g, four);
-        b.st_global_word(addr, 0, merged);
-        b.halt();
-        let p = b.build().unwrap();
-
-        let lanes = 300u32; // 10 warps: gangs of 4,4,2 with a partial warp
-        let pool = ConstPool::new();
-        let base_cfg = LaunchConfig::new(lanes, [5]);
-        let mut mem_base = DeviceMemory::new(lanes as usize * 4);
-        let base = execute_simt_workers(&p, &base_cfg, &mut mem_base, &pool, 1).unwrap();
-
-        for pack in [2u32, 4] {
-            for workers in [1usize, 2, 4] {
-                let mut cfg = base_cfg.clone();
-                cfg.pack = pack;
-                let rec = TraceRecorder::new();
-                let mut mem = DeviceMemory::new(lanes as usize * 4);
-                let packed =
-                    execute_simt_workers_traced(&p, &cfg, &mut mem, &pool, workers, &rec).unwrap();
-                assert_eq!(
-                    packed, base,
-                    "stats diverge at pack={pack} workers={workers}"
-                );
-                assert_eq!(
-                    mem.as_bytes(),
-                    mem_base.as_bytes(),
-                    "memory diverges at pack={pack} workers={workers}"
-                );
-                let spans = rec
-                    .events()
-                    .iter()
-                    .filter(|e| e.track.starts_with("simt:w") && e.name.contains("gang_eq warp"))
-                    .count();
-                assert_eq!(spans, 10, "one span per warp at pack={pack}");
-            }
-        }
-    }
-
-    /// Packing composes with the wide-copy fast path: a packed cohort of
-    /// template copies stays fused through the copy and matches unpacked
-    /// output exactly.
-    #[test]
-    fn gang_packing_with_wide_copy_bit_identical() {
-        for (lane_stride, elem_stride) in [(1u32, 64u32), (64, 1)] {
-            let mut pool = ConstPool::new();
-            let p = const_copy_kernel(&mut pool, lane_stride, elem_stride);
-            let lanes = 200u32;
-            let base_cfg = LaunchConfig::new(lanes, []);
-            let size = 64 * lanes as usize;
-            let mut mem_base = DeviceMemory::new(size);
-            let base = execute_simt_workers(&p, &base_cfg, &mut mem_base, &pool, 1).unwrap();
-            for pack in [2u32, 4] {
-                let mut cfg = base_cfg.clone();
-                cfg.pack = pack;
-                let mut mem = DeviceMemory::new(size);
-                let packed = execute_simt_workers(&p, &cfg, &mut mem, &pool, 2).unwrap();
-                assert_eq!(packed, base, "stats diverge at pack={pack}");
-                assert_eq!(mem.as_bytes(), mem_base.as_bytes());
-            }
-        }
-    }
-
-    /// Kernels with atomics clamp to pack 1 via the plan's static profile
-    /// (`pack_max`): requesting pack 4 must still give the unpacked result,
-    /// because cross-warp atomic ordering is the one thing packing could
-    /// legally reorder.
-    #[test]
-    fn gang_packing_respects_atomic_profile() {
-        let mut b = ProgramBuilder::new("gang_atomic");
-        let g = b.global_id();
-        let one = b.imm(1);
-        let zero = b.imm(0);
-        let old = b.atomic_add(MemSpace::Global, zero, 0, one);
-        let four = b.imm(4);
-        let addr = b.bin(BinOp::Mul, g, four);
-        b.st_global_word(addr, 4, old);
-        b.halt();
-        let p = b.build().unwrap();
-        assert_eq!(ExecPlan::build(&p).pack_max(), 1);
-
-        let lanes = 128u32;
-        let pool = ConstPool::new();
-        let size = 8 + lanes as usize * 4;
-        let base_cfg = LaunchConfig::new(lanes, []);
-        let mut mem_base = DeviceMemory::new(size);
-        let base = execute_simt_workers(&p, &base_cfg, &mut mem_base, &pool, 1).unwrap();
-        let mut cfg = base_cfg;
-        cfg.pack = 4;
-        let mut mem = DeviceMemory::new(size);
-        let packed = execute_simt_workers(&p, &cfg, &mut mem, &pool, 1).unwrap();
-        assert_eq!(packed, base);
-        assert_eq!(mem.as_bytes(), mem_base.as_bytes());
-    }
-
-    /// Faults under packing: the gang keeps running the remaining
-    /// sub-groups after one faults, so the launch still reports the
-    /// lowest-numbered faulting warp at every pack and worker count.
-    #[test]
-    fn gang_fault_identity() {
-        let mut b = ProgramBuilder::new("gang_oob");
-        let g = b.global_id();
-        let four = b.imm(4);
-        let addr = b.bin(BinOp::Mul, g, four);
-        b.st_global_word(addr, 0, g);
-        b.halt();
-        let p = b.build().unwrap();
-
-        // Room for warp 0 only: warps 1.. fault, warp 1 must win.
-        let base_cfg = LaunchConfig::new(256, []);
-        let pool = ConstPool::new();
-        let mut mem1 = DeviceMemory::new(32 * 4);
-        let serial = execute_simt_workers(&p, &base_cfg, &mut mem1, &pool, 1).unwrap_err();
-        for pack in [2u32, 4] {
-            for workers in [1usize, 2] {
-                let mut cfg = base_cfg.clone();
-                cfg.pack = pack;
-                let mut mem = DeviceMemory::new(32 * 4);
-                let err = execute_simt_workers(&p, &cfg, &mut mem, &pool, workers).unwrap_err();
-                assert_eq!(
-                    err, serial,
-                    "error differs at pack={pack} workers={workers}"
-                );
-            }
-        }
-    }
-
     /// The sorted fallback of [`global_access_counts`] sorts sector ids once
     /// and reads the transaction count off the same sorted run. On random
     /// scattered accesses of both widths — word accesses straddling sector
@@ -3375,13 +2265,12 @@ mod tests {
     }
 
     /// Regression (cost-model audit): `fused_segment_counts`'s sort-free
-    /// fast path must refuse interleaved per-request ascending runs — the
-    /// shape a naively flattened packed address stream would have. Each
+    /// fast path must refuse interleaved per-request ascending runs. Each
     /// run is ascending but the interleaving is not globally ascending, so
     /// the fused path must return `None` and the sorted fallback must
     /// produce the true distinct-segment counts.
     #[test]
-    fn charge_access_interleaved_packed_streams_use_sorted_path() {
+    fn charge_access_interleaved_streams_use_sorted_path() {
         // Two interleaved ascending runs (requests at 0.. and 4096..), as
         // lane-major (lane, addr) pairs.
         let mut addrs: Vec<(u32, u32)> = Vec::new();

@@ -18,7 +18,7 @@ use std::sync::{Arc, OnceLock};
 use rhythm_obs::{ArgValue, Clock, NoopRecorder, Recorder};
 use serde::{Deserialize, Serialize};
 
-use crate::exec::plan::{plan_cache_stats, plan_for, ExecPlan};
+use crate::exec::plan::{plan_cache_stats, plan_for};
 use crate::exec::simt::{
     auto_worker_count, execute_plan_workers_traced, resolve_workers, warp_arena_stats,
 };
@@ -79,13 +79,6 @@ pub struct GpuConfig {
     /// `0` = one per available core (asked of the OS once per [`Gpu`], and
     /// never by a launch of a single warp), `1` = serial execution.
     pub workers: u32,
-    /// Device-side cap on sub-warp request packing (see
-    /// [`LaunchConfig::pack`]): every launch's requested pack width is
-    /// clamped to this value, so a device configured with `pack: 1` runs
-    /// fully unpacked regardless of what callers ask for. Results are
-    /// bit-identical at every width; this is a host-simulation throughput
-    /// knob, like `workers`.
-    pub pack: u32,
     /// Strict footprint-sanitizer policy: when `true`, every launch must
     /// carry a claimed static footprint ([`LaunchConfig::sanitize`]) or it
     /// is rejected before any lane runs. The device cannot compute
@@ -116,7 +109,6 @@ impl GpuConfig {
             memory_bytes: 6 * (1 << 30),
             hw_queues: 32,
             workers: 0,
-            pack: 4,
             sanitize: false,
         }
     }
@@ -136,7 +128,6 @@ impl GpuConfig {
             memory_bytes: 2 * (1 << 30),
             hw_queues: 1,
             workers: 0,
-            pack: 4,
             sanitize: false,
         }
     }
@@ -144,12 +135,6 @@ impl GpuConfig {
     /// Same configuration with the warp-execution worker count replaced.
     pub fn with_workers(mut self, workers: u32) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Same configuration with the sub-warp packing cap replaced.
-    pub fn with_pack(mut self, pack: u32) -> Self {
-        self.pack = pack;
         self
     }
 
@@ -195,7 +180,6 @@ pub struct LaunchResult {
 pub struct Gpu {
     config: GpuConfig,
     gate: Option<Arc<dyn LaunchGate>>,
-    plan_cache: bool,
     /// What `workers: 0` ("one per core") means on this host: asked of the
     /// OS by the first launch that has more than one unit of work, kept
     /// for every later one. [`GpuConfig::workers`] keeps reporting `0`.
@@ -207,19 +191,16 @@ impl fmt::Debug for Gpu {
         f.debug_struct("Gpu")
             .field("config", &self.config)
             .field("gate", &self.gate.as_ref().map(|_| "<LaunchGate>"))
-            .field("plan_cache", &self.plan_cache)
             .finish()
     }
 }
 
 impl Gpu {
-    /// Create a device from its configuration, with no launch gate and the
-    /// decode-plan cache enabled.
+    /// Create a device from its configuration, with no launch gate.
     pub fn new(config: GpuConfig) -> Self {
         Gpu {
             config,
             gate: None,
-            plan_cache: true,
             auto_workers: OnceLock::new(),
         }
     }
@@ -240,21 +221,6 @@ impl Gpu {
     /// The installed launch gate, if any.
     pub fn gate(&self) -> Option<&Arc<dyn LaunchGate>> {
         self.gate.as_ref()
-    }
-
-    /// Same device with the decode-plan cache toggled. With the cache off
-    /// every launch re-decodes the program into a fresh [`ExecPlan`] —
-    /// useful for isolating decode cost in benchmarks; production paths
-    /// keep it on (the default) so repeated launches of a kernel skip
-    /// decode and CFG analysis.
-    pub fn with_plan_cache(mut self, on: bool) -> Self {
-        self.plan_cache = on;
-        self
-    }
-
-    /// Whether launches consult the process-wide decode-plan cache.
-    pub fn plan_cache(&self) -> bool {
-        self.plan_cache
     }
 
     /// Host threads this device runs `units` independent units of work
@@ -312,9 +278,6 @@ impl Gpu {
     ) -> Result<LaunchResult, ExecError> {
         let mut cfg = cfg.clone();
         cfg.tx_bytes = self.config.tx_bytes;
-        // The device caps (never raises) the launch's requested pack
-        // width; the executor further clamps to the plan's static profile.
-        cfg.pack = cfg.pack.min(self.config.pack.max(1));
         if self.config.sanitize && cfg.sanitize.is_none() {
             return Err(ExecError::Rejected(GateRejection {
                 rule: "sanitize-missing-footprint".into(),
@@ -335,19 +298,12 @@ impl Gpu {
         } else {
             0.0
         };
-        // Cached: fetch (or build once) the decoded plan by program
-        // fingerprint. Uncached: decode fresh without touching the
-        // process-wide cache or its counters.
-        let plan = if self.plan_cache {
-            plan_for(program)
-        } else {
-            Arc::new(ExecPlan::build(program))
-        };
-        // A plan with a global atomic (`pack_max() == 1`) is one unit:
-        // its warps run in order on one worker, so what a cross-warp
-        // `AtomicAdd` observes never depends on the host's scheduling.
+        let plan = plan_for(program);
+        // A plan with an atomic is one unit: its warps run in order on one
+        // worker, so what a cross-warp `AtomicAdd` observes never depends
+        // on the host's scheduling.
         let warps = cfg.warps() as usize;
-        let units = if plan.pack_max() == 1 { 1 } else { warps };
+        let units = if plan.has_atomics() { 1 } else { warps };
         let workers = self.worker_count(self.config.workers as usize, units);
         let stats = execute_plan_workers_traced(&plan, &cfg, mem, pool, workers, rec)?;
         let result = self.time(stats);
@@ -578,52 +534,6 @@ mod tests {
         assert_eq!(mem.as_bytes()[0], 0);
         // Debug formatting does not try to print the gate itself.
         assert!(format!("{gpu:?}").contains("LaunchGate"));
-    }
-
-    /// Packed launches through the device produce bit-identical results to
-    /// unpacked ones, and the device cap clamps a launch's request.
-    #[test]
-    fn launch_identical_across_pack_widths() {
-        assert_eq!(GpuConfig::gtx_titan().pack, 4);
-        let mut b = ProgramBuilder::new("packed");
-        let g = b.global_id();
-        let three = b.imm(3);
-        let n = b.bin(BinOp::RemU, g, three);
-        let acc = b.imm(0);
-        b.for_loop(n, |b, i| {
-            b.bin_into(acc, BinOp::Add, acc, i);
-        });
-        let four = b.imm(4);
-        let addr = b.bin(BinOp::Mul, g, four);
-        b.st_global_word(addr, 0, acc);
-        b.halt();
-        let p = b.build().unwrap();
-        let pool = ConstPool::new();
-
-        let run = |device_pack: u32, launch_pack: u32| {
-            let gpu = Gpu::new(
-                GpuConfig::gtx_titan()
-                    .with_workers(1)
-                    .with_pack(device_pack),
-            );
-            let mut mem = DeviceMemory::new(256 * 4);
-            let mut cfg = LaunchConfig::new(256, []);
-            cfg.pack = launch_pack;
-            let res = gpu.launch(&p, &cfg, &mut mem, &pool).unwrap();
-            (res, mem)
-        };
-        let (r1, m1) = run(1, 1);
-        for (dp, lp) in [(4, 4), (4, 2), (1, 4), (2, 4)] {
-            let (rn, mn) = run(dp, lp);
-            assert_eq!(
-                rn, r1,
-                "result differs at device pack {dp}, launch pack {lp}"
-            );
-            assert_eq!(
-                mn, m1,
-                "memory differs at device pack {dp}, launch pack {lp}"
-            );
-        }
     }
 
     #[test]

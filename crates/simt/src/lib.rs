@@ -64,10 +64,10 @@ pub mod stats;
 pub mod streams;
 pub mod transpose;
 
+pub use exec::legacy::execute_simt_legacy_workers;
 pub use exec::plan::{plan_cache_stats, plan_for, ExecPlan};
 pub use exec::simt::{
-    auto_worker_resolutions, execute_plan_workers_traced, execute_simt_legacy_workers,
-    warp_arena_stats, wide_copy_stats,
+    auto_worker_resolutions, execute_plan_workers_traced, warp_arena_stats, wide_copy_stats,
 };
 pub use exec::{AccessKind, ExecError, FootprintSpec, GateRejection, LaunchConfig, WARP_SIZE};
 pub use gpu::{Gpu, GpuConfig, LaunchGate, LaunchResult};

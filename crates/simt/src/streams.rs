@@ -190,8 +190,8 @@ pub fn execute_streams(
 }
 
 /// [`execute_streams`] against a caller-prepared [`Gpu`] (keeping its
-/// verification gate, plan cache, and worker configuration), with
-/// per-stream outcomes instead of a collapsed first error.
+/// verification gate and worker configuration), with per-stream outcomes
+/// instead of a collapsed first error.
 ///
 /// Results come back in the input order of `streams`; a faulting stream
 /// yields `Err` in its own slot and never perturbs the other streams.

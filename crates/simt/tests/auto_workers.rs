@@ -25,28 +25,26 @@ fn one_warp_launches_never_resolve_and_a_device_resolves_once() {
         assert_eq!(mem.as_bytes()[lanes as usize - 1], lanes as u8 - 1);
     };
 
-    for pack in [1, 4] {
-        let config = GpuConfig::gtx_titan().with_pack(pack);
-        assert_eq!(config.workers, 0, "the default is one worker per core");
-        let gpu = Gpu::new(config);
+    let config = GpuConfig::gtx_titan();
+    assert_eq!(config.workers, 0, "the default is one worker per core");
+    let gpu = Gpu::new(config);
 
-        let before = auto_worker_resolutions();
-        for lanes in [1, 5, 32] {
-            launch(&gpu, lanes);
-        }
-        assert_eq!(
-            auto_worker_resolutions(),
-            before,
-            "pack {pack}: a one-warp launch asked for the core count"
-        );
-
-        launch(&gpu, 64);
-        launch(&gpu, 64);
-        launch(&gpu.clone(), 64);
-        assert!(
-            auto_worker_resolutions() - before <= 1,
-            "pack {pack}: one device resolved its worker count more than once"
-        );
-        assert_eq!(gpu.config().workers, 0, "the config still says automatic");
+    let before = auto_worker_resolutions();
+    for lanes in [1, 5, 32] {
+        launch(&gpu, lanes);
     }
+    assert_eq!(
+        auto_worker_resolutions(),
+        before,
+        "a one-warp launch asked for the core count"
+    );
+
+    launch(&gpu, 64);
+    launch(&gpu, 64);
+    launch(&gpu.clone(), 64);
+    assert!(
+        auto_worker_resolutions() - before <= 1,
+        "one device resolved its worker count more than once"
+    );
+    assert_eq!(gpu.config().workers, 0, "the config still says automatic");
 }

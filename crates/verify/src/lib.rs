@@ -53,7 +53,7 @@ use std::sync::{Arc, Mutex};
 
 use rhythm_simt::exec::{GateRejection, LaunchConfig};
 use rhythm_simt::gpu::LaunchGate;
-use rhythm_simt::ir::{BuildError, MemSpace, Op, Program, ProgramBuilder};
+use rhythm_simt::ir::{BuildError, MemSpace, Program, ProgramBuilder};
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
 
 use dataflow::Analysis;
@@ -270,76 +270,6 @@ pub fn verify_program(program: &Program, spec: &LaunchSpec) -> Report {
         program: program.name().to_string(),
         diagnostics,
     }
-}
-
-/// Maximum sub-warp packing width the analyzer will endorse for
-/// `program` under `spec`: `4` when packing is provably invisible, `1`
-/// otherwise.
-///
-/// Packed execution (see `rhythm_simt::exec::LaunchConfig::pack`) runs up
-/// to four warps of independent requests in fused lockstep. Its
-/// correctness contract is the same cross-warp independence that parallel
-/// warp workers already rely on, so the analyzer endorses full packing
-/// exactly when nothing in the program can make one warp's requests
-/// observe another's interleaving:
-///
-/// * **no atomics** — `AtomicAdd` return values are order-dependent
-///   across warps, and packing (like worker scheduling) changes that
-///   order; the executor's own static profile
-///   (`ExecPlan::pack_max`) enforces this too, this check just keeps the
-///   analyzer's answer self-contained; and
-/// * **no cross-lane write hazards** — any `race-uniform-store` or
-///   `race-rw-conflict` diagnostic (at any severity) means lanes of
-///   *one cohort* already contend on addresses, and interleaving packed
-///   sub-groups through the same block could widen that contention
-///   window across warps. `race-uniform-store-uniform-value` findings
-///   (all lanes store the same value — a benign broadcast) do not block
-///   packing: last-write-wins is value-identical in every order.
-///
-/// The answer is monotone-safe: `1` is always correct, `4` is returned
-/// only when bit-identity is guaranteed for race-free kernels.
-pub fn pack_width(program: &Program, spec: &LaunchSpec) -> u32 {
-    let has_atomic = program
-        .blocks()
-        .iter()
-        .any(|b| b.ops.iter().any(|op| matches!(op, Op::AtomicAdd { .. })));
-    if has_atomic {
-        return 1;
-    }
-    let report = verify_program(program, spec);
-    let blocked = report.diagnostics.iter().any(|d| {
-        d.rule == rules::rule_id::RACE_UNIFORM_STORE || d.rule == rules::rule_id::RACE_RW_CONFLICT
-    });
-    if blocked {
-        1
-    } else {
-        4
-    }
-}
-
-/// Bound on the [`pack_width_cached`] memo table; mirrors
-/// [`VERIFIER_CACHE_CAP`].
-const PACK_CACHE_CAP: usize = 8192;
-
-/// [`pack_width`] memoized by (program fingerprint, spec fingerprint), so
-/// steady-state cohort launches pay one hash lookup instead of a full
-/// analysis pass per kernel build.
-pub fn pack_width_cached(program: &Program, spec: &LaunchSpec) -> u32 {
-    use std::collections::HashMap;
-    use std::sync::OnceLock;
-    static CACHE: OnceLock<Mutex<HashMap<(u64, u64), u32>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = (program.fingerprint(), spec.fingerprint());
-    if let Some(&w) = cache.lock().expect("pack cache poisoned").get(&key) {
-        return w;
-    }
-    let w = pack_width(program, spec);
-    let mut map = cache.lock().expect("pack cache poisoned");
-    if map.len() >= PACK_CACHE_CAP {
-        map.clear();
-    }
-    map.insert(key, w);
-    w
 }
 
 /// Failure from [`BuildVerified::build_verified`].

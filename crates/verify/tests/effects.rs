@@ -158,9 +158,8 @@ fn strict_device_rejects_unsanitized_launches() {
 proptest! {
     /// Soundness: for lint-clean random kernels, every executed global
     /// access lies inside the inferred footprint — checked by running the
-    /// sanitizer as the oracle over workers {1,2,4} × pack {1,4} and
-    /// asserting both zero escapes and bit-identical memory against the
-    /// unsanitized run.
+    /// sanitizer as the oracle over workers {1,2,4} and asserting both zero
+    /// escapes and bit-identical memory against the unsanitized run.
     #[test]
     fn executed_accesses_stay_inside_inferred_footprint(
         seed in any::<u32>(),
@@ -179,19 +178,16 @@ proptest! {
             .unwrap();
 
         for workers in [1usize, 2, 4] {
-            for pack in [1u32, 4] {
-                let mut cfg = LaunchConfig::new(LANES, []);
-                cfg.pack = pack;
-                cfg.sanitize = Some(Arc::clone(&footprint));
-                let mut mem = DeviceMemory::new(MEM_BYTES);
-                let res = execute_simt_workers(&program, &cfg, &mut mem, &pool, workers);
-                prop_assert!(
-                    res.is_ok(),
-                    "footprint escape at workers={workers} pack={pack}: {:?}",
-                    res.err()
-                );
-                prop_assert_eq!(mem.as_bytes(), reference.as_bytes());
-            }
+            let mut cfg = LaunchConfig::new(LANES, []);
+            cfg.sanitize = Some(Arc::clone(&footprint));
+            let mut mem = DeviceMemory::new(MEM_BYTES);
+            let res = execute_simt_workers(&program, &cfg, &mut mem, &pool, workers);
+            prop_assert!(
+                res.is_ok(),
+                "footprint escape at workers={workers}: {:?}",
+                res.err()
+            );
+            prop_assert_eq!(mem.as_bytes(), reference.as_bytes());
         }
     }
 }

@@ -1,15 +1,14 @@
 //! Three-way executor differential: the scalar reference, the legacy
 //! masked SIMT engine, and the pre-decoded warp-vectorized engine must be
 //! bit-identical — memory images and (for the two SIMT engines) every
-//! `KernelStats` counter — at workers {1, 2, 4} and sub-warp packing
-//! widths {1, 2, 4}, on random lint-clean kernels and on the real banking
-//! kernels, including wide-copy-eligible kernels and Budget-fault cases.
+//! `KernelStats` counter — at workers {1, 2, 4}, on random lint-clean
+//! kernels and on the real banking kernels, including wide-copy-eligible
+//! kernels and Budget-fault cases.
 //!
 //! This is the safety net under the interpreter fast paths: any divergence
 //! between the convergent vector loops and the masked per-lane semantics,
-//! any decode bug in `ExecPlan`, or any fused-gang or wide-copy shortcut
-//! that isn't semantics-preserving, shows up here as a byte or counter
-//! mismatch.
+//! any decode bug in `ExecPlan`, or any wide-copy shortcut that isn't
+//! semantics-preserving, shows up here as a byte or counter mismatch.
 
 use proptest::prelude::*;
 
@@ -19,14 +18,14 @@ use rhythm_banking::kernels::Workload;
 use rhythm_banking::layout::{CohortLayout, REQBUF_BYTES};
 use rhythm_banking::session_array::SessionArrayHost;
 use rhythm_banking::types::RequestType;
+use rhythm_simt::exec::legacy::execute_simt_legacy_workers;
 use rhythm_simt::exec::scalar::{execute_scalar, ScalarRun};
-use rhythm_simt::exec::simt::{execute_simt_legacy_workers, execute_simt_workers};
+use rhythm_simt::exec::simt::execute_simt_workers;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
 use rhythm_verify::corpus::build_kernel;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-const PACK_WIDTHS: [u32; 3] = [1, 2, 4];
 
 proptest! {
     /// Random structured kernels: scalar lane-at-a-time execution is the
@@ -73,25 +72,6 @@ proptest! {
                 &sp, &sl,
                 "engine stats diverged at {} workers", workers
             );
-            // Sub-warp packing is a scheduling decision, never a semantic
-            // one: every pack width must reproduce the same bytes and the
-            // same counters. (The executor further clamps via the plan's
-            // static profile, e.g. atomics force width 1.)
-            for pack in [2u32, 4] {
-                let mut packed_cfg = cfg.clone();
-                packed_cfg.pack = pack;
-                let mut mem_k = DeviceMemory::new(mem_bytes);
-                let sk =
-                    execute_simt_workers(&program, &packed_cfg, &mut mem_k, &pool, workers).unwrap();
-                prop_assert_eq!(
-                    mem_k.as_bytes(), reference.as_bytes(),
-                    "pack {} diverged from scalar at {} workers", pack, workers
-                );
-                prop_assert_eq!(
-                    &sk, &sl,
-                    "pack {} stats diverged at {} workers", pack, workers
-                );
-            }
             if let Some(first) = &legacy_stats {
                 prop_assert_eq!(first, &sl, "stats not worker-count invariant");
             } else {
@@ -104,7 +84,7 @@ proptest! {
 /// Wide-copy-eligible kernels under an instruction budget that trips
 /// mid-copy: the fast path must take the byte-identical fallback, so the
 /// Budget fault itself, the partial memory image, and (on success paths)
-/// every counter agree with the legacy engine at every pack width.
+/// every counter agree with the legacy engine at every worker count.
 #[test]
 fn wide_copy_budget_fault_differential() {
     use rhythm_simt::ir::ProgramBuilder;
@@ -131,44 +111,39 @@ fn wide_copy_budget_fault_differential() {
             let mut mem_legacy = DeviceMemory::new(size);
             let legacy = execute_simt_legacy_workers(&program, &cfg, &mut mem_legacy, &pool, 1);
             for workers in WORKER_COUNTS {
-                for pack in PACK_WIDTHS {
-                    let mut pcfg = cfg.clone();
-                    pcfg.pack = pack;
-                    let mut mem_plan = DeviceMemory::new(size);
-                    let plan = execute_simt_workers(&program, &pcfg, &mut mem_plan, &pool, workers);
-                    match (&legacy, &plan) {
-                        (Ok(sl), Ok(sp)) => assert_eq!(
-                            sp, sl,
-                            "stats diverged (stride {lane_stride}/{elem_stride}, \
-                             budget {max_instructions}, workers {workers}, pack {pack})"
-                        ),
-                        (Err(el), Err(ep)) => assert_eq!(
-                            format!("{el}"),
-                            format!("{ep}"),
-                            "fault diverged (stride {lane_stride}/{elem_stride}, \
-                             budget {max_instructions}, workers {workers}, pack {pack})"
-                        ),
-                        _ => panic!(
-                            "fault disagreement (stride {lane_stride}/{elem_stride}, \
-                             budget {max_instructions}, workers {workers}, pack {pack}): \
-                             legacy {legacy:?} vs plan {plan:?}"
-                        ),
-                    }
-                    // The memory image is fully specified on success. On a
-                    // fault, warps *after* the faulting one may or may not
-                    // have run depending on the schedule (parallel workers
-                    // and gangs both run past a sibling's fault before the
-                    // abort lands), so byte identity with the serial legacy
-                    // engine is only contractual for the serial unpacked
-                    // schedule.
-                    if plan.is_ok() || (workers == 1 && pack == 1) {
-                        assert_eq!(
-                            mem_plan.as_bytes(),
-                            mem_legacy.as_bytes(),
-                            "memory diverged (stride {lane_stride}/{elem_stride}, \
-                             budget {max_instructions}, workers {workers}, pack {pack})"
-                        );
-                    }
+                let mut mem_plan = DeviceMemory::new(size);
+                let plan = execute_simt_workers(&program, &cfg, &mut mem_plan, &pool, workers);
+                match (&legacy, &plan) {
+                    (Ok(sl), Ok(sp)) => assert_eq!(
+                        sp, sl,
+                        "stats diverged (stride {lane_stride}/{elem_stride}, \
+                         budget {max_instructions}, workers {workers})"
+                    ),
+                    (Err(el), Err(ep)) => assert_eq!(
+                        format!("{el}"),
+                        format!("{ep}"),
+                        "fault diverged (stride {lane_stride}/{elem_stride}, \
+                         budget {max_instructions}, workers {workers})"
+                    ),
+                    _ => panic!(
+                        "fault disagreement (stride {lane_stride}/{elem_stride}, \
+                         budget {max_instructions}, workers {workers}): \
+                         legacy {legacy:?} vs plan {plan:?}"
+                    ),
+                }
+                // The memory image is fully specified on success. On a
+                // fault, warps *after* the faulting one may or may not
+                // have run depending on the schedule (parallel workers run
+                // past a sibling's fault before the abort lands), so byte
+                // identity with the serial legacy engine is only
+                // contractual for the serial schedule.
+                if plan.is_ok() || workers == 1 {
+                    assert_eq!(
+                        mem_plan.as_bytes(),
+                        mem_legacy.as_bytes(),
+                        "memory diverged (stride {lane_stride}/{elem_stride}, \
+                         budget {max_instructions}, workers {workers})"
+                    );
                 }
             }
         }
@@ -215,8 +190,8 @@ fn diverged_warp_bytes(lane_stride: u32, elem_stride: u32, trip: u32) -> u32 {
 }
 
 /// Run `program` on the legacy engine once and on the pre-decoded engine
-/// at every worker count and pack width, demanding the same image and the
-/// same counters everywhere.
+/// at every worker count, demanding the same image and the same counters
+/// everywhere.
 fn assert_plan_matches_legacy(
     program: &rhythm_simt::Program,
     cfg: &LaunchConfig,
@@ -228,21 +203,14 @@ fn assert_plan_matches_legacy(
     let legacy = execute_simt_legacy_workers(program, cfg, &mut mem_legacy, pool, 1)
         .unwrap_or_else(|e| panic!("legacy fault ({ctx}): {e}"));
     for workers in WORKER_COUNTS {
-        for pack in PACK_WIDTHS {
-            let mut pcfg = cfg.clone();
-            pcfg.pack = pack;
-            let mut mem_plan = DeviceMemory::new(size);
-            let plan = execute_simt_workers(program, &pcfg, &mut mem_plan, pool, workers)
-                .unwrap_or_else(|e| panic!("pre-decoded fault ({ctx}): {e}"));
-            assert_eq!(
-                plan, legacy,
-                "stats diverged ({ctx}, workers {workers}, pack {pack})"
-            );
-            assert!(
-                mem_plan.as_bytes() == mem_legacy.as_bytes(),
-                "memory diverged ({ctx}, workers {workers}, pack {pack})"
-            );
-        }
+        let mut mem_plan = DeviceMemory::new(size);
+        let plan = execute_simt_workers(program, cfg, &mut mem_plan, pool, workers)
+            .unwrap_or_else(|e| panic!("pre-decoded fault ({ctx}): {e}"));
+        assert_eq!(plan, legacy, "stats diverged ({ctx}, workers {workers})");
+        assert!(
+            mem_plan.as_bytes() == mem_legacy.as_bytes(),
+            "memory diverged ({ctx}, workers {workers})"
+        );
     }
 }
 
@@ -471,10 +439,7 @@ fn banking_kernels_legacy_vs_predecoded_lockstep() {
             }
 
             let mut mem_legacy = mem.clone();
-            let mut mem_packed = mem.clone();
             let mut mem_plan = mem;
-            let mut packed_cfg = cfg.clone();
-            packed_cfg.pack = 4;
             for (name, kernel) in sequence {
                 // Cross-warp `AtomicAdd` old values are schedule-dependent
                 // at workers > 1 (see `execute_simt_workers`): the session
@@ -497,26 +462,14 @@ fn banking_kernels_legacy_vs_predecoded_lockstep() {
                         .unwrap_or_else(|e| panic!("{ty:?}/{name} legacy fault: {e}"));
                 let sp = execute_simt_workers(kernel, &cfg, &mut mem_plan, &workload.pool, kw)
                     .unwrap_or_else(|e| panic!("{ty:?}/{name} pre-decoded fault: {e}"));
-                let sk =
-                    execute_simt_workers(kernel, &packed_cfg, &mut mem_packed, &workload.pool, kw)
-                        .unwrap_or_else(|e| panic!("{ty:?}/{name} packed fault: {e}"));
                 assert_eq!(
                     sp, sl,
                     "stats diverged on {ty:?}/{name} at {workers} workers"
                 );
                 assert_eq!(
-                    sk, sl,
-                    "packed stats diverged on {ty:?}/{name} at {workers} workers"
-                );
-                assert_eq!(
                     mem_plan.as_bytes(),
                     mem_legacy.as_bytes(),
                     "memory diverged on {ty:?}/{name} at {workers} workers"
-                );
-                assert_eq!(
-                    mem_packed.as_bytes(),
-                    mem_legacy.as_bytes(),
-                    "packed memory diverged on {ty:?}/{name} at {workers} workers"
                 );
             }
 

@@ -8,7 +8,7 @@
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rhythm_banking::prelude::*;
 use rhythm_net::{read_response, send_request, CohortHandler, NetConfig, ShardedServer, Telemetry};
@@ -147,7 +147,17 @@ fn metrics_counters_match_loadgen_totals_across_shard_counts() {
         });
         let sent = (clients * (gets + 1)) as u64;
 
-        let (status, body) = admin_get(addr, "/metrics");
+        // A shard publishes its counters at the end of the turn that wrote
+        // the responses, so the last client can read its bytes a moment
+        // before a scrape sees them counted: re-scrape until it does.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let (status, body) = loop {
+            let (status, body) = admin_get(addr, "/metrics");
+            if sum_family(&body, "rhythm_responses_total") >= sent || Instant::now() > deadline {
+                break (status, body);
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
         assert_eq!(status, 200);
         rhythm_obs::validate_prometheus_text(&body).expect("exposition validates");
         assert_eq!(
