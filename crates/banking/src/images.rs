@@ -13,6 +13,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::ir::{BinOp, Program, ProgramBuilder, Width};
 use rhythm_simt::mem::ConstPool;
 
@@ -231,8 +232,9 @@ pub fn run_image_cohort(
         shared_bytes: 1024,
         ..Default::default()
     };
-    let parse = gpu.launch(&workload.parser, &cfg, &mut mem, &workload.pool)?;
-    let image = gpu.launch(&workload.image, &cfg, &mut mem, &workload.pool)?;
+    let pool = &workload.pool;
+    let parse = gpu.launch(&workload.parser, &cfg, &mut mem, pool, &NoopRecorder)?;
+    let image = gpu.launch(&workload.image, &cfg, &mut mem, pool, &NoopRecorder)?;
 
     let mut responses = Vec::with_capacity(requests.len());
     let mut classified = Vec::with_capacity(requests.len());

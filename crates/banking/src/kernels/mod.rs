@@ -75,6 +75,50 @@ impl Workload {
     pub fn response_stage(&self, ty: RequestType) -> &Program {
         self.stages_of(ty).last().expect("at least one stage")
     }
+
+    /// A `ty` cohort's kernel sequence (paper §1 item 2): the parser, then
+    /// the type's process stages with a backend round between each pair —
+    /// `n` backend rounds interleaved with `n + 1` process stages, the
+    /// response stage last.
+    pub fn cohort_steps(&self, ty: RequestType) -> impl Iterator<Item = CohortStep<'_>> {
+        let stages = self.stages_of(ty);
+        let n_backend = stages.len() - 1;
+        let process = stages.iter().enumerate().flat_map(move |(i, stage)| {
+            let backend = (i < n_backend).then_some(CohortStep::Backend(&self.backend));
+            std::iter::once(CohortStep::Stage(i, stage)).chain(backend)
+        });
+        std::iter::once(CohortStep::Parser(&self.parser)).chain(process)
+    }
+}
+
+/// One step of [`Workload::cohort_steps`].
+#[derive(Copy, Clone, Debug)]
+pub enum CohortStep<'a> {
+    /// The HTTP parser kernel, first.
+    Parser(&'a Program),
+    /// Process stage `i` of the cohort's request type.
+    Stage(usize, &'a Program),
+    /// A backend round between two process stages: the device backend
+    /// kernel, or its host stand-in.
+    Backend(&'a Program),
+}
+
+impl<'a> CohortStep<'a> {
+    /// The kernel this step launches on the device.
+    pub fn program(self) -> &'a Program {
+        match self {
+            CohortStep::Parser(p) | CohortStep::Stage(_, p) | CohortStep::Backend(p) => p,
+        }
+    }
+
+    /// The step's launch name in [`crate::runner::CohortResult::launches`].
+    pub fn name(self) -> &'a str {
+        match self {
+            CohortStep::Parser(_) => "parser",
+            CohortStep::Stage(_, p) => p.name(),
+            CohortStep::Backend(_) => "device_backend",
+        }
+    }
 }
 
 #[cfg(test)]
@@ -92,6 +136,21 @@ mod tests {
                 "{ty}: stage count"
             );
             assert!(w.response_stage(ty).static_len() > 100);
+            // parser, then stage 0, backend, stage 1, …, response stage.
+            let steps: Vec<_> = w.cohort_steps(ty).collect();
+            assert_eq!(steps.len() as u32, 2 * ty.process_stages(), "{ty}");
+            assert!(matches!(steps[0], CohortStep::Parser(_)));
+            for (k, step) in steps[1..].iter().enumerate() {
+                match step {
+                    CohortStep::Stage(i, _) => assert_eq!((k % 2, *i), (0, k / 2), "{ty}"),
+                    CohortStep::Backend(_) => assert_eq!(k % 2, 1, "{ty}"),
+                    CohortStep::Parser(_) => panic!("{ty}: second parser"),
+                }
+            }
+            assert!(std::ptr::eq(
+                steps[steps.len() - 1].program(),
+                w.response_stage(ty)
+            ));
         }
         assert!(
             w.pool.len() > 100_000,

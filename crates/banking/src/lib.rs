@@ -21,6 +21,7 @@
 //!
 //! ```
 //! use rhythm_banking::prelude::*;
+//! use rhythm_obs::NoopRecorder;
 //! use rhythm_simt::gpu::{Gpu, GpuConfig};
 //!
 //! let workload = Workload::build();
@@ -30,8 +31,9 @@
 //! let cohort = generator.uniform(RequestType::AccountSummary, 32, &mut sessions);
 //!
 //! let gpu = Gpu::new(GpuConfig::gtx_titan());
-//! let result = run_cohort(&workload, &store, &mut sessions, &cohort,
-//!                         &gpu, &CohortOptions::default())?;
+//! let opts = CohortOptions::default();
+//! let result = run_cohort_traced(&workload, &store, &mut sessions, &cohort,
+//!                                &gpu, &opts, &NoopRecorder)?;
 //! assert!(result.responses[0].starts_with(b"HTTP/1.1 200 OK"));
 //! # Ok::<(), rhythm_simt::ExecError>(())
 //! ```
@@ -62,9 +64,9 @@ pub mod prelude {
     pub use crate::native::{handle_native, BankingRequest};
     pub use crate::quickpay::{handle_quickpay_native, run_quickpay_cohort, QuickPay};
     pub use crate::runner::{
-        cohort_writes_sessions, plan_stream_groups, run_cohort, run_cohort_traced,
-        run_cohorts_hyperq, run_parser_only, run_request_scalar, BackendMode, CohortOptions,
-        DeviceContext, ScalarRunResult, StreamGroup,
+        cohort_writes_sessions, plan_stream_groups, run_cohort_traced, run_cohorts_hyperq,
+        run_parser_only, run_request_scalar, BackendMode, CohortOptions, DeviceContext,
+        ScalarRunResult, StreamGroup,
     };
     pub use crate::serve::{banking_request_from_http, DeviceMetrics, ScalarHandler, SimtHandler};
     pub use crate::session_array::SessionArrayHost;

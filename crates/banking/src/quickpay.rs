@@ -20,6 +20,7 @@
 //!   `Pay` request.
 //! * **finish** — static tail, `Content-Length` backpatch.
 
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::ir::{BinOp, Program, ProgramBuilder, UnOp};
 use rhythm_simt::mem::ConstPool;
 
@@ -331,12 +332,13 @@ pub fn run_quickpay_cohort(
         ..Default::default()
     };
 
-    gpu.launch(&qp.setup, &cfg, &mut mem, &workload.pool)?;
-    gpu.launch(&workload.backend, &cfg, &mut mem, &workload.pool)?;
+    let pool = &workload.pool;
+    gpu.launch(&qp.setup, &cfg, &mut mem, pool, &NoopRecorder)?;
+    gpu.launch(&workload.backend, &cfg, &mut mem, pool, &NoopRecorder)?;
 
     let mut rounds = 0u32;
     loop {
-        gpu.launch(&qp.round, &cfg, &mut mem, &workload.pool)?;
+        gpu.launch(&qp.round, &cfg, &mut mem, pool, &NoopRecorder)?;
         rounds += 1;
         let mut all_done = true;
         for lane in 0..cohort {
@@ -350,10 +352,10 @@ pub fn run_quickpay_cohort(
         if all_done {
             break;
         }
-        gpu.launch(&workload.backend, &cfg, &mut mem, &workload.pool)?;
+        gpu.launch(&workload.backend, &cfg, &mut mem, pool, &NoopRecorder)?;
         assert!(rounds < 64, "quick-pay loop failed to converge");
     }
-    gpu.launch(&qp.finish, &cfg, &mut mem, &workload.pool)?;
+    gpu.launch(&qp.finish, &cfg, &mut mem, pool, &NoopRecorder)?;
 
     let mut responses = Vec::with_capacity(tokens.len());
     for lane in 0..cohort {

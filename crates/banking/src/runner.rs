@@ -4,12 +4,12 @@
 //!
 //! [`DeviceContext`] holds what stays on the device between cohorts (the
 //! session array and the store image) and runs cohorts against it; the
-//! serving path keeps one per shard. [`run_cohort`] is the copy-in/copy-out
-//! form of the same routine — a fresh context per cohort — used by the
-//! differential tests and the offline figure bins. The full event-driven
-//! pipeline (with cohort formation, timeouts and overlapping cohorts) lives
-//! in `rhythm-core`; this runner executes already-formed cohorts to
-//! completion.
+//! serving path keeps one per shard. [`run_cohort_traced`] is the
+//! copy-in/copy-out form of the same routine — a fresh context per cohort
+//! — used by the differential tests and the offline figure bins. The full
+//! event-driven pipeline (with cohort formation, timeouts and overlapping
+//! cohorts) lives in `rhythm-core`; this runner executes already-formed
+//! cohorts to completion.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -26,7 +26,7 @@ use rhythm_verify::{LaunchSpec, Verifier};
 
 use crate::backend::BankStore;
 use crate::genreq::GeneratedRequest;
-use crate::kernels::Workload;
+use crate::kernels::{CohortStep, Workload};
 use crate::layout::{
     CohortLayout, BREQ_BYTES, BRESP_BYTES, F_P0, F_P1, F_RESP_LEN, F_TOKEN, F_TYPE, REQBUF_BYTES,
 };
@@ -79,7 +79,7 @@ impl CohortResult {
     }
 }
 
-/// Options for [`run_cohort`].
+/// Options for a cohort run ([`DeviceContext`], [`run_cohort_traced`]).
 #[derive(Clone, Debug)]
 pub struct CohortOptions {
     /// Transposed (true) or row-major buffers.
@@ -341,7 +341,7 @@ impl DeviceContext {
     /// it).
     ///
     /// With tracing, in addition to the per-kernel and per-warp wall-time
-    /// spans emitted by [`Gpu::launch_traced`], the cohort's kernels are
+    /// spans emitted by [`Gpu::launch`], the cohort's kernels are
     /// laid out back-to-back on a **virtual-time** `device` track using
     /// each launch's modelled latency, so the timeline shows where the
     /// device time of one cohort goes (parser vs. process stages vs.
@@ -410,57 +410,32 @@ impl DeviceContext {
         rec: &R,
     ) -> Result<CohortResult, ExecError> {
         let (opts, mem) = (&self.opts, &mut self.mem);
-        let cohort = layout.cohort;
+        let requests = [("requests", ArgValue::U64(layout.cohort as u64))];
         let mut launches = Vec::new();
         // Virtual device-time cursor: a cohort's kernels execute back to
         // back, so each launch's modelled latency extends the cursor and
-        // becomes a span on the `device` track. Each launch returns it.
+        // becomes a span on the `device` track.
         let mut device_t = 0.0f64;
         let cfg = cohort_cfg(layout);
-        let mut launch = |name: &str, program: &Program, mem: &mut DeviceMemory| {
+        write_requests(layout, mem, reqs)?;
+        for step in workload.cohort_steps(reqs[0].ty) {
+            if let (CohortStep::Backend(_), BackendMode::Host) = (step, opts.backend) {
+                if rec.enabled() {
+                    let now = s_to_us(device_t);
+                    rec.instant(Clock::Virtual, "device", "host_backend", now, &requests);
+                }
+                host_backend_step(store, layout, mem)?;
+                continue;
+            }
+            let program = step.program();
             let kcfg = kernel_cfg(&cfg, opts, layout, program, mem, &workload.pool);
-            let res = gpu.launch_traced(program, &kcfg, mem, &workload.pool, rec)?;
+            let res = gpu.launch(program, &kcfg, mem, &workload.pool, rec)?;
             if rec.enabled() {
-                rec.span(
-                    Clock::Virtual,
-                    "device",
-                    name,
-                    s_to_us(device_t),
-                    s_to_us(res.time_s),
-                    &[("requests", ArgValue::U64(cohort as u64))],
-                );
+                let (start, dur) = (s_to_us(device_t), s_to_us(res.time_s));
+                rec.span(Clock::Virtual, "device", step.name(), start, dur, &requests);
             }
             device_t += res.time_s;
-            launches.push((name.to_string(), res));
-            Ok::<f64, ExecError>(device_t)
-        };
-
-        write_requests(layout, mem, reqs)?;
-        launch("parser", &workload.parser, mem)?;
-
-        let stages = workload.stages_of(reqs[0].ty);
-        let n_backend = stages.len() - 1;
-        for (i, stage) in stages.iter().enumerate() {
-            let now = launch(stage.name(), stage, mem)?;
-            if i < n_backend {
-                match opts.backend {
-                    BackendMode::Device => {
-                        launch("device_backend", &workload.backend, mem)?;
-                    }
-                    BackendMode::Host => {
-                        if rec.enabled() {
-                            rec.instant(
-                                Clock::Virtual,
-                                "device",
-                                "host_backend",
-                                s_to_us(now),
-                                &[("requests", ArgValue::U64(cohort as u64))],
-                            );
-                        }
-                        host_backend_step(store, layout, mem)?;
-                    }
-                }
-            }
+            launches.push((step.name().to_string(), res));
         }
         Ok(CohortResult {
             responses: read_responses(layout, mem)?,
@@ -473,7 +448,8 @@ impl DeviceContext {
 /// Run one uniform-type cohort copy-in/copy-out: upload `store` and
 /// `sessions` to a fresh [`DeviceContext`], run the cohort on it
 /// ([`DeviceContext::run_cohort`] — the routine the serving path runs on
-/// its resident context), and decode the session array back.
+/// its resident context, with the same tracks on `rec`), and decode the
+/// session array back.
 ///
 /// Paying the whole upload per cohort makes this the reference the
 /// resident path is checked against, and what the offline figure bins
@@ -491,28 +467,6 @@ impl DeviceContext {
 ///
 /// Panics if `reqs` is empty or contains mixed request types, or if
 /// `sessions.capacity()` disagrees with `opts.session_capacity`.
-pub fn run_cohort(
-    workload: &Workload,
-    store: &BankStore,
-    sessions: &mut SessionArrayHost,
-    reqs: &[GeneratedRequest],
-    gpu: &Gpu,
-    opts: &CohortOptions,
-) -> Result<CohortResult, ExecError> {
-    run_cohort_traced(workload, store, sessions, reqs, gpu, opts, &NoopRecorder)
-}
-
-/// [`run_cohort`] with tracing (see [`DeviceContext::run_cohort`] for the
-/// tracks). The recorder is observational only — responses, launches, and
-/// session state are bit-identical to [`run_cohort`].
-///
-/// # Errors
-///
-/// Propagates kernel execution faults.
-///
-/// # Panics
-///
-/// Same conditions as [`run_cohort`].
 pub fn run_cohort_traced<R: Recorder + ?Sized>(
     workload: &Workload,
     store: &BankStore,
@@ -557,8 +511,9 @@ impl StreamGroup {
     }
 }
 
-/// Does any kernel in this cohort's launch sequence (parser, process
-/// stages, backend) write or atomically update the device session array?
+/// Does any kernel in this cohort's launch sequence
+/// ([`Workload::cohort_steps`]) write or atomically update the device
+/// session array?
 ///
 /// The verdict comes from the effect-summary engine: each kernel's
 /// inferred global footprint — anchored to the cohort layout's declared
@@ -587,12 +542,9 @@ pub fn cohort_writes_sessions(
     let regions = layout.regions();
     let (sess_lo, sess_hi) = layout.session_span();
     let verifier = shared_verifier();
-    let mut kernels: Vec<&rhythm_simt::Program> = vec![&workload.parser];
-    kernels.extend(workload.stages_of(ty).iter());
-    kernels.push(&workload.backend);
-    let writes = kernels.iter().any(|k| {
+    let writes = workload.cohort_steps(ty).any(|step| {
         verifier
-            .effects(k, &spec, &regions)
+            .effects(step.program(), &spec, &regions)
             .effects
             .mutates(MemSpace::Global, sess_lo, sess_hi)
     });
@@ -659,7 +611,7 @@ fn group_streams(
 /// HyperQ-concurrent execution of independent cohorts.
 ///
 /// The batch is processed in order, exactly as if each cohort went
-/// through [`run_cohort`] back to back — same responses, same final
+/// through [`run_cohort_traced`] back to back — same responses, same final
 /// session state. The speedup comes from the effect-summary engine
 /// ([`rhythm_verify::effects`]): a cohort may share a stream group with
 /// its neighbours iff **none of its kernels' inferred global footprints
@@ -672,15 +624,16 @@ fn group_streams(
 ///
 /// Each cohort gets its own outcome slot, in input order; a faulting
 /// cohort yields `Err` in its slot without perturbing the others (its
-/// session writes never happened, matching [`run_cohort`]'s fault
+/// session writes never happened, matching [`run_cohort_traced`]'s fault
 /// behaviour).
 ///
 /// A host backend interleaves host work between kernels, which streams
-/// cannot express; it falls back to serial [`run_cohort`] per cohort.
+/// cannot express; it falls back to serial [`run_cohort_traced`] per
+/// cohort.
 ///
 /// # Panics
 ///
-/// Per cohort, the same conditions as [`run_cohort`] (non-empty,
+/// Per cohort, the same conditions as [`run_cohort_traced`] (non-empty,
 /// uniform-type, session capacity matching the options).
 pub fn run_cohorts_hyperq(
     workload: &Workload,
@@ -711,13 +664,14 @@ pub fn run_cohorts_hyperq(
         if !g.concurrent {
             // Proven session writer (or serial fallback): a barrier.
             // Runs alone, serially.
-            out[g.start] = Some(run_cohort(
+            out[g.start] = Some(run_cohort_traced(
                 workload,
                 store,
                 sessions,
                 &cohorts[g.start],
                 gpu,
                 opts,
+                &NoopRecorder,
             ));
             continue;
         }
@@ -728,19 +682,19 @@ pub fn run_cohorts_hyperq(
         let (i, j) = (g.start, g.end);
         let snapshot = sessions.to_device_bytes();
         let mut streams = Vec::with_capacity(j - i);
-        // Per stream: output slot index, layout, real kernel names.
-        let mut meta: Vec<(usize, CohortLayout, Vec<String>)> = Vec::with_capacity(j - i);
+        // Per stream: output slot index and layout.
+        let mut meta: Vec<(usize, CohortLayout)> = Vec::with_capacity(j - i);
         for (k, reqs) in cohorts[i..j].iter().enumerate() {
             match build_cohort_stream(workload, &store_img, &snapshot, sessions, reqs, opts, k) {
-                Ok((stream, layout, names)) => {
+                Ok((stream, layout)) => {
                     streams.push(stream);
-                    meta.push((i + k, layout, names));
+                    meta.push((i + k, layout));
                 }
                 Err(e) => out[i + k] = Some(Err(e)),
             }
         }
         let results = execute_streams_on(&streams_gpu, streams, 0);
-        for ((idx, layout, names), result) in meta.into_iter().zip(results) {
+        for ((idx, layout), result) in meta.into_iter().zip(results) {
             out[idx] = Some(result.and_then(|sr| {
                 let responses = read_responses(&layout, &sr.mem)?;
                 debug_assert_eq!(
@@ -748,10 +702,10 @@ pub fn run_cohorts_hyperq(
                     &snapshot[..],
                     "read-only cohort mutated the session array"
                 );
-                let launches = names
-                    .into_iter()
+                let launches = workload
+                    .cohort_steps(cohorts[idx][0].ty)
                     .zip(sr.launches)
-                    .map(|(name, (_, r))| (name, r))
+                    .map(|(step, (_, r))| (step.name().to_string(), r))
                     .collect();
                 Ok(CohortResult {
                     responses,
@@ -767,9 +721,9 @@ pub fn run_cohorts_hyperq(
 }
 
 /// Build one read-only cohort's execution stream: its memory image
-/// (store + session snapshot + request lanes) plus the parser, stage, and
-/// backend kernels in order. Returns the stream with static labels, the
-/// layout for readback, and the real kernel names for reporting.
+/// (store + session snapshot + request lanes) plus its kernels in
+/// [`Workload::cohort_steps`] order. Returns the stream and the layout for
+/// readback.
 fn build_cohort_stream<'a>(
     workload: &'a Workload,
     store_img: &[u8],
@@ -778,14 +732,7 @@ fn build_cohort_stream<'a>(
     reqs: &[GeneratedRequest],
     opts: &CohortOptions,
     stream: usize,
-) -> Result<
-    (
-        rhythm_simt::streams::ExecStream<'a>,
-        CohortLayout,
-        Vec<String>,
-    ),
-    ExecError,
-> {
+) -> Result<(rhythm_simt::streams::ExecStream<'a>, CohortLayout), ExecError> {
     let ty = assert_uniform(reqs);
     assert_eq!(
         sessions.capacity(),
@@ -804,29 +751,14 @@ fn build_cohort_stream<'a>(
     mem.load(layout.session_base, session_snapshot)?;
     write_requests(&layout, &mut mem, reqs)?;
     let cfg = cohort_cfg(&layout);
-    let mut kernels = Vec::new();
-    let mut names = Vec::new();
-    kernels.push((
-        "parser",
-        &workload.parser,
-        kernel_cfg(&cfg, opts, &layout, &workload.parser, &mem, &workload.pool),
-    ));
-    names.push("parser".to_string());
-    let stages = workload.stages_of(ty);
-    let n_backend = stages.len() - 1;
-    let backend_cfg = kernel_cfg(&cfg, opts, &layout, &workload.backend, &mem, &workload.pool);
-    for (s, stage) in stages.iter().enumerate() {
-        kernels.push((
-            "stage",
-            stage,
-            kernel_cfg(&cfg, opts, &layout, stage, &mem, &workload.pool),
-        ));
-        names.push(stage.name().to_string());
-        if s < n_backend {
-            kernels.push(("backend", &workload.backend, backend_cfg.clone()));
-            names.push("device_backend".to_string());
-        }
-    }
+    let kernels = workload
+        .cohort_steps(ty)
+        .map(|step| {
+            let program = step.program();
+            let kcfg = kernel_cfg(&cfg, opts, &layout, program, &mem, &workload.pool);
+            ("cohort", program, kcfg)
+        })
+        .collect();
     Ok((
         rhythm_simt::streams::ExecStream {
             stream: stream as u32,
@@ -835,7 +767,6 @@ fn build_cohort_stream<'a>(
             kernels,
         },
         layout,
-        names,
     ))
 }
 
@@ -941,14 +872,14 @@ pub fn run_request_scalar(
         Ok(())
     };
 
-    run_one(&workload.parser, 0, &mut mem, &mut stats, &mut trace)?;
-    let stages = workload.stages_of(req.ty);
-    let n_backend = stages.len() - 1;
-    for (i, stage) in stages.iter().enumerate() {
-        let offset = 10_000 * (i as u32 + 1);
-        run_one(stage, offset, &mut mem, &mut stats, &mut trace)?;
-        if i < n_backend {
-            host_backend_step(store, &layout, &mut mem)?;
+    for step in workload.cohort_steps(req.ty) {
+        match step {
+            CohortStep::Parser(p) => run_one(p, 0, &mut mem, &mut stats, &mut trace)?,
+            CohortStep::Stage(i, p) => {
+                let offset = 10_000 * (i as u32 + 1);
+                run_one(p, offset, &mut mem, &mut stats, &mut trace)?;
+            }
+            CohortStep::Backend(_) => host_backend_step(store, &layout, &mut mem)?,
         }
     }
 
@@ -991,15 +922,9 @@ pub fn run_parser_only(
     let layout = cohort_layout(opts, 0, cohort, resp_size);
     let mut mem = DeviceMemory::new(layout.total_bytes as usize);
     write_requests(&layout, &mut mem, reqs)?;
-    let cfg = kernel_cfg(
-        &cohort_cfg(&layout),
-        opts,
-        &layout,
-        &workload.parser,
-        &mem,
-        &workload.pool,
-    );
-    let res = gpu.launch(&workload.parser, &cfg, &mut mem, &workload.pool)?;
+    let (parser, pool) = (&workload.parser, &workload.pool);
+    let cfg = kernel_cfg(&cohort_cfg(&layout), opts, &layout, parser, &mem, pool);
+    let res = gpu.launch(parser, &cfg, &mut mem, pool, &NoopRecorder)?;
     let mut parsed = Vec::with_capacity(reqs.len());
     for lane in 0..cohort {
         parsed.push((

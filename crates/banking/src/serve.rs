@@ -377,7 +377,7 @@ impl SimtHandler {
     }
 
     /// Run a batch of cohorts in order on this thread and this shard's
-    /// context: results are those of `run_cohort` per cohort chained
+    /// context: results are those of `run_cohort_traced` per cohort chained
     /// through one session array.
     fn run_batch(&mut self, batch: &[Vec<GeneratedRequest>]) -> Vec<Vec<Vec<u8>>> {
         if let Some(m) = &self.metrics {

@@ -6,6 +6,7 @@
 
 use rhythm_banking::prelude::*;
 use rhythm_http::padding::eq_modulo_padding;
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 
 const SALT: u32 = 0x5EED_0001;
@@ -87,13 +88,14 @@ fn every_type_matches_native_device_backend() {
             .collect();
 
         let mut device_sessions = sessions.clone();
-        let result = run_cohort(
+        let result = run_cohort_traced(
             &workload,
             &store,
             &mut device_sessions,
             &cohort,
             &gpu,
             &opts(true),
+            &NoopRecorder,
         )
         .expect("cohort runs");
 
@@ -120,9 +122,27 @@ fn row_major_and_transposed_produce_identical_responses() {
     let cohort = generator.uniform(ty, 64, &mut sessions);
 
     let mut s1 = sessions.clone();
-    let row = run_cohort(&workload, &store, &mut s1, &cohort, &gpu, &opts(false)).unwrap();
+    let row = run_cohort_traced(
+        &workload,
+        &store,
+        &mut s1,
+        &cohort,
+        &gpu,
+        &opts(false),
+        &NoopRecorder,
+    )
+    .unwrap();
     let mut s2 = sessions.clone();
-    let col = run_cohort(&workload, &store, &mut s2, &cohort, &gpu, &opts(true)).unwrap();
+    let col = run_cohort_traced(
+        &workload,
+        &store,
+        &mut s2,
+        &cohort,
+        &gpu,
+        &opts(true),
+        &NoopRecorder,
+    )
+    .unwrap();
 
     assert_eq!(row.responses, col.responses, "layout must not affect bytes");
 
@@ -152,12 +172,30 @@ fn host_and_device_backends_agree() {
     let cohort = generator.uniform(ty, 32, &mut sessions);
 
     let mut s1 = sessions.clone();
-    let dev = run_cohort(&workload, &store, &mut s1, &cohort, &gpu, &opts(true)).unwrap();
+    let dev = run_cohort_traced(
+        &workload,
+        &store,
+        &mut s1,
+        &cohort,
+        &gpu,
+        &opts(true),
+        &NoopRecorder,
+    )
+    .unwrap();
 
     let mut s2 = sessions.clone();
     let mut host_opts = opts(true);
     host_opts.backend = BackendMode::Host;
-    let host = run_cohort(&workload, &store, &mut s2, &cohort, &gpu, &host_opts).unwrap();
+    let host = run_cohort_traced(
+        &workload,
+        &store,
+        &mut s2,
+        &cohort,
+        &gpu,
+        &host_opts,
+        &NoopRecorder,
+    )
+    .unwrap();
 
     assert_eq!(dev.responses, host.responses);
 }
@@ -199,7 +237,16 @@ fn invalid_session_gets_forbidden_from_kernels() {
     cohort[bad].raw = rhythm_banking::genreq::raw_http(ty, bad_token, &cohort[bad].params);
 
     let mut s = sessions.clone();
-    let result = run_cohort(&workload, &store, &mut s, &cohort, &gpu, &opts(true)).unwrap();
+    let result = run_cohort_traced(
+        &workload,
+        &store,
+        &mut s,
+        &cohort,
+        &gpu,
+        &opts(true),
+        &NoopRecorder,
+    )
+    .unwrap();
     let text = String::from_utf8_lossy(&result.responses[bad]);
     assert!(text.starts_with("HTTP/1.1 403 Forbidden"), "got: {text}");
     // Neighbours are unaffected.
@@ -216,7 +263,16 @@ fn login_cohort_creates_sessions_on_device() {
     assert!(sessions.is_empty());
 
     let mut s = sessions.clone();
-    let result = run_cohort(&workload, &store, &mut s, &cohort, &gpu, &opts(true)).unwrap();
+    let result = run_cohort_traced(
+        &workload,
+        &store,
+        &mut s,
+        &cohort,
+        &gpu,
+        &opts(true),
+        &NoopRecorder,
+    )
+    .unwrap();
     assert_eq!(s.len(), 64, "one session per login");
     for (lane, r) in cohort.iter().enumerate() {
         let text = String::from_utf8_lossy(&result.responses[lane]);
@@ -238,7 +294,16 @@ fn logout_cohort_destroys_sessions_on_device() {
     assert_eq!(sessions.len(), 32);
 
     let mut s = sessions.clone();
-    run_cohort(&workload, &store, &mut s, &cohort, &gpu, &opts(true)).unwrap();
+    run_cohort_traced(
+        &workload,
+        &store,
+        &mut s,
+        &cohort,
+        &gpu,
+        &opts(true),
+        &NoopRecorder,
+    )
+    .unwrap();
     assert_eq!(s.len(), 0, "all sessions destroyed");
 }
 
@@ -256,7 +321,16 @@ fn multi_warp_cohorts_are_bit_identical_at_every_worker_count() {
         let run = |workers: u32| {
             let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(workers));
             let mut s = sessions.clone();
-            let result = run_cohort(&workload, &store, &mut s, &cohort, &gpu, &opts(true)).unwrap();
+            let result = run_cohort_traced(
+                &workload,
+                &store,
+                &mut s,
+                &cohort,
+                &gpu,
+                &opts(true),
+                &NoopRecorder,
+            )
+            .unwrap();
             (result, s.to_device_bytes())
         };
 
@@ -298,7 +372,16 @@ fn divergence_appears_in_variable_row_counts() {
     let cohort = generator.uniform(ty, 64, &mut sessions);
 
     let mut s = sessions.clone();
-    let result = run_cohort(&workload, &store, &mut s, &cohort, &gpu, &opts(true)).unwrap();
+    let result = run_cohort_traced(
+        &workload,
+        &store,
+        &mut s,
+        &cohort,
+        &gpu,
+        &opts(true),
+        &NoopRecorder,
+    )
+    .unwrap();
     let (_, resp_launch) = result
         .launches
         .iter()
@@ -355,8 +438,16 @@ fn rows_pages_with_mixed_row_counts_match_native() {
             .iter()
             .map(|r| handle_native(&r.banking_request(), &store, &mut native_sessions))
             .collect();
-        let result = run_cohort(&workload, &store, &mut sessions, &cohort, &gpu, &opts(true))
-            .expect("cohort runs");
+        let result = run_cohort_traced(
+            &workload,
+            &store,
+            &mut sessions,
+            &cohort,
+            &gpu,
+            &opts(true),
+            &NoopRecorder,
+        )
+        .expect("cohort runs");
         for (lane, (k, n)) in result.responses.iter().zip(&native).enumerate() {
             assert_equivalent(k, n, &format!("{ty} lane {lane}"));
             assert_clen_consistent(k, &format!("{ty} lane {lane}"));
@@ -380,13 +471,14 @@ fn sanitized_cohorts_match_unsanitized_for_every_type() {
             let cohort = generator.uniform(ty, 48, &mut sessions);
 
             let mut plain_sessions = sessions.clone();
-            let plain = run_cohort(
+            let plain = run_cohort_traced(
                 &workload,
                 &store,
                 &mut plain_sessions,
                 &cohort,
                 &gpu,
                 &opts(transposed),
+                &NoopRecorder,
             )
             .unwrap();
 
@@ -395,13 +487,14 @@ fn sanitized_cohorts_match_unsanitized_for_every_type() {
                 ..opts(transposed)
             };
             let mut sanitized_sessions = sessions.clone();
-            let sanitized = run_cohort(
+            let sanitized = run_cohort_traced(
                 &workload,
                 &store,
                 &mut sanitized_sessions,
                 &cohort,
                 &gpu,
                 &sanitized_opts,
+                &NoopRecorder,
             )
             .unwrap_or_else(|e| panic!("{ty:?} transposed={transposed}: footprint escape: {e}"));
 

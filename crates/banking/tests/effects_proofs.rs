@@ -7,6 +7,7 @@
 
 use rhythm_banking::prelude::*;
 use rhythm_banking::runner::CohortResult;
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 use rhythm_verify::effects::infer_effects;
 use rhythm_verify::LaunchSpec;
@@ -138,8 +139,9 @@ fn stream_planner_groups_from_proofs() {
 
 /// End to end: a mixed batch through the proof-scheduled HyperQ path,
 /// with the footprint sanitizer checking every global access of every
-/// kernel launch, is bit-identical to serial `run_cohort` execution —
-/// same responses, same final session state, zero footprint escapes.
+/// kernel launch, is bit-identical to serial `run_cohort_traced` execution —
+/// same responses, same launches with the same stats, same final session
+/// state, zero footprint escapes.
 #[test]
 fn hyperq_with_sanitizer_matches_serial_bit_for_bit() {
     let (workload, store, gpu) = harness();
@@ -159,7 +161,18 @@ fn hyperq_with_sanitizer_matches_serial_bit_for_bit() {
     let mut serial_sessions = sessions.clone();
     let serial: Vec<CohortResult> = cohorts
         .iter()
-        .map(|c| run_cohort(&workload, &store, &mut serial_sessions, c, &gpu, &base).unwrap())
+        .map(|c| {
+            run_cohort_traced(
+                &workload,
+                &store,
+                &mut serial_sessions,
+                c,
+                &gpu,
+                &base,
+                &NoopRecorder,
+            )
+            .unwrap()
+        })
         .collect();
 
     let sanitized = CohortOptions {
@@ -183,6 +196,19 @@ fn hyperq_with_sanitizer_matches_serial_bit_for_bit() {
             reference.responses, result.responses,
             "cohort {i} responses"
         );
+        // Both paths run the one kernel sequence: same launches, in the
+        // same order, with the same stats.
+        assert_eq!(
+            reference.launches.len(),
+            result.launches.len(),
+            "cohort {i}"
+        );
+        for ((ref_name, ref_launch), (name, launch)) in
+            reference.launches.iter().zip(&result.launches)
+        {
+            assert_eq!(ref_name, name, "cohort {i} launch order");
+            assert_eq!(ref_launch.stats, launch.stats, "cohort {i} {name} stats");
+        }
     }
     assert_eq!(
         serial_sessions.to_device_bytes(),

@@ -1,6 +1,6 @@
 //! The resident device context against its copy-in/copy-out oracle: one
 //! persistent [`DeviceContext`] must be indistinguishable from chaining
-//! [`run_cohort`] through a host session table — responses, launch
+//! [`run_cohort_traced`] through a host session table — responses, launch
 //! results and session bytes — and a faulting cohort must leave no trace
 //! in the resident session array.
 
@@ -66,7 +66,7 @@ fn differential(rounds: usize, sanitize: bool, seed: u64) {
     let opts = opts(CAPACITY, sanitize);
     let (cohorts, initial) = seeded_cohorts(rounds, CAPACITY, seed);
 
-    // `run_cohort` resolves the options into the device per call; the
+    // `run_cohort_traced` resolves the options into the device per call; the
     // context takes a device that already has them. Default options only
     // add the shared verify gate.
     let gated = gpu
@@ -79,8 +79,16 @@ fn differential(rounds: usize, sanitize: bool, seed: u64) {
         let resident = ctx
             .run_cohort(&workload, &store, reqs, &gated, &NoopRecorder)
             .unwrap_or_else(|e| panic!("{what} on the context: {e}"));
-        let oracle = run_cohort(&workload, &store, &mut chained, reqs, &gpu, &opts)
-            .unwrap_or_else(|e| panic!("{what} on the oracle: {e}"));
+        let oracle = run_cohort_traced(
+            &workload,
+            &store,
+            &mut chained,
+            reqs,
+            &gpu,
+            &opts,
+            &NoopRecorder,
+        )
+        .unwrap_or_else(|e| panic!("{what} on the oracle: {e}"));
         assert_eq!(resident.responses, oracle.responses, "{what}: responses");
         assert_eq!(resident.launches, oracle.launches, "{what}: launches");
         assert_eq!(resident.layout, oracle.layout, "{what}: layout");
@@ -94,7 +102,7 @@ fn differential(rounds: usize, sanitize: bool, seed: u64) {
 }
 
 /// ≥ 200 cohorts over all 14 types and sizes 1–32 on one context agree
-/// with `run_cohort` chained through a host table.
+/// with `run_cohort_traced` chained through a host table.
 #[test]
 fn persistent_context_matches_chained_run_cohort() {
     differential(15, false, 0xD1FF);

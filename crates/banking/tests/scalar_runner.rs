@@ -2,6 +2,7 @@
 
 use rhythm_banking::prelude::*;
 use rhythm_http::padding::eq_modulo_padding;
+use rhythm_obs::NoopRecorder;
 
 const SALT: u32 = 0x5EED_0001;
 
@@ -99,7 +100,16 @@ fn scalar_equals_cohort_modulo_padding() {
         session_capacity: 1024,
         ..Default::default()
     };
-    let simt = run_cohort(&workload, &store, &mut s1, &cohort, &gpu, &opts).unwrap();
+    let simt = run_cohort_traced(
+        &workload,
+        &store,
+        &mut s1,
+        &cohort,
+        &gpu,
+        &opts,
+        &NoopRecorder,
+    )
+    .unwrap();
 
     let mut s2 = sessions.clone();
     let scalar = run_request_scalar(&workload, &store, &mut s2, &cohort[0], false).unwrap();

@@ -6,6 +6,7 @@
 use std::sync::Arc;
 
 use rhythm_banking::prelude::*;
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 use rhythm_simt::ir::ProgramBuilder;
@@ -28,7 +29,16 @@ fn run_with(verify: bool, ty: RequestType) -> (Vec<Vec<u8>>, Vec<u8>) {
     let mut generator = RequestGenerator::new(64, 2);
     let reqs = generator.uniform(ty, 64, &mut sessions);
     let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(1));
-    let result = run_cohort(&workload, &store, &mut sessions, &reqs, &gpu, &opts).unwrap();
+    let result = run_cohort_traced(
+        &workload,
+        &store,
+        &mut sessions,
+        &reqs,
+        &gpu,
+        &opts,
+        &NoopRecorder,
+    )
+    .unwrap();
     (result.responses, sessions.to_device_bytes())
 }
 
@@ -67,8 +77,16 @@ fn gated_device_rejects_a_defective_kernel_but_admits_banking() {
     let mut sessions = SessionArrayHost::new(1024, SALT);
     let mut generator = RequestGenerator::new(64, 2);
     let reqs = generator.uniform(RequestType::Login, 32, &mut sessions);
-    run_cohort(&workload, &store, &mut sessions, &reqs, &gpu, &opts)
-        .expect("banking kernels must pass the gate");
+    run_cohort_traced(
+        &workload,
+        &store,
+        &mut sessions,
+        &reqs,
+        &gpu,
+        &opts,
+        &NoopRecorder,
+    )
+    .expect("banking kernels must pass the gate");
 
     let mut b = ProgramBuilder::new("lost_update");
     let lane = b.lane_id();
@@ -83,6 +101,7 @@ fn gated_device_rejects_a_defective_kernel_but_admits_banking() {
             &LaunchConfig::new(32, []),
             &mut mem,
             &ConstPool::new(),
+            &NoopRecorder,
         )
         .unwrap_err();
     let ExecError::Rejected(r) = err else {

@@ -5,6 +5,7 @@
 
 use rhythm_banking::prelude::*;
 use rhythm_banking::templates::{page_spec, Action, RowAction};
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 use rhythm_simt::ir::{MemSpace, Op, Width};
 use rhythm_simt::{wide_copy_stats, ExecPlan};
@@ -65,7 +66,16 @@ fn static_fragments_are_annotated_and_always_commit() {
     };
     let run = || {
         let mut s = sessions.clone();
-        run_cohort(&workload, &store, &mut s, &cohort, &gpu, &opts).expect("cohort runs")
+        run_cohort_traced(
+            &workload,
+            &store,
+            &mut s,
+            &cohort,
+            &gpu,
+            &opts,
+            &NoopRecorder,
+        )
+        .expect("cohort runs")
     };
     let cold = run();
     let before = wide_copy_stats();
@@ -103,7 +113,16 @@ fn static_fragments_are_annotated_and_always_commit() {
     });
     let before = wide_copy_stats();
     let mut s = sessions.clone();
-    let odd = run_cohort(&workload, &store, &mut s, &cohort, &odd_gpu, &opts).expect("cohort runs");
+    let odd = run_cohort_traced(
+        &workload,
+        &store,
+        &mut s,
+        &cohort,
+        &odd_gpu,
+        &opts,
+        &NoopRecorder,
+    )
+    .expect("cohort runs");
     let odd_delta = wide_copy_stats().since(&before);
     assert_eq!(odd.responses, cold.responses);
     assert_eq!((odd_delta.hits, odd_delta.misses), (0, delta.hits));

@@ -3,16 +3,12 @@
 //! and modelled times), and session state at every worker count.
 
 use rhythm_banking::prelude::*;
-use rhythm_obs::{Recorder, TraceRecorder};
+use rhythm_obs::{NoopRecorder, Recorder, TraceRecorder};
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 
 const SALT: u32 = 0x5EED_0001;
 
-fn run_with(workers: u32) -> (Vec<Vec<u8>>, String, Vec<u8>) {
-    run_traced_with(workers, &rhythm_obs::NoopRecorder)
-}
-
-fn run_traced_with<R: Recorder + ?Sized>(workers: u32, rec: &R) -> (Vec<Vec<u8>>, String, Vec<u8>) {
+fn run_with<R: Recorder + ?Sized>(workers: u32, rec: &R) -> (Vec<Vec<u8>>, String, Vec<u8>) {
     let workload = Workload::build();
     let store = BankStore::generate(256, 1);
     let opts = CohortOptions {
@@ -35,10 +31,10 @@ fn run_traced_with<R: Recorder + ?Sized>(workers: u32, rec: &R) -> (Vec<Vec<u8>>
 
 #[test]
 fn cohort_identical_across_worker_counts() {
-    let base = run_with(1);
+    let base = run_with(1, &NoopRecorder);
     assert!(base.0[0].starts_with(b"HTTP/1.1 200 OK"));
     for workers in [2, 4, 0] {
-        let run = run_with(workers);
+        let run = run_with(workers, &NoopRecorder);
         assert_eq!(run.0, base.0, "responses differ at workers={workers}");
         assert_eq!(run.1, base.1, "launch stats differ at workers={workers}");
         assert_eq!(run.2, base.2, "sessions differ at workers={workers}");
@@ -51,10 +47,10 @@ fn cohort_identical_across_worker_counts() {
 /// non-decreasing per-track timestamps.
 #[test]
 fn traced_cohort_identical_and_trace_valid() {
-    let untraced = run_with(1);
+    let untraced = run_with(1, &NoopRecorder);
     for workers in [1, 2, 4] {
         let rec = TraceRecorder::new();
-        let traced = run_traced_with(workers, &rec);
+        let traced = run_with(workers, &rec);
         assert_eq!(
             traced, untraced,
             "tracing changed results at workers={workers}"
@@ -116,7 +112,16 @@ fn colliding_login_cohort_is_identical_at_any_device_worker_count() {
         let mut generator = RequestGenerator::new(128, 9);
         let reqs = generator.uniform(RequestType::Login, 96, &mut sessions);
         let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(device_workers));
-        let result = run_cohort(&workload, &store, &mut sessions, &reqs, &gpu, &opts).unwrap();
+        let result = run_cohort_traced(
+            &workload,
+            &store,
+            &mut sessions,
+            &reqs,
+            &gpu,
+            &opts,
+            &NoopRecorder,
+        )
+        .unwrap();
         (result.responses, sessions.to_device_bytes())
     };
     let serial = run(1);

@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use rhythm_banking::prelude::*;
 use rhythm_core::pipeline::{uniform_arrivals, Pipeline, PipelineConfig};
 use rhythm_core::service::TableService;
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 
 fn bench_pipeline_sim(c: &mut Criterion) {
@@ -23,7 +24,7 @@ fn bench_pipeline_sim(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline");
     g.throughput(Throughput::Elements(4096));
     g.bench_function("sim_4096_requests", |bench| {
-        bench.iter(|| pipeline.run(std::hint::black_box(&arrivals)))
+        bench.iter(|| pipeline.run(std::hint::black_box(&arrivals), &NoopRecorder))
     });
     g.finish();
 }
@@ -48,7 +49,16 @@ fn bench_banking_cohort(c: &mut Criterion) {
                 (sessions, reqs)
             },
             |(mut sessions, reqs)| {
-                run_cohort(&workload, &store, &mut sessions, &reqs, &gpu, &opts).unwrap()
+                run_cohort_traced(
+                    &workload,
+                    &store,
+                    &mut sessions,
+                    &reqs,
+                    &gpu,
+                    &opts,
+                    &NoopRecorder,
+                )
+                .unwrap()
             },
             BatchSize::SmallInput,
         )

@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 
 use rhythm_banking::prelude::*;
 use rhythm_http::HttpRequest;
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 use rhythm_simt::ir::{BinOp, ProgramBuilder};
@@ -35,8 +36,14 @@ fn bench_simt_kernel(c: &mut Criterion) {
         bench.iter_batched(
             || DeviceMemory::new(256 * 4),
             |mut mem| {
-                gpu.launch(&kernel, &LaunchConfig::new(256, []), &mut mem, &pool)
-                    .unwrap()
+                gpu.launch(
+                    &kernel,
+                    &LaunchConfig::new(256, []),
+                    &mut mem,
+                    &pool,
+                    &NoopRecorder,
+                )
+                .unwrap()
             },
             BatchSize::SmallInput,
         )
@@ -71,8 +78,14 @@ fn bench_simt_workers(c: &mut Criterion) {
             bench.iter_batched(
                 || DeviceMemory::new(lanes as usize * 4),
                 |mut mem| {
-                    gpu.launch(&kernel, &LaunchConfig::new(lanes, []), &mut mem, &pool)
-                        .unwrap()
+                    gpu.launch(
+                        &kernel,
+                        &LaunchConfig::new(lanes, []),
+                        &mut mem,
+                        &pool,
+                        &NoopRecorder,
+                    )
+                    .unwrap()
                 },
                 BatchSize::SmallInput,
             )

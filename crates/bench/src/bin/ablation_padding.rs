@@ -10,6 +10,7 @@
 use rhythm_banking::prelude::*;
 use rhythm_bench::fmt::{render_table, time_s};
 use rhythm_bench::measure::{Harness, SALT, USERS};
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::gpu::Gpu;
 
 fn response_stats(
@@ -27,7 +28,16 @@ fn response_stats(
         ..Default::default()
     };
     let mut s = sessions.clone();
-    let result = run_cohort(workload, &h.store, &mut s, &reqs, &h.gpu, &opts).expect("cohort");
+    let result = run_cohort_traced(
+        workload,
+        &h.store,
+        &mut s,
+        &reqs,
+        &h.gpu,
+        &opts,
+        &NoopRecorder,
+    )
+    .expect("cohort");
     let (_, launch) = result
         .launches
         .iter()

@@ -39,8 +39,9 @@ use rhythm_banking::layout::{CohortLayout, REQBUF_BYTES};
 use rhythm_banking::session_array::SessionArrayHost;
 use rhythm_banking::types::RequestType;
 use rhythm_bench::fmt::machine_block;
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::exec::legacy::execute_simt_legacy_workers;
-use rhythm_simt::exec::simt::execute_simt_workers;
+use rhythm_simt::exec::simt::execute_simt;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
@@ -164,7 +165,7 @@ fn measure_kernel(
     // Reference run fixes the expected output and the stats, and checks
     // the engines agree before any timing happens.
     let mut mem_plan = snapshot.clone();
-    let stats = execute_simt_workers(kernel, cfg, &mut mem_plan, pool, 1)
+    let stats = execute_simt(kernel, cfg, &mut mem_plan, pool, 1, &NoopRecorder)
         .unwrap_or_else(|e| panic!("{ty}/{name} pre-decoded fault: {e}"));
     let mut mem_legacy = snapshot.clone();
     let legacy_stats = execute_simt_legacy_workers(kernel, cfg, &mut mem_legacy, pool, 1)
@@ -182,7 +183,7 @@ fn measure_kernel(
     // machine-load drift hits both sides of the ratio equally.
     let inner = if calibrate {
         let probe = time_once(snapshot, &mem_plan, |m| {
-            execute_simt_workers(kernel, cfg, m, pool, 1).unwrap();
+            execute_simt(kernel, cfg, m, pool, 1, &NoopRecorder).unwrap();
         });
         ((0.03 / probe.as_secs_f64().max(1e-9)).ceil().min(1000.0) as u32).max(1)
     } else {
@@ -204,7 +205,7 @@ fn measure_kernel(
         let mut batch = Duration::ZERO;
         for _ in 0..inner {
             batch += time_once(snapshot, &mem_plan, |m| {
-                execute_simt_workers(kernel, cfg, m, pool, 1).unwrap();
+                execute_simt(kernel, cfg, m, pool, 1, &NoopRecorder).unwrap();
             });
         }
         plan = plan.min(batch);
@@ -238,7 +239,7 @@ fn launch_floor_us() -> f64 {
     let mut mem = DeviceMemory::new(64);
     let mut launch_us = || {
         let t0 = Instant::now();
-        gpu.launch(&kernel, &cfg, &mut mem, &pool)
+        gpu.launch(&kernel, &cfg, &mut mem, &pool, &NoopRecorder)
             .expect("halt kernel launches");
         t0.elapsed().as_secs_f64() * 1e6
     };
@@ -303,17 +304,8 @@ fn main() {
         // is measured in the memory state it actually sees there, and
         // shared kernels (parser, backend) are measured once per type so
         // the report shows their behavior across environments.
-        let stages = workload.stages_of(ty);
-        let mut sequence = vec![("parser", &workload.parser)];
-        let n_backend = stages.len() - 1;
-        for (i, stage) in stages.iter().enumerate() {
-            sequence.push((stage.name(), stage));
-            if i < n_backend {
-                sequence.push(("backend", &workload.backend));
-            }
-        }
-
-        for (name, kernel) in sequence {
+        for step in workload.cohort_steps(ty) {
+            let kernel = step.program();
             let _ = plan_for(kernel); // warm the decode cache
             let measured = rows.iter().any(|r| r.name == kernel.name());
             if !measured {
@@ -329,8 +321,8 @@ fn main() {
                 ));
             }
             // Advance the cohort state for the next kernel's snapshot.
-            execute_simt_workers(kernel, &cfg, &mut mem, &workload.pool, 1)
-                .unwrap_or_else(|e| panic!("{:?}/{name} fault: {e}", ty));
+            execute_simt(kernel, &cfg, &mut mem, &workload.pool, 1, &NoopRecorder)
+                .unwrap_or_else(|e| panic!("{ty:?}/{} fault: {e}", step.name()));
         }
 
         // Later types generate tokens against the device's session state.

@@ -10,6 +10,7 @@ use rhythm_banking::prelude::*;
 use rhythm_bench::fmt::{kreqs, render_table, time_s};
 use rhythm_bench::latency::{pipeline_report, titan_latency_s};
 use rhythm_bench::measure::{titan_result, titan_type_measurement, Harness};
+use rhythm_obs::NoopRecorder;
 use rhythm_platform::presets::TitanPlatform;
 
 fn main() {
@@ -73,7 +74,7 @@ fn main() {
             };
             let pipeline = Pipeline::new(service, config);
             let arrivals = mixed_arrivals(400_000, tr.tput * 0.8, 7);
-            pipeline.run(&arrivals)
+            pipeline.run(&arrivals, &NoopRecorder)
         };
         if report.completed == 0 {
             report.makespan_s = 0.0;
@@ -102,5 +103,5 @@ fn main() {
     );
     println!("paper: at ~1M req/s arrival rates, cohort formation times are negligible;");
     println!("       larger cohorts raise response latency");
-    let _ = pipeline_report(&tr, 0.5, 10_000); // exercised for the doc example
+    let _ = pipeline_report(&tr, 0.5, 10_000, &NoopRecorder); // exercised for the doc example
 }

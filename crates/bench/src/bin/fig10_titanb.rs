@@ -16,7 +16,7 @@
 
 use rhythm_banking::prelude::RequestType;
 use rhythm_bench::fmt::{ratio, render_table};
-use rhythm_bench::latency::pipeline_report_traced;
+use rhythm_bench::latency::pipeline_report;
 use rhythm_bench::measure::{
     scalar_measurements, titan_type_measurement, Harness, TitanResult, MEASURE_COHORT,
 };
@@ -35,7 +35,7 @@ fn export_trace(path: &str, per_type: Vec<rhythm_bench::measure::TitanTypeResult
     };
     eprintln!("[fig10] tracing pipeline at 70% load ...");
     let rec = TraceRecorder::new();
-    let report = pipeline_report_traced(&result, 0.7, 60_000, &rec);
+    let report = pipeline_report(&result, 0.7, 60_000, &rec);
     let json = rec.chrome_json();
     rhythm_obs::validate_chrome_trace(&json).expect("exported trace must be valid");
     std::fs::write(path, &json).expect("write trace file");

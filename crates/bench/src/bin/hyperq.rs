@@ -12,6 +12,7 @@ use rhythm_bench::fmt::{render_table, time_s};
 use rhythm_bench::latency::{mixed_arrivals, MeasuredService};
 use rhythm_bench::measure::{titan_result, Harness};
 use rhythm_core::pipeline::{Pipeline, PipelineConfig};
+use rhythm_obs::NoopRecorder;
 use rhythm_platform::presets::TitanPlatform;
 use rhythm_simt::streams::{schedule, StreamOp};
 
@@ -79,7 +80,7 @@ fn main() {
         };
         let pipeline = Pipeline::new(service, config);
         let arrivals = mixed_arrivals(400_000, tr.tput * 0.8, 3);
-        let r = pipeline.run(&arrivals);
+        let r = pipeline.run(&arrivals, &NoopRecorder);
         rows.push(vec![
             format!("{slots}"),
             format!("{:.0}K", r.throughput() / 1e3),

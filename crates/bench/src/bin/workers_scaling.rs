@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use rhythm_banking::prelude::*;
 use rhythm_bench::fmt::render_table;
-use rhythm_obs::TraceRecorder;
+use rhythm_obs::{NoopRecorder, TraceRecorder};
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 
 const SALT: u32 = 0x5EED_0001;
@@ -46,7 +46,7 @@ fn run_at(workers: u32, workload: &Workload, store: &BankStore, cohort: usize) -
     };
     let mut sessions0 = SessionArrayHost::new(opts.session_capacity, opts.session_salt);
     let mut generator = RequestGenerator::new(4 * cohort as u32, 7);
-    // Uniform cohort: run_cohort drives one type-specific pipeline.
+    // Uniform cohort: run_cohort_traced drives one type-specific pipeline.
     let reqs = generator.uniform(RequestType::AccountSummary, cohort, &mut sessions0);
 
     let mut responses = Vec::new();
@@ -55,7 +55,8 @@ fn run_at(workers: u32, workload: &Workload, store: &BankStore, cohort: usize) -
     let start = Instant::now();
     for rep in 0..REPS {
         let mut s = sessions0.clone();
-        let result = run_cohort(workload, store, &mut s, &reqs, &gpu, &opts).expect("cohort");
+        let result = run_cohort_traced(workload, store, &mut s, &reqs, &gpu, &opts, &NoopRecorder)
+            .expect("cohort");
         if rep == 0 {
             responses = result.responses;
             stats_fingerprint = format!("{:?}", result.launches);

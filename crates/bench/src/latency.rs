@@ -6,6 +6,7 @@ use rhythm_banking::types::{RequestType, TABLE2};
 use rhythm_core::pipeline::{Pipeline, PipelineConfig};
 use rhythm_core::service::Service;
 use rhythm_core::PipelineReport;
+use rhythm_obs::NoopRecorder;
 use rhythm_platform::presets::TitanPlatform;
 
 use crate::measure::{TitanResult, MEASURE_COHORT, PAPER_COHORT};
@@ -116,15 +117,9 @@ pub fn mixed_arrivals(count: u64, rate: f64, seed: u64) -> Vec<(f64, u32)> {
 }
 
 /// Run the pipeline at a fraction of the measured throughput and report.
-pub fn pipeline_report(result: &TitanResult, load_fraction: f64, requests: u64) -> PipelineReport {
-    pipeline_report_traced(result, load_fraction, requests, &rhythm_obs::NoopRecorder)
-}
-
-/// [`pipeline_report`] with a [`Recorder`](rhythm_obs::Recorder): stage
-/// spans, cohort FSM transitions, and latency histograms land in `rec`
-/// (virtual-time clock). The returned report is identical to the
-/// untraced run.
-pub fn pipeline_report_traced<R: rhythm_obs::Recorder + ?Sized>(
+/// Stage spans, cohort FSM transitions, and latency histograms land in
+/// `rec` (virtual-time clock); the report does not depend on it.
+pub fn pipeline_report<R: rhythm_obs::Recorder + ?Sized>(
     result: &TitanResult,
     load_fraction: f64,
     requests: u64,
@@ -145,12 +140,14 @@ pub fn pipeline_report_traced<R: rhythm_obs::Recorder + ?Sized>(
     };
     let pipeline = Pipeline::new(service, config);
     let arrivals = mixed_arrivals(requests, result.tput * load_fraction, 99);
-    pipeline.run_traced(&arrivals, rec)
+    pipeline.run(&arrivals, rec)
 }
 
 /// Mean end-to-end latency at 80 % load — the Table 3 latency estimate.
 pub fn titan_latency_s(result: &TitanResult) -> f64 {
-    pipeline_report(result, 0.8, 300_000).latency.mean
+    pipeline_report(result, 0.8, 300_000, &NoopRecorder)
+        .latency
+        .mean
 }
 
 #[cfg(test)]
@@ -229,7 +226,7 @@ mod tests {
 
     #[test]
     fn pipeline_report_completes_all() {
-        let r = pipeline_report(&synthetic(TitanPlatform::B), 0.5, 20_000);
+        let r = pipeline_report(&synthetic(TitanPlatform::B), 0.5, 20_000, &NoopRecorder);
         assert_eq!(r.completed, 20_000);
         assert!(r.latency.mean > 0.0);
         assert!(r.latency.p99 >= r.latency.p50);

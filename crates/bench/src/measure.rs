@@ -16,6 +16,7 @@
 use std::collections::HashMap;
 
 use rhythm_banking::prelude::*;
+use rhythm_obs::NoopRecorder;
 use rhythm_platform::pcie::{titan_a_bytes_per_request, PcieModel};
 use rhythm_platform::presets::{TitanPlatform, TitanPreset};
 use rhythm_platform::PlatformResult;
@@ -151,8 +152,16 @@ pub fn titan_type_measurement(
         sanitize: false,
     };
     let mut s = sessions.clone();
-    let result =
-        run_cohort(&h.workload, &h.store, &mut s, &reqs, &h.gpu, &opts).expect("cohort run");
+    let result = run_cohort_traced(
+        &h.workload,
+        &h.store,
+        &mut s,
+        &reqs,
+        &h.gpu,
+        &opts,
+        &NoopRecorder,
+    )
+    .expect("cohort run");
 
     // Sustained (steady-state) kernel costs: with 8 cohorts in flight the
     // device pipeline is full, so throughput follows aggregate issue and
@@ -236,8 +245,9 @@ pub fn transpose_time_simulated(gpu: &Gpu, rows: u32, cols: u32) -> f64 {
     let lanes = transpose_launch_lanes(mrows, mcols);
     let mut cfg = LaunchConfig::new(lanes, vec![0, n as u32, mrows, mcols]);
     cfg.shared_bytes = TILE * TILE;
+    let pool = rhythm_simt::ConstPool::new();
     let res = gpu
-        .launch(&kernel, &cfg, &mut mem, &rhythm_simt::ConstPool::new())
+        .launch(&kernel, &cfg, &mut mem, &pool, &NoopRecorder)
         .expect("transpose measurement");
 
     let measured_tiles = (mrows / TILE) as u64 * (mcols / TILE) as u64;

@@ -20,6 +20,7 @@
 //!
 //! ```
 //! use rhythm_core::pipeline::{uniform_arrivals, Pipeline, PipelineConfig};
+//! use rhythm_obs::NoopRecorder;
 //! use rhythm_core::service::TableService;
 //!
 //! let config = PipelineConfig {
@@ -29,7 +30,7 @@
 //! };
 //! let pipeline = Pipeline::new(TableService::uniform(2, 2), config);
 //! let arrivals = uniform_arrivals(1024, 1_000_000.0, &[0, 1]);
-//! let report = pipeline.run(&arrivals);
+//! let report = pipeline.run(&arrivals, &NoopRecorder);
 //! assert_eq!(report.completed, 1024);
 //! println!("throughput: {:.0} req/s, mean latency {:.2} ms",
 //!          report.throughput(), report.latency.mean * 1e3);

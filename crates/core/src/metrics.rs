@@ -23,10 +23,7 @@ impl LatencyStats {
     /// Compute from raw samples (empty samples give zeroes).
     ///
     /// NaN samples carry no ordering information and are filtered out up
-    /// front — the statistics describe the remaining samples. (The old
-    /// implementation panicked from inside the sort comparator, leaving
-    /// the vector half-sorted in the unwind; validating before sorting
-    /// gives a well-defined result instead.)
+    /// front — the statistics describe the remaining samples.
     pub fn from_samples(mut samples: Vec<f64>) -> Self {
         samples.retain(|s| !s.is_nan());
         if samples.is_empty() {

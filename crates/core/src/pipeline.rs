@@ -21,7 +21,7 @@ use crate::events::EventQueue;
 use crate::metrics::{LatencyStats, PipelineReport};
 use crate::service::Service;
 
-use rhythm_obs::{s_to_us, ArgValue, Clock, NoopRecorder, Recorder};
+use rhythm_obs::{s_to_us, ArgValue, Clock, Recorder};
 
 use std::collections::VecDeque;
 
@@ -103,16 +103,7 @@ impl<S: Service> Pipeline<S> {
     }
 
     /// Run a finite arrival schedule (`(time, type)` pairs, any order) to
-    /// completion and report metrics.
-    ///
-    /// Equivalent to [`Pipeline::run_traced`] with the no-op recorder;
-    /// both produce bit-identical reports because the recorder is purely
-    /// observational.
-    pub fn run(&self, arrivals: &[(f64, u32)]) -> PipelineReport {
-        self.run_traced(arrivals, &NoopRecorder)
-    }
-
-    /// Run an arrival schedule while streaming trace events into `rec`.
+    /// completion and report metrics, streaming trace events into `rec`.
     ///
     /// All timestamps are in the pipeline's **virtual** time
     /// ([`Clock::Virtual`], microseconds). The recorder sees:
@@ -131,12 +122,8 @@ impl<S: Service> Pipeline<S> {
     /// * `request_latency_s` and `cohort_fill` streaming histograms.
     ///
     /// The recorder cannot influence the simulation: the returned
-    /// [`PipelineReport`] is bit-identical to [`Pipeline::run`].
-    pub fn run_traced<R: Recorder + ?Sized>(
-        &self,
-        arrivals: &[(f64, u32)],
-        rec: &R,
-    ) -> PipelineReport {
+    /// [`PipelineReport`] is bit-identical under [`rhythm_obs::NoopRecorder`].
+    pub fn run<R: Recorder + ?Sized>(&self, arrivals: &[(f64, u32)], rec: &R) -> PipelineReport {
         let cfg = &self.config;
         let mut q: EventQueue<Event> = EventQueue::new();
         for &(t, ty) in arrivals {
@@ -166,8 +153,7 @@ impl<S: Service> Pipeline<S> {
         // opened for a new cohort. A CohortTimeout only fires for the
         // generation it was armed against, so a timeout scheduled for a
         // released-and-reopened context can never launch the new cohort
-        // early (the old `opened_at` f64 comparison aliased when the two
-        // opens happened at the same virtual time).
+        // early, even when both opens happen at the same virtual time.
         let mut generations: Vec<u64> = vec![0; cfg.pool_contexts as usize];
 
         // Epoch for which a ReaderFlush event is currently in the queue,
@@ -649,6 +635,7 @@ pub fn uniform_arrivals(count: u64, rate: f64, mix: &[u32]) -> Vec<(f64, u32)> {
 mod tests {
     use super::*;
     use crate::service::TableService;
+    use rhythm_obs::NoopRecorder;
 
     fn small_config() -> PipelineConfig {
         PipelineConfig {
@@ -666,7 +653,7 @@ mod tests {
     fn all_requests_complete() {
         let p = Pipeline::new(TableService::uniform(2, 2), small_config());
         let arrivals = uniform_arrivals(256, 1e6, &[0, 1]);
-        let r = p.run(&arrivals);
+        let r = p.run(&arrivals, &NoopRecorder);
         assert_eq!(r.completed, 256);
         assert!(r.makespan_s > 0.0);
         assert_eq!(r.latency.count, 256);
@@ -677,7 +664,7 @@ mod tests {
     fn full_cohorts_at_high_rate() {
         let p = Pipeline::new(TableService::uniform(1, 1), small_config());
         let arrivals = uniform_arrivals(512, 1e8, &[0]);
-        let r = p.run(&arrivals);
+        let r = p.run(&arrivals, &NoopRecorder);
         assert_eq!(r.completed, 512);
         assert!(
             r.mean_fill > 0.99,
@@ -693,7 +680,7 @@ mod tests {
         // 100 requests at 1k req/s: inter-arrival 1 ms = reader timeout;
         // cohorts can never fill before the formation timeout.
         let arrivals = uniform_arrivals(100, 1e3, &[0]);
-        let r = p.run(&arrivals);
+        let r = p.run(&arrivals, &NoopRecorder);
         assert_eq!(r.completed, 100);
         assert!(r.timeout_launches > 0, "low rate must launch by timeout");
         assert!(r.mean_fill < 1.0);
@@ -708,7 +695,7 @@ mod tests {
             let p = Pipeline::new(TableService::uniform(1, 1), cfg);
             // Rate high enough to fill even the large cohort quickly.
             let arrivals = uniform_arrivals(4096, 1e7, &[0]);
-            p.run(&arrivals).latency.mean
+            p.run(&arrivals, &NoopRecorder).latency.mean
         };
         let small = mk(16);
         let large = mk(1024);
@@ -724,11 +711,11 @@ mod tests {
         cfg.device_slots = 32;
         let p = Pipeline::new(TableService::uniform(4, 2), cfg.clone());
         let arrivals = uniform_arrivals(2048, 5e6, &[0, 1, 2, 3]);
-        let hyperq = p.run(&arrivals);
+        let hyperq = p.run(&arrivals, &NoopRecorder);
 
         cfg.device_slots = 1;
         let p1 = Pipeline::new(TableService::uniform(4, 2), cfg);
-        let single = p1.run(&arrivals);
+        let single = p1.run(&arrivals, &NoopRecorder);
 
         assert_eq!(hyperq.completed, single.completed);
         assert!(
@@ -748,7 +735,7 @@ mod tests {
         let p = Pipeline::new(TableService::uniform(4, 1), cfg);
         // Many types at once with one context: later types must stall.
         let arrivals = uniform_arrivals(64, 1e7, &[0, 1, 2, 3]);
-        let r = p.run(&arrivals);
+        let r = p.run(&arrivals, &NoopRecorder);
         assert!(r.dispatch_stalls > 0);
         assert_eq!(r.completed, 64, "stalled requests complete eventually");
     }
@@ -757,8 +744,8 @@ mod tests {
     fn deterministic_runs() {
         let p = Pipeline::new(TableService::uniform(3, 2), small_config());
         let arrivals = uniform_arrivals(300, 2e6, &[0, 1, 2]);
-        let a = p.run(&arrivals);
-        let b = p.run(&arrivals);
+        let a = p.run(&arrivals, &NoopRecorder);
+        let b = p.run(&arrivals, &NoopRecorder);
         assert_eq!(a, b);
     }
 
@@ -771,9 +758,9 @@ mod tests {
         cfg.pool_contexts = 1; // force dispatch stalls too
         let p = Pipeline::new(TableService::uniform(4, 2), cfg);
         let arrivals = uniform_arrivals(512, 5e6, &[0, 1, 2, 3]);
-        let untraced = p.run(&arrivals);
+        let untraced = p.run(&arrivals, &NoopRecorder);
         let rec = TraceRecorder::new();
-        let traced = p.run_traced(&arrivals, &rec);
+        let traced = p.run(&arrivals, &rec);
         assert_eq!(untraced, traced, "recorder must be invisible");
         assert!(!rec.is_empty(), "trace recorded events");
     }
@@ -795,7 +782,7 @@ mod tests {
                 .map(|&(t, ty)| (t + 1.0, ty)),
         );
         let rec = TraceRecorder::new();
-        let report = p.run_traced(&arrivals, &rec);
+        let report = p.run(&arrivals, &rec);
         assert_eq!(report.completed, 264);
         assert!(
             report.timeout_launches > 0,
@@ -862,7 +849,7 @@ mod tests {
             cfg.parser_instances = parsers;
             let p = Pipeline::new(svc.clone(), cfg);
             let arrivals = uniform_arrivals(2048, 1e8, &[0]);
-            p.run(&arrivals).makespan_s
+            p.run(&arrivals, &NoopRecorder).makespan_s
         };
         let one = run(1);
         let four = run(4);
@@ -940,7 +927,7 @@ mod tests {
             .enumerate()
             .map(|(i, &ty)| (i as f64 * 1e-8, ty))
             .collect();
-        let r = p.run(&arrivals);
+        let r = p.run(&arrivals, &NoopRecorder);
 
         assert_eq!(r.completed, 12);
         // Each of the 8 stalled requests is counted exactly once.
@@ -983,13 +970,13 @@ mod tests {
         // r1 + r2 fill and retire a cohort at t = 0; r3 reopens the same
         // context at t = 0 with the first occupancy's timer still queued.
         let arrivals = [(0.0, 0), (0.0, 0), (0.0, 0)];
-        let a = p.run(&arrivals);
+        let a = p.run(&arrivals, &NoopRecorder);
         assert_eq!(a.completed, 3);
         assert_eq!(a.cohorts_launched, 2);
         // Only the second occupancy's own timer launches the partial
         // cohort; the stale timer is a no-op.
         assert_eq!(a.timeout_launches, 1);
-        let b = p.run(&arrivals);
+        let b = p.run(&arrivals, &NoopRecorder);
         assert_eq!(a, b, "aliased-timer schedule must stay deterministic");
     }
 
@@ -1002,7 +989,7 @@ mod tests {
         let p = Pipeline::new(TableService::uniform(2, 2), small_config());
         // Below-batch trickle: every batch needs the flush timer.
         let arrivals = uniform_arrivals(30, 2e3, &[0, 1]);
-        let r = p.run(&arrivals);
+        let r = p.run(&arrivals, &NoopRecorder);
         assert_eq!(r.completed, 30);
         assert!(r.timeout_launches > 0 || r.cohorts_launched > 0);
 
@@ -1011,7 +998,7 @@ mod tests {
         let mut svc = TableService::uniform(1, 1);
         svc.parse_per_req = 5e-3; // ≫ reader timeout
         let p = Pipeline::new(svc, small_config());
-        let r = p.run(&uniform_arrivals(20, 1e3, &[0]));
+        let r = p.run(&uniform_arrivals(20, 1e3, &[0]), &NoopRecorder);
         assert_eq!(r.completed, 20, "busy-parser flushes must be re-armed");
     }
 }

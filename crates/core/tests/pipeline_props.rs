@@ -5,6 +5,7 @@ use proptest::prelude::*;
 
 use rhythm_core::pipeline::{Pipeline, PipelineConfig};
 use rhythm_core::service::TableService;
+use rhythm_obs::NoopRecorder;
 
 fn config(cohort: u32, pool: u32, slots: u32, timeout_ms: f64) -> PipelineConfig {
     PipelineConfig {
@@ -41,7 +42,7 @@ proptest! {
             })
             .collect();
         let p = Pipeline::new(TableService::uniform(4, 2), config(cohort, pool, slots, 1.0));
-        let r = p.run(&arrivals);
+        let r = p.run(&arrivals, &NoopRecorder);
         prop_assert_eq!(r.completed, arrivals.len() as u64);
         prop_assert_eq!(r.latency.count, arrivals.len() as u64);
         prop_assert!(r.makespan_s >= arrivals.last().map(|a| a.0).unwrap_or(0.0));
@@ -59,7 +60,7 @@ proptest! {
         let svc = TableService::uniform(2, 1);
         let p = Pipeline::new(svc, config(cohort, 8, 32, 2.0));
         let arrivals: Vec<(f64, u32)> = (0..n).map(|i| (i as f64 / rate, (i % 2) as u32)).collect();
-        let r = p.run(&arrivals);
+        let r = p.run(&arrivals, &NoopRecorder);
         prop_assert!(r.mean_fill <= 1.0 + 1e-9);
         prop_assert!(r.mean_fill > 0.0);
         // Each request at least pays one stage + response latency.
@@ -76,8 +77,8 @@ proptest! {
         let mut sorted = arrivals.clone();
         sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
         let p = Pipeline::new(TableService::uniform(3, 2), config(16, 4, 8, 1.0));
-        let a = p.run(&sorted);
-        let b = p.run(&sorted);
+        let a = p.run(&sorted, &NoopRecorder);
+        let b = p.run(&sorted, &NoopRecorder);
         prop_assert_eq!(a, b);
     }
 
@@ -91,7 +92,7 @@ proptest! {
         // One request every 5 ms — far slower than the 1 ms timeout, so
         // every cohort launches by timeout with exactly one member.
         let arrivals: Vec<(f64, u32)> = (0..n).map(|i| (i as f64 * 5e-3, 0)).collect();
-        let r = p.run(&arrivals);
+        let r = p.run(&arrivals, &NoopRecorder);
         prop_assert_eq!(r.completed, n);
         prop_assert_eq!(r.timeout_launches, r.cohorts_launched);
         // reader timeout + formation timeout + service ≪ 5 ms

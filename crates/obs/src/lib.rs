@@ -4,13 +4,15 @@
 //! The crate has three layers, all dependency-free:
 //!
 //! * **[`Recorder`]** — a zero-cost-when-disabled sink for span, instant,
-//!   counter, and histogram events. Instrumented code is generic over
-//!   `R: Recorder + ?Sized`; with [`NoopRecorder`] every method is an
-//!   empty `#[inline(always)]` body and the traced path monomorphizes to
-//!   the untraced machine code. The trait is strictly observational, so a
-//!   recorder can never perturb results — the pipeline's `PipelineReport`
-//!   and the SIMT executor's responses stay bit-identical with tracing on
-//!   or off.
+//!   counter, and histogram events. Each instrumented operation is one
+//!   function taking `rec: &R` with `R: Recorder + ?Sized` (the pipeline's
+//!   `Pipeline::run`, the device's `Gpu::launch`, the executor's
+//!   `execute_simt`); an untraced caller passes `&NoopRecorder`, whose
+//!   every method is an empty `#[inline(always)]` body, so that call
+//!   monomorphizes to untraced machine code. The trait is strictly
+//!   observational, so a recorder can never perturb results — the
+//!   pipeline's `PipelineReport` and the SIMT executor's responses stay
+//!   bit-identical with tracing on or off.
 //! * **[`StreamingHistogram`]** — HDR-style log-bucketed histograms
 //!   (O(1) per sample, mergeable, bounded relative quantile error) that
 //!   complement `rhythm-core`'s sorted-sample `LatencyStats`.

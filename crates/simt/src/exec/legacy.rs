@@ -25,13 +25,13 @@ use super::{ExecError, LaunchConfig};
 /// Kept as the independently implemented oracle for differential tests and
 /// as the `bench_kernels` baseline; production paths use the pre-decoded
 /// engine. Memory, stats, and errors are bit-identical to
-/// [`execute_simt_workers`] at every worker count.
+/// [`execute_simt`] at every worker count.
 ///
 /// # Errors
 ///
-/// Same failures as [`execute_simt_workers`].
+/// Same failures as [`execute_simt`].
 ///
-/// [`execute_simt_workers`]: super::simt::execute_simt_workers
+/// [`execute_simt`]: super::simt::execute_simt
 pub fn execute_simt_legacy_workers(
     program: &Program,
     cfg: &LaunchConfig,

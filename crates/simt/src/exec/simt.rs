@@ -13,29 +13,27 @@
 //! rejoin at the branch block's immediate post-dominator, the scheme used
 //! by real hardware and by GPGPU-Sim.
 //!
-//! This module is the **pre-decoded engine**
-//! ([`execute_plan_workers_traced`]): it runs [`ExecPlan`]s — flat
-//! decoded-op arrays with SoA register addressing (`regs[r * 32 + lane]`),
-//! decode-time reconvergence points, convergent full-mask fast paths that
-//! process a register's 32 contiguous lanes in straight auto-vectorizable
-//! loops, and per-warp buffers leased from a process-wide
-//! [`warp arena`](warp_arena_stats) so steady-state launches allocate
-//! nothing. The warp scheduler and the memory cost model defined here are
+//! This module is the **pre-decoded engine** ([`execute_simt`]): it runs
+//! [`ExecPlan`]s — flat decoded-op arrays with SoA register addressing
+//! (`regs[r * 32 + lane]`), decode-time reconvergence points, convergent
+//! full-mask fast paths that process a register's 32 contiguous lanes in
+//! straight auto-vectorizable loops, and per-warp buffers leased from a
+//! process-wide [`warp arena`](warp_arena_stats) so steady-state launches
+//! allocate nothing. The warp scheduler and the memory cost model defined here are
 //! also what the legacy masked engine ([`super::legacy`], the
 //! differential-testing oracle and `bench_kernels` baseline) runs on, so
 //! the two produce bit-identical memory, stats, and errors at every worker
 //! count.
 //!
-//! Warps between barriers are independent, so [`execute_simt_workers`] can
-//! execute them concurrently on a host worker pool while keeping results
-//! bit-for-bit identical to the serial [`execute_simt`] path.
+//! Warps between barriers are independent, so [`execute_simt`] can execute
+//! them concurrently on a host worker pool while keeping results
+//! bit-for-bit identical to serial execution.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use rhythm_obs::{
-    ArgValue, CacheCounters, CacheSnapshot, Clock, NoopRecorder, PoolCounters, PoolSnapshot,
-    Recorder,
+    ArgValue, CacheCounters, CacheSnapshot, Clock, PoolCounters, PoolSnapshot, Recorder,
 };
 
 use crate::ir::{BinOp, MemSpace, Program, UnOp, Width, EXIT_BLOCK};
@@ -65,26 +63,49 @@ pub(super) struct StackEntry {
     pub(super) reconv: u32,
 }
 
-/// Execute a kernel launch on the SIMT engine, one warp at a time.
+/// Execute a kernel launch on the SIMT engine, its warps spread over
+/// `workers` host threads (`0` = one per available core, `1` = serial).
 ///
-/// Lanes within a warp run in lockstep; warps run sequentially on the
-/// calling thread (their cycle counts are combined by the device timing
-/// model in [`crate::gpu`]). Use [`execute_simt_workers`] to spread the
-/// warps over a host thread pool.
+/// Lanes within a warp run in lockstep; the warps' cycle counts are
+/// combined by the device timing model in [`crate::gpu`]. The launch runs
+/// on the pre-decoded engine: the program's [`ExecPlan`] is fetched from
+/// (or inserted into) the process-wide decode cache, so repeated launches
+/// of the same kernel skip decode and CFG analysis entirely.
 ///
-/// The launch executes on the pre-decoded engine: the program's
-/// [`ExecPlan`] is fetched from (or inserted into) the process-wide decode
-/// cache, so repeated launches of the same kernel skip decode and CFG
-/// analysis entirely.
+/// Warps between barriers are independent, so they are handed to the
+/// worker pool through a dynamic (work-stealing) counter. Results are
+/// bit-for-bit identical to serial execution for well-formed cohort
+/// kernels:
+///
+/// * warps write disjoint lanes of global memory, which the lock-free
+///   [`SharedMem`] view supports without ordering constraints;
+/// * every [`KernelStats`] counter is a sum or max over per-warp values,
+///   so the deterministic per-warp merge order makes the totals exact;
+/// * cross-warp `AtomicAdd` to one address never loses updates (striped
+///   RMW locks), though the *old values* observed by racing warps — and
+///   racy non-atomic cross-warp accesses — depend on scheduling.
+///
+/// With an enabled recorder each warp becomes a wall-time span on its
+/// worker's track (`simt:w0`, `simt:w1`, ...) named `"<kernel> warp <w>"`,
+/// carrying instruction, divergence, and cycle counters as span args, plus
+/// `warp_cycles` and `warp_exec_ns` streaming histogram samples. Tracing
+/// never touches execution state: pass [`rhythm_obs::NoopRecorder`] and the
+/// results are bit-identical — only which worker track a warp's span lands
+/// on varies from run to run.
 ///
 /// # Errors
 ///
 /// Fails on memory faults, missing params, a tripped instruction budget,
 /// or a divergence-stack invariant violation (which would indicate a bug).
+/// When several warps fault, the error of the lowest-numbered faulting
+/// warp is reported, independent of worker count. Unlike serial execution,
+/// warps numbered after a faulting warp may already have executed and
+/// written memory by the time the error is returned.
 ///
 /// # Example
 ///
 /// ```
+/// use rhythm_obs::NoopRecorder;
 /// use rhythm_simt::ir::{ProgramBuilder, BinOp};
 /// use rhythm_simt::exec::{simt::execute_simt, LaunchConfig};
 /// use rhythm_simt::mem::{ConstPool, DeviceMemory};
@@ -100,68 +121,14 @@ pub(super) struct StackEntry {
 ///
 /// let mut mem = DeviceMemory::new(64 * 4);
 /// let pool = ConstPool::new();
-/// let stats = execute_simt(&p, &LaunchConfig::new(64, []), &mut mem, &pool)?;
+/// let cfg = LaunchConfig::new(64, []);
+/// let stats = execute_simt(&p, &cfg, &mut mem, &pool, 1, &NoopRecorder)?;
 /// assert_eq!(stats.warps, 2);
 /// assert_eq!(mem.read_word(63 * 4)?, 63);
 /// assert!(stats.simd_efficiency(32) > 0.99, "no divergence here");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn execute_simt(
-    program: &Program,
-    cfg: &LaunchConfig,
-    mem: &mut DeviceMemory,
-    pool: &ConstPool,
-) -> Result<KernelStats, ExecError> {
-    execute_simt_workers(program, cfg, mem, pool, 1)
-}
-
-/// Execute a kernel launch with its warps spread over `workers` host
-/// threads (`0` = one per available core, `1` = serial, identical to
-/// [`execute_simt`]).
-///
-/// Warps between barriers are independent, so they are handed to a worker
-/// pool through a dynamic (work-stealing) counter. Results are bit-for-bit
-/// identical to serial execution for well-formed cohort kernels:
-///
-/// * warps write disjoint lanes of global memory, which the lock-free
-///   [`SharedMem`] view supports without ordering constraints;
-/// * every [`KernelStats`] counter is a sum or max over per-warp values,
-///   so the deterministic per-warp merge order makes the totals exact;
-/// * cross-warp `AtomicAdd` to one address never loses updates (striped
-///   RMW locks), though the *old values* observed by racing warps — and
-///   racy non-atomic cross-warp accesses — depend on scheduling.
-///
-/// # Errors
-///
-/// Same failures as [`execute_simt`]. When several warps fault, the error
-/// of the lowest-numbered faulting warp is reported, independent of worker
-/// count. Unlike serial execution, warps numbered after a faulting warp
-/// may already have executed and written memory by the time the error is
-/// returned.
-pub fn execute_simt_workers(
-    program: &Program,
-    cfg: &LaunchConfig,
-    mem: &mut DeviceMemory,
-    pool: &ConstPool,
-    workers: usize,
-) -> Result<KernelStats, ExecError> {
-    execute_simt_workers_traced(program, cfg, mem, pool, workers, &NoopRecorder)
-}
-
-/// [`execute_simt_workers`] with per-warp tracing: each warp's execution
-/// becomes a wall-time span on its worker's track (`simt:w0`, `simt:w1`,
-/// ...) named `"<kernel> warp <w>"`, carrying instruction, divergence,
-/// and cycle counters as span args, plus `warp_cycles` and `warp_exec_ns`
-/// streaming histogram samples.
-///
-/// Tracing never touches execution state, so results are bit-identical to
-/// the untraced path at every worker count — only which worker track a
-/// warp's span lands on varies from run to run.
-///
-/// # Errors
-///
-/// Same failures as [`execute_simt_workers`].
-pub fn execute_simt_workers_traced<R: Recorder + ?Sized>(
+pub fn execute_simt<R: Recorder + ?Sized>(
     program: &Program,
     cfg: &LaunchConfig,
     mem: &mut DeviceMemory,
@@ -169,23 +136,14 @@ pub fn execute_simt_workers_traced<R: Recorder + ?Sized>(
     workers: usize,
     rec: &R,
 ) -> Result<KernelStats, ExecError> {
-    let plan = plan_for(program);
-    execute_plan_workers_traced(&plan, cfg, mem, pool, workers, rec)
+    execute_plan(&plan_for(program), cfg, mem, pool, workers, rec)
 }
 
-/// Execute a pre-decoded [`ExecPlan`] directly (the engine behind every
-/// default launch path).
-///
-/// Callers that launch the same kernel repeatedly should hold on to the
-/// plan (or rely on [`plan_for`]'s cache, as [`execute_simt_workers`]
-/// does) so decode cost is paid once. Per-warp register files and scratch
-/// buffers are leased from the process-wide warp arena, making
-/// steady-state launches allocation-free (see [`warp_arena_stats`]).
-///
-/// # Errors
-///
-/// Same failures as [`execute_simt_workers`].
-pub fn execute_plan_workers_traced<R: Recorder + ?Sized>(
+/// [`execute_simt`] on a pre-decoded [`ExecPlan`] the caller already holds.
+/// Per-warp register files and scratch buffers are leased from the
+/// process-wide warp arena, making steady-state launches allocation-free
+/// (see [`warp_arena_stats`]).
+pub(crate) fn execute_plan<R: Recorder + ?Sized>(
     plan: &ExecPlan,
     cfg: &LaunchConfig,
     mem: &mut DeviceMemory,
@@ -1688,10 +1646,19 @@ mod tests {
     use super::super::legacy::execute_simt_legacy_workers;
     use super::*;
     use crate::ir::{BinOp, ProgramBuilder};
+    use rhythm_obs::NoopRecorder;
 
     fn launch(p: &Program, lanes: u32, params: Vec<u32>, mem: &mut DeviceMemory) -> KernelStats {
         let pool = ConstPool::new();
-        execute_simt(p, &LaunchConfig::new(lanes, params), mem, &pool).unwrap()
+        execute_simt(
+            p,
+            &LaunchConfig::new(lanes, params),
+            mem,
+            &pool,
+            1,
+            &NoopRecorder,
+        )
+        .unwrap()
     }
 
     /// Lane i stores its id at byte i (coalesced) — one transaction per
@@ -1807,7 +1774,15 @@ mod tests {
         let pool = ConstPool::new();
         let lanes = 48u32;
         let mut mem_simt = DeviceMemory::new(lanes as usize * 4);
-        execute_simt(&p, &LaunchConfig::new(lanes, []), &mut mem_simt, &pool).unwrap();
+        execute_simt(
+            &p,
+            &LaunchConfig::new(lanes, []),
+            &mut mem_simt,
+            &pool,
+            1,
+            &NoopRecorder,
+        )
+        .unwrap();
 
         let mut mem_scalar = DeviceMemory::new(lanes as usize * 4);
         let cfg = LaunchConfig::new(1, []);
@@ -1878,7 +1853,15 @@ mod tests {
         b.halt();
         let p = b.build().unwrap();
         let mut mem = DeviceMemory::new(4);
-        let stats = execute_simt(&p, &LaunchConfig::new(32, []), &mut mem, &pool).unwrap();
+        let stats = execute_simt(
+            &p,
+            &LaunchConfig::new(32, []),
+            &mut mem,
+            &pool,
+            1,
+            &NoopRecorder,
+        )
+        .unwrap();
         assert_eq!(stats.const_replays, 3, "4 distinct addresses = 3 replays");
     }
 
@@ -1934,10 +1917,10 @@ mod tests {
         let cfg = LaunchConfig::new(lanes, []);
 
         let mut mem1 = DeviceMemory::new(lanes as usize * 4);
-        let base = execute_simt_workers(&p, &cfg, &mut mem1, &pool, 1).unwrap();
+        let base = execute_simt(&p, &cfg, &mut mem1, &pool, 1, &NoopRecorder).unwrap();
         for workers in [2usize, 4, 8] {
             let mut memn = DeviceMemory::new(lanes as usize * 4);
-            let stats = execute_simt_workers(&p, &cfg, &mut memn, &pool, workers).unwrap();
+            let stats = execute_simt(&p, &cfg, &mut memn, &pool, workers, &NoopRecorder).unwrap();
             assert_eq!(stats, base, "stats diverge at {workers} workers");
             assert_eq!(
                 memn.as_bytes(),
@@ -1979,7 +1962,8 @@ mod tests {
             let legacy =
                 execute_simt_legacy_workers(&p, &cfg, &mut mem_legacy, &pool, workers).unwrap();
             let mut mem_plan = DeviceMemory::new(lanes as usize * 4);
-            let plan = execute_simt_workers(&p, &cfg, &mut mem_plan, &pool, workers).unwrap();
+            let plan =
+                execute_simt(&p, &cfg, &mut mem_plan, &pool, workers, &NoopRecorder).unwrap();
             assert_eq!(plan, legacy, "stats diverge at {workers} workers");
             assert_eq!(
                 mem_plan.as_bytes(),
@@ -2005,7 +1989,7 @@ mod tests {
         let mut mem_legacy = DeviceMemory::new(32 * 4);
         let legacy = execute_simt_legacy_workers(&p, &cfg, &mut mem_legacy, &pool, 2).unwrap_err();
         let mut mem_plan = DeviceMemory::new(32 * 4);
-        let plan = execute_simt_workers(&p, &cfg, &mut mem_plan, &pool, 2).unwrap_err();
+        let plan = execute_simt(&p, &cfg, &mut mem_plan, &pool, 2, &NoopRecorder).unwrap_err();
         assert_eq!(plan, legacy);
     }
 
@@ -2025,10 +2009,10 @@ mod tests {
         let cfg = LaunchConfig::new(256, []);
         let pool = ConstPool::new();
         let mut mem1 = DeviceMemory::new(32 * 4);
-        let serial = execute_simt_workers(&p, &cfg, &mut mem1, &pool, 1).unwrap_err();
+        let serial = execute_simt(&p, &cfg, &mut mem1, &pool, 1, &NoopRecorder).unwrap_err();
         for workers in [2usize, 4] {
             let mut memn = DeviceMemory::new(32 * 4);
-            let err = execute_simt_workers(&p, &cfg, &mut memn, &pool, workers).unwrap_err();
+            let err = execute_simt(&p, &cfg, &mut memn, &pool, workers, &NoopRecorder).unwrap_err();
             assert_eq!(err, serial, "error differs at {workers} workers");
         }
     }
@@ -2056,13 +2040,12 @@ mod tests {
         let pool = ConstPool::new();
         let cfg = LaunchConfig::new(lanes, []);
         let mut mem_base = DeviceMemory::new(lanes as usize * 4);
-        let base = execute_simt_workers(&p, &cfg, &mut mem_base, &pool, 2).unwrap();
+        let base = execute_simt(&p, &cfg, &mut mem_base, &pool, 2, &NoopRecorder).unwrap();
 
         for workers in [1usize, 3] {
             let rec = TraceRecorder::new();
             let mut mem = DeviceMemory::new(lanes as usize * 4);
-            let traced =
-                execute_simt_workers_traced(&p, &cfg, &mut mem, &pool, workers, &rec).unwrap();
+            let traced = execute_simt(&p, &cfg, &mut mem, &pool, workers, &rec).unwrap();
             assert_eq!(traced, base, "tracing changed stats at {workers} workers");
             assert_eq!(
                 mem.as_bytes(),
@@ -2092,8 +2075,15 @@ mod tests {
         let p = b.build().unwrap();
         let mut mem = DeviceMemory::new(128);
         let pool = ConstPool::new();
-        let stats =
-            execute_simt_workers(&p, &LaunchConfig::new(128, []), &mut mem, &pool, 0).unwrap();
+        let stats = execute_simt(
+            &p,
+            &LaunchConfig::new(128, []),
+            &mut mem,
+            &pool,
+            0,
+            &NoopRecorder,
+        )
+        .unwrap();
         assert_eq!(stats.warps, 4);
         assert_eq!(mem.read_byte(127).unwrap(), 127);
         assert!((1..=4).contains(&resolve_workers(0, 4)));
@@ -2147,7 +2137,15 @@ mod tests {
         let pool = ConstPool::new();
         let before = warp_arena_stats();
         let mut mem = DeviceMemory::new(64);
-        execute_simt(&p, &LaunchConfig::new(64, []), &mut mem, &pool).unwrap();
+        execute_simt(
+            &p,
+            &LaunchConfig::new(64, []),
+            &mut mem,
+            &pool,
+            1,
+            &NoopRecorder,
+        )
+        .unwrap();
         let delta = warp_arena_stats().since(&before);
         assert!(delta.acquired >= 1, "serial launch leases one context");
         assert_eq!(delta.acquired, delta.reused + delta.allocated);
@@ -2186,7 +2184,7 @@ mod tests {
             let mut mem_legacy = DeviceMemory::new(size);
             let legacy = execute_simt_legacy_workers(&p, &cfg, &mut mem_legacy, &pool, 1).unwrap();
             let mut mem_plan = DeviceMemory::new(size);
-            let plan = execute_simt_workers(&p, &cfg, &mut mem_plan, &pool, 1).unwrap();
+            let plan = execute_simt(&p, &cfg, &mut mem_plan, &pool, 1, &NoopRecorder).unwrap();
             assert_eq!(plan, legacy, "stats diverge on {label} layout");
             assert_eq!(
                 mem_plan.as_bytes(),
@@ -2214,7 +2212,7 @@ mod tests {
         let mut mem_legacy = DeviceMemory::new(size);
         let legacy = execute_simt_legacy_workers(&p, &cfg, &mut mem_legacy, &pool, 1).unwrap_err();
         let mut mem_plan = DeviceMemory::new(size);
-        let plan = execute_simt_workers(&p, &cfg, &mut mem_plan, &pool, 1).unwrap_err();
+        let plan = execute_simt(&p, &cfg, &mut mem_plan, &pool, 1, &NoopRecorder).unwrap_err();
         assert_eq!(plan, legacy);
         assert!(matches!(plan, ExecError::Budget { .. }));
         assert_eq!(mem_plan.as_bytes(), mem_legacy.as_bytes());

@@ -15,13 +15,11 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use rhythm_obs::{ArgValue, Clock, NoopRecorder, Recorder};
+use rhythm_obs::{ArgValue, Clock, Recorder};
 use serde::{Deserialize, Serialize};
 
 use crate::exec::plan::{plan_cache_stats, plan_for};
-use crate::exec::simt::{
-    auto_worker_count, execute_plan_workers_traced, resolve_workers, warp_arena_stats,
-};
+use crate::exec::simt::{auto_worker_count, execute_plan, resolve_workers, warp_arena_stats};
 use crate::exec::{ExecError, GateRejection, LaunchConfig};
 use crate::ir::Program;
 use crate::mem::{ConstPool, DeviceMemory};
@@ -79,13 +77,6 @@ pub struct GpuConfig {
     /// `0` = one per available core (asked of the OS once per [`Gpu`], and
     /// never by a launch of a single warp), `1` = serial execution.
     pub workers: u32,
-    /// Strict footprint-sanitizer policy: when `true`, every launch must
-    /// carry a claimed static footprint ([`LaunchConfig::sanitize`]) or it
-    /// is rejected before any lane runs. The device cannot compute
-    /// footprints itself (that is the verifier's job); this flag only
-    /// enforces that callers supplied one, turning "forgot to sanitize"
-    /// into a loud rejection instead of a silently unchecked launch.
-    pub sanitize: bool,
 }
 
 impl GpuConfig {
@@ -109,7 +100,6 @@ impl GpuConfig {
             memory_bytes: 6 * (1 << 30),
             hw_queues: 32,
             workers: 0,
-            sanitize: false,
         }
     }
 
@@ -128,20 +118,12 @@ impl GpuConfig {
             memory_bytes: 2 * (1 << 30),
             hw_queues: 1,
             workers: 0,
-            sanitize: false,
         }
     }
 
     /// Same configuration with the warp-execution worker count replaced.
     pub fn with_workers(mut self, workers: u32) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Same configuration with the strict footprint-sanitizer policy
-    /// replaced.
-    pub fn with_sanitize(mut self, sanitize: bool) -> Self {
-        self.sanitize = sanitize;
         self
     }
 }
@@ -162,6 +144,7 @@ pub struct LaunchResult {
 /// # Example
 ///
 /// ```
+/// use rhythm_obs::NoopRecorder;
 /// use rhythm_simt::gpu::{Gpu, GpuConfig};
 /// use rhythm_simt::ir::ProgramBuilder;
 /// use rhythm_simt::exec::LaunchConfig;
@@ -172,7 +155,8 @@ pub struct LaunchResult {
 /// b.halt();
 /// let p = b.build()?;
 /// let mut mem = DeviceMemory::new(16);
-/// let res = gpu.launch(&p, &LaunchConfig::new(32, []), &mut mem, &ConstPool::new())?;
+/// let cfg = LaunchConfig::new(32, []);
+/// let res = gpu.launch(&p, &cfg, &mut mem, &ConstPool::new(), &NoopRecorder)?;
 /// assert!(res.time_s > 0.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -242,33 +226,19 @@ impl Gpu {
     /// (memory image, stats, modelled time) is bit-identical at any worker
     /// count; only the host wall-clock time changes.
     ///
-    /// # Errors
-    ///
-    /// Propagates any [`ExecError`] from the SIMT executor.
-    pub fn launch(
-        &self,
-        program: &Program,
-        cfg: &LaunchConfig,
-        mem: &mut DeviceMemory,
-        pool: &ConstPool,
-    ) -> Result<LaunchResult, ExecError> {
-        self.launch_traced(program, cfg, mem, pool, &NoopRecorder)
-    }
-
-    /// [`Gpu::launch`] with tracing: one wall-time span per kernel on the
+    /// An enabled recorder gets one wall-time span per kernel on the
     /// `simt:kernel` track (named after the program, carrying lane/warp
-    /// counts and the modelled device time as args), per-warp spans on
-    /// worker tracks via [`execute_plan_workers_traced`], decode-cache and
-    /// warp-arena counters on the `simt:cache` track, and a
-    /// `kernel_time_s` histogram sample of the modelled latency.
-    ///
-    /// The recorder cannot perturb execution: results are bit-identical
-    /// to [`Gpu::launch`].
+    /// counts and the modelled device time as args), the executor's
+    /// per-warp spans on worker tracks, decode-cache and warp-arena
+    /// counters on the `simt:cache` track, and a `kernel_time_s` histogram
+    /// sample of the modelled latency. The recorder cannot perturb
+    /// execution: results are bit-identical under [`rhythm_obs::NoopRecorder`].
     ///
     /// # Errors
     ///
-    /// Propagates any [`ExecError`] from the SIMT executor.
-    pub fn launch_traced<R: Recorder + ?Sized>(
+    /// Propagates any [`ExecError`] from the SIMT executor, and
+    /// [`ExecError::Rejected`] from the launch gate.
+    pub fn launch<R: Recorder + ?Sized>(
         &self,
         program: &Program,
         cfg: &LaunchConfig,
@@ -278,17 +248,6 @@ impl Gpu {
     ) -> Result<LaunchResult, ExecError> {
         let mut cfg = cfg.clone();
         cfg.tx_bytes = self.config.tx_bytes;
-        if self.config.sanitize && cfg.sanitize.is_none() {
-            return Err(ExecError::Rejected(GateRejection {
-                rule: "sanitize-missing-footprint".into(),
-                program: program.name().into(),
-                block: None,
-                op_index: None,
-                message: "device requires every launch to carry a claimed static \
-                          footprint (GpuConfig::sanitize), but this launch has none"
-                    .into(),
-            }));
-        }
         if let Some(gate) = &self.gate {
             gate.check(program, &cfg, mem, pool)
                 .map_err(ExecError::Rejected)?;
@@ -305,7 +264,7 @@ impl Gpu {
         let warps = cfg.warps() as usize;
         let units = if plan.has_atomics() { 1 } else { warps };
         let workers = self.worker_count(self.config.workers as usize, units);
-        let stats = execute_plan_workers_traced(&plan, &cfg, mem, pool, workers, rec)?;
+        let stats = execute_plan(&plan, &cfg, mem, pool, workers, rec)?;
         let result = self.time(stats);
         if rec.enabled() {
             let now = rec.wall_now_us();
@@ -394,6 +353,7 @@ impl Gpu {
 mod tests {
     use super::*;
     use crate::ir::{BinOp, ProgramBuilder};
+    use rhythm_obs::{NoopRecorder, TraceRecorder};
 
     #[test]
     fn presets_differ() {
@@ -419,10 +379,22 @@ mod tests {
         let pool = ConstPool::new();
         let mut mem = DeviceMemory::new(16);
         let small = gpu
-            .launch(&mk(10), &LaunchConfig::new(1024, []), &mut mem, &pool)
+            .launch(
+                &mk(10),
+                &LaunchConfig::new(1024, []),
+                &mut mem,
+                &pool,
+                &NoopRecorder,
+            )
             .unwrap();
         let big = gpu
-            .launch(&mk(1000), &LaunchConfig::new(1024, []), &mut mem, &pool)
+            .launch(
+                &mk(1000),
+                &LaunchConfig::new(1024, []),
+                &mut mem,
+                &pool,
+                &NoopRecorder,
+            )
             .unwrap();
         assert!(big.time_s > small.time_s);
     }
@@ -449,7 +421,13 @@ mod tests {
         let mut mem = DeviceMemory::new(4096 * 1024 + 64 * 129 + 8);
         let pool = ConstPool::new();
         let res = gpu
-            .launch(&p, &LaunchConfig::new(1024, []), &mut mem, &pool)
+            .launch(
+                &p,
+                &LaunchConfig::new(1024, []),
+                &mut mem,
+                &pool,
+                &NoopRecorder,
+            )
             .unwrap();
         assert!(res.stats.mem_transactions > res.stats.mem_accesses);
     }
@@ -477,7 +455,9 @@ mod tests {
         let run = |workers: u32| {
             let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(workers));
             let mut mem = DeviceMemory::new(512 * 4);
-            let res = gpu.launch(&p, &cfg, &mut mem, &pool).unwrap();
+            let res = gpu
+                .launch(&p, &cfg, &mut mem, &pool, &NoopRecorder)
+                .unwrap();
             (res, mem)
         };
         let (r1, m1) = run(1);
@@ -486,6 +466,22 @@ mod tests {
             assert_eq!(rn, r1, "launch result differs at {w} workers");
             assert_eq!(mn, m1, "memory differs at {w} workers");
         }
+
+        // The same launch under a live recorder: identical result and
+        // memory, one `simt:kernel` span and one `kernel_time_s` sample.
+        let rec = TraceRecorder::new();
+        let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(2));
+        let mut mem = DeviceMemory::new(512 * 4);
+        let traced = gpu.launch(&p, &cfg, &mut mem, &pool, &rec).unwrap();
+        assert_eq!(traced, r1, "tracing changed the launch result");
+        assert_eq!(mem, m1, "tracing changed memory");
+        let kernel_spans = rec
+            .events()
+            .iter()
+            .filter(|e| e.track == "simt:kernel" && e.name == "k")
+            .count();
+        assert_eq!(kernel_spans, 1);
+        assert_eq!(rec.histogram("kernel_time_s").map(|h| h.count()), Some(1));
     }
 
     #[test]
@@ -520,7 +516,13 @@ mod tests {
         let gpu = Gpu::new(GpuConfig::gtx_titan()).with_gate(Arc::new(AlwaysReject));
         let mut mem = DeviceMemory::new(16);
         let err = gpu
-            .launch(&p, &LaunchConfig::new(1, []), &mut mem, &ConstPool::new())
+            .launch(
+                &p,
+                &LaunchConfig::new(1, []),
+                &mut mem,
+                &ConstPool::new(),
+                &NoopRecorder,
+            )
             .unwrap_err();
         match err {
             ExecError::Rejected(r) => {

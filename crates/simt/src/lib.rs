@@ -24,6 +24,7 @@
 //! ## Quick tour
 //!
 //! ```
+//! use rhythm_obs::NoopRecorder;
 //! use rhythm_simt::ir::{ProgramBuilder, BinOp};
 //! use rhythm_simt::exec::LaunchConfig;
 //! use rhythm_simt::gpu::{Gpu, GpuConfig};
@@ -47,7 +48,7 @@
 //! }
 //! let gpu = Gpu::new(GpuConfig::gtx_titan());
 //! let result = gpu.launch(&kernel, &LaunchConfig::new(1024, []),
-//!                         &mut mem, &ConstPool::new())?;
+//!                         &mut mem, &ConstPool::new(), &NoopRecorder)?;
 //! assert_eq!(mem.read_word(10 * 4)?, 20);
 //! println!("kernel took {:.2} µs", result.time_s * 1e6);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -66,9 +67,7 @@ pub mod transpose;
 
 pub use exec::legacy::execute_simt_legacy_workers;
 pub use exec::plan::{plan_cache_stats, plan_for, ExecPlan};
-pub use exec::simt::{
-    auto_worker_resolutions, execute_plan_workers_traced, warp_arena_stats, wide_copy_stats,
-};
+pub use exec::simt::{auto_worker_resolutions, warp_arena_stats, wide_copy_stats};
 pub use exec::{AccessKind, ExecError, FootprintSpec, GateRejection, LaunchConfig, WARP_SIZE};
 pub use gpu::{Gpu, GpuConfig, LaunchGate, LaunchResult};
 pub use ir::{Program, ProgramBuilder};

@@ -19,6 +19,8 @@
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use rhythm_obs::NoopRecorder;
+
 use crate::exec::{ExecError, LaunchConfig};
 use crate::gpu::{Gpu, GpuConfig, LaunchResult};
 use crate::ir::Program;
@@ -214,7 +216,7 @@ pub fn execute_streams_on(
         } = s;
         let mut launches = Vec::with_capacity(kernels.len());
         for (label, program, cfg) in kernels {
-            let result = gpu.launch(program, &cfg, &mut mem, pool)?;
+            let result = gpu.launch(program, &cfg, &mut mem, pool, &NoopRecorder)?;
             launches.push((label, result));
         }
         Ok(StreamExecResult {

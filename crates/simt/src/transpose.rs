@@ -131,6 +131,7 @@ mod tests {
     use crate::exec::LaunchConfig;
     use crate::gpu::{Gpu, GpuConfig};
     use crate::mem::{ConstPool, DeviceMemory};
+    use rhythm_obs::NoopRecorder;
 
     #[test]
     fn host_transpose_roundtrip() {
@@ -168,7 +169,9 @@ mod tests {
         cfg.shared_bytes = TILE * TILE;
         let gpu = Gpu::new(GpuConfig::gtx_titan());
         let pool = ConstPool::new();
-        let res = gpu.launch(&kernel, &cfg, &mut mem, &pool).unwrap();
+        let res = gpu
+            .launch(&kernel, &cfg, &mut mem, &pool, &NoopRecorder)
+            .unwrap();
 
         let mut expect = vec![0u8; n];
         transpose_row_to_col(&src, &mut expect, rows as usize, cols as usize);

@@ -4,6 +4,7 @@
 //! Reads the process-wide [`auto_worker_resolutions`] counter, so this
 //! file holds one test and nothing else launches kernels beside it.
 
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
@@ -20,8 +21,14 @@ fn one_warp_launches_never_resolve_and_a_device_resolves_once() {
     let pool = ConstPool::new();
     let launch = |gpu: &Gpu, lanes: u32| {
         let mut mem = DeviceMemory::new(64);
-        gpu.launch(&kernel, &LaunchConfig::new(lanes, []), &mut mem, &pool)
-            .expect("launches");
+        gpu.launch(
+            &kernel,
+            &LaunchConfig::new(lanes, []),
+            &mut mem,
+            &pool,
+            &NoopRecorder,
+        )
+        .expect("launches");
         assert_eq!(mem.as_bytes()[lanes as usize - 1], lanes as u8 - 1);
     };
 

@@ -1,6 +1,7 @@
 //! Integration tests for the device model: program serialization,
 //! disassembly, timing-model algebra, and the launch API surface.
 
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 use rhythm_simt::ir::{BinOp, Program, ProgramBuilder};
@@ -82,7 +83,9 @@ fn launch_respects_device_tx_bytes() {
     let mut mem = DeviceMemory::new(64 * 32);
     let mut cfg = LaunchConfig::new(32, []);
     cfg.tx_bytes = 7; // bogus; must be overridden to 128
-    let res = gpu.launch(&p, &cfg, &mut mem, &ConstPool::new()).unwrap();
+    let res = gpu
+        .launch(&p, &cfg, &mut mem, &ConstPool::new(), &NoopRecorder)
+        .unwrap();
     // 32 lanes at stride 64 over 128-byte segments → 16 transactions.
     assert_eq!(res.stats.mem_transactions, 16);
 }
@@ -93,7 +96,13 @@ fn underfilled_launches_cost_at_least_one_warp_critical_path() {
     let p = sample_program();
     let mut mem = DeviceMemory::new(4 * 32);
     let res = gpu
-        .launch(&p, &LaunchConfig::new(1, []), &mut mem, &ConstPool::new())
+        .launch(
+            &p,
+            &LaunchConfig::new(1, []),
+            &mut mem,
+            &ConstPool::new(),
+            &NoopRecorder,
+        )
         .unwrap();
     let expected_floor =
         res.stats.max_warp_cycles as f64 / gpu.config().clock_hz + gpu.config().launch_overhead_s;

@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 use rhythm_simt::ir::{BinOp, MemSpace, ProgramBuilder};
@@ -51,7 +52,8 @@ fn plan_cache_and_warp_arena_exact_accounting() {
     // --- Launching through a Gpu uses the same cache (no re-decode). ---
     let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(2));
     let mut mem = DeviceMemory::new(lanes as usize * 4);
-    gpu.launch(&p, &cfg, &mut mem, &pool).unwrap();
+    gpu.launch(&p, &cfg, &mut mem, &pool, &NoopRecorder)
+        .unwrap();
     let c3 = plan_cache_stats().since(&c0);
     assert_eq!(c3.misses, 1, "launch must not decode again");
     assert_eq!(c3.hits, 2);
@@ -63,13 +65,17 @@ fn plan_cache_and_warp_arena_exact_accounting() {
     // grows a pooled context to this kernel's buffer sizes.
     let serial = Gpu::new(GpuConfig::gtx_titan().with_workers(1));
     let mut mem3 = DeviceMemory::new(lanes as usize * 4);
-    serial.launch(&p, &cfg, &mut mem3, &pool).unwrap();
+    serial
+        .launch(&p, &cfg, &mut mem3, &pool, &NoopRecorder)
+        .unwrap();
 
     let a0 = warp_arena_stats();
     let mut results = Vec::new();
     for _ in 0..5 {
         let mut m = DeviceMemory::new(lanes as usize * 4);
-        let r = serial.launch(&p, &cfg, &mut m, &pool).unwrap();
+        let r = serial
+            .launch(&p, &cfg, &mut m, &pool, &NoopRecorder)
+            .unwrap();
         results.push((r, m));
     }
     let steady = warp_arena_stats().since(&a0);

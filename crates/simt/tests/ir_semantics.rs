@@ -10,6 +10,7 @@
 //! * `AtomicAdd` returns the old value, with same-address lanes
 //!   serialized in lane order.
 
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::exec::scalar::{execute_scalar, ScalarRun};
 use rhythm_simt::exec::simt::execute_simt;
 use rhythm_simt::exec::LaunchConfig;
@@ -23,6 +24,8 @@ fn run(p: &Program, lanes: u32, bytes: usize) -> DeviceMemory {
         &LaunchConfig::new(lanes, []),
         &mut mem,
         &ConstPool::new(),
+        1,
+        &NoopRecorder,
     )
     .unwrap();
     mem
@@ -146,7 +149,15 @@ fn warp_red_max_costs_five_warp_issues() {
     };
     let stats = |p: &Program| {
         let mut mem = DeviceMemory::new(128);
-        execute_simt(p, &LaunchConfig::new(32, []), &mut mem, &ConstPool::new()).unwrap()
+        execute_simt(
+            p,
+            &LaunchConfig::new(32, []),
+            &mut mem,
+            &ConstPool::new(),
+            1,
+            &NoopRecorder,
+        )
+        .unwrap()
     };
     let with = stats(&build(true));
     let without = stats(&build(false));

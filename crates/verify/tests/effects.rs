@@ -7,9 +7,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use rhythm_simt::exec::simt::execute_simt_workers;
+use rhythm_obs::NoopRecorder;
+use rhythm_simt::exec::simt::execute_simt;
 use rhythm_simt::exec::{AccessKind, FootprintSpec, LaunchConfig};
-use rhythm_simt::gpu::{Gpu, GpuConfig};
 use rhythm_simt::ir::MemSpace;
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
 use rhythm_simt::ExecError;
@@ -118,7 +118,7 @@ fn sanitizer_trips_loudly_on_a_wrong_claim() {
         Some(vec![]),
     )));
     let mut mem = DeviceMemory::new(MEM_BYTES);
-    let err = execute_simt_workers(&p, &cfg, &mut mem, &ConstPool::new(), 1).unwrap_err();
+    let err = execute_simt(&p, &cfg, &mut mem, &ConstPool::new(), 1, &NoopRecorder).unwrap_err();
     assert_eq!(
         err,
         ExecError::FootprintEscape {
@@ -127,32 +127,6 @@ fn sanitizer_trips_loudly_on_a_wrong_claim() {
             width: 4
         }
     );
-}
-
-#[test]
-fn strict_device_rejects_unsanitized_launches() {
-    let gpu = Gpu::new(GpuConfig::gtx_titan().with_sanitize(true));
-    let p = strided_writer("strict", 4, 0);
-    let mut mem = DeviceMemory::new(MEM_BYTES);
-    let pool = ConstPool::new();
-    let err = gpu
-        .launch(&p, &LaunchConfig::new(LANES, []), &mut mem, &pool)
-        .unwrap_err();
-    let ExecError::Rejected(r) = err else {
-        panic!("expected strict-mode rejection, got {err:?}");
-    };
-    assert_eq!(r.rule, "sanitize-missing-footprint");
-
-    // The same launch with a claimed footprint is admitted.
-    let fx = infer_effects(
-        &p,
-        &spec_with(LANES, MEM_BYTES as u64),
-        &RegionMap::default(),
-    );
-    let mut cfg = LaunchConfig::new(LANES, []);
-    cfg.sanitize = Some(Arc::new(fx.footprint_spec()));
-    gpu.launch(&p, &cfg, &mut mem, &pool)
-        .expect("sanitized launch admitted");
 }
 
 proptest! {
@@ -174,14 +148,14 @@ proptest! {
         let pool = ConstPool::new();
 
         let mut reference = DeviceMemory::new(MEM_BYTES);
-        execute_simt_workers(&program, &LaunchConfig::new(LANES, []), &mut reference, &pool, 1)
+        execute_simt(&program, &LaunchConfig::new(LANES, []), &mut reference, &pool, 1, &NoopRecorder)
             .unwrap();
 
         for workers in [1usize, 2, 4] {
             let mut cfg = LaunchConfig::new(LANES, []);
             cfg.sanitize = Some(Arc::clone(&footprint));
             let mut mem = DeviceMemory::new(MEM_BYTES);
-            let res = execute_simt_workers(&program, &cfg, &mut mem, &pool, workers);
+            let res = execute_simt(&program, &cfg, &mut mem, &pool, workers, &NoopRecorder);
             prop_assert!(
                 res.is_ok(),
                 "footprint escape at workers={workers}: {:?}",

@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 use rhythm_simt::ir::{BinOp, Program, ProgramBuilder};
@@ -57,6 +58,7 @@ fn raced_kernel_is_rejected_before_execution() {
             &LaunchConfig::new(32, []),
             &mut mem,
             &ConstPool::new(),
+            &NoopRecorder,
         )
         .unwrap_err();
     let ExecError::Rejected(r) = err else {
@@ -80,6 +82,7 @@ fn oob_kernel_is_rejected_with_bounds_diagnostic() {
             &LaunchConfig::new(32, []),
             &mut mem,
             &ConstPool::new(),
+            &NoopRecorder,
         )
         .unwrap_err();
     let ExecError::Rejected(r) = err else {
@@ -97,7 +100,7 @@ fn clean_kernel_is_admitted_and_cached_repeats_run() {
     let cfg = LaunchConfig::new(32, []);
     let mut mem = DeviceMemory::new(128);
     for round in 1..=3u8 {
-        gpu.launch(&program, &cfg, &mut mem, &pool)
+        gpu.launch(&program, &cfg, &mut mem, &pool, &NoopRecorder)
             .expect("clean kernel must be admitted");
         for lane in 0..32usize {
             let w = u32::from_le_bytes(mem.as_bytes()[lane * 4..lane * 4 + 4].try_into().unwrap());
@@ -116,8 +119,11 @@ fn same_kernel_is_rejudged_when_the_launch_extent_shrinks() {
     let program = clean_kernel();
     let cfg = LaunchConfig::new(32, []);
     let mut big = DeviceMemory::new(128);
-    gpu.launch(&program, &cfg, &mut big, &pool).unwrap();
+    gpu.launch(&program, &cfg, &mut big, &pool, &NoopRecorder)
+        .unwrap();
     let mut small = DeviceMemory::new(64);
-    let err = gpu.launch(&program, &cfg, &mut small, &pool).unwrap_err();
+    let err = gpu
+        .launch(&program, &cfg, &mut small, &pool, &NoopRecorder)
+        .unwrap_err();
     assert!(matches!(&err, ExecError::Rejected(r) if r.rule == "bounds-oob"));
 }

@@ -7,8 +7,9 @@
 
 use proptest::prelude::*;
 
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::exec::scalar::{execute_scalar, ScalarRun};
-use rhythm_simt::exec::simt::execute_simt_workers;
+use rhythm_simt::exec::simt::execute_simt;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
 use rhythm_verify::corpus::build_kernel;
@@ -54,7 +55,7 @@ proptest! {
 
         for workers in [1usize, 2, 4] {
             let mut mem = DeviceMemory::new(MEM_BYTES);
-            execute_simt_workers(&program, &cfg, &mut mem, &pool, workers).unwrap();
+            execute_simt(&program, &cfg, &mut mem, &pool, workers, &NoopRecorder).unwrap();
             prop_assert_eq!(
                 mem.as_bytes(),
                 reference.as_bytes(),

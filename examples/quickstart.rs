@@ -6,6 +6,7 @@
 //! ```
 
 use rhythm_banking::prelude::*;
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 use rhythm_simt::WARP_SIZE;
 
@@ -33,13 +34,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Launch: parse → process → backend → padded HTML responses.
     let gpu = Gpu::new(GpuConfig::gtx_titan());
-    let result = run_cohort(
+    let result = run_cohort_traced(
         &workload,
         &store,
         &mut sessions,
         &cohort,
         &gpu,
         &CohortOptions::default(),
+        &NoopRecorder,
     )?;
 
     // 5. Inspect.

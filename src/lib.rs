@@ -20,6 +20,7 @@
 //!
 //! ```
 //! use rhythm::banking::prelude::*;
+//! use rhythm::obs::NoopRecorder;
 //! use rhythm::simt::gpu::{Gpu, GpuConfig};
 //!
 //! let workload = Workload::build();
@@ -29,7 +30,8 @@
 //! let cohort = generator.uniform(RequestType::Login, 32, &mut sessions);
 //! let gpu = Gpu::new(GpuConfig::gtx_titan());
 //! let opts = CohortOptions { session_capacity: 256, session_salt: 0xBEEF, ..Default::default() };
-//! let out = run_cohort(&workload, &store, &mut sessions, &cohort, &gpu, &opts)?;
+//! let out = run_cohort_traced(&workload, &store, &mut sessions, &cohort,
+//!                             &gpu, &opts, &NoopRecorder)?;
 //! assert_eq!(out.responses.len(), 32);
 //! # Ok::<(), rhythm::simt::ExecError>(())
 //! ```

@@ -7,6 +7,7 @@ use std::collections::BTreeMap;
 
 use rhythm_banking::prelude::*;
 use rhythm_http::padding::eq_modulo_padding;
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 
 const SALT: u32 = 0x5EED_0001;
@@ -60,8 +61,16 @@ fn mixed_stream_groups_into_correct_cohorts() {
     let mut native_sessions = sessions.clone();
     let mut verified = 0usize;
     for (ty, cohort) in &groups {
-        let result = run_cohort(&workload, &store, &mut device_sessions, cohort, &gpu, &opts)
-            .unwrap_or_else(|e| panic!("{ty}: {e}"));
+        let result = run_cohort_traced(
+            &workload,
+            &store,
+            &mut device_sessions,
+            cohort,
+            &gpu,
+            &opts,
+            &NoopRecorder,
+        )
+        .unwrap_or_else(|e| panic!("{ty}: {e}"));
         for (lane, req) in cohort.iter().enumerate() {
             let native = handle_native(&req.banking_request(), &store, &mut native_sessions);
             assert!(
@@ -98,7 +107,16 @@ fn per_group_order_preserves_login_token_assignment() {
         ..Default::default()
     };
     let mut dev = sessions.clone();
-    let result = run_cohort(&workload, &store, &mut dev, &logins, &gpu, &opts).unwrap();
+    let result = run_cohort_traced(
+        &workload,
+        &store,
+        &mut dev,
+        &logins,
+        &gpu,
+        &opts,
+        &NoopRecorder,
+    )
+    .unwrap();
 
     let mut nat = sessions.clone();
     for (lane, req) in logins.iter().enumerate() {

@@ -4,6 +4,7 @@
 use rhythm_banking::prelude::*;
 use rhythm_core::pipeline::{Pipeline, PipelineConfig};
 use rhythm_core::service::TableService;
+use rhythm_obs::NoopRecorder;
 use rhythm_platform::presets::{CpuPreset, TitanPlatform, TitanPreset};
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 
@@ -32,7 +33,16 @@ fn raw_http_to_padded_responses() {
         ..Default::default()
     };
     let mut s = sessions.clone();
-    let result = run_cohort(&workload, &store, &mut s, &cohort, &gpu, &opts).unwrap();
+    let result = run_cohort_traced(
+        &workload,
+        &store,
+        &mut s,
+        &cohort,
+        &gpu,
+        &opts,
+        &NoopRecorder,
+    )
+    .unwrap();
     for (lane, resp) in result.responses.iter().enumerate() {
         assert!(
             resp.starts_with(b"HTTP/1.1 200 OK"),
@@ -60,7 +70,16 @@ fn measured_stats_flow_into_platform_model() {
         ..Default::default()
     };
     let mut s = sessions.clone();
-    let result = run_cohort(&workload, &store, &mut s, &cohort, &gpu, &opts).unwrap();
+    let result = run_cohort_traced(
+        &workload,
+        &store,
+        &mut s,
+        &cohort,
+        &gpu,
+        &opts,
+        &NoopRecorder,
+    )
+    .unwrap();
     let device_time: f64 = result
         .launches
         .iter()
@@ -100,7 +119,7 @@ fn pipeline_conservation_across_configs() {
         let arrivals: Vec<(f64, u32)> = (0..1000)
             .map(|i| (i as f64 * 1e-6, (i % 3) as u32))
             .collect();
-        let r = p.run(&arrivals);
+        let r = p.run(&arrivals, &NoopRecorder);
         assert_eq!(
             r.completed, 1000,
             "cohort={cohort} slots={slots} pool={pool}"
@@ -140,7 +159,16 @@ fn sessions_interoperate_between_device_and_native() {
         session_capacity: 512,
         ..Default::default()
     };
-    let result = run_cohort(&workload, &store, &mut sessions, &logins, &gpu, &opts).unwrap();
+    let result = run_cohort_traced(
+        &workload,
+        &store,
+        &mut sessions,
+        &logins,
+        &gpu,
+        &opts,
+        &NoopRecorder,
+    )
+    .unwrap();
     assert_eq!(sessions.len(), 32);
 
     // Use one of the device-created tokens with the native handler.

@@ -18,9 +18,10 @@ use rhythm_banking::kernels::Workload;
 use rhythm_banking::layout::{CohortLayout, REQBUF_BYTES};
 use rhythm_banking::session_array::SessionArrayHost;
 use rhythm_banking::types::RequestType;
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::exec::legacy::execute_simt_legacy_workers;
 use rhythm_simt::exec::scalar::{execute_scalar, ScalarRun};
-use rhythm_simt::exec::simt::execute_simt_workers;
+use rhythm_simt::exec::simt::execute_simt;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
 use rhythm_verify::corpus::build_kernel;
@@ -58,7 +59,7 @@ proptest! {
             let mut mem_l = DeviceMemory::new(mem_bytes);
             let sl = execute_simt_legacy_workers(&program, &cfg, &mut mem_l, &pool, workers).unwrap();
             let mut mem_p = DeviceMemory::new(mem_bytes);
-            let sp = execute_simt_workers(&program, &cfg, &mut mem_p, &pool, workers).unwrap();
+            let sp = execute_simt(&program, &cfg, &mut mem_p, &pool, workers, &NoopRecorder).unwrap();
 
             prop_assert_eq!(
                 mem_l.as_bytes(), reference.as_bytes(),
@@ -112,7 +113,8 @@ fn wide_copy_budget_fault_differential() {
             let legacy = execute_simt_legacy_workers(&program, &cfg, &mut mem_legacy, &pool, 1);
             for workers in WORKER_COUNTS {
                 let mut mem_plan = DeviceMemory::new(size);
-                let plan = execute_simt_workers(&program, &cfg, &mut mem_plan, &pool, workers);
+                let plan =
+                    execute_simt(&program, &cfg, &mut mem_plan, &pool, workers, &NoopRecorder);
                 match (&legacy, &plan) {
                     (Ok(sl), Ok(sp)) => assert_eq!(
                         sp, sl,
@@ -204,7 +206,7 @@ fn assert_plan_matches_legacy(
         .unwrap_or_else(|e| panic!("legacy fault ({ctx}): {e}"));
     for workers in WORKER_COUNTS {
         let mut mem_plan = DeviceMemory::new(size);
-        let plan = execute_simt_workers(program, cfg, &mut mem_plan, pool, workers)
+        let plan = execute_simt(program, cfg, &mut mem_plan, pool, workers, &NoopRecorder)
             .unwrap_or_else(|e| panic!("pre-decoded fault ({ctx}): {e}"));
         assert_eq!(plan, legacy, "stats diverged ({ctx}, workers {workers})");
         assert!(
@@ -285,7 +287,7 @@ fn overlapping_walks_keep_lockstep_store_order() {
     // 0..24 and lane 1 (one filler byte) to 17..41. Address 20 holds lane
     // 0's byte 20, not lane 1's byte 3.
     let mut mem = DeviceMemory::new(size);
-    execute_simt_workers(&program, &cfg, &mut mem, &pool, 1).unwrap();
+    execute_simt(&program, &cfg, &mut mem, &pool, 1, &NoopRecorder).unwrap();
     let text = pool.as_bytes();
     assert_eq!(mem.as_bytes()[20], text[20]);
     assert_ne!(text[20], text[3]);
@@ -317,7 +319,7 @@ fn diverged_copy_faults_commit_nothing() {
     let mut mem_legacy = DeviceMemory::new(size);
     let legacy = execute_simt_legacy_workers(&program, &cfg, &mut mem_legacy, &pool, 1);
     let mut mem_plan = DeviceMemory::new(size);
-    let plan = execute_simt_workers(&program, &cfg, &mut mem_plan, &pool, 1);
+    let plan = execute_simt(&program, &cfg, &mut mem_plan, &pool, 1, &NoopRecorder);
     assert!(matches!(plan, Err(ExecError::Budget { .. })), "{plan:?}");
     assert_eq!(plan, legacy);
     assert_eq!(mem_plan.as_bytes(), mem_legacy.as_bytes());
@@ -340,7 +342,7 @@ fn diverged_copy_faults_commit_nothing() {
     let mut cfg = base_cfg.clone();
     cfg.sanitize = Some(Arc::new(FootprintSpec::new(None, Some(claims), None)));
     let mut mem_plan = DeviceMemory::new(size);
-    let err = execute_simt_workers(&program, &cfg, &mut mem_plan, &pool, 1).unwrap_err();
+    let err = execute_simt(&program, &cfg, &mut mem_plan, &pool, 1, &NoopRecorder).unwrap_err();
     assert_eq!(
         err,
         ExecError::FootprintEscape {
@@ -426,23 +428,13 @@ fn banking_kernels_legacy_vs_predecoded_lockstep() {
                 ..Default::default()
             };
 
-            // Same launch sequence as the cohort runner in device-backend
-            // mode: parser, then each stage with a backend round between.
-            let stages = workload.stages_of(ty);
-            let mut sequence = vec![("parser", &workload.parser)];
-            let n_backend = stages.len() - 1;
-            for (i, stage) in stages.iter().enumerate() {
-                sequence.push((stage.name(), stage));
-                if i < n_backend {
-                    sequence.push(("backend", &workload.backend));
-                }
-            }
-
             let mut mem_legacy = mem.clone();
             let mut mem_plan = mem;
-            for (name, kernel) in sequence {
+            // The cohort runner's launch sequence in device-backend mode.
+            for step in workload.cohort_steps(ty) {
+                let (name, kernel) = (step.name(), step.program());
                 // Cross-warp `AtomicAdd` old values are schedule-dependent
-                // at workers > 1 (see `execute_simt_workers`): the session
+                // at workers > 1 (see `execute_simt`): the session
                 // allocator in `login_response` hands out slots in whatever
                 // order the host threads reach the counter, so two
                 // independently scheduled runs can legitimately differ.
@@ -460,8 +452,15 @@ fn banking_kernels_legacy_vs_predecoded_lockstep() {
                 let sl =
                     execute_simt_legacy_workers(kernel, &cfg, &mut mem_legacy, &workload.pool, kw)
                         .unwrap_or_else(|e| panic!("{ty:?}/{name} legacy fault: {e}"));
-                let sp = execute_simt_workers(kernel, &cfg, &mut mem_plan, &workload.pool, kw)
-                    .unwrap_or_else(|e| panic!("{ty:?}/{name} pre-decoded fault: {e}"));
+                let sp = execute_simt(
+                    kernel,
+                    &cfg,
+                    &mut mem_plan,
+                    &workload.pool,
+                    kw,
+                    &NoopRecorder,
+                )
+                .unwrap_or_else(|e| panic!("{ty:?}/{name} pre-decoded fault: {e}"));
                 assert_eq!(
                     sp, sl,
                     "stats diverged on {ty:?}/{name} at {workers} workers"

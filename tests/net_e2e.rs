@@ -2,7 +2,7 @@
 //! requests served over real sockets (scalar and SIMT cohort paths) must
 //! produce responses byte-identical — modulo warp-alignment padding on
 //! the device path — to the offline reference executions
-//! (`handle_native` / `run_cohort`).
+//! (`handle_native` / `run_cohort_traced`).
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -11,6 +11,7 @@ use std::time::Duration;
 
 use rhythm_banking::prelude::*;
 use rhythm_net::{read_response, send_request, CohortHandler, NetConfig, ShardedServer};
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 
 const NUM_USERS: u32 = 64;
@@ -163,8 +164,16 @@ fn device_conversation() -> Vec<Vec<u8>> {
         params: [USERID, 0, 0, 0],
         raw: rhythm_banking::genreq::raw_http(RequestType::Login, 0, &[USERID, 0, 0, 0]),
     };
-    let result =
-        run_cohort(&workload, &store, &mut sessions, &[login], &gpu, &opts).expect("device login");
+    let result = run_cohort_traced(
+        &workload,
+        &store,
+        &mut sessions,
+        &[login],
+        &gpu,
+        &opts,
+        &NoopRecorder,
+    )
+    .expect("device login");
     let text = String::from_utf8_lossy(&result.responses[0]);
     let token: u32 = text
         .split("Set-Cookie: SID=")
@@ -181,8 +190,16 @@ fn device_conversation() -> Vec<Vec<u8>> {
             params: [USERID, 0, 0, 0],
             raw: rhythm_banking::genreq::raw_http(ty, token, &[USERID, 0, 0, 0]),
         };
-        let result =
-            run_cohort(&workload, &store, &mut sessions, &[req], &gpu, &opts).expect("device page");
+        let result = run_cohort_traced(
+            &workload,
+            &store,
+            &mut sessions,
+            &[req],
+            &gpu,
+            &opts,
+            &NoopRecorder,
+        )
+        .expect("device page");
         out.push(result.responses[0].clone());
     }
     out

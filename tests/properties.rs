@@ -6,6 +6,7 @@ use rhythm_banking::session_array::SessionArrayHost;
 use rhythm_http::padding::{cohort_padding, eq_modulo_padding, next_pow2};
 use rhythm_http::query::{url_decode, url_encode};
 use rhythm_http::{HttpRequest, ResponseBuilder};
+use rhythm_obs::NoopRecorder;
 use rhythm_simt::exec::simt::execute_simt;
 use rhythm_simt::exec::{scalar::execute_scalar, scalar::ScalarRun, LaunchConfig};
 use rhythm_simt::ir::{BinOp, ProgramBuilder};
@@ -191,7 +192,7 @@ proptest! {
 
         let pool = ConstPool::new();
         let mut mem_simt = DeviceMemory::new(lanes as usize * 4);
-        execute_simt(&p, &LaunchConfig::new(lanes, []), &mut mem_simt, &pool).unwrap();
+        execute_simt(&p, &LaunchConfig::new(lanes, []), &mut mem_simt, &pool, 1, &NoopRecorder).unwrap();
 
         let mut mem_scalar = DeviceMemory::new(lanes as usize * 4);
         let cfg = LaunchConfig::new(1, []);
