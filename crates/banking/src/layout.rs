@@ -215,7 +215,8 @@ impl CohortLayout {
     }
 
     /// The session array's `[lo, hi)` byte span in device memory — the
-    /// range whose write footprint decides HyperQ stream independence.
+    /// range whose write footprint decides whether a cohort opens the
+    /// session undo journal.
     pub fn session_span(&self) -> (u64, u64) {
         let lo = self.session_base as u64;
         let bytes = self.session_capacity as u64 * crate::session_array::NODE_BYTES as u64;

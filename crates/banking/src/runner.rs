@@ -6,7 +6,9 @@
 //! session array and the store image) and runs cohorts against it; the
 //! serving path keeps one per shard. [`run_cohort_traced`] is the
 //! copy-in/copy-out form of the same routine — a fresh context per cohort
-//! — used by the differential tests and the offline figure bins. The full
+//! — used by the differential tests and the offline figure bins. Every
+//! device cohort runs through [`DeviceContext::run_cohort`], on the
+//! caller's thread. The full
 //! event-driven pipeline (with cohort formation, timeouts and overlapping
 //! cohorts) lives in `rhythm-core`; this runner executes already-formed
 //! cohorts to completion.
@@ -20,7 +22,6 @@ use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::gpu::{Gpu, LaunchResult};
 use rhythm_simt::ir::MemSpace;
 use rhythm_simt::mem::DeviceMemory;
-use rhythm_simt::streams::execute_streams_on;
 use rhythm_simt::{ExecError, Program};
 use rhythm_verify::{LaunchSpec, Verifier};
 
@@ -321,19 +322,6 @@ impl DeviceContext {
             .or_insert_with(|| cohort_writes_sessions(workload, store_bytes, ty, cohort, opts))
     }
 
-    /// [`plan_stream_groups`] for this context's layout, from the memoised
-    /// writer verdicts.
-    pub fn plan_stream_groups(
-        &mut self,
-        workload: &Workload,
-        cohorts: &[(RequestType, usize)],
-    ) -> Vec<StreamGroup> {
-        let streams_ok = streams_ok(&self.opts);
-        group_streams(cohorts, streams_ok, |ty, n| {
-            self.writes_sessions(workload, ty, n)
-        })
-    }
-
     /// Run one uniform-type cohort through parse → process stages →
     /// response against the resident state. `gpu` is launched on as given
     /// (resolve [`CohortOptions`] into it beforehand); `store` must be the
@@ -483,34 +471,6 @@ pub fn run_cohort_traced<R: Recorder + ?Sized>(
     Ok(result)
 }
 
-/// One scheduling unit of [`plan_stream_groups`]: the half-open cohort
-/// index range `[start, end)`. A `concurrent` group's cohorts are proven
-/// session-independent and launch as concurrent HyperQ streams; a
-/// non-concurrent group is a single cohort run serially, either because
-/// it writes the session array (a barrier) or because the options force
-/// the serial fallback path.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct StreamGroup {
-    /// First cohort index in the group.
-    pub start: usize,
-    /// One past the last cohort index.
-    pub end: usize,
-    /// Whether the group launches as concurrent streams.
-    pub concurrent: bool,
-}
-
-impl StreamGroup {
-    /// Number of cohorts in the group.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Whether the group is empty (never produced by the planner).
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-}
-
 /// Does any kernel in this cohort's launch sequence
 /// ([`Workload::cohort_steps`]) write or atomically update the device
 /// session array?
@@ -519,8 +479,8 @@ impl StreamGroup {
 /// inferred global footprint — anchored to the cohort layout's declared
 /// regions — is checked for mutation of the `[session_base, session_end)`
 /// span under the cohort's concrete launch environment. This is the proof
-/// [`run_cohorts_hyperq`] schedules from; a ⊤ footprint conservatively
-/// counts as a writer.
+/// [`DeviceContext::run_cohort`] opens its undo journal on; a ⊤ footprint
+/// conservatively counts as a writer.
 pub fn cohort_writes_sessions(
     workload: &Workload,
     store_bytes: u32,
@@ -557,84 +517,25 @@ pub fn cohort_writes_sessions(
     writes
 }
 
-/// Plan the HyperQ stream groups for a batch of uniform-type cohorts —
-/// the shared source of truth for both the execution path
-/// ([`run_cohorts_hyperq`]) and the serving metrics, so telemetry cannot
-/// drift from the real schedule.
-///
-/// `cohorts` gives each cohort as `(type, size)`; `store_bytes` is the
-/// serialized store image size (layout input). Cohorts proven not to
-/// write the session array ([`cohort_writes_sessions`]) coalesce into
-/// maximal concurrent groups; each proven writer becomes a singleton
-/// barrier. A host backend interleaves host work between kernels, which
-/// streams cannot express, so every cohort degrades to a singleton serial
-/// group.
-pub fn plan_stream_groups(
-    workload: &Workload,
-    store_bytes: u32,
-    cohorts: &[(RequestType, usize)],
-    opts: &CohortOptions,
-) -> Vec<StreamGroup> {
-    group_streams(cohorts, streams_ok(opts), |ty, n| {
-        cohort_writes_sessions(workload, store_bytes, ty, n, opts)
-    })
-}
-
-/// Can this configuration's cohorts be expressed as streams at all?
-fn streams_ok(opts: &CohortOptions) -> bool {
-    opts.backend == BackendMode::Device
-}
-
-/// [`plan_stream_groups`] over any writer oracle (asked at most once per
-/// cohort).
-fn group_streams(
-    cohorts: &[(RequestType, usize)],
-    streams_ok: bool,
-    mut writes_sessions: impl FnMut(RequestType, u32) -> bool,
-) -> Vec<StreamGroup> {
-    let mut groups: Vec<StreamGroup> = Vec::new();
-    for (i, &(ty, n)) in cohorts.iter().enumerate() {
-        let concurrent = streams_ok && !writes_sessions(ty, n as u32);
-        match groups.last_mut() {
-            Some(g) if concurrent && g.concurrent => g.end = i + 1,
-            _ => groups.push(StreamGroup {
-                start: i,
-                end: i + 1,
-                concurrent,
-            }),
-        }
-    }
-    groups
-}
-
-/// Run a batch of already-formed cohorts with serial semantics but
-/// HyperQ-concurrent execution of independent cohorts.
-///
-/// The batch is processed in order, exactly as if each cohort went
-/// through [`run_cohort_traced`] back to back — same responses, same final
-/// session state. The speedup comes from the effect-summary engine
-/// ([`rhythm_verify::effects`]): a cohort may share a stream group with
-/// its neighbours iff **none of its kernels' inferred global footprints
-/// write the device session array** ([`cohort_writes_sessions`]), so
-/// **consecutive proven-read-only cohorts are launched as concurrent
-/// streams** through [`execute_streams_on`] (the HyperQ path), while each
-/// proven session writer (in the banking workload: exactly Login and
-/// Logout) runs serially as a write barrier. Results are bit-identical to
-/// the serial order by construction.
+/// Run a batch of already-formed cohorts in order, serially, on one
+/// [`DeviceContext`]: the store and the session array are uploaded once,
+/// each cohort runs through [`DeviceContext::run_cohort`] on this thread,
+/// and the session array is decoded back into `sessions` at the end.
+/// Responses, launches and the final session state are those of
+/// [`run_cohort_traced`] called back to back.
 ///
 /// Each cohort gets its own outcome slot, in input order; a faulting
-/// cohort yields `Err` in its slot without perturbing the others (its
-/// session writes never happened, matching [`run_cohort_traced`]'s fault
-/// behaviour).
+/// cohort yields `Err` in its slot, the context's undo journal takes back
+/// its session writes, and the rest of the batch runs on.
 ///
-/// A host backend interleaves host work between kernels, which streams
-/// cannot express; it falls back to serial [`run_cohort_traced`] per
-/// cohort.
+/// The name predates the serial body; it stays because the benchmark
+/// harness (`benchmark/`) calls it.
 ///
 /// # Panics
 ///
-/// Per cohort, the same conditions as [`run_cohort_traced`] (non-empty,
-/// uniform-type, session capacity matching the options).
+/// If `sessions.capacity()` disagrees with `opts.session_capacity`, and per
+/// cohort on the same conditions as [`run_cohort_traced`] (non-empty,
+/// uniform-type).
 pub fn run_cohorts_hyperq(
     workload: &Workload,
     store: &BankStore,
@@ -643,131 +544,14 @@ pub fn run_cohorts_hyperq(
     gpu: &Gpu,
     opts: &CohortOptions,
 ) -> Vec<Result<CohortResult, ExecError>> {
-    for c in cohorts {
-        assert!(!c.is_empty(), "empty cohort");
-    }
-    let store_img = store.serialize_device();
-    let shapes: Vec<(RequestType, usize)> = cohorts.iter().map(|c| (c[0].ty, c.len())).collect();
-    let groups = plan_stream_groups(workload, store_img.len() as u32, &shapes, opts);
-
-    // Stream-level concurrency already fans out; warp workers would
-    // oversubscribe, and `execute_streams` sets the same precedent.
-    let gated = effective_gpu(gpu, opts);
-    let mut streams_gpu = Gpu::new(gated.config().clone().with_workers(1));
-    if let Some(gate) = gated.gate() {
-        streams_gpu = streams_gpu.with_gate(gate.clone());
-    }
-
-    let mut out: Vec<Option<Result<CohortResult, ExecError>>> =
-        cohorts.iter().map(|_| None).collect();
-    for g in groups {
-        if !g.concurrent {
-            // Proven session writer (or serial fallback): a barrier.
-            // Runs alone, serially.
-            out[g.start] = Some(run_cohort_traced(
-                workload,
-                store,
-                sessions,
-                &cohorts[g.start],
-                gpu,
-                opts,
-                &NoopRecorder,
-            ));
-            continue;
-        }
-
-        // Proven-read-only group: every cohort sees the same session
-        // snapshot (none of them writes it), so they are independent and
-        // run as concurrent streams.
-        let (i, j) = (g.start, g.end);
-        let snapshot = sessions.to_device_bytes();
-        let mut streams = Vec::with_capacity(j - i);
-        // Per stream: output slot index and layout.
-        let mut meta: Vec<(usize, CohortLayout)> = Vec::with_capacity(j - i);
-        for (k, reqs) in cohorts[i..j].iter().enumerate() {
-            match build_cohort_stream(workload, &store_img, &snapshot, sessions, reqs, opts, k) {
-                Ok((stream, layout)) => {
-                    streams.push(stream);
-                    meta.push((i + k, layout));
-                }
-                Err(e) => out[i + k] = Some(Err(e)),
-            }
-        }
-        let results = execute_streams_on(&streams_gpu, streams, 0);
-        for ((idx, layout), result) in meta.into_iter().zip(results) {
-            out[idx] = Some(result.and_then(|sr| {
-                let responses = read_responses(&layout, &sr.mem)?;
-                debug_assert_eq!(
-                    session_bytes(&sr.mem, &layout),
-                    &snapshot[..],
-                    "read-only cohort mutated the session array"
-                );
-                let launches = workload
-                    .cohort_steps(cohorts[idx][0].ty)
-                    .zip(sr.launches)
-                    .map(|(step, (_, r))| (step.name().to_string(), r))
-                    .collect();
-                Ok(CohortResult {
-                    responses,
-                    launches,
-                    layout,
-                })
-            }));
-        }
-    }
-    out.into_iter()
-        .map(|o| o.expect("every cohort slot filled"))
-        .collect()
-}
-
-/// Build one read-only cohort's execution stream: its memory image
-/// (store + session snapshot + request lanes) plus its kernels in
-/// [`Workload::cohort_steps`] order. Returns the stream and the layout for
-/// readback.
-fn build_cohort_stream<'a>(
-    workload: &'a Workload,
-    store_img: &[u8],
-    session_snapshot: &[u8],
-    sessions: &SessionArrayHost,
-    reqs: &[GeneratedRequest],
-    opts: &CohortOptions,
-    stream: usize,
-) -> Result<(rhythm_simt::streams::ExecStream<'a>, CohortLayout), ExecError> {
-    let ty = assert_uniform(reqs);
-    assert_eq!(
-        sessions.capacity(),
-        opts.session_capacity,
-        "session array capacity must match options"
-    );
-    let cohort = reqs.len() as u32;
-    let layout = cohort_layout(
-        opts,
-        store_img.len() as u32,
-        cohort,
-        ty.response_buffer_bytes(),
-    );
-    let mut mem = DeviceMemory::new(layout.total_bytes as usize);
-    mem.load(layout.store_base, store_img)?;
-    mem.load(layout.session_base, session_snapshot)?;
-    write_requests(&layout, &mut mem, reqs)?;
-    let cfg = cohort_cfg(&layout);
-    let kernels = workload
-        .cohort_steps(ty)
-        .map(|step| {
-            let program = step.program();
-            let kcfg = kernel_cfg(&cfg, opts, &layout, program, &mem, &workload.pool);
-            ("cohort", program, kcfg)
-        })
+    let gpu = effective_gpu(gpu, opts);
+    let mut ctx = DeviceContext::new(store, sessions, opts);
+    let results = cohorts
+        .iter()
+        .map(|reqs| ctx.run_cohort(workload, store, reqs, &gpu, &NoopRecorder))
         .collect();
-    Ok((
-        rhythm_simt::streams::ExecStream {
-            stream: stream as u32,
-            mem,
-            pool: &workload.pool,
-            kernels,
-        },
-        layout,
-    ))
+    *sessions = ctx.sessions();
+    results
 }
 
 /// Serve one backend round on the host: read each lane's request text,

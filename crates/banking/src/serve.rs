@@ -67,7 +67,6 @@ pub struct DeviceMetrics {
     simd_efficiency: Arc<Gauge>,
     divergence_rate: Arc<Gauge>,
     kernel_seconds: Arc<AtomicHistogram>,
-    hyperq_streams: Arc<AtomicHistogram>,
 }
 
 impl DeviceMetrics {
@@ -142,15 +141,6 @@ impl DeviceMetrics {
                 8,
                 30,
             ),
-            // Stream-group sizes are small integers; 1 sub-bucket per
-            // octave over [1, 64) keeps them distinguishable.
-            hyperq_streams: registry.histogram(
-                "rhythm_device_hyperq_streams",
-                "Cohorts per HyperQ stream group the effect proofs allow (1 = serial barrier)",
-                0.5,
-                2,
-                8,
-            ),
         }
     }
 
@@ -188,11 +178,6 @@ impl DeviceMetrics {
         let copies = wide_copy_stats();
         self.wide_copy_commits.set(copies.hits);
         self.wide_copy_fallbacks.set(copies.misses);
-    }
-
-    /// Record one HyperQ launch group's stream count.
-    fn note_stream_group(&self, streams: usize) {
-        self.hyperq_streams.record(streams as f64);
     }
 
     /// Record a faulted cohort.
@@ -375,37 +360,27 @@ impl SimtHandler {
             self.device_time_s / self.cohorts as f64
         }
     }
+}
 
-    /// Run a batch of cohorts in order on this thread and this shard's
-    /// context: results are those of `run_cohort_traced` per cohort chained
-    /// through one session array.
-    fn run_batch(&mut self, batch: &[Vec<GeneratedRequest>]) -> Vec<Vec<Vec<u8>>> {
-        if let Some(m) = &self.metrics {
-            // How the batch would split into HyperQ stream groups: proven
-            // session writers are barriers (a group of 1), consecutive
-            // proven-read-only cohorts form one group, and off the device
-            // backend every cohort is its own. Planned once per batch from
-            // the verdicts the context memoises.
-            let shapes: Vec<(RequestType, usize)> = batch
-                .iter()
-                .filter(|reqs| !reqs.is_empty())
-                .map(|reqs| (reqs[0].ty, reqs.len()))
-                .collect();
-            for g in self.ctx.plan_stream_groups(&self.workload, &shapes) {
-                m.note_stream_group(g.len());
-            }
-        }
-        batch.iter().map(|reqs| self.run_one(reqs)).collect()
+impl CohortHandler for SimtHandler {
+    fn classify(&self, req: &HttpRequest) -> Option<u32> {
+        banking_classify(req)
     }
 
-    /// Run one cohort on the resident context and book it.
-    fn run_one(&mut self, reqs: &[GeneratedRequest]) -> Vec<Vec<u8>> {
+    fn key_name(&self, key: u32) -> String {
+        banking_key_name(key)
+    }
+
+    /// Run the cohort on this thread against the shard's resident context
+    /// and book it.
+    fn execute(&mut self, _key: u32, requests: &[HttpRequest]) -> Vec<Vec<u8>> {
+        let reqs = device_requests(requests);
         if reqs.is_empty() {
             return Vec::new();
         }
         let run = self
             .ctx
-            .run_cohort(&self.workload, &self.store, reqs, &self.gpu, &NoopRecorder);
+            .run_cohort(&self.workload, &self.store, &reqs, &self.gpu, &NoopRecorder);
         match run {
             Ok(result) => {
                 self.cohorts += 1;
@@ -427,30 +402,6 @@ impl SimtHandler {
                 Vec::new()
             }
         }
-    }
-}
-
-impl CohortHandler for SimtHandler {
-    fn classify(&self, req: &HttpRequest) -> Option<u32> {
-        banking_classify(req)
-    }
-
-    fn key_name(&self, key: u32) -> String {
-        banking_key_name(key)
-    }
-
-    fn execute(&mut self, _key: u32, requests: &[HttpRequest]) -> Vec<Vec<u8>> {
-        self.run_batch(&[device_requests(requests)])
-            .pop()
-            .expect("one answer per cohort")
-    }
-
-    fn execute_many(&mut self, cohorts: &[(u32, Vec<HttpRequest>)]) -> Vec<Vec<Vec<u8>>> {
-        let batch: Vec<Vec<GeneratedRequest>> = cohorts
-            .iter()
-            .map(|(_, requests)| device_requests(requests))
-            .collect();
-        self.run_batch(&batch)
     }
 }
 
@@ -591,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn device_metrics_track_cohorts_and_streams() {
+    fn device_metrics_track_cohorts() {
         let registry = MetricRegistry::new();
         let mut h = simt_handler().with_metrics(&registry);
 
@@ -600,8 +551,8 @@ mod tests {
         let resp = h.execute(key, std::slice::from_ref(&login));
         assert_eq!(resp.len(), 1);
 
-        // Batched path: a login barrier followed by two read-only cohorts
-        // that launch as one two-stream HyperQ group.
+        // A batch runs through the trait's `execute_many`, one cohort
+        // after another.
         let summary =
             parse(b"GET /bank/account_summary.php?userid=3 HTTP/1.1\r\nCookie: SID=7\r\n\r\n");
         let batch = vec![
@@ -622,10 +573,6 @@ mod tests {
         assert!(eff > 0.0 && eff <= 1.0, "efficiency in (0, 1]: {eff}");
         let kernel = metrics.kernel_seconds.snapshot();
         assert_eq!(kernel.count(), 4);
-        // Stream groups: one from `execute`, then barrier(1) + group(2).
-        let streams = metrics.hyperq_streams.snapshot();
-        assert_eq!(streams.count(), 3);
-        assert_eq!(streams.max(), 2.0);
         assert_eq!(h.key_name(RequestType::Login.id()), "login.php");
         assert_eq!(h.key_name(999), "key_999");
     }

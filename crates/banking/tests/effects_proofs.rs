@@ -1,9 +1,9 @@
 //! Effect-summary proofs over the real banking workload: every kernel
 //! gets a non-⊤ footprint under its production launch environment, the
-//! session-writer oracle classifies exactly Login/Logout, the shared
-//! stream planner groups from those proofs, and the HyperQ path stays
-//! bit-identical to serial execution with the footprint sanitizer
-//! checking every global access (zero escapes).
+//! session-writer oracle classifies exactly Login/Logout, and a batch run
+//! with the footprint sanitizer checking every global access (zero
+//! escapes) stays bit-identical to unsanitized cohorts run one by one,
+//! with no read-only cohort touching a session byte.
 
 use rhythm_banking::prelude::*;
 use rhythm_banking::runner::CohortResult;
@@ -34,7 +34,7 @@ fn opts() -> CohortOptions {
 /// Every banking kernel — parser, backend, image, and all per-type
 /// stages — must infer a bounded (non-⊤) global footprint under the same
 /// launch environment the cohort runner uses. A ⊤ kernel would turn the
-/// sanitizer into a no-op and the HyperQ planner maximally conservative.
+/// sanitizer into a no-op and make every cohort journal the session array.
 #[test]
 fn all_banking_kernels_infer_bounded_footprints() {
     let workload = Workload::build();
@@ -76,9 +76,9 @@ fn all_banking_kernels_infer_bounded_footprints() {
 
 /// The effect oracle classifies exactly the nominal session writers:
 /// Login and Logout mutate the device session array, nothing else does.
-/// This is the proof `plan_stream_groups` schedules from, so both
-/// directions matter — a missed writer is a race, a spurious writer
-/// serializes the batch.
+/// The verdict decides the undo journal `DeviceContext::run_cohort` opens,
+/// so both directions matter: a missed writer's session stores survive
+/// its fault, and a spurious writer journals a cohort that writes nothing.
 #[test]
 fn session_writer_oracle_matches_login_logout_exactly() {
     let workload = Workload::build();
@@ -94,56 +94,14 @@ fn session_writer_oracle_matches_login_logout_exactly() {
     }
 }
 
-/// The shared planner coalesces proven-read-only neighbours into maximal
-/// concurrent groups, isolates proven writers as singleton barriers, and
-/// degrades every cohort to serial when the options can't stream.
+/// End to end: a mixed batch through `run_cohorts_hyperq` (one resident
+/// context), with the footprint sanitizer checking every global access of
+/// every kernel launch, is bit-identical to `run_cohort_traced` called back
+/// to back — same responses, same launches with the same stats, same final
+/// session state, zero footprint escapes. Under the same sanitizer, every
+/// cohort the proofs call read-only leaves the session array untouched.
 #[test]
-fn stream_planner_groups_from_proofs() {
-    let workload = Workload::build();
-    let store_bytes = BankStore::generate(128, 77).serialize_device().len() as u32;
-    let opts = opts();
-    let shapes = [
-        (RequestType::Login, 16),
-        (RequestType::Transfer, 32),
-        (RequestType::AccountSummary, 16),
-        (RequestType::Logout, 8),
-        (RequestType::Transfer, 8),
-        (RequestType::BillPay, 8),
-    ];
-    let groups = plan_stream_groups(&workload, store_bytes, &shapes, &opts);
-    let expect = |start, end, concurrent| StreamGroup {
-        start,
-        end,
-        concurrent,
-    };
-    assert_eq!(
-        groups,
-        vec![
-            expect(0, 1, false),
-            expect(1, 3, true),
-            expect(3, 4, false),
-            expect(4, 6, true),
-        ]
-    );
-
-    // Host-backend runs interleave host work between kernels, which
-    // streams cannot express: everything becomes a serial singleton.
-    let host_opts = CohortOptions {
-        backend: BackendMode::Host,
-        ..opts
-    };
-    let host_groups = plan_stream_groups(&workload, store_bytes, &shapes, &host_opts);
-    assert_eq!(host_groups.len(), shapes.len());
-    assert!(host_groups.iter().all(|g| !g.concurrent && g.len() == 1));
-}
-
-/// End to end: a mixed batch through the proof-scheduled HyperQ path,
-/// with the footprint sanitizer checking every global access of every
-/// kernel launch, is bit-identical to serial `run_cohort_traced` execution —
-/// same responses, same launches with the same stats, same final session
-/// state, zero footprint escapes.
-#[test]
-fn hyperq_with_sanitizer_matches_serial_bit_for_bit() {
+fn sanitized_batch_matches_serial_bit_for_bit() {
     let (workload, store, gpu) = harness();
     let mut sessions = SessionArrayHost::new(SESSION_CAPACITY, SALT);
     let mut generator = RequestGenerator::new(128, 23);
@@ -179,11 +137,11 @@ fn hyperq_with_sanitizer_matches_serial_bit_for_bit() {
         sanitize: true,
         ..base
     };
-    let mut hyperq_sessions = sessions.clone();
+    let mut batch_sessions = sessions.clone();
     let results = run_cohorts_hyperq(
         &workload,
         &store,
-        &mut hyperq_sessions,
+        &mut batch_sessions,
         &cohorts,
         &gpu,
         &sanitized,
@@ -191,7 +149,7 @@ fn hyperq_with_sanitizer_matches_serial_bit_for_bit() {
     for (i, (reference, result)) in serial.iter().zip(&results).enumerate() {
         let result = result
             .as_ref()
-            .unwrap_or_else(|e| panic!("cohort {i}: sanitized HyperQ run failed: {e}"));
+            .unwrap_or_else(|e| panic!("cohort {i}: sanitized batch run failed: {e}"));
         assert_eq!(
             reference.responses, result.responses,
             "cohort {i} responses"
@@ -212,7 +170,28 @@ fn hyperq_with_sanitizer_matches_serial_bit_for_bit() {
     }
     assert_eq!(
         serial_sessions.to_device_bytes(),
-        hyperq_sessions.to_device_bytes(),
+        batch_sessions.to_device_bytes(),
         "final session state"
     );
+
+    // What a read-only verdict promises: the cohort leaves every session
+    // byte of the resident context as it found it.
+    let store_bytes = store.serialize_device().len() as u32;
+    let mut ctx = DeviceContext::new(&store, &sessions, &sanitized);
+    let mut read_only = 0;
+    for (i, c) in cohorts.iter().enumerate() {
+        let (ty, n) = (c[0].ty, c.len() as u32);
+        let writer = cohort_writes_sessions(&workload, store_bytes, ty, n, &sanitized);
+        let before = ctx.session_bytes().to_vec();
+        ctx.run_cohort(&workload, &store, c, &gpu, &NoopRecorder)
+            .unwrap_or_else(|e| panic!("cohort {i}: sanitized run failed: {e}"));
+        if !writer {
+            assert!(
+                ctx.session_bytes() == before,
+                "read-only cohort {i} ({ty:?}) changed the session array"
+            );
+            read_only += 1;
+        }
+    }
+    assert_eq!(read_only, 5, "every cohort but Login and Logout");
 }

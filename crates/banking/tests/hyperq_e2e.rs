@@ -1,10 +1,11 @@
-//! End-to-end proof-driven HyperQ over real sockets: a full banking
-//! conversation (login → mixed read-only pages → logout → re-login)
-//! against the sharded SIMT server, with the footprint sanitizer checking
-//! every kernel launch, must produce a byte-identical transcript at
-//! shard counts 1, 2, and 4. The pipelined page burst forms a
-//! multi-cohort batch, so the effect-proof stream planner (not the old
-//! name heuristic) decides which cohorts launch concurrently.
+//! The serial device serving path under the footprint sanitizer, over
+//! real sockets: a full banking conversation (login → mixed read-only
+//! pages → logout → re-login) against the sharded SIMT server, with the
+//! sanitizer checking every kernel launch, must produce a byte-identical
+//! transcript at shard counts 1, 2, and 4. The pipelined page burst forms
+//! a multi-cohort batch, which the handler runs one cohort after another
+//! on its resident context; the effect proofs decide which of them open
+//! the session undo journal. (The file name is historical.)
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};

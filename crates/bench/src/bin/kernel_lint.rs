@@ -13,7 +13,7 @@
 //! absent), its lints (`effects-top-footprint` warning,
 //! `effects-out-of-extent` error) merge into the diagnostics, and
 //! `--effects-json` dumps the full per-kernel summaries plus the
-//! session-writer verdict HyperQ grouping is scheduled from.
+//! session-writer verdict the session undo journal is opened on.
 //!
 //! Usage: `kernel_lint [--json] [--effects-json] [--cohort N] [--verbose]`
 
@@ -238,7 +238,7 @@ fn print_json(
 
 /// Dump the joined effect summary of every kernel: the global footprint
 /// per access kind as `"top"` or a region list, whether any space is ⊤,
-/// and the session-writer verdict HyperQ stream grouping schedules from.
+/// and the session-writer verdict the session undo journal is opened on.
 fn print_effects_json(
     cohort: u32,
     effects: &BTreeMap<String, KernelEffects>,

@@ -20,9 +20,8 @@
 //!   [`rhythm_core::CohortPool`] (the Free → PartiallyFull → Full → Busy
 //!   FSM); cohorts launch on fill or on the formation timeout, all
 //!   launches marked in one turn go to the pluggable
-//!   [`server::CohortHandler`] as a single batch (so device handlers can
-//!   run them as concurrent streams), and responses are transposed back
-//!   onto the originating connections in request order.
+//!   [`server::CohortHandler`] as a single batch, and responses are
+//!   transposed back onto the originating connections in request order.
 //! * [`shard::ShardedServer`] is the one server type: an acceptor hands
 //!   connections round-robin to one reactor thread per handler. Bound
 //!   with a single handler it is the paper's single event loop; with N,

@@ -44,10 +44,9 @@ pub trait CohortHandler {
     /// cohort (aligned with `cohorts`).
     ///
     /// The default runs each cohort through [`CohortHandler::execute`]
-    /// sequentially. Device-backed handlers may override it to keep the
-    /// device saturated with concurrent per-type launches (the HyperQ
-    /// path), as long as results stay identical to sequential execution
-    /// in launch order.
+    /// sequentially; both banking handlers use it. An override (a wrapper
+    /// that times the batch, say) must return what sequential execution in
+    /// launch order returns.
     fn execute_many(&mut self, cohorts: &[(u32, Vec<HttpRequest>)]) -> Vec<Vec<Vec<u8>>> {
         cohorts
             .iter()

@@ -68,10 +68,6 @@ pub struct GpuConfig {
     pub tx_bytes: u32,
     /// Fixed per-kernel-launch overhead in seconds.
     pub launch_overhead_s: f64,
-    /// Device memory capacity in bytes (capacity planning only).
-    pub memory_bytes: u64,
-    /// Number of hardware work queues (1 = pre-HyperQ, 32 = HyperQ).
-    pub hw_queues: u32,
     /// Host worker threads used to execute a launch's warps
     /// (simulation-speed knob only — modelled latencies are unaffected):
     /// `0` = one per available core (asked of the OS once per [`Gpu`], and
@@ -81,7 +77,7 @@ pub struct GpuConfig {
 
 impl GpuConfig {
     /// NVIDIA GTX Titan (GK110), the paper's evaluation device:
-    /// 14 SMX @ 837 MHz, 288 GB/s GDDR5, 6 GB, HyperQ (32 queues).
+    /// 14 SMX @ 837 MHz, 288 GB/s GDDR5.
     ///
     /// `issue_width` is the *sustained* warp-instruction rate per SMX for
     /// dependent integer/byte-processing code — roughly 40 % of the
@@ -97,15 +93,11 @@ impl GpuConfig {
             dram_bw: 288e9,
             tx_bytes: 128,
             launch_overhead_s: 5e-6,
-            memory_bytes: 6 * (1 << 30),
-            hw_queues: 32,
             workers: 0,
         }
     }
 
-    /// NVIDIA GTX 690 (one GK104 die): 8 SMX @ 915 MHz, 192 GB/s, 2 GB,
-    /// single hardware work queue (no HyperQ) — used by the paper to show
-    /// false-dependency stalls.
+    /// NVIDIA GTX 690 (one GK104 die): 8 SMX @ 915 MHz, 192 GB/s.
     pub fn gtx_690() -> Self {
         GpuConfig {
             name: "GTX 690".into(),
@@ -115,8 +107,6 @@ impl GpuConfig {
             dram_bw: 192e9,
             tx_bytes: 128,
             launch_overhead_s: 5e-6,
-            memory_bytes: 2 * (1 << 30),
-            hw_queues: 1,
             workers: 0,
         }
     }
@@ -208,10 +198,10 @@ impl Gpu {
     }
 
     /// Host threads this device runs `units` independent units of work
-    /// on under a `workers` knob ([`resolve_workers`], with the automatic
-    /// count resolved once per device).
-    pub(crate) fn worker_count(&self, workers: usize, units: usize) -> usize {
-        let workers = match workers {
+    /// on under [`GpuConfig::workers`] ([`resolve_workers`], with the
+    /// automatic count resolved once per device).
+    fn worker_count(&self, units: usize) -> usize {
+        let workers = match self.config.workers as usize {
             0 if units > 1 => *self.auto_workers.get_or_init(auto_worker_count),
             n => n,
         };
@@ -263,7 +253,7 @@ impl Gpu {
         // on the host's scheduling.
         let warps = cfg.warps() as usize;
         let units = if plan.has_atomics() { 1 } else { warps };
-        let workers = self.worker_count(self.config.workers as usize, units);
+        let workers = self.worker_count(units);
         let stats = execute_plan(&plan, &cfg, mem, pool, workers, rec)?;
         let result = self.time(stats);
         if rec.enabled() {
@@ -354,15 +344,6 @@ mod tests {
     use super::*;
     use crate::ir::{BinOp, ProgramBuilder};
     use rhythm_obs::{NoopRecorder, TraceRecorder};
-
-    #[test]
-    fn presets_differ() {
-        let t = GpuConfig::gtx_titan();
-        let g = GpuConfig::gtx_690();
-        assert_eq!(t.hw_queues, 32);
-        assert_eq!(g.hw_queues, 1);
-        assert!(t.memory_bytes > g.memory_bytes);
-    }
 
     #[test]
     fn bigger_kernel_takes_longer() {

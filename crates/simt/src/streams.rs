@@ -11,20 +11,12 @@
 //! per-op timing, letting `rhythm-bench` reproduce the GTX 690 vs Titan
 //! comparison.
 //!
-//! [`execute_streams`] is the execution counterpart of the timing model:
-//! it actually runs kernel launches from independent streams concurrently
-//! on a host worker pool, serializing only the true (same-stream)
-//! dependencies.
+//! This is a timing model only. Executed cohorts run one after another on
+//! the caller's thread (`rhythm-banking`'s `DeviceContext::run_cohort`);
+//! what overlapping them on a device buys is modelled here and in
+//! `rhythm-core`'s pipeline (`device_slots`).
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use rhythm_obs::NoopRecorder;
-
-use crate::exec::{ExecError, LaunchConfig};
-use crate::gpu::{Gpu, GpuConfig, LaunchResult};
-use crate::ir::Program;
-use crate::mem::{ConstPool, DeviceMemory};
 
 /// One kernel launch in enqueue order.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
@@ -131,155 +123,9 @@ pub fn schedule(ops: &[StreamOp], hw_queues: u32, concurrency: u32) -> Schedule 
     }
 }
 
-/// One execution stream: a memory image plus the kernels that run against
-/// it in order. Mirrors a CUDA stream holding one cohort's pipeline of
-/// dependent kernels.
-#[derive(Debug)]
-pub struct ExecStream<'a> {
-    /// Logical stream (cohort pipeline) id, for reports.
-    pub stream: u32,
-    /// The stream's device image; every kernel of this stream runs
-    /// against it, so true (same-stream) dependencies chain naturally.
-    pub mem: DeviceMemory,
-    /// Constant pool shared by the stream's kernels.
-    pub pool: &'a ConstPool,
-    /// Kernels in enqueue order: `(label, program, launch config)`.
-    pub kernels: Vec<(&'static str, &'a Program, LaunchConfig)>,
-}
-
-/// Result of one stream executed by [`execute_streams`].
-#[derive(Debug)]
-pub struct StreamExecResult {
-    /// The stream id.
-    pub stream: u32,
-    /// The memory image after all of the stream's kernels ran.
-    pub mem: DeviceMemory,
-    /// Per-kernel stats and modelled latency, in enqueue order.
-    pub launches: Vec<(&'static str, LaunchResult)>,
-}
-
-/// Execute independent streams concurrently on `workers` host threads
-/// (`0` = one per available core), each stream's kernels in order.
-///
-/// This is the execution counterpart of [`schedule`]: streams are claimed
-/// by workers through a dynamic counter and run truly concurrently (the
-/// HyperQ behaviour), while kernels within a stream serialize on the
-/// stream's memory image. Kernels execute with serial warps here —
-/// stream-level parallelism already occupies the pool — and each stream
-/// owns its image, so results are bit-identical at any worker count.
-///
-/// Results come back in the input order of `streams`.
-///
-/// # Errors
-///
-/// Returns the error of the earliest (by input order) faulting stream.
-/// Later kernels of a faulting stream never run; other streams always run
-/// to completion, so the reported error does not depend on scheduling.
-pub fn execute_streams(
-    config: &GpuConfig,
-    streams: Vec<ExecStream<'_>>,
-    workers: usize,
-) -> Result<Vec<StreamExecResult>, ExecError> {
-    // Stream-level parallelism is the point here; run warps serially.
-    let gpu = Gpu::new(config.clone().with_workers(1));
-    let mut results = execute_streams_on(&gpu, streams, workers);
-    // Per-stream outcomes collapse to the earliest (by input order) fault.
-    let mut outcomes = Vec::with_capacity(results.len());
-    for r in results.drain(..) {
-        outcomes.push(r?);
-    }
-    Ok(outcomes)
-}
-
-/// [`execute_streams`] against a caller-prepared [`Gpu`] (keeping its
-/// verification gate and worker configuration), with per-stream outcomes
-/// instead of a collapsed first error.
-///
-/// Results come back in the input order of `streams`; a faulting stream
-/// yields `Err` in its own slot and never perturbs the other streams.
-/// This is the entry point for serving paths that launch many cohorts
-/// concurrently and must answer each cohort's connections individually.
-pub fn execute_streams_on(
-    gpu: &Gpu,
-    streams: Vec<ExecStream<'_>>,
-    workers: usize,
-) -> Vec<Result<StreamExecResult, ExecError>> {
-    let nstreams = streams.len();
-    let workers = gpu.worker_count(workers, nstreams);
-
-    let run_stream = |s: ExecStream<'_>| -> Result<StreamExecResult, ExecError> {
-        let ExecStream {
-            stream,
-            mut mem,
-            pool,
-            kernels,
-        } = s;
-        let mut launches = Vec::with_capacity(kernels.len());
-        for (label, program, cfg) in kernels {
-            let result = gpu.launch(program, &cfg, &mut mem, pool, &NoopRecorder)?;
-            launches.push((label, result));
-        }
-        Ok(StreamExecResult {
-            stream,
-            mem,
-            launches,
-        })
-    };
-
-    let mut results: Vec<(usize, Result<StreamExecResult, ExecError>)> = if workers <= 1 {
-        streams
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| (i, run_stream(s)))
-            .collect()
-    } else {
-        let slots: Vec<std::sync::Mutex<Option<(usize, ExecStream<'_>)>>> = streams
-            .into_iter()
-            .enumerate()
-            .map(|p| std::sync::Mutex::new(Some(p)))
-            .collect();
-        let next = AtomicUsize::new(0);
-        let outs: Vec<Vec<(usize, Result<StreamExecResult, ExecError>)>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        let slots = &slots;
-                        let run_stream = &run_stream;
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= nstreams {
-                                    break;
-                                }
-                                let (idx, s) = slots[i]
-                                    .lock()
-                                    .expect("stream slot lock")
-                                    .take()
-                                    .expect("stream claimed once");
-                                out.push((idx, run_stream(s)));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("stream worker panicked"))
-                    .collect()
-            });
-        outs.into_iter().flatten().collect()
-    };
-
-    results.sort_unstable_by_key(|&(idx, _)| idx);
-    results.into_iter().map(|(_, r)| r).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{BinOp, ProgramBuilder};
 
     fn op(stream: u32, duration_s: f64) -> StreamOp {
         StreamOp {
@@ -339,95 +185,5 @@ mod tests {
     #[should_panic(expected = "hardware queue")]
     fn zero_queues_panics() {
         schedule(&[], 0, 1);
-    }
-
-    /// Build a kernel adding `delta` to every word of its image.
-    fn add_kernel(delta: u32) -> Program {
-        let mut b = ProgramBuilder::new("add");
-        let g = b.global_id();
-        let four = b.imm(4);
-        let addr = b.bin(BinOp::Mul, g, four);
-        let v = b.ld_global_word(addr, 0);
-        let d = b.imm(delta);
-        let v2 = b.bin(BinOp::Add, v, d);
-        b.st_global_word(addr, 0, v2);
-        b.halt();
-        b.build().unwrap()
-    }
-
-    fn outcome_fingerprint(o: &[StreamExecResult]) -> Vec<(u32, Vec<u8>, u64)> {
-        o.iter()
-            .map(|x| {
-                (
-                    x.stream,
-                    x.mem.as_bytes().to_vec(),
-                    x.launches
-                        .iter()
-                        .map(|(_, r)| r.stats.warp_instructions)
-                        .sum(),
-                )
-            })
-            .collect()
-    }
-
-    /// Dependent kernels within a stream chain through the stream's
-    /// image; results are identical at any worker count and in input
-    /// order.
-    #[test]
-    fn execute_streams_chains_and_is_deterministic() {
-        let k1 = add_kernel(1);
-        let k10 = add_kernel(10);
-        let pool = ConstPool::new();
-        let mk_streams = || {
-            (0..4u32)
-                .map(|stream| ExecStream {
-                    stream,
-                    mem: DeviceMemory::new(64 * 4),
-                    pool: &pool,
-                    kernels: vec![
-                        ("a", &k1, LaunchConfig::new(64, [])),
-                        ("b", &k10, LaunchConfig::new(64, [])),
-                    ],
-                })
-                .collect::<Vec<_>>()
-        };
-        let cfg = GpuConfig::gtx_titan();
-        let serial = execute_streams(&cfg, mk_streams(), 1).unwrap();
-        assert_eq!(serial.len(), 4);
-        // The second kernel saw the first one's writes: 0 + 1 + 10.
-        assert_eq!(serial[0].mem.read_word(0).unwrap(), 11);
-        assert_eq!(serial[0].launches.len(), 2);
-        assert_eq!(serial[0].launches[1].0, "b");
-        let base = outcome_fingerprint(&serial);
-        for workers in [2usize, 4, 8] {
-            let par = execute_streams(&cfg, mk_streams(), workers).unwrap();
-            assert_eq!(
-                outcome_fingerprint(&par),
-                base,
-                "stream outcomes differ at {workers} workers"
-            );
-        }
-    }
-
-    /// A fault stops the faulting stream but the error is the same at any
-    /// worker count.
-    #[test]
-    fn execute_streams_error_deterministic() {
-        let k = add_kernel(1);
-        let pool = ConstPool::new();
-        let mk = |stream: u32, mem_words: usize| ExecStream {
-            stream,
-            mem: DeviceMemory::new(mem_words * 4),
-            pool: &pool,
-            kernels: vec![("x", &k, LaunchConfig::new(64, []))],
-        };
-        // Stream 1: 64 lanes vs 8 words -> faults.
-        let mk_streams = || vec![mk(0, 64), mk(1, 8), mk(2, 64)];
-        let cfg = GpuConfig::gtx_titan();
-        let serial = execute_streams(&cfg, mk_streams(), 1).unwrap_err();
-        for workers in [2usize, 4] {
-            let err = execute_streams(&cfg, mk_streams(), workers).unwrap_err();
-            assert_eq!(err, serial, "error differs at {workers} workers");
-        }
     }
 }

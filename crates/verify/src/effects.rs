@@ -2,8 +2,9 @@
 //!
 //! This is the analyzer's answer to "what memory does this kernel touch?",
 //! computed once per (program, launch environment) and consumed by the
-//! HyperQ cohort scheduler (`rhythm-banking`), the `kernel_lint` tool, and
-//! the runtime footprint sanitizer in the plan executor.
+//! cohort runner's session-writer verdict (`rhythm-banking`, which decides
+//! the session undo journal), the `kernel_lint` tool, and the runtime
+//! footprint sanitizer in the plan executor.
 //!
 //! # The region domain
 //!
@@ -249,7 +250,7 @@ impl KernelEffects {
     }
 
     /// May the kernel mutate a byte in `[lo, hi)` of `space`? This is the
-    /// session-array query the HyperQ scheduler asks.
+    /// session-array query the cohort runner's writer verdict asks.
     pub fn mutates(&self, space: MemSpace, lo: u64, hi: u64) -> bool {
         self.space(space).mutates_range(lo, hi)
     }

@@ -208,7 +208,8 @@ fn simt_device_counters_surface_in_metrics() {
     assert!(sum_family(&body, "rhythm_device_warp_instructions_total") > 0);
     assert!(body.contains("rhythm_device_simd_efficiency"));
     assert!(body.contains("rhythm_device_kernel_seconds_count"));
-    assert!(body.contains("rhythm_device_hyperq_streams_count"));
+    // Every request of the conversation was served by a device cohort.
+    assert_eq!(sum_family(&body, "rhythm_device_requests_total"), 5);
     assert!(body.contains("rhythm_plan_cache_hits_total"));
     // Every page's static fragments take the wide-copy path.
     assert!(sum_family(&body, "rhythm_wide_copy_commits_total") > 0);
