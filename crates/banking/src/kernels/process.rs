@@ -13,9 +13,9 @@ use crate::layout::{F_BREQ_LEN, F_NEWTOKEN, F_P0, F_RESP_LEN, F_STATUS, F_TOKEN,
 use crate::templates::{Action, ArgSrc, PageSpec, RowAction, FORBIDDEN, HEADER_PREFIX};
 
 use super::common::{
-    emit_copy_field_padded, emit_pad_and_newline, emit_padded_decimal, emit_padded_money,
-    emit_parse_field_u32, emit_session_insert, emit_session_lookup, emit_session_remove, env,
-    ld_struct, st_struct, Env, DECIMAL_SCRATCH,
+    emit_copy_field_padded, emit_padded_decimal, emit_padded_money, emit_parse_field_u32,
+    emit_session_insert, emit_session_lookup, emit_session_remove, env, ld_struct, st_struct, Env,
+    DECIMAL_SCRATCH,
 };
 
 /// Compile every process stage for a page spec.
@@ -384,15 +384,4 @@ fn emit_action(
             });
         }
     }
-}
-
-/// Emit a padded line directly from a register-held length (exposed for
-/// tests of the padding mechanics).
-pub fn emit_padded_literal(b: &mut ProgramBuilder, cur: &BufCursor, text: &[u8]) {
-    for &ch in text {
-        let c = b.imm(ch as u32);
-        b.cursor_write_byte(cur, c);
-    }
-    let len = b.imm(text.len() as u32);
-    emit_pad_and_newline(b, cur, len, true);
 }

@@ -62,22 +62,6 @@ impl CohortResult {
     pub fn kernel_time_s(&self) -> f64 {
         self.launches.iter().map(|(_, r)| r.time_s).sum()
     }
-
-    /// Sum of a stat across launches.
-    pub fn total_warp_instructions(&self) -> u64 {
-        self.launches
-            .iter()
-            .map(|(_, r)| r.stats.warp_instructions)
-            .sum()
-    }
-
-    /// Aggregate lane instructions across launches.
-    pub fn total_lane_instructions(&self) -> u64 {
-        self.launches
-            .iter()
-            .map(|(_, r)| r.stats.lane_instructions)
-            .sum()
-    }
 }
 
 /// Options for a cohort run ([`DeviceContext`], [`run_cohort_traced`]).

@@ -35,10 +35,12 @@
 //!   use the fallible cohort API, so one bad dispatch can never panic the
 //!   event loop.
 //! * The live telemetry plane ([`metrics::Telemetry`]) is the crate's
-//!   one event sink: it aggregates one lock-free registry per shard
-//!   (seqlock counter snapshots, per-type latency and cohort-fill
-//!   histograms, an always-on flight recorder holding cohort-batch
-//!   spans, sheds and a sampled poll heartbeat) and serves it through
+//!   one event sink: it aggregates one registry per shard (a counter
+//!   snapshot published whole under a mutex once per poll, per-key
+//!   latency histograms and launch counters, a cohort-fill histogram,
+//!   and an always-on flight recorder — a wall-clock
+//!   `rhythm_obs::Recorder` back end — holding cohort-batch spans,
+//!   sheds and a sampled poll heartbeat) and serves it through
 //!   in-band admin endpoints ([`admin`]):
 //!   `GET /metrics` (Prometheus text), `GET /healthz`, and `GET /trace`
 //!   (Chrome trace of recent events). Admin requests are answered before
@@ -74,6 +76,6 @@ mod sys;
 pub use admin::{admin_route, AdminRoute};
 pub use client::{read_response, scan_response, send_request, RawResponse};
 pub use conn::RequestAccumulator;
-pub use metrics::{LaunchView, LiveSnapshot, ShardMetrics, StatsCell, Telemetry};
+pub use metrics::{LaunchView, LiveSnapshot, ShardMetrics, Telemetry};
 pub use server::{CohortHandler, NetConfig, NetStats, Reactor};
 pub use shard::{ShardedRun, ShardedServer};

@@ -3,10 +3,11 @@
 //!
 //! Design rule: **zero cross-shard sharing on the hot path**. Each
 //! reactor owns one [`ShardMetrics`] and is its only writer; the only
-//! cross-thread traffic is a scraper *reading* another shard's atomics at
-//! `/metrics` time. Counter publication goes through a seqlock
-//! ([`StatsCell`]) written once per poll at a consistent point, so a
-//! reader can never observe a torn snapshot — the accounting invariant
+//! cross-thread traffic is a scraper *reading* another shard's registry
+//! at `/metrics` time. The reactor publishes its counters once per poll,
+//! at a consistent point, by overwriting one [`LiveSnapshot`] under a
+//! mutex; a scraper clones it under the same mutex. The snapshot is
+//! written whole, so the accounting invariant
 //!
 //! ```text
 //! requests == responses + shed_503 + unclassified + in_cohort
@@ -21,13 +22,12 @@
 //! [`AtomicHistogram`] — the shared-atomic-bucket variant — so they are
 //! readable mid-poll with per-bucket monotonicity.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use rhythm_obs::{
-    flight_chrome_json, AtomicHistogram, FlightRecorder, MetricKind, MetricRegistry, MetricValue,
-    PromText, StreamingHistogram,
+    chrome_trace_json, AtomicHistogram, Counter, FlightRecorder, Gauge, MetricKind, MetricRegistry,
+    MetricValue, PromText, StreamingHistogram,
 };
 
 use crate::server::NetStats;
@@ -40,7 +40,7 @@ const FLIGHT_CAPACITY: usize = 4096;
 /// headroom.
 const KEY_SLOTS: usize = 32;
 
-/// A consistent, torn-read-proof snapshot of one shard's live counters.
+/// A consistent snapshot of one shard's live counters.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LiveSnapshot {
     /// The shard's counters as of its last completed poll.
@@ -69,7 +69,7 @@ impl LiveSnapshot {
     }
 
     /// Whether the accounting invariant holds (it must, on any snapshot
-    /// read through [`StatsCell`]).
+    /// read through [`ShardMetrics::live`]).
     pub fn accounting_balanced(&self) -> bool {
         self.accounting_residual() == 0
     }
@@ -79,179 +79,6 @@ impl LiveSnapshot {
         self.stats.merge(&other.stats);
         self.in_cohort += other.in_cohort;
         self.connections += other.connections;
-    }
-}
-
-/// Seqlock-published [`NetStats`] mirror: the owning reactor stores every
-/// counter between two sequence bumps at the end of each poll; readers
-/// retry until they see a stable, even sequence. Single writer, any
-/// number of readers.
-#[derive(Debug, Default)]
-pub struct StatsCell {
-    seq: AtomicU64,
-    accepted: AtomicU64,
-    rejected_over_cap: AtomicU64,
-    peak_connections: AtomicU64,
-    requests: AtomicU64,
-    responses: AtomicU64,
-    responses_dropped: AtomicU64,
-    cohorts: AtomicU64,
-    full_launches: AtomicU64,
-    timeout_launches: AtomicU64,
-    fill_sum_bits: AtomicU64,
-    launched_requests: AtomicU64,
-    shed_503: AtomicU64,
-    too_large_413: AtomicU64,
-    bad_request_400: AtomicU64,
-    unclassified: AtomicU64,
-    fsm_rejections: AtomicU64,
-    reaped_idle: AtomicU64,
-    reaped_stalled: AtomicU64,
-    idle_polls: AtomicU64,
-    reads_paused: AtomicU64,
-    peak_queued_bytes: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    admin_requests: AtomicU64,
-    in_cohort: AtomicU64,
-    connections: AtomicU64,
-}
-
-impl StatsCell {
-    /// Publish a consistent snapshot (single writer: the owning reactor,
-    /// at the end of a poll).
-    pub fn publish(&self, stats: &NetStats, in_cohort: u64, connections: u64) {
-        self.seq.fetch_add(1, Ordering::Release); // odd: update in progress
-        self.accepted.store(stats.accepted, Ordering::Relaxed);
-        self.rejected_over_cap
-            .store(stats.rejected_over_cap, Ordering::Relaxed);
-        self.peak_connections
-            .store(stats.peak_connections as u64, Ordering::Relaxed);
-        self.requests.store(stats.requests, Ordering::Relaxed);
-        self.responses.store(stats.responses, Ordering::Relaxed);
-        self.responses_dropped
-            .store(stats.responses_dropped, Ordering::Relaxed);
-        self.cohorts.store(stats.cohorts, Ordering::Relaxed);
-        self.full_launches
-            .store(stats.full_launches, Ordering::Relaxed);
-        self.timeout_launches
-            .store(stats.timeout_launches, Ordering::Relaxed);
-        self.fill_sum_bits
-            .store(stats.fill_sum.to_bits(), Ordering::Relaxed);
-        self.launched_requests
-            .store(stats.launched_requests, Ordering::Relaxed);
-        self.shed_503.store(stats.shed_503, Ordering::Relaxed);
-        self.too_large_413
-            .store(stats.too_large_413, Ordering::Relaxed);
-        self.bad_request_400
-            .store(stats.bad_request_400, Ordering::Relaxed);
-        self.unclassified
-            .store(stats.unclassified, Ordering::Relaxed);
-        self.fsm_rejections
-            .store(stats.fsm_rejections, Ordering::Relaxed);
-        self.reaped_idle.store(stats.reaped_idle, Ordering::Relaxed);
-        self.reaped_stalled
-            .store(stats.reaped_stalled, Ordering::Relaxed);
-        self.idle_polls.store(stats.idle_polls, Ordering::Relaxed);
-        self.reads_paused
-            .store(stats.reads_paused, Ordering::Relaxed);
-        self.peak_queued_bytes
-            .store(stats.peak_queued_bytes, Ordering::Relaxed);
-        self.bytes_in.store(stats.bytes_in, Ordering::Relaxed);
-        self.bytes_out.store(stats.bytes_out, Ordering::Relaxed);
-        self.admin_requests
-            .store(stats.admin_requests, Ordering::Relaxed);
-        self.in_cohort.store(in_cohort, Ordering::Relaxed);
-        self.connections.store(connections, Ordering::Relaxed);
-        self.seq.fetch_add(1, Ordering::Release); // even: stable
-    }
-
-    /// Read a consistent snapshot (spins while a publish is in flight —
-    /// publishes are a few dozen relaxed stores, so the wait is
-    /// nanoseconds).
-    pub fn read(&self) -> LiveSnapshot {
-        loop {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if !s1.is_multiple_of(2) {
-                std::hint::spin_loop();
-                continue;
-            }
-            let snap = LiveSnapshot {
-                stats: NetStats {
-                    accepted: self.accepted.load(Ordering::Relaxed),
-                    rejected_over_cap: self.rejected_over_cap.load(Ordering::Relaxed),
-                    peak_connections: self.peak_connections.load(Ordering::Relaxed) as usize,
-                    requests: self.requests.load(Ordering::Relaxed),
-                    responses: self.responses.load(Ordering::Relaxed),
-                    responses_dropped: self.responses_dropped.load(Ordering::Relaxed),
-                    cohorts: self.cohorts.load(Ordering::Relaxed),
-                    full_launches: self.full_launches.load(Ordering::Relaxed),
-                    timeout_launches: self.timeout_launches.load(Ordering::Relaxed),
-                    fill_sum: f64::from_bits(self.fill_sum_bits.load(Ordering::Relaxed)),
-                    launched_requests: self.launched_requests.load(Ordering::Relaxed),
-                    shed_503: self.shed_503.load(Ordering::Relaxed),
-                    too_large_413: self.too_large_413.load(Ordering::Relaxed),
-                    bad_request_400: self.bad_request_400.load(Ordering::Relaxed),
-                    unclassified: self.unclassified.load(Ordering::Relaxed),
-                    fsm_rejections: self.fsm_rejections.load(Ordering::Relaxed),
-                    reaped_idle: self.reaped_idle.load(Ordering::Relaxed),
-                    reaped_stalled: self.reaped_stalled.load(Ordering::Relaxed),
-                    idle_polls: self.idle_polls.load(Ordering::Relaxed),
-                    reads_paused: self.reads_paused.load(Ordering::Relaxed),
-                    peak_queued_bytes: self.peak_queued_bytes.load(Ordering::Relaxed),
-                    bytes_in: self.bytes_in.load(Ordering::Relaxed),
-                    bytes_out: self.bytes_out.load(Ordering::Relaxed),
-                    admin_requests: self.admin_requests.load(Ordering::Relaxed),
-                },
-                in_cohort: self.in_cohort.load(Ordering::Relaxed),
-                connections: self.connections.load(Ordering::Relaxed),
-            };
-            if self.seq.load(Ordering::Acquire) == s1 {
-                return snap;
-            }
-        }
-    }
-}
-
-/// Per-cohort-key latency histograms with lazily named slots. Keys at or
-/// beyond [`KEY_SLOTS`] share the overflow slot.
-#[derive(Debug)]
-struct KeyedLatency {
-    slots: Vec<(OnceLock<String>, AtomicHistogram)>,
-}
-
-impl KeyedLatency {
-    fn new() -> Self {
-        KeyedLatency {
-            slots: (0..KEY_SLOTS)
-                .map(|_| (OnceLock::new(), AtomicHistogram::for_latency_seconds()))
-                .collect(),
-        }
-    }
-
-    fn slot(&self, key: u32) -> &(OnceLock<String>, AtomicHistogram) {
-        &self.slots[(key as usize).min(KEY_SLOTS - 1)]
-    }
-
-    fn record(&self, key: u32, name: impl FnOnce() -> String, latency_s: f64) {
-        let (slot_name, hist) = self.slot(key);
-        slot_name.get_or_init(name);
-        hist.record(latency_s);
-    }
-
-    /// Non-empty per-type snapshots as `(type_name, histogram)`.
-    fn views(&self) -> Vec<(String, StreamingHistogram)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, h))| h.count() > 0)
-            .map(|(i, (name, h))| {
-                (
-                    name.get().cloned().unwrap_or_else(|| format!("key_{i}")),
-                    h.snapshot(),
-                )
-            })
-            .collect()
     }
 }
 
@@ -271,76 +98,37 @@ pub struct LaunchView {
     pub fill_sum: f64,
 }
 
-/// Per-cohort-key launch counters (full vs timeout launch reason, fill
-/// sums) with lazily named slots, sharing the [`KEY_SLOTS`] overflow
-/// convention with [`KeyedLatency`]. These make the batching policy's
-/// behavior observable per key from `/metrics`.
+/// One cohort key's slot: its label (set the first time the key is
+/// seen), its request-latency histogram, and its launch counters (full
+/// vs timeout launch reason, requests, fill sum), which make the batching
+/// policy's behavior observable per key from `/metrics`.
 #[derive(Debug)]
-struct KeyedLaunches {
-    /// Per slot: label, full launches, timeout launches, launched
-    /// requests, fill sum (f64 bits; single writer, so load/add/store is
-    /// race-free).
-    slots: Vec<(OnceLock<String>, [AtomicU64; 4])>,
+struct KeySlot {
+    name: OnceLock<String>,
+    latency: AtomicHistogram,
+    full: Counter,
+    timeout: Counter,
+    requests: Counter,
+    /// Single writer, so read-add-set is race-free.
+    fill_sum: Gauge,
 }
 
-impl KeyedLaunches {
-    fn new() -> Self {
-        KeyedLaunches {
-            slots: (0..KEY_SLOTS)
-                .map(|_| (OnceLock::new(), std::array::from_fn(|_| AtomicU64::new(0))))
-                .collect(),
-        }
-    }
-
-    fn record(
-        &self,
-        key: u32,
-        name: impl FnOnce() -> String,
-        by_timeout: bool,
-        requests: u64,
-        fill: f64,
-    ) {
-        let (slot_name, [full, timeout, reqs, fill_bits]) =
-            &self.slots[(key as usize).min(KEY_SLOTS - 1)];
-        slot_name.get_or_init(name);
-        if by_timeout {
-            timeout.fetch_add(1, Ordering::Relaxed);
-        } else {
-            full.fetch_add(1, Ordering::Relaxed);
-        }
-        reqs.fetch_add(requests, Ordering::Relaxed);
-        let sum = f64::from_bits(fill_bits.load(Ordering::Relaxed)) + fill;
-        fill_bits.store(sum.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Non-empty per-key views (keys that launched at least one cohort).
-    fn views(&self) -> Vec<LaunchView> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, [f, t, _, _]))| {
-                f.load(Ordering::Relaxed) + t.load(Ordering::Relaxed) > 0
-            })
-            .map(|(i, (name, [f, t, r, fill]))| LaunchView {
-                name: name.get().cloned().unwrap_or_else(|| format!("key_{i}")),
-                full: f.load(Ordering::Relaxed),
-                timeout: t.load(Ordering::Relaxed),
-                requests: r.load(Ordering::Relaxed),
-                fill_sum: f64::from_bits(fill.load(Ordering::Relaxed)),
-            })
-            .collect()
+impl KeySlot {
+    fn label(&self, i: usize) -> String {
+        self.name
+            .get()
+            .cloned()
+            .unwrap_or_else(|| format!("key_{i}"))
     }
 }
 
-/// One reactor shard's metric registry: the seqlock counter cell, the
-/// per-type latency histograms, per-key launch counters, the cohort-fill
-/// histogram, and the shard's flight recorder. Written only by the
-/// owning reactor; read by anyone.
+/// One reactor shard's metric registry: the published counter snapshot,
+/// the per-key slots, the cohort-fill histogram, and the shard's flight
+/// recorder. Written only by the owning reactor; read by anyone.
 #[derive(Debug)]
 pub struct ShardMetrics {
-    cell: StatsCell,
-    latency: KeyedLatency,
-    launches: KeyedLaunches,
+    live: Mutex<LiveSnapshot>,
+    keys: Box<[KeySlot]>,
     fill: AtomicHistogram,
     flight: FlightRecorder,
 }
@@ -355,9 +143,17 @@ impl ShardMetrics {
     /// A fresh, zeroed registry.
     pub fn new() -> Self {
         ShardMetrics {
-            cell: StatsCell::default(),
-            latency: KeyedLatency::new(),
-            launches: KeyedLaunches::new(),
+            live: Mutex::default(),
+            keys: (0..KEY_SLOTS)
+                .map(|_| KeySlot {
+                    name: OnceLock::new(),
+                    latency: AtomicHistogram::for_latency_seconds(),
+                    full: Counter::new(),
+                    timeout: Counter::new(),
+                    requests: Counter::new(),
+                    fill_sum: Gauge::new(),
+                })
+                .collect(),
             // Fill is in (0, 1]: 1/256 floor, 4 sub-buckets per octave,
             // 9 octaves reach just past 1.0.
             fill: AtomicHistogram::new(1.0 / 256.0, 4, 9),
@@ -365,20 +161,37 @@ impl ShardMetrics {
         }
     }
 
-    /// Publish the owning reactor's counters (end of poll).
+    /// Publish the owning reactor's counters (end of poll). The lock is
+    /// held only to copy the snapshot in; a poisoned lock is still
+    /// written, since the value it guards is always whole.
     pub fn publish(&self, stats: &NetStats, in_cohort: u64, connections: u64) {
-        self.cell.publish(stats, in_cohort, connections);
+        let snap = LiveSnapshot {
+            stats: stats.clone(),
+            in_cohort,
+            connections,
+        };
+        *self.live.lock().unwrap_or_else(PoisonError::into_inner) = snap;
     }
 
-    /// The last published consistent snapshot.
+    /// The last published snapshot.
     pub fn live(&self) -> LiveSnapshot {
-        self.cell.read()
+        self.live
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    /// The slot of cohort key `key`, labelled by `name` the first time.
+    fn key(&self, key: u32, name: impl FnOnce() -> String) -> &KeySlot {
+        let slot = &self.keys[(key as usize).min(KEY_SLOTS - 1)];
+        slot.name.get_or_init(name);
+        slot
     }
 
     /// Record one request's end-to-end latency under its cohort type
     /// (`name` is only invoked the first time `key` is seen).
     pub fn record_latency(&self, key: u32, name: impl FnOnce() -> String, latency_s: f64) {
-        self.latency.record(key, name, latency_s);
+        self.key(key, name).latency.record(latency_s);
     }
 
     /// Record a cohort's fill ratio at launch.
@@ -397,17 +210,40 @@ impl ShardMetrics {
         requests: u64,
         fill: f64,
     ) {
-        self.launches.record(key, name, by_timeout, requests, fill);
+        let slot = self.key(key, name);
+        if by_timeout {
+            slot.timeout.inc();
+        } else {
+            slot.full.inc();
+        }
+        slot.requests.add(requests);
+        slot.fill_sum.set(slot.fill_sum.get() + fill);
     }
 
     /// Per-key launch counters for keys that launched at least once.
     pub fn launch_views(&self) -> Vec<LaunchView> {
-        self.launches.views()
+        self.keys
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.full.get() + s.timeout.get() > 0)
+            .map(|(i, s)| LaunchView {
+                name: s.label(i),
+                full: s.full.get(),
+                timeout: s.timeout.get(),
+                requests: s.requests.get(),
+                fill_sum: s.fill_sum.get(),
+            })
+            .collect()
     }
 
     /// Per-type latency snapshots as `(type_name, histogram)`.
     pub fn latency_views(&self) -> Vec<(String, StreamingHistogram)> {
-        self.latency.views()
+        self.keys
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.latency.count() > 0)
+            .map(|(i, s)| (s.label(i), s.latency.snapshot()))
+            .collect()
     }
 
     /// Snapshot of the cohort-fill distribution.
@@ -807,13 +643,13 @@ impl Telemetry {
     /// Render the `/trace` body: every shard's flight-recorder ring as
     /// one Chrome trace JSON document (one process per shard).
     pub fn render_trace(&self) -> String {
-        let shards: Vec<(String, &FlightRecorder)> = self
+        let shards: Vec<_> = self
             .shards
             .iter()
             .enumerate()
-            .map(|(i, s)| (format!("reactor shard {i}"), s.flight()))
+            .map(|(i, s)| (format!("reactor shard {i}"), s.flight().events()))
             .collect();
-        flight_chrome_json(&shards)
+        chrome_trace_json(&shards)
     }
 }
 
@@ -838,17 +674,18 @@ mod tests {
 
     #[test]
     fn statscell_snapshot_is_never_torn() {
-        let cell = Arc::new(StatsCell::default());
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let shard = Arc::new(ShardMetrics::new());
+        let stop = Arc::new(AtomicBool::new(false));
         let writer = {
-            let cell = Arc::clone(&cell);
+            let shard = Arc::clone(&shard);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let mut step = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     step += 1;
                     let (stats, in_cohort) = consistent_stats(step);
-                    cell.publish(&stats, in_cohort, step % 3);
+                    shard.publish(&stats, in_cohort, step % 3);
                 }
                 step
             })
@@ -860,7 +697,7 @@ mod tests {
         // thread is even scheduled.
         while reads < 100_000 || last_requests == 0 {
             reads += 1;
-            let snap = cell.read();
+            let snap = shard.live();
             assert!(
                 snap.accounting_balanced(),
                 "torn snapshot: residual {} at requests {}",
@@ -876,6 +713,21 @@ mod tests {
         stop.store(true, Ordering::Relaxed);
         let steps = writer.join().unwrap();
         assert!(steps > 0);
+    }
+
+    #[test]
+    fn poisoned_snapshot_lock_still_publishes_and_reads() {
+        let shard = ShardMetrics::new();
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = shard.live.lock().unwrap();
+            panic!("poison the snapshot lock");
+        }));
+        assert!(shard.live.is_poisoned());
+        let (stats, in_cohort) = consistent_stats(4);
+        shard.publish(&stats, in_cohort, 2);
+        let snap = shard.live();
+        assert_eq!(snap.stats, stats);
+        assert!(snap.accounting_balanced());
     }
 
     #[test]

@@ -16,6 +16,7 @@ use std::time::{Duration, Instant};
 
 use rhythm_core::{CohortPool, CohortState, ContextId};
 use rhythm_http::{HttpRequest, ParseError};
+use rhythm_obs::{ArgValue, Clock, Recorder};
 
 use crate::admin;
 use crate::conn::RequestAccumulator;
@@ -107,7 +108,7 @@ pub struct NetConfig {
     pub max_parse_per_poll: usize,
     /// `Retry-After` seconds advertised on `503` sheds.
     pub retry_after_s: u32,
-    /// Enable the live telemetry plane: seqlock counter publication, live
+    /// Enable the live telemetry plane: per-poll counter publication, live
     /// latency/fill histograms, the flight recorder, and the in-band
     /// admin endpoints (`/metrics`, `/healthz`, `/trace`). With `false`
     /// the reactor runs bare — no publication, no admin interception —
@@ -454,37 +455,9 @@ pub struct Reactor<H> {
     /// This reactor's own shard registry within [`Reactor::telemetry`]
     /// (cached so the hot path never indexes through the plane).
     metrics: Arc<ShardMetrics>,
-    /// Interned flight-recorder name ids (see [`FlightNames`]).
-    flight_names: FlightNames,
     /// [`NetConfig::fill_timeout`] in seconds, the unit cohort ages are
     /// kept in.
     fill_s: f64,
-}
-
-/// Interned flight-recorder event-name ids, re-interned whenever the
-/// telemetry plane is rebound.
-#[derive(Clone, Copy, Debug)]
-struct FlightNames {
-    /// "cohort batch" span (track 1; arg = requests in the batch).
-    cohorts: u32,
-    /// "shed 503" instant (track 0).
-    shed: u32,
-    /// "admin" instant (track 0).
-    admin: u32,
-    /// Sampled "poll" instant (track 0; arg = 1 when the turn progressed).
-    poll: u32,
-}
-
-impl FlightNames {
-    fn intern(metrics: &ShardMetrics) -> Self {
-        let f = metrics.flight();
-        FlightNames {
-            cohorts: f.intern("cohort batch"),
-            shed: f.intern("shed 503"),
-            admin: f.intern("admin"),
-            poll: f.intern("poll"),
-        }
-    }
 }
 
 /// Put a connection on the turn's touched list (once).
@@ -556,7 +529,6 @@ impl<H: CohortHandler> Reactor<H> {
         let requests = (0..config.pool_contexts).map(|_| Vec::new()).collect();
         let telemetry = Telemetry::new(1);
         let metrics = Arc::clone(telemetry.shard(0));
-        let flight_names = FlightNames::intern(&metrics);
         let fill_s = config.fill_timeout.as_secs_f64();
         Ok(Reactor {
             config,
@@ -578,7 +550,6 @@ impl<H: CohortHandler> Reactor<H> {
             last_reap: Instant::now(),
             telemetry,
             metrics,
-            flight_names,
             fill_s,
         })
     }
@@ -594,7 +565,6 @@ impl<H: CohortHandler> Reactor<H> {
         assert!(shard < telemetry.shards(), "shard out of range");
         self.telemetry = Arc::clone(telemetry);
         self.metrics = Arc::clone(telemetry.shard(shard));
-        self.flight_names = FlightNames::intern(&self.metrics);
     }
 
     /// The telemetry plane this reactor publishes into.
@@ -737,7 +707,13 @@ impl<H: CohortHandler> Reactor<H> {
             // ring under load.
             let flight = self.metrics.flight();
             if flight.tick(256) {
-                flight.instant(self.flight_names.poll, 0, flight.now_us(), progress as u64);
+                flight.instant(
+                    Clock::Wall,
+                    "shard",
+                    "poll",
+                    flight.wall_now_us(),
+                    &[("progress", ArgValue::U64(progress as u64))],
+                );
             }
         }
         progress
@@ -759,8 +735,8 @@ impl<H: CohortHandler> Reactor<H> {
             .sum()
     }
 
-    /// Publish a consistent counter snapshot into the shard's seqlock
-    /// cell (end of every turn, and after drain). This is the point at
+    /// Publish a consistent counter snapshot into the shard's registry
+    /// (end of every turn, and after drain). This is the point at
     /// which `requests == responses + shed_503 + unclassified +
     /// in_cohort` must balance.
     fn publish_metrics(&self) {
@@ -880,7 +856,13 @@ impl<H: CohortHandler> Reactor<H> {
                                 // apart from workload requests.
                                 self.stats.admin_requests += 1;
                                 let flight = self.metrics.flight();
-                                flight.instant(self.flight_names.admin, 0, flight.now_us(), 0);
+                                flight.instant(
+                                    Clock::Wall,
+                                    "shard",
+                                    "admin",
+                                    flight.wall_now_us(),
+                                    &[],
+                                );
                                 conn.respond_now(route.respond(&self.telemetry));
                                 *progress = true;
                                 continue;
@@ -968,7 +950,7 @@ impl<H: CohortHandler> Reactor<H> {
         self.stats.shed_503 += 1;
         if self.config.telemetry {
             let flight = self.metrics.flight();
-            flight.instant(self.flight_names.shed, 0, flight.now_us(), 1);
+            flight.instant(Clock::Wall, "shard", "shed 503", flight.wall_now_us(), &[]);
         }
         let resp = responses::shed_503(self.config.retry_after_s);
         self.route(p.conn, p.seq, resp);
@@ -1073,16 +1055,22 @@ impl<H: CohortHandler> Reactor<H> {
         // The contexts stay Busy for the duration of the batched handler
         // call — the wall-clock analogue of the pipeline's execute phase.
         let total: usize = meta.iter().map(|&(_, n, _)| n).sum();
-        let ft0 = if self.config.telemetry {
-            self.metrics.flight().now_us()
+        let flight = self.metrics.flight();
+        let t0 = if self.config.telemetry {
+            flight.wall_now_us()
         } else {
-            0
+            0.0
         };
         let mut replies = self.handler.execute_many(&batch);
         if self.config.telemetry {
-            let flight = self.metrics.flight();
-            let ft1 = flight.now_us();
-            flight.span(self.flight_names.cohorts, 1, ft0, ft1 - ft0, total as u64);
+            flight.span(
+                Clock::Wall,
+                "cohorts",
+                "cohort batch",
+                t0,
+                flight.wall_now_us() - t0,
+                &[("requests", ArgValue::U64(total as u64))],
+            );
         }
         if replies.len() < batch.len() {
             // A handler that answered fewer cohorts than launched is a

@@ -175,6 +175,12 @@ fn admin_endpoints_serve_valid_documents_in_band() {
     let trace_body = String::from_utf8(trace.body().to_vec()).unwrap();
     let check = rhythm_obs::validate_chrome_trace(&trace_body).expect("trace validates");
     assert!(check.events > 0, "flight recorder captured events");
+    assert!(
+        check.names.iter().any(|n| n == "cohort batch"),
+        "names: {:?}",
+        check.names
+    );
+    assert!(trace_body.contains("\"name\":\"thread_name\",\"args\":{\"name\":\"cohorts\"}"));
 
     // A second scrape must be monotone against the first.
     send_request(&mut conn, &get("/metrics")).unwrap();

@@ -2,32 +2,25 @@
 //! `chrome://tracing`) and a dependency-free validator used by tests and
 //! the CI smoke step.
 //!
-//! The exporter maps the recorder's two clock domains to two trace
-//! *processes* — pid 1 "pipeline (virtual time)" and pid 2
-//! "host (wall time)" — and each track to a named *thread* within its
-//! process, so Perfetto renders one row per pipeline stage / cohort
-//! context / SIMT worker. Events are written sorted by track and
-//! timestamp, so per-track timestamps are non-decreasing by construction
-//! (a property the validator checks).
+//! [`chrome_trace_json`] is the one writer: every recorder back end hands
+//! it `(process name, events)` groups. Each group becomes a trace
+//! *process* and each of its tracks a named *thread*, so Perfetto renders
+//! one row per pipeline stage / cohort context / SIMT worker / reactor
+//! track. [`TraceRecorder::chrome_json`] passes its two clock domains as
+//! two groups — pid 1 "pipeline (virtual time)" and pid 2
+//! "host (wall time)"; a live server's `/trace` passes one group per
+//! reactor shard's [`FlightRecorder`](crate::FlightRecorder). Events
+//! arrive sorted by track and timestamp, so per-track timestamps are
+//! non-decreasing by construction (a property the validator checks).
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use crate::recorder::{Clock, OwnedArg, Phase, TraceRecorder};
+use crate::recorder::{Clock, OwnedArg, Phase, TraceEvent, TraceRecorder};
 
-/// pid used for virtual-time (pipeline) tracks.
-pub const PID_VIRTUAL: u64 = 1;
-/// pid used for wall-time (host/SIMT worker) tracks.
-pub const PID_WALL: u64 = 2;
-
-fn pid_of(clock: Clock) -> u64 {
-    match clock {
-        Clock::Virtual => PID_VIRTUAL,
-        Clock::Wall => PID_WALL,
-    }
-}
-
-/// Escape a string for embedding in a JSON string literal.
-fn escape(s: &str, out: &mut String) {
+/// Append `s` escaped for a JSON string literal (quotes not included).
+/// The workspace's one JSON string escaper.
+pub fn json_escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -36,7 +29,7 @@ fn escape(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -47,7 +40,7 @@ fn escape(s: &str, out: &mut String) {
 /// finiteness, with a 0 fallback to keep the document well-formed).
 fn number(v: f64, out: &mut String) {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        let _ = write!(out, "{v}");
     } else {
         out.push('0');
     }
@@ -55,14 +48,115 @@ fn number(v: f64, out: &mut String) {
 
 fn arg_value(v: &OwnedArg, out: &mut String) {
     match v {
-        OwnedArg::U64(n) => out.push_str(&format!("{n}")),
+        OwnedArg::U64(n) => {
+            let _ = write!(out, "{n}");
+        }
         OwnedArg::F64(f) => number(*f, out),
         OwnedArg::Str(s) => {
             out.push('"');
-            escape(s, out);
+            json_escape(s, out);
             out.push('"');
         }
     }
+}
+
+fn event(e: &TraceEvent, pid: usize, tid: u64, out: &mut String) {
+    let ph = match e.phase {
+        Phase::Span { .. } => "X",
+        Phase::Begin => "B",
+        Phase::End => "E",
+        Phase::Instant => "i",
+        Phase::Counter { .. } => "C",
+    };
+    let _ = write!(out, "{{\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":");
+    number(e.ts_us, out);
+    match e.phase {
+        Phase::Span { dur_us } => {
+            out.push_str(",\"dur\":");
+            number(dur_us, out);
+        }
+        Phase::Instant => out.push_str(",\"s\":\"t\""),
+        _ => {}
+    }
+    out.push_str(",\"name\":\"");
+    json_escape(&e.name, out);
+    out.push('"');
+    if let Phase::Counter { value } = e.phase {
+        out.push_str(",\"args\":{\"value\":");
+        number(value, out);
+        out.push('}');
+    } else if !e.args.is_empty() {
+        out.push_str(",\"args\":{");
+        for (i, (k, v)) in e.args.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('"');
+            json_escape(k, out);
+            out.push_str("\":");
+            arg_value(v, out);
+        }
+        out.push('}');
+    }
+    out.push('}');
+}
+
+/// Render `(process name, events)` groups as one Chrome trace-event JSON
+/// document: group `i` is process `i + 1`, and each distinct track in it
+/// a named thread (tids numbered across the document, in group order and
+/// then track order). Each group's events must be ordered by track, then
+/// timestamp — the order [`TraceRecorder::events`] and
+/// [`FlightRecorder::events`](crate::FlightRecorder::events) return.
+pub fn chrome_trace_json(processes: &[(String, Vec<TraceEvent>)]) -> String {
+    let mut next_tid = 0;
+    let tids: Vec<BTreeMap<&str, u64>> = processes
+        .iter()
+        .map(|(_, events)| {
+            let mut tracks: BTreeMap<&str, u64> =
+                events.iter().map(|e| (e.track.as_str(), 0)).collect();
+            for tid in tracks.values_mut() {
+                next_tid += 1;
+                *tid = next_tid;
+            }
+            tracks
+        })
+        .collect();
+    let n_events: usize = processes.iter().map(|(_, events)| events.len()).sum();
+    let mut out = String::with_capacity(n_events * 96 + 1024);
+    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+    let head = out.len();
+    let sep = |out: &mut String| out.push_str(if out.len() == head { "\n" } else { ",\n" });
+
+    for (i, (name, _)) in processes.iter().enumerate() {
+        sep(&mut out);
+        let _ = write!(
+            out,
+            "{{\"ph\":\"M\",\"pid\":{},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"",
+            i + 1
+        );
+        json_escape(name, &mut out);
+        out.push_str("\"}}");
+    }
+    for (i, tracks) in tids.iter().enumerate() {
+        for (track, tid) in tracks {
+            sep(&mut out);
+            let _ = write!(
+                out,
+                "{{\"ph\":\"M\",\"pid\":{},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"",
+                i + 1
+            );
+            json_escape(track, &mut out);
+            out.push_str("\"}}");
+        }
+    }
+    for (i, (_, events)) in processes.iter().enumerate() {
+        for e in events {
+            sep(&mut out);
+            event(e, i + 1, tids[i][e.track.as_str()], &mut out);
+        }
+    }
+    out.push_str("\n]}");
+    out
 }
 
 impl TraceRecorder {
@@ -71,101 +165,14 @@ impl TraceRecorder {
     /// Open the result in [Perfetto](https://ui.perfetto.dev) ("Open trace
     /// file") or `chrome://tracing`.
     pub fn chrome_json(&self) -> String {
-        let events = self.events();
-
-        // Assign tids per (clock, track) in sorted order (deterministic).
-        let mut tids: BTreeMap<(Clock, String), u64> = BTreeMap::new();
-        for e in &events {
-            let next = tids.len() as u64 + 1;
-            tids.entry((e.clock, e.track.clone())).or_insert(next);
-        }
-
-        let mut out = String::with_capacity(events.len() * 96 + 1024);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        let mut emit = |s: &str, out: &mut String| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('\n');
-            out.push_str(s);
-        };
-
-        // Metadata: process and thread names.
-        for (pid, name) in [
-            (PID_VIRTUAL, "pipeline (virtual time)"),
-            (PID_WALL, "host (wall time)"),
-        ] {
-            emit(
-                &format!(
-                    "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
-                     \"args\":{{\"name\":\"{name}\"}}}}"
-                ),
-                &mut out,
-            );
-        }
-        for ((clock, track), tid) in &tids {
-            let pid = pid_of(*clock);
-            let mut line = String::new();
-            line.push_str(&format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\""
-            ));
-            escape(track, &mut line);
-            line.push_str("\"}}");
-            emit(&line, &mut out);
-        }
-
-        for e in &events {
-            let pid = pid_of(e.clock);
-            let tid = tids[&(e.clock, e.track.clone())];
-            let mut line = String::new();
-            let (ph, extra): (&str, String) = match &e.phase {
-                Phase::Span { dur_us } => {
-                    let mut d = String::new();
-                    number(*dur_us, &mut d);
-                    ("X", format!(",\"dur\":{d}"))
-                }
-                Phase::Begin => ("B", String::new()),
-                Phase::End => ("E", String::new()),
-                Phase::Instant => ("i", ",\"s\":\"t\"".to_string()),
-                Phase::Counter { .. } => ("C", String::new()),
-            };
-            line.push_str(&format!(
-                "{{\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":"
-            ));
-            number(e.ts_us, &mut line);
-            line.push_str(extra.as_str());
-            line.push_str(",\"name\":\"");
-            escape(&e.name, &mut line);
-            line.push('"');
-            match &e.phase {
-                Phase::Counter { value } => {
-                    line.push_str(",\"args\":{\"value\":");
-                    number(*value, &mut line);
-                    line.push('}');
-                }
-                _ if !e.args.is_empty() => {
-                    line.push_str(",\"args\":{");
-                    for (i, (k, v)) in e.args.iter().enumerate() {
-                        if i > 0 {
-                            line.push(',');
-                        }
-                        line.push('"');
-                        escape(k, &mut line);
-                        line.push_str("\":");
-                        arg_value(v, &mut line);
-                    }
-                    line.push('}');
-                }
-                _ => {}
-            }
-            line.push('}');
-            emit(&line, &mut out);
-        }
-        out.push_str("\n]}");
-        out
+        let (virtual_events, wall_events) = self
+            .events()
+            .into_iter()
+            .partition(|e| e.clock == Clock::Virtual);
+        chrome_trace_json(&[
+            ("pipeline (virtual time)".to_string(), virtual_events),
+            ("host (wall time)".to_string(), wall_events),
+        ])
     }
 }
 

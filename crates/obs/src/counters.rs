@@ -14,7 +14,7 @@
 //! Counters are observational, like the [`crate::Recorder`] trait: reading
 //! them never perturbs the measured system.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::metrics::Counter;
 
 /// Cumulative hit/miss counters for a keyed cache.
 ///
@@ -33,8 +33,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// ```
 #[derive(Debug, Default)]
 pub struct CacheCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
+    hits: Counter,
+    misses: Counter,
 }
 
 /// A point-in-time copy of a [`CacheCounters`].
@@ -75,29 +75,29 @@ impl CacheCounters {
     /// Fresh counters at zero (usable in `static` position).
     pub const fn new() -> Self {
         CacheCounters {
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            hits: Counter::new(),
+            misses: Counter::new(),
         }
     }
 
     /// Record one cache hit.
     #[inline]
     pub fn record_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.hits.inc();
     }
 
     /// Record one cache miss.
     #[inline]
     pub fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.inc();
     }
 
     /// Consistent-enough copy of the counters (each counter is read
     /// atomically; the pair is not a single atomic snapshot).
     pub fn snapshot(&self) -> CacheSnapshot {
         CacheSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
         }
     }
 }
@@ -124,8 +124,8 @@ impl CacheCounters {
 /// ```
 #[derive(Debug, Default)]
 pub struct PoolCounters {
-    reused: AtomicU64,
-    allocated: AtomicU64,
+    reused: Counter,
+    allocated: Counter,
 }
 
 /// A point-in-time copy of a [`PoolCounters`].
@@ -163,27 +163,27 @@ impl PoolCounters {
     /// Fresh counters at zero (usable in `static` position).
     pub const fn new() -> Self {
         PoolCounters {
-            reused: AtomicU64::new(0),
-            allocated: AtomicU64::new(0),
+            reused: Counter::new(),
+            allocated: Counter::new(),
         }
     }
 
     /// Record a checkout served from the free list.
     #[inline]
     pub fn record_reused(&self) {
-        self.reused.fetch_add(1, Ordering::Relaxed);
+        self.reused.inc();
     }
 
     /// Record a checkout that allocated a fresh object.
     #[inline]
     pub fn record_allocated(&self) {
-        self.allocated.fetch_add(1, Ordering::Relaxed);
+        self.allocated.inc();
     }
 
     /// Consistent-enough copy of the counters.
     pub fn snapshot(&self) -> PoolSnapshot {
-        let reused = self.reused.load(Ordering::Relaxed);
-        let allocated = self.allocated.load(Ordering::Relaxed);
+        let reused = self.reused.get();
+        let allocated = self.allocated.get();
         PoolSnapshot {
             acquired: reused + allocated,
             reused,

@@ -12,6 +12,48 @@
 //! octave (power of two). With the default `sub = 8` the relative error
 //! of any reported quantile is at most `2^(1/8) − 1 ≈ 9 %`.
 
+/// The bucket geometry both histogram types share: `sub` buckets per
+/// octave above `min_value`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Geometry {
+    /// Lower bound of bucket 0; values at or below it underflow.
+    pub(crate) min_value: f64,
+    /// Sub-buckets per octave.
+    pub(crate) sub: u32,
+}
+
+impl Geometry {
+    /// # Panics
+    ///
+    /// Panics unless `min_value` is positive and finite and `sub ≥ 1`.
+    pub(crate) fn new(min_value: f64, sub: u32) -> Self {
+        assert!(
+            min_value > 0.0 && min_value.is_finite(),
+            "min_value must be positive and finite"
+        );
+        assert!(sub >= 1, "need at least one sub-bucket per octave");
+        Geometry { min_value, sub }
+    }
+
+    /// The bucket of `value` (above `min_value`) among `buckets`; values
+    /// past the top bucket clamp into it.
+    #[inline]
+    pub(crate) fn index(self, value: f64, buckets: usize) -> usize {
+        // log2(value / min) in units of 1/sub of an octave.
+        let i = ((value / self.min_value).log2() * self.sub as f64).floor();
+        if i >= buckets as f64 {
+            buckets - 1
+        } else {
+            i as usize
+        }
+    }
+
+    /// Upper edge of bucket `i` — the value reported for samples in it.
+    pub(crate) fn upper(self, i: usize) -> f64 {
+        self.min_value * 2f64.powf((i + 1) as f64 / self.sub as f64)
+    }
+}
+
 /// A streaming histogram over positive values with geometric buckets.
 ///
 /// Values ≤ the minimum trackable value land in an underflow bucket and
@@ -35,10 +77,7 @@
 /// ```
 #[derive(Clone, Debug)]
 pub struct StreamingHistogram {
-    /// Lower bound of bucket 0; values at or below it underflow.
-    min_value: f64,
-    /// Sub-buckets per octave.
-    sub: u32,
+    geo: Geometry,
     /// Bucket counts (grown lazily as larger values arrive).
     counts: Vec<u64>,
     /// Values ≤ `min_value` (including zero and negatives).
@@ -59,14 +98,8 @@ impl StreamingHistogram {
     ///
     /// Panics unless `min_value` is positive and finite and `sub ≥ 1`.
     pub fn new(min_value: f64, sub: u32) -> Self {
-        assert!(
-            min_value > 0.0 && min_value.is_finite(),
-            "min_value must be positive and finite"
-        );
-        assert!(sub >= 1, "need at least one sub-bucket per octave");
         StreamingHistogram {
-            min_value,
-            sub,
+            geo: Geometry::new(min_value, sub),
             counts: Vec::new(),
             underflow: 0,
             rejected: 0,
@@ -88,23 +121,7 @@ impl StreamingHistogram {
     /// so the cap only clamps `+inf` (which would otherwise index out of
     /// any vector we could allocate).
     fn max_buckets(&self) -> usize {
-        256 * self.sub as usize
-    }
-
-    fn bucket_index(&self, value: f64) -> usize {
-        // log2(value / min) in units of 1/sub of an octave.
-        let octaves = (value / self.min_value).log2();
-        let i = (octaves * self.sub as f64).floor();
-        if i >= self.max_buckets() as f64 {
-            self.max_buckets() - 1
-        } else {
-            i as usize
-        }
-    }
-
-    /// Upper edge of bucket `i` — the value reported for samples in it.
-    fn bucket_upper(&self, i: usize) -> f64 {
-        self.min_value * 2f64.powf((i + 1) as f64 / self.sub as f64)
+        256 * self.geo.sub as usize
     }
 
     /// Record one value.
@@ -117,11 +134,11 @@ impl StreamingHistogram {
         self.sum += value;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        if value <= self.min_value {
+        if value <= self.geo.min_value {
             self.underflow += 1;
             return;
         }
-        let i = self.bucket_index(value);
+        let i = self.geo.index(value, self.max_buckets());
         if i >= self.counts.len() {
             self.counts.resize(i + 1, 0);
         }
@@ -176,14 +193,14 @@ impl StreamingHistogram {
         let target = ((q * self.count as f64).ceil() as u64).max(1);
         let mut seen = self.underflow;
         if target <= seen {
-            return self.min_value.min(self.max).max(self.min);
+            return self.geo.min_value.min(self.max).max(self.min);
         }
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if target <= seen {
                 // Clamp to the observed extremes so tiny samples don't
                 // report a bucket edge outside [min, max].
-                return self.bucket_upper(i).min(self.max).max(self.min);
+                return self.geo.upper(i).min(self.max).max(self.min);
             }
         }
         self.max
@@ -239,8 +256,7 @@ impl StreamingHistogram {
     ///
     /// Panics if the two histograms use different bucket configurations.
     pub fn merge(&mut self, other: &StreamingHistogram) {
-        assert_eq!(self.min_value, other.min_value, "mismatched histograms");
-        assert_eq!(self.sub, other.sub, "mismatched histograms");
+        assert_eq!(self.geo, other.geo, "mismatched histograms");
         if other.counts.len() > self.counts.len() {
             self.counts.resize(other.counts.len(), 0);
         }
@@ -267,8 +283,7 @@ impl StreamingHistogram {
     /// Panics if the two histograms use different bucket configurations.
     #[must_use]
     pub fn diff(&self, older: &StreamingHistogram) -> Self {
-        assert_eq!(self.min_value, older.min_value, "mismatched histograms");
-        assert_eq!(self.sub, older.sub, "mismatched histograms");
+        assert_eq!(self.geo, older.geo, "mismatched histograms");
         let mut out = self.clone();
         for (i, &c) in older.counts.iter().enumerate() {
             if i < out.counts.len() {
@@ -287,16 +302,16 @@ impl StreamingHistogram {
     pub fn nonzero_buckets(&self) -> Vec<(f64, f64, u64)> {
         let mut out = Vec::new();
         if self.underflow > 0 {
-            out.push((0.0, self.min_value, self.underflow));
+            out.push((0.0, self.geo.min_value, self.underflow));
         }
         for (i, &c) in self.counts.iter().enumerate() {
             if c > 0 {
                 let lo = if i == 0 {
-                    self.min_value
+                    self.geo.min_value
                 } else {
-                    self.bucket_upper(i - 1)
+                    self.geo.upper(i - 1)
                 };
-                out.push((lo, self.bucket_upper(i), c));
+                out.push((lo, self.geo.upper(i), c));
             }
         }
         out

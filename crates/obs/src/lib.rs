@@ -12,27 +12,29 @@
 //!   monomorphizes to untraced machine code. The trait is strictly
 //!   observational, so a recorder can never perturb results — the
 //!   pipeline's `PipelineReport` and the SIMT executor's responses stay
-//!   bit-identical with tracing on or off.
+//!   bit-identical with tracing on or off. Two back ends collect events:
+//!   [`TraceRecorder`], unbounded, for offline runs, and
+//!   [`FlightRecorder`], an always-on fixed-size ring of recent
+//!   wall-clock events that a live server reads mid-run.
 //! * **[`StreamingHistogram`]** — HDR-style log-bucketed histograms
 //!   (O(1) per sample, mergeable, bounded relative quantile error) that
 //!   complement `rhythm-core`'s sorted-sample `LatencyStats`.
 //! * **Live metrics** — [`Counter`] / [`Gauge`] / [`AtomicHistogram`]
-//!   (the shared-atomic-bucket variant of [`StreamingHistogram`]) grouped
-//!   in a [`MetricRegistry`], one per reactor shard and one per device:
-//!   lock-free relaxed atomics on the hot path, scrape-time aggregation
-//!   by merging snapshots. [`PromText`] renders a registry as Prometheus
-//!   text exposition (checked by [`validate_prometheus_text`]), and
-//!   [`FlightRecorder`] keeps an always-on fixed-size ring of recent
-//!   spans, dumpable mid-run as a Chrome trace
-//!   ([`flight_chrome_json`]).
-//! * **Exporters** — [`TraceRecorder::chrome_json`] writes Chrome
-//!   trace-event JSON loadable in [Perfetto](https://ui.perfetto.dev) or
-//!   `chrome://tracing` (virtual-time pipeline tracks under pid 1, wall
-//!   -time host/SIMT tracks under pid 2), and
-//!   [`TraceRecorder::summary`] renders a plain-text report with every
-//!   histogram. [`validate_chrome_trace`] checks an exported document
-//!   (valid JSON, non-decreasing per-track timestamps) without external
-//!   dependencies.
+//!   (the shared-atomic-bucket variant of [`StreamingHistogram`], with
+//!   the same bucket geometry) grouped in a [`MetricRegistry`], one per
+//!   reactor shard and one per device: lock-free relaxed atomics on the
+//!   hot path, scrape-time aggregation by merging snapshots.
+//!   [`PromText`] renders a registry as Prometheus text exposition
+//!   (checked by [`validate_prometheus_text`]).
+//! * **Exporters** — [`chrome_trace_json`] is the one Chrome trace-event
+//!   JSON writer, loadable in [Perfetto](https://ui.perfetto.dev) or
+//!   `chrome://tracing`: [`TraceRecorder::chrome_json`] passes it
+//!   virtual-time pipeline tracks as pid 1 and wall-time host/SIMT tracks
+//!   as pid 2, and a server's `/trace` passes one process per shard's
+//!   [`FlightRecorder`]. [`TraceRecorder::summary`] renders a plain-text
+//!   report with every histogram. [`validate_chrome_trace`] checks an
+//!   exported document (valid JSON, non-decreasing per-track
+//!   timestamps) without external dependencies.
 //!
 //! # Example
 //!
@@ -61,9 +63,11 @@ mod prom;
 mod recorder;
 mod summary;
 
-pub use chrome::{parse_json, validate_chrome_trace, Json, TraceCheck, PID_VIRTUAL, PID_WALL};
+pub use chrome::{
+    chrome_trace_json, json_escape, parse_json, validate_chrome_trace, Json, TraceCheck,
+};
 pub use counters::{CacheCounters, CacheSnapshot, PoolCounters, PoolSnapshot};
-pub use flight::{flight_chrome_json, FlightEvent, FlightRecorder};
+pub use flight::FlightRecorder;
 pub use hist::StreamingHistogram;
 pub use metrics::{
     AtomicHistogram, Counter, Gauge, MetricExport, MetricKind, MetricRegistry, MetricValue,

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::hist::StreamingHistogram;
+use crate::hist::{Geometry, StreamingHistogram};
 use crate::prom::valid_metric_name;
 
 /// A monotonically increasing `u64` counter (relaxed atomics).
@@ -37,6 +37,7 @@ impl Counter {
     }
 
     /// Add one.
+    #[inline]
     pub fn inc(&self) {
         self.0.fetch_add(1, Ordering::Relaxed);
     }
@@ -119,8 +120,7 @@ impl Gauge {
 /// [`snapshot`]: AtomicHistogram::snapshot
 #[derive(Debug)]
 pub struct AtomicHistogram {
-    min_value: f64,
-    sub: u32,
+    geo: Geometry,
     counts: Box<[AtomicU64]>,
     underflow: AtomicU64,
     rejected: AtomicU64,
@@ -140,21 +140,15 @@ impl AtomicHistogram {
     /// Panics unless `min_value` is positive and finite, `sub ≥ 1`, and
     /// `1 ≤ octaves ≤ 256`.
     pub fn new(min_value: f64, sub: u32, octaves: u32) -> Self {
-        assert!(
-            min_value > 0.0 && min_value.is_finite(),
-            "min_value must be positive and finite"
-        );
-        assert!(sub >= 1, "need at least one sub-bucket per octave");
+        let geo = Geometry::new(min_value, sub);
         assert!(
             (1..=256).contains(&octaves),
             "octaves must be in 1..=256 (256 covers any finite f64 ratio)"
         );
         let n = (octaves * sub) as usize;
-        let counts: Box<[AtomicU64]> = (0..n).map(|_| AtomicU64::new(0)).collect();
         AtomicHistogram {
-            min_value,
-            sub,
-            counts,
+            geo,
+            counts: (0..n).map(|_| AtomicU64::new(0)).collect(),
             underflow: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             count: AtomicU64::new(0),
@@ -173,12 +167,12 @@ impl AtomicHistogram {
 
     /// Lower bound of bucket 0 (as in [`StreamingHistogram`]).
     pub fn min_value(&self) -> f64 {
-        self.min_value
+        self.geo.min_value
     }
 
     /// Sub-buckets per octave (as in [`StreamingHistogram`]).
     pub fn sub(&self) -> u32 {
-        self.sub
+        self.geo.sub
     }
 
     /// Record one value (relaxed atomics; callable from `&self`).
@@ -227,20 +221,11 @@ impl AtomicHistogram {
                 Err(c) => cur = c,
             }
         }
-        if value <= self.min_value {
+        if value <= self.geo.min_value {
             self.underflow.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        // Same geometry as StreamingHistogram::bucket_index, clamped to
-        // the preallocated range.
-        let octaves = (value / self.min_value).log2();
-        let i = (octaves * self.sub as f64).floor();
-        let i = if i >= self.counts.len() as f64 {
-            self.counts.len() - 1
-        } else {
-            i as usize
-        };
-        self.counts[i].fetch_add(1, Ordering::Relaxed);
+        self.counts[self.geo.index(value, self.counts.len())].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total recorded values (excluding rejected NaN samples).
@@ -260,8 +245,8 @@ impl AtomicHistogram {
             counts.pop();
         }
         StreamingHistogram::from_parts(
-            self.min_value,
-            self.sub,
+            self.geo.min_value,
+            self.geo.sub,
             counts,
             self.underflow.load(Ordering::Relaxed),
             self.rejected.load(Ordering::Relaxed),

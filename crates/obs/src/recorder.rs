@@ -1,5 +1,6 @@
-//! The [`Recorder`] trait and its two implementations: the zero-cost
-//! [`NoopRecorder`] and the collecting [`TraceRecorder`].
+//! The [`Recorder`] trait, the zero-cost [`NoopRecorder`] and the
+//! collecting [`TraceRecorder`] (the live ring,
+//! [`FlightRecorder`](crate::FlightRecorder), is the third back end).
 //!
 //! The trait is deliberately *observational*: a recorder can only be told
 //! about events, never queried by instrumented code for anything that
@@ -87,7 +88,7 @@ pub enum Phase {
     },
 }
 
-/// One recorded event (collecting recorder only).
+/// One recorded event, as the collecting back ends return it.
 #[derive(Clone, Debug)]
 pub struct TraceEvent {
     /// Insertion sequence number (stable tie-break for equal timestamps).

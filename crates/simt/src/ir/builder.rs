@@ -133,11 +133,6 @@ impl ProgramBuilder {
         self.current = block;
     }
 
-    /// Id of the current insertion block.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     fn push(&mut self, op: Op) {
         let cur = self.current as usize;
         assert!(
@@ -192,12 +187,6 @@ impl ProgramBuilder {
         let dst = self.reg();
         self.push(Op::Un { op, dst, a });
         dst
-    }
-
-    /// `a + imm` via a materialized immediate (two instructions).
-    pub fn add_imm(&mut self, a: Reg, value: u32) -> Reg {
-        let v = self.imm(value);
-        self.bin(BinOp::Add, a, v)
     }
 
     /// Fresh register = lane id within the warp.
@@ -268,11 +257,6 @@ impl ProgramBuilder {
     /// Load a byte from constant memory.
     pub fn ld_const_byte(&mut self, addr: Reg, offset: u32) -> Reg {
         self.ld(Width::Byte, MemSpace::Const, addr, offset)
-    }
-
-    /// Load a word from constant memory.
-    pub fn ld_const_word(&mut self, addr: Reg, offset: u32) -> Reg {
-        self.ld(Width::Word, MemSpace::Const, addr, offset)
     }
 
     /// Store a byte to per-lane local memory.
@@ -459,15 +443,6 @@ impl ProgramBuilder {
         self.st_global_byte(addr, 0, byte);
         let one = self.imm(1);
         self.bin_into(cur.pos, BinOp::Add, cur.pos, one);
-    }
-
-    /// Read one byte at the cursor and advance it.
-    pub fn cursor_read_byte(&mut self, cur: &BufCursor) -> Reg {
-        let addr = self.cursor_addr(cur);
-        let v = self.ld_global_byte(addr, 0);
-        let one = self.imm(1);
-        self.bin_into(cur.pos, BinOp::Add, cur.pos, one);
-        v
     }
 
     /// Copy `len` bytes from constant memory at `const_off` to the cursor.

@@ -135,14 +135,6 @@ impl Abs {
         };
         Abs { shape, tainted }
     }
-
-    /// True when the shape is a fully known constant or affine form.
-    pub fn shape_known(&self) -> bool {
-        matches!(
-            self.shape,
-            Shape::Const(_) | Shape::Affine { base: Some(_), .. }
-        )
-    }
 }
 
 fn add_shapes(a: Shape, b: Shape) -> Shape {

@@ -139,11 +139,6 @@ impl Report {
         self.diagnostics.iter().map(|d| d.severity).max()
     }
 
-    /// True when the report contains no findings at all.
-    pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
-    }
-
     /// True when the report contains no `Error` findings (warnings and
     /// infos allowed) — the launch-gate admission criterion.
     pub fn is_launchable(&self) -> bool {
