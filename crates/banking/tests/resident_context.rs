@@ -62,7 +62,7 @@ fn differential(rounds: usize, sanitize: bool, seed: u64) {
     const CAPACITY: u32 = 8192;
     let workload = Workload::build();
     let store = BankStore::generate(USERS, 77);
-    let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(1));
+    let gpu = Gpu::new(GpuConfig::gtx_titan());
     let opts = opts(CAPACITY, sanitize);
     let (cohorts, initial) = seeded_cohorts(rounds, CAPACITY, seed);
 
@@ -136,7 +136,7 @@ fn fault_after_session_writes_restores_the_array() {
     poisoned.stages[RequestType::Login.id() as usize].push(wild_store());
     let store = BankStore::generate(USERS, 77);
     // Ungated, so the wild store faults at run time, not at admission.
-    let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(1));
+    let gpu = Gpu::new(GpuConfig::gtx_titan());
     let opts = CohortOptions {
         verify: false,
         ..opts(CAPACITY, false)
@@ -193,9 +193,9 @@ fn scribble_then_fault_in_warp_1(session_base: u32) -> Program {
 }
 
 /// A two-warp Login (then Logout) cohort whose sessions are inserted
-/// (removed) by both warps and which then faults in warp 1 only, on one
-/// warp worker and on two racing ones: the journal puts back every byte
-/// either warp wrote, and the table keeps serving.
+/// (removed) by both warps and which then faults in warp 1 only: the
+/// journal puts back every byte either warp wrote, and the table keeps
+/// serving.
 #[test]
 fn two_warp_writer_cohorts_faulting_in_warp_1_leave_no_trace() {
     const CAPACITY: u32 = 1024;
@@ -205,14 +205,9 @@ fn two_warp_writer_cohorts_faulting_in_warp_1_leave_no_trace() {
         verify: false,
         ..opts(CAPACITY, false)
     };
-    for (ty, workers) in [
-        (RequestType::Login, 1),
-        (RequestType::Login, 2),
-        (RequestType::Logout, 1),
-        (RequestType::Logout, 2),
-    ] {
-        let what = format!("{ty} on {workers} workers");
-        let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(workers));
+    let gpu = Gpu::new(GpuConfig::gtx_titan());
+    for ty in [RequestType::Login, RequestType::Logout] {
+        let what = ty.to_string();
         let mut generator = RequestGenerator::new(USERS, 11);
         let mut table = SessionArrayHost::new(CAPACITY, SALT);
         let warm = generator.uniform(RequestType::Login, 7, &mut table);
@@ -326,12 +321,10 @@ fn faulting_login_cohort_answers_500_and_leaves_no_trace() {
     let serve = |fault: Option<usize>, skip: Option<usize>| {
         let armed = Arc::new(AtomicBool::new(false));
         let admitted_armed = Arc::new(AtomicU32::new(0));
-        let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(1)).with_gate(Arc::new(
-            RejectLoginResponse {
-                armed: Arc::clone(&armed),
-                admitted_armed: Arc::clone(&admitted_armed),
-            },
-        ));
+        let gpu = Gpu::new(GpuConfig::gtx_titan()).with_gate(Arc::new(RejectLoginResponse {
+            armed: Arc::clone(&armed),
+            admitted_armed: Arc::clone(&admitted_armed),
+        }));
         let handler = SimtHandler::new(
             Workload::build(),
             BankStore::generate(USERS, 77),

@@ -19,7 +19,7 @@ fn second_pass_allocates_nothing() {
         session_capacity: CAPACITY,
         ..CohortOptions::default()
     };
-    let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(1));
+    let gpu = Gpu::new(GpuConfig::gtx_titan());
 
     let mut generator = RequestGenerator::new(128, 9);
     let mut sessions = SessionArrayHost::new(CAPACITY, opts.session_salt);

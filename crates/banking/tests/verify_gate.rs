@@ -28,7 +28,7 @@ fn run_with(verify: bool, ty: RequestType) -> (Vec<Vec<u8>>, Vec<u8>) {
     let mut sessions = SessionArrayHost::new(1024, SALT);
     let mut generator = RequestGenerator::new(64, 2);
     let reqs = generator.uniform(ty, 64, &mut sessions);
-    let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(1));
+    let gpu = Gpu::new(GpuConfig::gtx_titan());
     let result = run_cohort_traced(
         &workload,
         &store,
@@ -64,7 +64,7 @@ fn default_options_enable_verification() {
 fn gated_device_rejects_a_defective_kernel_but_admits_banking() {
     // The same Verifier instance that admits every banking kernel must
     // reject a lost-update kernel, with no lane having run.
-    let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(1)).with_gate(Arc::new(Verifier::new()));
+    let gpu = Gpu::new(GpuConfig::gtx_titan()).with_gate(Arc::new(Verifier::new()));
 
     let workload = Workload::build();
     let store = BankStore::generate(256, 1);

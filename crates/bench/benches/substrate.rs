@@ -51,49 +51,6 @@ fn bench_simt_kernel(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_simt_workers(c: &mut Criterion) {
-    // The same kernel at a heavier lane count, swept across the warp
-    // worker pool. Results are bit-identical at every worker count; only
-    // host wall-clock changes (and only on multi-core hosts).
-    let mut b = ProgramBuilder::new("axpy");
-    let gid = b.global_id();
-    let four = b.imm(4);
-    let addr = b.bin(BinOp::Mul, gid, four);
-    let n = b.imm(64);
-    b.for_loop(n, |b, i| {
-        let v = b.ld_global_word(addr, 0);
-        let nv = b.bin(BinOp::Add, v, i);
-        b.st_global_word(addr, 0, nv);
-    });
-    b.halt();
-    let kernel = b.build().unwrap();
-    let pool = ConstPool::new();
-    let lanes = 4096u32;
-
-    let mut g = c.benchmark_group("simt_workers");
-    g.throughput(Throughput::Elements(lanes as u64 * 64));
-    for workers in [1u32, 2, 4, 8] {
-        let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(workers));
-        g.bench_function(&format!("axpy_4096x64/w{workers}"), |bench| {
-            bench.iter_batched(
-                || DeviceMemory::new(lanes as usize * 4),
-                |mut mem| {
-                    gpu.launch(
-                        &kernel,
-                        &LaunchConfig::new(lanes, []),
-                        &mut mem,
-                        &pool,
-                        &NoopRecorder,
-                    )
-                    .unwrap()
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    g.finish();
-}
-
 fn bench_http_parse(c: &mut Criterion) {
     let raw: &[u8] = b"POST /bank/bill_pay.php HTTP/1.1\r\nHost: bank.example.com\r\nCookie: SID=123456789\r\nUser-Agent: SPECWeb/2009\r\nContent-Length: 17\r\n\r\nuserid=42&a=19999";
     let mut g = c.benchmark_group("http");
@@ -182,7 +139,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_simt_kernel,
-              bench_simt_workers,
               bench_http_parse,
               bench_transpose,
               bench_trace_merge,

@@ -5,8 +5,6 @@
 //! and session images loaded, request bytes written — and times repeated
 //! launches of each kernel on the legacy masked engine and on the
 //! pre-decoded warp-vectorized engine, from identical memory snapshots.
-//! Execution uses one worker thread so the numbers are pure interpreter
-//! throughput, not host parallelism.
 //!
 //! Emits `BENCH_simt.json` with the machine it ran on (the block every
 //! `benchmark/` result carries), per-kernel ops/s, warps/s, the
@@ -40,7 +38,7 @@ use rhythm_banking::session_array::SessionArrayHost;
 use rhythm_banking::types::RequestType;
 use rhythm_bench::fmt::machine_block;
 use rhythm_obs::NoopRecorder;
-use rhythm_simt::exec::legacy::execute_simt_legacy_workers;
+use rhythm_simt::exec::legacy::execute_simt_legacy;
 use rhythm_simt::exec::simt::execute_simt;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
@@ -165,10 +163,10 @@ fn measure_kernel(
     // Reference run fixes the expected output and the stats, and checks
     // the engines agree before any timing happens.
     let mut mem_plan = snapshot.clone();
-    let stats = execute_simt(kernel, cfg, &mut mem_plan, pool, 1, &NoopRecorder)
+    let stats = execute_simt(kernel, cfg, &mut mem_plan, pool, &NoopRecorder)
         .unwrap_or_else(|e| panic!("{ty}/{name} pre-decoded fault: {e}"));
     let mut mem_legacy = snapshot.clone();
-    let legacy_stats = execute_simt_legacy_workers(kernel, cfg, &mut mem_legacy, pool, 1)
+    let legacy_stats = execute_simt_legacy(kernel, cfg, &mut mem_legacy, pool)
         .unwrap_or_else(|e| panic!("{ty}/{name} legacy fault: {e}"));
     assert_eq!(stats, legacy_stats, "{ty}/{name}: engine stats diverged");
     assert_eq!(
@@ -183,7 +181,7 @@ fn measure_kernel(
     // machine-load drift hits both sides of the ratio equally.
     let inner = if calibrate {
         let probe = time_once(snapshot, &mem_plan, |m| {
-            execute_simt(kernel, cfg, m, pool, 1, &NoopRecorder).unwrap();
+            execute_simt(kernel, cfg, m, pool, &NoopRecorder).unwrap();
         });
         ((0.03 / probe.as_secs_f64().max(1e-9)).ceil().min(1000.0) as u32).max(1)
     } else {
@@ -198,14 +196,14 @@ fn measure_kernel(
         let mut batch = Duration::ZERO;
         for _ in 0..inner {
             batch += time_once(snapshot, &mem_plan, |m| {
-                execute_simt_legacy_workers(kernel, cfg, m, pool, 1).unwrap();
+                execute_simt_legacy(kernel, cfg, m, pool).unwrap();
             });
         }
         legacy = legacy.min(batch);
         let mut batch = Duration::ZERO;
         for _ in 0..inner {
             batch += time_once(snapshot, &mem_plan, |m| {
-                execute_simt(kernel, cfg, m, pool, 1, &NoopRecorder).unwrap();
+                execute_simt(kernel, cfg, m, pool, &NoopRecorder).unwrap();
             });
         }
         plan = plan.min(batch);
@@ -321,7 +319,7 @@ fn main() {
                 ));
             }
             // Advance the cohort state for the next kernel's snapshot.
-            execute_simt(kernel, &cfg, &mut mem, &workload.pool, 1, &NoopRecorder)
+            execute_simt(kernel, &cfg, &mut mem, &workload.pool, &NoopRecorder)
                 .unwrap_or_else(|e| panic!("{ty:?}/{} fault: {e}", step.name()));
         }
 
@@ -375,7 +373,7 @@ fn main() {
     }
     let json = format!(
         "{{\"bench\":\"bench_kernels\",\"machine\":{},\"mode\":\"{}\",\"cohort\":{},\
-         \"iters\":{},\"workers\":1,\"kernel_count\":{},\
+         \"iters\":{},\"kernel_count\":{},\
          \"plan_cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{}}},\
          \"wide_copy\":{{\"commits\":{},\"fallbacks\":{}}},\"launch_floor_us\":{},\
          \"convergent_kernels\":{},\"convergent_min_speedup\":{},\
@@ -401,7 +399,7 @@ fn main() {
     std::fs::write(&args.out, &json).expect("write result json");
 
     println!(
-        "bench_kernels: {} kernels, cohort {}, {} iters (1 worker)",
+        "bench_kernels: {} kernels, cohort {}, {} iters",
         rows.len(),
         args.cohort,
         args.iters

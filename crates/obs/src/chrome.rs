@@ -5,7 +5,7 @@
 //! [`chrome_trace_json`] is the one writer: every recorder back end hands
 //! it `(process name, events)` groups. Each group becomes a trace
 //! *process* and each of its tracks a named *thread*, so Perfetto renders
-//! one row per pipeline stage / cohort context / SIMT worker / reactor
+//! one row per pipeline stage / cohort context / SIMT kernel or warp / reactor
 //! track. [`TraceRecorder::chrome_json`] passes its two clock domains as
 //! two groups — pid 1 "pipeline (virtual time)" and pid 2
 //! "host (wall time)"; a live server's `/trace` passes one group per

@@ -13,7 +13,7 @@
 //!
 //! * **Virtual** — the pipeline simulation's discrete-event clock,
 //!   stamped by the caller in microseconds of virtual time;
-//! * **Wall** — host wall time for the SIMT worker pool, measured against
+//! * **Wall** — host wall time of launches and warps, measured against
 //!   the recorder's own origin via [`Recorder::wall_now_us`].
 
 use std::collections::BTreeMap;
@@ -286,8 +286,8 @@ impl TraceRecorder {
             .expect("trace buffer poisoned")
             .events
             .clone();
-        // Stable per-track time order: worker threads interleave pushes,
-        // so buffer order is not time order within a track.
+        // Stable per-track time order: spans are pushed when they end, so
+        // buffer order is not time order within a track.
         events.sort_by(|a, b| {
             (a.clock, &a.track)
                 .cmp(&(b.clock, &b.track))

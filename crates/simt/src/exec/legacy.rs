@@ -5,18 +5,16 @@
 //! and as the `bench_kernels` baseline; production paths use the
 //! pre-decoded engine in [`super::simt`]. It shares that module's warp
 //! scheduler and memory cost model, so memory, stats, and errors are
-//! bit-identical between the two engines at every worker count.
+//! bit-identical between the two engines.
 
 use rhythm_obs::NoopRecorder;
 
 use crate::ir::{CfgInfo, MemSpace, Op, Program, Reg, Terminator, Width, EXIT_BLOCK};
-use crate::mem::{ConstPool, DeviceMemory, MemError, SharedMem};
+use crate::mem::{ConstPool, DeviceMemory, DeviceView, MemError};
 use crate::stats::KernelStats;
 
 use super::scalar::{read_buf, write_buf};
-use super::simt::{
-    charge_access, count_distinct, dispatch_warps, iter_lanes, StackEntry, WarpStats, LANES,
-};
+use super::simt::{charge_access, count_distinct, dispatch_warps, iter_lanes, StackEntry, LANES};
 use super::{ExecError, LaunchConfig};
 
 /// Execute a launch on the legacy (non-pre-decoded) engine: lane-major
@@ -25,33 +23,26 @@ use super::{ExecError, LaunchConfig};
 /// Kept as the independently implemented oracle for differential tests and
 /// as the `bench_kernels` baseline; production paths use the pre-decoded
 /// engine. Memory, stats, and errors are bit-identical to
-/// [`execute_simt`] at every worker count.
+/// [`execute_simt`].
 ///
 /// # Errors
 ///
 /// Same failures as [`execute_simt`].
 ///
 /// [`execute_simt`]: super::simt::execute_simt
-pub fn execute_simt_legacy_workers(
+pub fn execute_simt_legacy(
     program: &Program,
     cfg: &LaunchConfig,
     mem: &mut DeviceMemory,
     pool: &ConstPool,
-    workers: usize,
 ) -> Result<KernelStats, ExecError> {
     let cfginfo = CfgInfo::analyze(program);
-    let gmem = mem.shared();
-    dispatch_warps(
-        cfg,
-        workers,
-        program.name(),
-        &NoopRecorder,
-        || WarpState::new(program, cfg),
-        |warp, base, count| {
-            warp.reset(base, count);
-            warp.run(program, &cfginfo, cfg, &gmem, pool)
-        },
-    )
+    let mut gmem = mem.view();
+    let mut warp = WarpState::new(program, cfg);
+    dispatch_warps(cfg, program.name(), &NoopRecorder, |base, count| {
+        warp.reset(base, count);
+        warp.run(program, &cfginfo, cfg, &mut gmem, pool)
+    })
 }
 
 /// Reusable per-warp execution state of the legacy engine (lane-major
@@ -120,10 +111,10 @@ impl WarpState {
         program: &Program,
         cfg: &CfgInfo,
         launch: &LaunchConfig,
-        gmem: &SharedMem<'_>,
+        gmem: &mut DeviceView<'_>,
         pool: &ConstPool,
-    ) -> Result<WarpStats, ExecError> {
-        let mut stats = WarpStats::default();
+    ) -> Result<KernelStats, ExecError> {
+        let mut stats = KernelStats::default();
         let mut stack: Vec<StackEntry> = vec![StackEntry {
             block: program.entry(),
             mask: self.full_mask(),
@@ -226,9 +217,9 @@ impl WarpState {
         op: &Op,
         mask: u32,
         launch: &LaunchConfig,
-        gmem: &SharedMem<'_>,
+        gmem: &mut DeviceView<'_>,
         pool: &ConstPool,
-        stats: &mut WarpStats,
+        stats: &mut KernelStats,
     ) -> Result<(), ExecError> {
         match *op {
             Op::Imm { dst, value } => {
@@ -361,10 +352,7 @@ impl WarpState {
                 }
                 let addrs = std::mem::take(&mut self.addrs);
                 // Lanes are serviced in lane order; same-address lanes
-                // serialize (each sees the previous lane's update). Global
-                // adds go through the shared view's locked RMW so
-                // cross-warp atomics never lose updates under concurrent
-                // warp workers.
+                // serialize (each sees the previous lane's update).
                 for &(lane, a) in &addrs {
                     let add = self.reg(lane, src);
                     let old = if space == MemSpace::Global {
@@ -411,14 +399,14 @@ impl WarpState {
 }
 
 /// Lane load used by the legacy engine: identical to the scalar path but
-/// global memory goes through the concurrent [`SharedMem`] view.
+/// global memory goes through the launch's [`DeviceView`].
 fn warp_load(
     space: MemSpace,
     width: Width,
     addr: u32,
     local: &[u8],
     shared: &[u8],
-    gmem: &SharedMem<'_>,
+    gmem: &DeviceView<'_>,
     pool: &ConstPool,
 ) -> Result<u32, ExecError> {
     let out = match space {
@@ -444,7 +432,7 @@ fn warp_store(
     value: u32,
     local: &mut [u8],
     shared: &mut [u8],
-    gmem: &SharedMem<'_>,
+    gmem: &mut DeviceView<'_>,
 ) -> Result<(), ExecError> {
     match space {
         MemSpace::Global => match width {

@@ -205,7 +205,6 @@ pub struct ExecPlan {
     /// Parallel to `blocks`: the wide-copy annotation for blocks that are
     /// recognized byte-copy loop headers.
     wide_copies: Vec<Option<WideCopy>>,
-    has_atomics: bool,
 }
 
 #[inline]
@@ -251,7 +250,6 @@ impl ExecPlan {
         let wide_copies = (0..blocks.len())
             .map(|h| detect_wide_copy(&blocks, &ops, h as BlockId))
             .collect();
-        let has_atomics = ops.iter().any(|o| matches!(o, DecodedOp::AtomicAdd { .. }));
         ExecPlan {
             name: program.name().to_string(),
             fingerprint: program.fingerprint(),
@@ -260,7 +258,6 @@ impl ExecPlan {
             ops,
             blocks,
             wide_copies,
-            has_atomics,
         }
     }
 
@@ -316,13 +313,6 @@ impl ExecPlan {
     /// Number of blocks annotated as wide-copy loop headers.
     pub fn num_wide_copies(&self) -> usize {
         self.wide_copies.iter().flatten().count()
-    }
-
-    /// Whether the program contains an `AtomicAdd`. What an atomic returns
-    /// depends on the order warps execute in, so [`crate::gpu::Gpu::launch`]
-    /// runs such a plan's warps in order on one worker.
-    pub fn has_atomics(&self) -> bool {
-        self.has_atomics
     }
 }
 

@@ -22,14 +22,14 @@
 //! allocate nothing. The warp scheduler and the memory cost model defined here are
 //! also what the legacy masked engine ([`super::legacy`], the
 //! differential-testing oracle and `bench_kernels` baseline) runs on, so
-//! the two produce bit-identical memory, stats, and errors at every worker
-//! count.
+//! the two produce bit-identical memory, stats, and errors.
 //!
-//! Warps between barriers are independent, so [`execute_simt`] can execute
-//! them concurrently on a host worker pool while keeping results
-//! bit-for-bit identical to serial execution.
+//! A launch runs its warps one after another, in warp order, on the
+//! caller's thread. On the modelled device warps run in parallel; here
+//! that parallelism is the timing model's business ([`crate::gpu`]), and
+//! serial execution makes every result, faults included, a function of
+//! the launch alone.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use rhythm_obs::{
@@ -37,8 +37,8 @@ use rhythm_obs::{
 };
 
 use crate::ir::{BinOp, MemSpace, Program, UnOp, Width, EXIT_BLOCK};
-use crate::mem::{ConstPool, DeviceMemory, MemError, SharedMem};
-use crate::stats::{DivergenceStats, KernelStats};
+use crate::mem::{ConstPool, DeviceMemory, DeviceView, MemError};
+use crate::stats::KernelStats;
 
 use super::plan::{plan_for, DecodedOp, DecodedTerm, ExecPlan, RegSlot, WideCopy};
 use super::scalar::{read_buf, write_buf};
@@ -63,8 +63,8 @@ pub(super) struct StackEntry {
     pub(super) reconv: u32,
 }
 
-/// Execute a kernel launch on the SIMT engine, its warps spread over
-/// `workers` host threads (`0` = one per available core, `1` = serial).
+/// Execute a kernel launch on the SIMT engine, its warps in warp order on
+/// the caller's thread.
 ///
 /// Lanes within a warp run in lockstep; the warps' cycle counts are
 /// combined by the device timing model in [`crate::gpu`]. The launch runs
@@ -72,35 +72,20 @@ pub(super) struct StackEntry {
 /// (or inserted into) the process-wide decode cache, so repeated launches
 /// of the same kernel skip decode and CFG analysis entirely.
 ///
-/// Warps between barriers are independent, so they are handed to the
-/// worker pool through a dynamic (work-stealing) counter. Results are
-/// bit-for-bit identical to serial execution for well-formed cohort
-/// kernels:
-///
-/// * warps write disjoint lanes of global memory, which the lock-free
-///   [`SharedMem`] view supports without ordering constraints;
-/// * every [`KernelStats`] counter is a sum or max over per-warp values,
-///   so the deterministic per-warp merge order makes the totals exact;
-/// * cross-warp `AtomicAdd` to one address never loses updates (striped
-///   RMW locks), though the *old values* observed by racing warps — and
-///   racy non-atomic cross-warp accesses — depend on scheduling.
-///
-/// With an enabled recorder each warp becomes a wall-time span on its
-/// worker's track (`simt:w0`, `simt:w1`, ...) named `"<kernel> warp <w>"`,
-/// carrying instruction, divergence, and cycle counters as span args, plus
-/// `warp_cycles` and `warp_exec_ns` streaming histogram samples. Tracing
-/// never touches execution state: pass [`rhythm_obs::NoopRecorder`] and the
-/// results are bit-identical — only which worker track a warp's span lands
-/// on varies from run to run.
+/// With an enabled recorder each warp becomes a wall-time span on the
+/// `simt:warps` track named `"<kernel> warp <w>"`, carrying instruction,
+/// divergence, and cycle counters as span args, plus `warp_cycles` and
+/// `warp_exec_ns` streaming histogram samples. Tracing never touches
+/// execution state: pass [`rhythm_obs::NoopRecorder`] and the results are
+/// bit-identical.
 ///
 /// # Errors
 ///
 /// Fails on memory faults, missing params, a tripped instruction budget,
 /// or a divergence-stack invariant violation (which would indicate a bug).
-/// When several warps fault, the error of the lowest-numbered faulting
-/// warp is reported, independent of worker count. Unlike serial execution,
-/// warps numbered after a faulting warp may already have executed and
-/// written memory by the time the error is returned.
+/// The launch stops at the first faulting warp and returns its error: the
+/// warps before it have run to completion and their stores stay in `mem`,
+/// and no warp after it has run.
 ///
 /// # Example
 ///
@@ -122,7 +107,7 @@ pub(super) struct StackEntry {
 /// let mut mem = DeviceMemory::new(64 * 4);
 /// let pool = ConstPool::new();
 /// let cfg = LaunchConfig::new(64, []);
-/// let stats = execute_simt(&p, &cfg, &mut mem, &pool, 1, &NoopRecorder)?;
+/// let stats = execute_simt(&p, &cfg, &mut mem, &pool, &NoopRecorder)?;
 /// assert_eq!(stats.warps, 2);
 /// assert_eq!(mem.read_word(63 * 4)?, 63);
 /// assert!(stats.simd_efficiency(32) > 0.99, "no divergence here");
@@ -133,10 +118,9 @@ pub fn execute_simt<R: Recorder + ?Sized>(
     cfg: &LaunchConfig,
     mem: &mut DeviceMemory,
     pool: &ConstPool,
-    workers: usize,
     rec: &R,
 ) -> Result<KernelStats, ExecError> {
-    execute_plan(&plan_for(program), cfg, mem, pool, workers, rec)
+    execute_plan(&plan_for(program), cfg, mem, pool, rec)
 }
 
 /// [`execute_simt`] on a pre-decoded [`ExecPlan`] the caller already holds.
@@ -148,38 +132,31 @@ pub(crate) fn execute_plan<R: Recorder + ?Sized>(
     cfg: &LaunchConfig,
     mem: &mut DeviceMemory,
     pool: &ConstPool,
-    workers: usize,
     rec: &R,
 ) -> Result<KernelStats, ExecError> {
-    let gmem = mem.shared();
-    dispatch_warps(
-        cfg,
-        workers,
-        plan.name(),
-        rec,
-        WarpLease::acquire,
-        |lease, base, count| run_plan_warp(plan, cfg, &gmem, pool, lease.bufs(), base, count),
-    )
+    let mut gmem = mem.view();
+    let mut lease = WarpLease::acquire();
+    dispatch_warps(cfg, plan.name(), rec, |base, count| {
+        run_plan_warp(plan, cfg, &mut gmem, pool, lease.bufs(), base, count)
+    })
 }
 
-/// Emit one per-warp wall-time span on the executing worker's track. The
+/// Emit one per-warp wall-time span on the `simt:warps` track. The
 /// recorder only *observes* execution (the stats are copied out after the
 /// warp finishes), so traced and untraced runs stay bit-identical.
 fn trace_warp<R: Recorder + ?Sized>(
     rec: &R,
-    worker: usize,
     kernel: &str,
     warp: u32,
     start_us: f64,
-    result: &Result<WarpStats, ExecError>,
+    result: &Result<KernelStats, ExecError>,
 ) {
     let dur_us = rec.wall_now_us() - start_us;
-    let track = format!("simt:w{worker}");
     match result {
         Ok(s) => {
             rec.span(
                 Clock::Wall,
-                &track,
+                "simt:warps",
                 &format!("{kernel} warp {warp}"),
                 start_us,
                 dur_us,
@@ -200,7 +177,7 @@ fn trace_warp<R: Recorder + ?Sized>(
         Err(_) => {
             rec.span(
                 Clock::Wall,
-                &track,
+                "simt:warps",
                 &format!("{kernel} warp {warp} (fault)"),
                 start_us,
                 dur_us,
@@ -210,176 +187,50 @@ fn trace_warp<R: Recorder + ?Sized>(
     }
 }
 
-/// Run every warp of a launch through `run_warp`, serially or on a worker
-/// pool, and merge the per-warp stats.
+/// Run every warp of a launch through `run_warp(base, count)`, in warp
+/// order, folding each warp's stats into the launch total as it finishes.
 ///
-/// This is the one scheduler both engines share: dynamic self-scheduling
-/// over a monotonic claim counter, per-warp tracing, deterministic merge in
-/// warp order, and lowest-faulting-warp error selection. `new_state` builds
-/// one reusable per-worker execution state (an arena [`WarpLease`], or the
-/// legacy engine's warp state).
-pub(super) fn dispatch_warps<S, R, NEW, RUN>(
+/// This is the one scheduler both engines share. The first faulting warp
+/// ends the launch with its error; no later warp runs. `run_warp` returns
+/// the warp's instruction, memory, divergence and cycle counters; the
+/// scheduler stamps them as one warp of `count` lanes that is its own
+/// slowest warp, and [`KernelStats::merge`] folds that into the total.
+pub(super) fn dispatch_warps<R: Recorder + ?Sized>(
     cfg: &LaunchConfig,
-    workers: usize,
     kernel: &str,
     rec: &R,
-    new_state: NEW,
-    run_warp: RUN,
-) -> Result<KernelStats, ExecError>
-where
-    R: Recorder + ?Sized,
-    NEW: Fn() -> S + Sync,
-    RUN: Fn(&mut S, u32, u32) -> Result<WarpStats, ExecError> + Sync,
-{
-    let nwarps = cfg.warps() as usize;
-    let workers = resolve_workers(workers, nwarps);
-
-    let per_warp: Vec<(u32, Result<WarpStats, ExecError>)> = if workers <= 1 {
-        let mut state = new_state();
-        let mut out = Vec::with_capacity(nwarps);
-        for w in 0..cfg.warps() {
-            let base = w * WARP_SIZE;
-            let count = (cfg.lanes - base).min(WARP_SIZE);
-            let start_us = if rec.enabled() {
-                rec.wall_now_us()
-            } else {
-                0.0
-            };
-            let r = run_warp(&mut state, base, count);
-            if rec.enabled() {
-                trace_warp(rec, 0, kernel, w, start_us, &r);
-            }
-            let stop = r.is_err();
-            out.push((w, r));
-            if stop {
-                break;
-            }
+    mut run_warp: impl FnMut(u32, u32) -> Result<KernelStats, ExecError>,
+) -> Result<KernelStats, ExecError> {
+    let mut total = KernelStats::default();
+    for w in 0..cfg.warps() {
+        let base = w * WARP_SIZE;
+        let count = (cfg.lanes - base).min(WARP_SIZE);
+        let start_us = if rec.enabled() {
+            rec.wall_now_us()
+        } else {
+            0.0
+        };
+        let r = run_warp(base, count);
+        if rec.enabled() {
+            trace_warp(rec, kernel, w, start_us, &r);
         }
-        out
-    } else {
-        // Dynamic self-scheduling: each worker claims the next unstarted
-        // warp. Claims are monotonic, so every warp below the highest
-        // claimed index runs to completion even if a later warp faults —
-        // which is what makes lowest-faulting-warp error selection
-        // deterministic.
-        let next = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let outs: Vec<Vec<(u32, Result<WarpStats, ExecError>)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let next = &next;
-                    let abort = &abort;
-                    let new_state = &new_state;
-                    let run_warp = &run_warp;
-                    s.spawn(move || {
-                        let mut state = new_state();
-                        // Even share as the capacity hint; stealing skews
-                        // the split but only a faulting launch leaves
-                        // headroom unused.
-                        let mut out = Vec::with_capacity(nwarps / workers + 1);
-                        loop {
-                            if abort.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let w = next.fetch_add(1, Ordering::Relaxed);
-                            if w >= nwarps {
-                                break;
-                            }
-                            let w = w as u32;
-                            let base = w * WARP_SIZE;
-                            let count = (cfg.lanes - base).min(WARP_SIZE);
-                            let start_us = if rec.enabled() {
-                                rec.wall_now_us()
-                            } else {
-                                0.0
-                            };
-                            let r = run_warp(&mut state, base, count);
-                            if rec.enabled() {
-                                trace_warp(rec, worker, kernel, w, start_us, &r);
-                            }
-                            if r.is_err() {
-                                abort.store(true, Ordering::Relaxed);
-                            }
-                            out.push((w, r));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("warp worker panicked"))
-                .collect()
+        let warp = r?;
+        total.merge(&KernelStats {
+            lanes: count,
+            warps: 1,
+            max_warp_cycles: warp.warp_cycles,
+            ..warp
         });
-        let mut merged: Vec<_> = outs.into_iter().flatten().collect();
-        merged.sort_unstable_by_key(|&(w, _)| w);
-        merged
-    };
-
-    // Fold per-warp stats in warp order; the first error met is the
-    // lowest-numbered faulting warp's.
-    let mut total = KernelStats {
-        lanes: cfg.lanes,
-        warps: cfg.warps(),
-        ..Default::default()
-    };
-    for (_, r) in per_warp {
-        let stats = r?;
-        total.warp_instructions += stats.warp_instructions;
-        total.lane_instructions += stats.lane_instructions;
-        total.mem_accesses += stats.mem_accesses;
-        total.mem_transactions += stats.mem_transactions;
-        total.dram_bytes += stats.dram_bytes;
-        total.const_replays += stats.const_replays;
-        total.atomic_serializations += stats.atomic_serializations;
-        total.warp_cycles += stats.warp_cycles;
-        total.max_warp_cycles = total.max_warp_cycles.max(stats.warp_cycles);
-        total.divergence.merge(&stats.divergence);
     }
     Ok(total)
-}
-
-/// Host threads for `units` independent units of work (warps, streams)
-/// under a worker-count knob: never more than there are units,
-/// and `0` means one per available core. The clamp comes first, so a launch
-/// of one unit — every served cohort — runs serially without asking the OS
-/// anything.
-pub(crate) fn resolve_workers(workers: usize, units: usize) -> usize {
-    if units <= 1 {
-        return 1;
-    }
-    match workers {
-        0 => auto_worker_count(),
-        n => n,
-    }
-    .min(units)
-}
-
-/// Times [`auto_worker_count`] asked the OS (see
-/// [`auto_worker_resolutions`]).
-static AUTO_WORKER_RESOLUTIONS: AtomicU64 = AtomicU64::new(0);
-
-/// One worker per available core. `available_parallelism` reads the
-/// affinity mask and the cgroup quota files — microseconds per call — so
-/// [`crate::gpu::Gpu`] asks once per device, not once per launch.
-pub(crate) fn auto_worker_count() -> usize {
-    AUTO_WORKER_RESOLUTIONS.fetch_add(1, Ordering::Relaxed);
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// How many times this process resolved an automatic (`0`) worker count by
-/// asking the OS. A window in which it did not move proves the launches
-/// inside it made no such call.
-pub fn auto_worker_resolutions() -> u64 {
-    AUTO_WORKER_RESOLUTIONS.load(Ordering::Relaxed)
 }
 
 // ---------------------------------------------------------------------------
 // Warp arena: pooled per-warp execution buffers.
 // ---------------------------------------------------------------------------
 
-/// The full per-warp working set, pooled across warps, workers, and
-/// launches by the process-wide warp arena.
+/// The full per-warp working set, pooled across warps and launches by the
+/// process-wide warp arena.
 ///
 /// Buffer *lengths* are set per warp (`clear` + zero `resize`), but the
 /// underlying capacity survives release/acquire cycles, so once leases have
@@ -448,19 +299,6 @@ impl Drop for WarpLease {
     }
 }
 
-#[derive(Default)]
-pub(super) struct WarpStats {
-    pub(super) warp_instructions: u64,
-    pub(super) lane_instructions: u64,
-    pub(super) mem_accesses: u64,
-    pub(super) mem_transactions: u64,
-    pub(super) dram_bytes: u64,
-    pub(super) const_replays: u64,
-    pub(super) atomic_serializations: u64,
-    pub(super) warp_cycles: u64,
-    pub(super) divergence: DivergenceStats,
-}
-
 // ---------------------------------------------------------------------------
 // Pre-decoded engine.
 // ---------------------------------------------------------------------------
@@ -469,12 +307,12 @@ pub(super) struct WarpStats {
 fn run_plan_warp(
     plan: &ExecPlan,
     launch: &LaunchConfig,
-    gmem: &SharedMem<'_>,
+    gmem: &mut DeviceView<'_>,
     pool: &ConstPool,
     bufs: &mut WarpBuffers,
     base: u32,
     count: u32,
-) -> Result<WarpStats, ExecError> {
+) -> Result<KernelStats, ExecError> {
     let num_regs = plan.num_regs() as usize;
     let local_bytes = launch.local_bytes as usize;
     // Fresh zeroed state per warp; clear + resize keeps capacity so the
@@ -497,7 +335,7 @@ fn run_plan_warp(
         mask: full,
         reconv: EXIT_BLOCK,
     });
-    let mut stats = WarpStats::default();
+    let mut stats = KernelStats::default();
     let mut halted: u32 = 0;
 
     while let Some(top) = bufs.stack.last_mut() {
@@ -692,7 +530,7 @@ fn uniform_reg(regs: &[u32], slot: RegSlot, mask: u32) -> Option<u32> {
 /// Lane `l` stores `src[t]` at `start_l + t * es` in iteration `t`; the
 /// lanes' starts need not be adjacent, ordered, or in step (cursors
 /// diverge after any per-lane variable-length output). The stores are one
-/// iteration-major [`SharedMem::store_strided`], so overlapping walks end
+/// iteration-major [`DeviceView::store_strided`], so overlapping walks end
 /// as lockstep execution leaves them. The memory system is charged through
 /// the interpreter's own [`global_access_counts`], but only for one period:
 /// with `G = max(tx_bytes, SECTOR_BYTES)` and `P = G / gcd(es, G)`, every
@@ -706,10 +544,10 @@ fn try_wide_copy(
     wc: &WideCopy,
     mask: u32,
     launch: &LaunchConfig,
-    gmem: &SharedMem<'_>,
+    gmem: &mut DeviceView<'_>,
     pool: &ConstPool,
     bufs: &mut WarpBuffers,
-    stats: &mut WarpStats,
+    stats: &mut KernelStats,
 ) -> Result<bool, ExecError> {
     let regs = &bufs.regs;
     // A fallback is counted on the loop's first header visit only, not on
@@ -996,7 +834,7 @@ fn load_lanes(
     dst: RegSlot,
     addrs: &[(u32, u32)],
     local_bytes: usize,
-    gmem: &SharedMem<'_>,
+    gmem: &DeviceView<'_>,
     pool: &ConstPool,
     bufs: &mut WarpBuffers,
 ) -> Result<(), ExecError> {
@@ -1081,7 +919,7 @@ fn store_lanes(
     src: RegSlot,
     addrs: &[(u32, u32)],
     local_bytes: usize,
-    gmem: &SharedMem<'_>,
+    gmem: &mut DeviceView<'_>,
     bufs: &mut WarpBuffers,
 ) -> Result<(), ExecError> {
     match (space, width) {
@@ -1186,10 +1024,10 @@ fn exec_decoded(
     base: u32,
     local_bytes: usize,
     launch: &LaunchConfig,
-    gmem: &SharedMem<'_>,
+    gmem: &mut DeviceView<'_>,
     pool: &ConstPool,
     bufs: &mut WarpBuffers,
-    stats: &mut WarpStats,
+    stats: &mut KernelStats,
 ) -> Result<(), ExecError> {
     let full = mask == u32::MAX;
     match *op {
@@ -1339,9 +1177,7 @@ fn exec_decoded(
             let addrs = std::mem::take(&mut bufs.addrs);
             sanitize_addrs(launch, space, AccessKind::Atomic, Width::Word, &addrs)?;
             // Lanes are serviced in lane order; same-address lanes
-            // serialize (each sees the previous lane's update). Global
-            // adds go through the shared view's locked RMW so cross-warp
-            // atomics never lose updates under concurrent warp workers.
+            // serialize (each sees the previous lane's update).
             match space {
                 MemSpace::Global => {
                     for &(lane, a) in &addrs {
@@ -1425,7 +1261,7 @@ pub(super) fn charge_access(
     addrs: &[(u32, u32)],
     launch: &LaunchConfig,
     segs: &mut Vec<u32>,
-    stats: &mut WarpStats,
+    stats: &mut KernelStats,
 ) {
     match space {
         MemSpace::Global => {
@@ -1643,7 +1479,7 @@ pub(super) fn iter_lanes(mask: u32) -> impl Iterator<Item = u32> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::legacy::execute_simt_legacy_workers;
+    use super::super::legacy::execute_simt_legacy;
     use super::*;
     use crate::ir::{BinOp, ProgramBuilder};
     use rhythm_obs::NoopRecorder;
@@ -1655,7 +1491,6 @@ mod tests {
             &LaunchConfig::new(lanes, params),
             mem,
             &pool,
-            1,
             &NoopRecorder,
         )
         .unwrap()
@@ -1779,7 +1614,6 @@ mod tests {
             &LaunchConfig::new(lanes, []),
             &mut mem_simt,
             &pool,
-            1,
             &NoopRecorder,
         )
         .unwrap();
@@ -1858,7 +1692,6 @@ mod tests {
             &LaunchConfig::new(32, []),
             &mut mem,
             &pool,
-            1,
             &NoopRecorder,
         )
         .unwrap();
@@ -1892,44 +1725,6 @@ mod tests {
         assert_eq!(stats.mem_transactions, 2);
     }
 
-    /// A divergence-heavy kernel with atomics must produce bit-identical
-    /// memory and stats at every worker count.
-    #[test]
-    fn parallel_workers_bit_identical() {
-        let mut b = ProgramBuilder::new("par");
-        let g = b.global_id();
-        let three = b.imm(3);
-        let n = b.bin(BinOp::RemU, g, three);
-        let acc = b.imm(0);
-        b.for_loop(n, |b, i| {
-            b.bin_into(acc, BinOp::Add, acc, i);
-        });
-        let four = b.imm(4);
-        let addr = b.bin(BinOp::Mul, g, four);
-        b.st_global_word(addr, 0, acc);
-        let one = b.imm(1);
-        b.atomic_add(MemSpace::Global, addr, 0, one);
-        b.halt();
-        let p = b.build().unwrap();
-
-        let lanes = 300u32; // 10 warps, partial last warp
-        let pool = ConstPool::new();
-        let cfg = LaunchConfig::new(lanes, []);
-
-        let mut mem1 = DeviceMemory::new(lanes as usize * 4);
-        let base = execute_simt(&p, &cfg, &mut mem1, &pool, 1, &NoopRecorder).unwrap();
-        for workers in [2usize, 4, 8] {
-            let mut memn = DeviceMemory::new(lanes as usize * 4);
-            let stats = execute_simt(&p, &cfg, &mut memn, &pool, workers, &NoopRecorder).unwrap();
-            assert_eq!(stats, base, "stats diverge at {workers} workers");
-            assert_eq!(
-                memn.as_bytes(),
-                mem1.as_bytes(),
-                "memory diverges at {workers} workers"
-            );
-        }
-    }
-
     /// The legacy and pre-decoded engines must agree bit-for-bit — memory
     /// and every stats counter — on a kernel mixing divergence, loops,
     /// atomics, reductions, and a partial last warp.
@@ -1957,20 +1752,16 @@ mod tests {
         let pool = ConstPool::new();
         let cfg = LaunchConfig::new(lanes, []);
 
-        for workers in [1usize, 2, 4] {
-            let mut mem_legacy = DeviceMemory::new(lanes as usize * 4);
-            let legacy =
-                execute_simt_legacy_workers(&p, &cfg, &mut mem_legacy, &pool, workers).unwrap();
-            let mut mem_plan = DeviceMemory::new(lanes as usize * 4);
-            let plan =
-                execute_simt(&p, &cfg, &mut mem_plan, &pool, workers, &NoopRecorder).unwrap();
-            assert_eq!(plan, legacy, "stats diverge at {workers} workers");
-            assert_eq!(
-                mem_plan.as_bytes(),
-                mem_legacy.as_bytes(),
-                "memory diverges at {workers} workers"
-            );
-        }
+        let mut mem_legacy = DeviceMemory::new(lanes as usize * 4);
+        let legacy = execute_simt_legacy(&p, &cfg, &mut mem_legacy, &pool).unwrap();
+        let mut mem_plan = DeviceMemory::new(lanes as usize * 4);
+        let plan = execute_simt(&p, &cfg, &mut mem_plan, &pool, &NoopRecorder).unwrap();
+        assert_eq!(plan, legacy, "stats diverge");
+        assert_eq!(
+            mem_plan.as_bytes(),
+            mem_legacy.as_bytes(),
+            "memory diverges"
+        );
     }
 
     /// Both engines report the same error for the same faulting kernel.
@@ -1987,34 +1778,11 @@ mod tests {
         let cfg = LaunchConfig::new(256, []);
         let pool = ConstPool::new();
         let mut mem_legacy = DeviceMemory::new(32 * 4);
-        let legacy = execute_simt_legacy_workers(&p, &cfg, &mut mem_legacy, &pool, 2).unwrap_err();
+        let legacy = execute_simt_legacy(&p, &cfg, &mut mem_legacy, &pool).unwrap_err();
         let mut mem_plan = DeviceMemory::new(32 * 4);
-        let plan = execute_simt(&p, &cfg, &mut mem_plan, &pool, 2, &NoopRecorder).unwrap_err();
+        let plan = execute_simt(&p, &cfg, &mut mem_plan, &pool, &NoopRecorder).unwrap_err();
         assert_eq!(plan, legacy);
-    }
-
-    /// Faults report the lowest-numbered faulting warp regardless of
-    /// worker count.
-    #[test]
-    fn parallel_error_is_lowest_faulting_warp() {
-        let mut b = ProgramBuilder::new("oob");
-        let g = b.global_id();
-        let four = b.imm(4);
-        let addr = b.bin(BinOp::Mul, g, four);
-        b.st_global_word(addr, 0, g);
-        b.halt();
-        let p = b.build().unwrap();
-
-        // Room for warp 0 only: every later warp faults, lane 32 first.
-        let cfg = LaunchConfig::new(256, []);
-        let pool = ConstPool::new();
-        let mut mem1 = DeviceMemory::new(32 * 4);
-        let serial = execute_simt(&p, &cfg, &mut mem1, &pool, 1, &NoopRecorder).unwrap_err();
-        for workers in [2usize, 4] {
-            let mut memn = DeviceMemory::new(32 * 4);
-            let err = execute_simt(&p, &cfg, &mut memn, &pool, workers, &NoopRecorder).unwrap_err();
-            assert_eq!(err, serial, "error differs at {workers} workers");
-        }
+        assert_eq!(mem_plan, mem_legacy, "both stop after the same warp");
     }
 
     /// Tracing a launch must not change stats or memory, and must record
@@ -2040,57 +1808,27 @@ mod tests {
         let pool = ConstPool::new();
         let cfg = LaunchConfig::new(lanes, []);
         let mut mem_base = DeviceMemory::new(lanes as usize * 4);
-        let base = execute_simt(&p, &cfg, &mut mem_base, &pool, 2, &NoopRecorder).unwrap();
+        let base = execute_simt(&p, &cfg, &mut mem_base, &pool, &NoopRecorder).unwrap();
 
-        for workers in [1usize, 3] {
-            let rec = TraceRecorder::new();
-            let mut mem = DeviceMemory::new(lanes as usize * 4);
-            let traced = execute_simt(&p, &cfg, &mut mem, &pool, workers, &rec).unwrap();
-            assert_eq!(traced, base, "tracing changed stats at {workers} workers");
-            assert_eq!(
-                mem.as_bytes(),
-                mem_base.as_bytes(),
-                "tracing changed memory"
-            );
-            let spans = rec
-                .events()
-                .iter()
-                .filter(|e| e.track.starts_with("simt:w") && e.name.contains("traced warp"))
-                .count();
-            assert_eq!(spans, 10, "one span per warp at {workers} workers");
-            let h = rec.histogram("warp_cycles").expect("warp cycle histogram");
-            assert_eq!(h.count(), 10);
-            let ns = rec.histogram("warp_exec_ns").expect("warp time histogram");
-            assert_eq!(ns.count(), 10);
-        }
-    }
-
-    /// `workers: 0` resolves to the machine's parallelism and still runs.
-    #[test]
-    fn auto_worker_count_executes() {
-        let mut b = ProgramBuilder::new("auto");
-        let g = b.global_id();
-        b.st_global_byte(g, 0, g);
-        b.halt();
-        let p = b.build().unwrap();
-        let mut mem = DeviceMemory::new(128);
-        let pool = ConstPool::new();
-        let stats = execute_simt(
-            &p,
-            &LaunchConfig::new(128, []),
-            &mut mem,
-            &pool,
-            0,
-            &NoopRecorder,
-        )
-        .unwrap();
-        assert_eq!(stats.warps, 4);
-        assert_eq!(mem.read_byte(127).unwrap(), 127);
-        assert!((1..=4).contains(&resolve_workers(0, 4)));
-        assert_eq!(resolve_workers(3, 4), 3);
-        assert_eq!(resolve_workers(3, 2), 2, "never more workers than units");
-        assert_eq!(resolve_workers(0, 1), 1);
-        assert_eq!(resolve_workers(8, 0), 1);
+        let rec = TraceRecorder::new();
+        let mut mem = DeviceMemory::new(lanes as usize * 4);
+        let traced = execute_simt(&p, &cfg, &mut mem, &pool, &rec).unwrap();
+        assert_eq!(traced, base, "tracing changed stats");
+        assert_eq!(
+            mem.as_bytes(),
+            mem_base.as_bytes(),
+            "tracing changed memory"
+        );
+        let spans = rec
+            .events()
+            .iter()
+            .filter(|e| e.track == "simt:warps" && e.name.contains("traced warp"))
+            .count();
+        assert_eq!(spans, 10, "one span per warp");
+        let h = rec.histogram("warp_cycles").expect("warp cycle histogram");
+        assert_eq!(h.count(), 10);
+        let ns = rec.histogram("warp_exec_ns").expect("warp time histogram");
+        assert_eq!(ns.count(), 10);
     }
 
     /// Nested divergence exercises stack depth > 2.
@@ -2142,7 +1880,6 @@ mod tests {
             &LaunchConfig::new(64, []),
             &mut mem,
             &pool,
-            1,
             &NoopRecorder,
         )
         .unwrap();
@@ -2182,9 +1919,9 @@ mod tests {
             let size = 64 * lanes as usize;
 
             let mut mem_legacy = DeviceMemory::new(size);
-            let legacy = execute_simt_legacy_workers(&p, &cfg, &mut mem_legacy, &pool, 1).unwrap();
+            let legacy = execute_simt_legacy(&p, &cfg, &mut mem_legacy, &pool).unwrap();
             let mut mem_plan = DeviceMemory::new(size);
-            let plan = execute_simt(&p, &cfg, &mut mem_plan, &pool, 1, &NoopRecorder).unwrap();
+            let plan = execute_simt(&p, &cfg, &mut mem_plan, &pool, &NoopRecorder).unwrap();
             assert_eq!(plan, legacy, "stats diverge on {label} layout");
             assert_eq!(
                 mem_plan.as_bytes(),
@@ -2210,9 +1947,9 @@ mod tests {
         let size = 64 * 64;
 
         let mut mem_legacy = DeviceMemory::new(size);
-        let legacy = execute_simt_legacy_workers(&p, &cfg, &mut mem_legacy, &pool, 1).unwrap_err();
+        let legacy = execute_simt_legacy(&p, &cfg, &mut mem_legacy, &pool).unwrap_err();
         let mut mem_plan = DeviceMemory::new(size);
-        let plan = execute_simt(&p, &cfg, &mut mem_plan, &pool, 1, &NoopRecorder).unwrap_err();
+        let plan = execute_simt(&p, &cfg, &mut mem_plan, &pool, &NoopRecorder).unwrap_err();
         assert_eq!(plan, legacy);
         assert!(matches!(plan, ExecError::Budget { .. }));
         assert_eq!(mem_plan.as_bytes(), mem_legacy.as_bytes());
@@ -2286,7 +2023,7 @@ mod tests {
         // an explicit sorted-dedup reference on every counter.
         let cfg = LaunchConfig::new(32, []);
         let mut segs = Vec::new();
-        let mut stats = WarpStats::default();
+        let mut stats = KernelStats::default();
         charge_access(
             MemSpace::Global,
             Width::Byte,

@@ -13,13 +13,13 @@
 //! launches that cannot fill the machine.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use rhythm_obs::{ArgValue, Clock, Recorder};
 use serde::{Deserialize, Serialize};
 
 use crate::exec::plan::{plan_cache_stats, plan_for};
-use crate::exec::simt::{auto_worker_count, execute_plan, resolve_workers, warp_arena_stats};
+use crate::exec::simt::{execute_plan, warp_arena_stats};
 use crate::exec::{ExecError, GateRejection, LaunchConfig};
 use crate::ir::Program;
 use crate::mem::{ConstPool, DeviceMemory};
@@ -68,11 +68,6 @@ pub struct GpuConfig {
     pub tx_bytes: u32,
     /// Fixed per-kernel-launch overhead in seconds.
     pub launch_overhead_s: f64,
-    /// Host worker threads used to execute a launch's warps
-    /// (simulation-speed knob only — modelled latencies are unaffected):
-    /// `0` = one per available core (asked of the OS once per [`Gpu`], and
-    /// never by a launch of a single warp), `1` = serial execution.
-    pub workers: u32,
 }
 
 impl GpuConfig {
@@ -93,7 +88,6 @@ impl GpuConfig {
             dram_bw: 288e9,
             tx_bytes: 128,
             launch_overhead_s: 5e-6,
-            workers: 0,
         }
     }
 
@@ -107,14 +101,7 @@ impl GpuConfig {
             dram_bw: 192e9,
             tx_bytes: 128,
             launch_overhead_s: 5e-6,
-            workers: 0,
         }
-    }
-
-    /// Same configuration with the warp-execution worker count replaced.
-    pub fn with_workers(mut self, workers: u32) -> Self {
-        self.workers = workers;
-        self
     }
 }
 
@@ -154,10 +141,6 @@ pub struct LaunchResult {
 pub struct Gpu {
     config: GpuConfig,
     gate: Option<Arc<dyn LaunchGate>>,
-    /// What `workers: 0` ("one per core") means on this host: asked of the
-    /// OS by the first launch that has more than one unit of work, kept
-    /// for every later one. [`GpuConfig::workers`] keeps reporting `0`.
-    auto_workers: OnceLock<usize>,
 }
 
 impl fmt::Debug for Gpu {
@@ -172,11 +155,7 @@ impl fmt::Debug for Gpu {
 impl Gpu {
     /// Create a device from its configuration, with no launch gate.
     pub fn new(config: GpuConfig) -> Self {
-        Gpu {
-            config,
-            gate: None,
-            auto_workers: OnceLock::new(),
-        }
+        Gpu { config, gate: None }
     }
 
     /// The device configuration.
@@ -197,29 +176,16 @@ impl Gpu {
         self.gate.as_ref()
     }
 
-    /// Host threads this device runs `units` independent units of work
-    /// on under [`GpuConfig::workers`] ([`resolve_workers`], with the
-    /// automatic count resolved once per device).
-    fn worker_count(&self, units: usize) -> usize {
-        let workers = match self.config.workers as usize {
-            0 if units > 1 => *self.auto_workers.get_or_init(auto_worker_count),
-            n => n,
-        };
-        resolve_workers(workers, units)
-    }
-
     /// Execute a kernel and model its latency.
     ///
-    /// The launch's `tx_bytes` is overridden by the device configuration,
-    /// and the warps execute on [`GpuConfig::workers`] host threads — in
-    /// order on one, when the kernel contains an atomic. The result
-    /// (memory image, stats, modelled time) is bit-identical at any worker
-    /// count; only the host wall-clock time changes.
+    /// The launch's `tx_bytes` is overridden by the device configuration.
+    /// The warps execute in order on the caller's thread; the modelled time
+    /// is what the device would take running them in parallel.
     ///
     /// An enabled recorder gets one wall-time span per kernel on the
     /// `simt:kernel` track (named after the program, carrying lane/warp
     /// counts and the modelled device time as args), the executor's
-    /// per-warp spans on worker tracks, decode-cache and warp-arena
+    /// per-warp spans on the `simt:warps` track, decode-cache and warp-arena
     /// counters on the `simt:cache` track, and a `kernel_time_s` histogram
     /// sample of the modelled latency. The recorder cannot perturb
     /// execution: results are bit-identical under [`rhythm_obs::NoopRecorder`].
@@ -247,14 +213,7 @@ impl Gpu {
         } else {
             0.0
         };
-        let plan = plan_for(program);
-        // A plan with an atomic is one unit: its warps run in order on one
-        // worker, so what a cross-warp `AtomicAdd` observes never depends
-        // on the host's scheduling.
-        let warps = cfg.warps() as usize;
-        let units = if plan.has_atomics() { 1 } else { warps };
-        let workers = self.worker_count(units);
-        let stats = execute_plan(&plan, &cfg, mem, pool, workers, rec)?;
+        let stats = execute_plan(&plan_for(program), &cfg, mem, pool, rec)?;
         let result = self.time(stats);
         if rec.enabled() {
             let now = rec.wall_now_us();
@@ -414,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn launch_identical_across_worker_counts() {
+    fn traced_launch_identical_to_untraced() {
         let mk = |b: &mut ProgramBuilder| {
             let g = b.global_id();
             let four = b.imm(4);
@@ -432,37 +391,73 @@ mod tests {
         let p = b.build().unwrap();
         let pool = ConstPool::new();
         let cfg = LaunchConfig::new(512, []);
+        let gpu = Gpu::new(GpuConfig::gtx_titan());
 
-        let run = |workers: u32| {
-            let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(workers));
-            let mut mem = DeviceMemory::new(512 * 4);
-            let res = gpu
-                .launch(&p, &cfg, &mut mem, &pool, &NoopRecorder)
-                .unwrap();
-            (res, mem)
-        };
-        let (r1, m1) = run(1);
-        for w in [2, 4] {
-            let (rn, mn) = run(w);
-            assert_eq!(rn, r1, "launch result differs at {w} workers");
-            assert_eq!(mn, m1, "memory differs at {w} workers");
-        }
+        let mut m1 = DeviceMemory::new(512 * 4);
+        let r1 = gpu.launch(&p, &cfg, &mut m1, &pool, &NoopRecorder).unwrap();
 
         // The same launch under a live recorder: identical result and
-        // memory, one `simt:kernel` span and one `kernel_time_s` sample.
+        // memory, one `simt:kernel` span, one `simt:warps` span per warp,
+        // and one `kernel_time_s` sample.
         let rec = TraceRecorder::new();
-        let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(2));
         let mut mem = DeviceMemory::new(512 * 4);
         let traced = gpu.launch(&p, &cfg, &mut mem, &pool, &rec).unwrap();
         assert_eq!(traced, r1, "tracing changed the launch result");
         assert_eq!(mem, m1, "tracing changed memory");
-        let kernel_spans = rec
-            .events()
-            .iter()
-            .filter(|e| e.track == "simt:kernel" && e.name == "k")
-            .count();
-        assert_eq!(kernel_spans, 1);
+        let on = |track: &str| rec.events().iter().filter(|e| e.track == track).count();
+        assert_eq!(on("simt:kernel"), 1);
+        assert_eq!(on("simt:warps"), 16);
         assert_eq!(rec.histogram("kernel_time_s").map(|h| h.count()), Some(1));
+    }
+
+    /// A launch stops at its first faulting warp: of four warps where only
+    /// warp 1 faults, warp 0's stores land, warp 1's error is returned, and
+    /// warps 2 and 3 never run — on every run.
+    #[test]
+    fn launch_stops_at_the_first_faulting_warp() {
+        // Lane g stores g + 1 at 4g; warp 1's lanes add an offset that
+        // puts their stores past the image.
+        let mut b = ProgramBuilder::new("warp1_faults");
+        let g = b.global_id();
+        let five = b.imm(5);
+        let warp = b.bin(BinOp::Shr, g, five);
+        let one = b.imm(1);
+        let is1 = b.bin(BinOp::Eq, warp, one);
+        let far = b.imm(0x1_0000);
+        let off = b.bin(BinOp::Mul, is1, far);
+        let four = b.imm(4);
+        let slot = b.bin(BinOp::Mul, g, four);
+        let addr = b.bin(BinOp::Add, slot, off);
+        let v = b.bin(BinOp::Add, g, one);
+        b.st_global_word(addr, 0, v);
+        b.halt();
+        let p = b.build().unwrap();
+
+        let gpu = Gpu::new(GpuConfig::gtx_titan());
+        let cfg = LaunchConfig::new(4 * 32, []);
+        for run in 0..20 {
+            let mut mem = DeviceMemory::new(4 * 32 * 4);
+            let err = gpu
+                .launch(&p, &cfg, &mut mem, &ConstPool::new(), &NoopRecorder)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ExecError::Mem(crate::mem::MemError::OutOfBounds {
+                    space: crate::ir::MemSpace::Global,
+                    addr: 32 * 4 + 0x1_0000,
+                    len: 4,
+                    size: 4 * 32 * 4,
+                }),
+                "run {run}: warp 1's first lane faults"
+            );
+            for lane in 0..32 {
+                assert_eq!(mem.read_word(lane * 4).unwrap(), lane + 1, "run {run}");
+            }
+            assert!(
+                mem.as_bytes()[32 * 4..].iter().all(|&b| b == 0),
+                "run {run}: a byte of warp 1, 2 or 3 reached the image"
+            );
+        }
     }
 
     #[test]

@@ -65,11 +65,11 @@ pub mod stats;
 pub mod streams;
 pub mod transpose;
 
-pub use exec::legacy::execute_simt_legacy_workers;
+pub use exec::legacy::execute_simt_legacy;
 pub use exec::plan::{plan_cache_stats, plan_for, ExecPlan};
-pub use exec::simt::{auto_worker_resolutions, warp_arena_stats, wide_copy_stats};
+pub use exec::simt::{warp_arena_stats, wide_copy_stats};
 pub use exec::{AccessKind, ExecError, FootprintSpec, GateRejection, LaunchConfig, WARP_SIZE};
 pub use gpu::{Gpu, GpuConfig, LaunchGate, LaunchResult};
 pub use ir::{Program, ProgramBuilder};
-pub use mem::{ConstPool, DeviceMemory, MemError, SharedMem};
+pub use mem::{ConstPool, DeviceMemory, DeviceView, MemError};
 pub use stats::{DivergenceStats, KernelStats, ScalarStats};

@@ -4,8 +4,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
 
 use crate::ir::MemSpace;
 
@@ -215,7 +213,7 @@ impl DeviceMemory {
     }
 
     /// Open the undo journal over the `len` bytes at `addr`: until it is
-    /// committed or rolled back, every store a [`SharedMem`] view makes
+    /// committed or rolled back, every store a [`DeviceView`] makes
     /// into the span first logs the byte it overwrites. The log starts
     /// empty; its buffer is kept from one journal to the next.
     ///
@@ -259,12 +257,10 @@ impl DeviceMemory {
         }
     }
 
-    /// A shared view over this image for concurrent warp execution. While
-    /// the view lives, all access goes through it; the exclusive borrow
-    /// guarantees no plain reads or writes race with the view's atomic
-    /// ones.
-    pub fn shared(&mut self) -> SharedMem<'_> {
-        SharedMem::new(&mut self.bytes, &mut self.journal)
+    /// The device's view of this image, held by a launch while its warps
+    /// run: reads, and stores that the open journal logs.
+    pub fn view(&mut self) -> DeviceView<'_> {
+        DeviceView(self)
     }
 }
 
@@ -275,28 +271,17 @@ fn touches(span: &Range<usize>, a: usize, len: usize) -> bool {
     a < span.end && a + len > span.start
 }
 
-/// Number of address stripes used to serialize read-modify-write
-/// (atomic-add) operations in a [`SharedMem`].
-const ATOMIC_STRIPES: usize = 64;
-
-/// Interior-mutability view of a [`DeviceMemory`] image that multiple warp
-/// workers can read and write concurrently.
+/// A [`DeviceMemory`] image as the device sees it during a launch.
 ///
-/// Plain loads and stores are `Relaxed` atomic byte operations: warps that
-/// touch disjoint lanes (the cohort layout guarantee) proceed completely
-/// lock-free, and racy programs yield unspecified *values* rather than
-/// undefined behavior. Read-modify-write operations
-/// ([`SharedMem::atomic_add_word`]) serialize through a striped lock table
-/// so cross-warp atomics never lose updates.
+/// Warps run one after another on the caller's thread, so the view holds
+/// the image's only borrow: a store is a plain byte store, and an
+/// `atomic_add_word` is a read then a write that nothing can interleave.
 ///
 /// While the image's undo journal is open
 /// ([`DeviceMemory::begin_journal`]), a store that touches the guarded span
-/// takes the journal lock and, under it, reads the bytes it is about to
-/// overwrite, appends them to the log and stores — so log order is store
-/// order whatever the workers' interleaving, and replaying the log
-/// newest-first restores the span exactly. Stores outside the span pay one
-/// compare and take no lock. The stripe lock of an atomic is taken before
-/// the journal lock and never the other way round.
+/// first logs the bytes it is about to overwrite, so log order is store
+/// order and replaying the log newest-first restores the span exactly.
+/// Stores outside the span pay one compare.
 ///
 /// # Example
 ///
@@ -304,137 +289,75 @@ const ATOMIC_STRIPES: usize = 64;
 /// use rhythm_simt::mem::DeviceMemory;
 ///
 /// let mut mem = DeviceMemory::new(8);
-/// {
-///     let view = mem.shared();
-///     view.write_word(0, 41).unwrap();
-///     assert_eq!(view.atomic_add_word(0, 1).unwrap(), 41);
-/// }
+/// let mut view = mem.view();
+/// view.write_word(0, 41).unwrap();
+/// assert_eq!(view.atomic_add_word(0, 1).unwrap(), 41);
 /// assert_eq!(mem.read_word(0).unwrap(), 42);
 /// ```
-pub struct SharedMem<'a> {
-    bytes: &'a [AtomicU8],
-    stripes: [Mutex<()>; ATOMIC_STRIPES],
-    /// The image's guarded span (empty: no journal open) and its log.
-    guard: Range<usize>,
-    log: Mutex<&'a mut Vec<(u32, u8)>>,
-}
+#[derive(Debug)]
+pub struct DeviceView<'a>(&'a mut DeviceMemory);
 
-impl fmt::Debug for SharedMem<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SharedMem")
-            .field("len", &self.bytes.len())
-            .finish()
-    }
-}
-
-impl<'a> SharedMem<'a> {
-    fn new(bytes: &'a mut [u8], journal: &'a mut Journal) -> Self {
-        // SAFETY: `AtomicU8` has the same size and alignment as `u8`
-        // (guaranteed by its documentation), and the exclusive `&mut`
-        // borrow means no other plain reference can observe these bytes
-        // for the view's lifetime, so every access is atomic.
-        let bytes = unsafe { &*(bytes as *mut [u8] as *const [AtomicU8]) };
-        SharedMem {
-            bytes,
-            stripes: [const { Mutex::new(()) }; ATOMIC_STRIPES],
-            guard: journal.span.clone(),
-            log: Mutex::new(&mut journal.log),
-        }
-    }
-
+impl DeviceView<'_> {
     /// Size in bytes.
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.0.len()
     }
 
     /// True if the space has zero bytes.
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    fn check(&self, addr: u32, len: u32) -> Result<usize, MemError> {
-        let a = addr as usize;
-        let end = a.checked_add(len as usize).ok_or(MemError::OutOfBounds {
-            space: MemSpace::Global,
-            addr,
-            len,
-            size: self.bytes.len(),
-        })?;
-        if end > self.bytes.len() {
-            return Err(MemError::OutOfBounds {
-                space: MemSpace::Global,
-                addr,
-                len,
-                size: self.bytes.len(),
-            });
-        }
-        Ok(a)
+        self.0.is_empty()
     }
 
     /// Read one byte (zero-extended).
     pub fn read_byte(&self, addr: u32) -> Result<u32, MemError> {
-        let a = self.check(addr, 1)?;
-        Ok(self.bytes[a].load(Ordering::Relaxed) as u32)
+        self.0.read_byte(addr)
     }
 
     /// Read a little-endian word.
     pub fn read_word(&self, addr: u32) -> Result<u32, MemError> {
-        let a = self.check(addr, 4)?;
-        Ok(u32::from_le_bytes([
-            self.bytes[a].load(Ordering::Relaxed),
-            self.bytes[a + 1].load(Ordering::Relaxed),
-            self.bytes[a + 2].load(Ordering::Relaxed),
-            self.bytes[a + 3].load(Ordering::Relaxed),
-        ]))
+        self.0.read_word(addr)
     }
 
     /// Store `byte` at `a`, first logging the byte it replaces if `a` is
-    /// guarded. `log` is the held journal lock.
+    /// guarded.
     #[inline]
-    fn store_logged(&self, log: &mut Vec<(u32, u8)>, a: usize, byte: u8) {
-        if self.guard.contains(&a) {
-            log.push((a as u32, self.bytes[a].load(Ordering::Relaxed)));
+    fn store_logged(&mut self, a: usize, byte: u8) {
+        let DeviceMemory { bytes, journal } = &mut *self.0;
+        if journal.span.contains(&a) {
+            journal.log.push((a as u32, bytes[a]));
         }
-        self.bytes[a].store(byte, Ordering::Relaxed);
+        bytes[a] = byte;
     }
 
-    /// Store `src` at `a..` (bounds already checked), under the journal
-    /// lock if the range touches the guarded span.
+    /// Store `src` at `a..` (bounds already checked), logging what it
+    /// overwrites if the range touches the guarded span.
     #[inline]
-    fn store(&self, a: usize, src: &[u8]) {
-        if touches(&self.guard, a, src.len()) {
-            let mut log = self.log.lock().expect("journal lock poisoned");
+    fn store(&mut self, a: usize, src: &[u8]) {
+        if touches(&self.0.journal.span, a, src.len()) {
             for (i, &b) in src.iter().enumerate() {
-                self.store_logged(&mut log, a + i, b);
+                self.store_logged(a + i, b);
             }
         } else {
-            for (i, &b) in src.iter().enumerate() {
-                self.bytes[a + i].store(b, Ordering::Relaxed);
-            }
+            self.0.bytes[a..a + src.len()].copy_from_slice(src);
         }
     }
 
     /// Write one byte (low 8 bits of `value`).
-    pub fn write_byte(&self, addr: u32, value: u32) -> Result<(), MemError> {
-        let a = self.check(addr, 1)?;
+    pub fn write_byte(&mut self, addr: u32, value: u32) -> Result<(), MemError> {
+        let a = self.0.check(addr, 1)?;
         self.store(a, &[value as u8]);
         Ok(())
     }
 
     /// Write a little-endian word.
-    pub fn write_word(&self, addr: u32, value: u32) -> Result<(), MemError> {
-        let a = self.check(addr, 4)?;
+    pub fn write_word(&mut self, addr: u32, value: u32) -> Result<(), MemError> {
+        let a = self.0.check(addr, 4)?;
         self.store(a, &value.to_le_bytes());
         Ok(())
     }
 
-    /// Atomically add `value` to the word at `addr`, returning the old
-    /// value. Lost-update-free across warp workers: the read-modify-write
-    /// holds the stripe lock covering `addr`.
-    pub fn atomic_add_word(&self, addr: u32, value: u32) -> Result<u32, MemError> {
-        self.check(addr, 4)?;
-        let stripe = (addr as usize / 4) % ATOMIC_STRIPES;
-        let _guard = self.stripes[stripe].lock().expect("stripe lock poisoned");
+    /// Add `value` to the word at `addr`, returning the old value.
+    pub fn atomic_add_word(&mut self, addr: u32, value: u32) -> Result<u32, MemError> {
         let old = self.read_word(addr)?;
         self.write_word(addr, old.wrapping_add(value))?;
         Ok(old)
@@ -452,26 +375,30 @@ impl<'a> SharedMem<'a> {
     /// `starts` cannot matter.
     ///
     /// The highest address of the whole operation is checked once, before
-    /// the first store; the stores are the same `Relaxed` atomic byte
-    /// stores as [`SharedMem::write_byte`], so the splat is equivalent to
-    /// (and safe to interleave with) per-byte writes from other warps.
+    /// the first store; the stores are the same byte stores as
+    /// [`DeviceView::write_byte`], journaled the same way.
     ///
     /// # Errors
     ///
     /// Fails, with nothing written, if any store would fall outside the
     /// allocation or past the 32-bit address space.
-    pub fn store_strided(&self, starts: &[u32], stride: u32, src: &[u8]) -> Result<(), MemError> {
+    pub fn store_strided(
+        &mut self,
+        starts: &[u32],
+        stride: u32,
+        src: &[u8],
+    ) -> Result<(), MemError> {
         let (Some(&top), Some(last_t)) = (starts.iter().max(), src.len().checked_sub(1)) else {
             return Ok(());
         };
         let reach = last_t as u128 * stride as u128;
         let highest = top as u128 + reach;
-        if highest > u32::MAX as u128 || highest >= self.bytes.len() as u128 {
+        if highest > u32::MAX as u128 || highest >= self.len() as u128 {
             return Err(MemError::OutOfBounds {
                 space: MemSpace::Global,
                 addr: top,
                 len: u32::try_from(reach + 1).unwrap_or(u32::MAX),
-                size: self.bytes.len(),
+                size: self.len(),
             });
         }
         // In bounds by the check above: `t * stride <= reach`, and
@@ -482,20 +409,18 @@ impl<'a> SharedMem<'a> {
             .map(|(t, &byte)| (t * stride as usize, byte));
         // The whole splat lies in `[lowest start, highest]`; only one that
         // reaches into the guarded span takes the journaled path.
-        if highest as usize >= self.guard.start
-            && starts.iter().any(|&s| (s as usize) < self.guard.end)
-        {
-            let mut log = self.log.lock().expect("journal lock poisoned");
+        let guard = &self.0.journal.span;
+        if highest as usize >= guard.start && starts.iter().any(|&s| (s as usize) < guard.end) {
             for (row, byte) in rows {
                 for &start in starts {
-                    self.store_logged(&mut log, row + start as usize, byte);
+                    self.store_logged(row + start as usize, byte);
                 }
             }
         } else {
             for (row, byte) in rows {
-                let row = &self.bytes[row..];
+                let row = &mut self.0.bytes[row..];
                 for &start in starts {
-                    row[start as usize].store(byte, Ordering::Relaxed);
+                    row[start as usize] = byte;
                 }
             }
         }
@@ -687,10 +612,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_view_roundtrip_and_bounds() {
+    fn view_roundtrip_and_bounds() {
         let mut m = DeviceMemory::new(8);
         {
-            let v = m.shared();
+            let mut v = m.view();
             v.write_word(0, 0x0102_0304).unwrap();
             assert_eq!(v.read_word(0).unwrap(), 0x0102_0304);
             assert_eq!(v.read_byte(3).unwrap(), 1);
@@ -720,7 +645,7 @@ mod tests {
             (vec![12, 8, 0], 1),      // overlapping walks, unsorted starts
         ] {
             let mut fast = DeviceMemory::new(64);
-            fast.shared().store_strided(&starts, stride, src).unwrap();
+            fast.view().store_strided(&starts, stride, src).unwrap();
             let mut slow = DeviceMemory::new(64);
             for (t, &b) in src.iter().enumerate() {
                 for &s in &starts {
@@ -734,31 +659,15 @@ mod tests {
     #[test]
     fn store_strided_checks_bounds_before_storing() {
         let mut m = DeviceMemory::new(16);
-        let v = m.shared();
+        let mut v = m.view();
         // The second walk's last store lands at 9 + 7 = 16: one past.
         assert!(v.store_strided(&[0, 9], 1, b"abcdefgh").is_err());
         assert!(v.store_strided(&[0], u32::MAX, b"ab").is_err(), "no wrap");
         assert!(v.store_strided(&[], 1, b"ab").is_ok());
         assert!(v.store_strided(&[99], 1, b"").is_ok(), "nothing to store");
         assert!(m.as_bytes().iter().all(|&b| b == 0), "nothing was written");
-        m.shared().store_strided(&[0, 8], 1, b"abcdefgh").unwrap();
+        m.view().store_strided(&[0, 8], 1, b"abcdefgh").unwrap();
         assert_eq!(m.as_bytes(), b"abcdefghabcdefgh");
-    }
-
-    #[test]
-    fn shared_atomic_add_no_lost_updates() {
-        let mut m = DeviceMemory::new(4);
-        let v = m.shared();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        v.atomic_add_word(0, 1).unwrap();
-                    }
-                });
-            }
-        });
-        assert_eq!(v.read_word(0).unwrap(), 4000);
     }
 
     /// One store of the journal tests' random programs.
@@ -771,7 +680,7 @@ mod tests {
     }
 
     impl Store {
-        fn apply(self, v: &SharedMem<'_>) {
+        fn apply(self, v: &mut DeviceView<'_>) {
             match self {
                 Store::Byte(a, x) => v.write_byte(a, x).unwrap(),
                 Store::Word(a, x) => v.write_word(a, x).unwrap(),
@@ -840,14 +749,14 @@ mod tests {
             assert!(inside > 0, "seed {seed}: nothing stored inside the span");
 
             let mut plain = original.clone();
-            let view = plain.shared();
-            stores.iter().for_each(|s| s.apply(&view));
+            let mut view = plain.view();
+            stores.iter().for_each(|s| s.apply(&mut view));
 
             let mut journaled = original.clone();
             journaled.begin_journal(SPAN, SPAN_LEN).unwrap();
             // One view per store: the log carries over from launch to launch.
             for s in &stores {
-                s.apply(&journaled.shared());
+                s.apply(&mut journaled.view());
             }
             assert_eq!(journaled, plain, "seed {seed}: journaling changed a store");
             assert_eq!(journaled.journal_len(), inside, "seed {seed}: log length");
@@ -873,44 +782,35 @@ mod tests {
         }
     }
 
-    /// Workers sweep the same guarded words in step, racing atomics and
-    /// plain stores (the last word crosses the span's edge); whatever the
-    /// interleaving, rollback puts every guarded byte back. Only the first
-    /// entry logged for an address decides what rollback leaves there, so
-    /// the race that matters is over each word's *first* store: hence many
-    /// words and a fresh journal per round rather than a long run over few.
+    /// Sweeps over the same guarded words, one after another, mixing
+    /// atomics and plain stores (the last word crosses the span's edge):
+    /// rollback puts every guarded byte back, whichever sweep stored to a
+    /// word first. A fresh journal per round, over many words.
     #[test]
-    fn journal_rollback_is_exact_under_racing_workers() {
-        for workers in [1u32, 2, 4] {
-            let (original, _) = random_program(u64::from(workers));
+    fn journal_rollback_is_exact_over_repeated_sweeps() {
+        for sweeps in [1u32, 2, 4] {
+            let (original, _) = random_program(u64::from(sweeps));
             let mut m = original.clone();
             let span = SPAN as usize..(SPAN + SPAN_LEN) as usize;
             for round in 0..500u32 {
                 m.begin_journal(SPAN, SPAN_LEN).unwrap();
-                let view = m.shared();
-                let start = std::sync::Barrier::new(workers as usize);
-                std::thread::scope(|s| {
-                    for w in 0..workers {
-                        let (view, start) = (&view, &start);
-                        s.spawn(move || {
-                            start.wait();
-                            for word in (SPAN + 2..SPAN + SPAN_LEN).step_by(4) {
-                                let x = round ^ word ^ w;
-                                match (word / 4 + w + round) % 3 {
-                                    0 => drop(view.atomic_add_word(word, x | 1).unwrap()),
-                                    1 => view.write_word(word, !x).unwrap(),
-                                    _ => view.write_byte(word + 1, !x).unwrap(),
-                                }
-                            }
-                        });
+                let mut view = m.view();
+                for w in 0..sweeps {
+                    for word in (SPAN + 2..SPAN + SPAN_LEN).step_by(4) {
+                        let x = round ^ word ^ w;
+                        match (word / 4 + w + round) % 3 {
+                            0 => drop(view.atomic_add_word(word, x | 1).unwrap()),
+                            1 => view.write_word(word, !x).unwrap(),
+                            _ => view.write_byte(word + 1, !x).unwrap(),
+                        }
                     }
-                });
+                }
                 assert!(m.journal_len() > 0);
                 m.rollback_journal();
                 assert_eq!(
                     m.bytes[span.clone()],
                     original.bytes[span.clone()],
-                    "{workers} workers, round {round}: guarded bytes after rollback"
+                    "{sweeps} sweeps, round {round}: guarded bytes after rollback"
                 );
             }
         }
@@ -919,10 +819,10 @@ mod tests {
     #[test]
     fn open_journal_is_not_part_of_the_image() {
         let mut plain = DeviceMemory::new(16);
-        plain.shared().write_word(4, 0xAABB_CCDD).unwrap();
+        plain.view().write_word(4, 0xAABB_CCDD).unwrap();
         let mut open = DeviceMemory::new(16);
         open.begin_journal(0, 8).unwrap();
-        open.shared().write_word(4, 0xAABB_CCDD).unwrap();
+        open.view().write_word(4, 0xAABB_CCDD).unwrap();
         assert_eq!(open.journal_len(), 4);
         assert_eq!(open, plain, "compares as its bytes");
         let mut copy = open.clone();

@@ -10,9 +10,9 @@ use std::sync::Arc;
 use rhythm_obs::NoopRecorder;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
-use rhythm_simt::ir::{BinOp, MemSpace, ProgramBuilder};
+use rhythm_simt::ir::{BinOp, ProgramBuilder};
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
-use rhythm_simt::{plan_cache_stats, plan_for, warp_arena_stats, ExecPlan};
+use rhythm_simt::{plan_cache_stats, plan_for, warp_arena_stats};
 
 fn kernel(name: &str) -> rhythm_simt::Program {
     let mut b = ProgramBuilder::new(name);
@@ -50,7 +50,7 @@ fn plan_cache_and_warp_arena_exact_accounting() {
     assert!(c2.hit_rate() > 0.49 && c2.hit_rate() < 0.51);
 
     // --- Launching through a Gpu uses the same cache (no re-decode). ---
-    let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(2));
+    let gpu = Gpu::new(GpuConfig::gtx_titan());
     let mut mem = DeviceMemory::new(lanes as usize * 4);
     gpu.launch(&p, &cfg, &mut mem, &pool, &NoopRecorder)
         .unwrap();
@@ -59,29 +59,23 @@ fn plan_cache_and_warp_arena_exact_accounting() {
     assert_eq!(c3.hits, 2);
 
     // --- Warp arena: steady state allocates nothing. ---
-    // Use a serial device so the lease schedule is deterministic (with
-    // concurrent workers the arena's population depends on whether worker
-    // leases actually overlapped while warming up). One warm-up launch
-    // grows a pooled context to this kernel's buffer sizes.
-    let serial = Gpu::new(GpuConfig::gtx_titan().with_workers(1));
+    // One warm-up launch grows a pooled context to this kernel's buffer
+    // sizes.
     let mut mem3 = DeviceMemory::new(lanes as usize * 4);
-    serial
-        .launch(&p, &cfg, &mut mem3, &pool, &NoopRecorder)
+    gpu.launch(&p, &cfg, &mut mem3, &pool, &NoopRecorder)
         .unwrap();
 
     let a0 = warp_arena_stats();
     let mut results = Vec::new();
     for _ in 0..5 {
         let mut m = DeviceMemory::new(lanes as usize * 4);
-        let r = serial
-            .launch(&p, &cfg, &mut m, &pool, &NoopRecorder)
-            .unwrap();
+        let r = gpu.launch(&p, &cfg, &mut m, &pool, &NoopRecorder).unwrap();
         results.push((r, m));
     }
     let steady = warp_arena_stats().since(&a0);
     assert_eq!(
         steady.acquired, 5,
-        "a serial launch of 8 warps checks out exactly one warp context"
+        "a launch of 8 warps checks out exactly one warp context"
     );
     assert_eq!(
         steady.allocated, 0,
@@ -97,13 +91,4 @@ fn plan_cache_and_warp_arena_exact_accounting() {
         assert_eq!(m.as_bytes(), results[0].1.as_bytes());
     }
     assert_eq!(mem3.as_bytes(), mem.as_bytes());
-
-    // --- Atomics profile: true exactly when the program has an AtomicAdd. ---
-    assert!(!plan_a.has_atomics(), "loop + store kernel has no atomic");
-    let mut b = ProgramBuilder::new("accounting_atomic");
-    let addr = b.imm(0);
-    let one = b.imm(1);
-    b.atomic_add(MemSpace::Global, addr, 0, one);
-    b.halt();
-    assert!(ExecPlan::build(&b.build().unwrap()).has_atomics());
 }

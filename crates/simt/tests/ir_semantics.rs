@@ -24,7 +24,6 @@ fn run(p: &Program, lanes: u32, bytes: usize) -> DeviceMemory {
         &LaunchConfig::new(lanes, []),
         &mut mem,
         &ConstPool::new(),
-        1,
         &NoopRecorder,
     )
     .unwrap();
@@ -154,7 +153,6 @@ fn warp_red_max_costs_five_warp_issues() {
             &LaunchConfig::new(32, []),
             &mut mem,
             &ConstPool::new(),
-            1,
             &NoopRecorder,
         )
         .unwrap()

@@ -148,7 +148,7 @@ proptest! {
 
         let pool = ConstPool::new();
         let mut simt = DeviceMemory::new(lanes as usize * 4);
-        execute_simt(&p, &LaunchConfig::new(lanes, []), &mut simt, &pool, 1, &NoopRecorder).unwrap();
+        execute_simt(&p, &LaunchConfig::new(lanes, []), &mut simt, &pool, &NoopRecorder).unwrap();
         let mut scalar = DeviceMemory::new(lanes as usize * 4);
         let cfg = LaunchConfig::new(1, []);
         for id in 0..lanes {
@@ -172,7 +172,7 @@ proptest! {
             let p = b.build().unwrap();
             let mut mem = DeviceMemory::new(512 * 32 + 8);
             let pool = ConstPool::new();
-            let stats = execute_simt(&p, &LaunchConfig::new(32, []), &mut mem, &pool, 1, &NoopRecorder).unwrap();
+            let stats = execute_simt(&p, &LaunchConfig::new(32, []), &mut mem, &pool, &NoopRecorder).unwrap();
             stats.mem_transactions
         };
         let mut sorted = strides.clone();

@@ -1,9 +1,9 @@
 //! Three-way executor differential: the scalar reference, the legacy
 //! masked SIMT engine, and the pre-decoded warp-vectorized engine must be
 //! bit-identical — memory images and (for the two SIMT engines) every
-//! `KernelStats` counter — at workers {1, 2, 4}, on random lint-clean
-//! kernels and on the real banking kernels, including wide-copy-eligible
-//! kernels and Budget-fault cases.
+//! `KernelStats` counter — on random lint-clean kernels and on the real
+//! banking kernels, including wide-copy-eligible kernels and Budget-fault
+//! cases, where the partial image must match too.
 //!
 //! This is the safety net under the interpreter fast paths: any divergence
 //! between the convergent vector loops and the masked per-lane semantics,
@@ -19,20 +19,18 @@ use rhythm_banking::layout::{CohortLayout, REQBUF_BYTES};
 use rhythm_banking::session_array::SessionArrayHost;
 use rhythm_banking::types::RequestType;
 use rhythm_obs::NoopRecorder;
-use rhythm_simt::exec::legacy::execute_simt_legacy_workers;
+use rhythm_simt::exec::legacy::execute_simt_legacy;
 use rhythm_simt::exec::scalar::{execute_scalar, ScalarRun};
 use rhythm_simt::exec::simt::execute_simt;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
 use rhythm_verify::corpus::build_kernel;
 
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-
 proptest! {
     /// Random structured kernels: scalar lane-at-a-time execution is the
     /// semantic reference; both SIMT engines must reproduce its memory
     /// image exactly, and must agree with each other on every stats
-    /// counter, at every worker count.
+    /// counter.
     #[test]
     fn random_kernels_three_way_identical(
         seed in any::<u32>(),
@@ -54,38 +52,27 @@ proptest! {
         }
 
         let cfg = LaunchConfig::new(lanes, []);
-        let mut legacy_stats = None;
-        for workers in WORKER_COUNTS {
-            let mut mem_l = DeviceMemory::new(mem_bytes);
-            let sl = execute_simt_legacy_workers(&program, &cfg, &mut mem_l, &pool, workers).unwrap();
-            let mut mem_p = DeviceMemory::new(mem_bytes);
-            let sp = execute_simt(&program, &cfg, &mut mem_p, &pool, workers, &NoopRecorder).unwrap();
+        let mut mem_l = DeviceMemory::new(mem_bytes);
+        let sl = execute_simt_legacy(&program, &cfg, &mut mem_l, &pool).unwrap();
+        let mut mem_p = DeviceMemory::new(mem_bytes);
+        let sp = execute_simt(&program, &cfg, &mut mem_p, &pool, &NoopRecorder).unwrap();
 
-            prop_assert_eq!(
-                mem_l.as_bytes(), reference.as_bytes(),
-                "legacy SIMT diverged from scalar at {} workers", workers
-            );
-            prop_assert_eq!(
-                mem_p.as_bytes(), reference.as_bytes(),
-                "pre-decoded SIMT diverged from scalar at {} workers", workers
-            );
-            prop_assert_eq!(
-                &sp, &sl,
-                "engine stats diverged at {} workers", workers
-            );
-            if let Some(first) = &legacy_stats {
-                prop_assert_eq!(first, &sl, "stats not worker-count invariant");
-            } else {
-                legacy_stats = Some(sl);
-            }
-        }
+        prop_assert_eq!(
+            mem_l.as_bytes(), reference.as_bytes(),
+            "legacy SIMT diverged from scalar"
+        );
+        prop_assert_eq!(
+            mem_p.as_bytes(), reference.as_bytes(),
+            "pre-decoded SIMT diverged from scalar"
+        );
+        prop_assert_eq!(&sp, &sl, "engine stats diverged");
     }
 }
 
 /// Wide-copy-eligible kernels under an instruction budget that trips
 /// mid-copy: the fast path must take the byte-identical fallback, so the
 /// Budget fault itself, the partial memory image, and (on success paths)
-/// every counter agree with the legacy engine at every worker count.
+/// every counter agree with the legacy engine.
 #[test]
 fn wide_copy_budget_fault_differential() {
     use rhythm_simt::ir::ProgramBuilder;
@@ -109,45 +96,25 @@ fn wide_copy_budget_fault_differential() {
         for max_instructions in [40u64, 150, 100_000] {
             let mut cfg = LaunchConfig::new(lanes, []);
             cfg.max_instructions = max_instructions;
+            let ctx = format!("stride {lane_stride}/{elem_stride}, budget {max_instructions}");
             let mut mem_legacy = DeviceMemory::new(size);
-            let legacy = execute_simt_legacy_workers(&program, &cfg, &mut mem_legacy, &pool, 1);
-            for workers in WORKER_COUNTS {
-                let mut mem_plan = DeviceMemory::new(size);
-                let plan =
-                    execute_simt(&program, &cfg, &mut mem_plan, &pool, workers, &NoopRecorder);
-                match (&legacy, &plan) {
-                    (Ok(sl), Ok(sp)) => assert_eq!(
-                        sp, sl,
-                        "stats diverged (stride {lane_stride}/{elem_stride}, \
-                         budget {max_instructions}, workers {workers})"
-                    ),
-                    (Err(el), Err(ep)) => assert_eq!(
-                        format!("{el}"),
-                        format!("{ep}"),
-                        "fault diverged (stride {lane_stride}/{elem_stride}, \
-                         budget {max_instructions}, workers {workers})"
-                    ),
-                    _ => panic!(
-                        "fault disagreement (stride {lane_stride}/{elem_stride}, \
-                         budget {max_instructions}, workers {workers}): \
-                         legacy {legacy:?} vs plan {plan:?}"
-                    ),
+            let legacy = execute_simt_legacy(&program, &cfg, &mut mem_legacy, &pool);
+            let mut mem_plan = DeviceMemory::new(size);
+            let plan = execute_simt(&program, &cfg, &mut mem_plan, &pool, &NoopRecorder);
+            match (&legacy, &plan) {
+                (Ok(sl), Ok(sp)) => assert_eq!(sp, sl, "stats diverged ({ctx})"),
+                (Err(el), Err(ep)) => {
+                    assert_eq!(format!("{el}"), format!("{ep}"), "fault diverged ({ctx})")
                 }
-                // The memory image is fully specified on success. On a
-                // fault, warps *after* the faulting one may or may not
-                // have run depending on the schedule (parallel workers run
-                // past a sibling's fault before the abort lands), so byte
-                // identity with the serial legacy engine is only
-                // contractual for the serial schedule.
-                if plan.is_ok() || workers == 1 {
-                    assert_eq!(
-                        mem_plan.as_bytes(),
-                        mem_legacy.as_bytes(),
-                        "memory diverged (stride {lane_stride}/{elem_stride}, \
-                         budget {max_instructions}, workers {workers})"
-                    );
-                }
+                _ => panic!("fault disagreement ({ctx}): legacy {legacy:?} vs plan {plan:?}"),
             }
+            // Both engines stop at the first faulting warp, so the image is
+            // fully specified on a fault too.
+            assert_eq!(
+                mem_plan.as_bytes(),
+                mem_legacy.as_bytes(),
+                "memory diverged ({ctx})"
+            );
         }
     }
 }
@@ -191,9 +158,8 @@ fn diverged_warp_bytes(lane_stride: u32, elem_stride: u32, trip: u32) -> u32 {
     31 * lane_stride + (trip + 3) * elem_stride + 1
 }
 
-/// Run `program` on the legacy engine once and on the pre-decoded engine
-/// at every worker count, demanding the same image and the same counters
-/// everywhere.
+/// Run `program` on the legacy and the pre-decoded engine, demanding the
+/// same image and the same counters.
 fn assert_plan_matches_legacy(
     program: &rhythm_simt::Program,
     cfg: &LaunchConfig,
@@ -202,18 +168,16 @@ fn assert_plan_matches_legacy(
     ctx: &str,
 ) {
     let mut mem_legacy = DeviceMemory::new(size);
-    let legacy = execute_simt_legacy_workers(program, cfg, &mut mem_legacy, pool, 1)
+    let legacy = execute_simt_legacy(program, cfg, &mut mem_legacy, pool)
         .unwrap_or_else(|e| panic!("legacy fault ({ctx}): {e}"));
-    for workers in WORKER_COUNTS {
-        let mut mem_plan = DeviceMemory::new(size);
-        let plan = execute_simt(program, cfg, &mut mem_plan, pool, workers, &NoopRecorder)
-            .unwrap_or_else(|e| panic!("pre-decoded fault ({ctx}): {e}"));
-        assert_eq!(plan, legacy, "stats diverged ({ctx}, workers {workers})");
-        assert!(
-            mem_plan.as_bytes() == mem_legacy.as_bytes(),
-            "memory diverged ({ctx}, workers {workers})"
-        );
-    }
+    let mut mem_plan = DeviceMemory::new(size);
+    let plan = execute_simt(program, cfg, &mut mem_plan, pool, &NoopRecorder)
+        .unwrap_or_else(|e| panic!("pre-decoded fault ({ctx}): {e}"));
+    assert_eq!(plan, legacy, "stats diverged ({ctx})");
+    assert!(
+        mem_plan.as_bytes() == mem_legacy.as_bytes(),
+        "memory diverged ({ctx})"
+    );
 }
 
 /// Wide copies from diverged cursors, swept over everything the periodic
@@ -287,7 +251,7 @@ fn overlapping_walks_keep_lockstep_store_order() {
     // 0..24 and lane 1 (one filler byte) to 17..41. Address 20 holds lane
     // 0's byte 20, not lane 1's byte 3.
     let mut mem = DeviceMemory::new(size);
-    execute_simt(&program, &cfg, &mut mem, &pool, 1, &NoopRecorder).unwrap();
+    execute_simt(&program, &cfg, &mut mem, &pool, &NoopRecorder).unwrap();
     let text = pool.as_bytes();
     assert_eq!(mem.as_bytes()[20], text[20]);
     assert_ne!(text[20], text[3]);
@@ -317,9 +281,9 @@ fn diverged_copy_faults_commit_nothing() {
     let mut cfg = base_cfg.clone();
     cfg.max_instructions = 200;
     let mut mem_legacy = DeviceMemory::new(size);
-    let legacy = execute_simt_legacy_workers(&program, &cfg, &mut mem_legacy, &pool, 1);
+    let legacy = execute_simt_legacy(&program, &cfg, &mut mem_legacy, &pool);
     let mut mem_plan = DeviceMemory::new(size);
-    let plan = execute_simt(&program, &cfg, &mut mem_plan, &pool, 1, &NoopRecorder);
+    let plan = execute_simt(&program, &cfg, &mut mem_plan, &pool, &NoopRecorder);
     assert!(matches!(plan, Err(ExecError::Budget { .. })), "{plan:?}");
     assert_eq!(plan, legacy);
     assert_eq!(mem_plan.as_bytes(), mem_legacy.as_bytes());
@@ -342,7 +306,7 @@ fn diverged_copy_faults_commit_nothing() {
     let mut cfg = base_cfg.clone();
     cfg.sanitize = Some(Arc::new(FootprintSpec::new(None, Some(claims), None)));
     let mut mem_plan = DeviceMemory::new(size);
-    let err = execute_simt(&program, &cfg, &mut mem_plan, &pool, 1, &NoopRecorder).unwrap_err();
+    let err = execute_simt(&program, &cfg, &mut mem_plan, &pool, &NoopRecorder).unwrap_err();
     assert_eq!(
         err,
         ExecError::FootprintEscape {
@@ -354,7 +318,7 @@ fn diverged_copy_faults_commit_nothing() {
     let mut cut_pool = ConstPool::new();
     let cut_program = diverged_copy_kernel(&mut cut_pool, cut);
     let mut mem_cut = DeviceMemory::new(size);
-    execute_simt_legacy_workers(&cut_program, &base_cfg, &mut mem_cut, &cut_pool, 1).unwrap();
+    execute_simt_legacy(&cut_program, &base_cfg, &mut mem_cut, &cut_pool).unwrap();
     assert_eq!(mem_plan.as_bytes(), mem_cut.as_bytes());
 
     assert!(
@@ -366,14 +330,13 @@ fn diverged_copy_faults_commit_nothing() {
 /// The production banking kernels, end to end: drive a full device-backend
 /// cohort (parser → stages with backend rounds) through the legacy and
 /// pre-decoded engines in lockstep, comparing the entire memory image and
-/// the kernel stats after every single launch, for every request type and
-/// worker count. (The scalar leg of the three-way proof for banking
+/// the kernel stats after every single launch, for every request type, on
+/// three request seeds. (The scalar leg of the three-way proof for banking
 /// kernels is the existing cohort-vs-native differential suite; warp
 /// reductions make a lane-looped scalar run of a 48-lane cohort
 /// semantically different by design.)
 #[test]
 fn banking_kernels_legacy_vs_predecoded_lockstep() {
-    use rhythm_simt::ir::Op;
     use std::collections::BTreeSet;
 
     const COHORT: u32 = 48; // one full warp + one partial warp
@@ -384,9 +347,9 @@ fn banking_kernels_legacy_vs_predecoded_lockstep() {
     let store = BankStore::generate(256, 1);
     let store_img = store.serialize_device();
 
-    for workers in WORKER_COUNTS {
+    for seed in [1u64, 2, 4] {
         let mut sessions = SessionArrayHost::new(CAPACITY, SALT);
-        let mut generator = RequestGenerator::new(128, 0xD1FF + workers as u64);
+        let mut generator = RequestGenerator::new(128, 0xD1FF + seed);
         for ty in RequestType::ALL {
             let reqs = generator.uniform(ty, COHORT as usize, &mut sessions);
             // A page with a table must leave it with diverged cursors, so
@@ -433,42 +396,15 @@ fn banking_kernels_legacy_vs_predecoded_lockstep() {
             // The cohort runner's launch sequence in device-backend mode.
             for step in workload.cohort_steps(ty) {
                 let (name, kernel) = (step.name(), step.program());
-                // Cross-warp `AtomicAdd` old values are schedule-dependent
-                // at workers > 1 (see `execute_simt`): the session
-                // allocator in `login_response` hands out slots in whatever
-                // order the host threads reach the counter, so two
-                // independently scheduled runs can legitimately differ.
-                // Only the serial schedule is contractual for atomic
-                // kernels; every other kernel is compared at full fan-out.
-                let kw = if kernel
-                    .blocks()
-                    .iter()
-                    .any(|b| b.ops.iter().any(|o| matches!(o, Op::AtomicAdd { .. })))
-                {
-                    1
-                } else {
-                    workers
-                };
-                let sl =
-                    execute_simt_legacy_workers(kernel, &cfg, &mut mem_legacy, &workload.pool, kw)
-                        .unwrap_or_else(|e| panic!("{ty:?}/{name} legacy fault: {e}"));
-                let sp = execute_simt(
-                    kernel,
-                    &cfg,
-                    &mut mem_plan,
-                    &workload.pool,
-                    kw,
-                    &NoopRecorder,
-                )
-                .unwrap_or_else(|e| panic!("{ty:?}/{name} pre-decoded fault: {e}"));
-                assert_eq!(
-                    sp, sl,
-                    "stats diverged on {ty:?}/{name} at {workers} workers"
-                );
+                let sl = execute_simt_legacy(kernel, &cfg, &mut mem_legacy, &workload.pool)
+                    .unwrap_or_else(|e| panic!("{ty:?}/{name} legacy fault: {e}"));
+                let sp = execute_simt(kernel, &cfg, &mut mem_plan, &workload.pool, &NoopRecorder)
+                    .unwrap_or_else(|e| panic!("{ty:?}/{name} pre-decoded fault: {e}"));
+                assert_eq!(sp, sl, "stats diverged on {ty:?}/{name}, seed {seed}");
                 assert_eq!(
                     mem_plan.as_bytes(),
                     mem_legacy.as_bytes(),
-                    "memory diverged on {ty:?}/{name} at {workers} workers"
+                    "memory diverged on {ty:?}/{name}, seed {seed}"
                 );
             }
 

@@ -192,7 +192,7 @@ proptest! {
 
         let pool = ConstPool::new();
         let mut mem_simt = DeviceMemory::new(lanes as usize * 4);
-        execute_simt(&p, &LaunchConfig::new(lanes, []), &mut mem_simt, &pool, 1, &NoopRecorder).unwrap();
+        execute_simt(&p, &LaunchConfig::new(lanes, []), &mut mem_simt, &pool, &NoopRecorder).unwrap();
 
         let mut mem_scalar = DeviceMemory::new(lanes as usize * 4);
         let cfg = LaunchConfig::new(1, []);
