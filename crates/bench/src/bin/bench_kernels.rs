@@ -122,9 +122,11 @@ impl KernelRow {
         self.legacy_s / self.plan_s
     }
     /// Kernels that run ≥99% of lane-slots at full occupancy — i.e. the
-    /// convergent fast paths handle essentially every issue. Divergent
-    /// kernels spend much of their time in masked per-lane execution,
-    /// where both engines do the same work by construction.
+    /// convergent fast paths handle essentially every issue. Divergent and
+    /// narrow kernels run masked: the pre-decoded engine's masked ALU loops
+    /// stop at the highest live lane, the legacy engine walks the live
+    /// lanes one at a time, so their ratio depends on the mask's shape and
+    /// is left out of the convergent summary.
     fn convergent(&self) -> bool {
         self.simd_efficiency > 0.99
     }

@@ -17,9 +17,11 @@
 //! [`ExecPlan`]s — flat decoded-op arrays with SoA register addressing
 //! (`regs[r * 32 + lane]`), decode-time reconvergence points, convergent
 //! full-mask fast paths that process a register's 32 contiguous lanes in
-//! straight auto-vectorizable loops, and per-warp buffers leased from a
-//! process-wide [`warp arena`](warp_arena_stats) so steady-state launches
-//! allocate nothing. The warp scheduler and the memory cost model defined here are
+//! straight auto-vectorizable loops, masked ALU, move and branch loops
+//! that stop at the highest active lane (a 1-request cohort pays for one
+//! lane, not 32), and per-warp buffers leased from a process-wide
+//! [`warp arena`](warp_arena_stats) so steady-state launches allocate
+//! nothing. The warp scheduler and the memory cost model defined here are
 //! also what the legacy masked engine ([`super::legacy`], the
 //! differential-testing oracle and `bench_kernels` baseline) runs on, so
 //! the two produce bit-identical memory, stats, and errors.
@@ -437,11 +439,11 @@ fn run_plan_warp(
                 reconv,
             } => {
                 stats.divergence.branches += 1;
-                // Dense condition scan: evaluating inactive lanes is free
-                // (the AND with `mask` discards them) and keeps the loop
-                // branchless.
+                // Condition scan over the live width: an inactive lane
+                // below it is read anyway (the AND with `mask` discards
+                // it), which keeps the loop branchless.
                 let mut mask_t = 0u32;
-                let c = &bufs.regs[cond as usize..cond as usize + LANES];
+                let c = lanes_of(&bufs.regs, cond, live_width(mask));
                 for (lane, &v) in c.iter().enumerate() {
                     mask_t |= ((v != 0) as u32) << lane;
                 }
@@ -703,17 +705,26 @@ fn read_lanes(regs: &[u32], slot: RegSlot) -> [u32; LANES] {
     v
 }
 
-/// Dense 32-lane ALU evaluation: dispatch on the operator once, then run a
-/// straight lane loop (auto-vectorizable). Shared by the convergent fast
-/// path ([`bin_full`]) and the divergent blend path ([`bin_masked`]).
+/// The number of lanes a masked per-lane loop must visit: lanes `0..w`,
+/// where `w` is one past the highest active lane. Lanes from `w` up are
+/// inactive, so they cost nothing. A served cohort fills lanes `0..n`, so
+/// `w` is its width.
 #[inline(always)]
-fn bin_eval(va: &[u32; LANES], vb: &[u32; LANES], op: BinOp) -> [u32; LANES] {
-    let mut v = [0u32; LANES];
+fn live_width(mask: u32) -> usize {
+    (WARP_SIZE - mask.leading_zeros()) as usize
+}
+
+/// ALU evaluation into `d`, lane `l` from `va[l]` and `vb[l]`: dispatch on
+/// the operator once, then run a straight lane loop (auto-vectorizable).
+/// Shared by the convergent fast path ([`bin_full`], 32 lanes) and the
+/// masked path ([`blend_masked`], the live width).
+#[inline(always)]
+fn bin_eval(d: &mut [u32], va: &[u32], vb: &[u32], op: BinOp) {
     macro_rules! lanes {
         ($f:expr) => {{
             let f = $f;
-            for ((vl, &x), &y) in v.iter_mut().zip(va).zip(vb) {
-                *vl = f(x, y);
+            for ((dl, &x), &y) in d.iter_mut().zip(va).zip(vb) {
+                *dl = f(x, y);
             }
         }};
     }
@@ -737,54 +748,60 @@ fn bin_eval(va: &[u32; LANES], vb: &[u32; LANES], op: BinOp) -> [u32; LANES] {
         BinOp::GtU => lanes!(|x: u32, y: u32| (x > y) as u32),
         BinOp::GeU => lanes!(|x: u32, y: u32| (x >= y) as u32),
     }
-    v
 }
 
-/// Convergent ALU fast path over contiguous SoA register slices.
-fn bin_full(regs: &mut [u32], op: BinOp, dst: RegSlot, a: RegSlot, b: RegSlot) {
-    let va = read_lanes(regs, a);
-    let vb = read_lanes(regs, b);
-    let v = bin_eval(&va, &vb, op);
-    regs[dst as usize..dst as usize + LANES].copy_from_slice(&v);
-}
-
-/// Convergent unary-ALU fast path (see [`bin_full`]).
-fn un_full(regs: &mut [u32], op: UnOp, dst: RegSlot, a: RegSlot) {
-    let va = read_lanes(regs, a);
-    let d = &mut regs[dst as usize..dst as usize + LANES];
+/// Unary ALU evaluation into `d` (see [`bin_eval`]).
+#[inline(always)]
+fn un_eval(d: &mut [u32], va: &[u32], op: UnOp) {
     match op {
         UnOp::Not => {
-            for (dl, &x) in d.iter_mut().zip(&va) {
+            for (dl, &x) in d.iter_mut().zip(va) {
                 *dl = !x;
             }
         }
         UnOp::IsZero => {
-            for (dl, &x) in d.iter_mut().zip(&va) {
+            for (dl, &x) in d.iter_mut().zip(va) {
                 *dl = (x == 0) as u32;
             }
         }
     }
 }
 
-/// Divergent ALU path: compute all 32 lanes densely, then blend the result
-/// into the destination under `mask` with a branchless select. ALU ops are
-/// total functions, so evaluating inactive lanes on stale inputs is
-/// harmless — the blend discards those results — and the dense loop plus
-/// select vectorizes where a sparse `iter_lanes` walk cannot.
+/// Convergent ALU fast path over contiguous SoA register slices.
+fn bin_full(regs: &mut [u32], op: BinOp, dst: RegSlot, a: RegSlot, b: RegSlot) {
+    let va = read_lanes(regs, a);
+    let vb = read_lanes(regs, b);
+    bin_eval(&mut regs[dst as usize..dst as usize + LANES], &va, &vb, op);
+}
+
+/// Convergent unary-ALU fast path (see [`bin_full`]).
+fn un_full(regs: &mut [u32], op: UnOp, dst: RegSlot, a: RegSlot) {
+    let va = read_lanes(regs, a);
+    un_eval(&mut regs[dst as usize..dst as usize + LANES], &va, op);
+}
+
+/// Masked register write: `eval(regs, v)` fills lanes `0..w` of a scratch
+/// array ([`live_width`]), and a branchless select blends them into `dst`
+/// under `mask`. ALU ops are total functions, so evaluating an inactive
+/// lane below `w` on stale inputs is harmless — the select discards it —
+/// and the straight loop plus select vectorizes where a sparse
+/// `iter_lanes` walk cannot.
 #[inline(always)]
-fn blend_lanes(d: &mut [u32], v: &[u32; LANES], mask: u32) {
-    for (lane, (dl, &x)) in d.iter_mut().zip(v).enumerate() {
+fn blend_masked(regs: &mut [u32], dst: RegSlot, mask: u32, eval: impl FnOnce(&[u32], &mut [u32])) {
+    let w = live_width(mask);
+    let mut v = [0u32; LANES];
+    eval(regs, &mut v[..w]);
+    let d = &mut regs[dst as usize..dst as usize + w];
+    for (lane, (dl, &x)) in d.iter_mut().zip(&v[..w]).enumerate() {
         let keep = 0u32.wrapping_sub((mask >> lane) & 1);
         *dl = (x & keep) | (*dl & !keep);
     }
 }
 
-/// Masked binary ALU op via dense compute + blend (see [`blend_lanes`]).
-fn bin_masked(regs: &mut [u32], op: BinOp, dst: RegSlot, a: RegSlot, b: RegSlot, mask: u32) {
-    let va = read_lanes(regs, a);
-    let vb = read_lanes(regs, b);
-    let v = bin_eval(&va, &vb, op);
-    blend_lanes(&mut regs[dst as usize..dst as usize + LANES], &v, mask);
+/// Lanes `0..w` of register `slot`.
+#[inline(always)]
+fn lanes_of(regs: &[u32], slot: RegSlot, w: usize) -> &[u32] {
+    &regs[slot as usize..slot as usize + w]
 }
 
 /// Gather `(lane, address)` pairs for the active lanes of a memory op into
@@ -1041,39 +1058,32 @@ fn exec_decoded(
             }
         }
         DecodedOp::Mov { dst, src } => {
-            let v = read_lanes(&bufs.regs, src);
             if full {
+                let v = read_lanes(&bufs.regs, src);
                 bufs.regs[dst as usize..dst as usize + LANES].copy_from_slice(&v);
             } else {
-                blend_lanes(&mut bufs.regs[dst as usize..dst as usize + LANES], &v, mask);
+                blend_masked(&mut bufs.regs, dst, mask, |r, v| {
+                    v.copy_from_slice(lanes_of(r, src, v.len()))
+                });
             }
         }
         DecodedOp::Bin { op, dst, a, b } => {
             if full {
                 bin_full(&mut bufs.regs, op, dst, a, b);
             } else {
-                bin_masked(&mut bufs.regs, op, dst, a, b, mask);
+                blend_masked(&mut bufs.regs, dst, mask, |r, v| {
+                    let w = v.len();
+                    bin_eval(v, lanes_of(r, a, w), lanes_of(r, b, w), op)
+                });
             }
         }
         DecodedOp::Un { op, dst, a } => {
             if full {
                 un_full(&mut bufs.regs, op, dst, a);
             } else {
-                let va = read_lanes(&bufs.regs, a);
-                let mut v = [0u32; LANES];
-                match op {
-                    UnOp::Not => {
-                        for (vl, &x) in v.iter_mut().zip(&va) {
-                            *vl = !x;
-                        }
-                    }
-                    UnOp::IsZero => {
-                        for (vl, &x) in v.iter_mut().zip(&va) {
-                            *vl = (x == 0) as u32;
-                        }
-                    }
-                }
-                blend_lanes(&mut bufs.regs[dst as usize..dst as usize + LANES], &v, mask);
+                blend_masked(&mut bufs.regs, dst, mask, |r, v| {
+                    un_eval(v, lanes_of(r, a, v.len()), op)
+                });
             }
         }
         DecodedOp::LaneId { dst } => {
@@ -1481,7 +1491,7 @@ pub(super) fn iter_lanes(mask: u32) -> impl Iterator<Item = u32> {
 mod tests {
     use super::super::legacy::execute_simt_legacy;
     use super::*;
-    use crate::ir::{BinOp, ProgramBuilder};
+    use crate::ir::{BinOp, ProgramBuilder, Reg};
     use rhythm_obs::NoopRecorder;
 
     fn launch(p: &Program, lanes: u32, params: Vec<u32>, mem: &mut DeviceMemory) -> KernelStats {
@@ -1762,6 +1772,97 @@ mod tests {
             mem_legacy.as_bytes(),
             "memory diverges"
         );
+    }
+
+    /// A kernel whose masked region runs a masked `Bin`, `Un` and `Mov`
+    /// and a branch, for the lanes `live(b, gid)` selects, over registers
+    /// that hold a distinct value in every lane. Each lane stores four
+    /// words, so a write to an inactive lane shows in memory.
+    fn masked_alu_kernel(live: impl FnOnce(&mut ProgramBuilder, Reg) -> Reg) -> Program {
+        let mut b = ProgramBuilder::new("masked_alu");
+        let g = b.global_id();
+        let seven = b.imm(7);
+        let x = b.bin(BinOp::Add, g, seven);
+        let y = b.un(UnOp::Not, x);
+        let z = b.reg();
+        b.mov(z, g);
+        let nx = b.reg();
+        let cond = live(&mut b, g);
+        b.if_then(cond, |b| {
+            let three = b.imm(3);
+            b.bin_into(x, BinOp::Mul, x, three);
+            let not_x = b.un(UnOp::Not, x);
+            b.mov(nx, not_x);
+            b.mov(y, x);
+            let two = b.imm(2);
+            let bit1 = b.bin(BinOp::And, g, two);
+            b.if_then_else(
+                bit1,
+                |b| b.imm_into(z, 100),
+                |b| b.bin_into(z, BinOp::Add, z, x),
+            );
+        });
+        let sixteen = b.imm(16);
+        let addr = b.bin(BinOp::Mul, g, sixteen);
+        for (off, r) in [(0, x), (4, y), (8, nx), (12, z)] {
+            b.st_global_word(addr, off, r);
+        }
+        b.halt();
+        b.build().unwrap()
+    }
+
+    /// Run `p` on both engines; memory and every `KernelStats` field must
+    /// agree. Returns the plan engine's image.
+    fn plan_matches_legacy(p: &Program, lanes: u32) -> DeviceMemory {
+        let pool = ConstPool::new();
+        let cfg = LaunchConfig::new(lanes, []);
+        let mut mem_legacy = DeviceMemory::new(lanes as usize * 16);
+        let legacy = execute_simt_legacy(p, &cfg, &mut mem_legacy, &pool).unwrap();
+        let mut mem_plan = DeviceMemory::new(lanes as usize * 16);
+        let plan = execute_simt(p, &cfg, &mut mem_plan, &pool, &NoopRecorder).unwrap();
+        assert_eq!(plan, legacy, "stats diverge");
+        assert_eq!(
+            mem_plan.as_bytes(),
+            mem_legacy.as_bytes(),
+            "memory diverges"
+        );
+        mem_plan
+    }
+
+    /// Masked loops run lanes `0..w`, `w` one past the highest live lane.
+    /// A hole below `w` (lanes {0, 2} of 3: lane 1 is inside the bound but
+    /// inactive) must keep its registers, and the branch inside must
+    /// diverge on the two live lanes only.
+    #[test]
+    fn masked_ops_keep_an_inactive_lane_below_the_live_width() {
+        assert_eq!(live_width(0b101), 3);
+        let p = masked_alu_kernel(|b, g| {
+            let one = b.imm(1);
+            b.bin(BinOp::Ne, g, one)
+        });
+        let mem = plan_matches_legacy(&p, 3);
+        let words = |lane: u32| [0, 4, 8, 12].map(|o| mem.read_word(lane * 16 + o).unwrap());
+        assert_eq!(words(0), [21, 21, !21, 21], "lane 0 ran the else side");
+        assert_eq!(words(1), [8, !8, 0, 1], "lane 1 was masked off");
+        assert_eq!(words(2), [27, 27, !27, 100], "lane 2 ran the then side");
+    }
+
+    /// A branch that leaves only lane 31 live: one bit in the mask, yet
+    /// the live width is the whole warp, so the masked ops and the branch
+    /// scan must still reach lane 31 and leave lanes 0..31 alone.
+    #[test]
+    fn masked_ops_reach_lane_31_under_a_one_bit_mask() {
+        assert_eq!(live_width(1 << 31), 32);
+        let p = masked_alu_kernel(|b, g| {
+            let last = b.imm(31);
+            b.bin(BinOp::Eq, g, last)
+        });
+        let mem = plan_matches_legacy(&p, 32);
+        let words = |lane: u32| [0, 4, 8, 12].map(|o| mem.read_word(lane * 16 + o).unwrap());
+        assert_eq!(words(31), [114, 114, !114, 100]);
+        for lane in 0..31 {
+            assert_eq!(words(lane), [lane + 7, !(lane + 7), 0, lane], "lane {lane}");
+        }
     }
 
     /// Both engines report the same error for the same faulting kernel.

@@ -35,10 +35,12 @@ proptest! {
     fn random_kernels_three_way_identical(
         seed in any::<u32>(),
         steps in prop::collection::vec(any::<u8>(), 1..10),
-        lane_sel in 0usize..3,
+        lane_sel in 0usize..6,
     ) {
-        // 96 = three full warps; 77 adds a partial warp for mask paths.
-        let lanes = [32u32, 77, 96][lane_sel];
+        // 1 and 3 are the cohorts a served time-out launch carries, so every
+        // masked loop runs at a live width below 32; 33 adds a 1-lane warp
+        // after a full one; 96 = three full warps; 77 ends in a partial warp.
+        let lanes = [1u32, 3, 32, 33, 77, 96][lane_sel];
         let program = build_kernel(seed, &steps);
         let mem_bytes = lanes as usize * 4;
         let pool = ConstPool::new();
@@ -331,15 +333,17 @@ fn diverged_copy_faults_commit_nothing() {
 /// cohort (parser → stages with backend rounds) through the legacy and
 /// pre-decoded engines in lockstep, comparing the entire memory image and
 /// the kernel stats after every single launch, for every request type, on
-/// three request seeds. (The scalar leg of the three-way proof for banking
-/// kernels is the existing cohort-vs-native differential suite; warp
-/// reductions make a lane-looped scalar run of a 48-lane cohort
-/// semantically different by design.)
+/// three request seeds, at three cohort widths: 1 and 3 lanes (what a
+/// served time-out launch carries, so every masked loop runs at a live
+/// width below 32) and 48 (one full warp + one partial warp). (The scalar
+/// leg of the three-way proof for banking kernels is the existing
+/// cohort-vs-native differential suite; warp reductions make a
+/// lane-looped scalar run of a 48-lane cohort semantically different by
+/// design.)
 #[test]
 fn banking_kernels_legacy_vs_predecoded_lockstep() {
     use std::collections::BTreeSet;
 
-    const COHORT: u32 = 48; // one full warp + one partial warp
     const CAPACITY: u32 = 1024;
     const SALT: u32 = 0x5EED_0001;
 
@@ -347,21 +351,26 @@ fn banking_kernels_legacy_vs_predecoded_lockstep() {
     let store = BankStore::generate(256, 1);
     let store_img = store.serialize_device();
 
-    for seed in [1u64, 2, 4] {
+    for (seed, cohort) in [1u64, 2, 4]
+        .into_iter()
+        .flat_map(|seed| [1u32, 3, 48].map(|cohort| (seed, cohort)))
+    {
         let mut sessions = SessionArrayHost::new(CAPACITY, SALT);
         let mut generator = RequestGenerator::new(128, 0xD1FF + seed);
         for ty in RequestType::ALL {
-            let reqs = generator.uniform(ty, COHORT as usize, &mut sessions);
+            let reqs = generator.uniform(ty, cohort as usize, &mut sessions);
             // A page with a table must leave it with diverged cursors, so
-            // the static copies after it run from per-lane offsets: each
-            // warp's members span at least two row counts.
-            for warp in reqs.chunks(32) {
-                let rows: BTreeSet<usize> =
-                    warp.iter().filter_map(|r| r.table_rows(&store)).collect();
-                assert_ne!(rows.len(), 1, "{ty:?}: a warp with one row count");
+            // the static copies after it run from per-lane offsets: at 48
+            // lanes each warp's members span at least two row counts.
+            if cohort == 48 {
+                for warp in reqs.chunks(32) {
+                    let rows: BTreeSet<usize> =
+                        warp.iter().filter_map(|r| r.table_rows(&store)).collect();
+                    assert_ne!(rows.len(), 1, "{ty:?}: a warp with one row count");
+                }
             }
             let layout = CohortLayout::new(
-                COHORT,
+                cohort,
                 ty.response_buffer_bytes(),
                 CAPACITY,
                 SALT,
@@ -384,7 +393,7 @@ fn banking_kernels_legacy_vs_predecoded_lockstep() {
                     .unwrap();
             }
             let cfg = LaunchConfig {
-                lanes: COHORT,
+                lanes: cohort,
                 params: layout.params(),
                 local_bytes: 64,
                 shared_bytes: 1024,
@@ -400,11 +409,14 @@ fn banking_kernels_legacy_vs_predecoded_lockstep() {
                     .unwrap_or_else(|e| panic!("{ty:?}/{name} legacy fault: {e}"));
                 let sp = execute_simt(kernel, &cfg, &mut mem_plan, &workload.pool, &NoopRecorder)
                     .unwrap_or_else(|e| panic!("{ty:?}/{name} pre-decoded fault: {e}"));
-                assert_eq!(sp, sl, "stats diverged on {ty:?}/{name}, seed {seed}");
+                assert_eq!(
+                    sp, sl,
+                    "stats diverged on {ty:?}/{name}, seed {seed}, cohort {cohort}"
+                );
                 assert_eq!(
                     mem_plan.as_bytes(),
                     mem_legacy.as_bytes(),
-                    "memory diverged on {ty:?}/{name}, seed {seed}"
+                    "memory diverged on {ty:?}/{name}, seed {seed}, cohort {cohort}"
                 );
             }
 
