@@ -18,7 +18,9 @@ use super::common::{
     DECIMAL_SCRATCH,
 };
 
-/// Compile every process stage for a page spec.
+/// Compile every process stage for a page spec, with the warp-alignment
+/// padding optional — `padded == false` is the ablation configuration of
+/// DESIGN.md §5.3 (correct output, drifting lane write pointers).
 ///
 /// # Panics
 ///
@@ -26,17 +28,6 @@ use super::common::{
 /// one in a response action (only the final backend response is resident
 /// when the response stage runs), or if kernel assembly fails — both are
 /// programming errors in the spec.
-pub fn build_stage_kernels(spec: &PageSpec, pool: &mut ConstPool) -> Vec<Program> {
-    build_stage_kernels_opts(spec, pool, true)
-}
-
-/// Like [`build_stage_kernels`] with the warp-alignment padding made
-/// optional — `padded == false` is the ablation configuration of
-/// DESIGN.md §5.3 (correct output, drifting lane write pointers).
-///
-/// # Panics
-///
-/// As [`build_stage_kernels`].
 pub fn build_stage_kernels_opts(
     spec: &PageSpec,
     pool: &mut ConstPool,

@@ -14,13 +14,11 @@
 //! cohorts to completion.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use rhythm_obs::{s_to_us, ArgValue, Clock, NoopRecorder, Recorder};
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::gpu::{Gpu, LaunchResult};
-use rhythm_simt::ir::MemSpace;
 use rhythm_simt::mem::DeviceMemory;
 use rhythm_simt::{ExecError, Program};
 use rhythm_verify::{LaunchSpec, Verifier};
@@ -227,14 +225,13 @@ fn assert_uniform(reqs: &[GeneratedRequest]) -> RequestType {
 /// out-of-bounds faults and the verify gate's `LaunchSpec` are those of a
 /// freshly allocated image), the scratch reads as zero, and the
 /// allocation is kept. Session writes persist in place from one cohort to
-/// the next; nothing on this path writes the store.
+/// the next, each cohort's under the undo journal that takes them back if
+/// it faults; nothing on this path writes the store.
 #[derive(Debug)]
 pub struct DeviceContext {
     opts: CohortOptions,
     mem: DeviceMemory,
     store_bytes: u32,
-    /// [`cohort_writes_sessions`] verdicts by (type, cohort size).
-    writers: HashMap<(RequestType, u32), bool>,
 }
 
 impl DeviceContext {
@@ -262,7 +259,6 @@ impl DeviceContext {
             opts: opts.clone(),
             mem,
             store_bytes,
-            writers: HashMap::new(),
         }
     }
 
@@ -290,20 +286,10 @@ impl DeviceContext {
         self.mem.capacity()
     }
 
-    /// Session bytes the most recent writer cohort journaled (what undoing
-    /// it would have cost).
+    /// Session bytes the most recent cohort journaled (what undoing it
+    /// would have cost; zero after a cohort that wrote no session byte).
     pub fn journaled_bytes(&self) -> usize {
         self.mem.journal_len()
-    }
-
-    /// [`cohort_writes_sessions`] for this context's layout, asked once per
-    /// (type, cohort size).
-    fn writes_sessions(&mut self, workload: &Workload, ty: RequestType, cohort: u32) -> bool {
-        let (store_bytes, opts) = (self.store_bytes, &self.opts);
-        *self
-            .writers
-            .entry((ty, cohort))
-            .or_insert_with(|| cohort_writes_sessions(workload, store_bytes, ty, cohort, opts))
     }
 
     /// Run one uniform-type cohort through parse → process stages →
@@ -324,11 +310,9 @@ impl DeviceContext {
     /// # Errors
     ///
     /// Propagates kernel execution faults. A faulting cohort's session
-    /// writes never happened: cohorts the effect proofs classify as
-    /// session writers (Login, Logout) run with the device's undo journal
-    /// open over the session span and are rolled back on error — work
-    /// proportional to the bytes they wrote, not to the table; the others
-    /// are proven not to touch it.
+    /// writes never happened: every cohort runs with the device's undo
+    /// journal open over the session span and is rolled back on error —
+    /// work proportional to the bytes it wrote, not to the table.
     ///
     /// # Panics
     ///
@@ -349,23 +333,18 @@ impl DeviceContext {
             reqs.len() as u32,
             ty.response_buffer_bytes(),
         );
-        let writer = self.writes_sessions(workload, ty, layout.cohort);
         self.mem.recut(
             layout.resident_bytes() as usize,
             layout.total_bytes as usize,
         );
-        if writer {
-            let len = SessionArrayHost::device_bytes(layout.session_capacity);
-            self.mem
-                .begin_journal(layout.session_base, len)
-                .expect("resident head holds the session array");
-        }
+        let len = SessionArrayHost::device_bytes(layout.session_capacity);
+        self.mem
+            .begin_journal(layout.session_base, len)
+            .expect("resident head holds the session array");
         let result = self.launch_cohort(workload, store, &layout, reqs, gpu, rec);
-        if writer {
-            match result {
-                Ok(_) => self.mem.commit_journal(),
-                Err(_) => self.mem.rollback_journal(),
-            }
+        match result {
+            Ok(_) => self.mem.commit_journal(),
+            Err(_) => self.mem.rollback_journal(),
         }
         result
     }
@@ -453,52 +432,6 @@ pub fn run_cohort_traced<R: Recorder + ?Sized>(
     let result = ctx.run_cohort(workload, store, reqs, &gpu, rec)?;
     *sessions = ctx.sessions();
     Ok(result)
-}
-
-/// Does any kernel in this cohort's launch sequence
-/// ([`Workload::cohort_steps`]) write or atomically update the device
-/// session array?
-///
-/// The verdict comes from the effect-summary engine: each kernel's
-/// inferred global footprint — anchored to the cohort layout's declared
-/// regions — is checked for mutation of the `[session_base, session_end)`
-/// span under the cohort's concrete launch environment. This is the proof
-/// [`DeviceContext::run_cohort`] opens its undo journal on; a ⊤ footprint
-/// conservatively counts as a writer.
-pub fn cohort_writes_sessions(
-    workload: &Workload,
-    store_bytes: u32,
-    ty: RequestType,
-    cohort: u32,
-    opts: &CohortOptions,
-) -> bool {
-    let layout = cohort_layout(opts, store_bytes, cohort, ty.response_buffer_bytes());
-    // Mirror `LaunchSpec::from_launch` for the real launch environment so
-    // these queries share the verifier's effect cache with the sanitizer.
-    let spec = LaunchSpec {
-        lanes: cohort,
-        params: Some(layout.params()),
-        global_bytes: Some(layout.total_bytes as u64),
-        shared_bytes: Some(1024),
-        local_bytes: Some(64),
-        const_bytes: Some(workload.pool.len() as u64),
-    };
-    let regions = layout.regions();
-    let (sess_lo, sess_hi) = layout.session_span();
-    let verifier = shared_verifier();
-    let writes = workload.cohort_steps(ty).any(|step| {
-        verifier
-            .effects(step.program(), &spec, &regions)
-            .effects
-            .mutates(MemSpace::Global, sess_lo, sess_hi)
-    });
-    // The proof must never be less safe than the name heuristic it
-    // replaced: every nominal session writer must be classified as one.
-    debug_assert!(
-        writes || !(ty.is_login() || ty.is_logout()),
-        "effect analysis missed the session writes of {ty:?}"
-    );
-    writes
 }
 
 /// Run a batch of already-formed cohorts in order, serially, on one

@@ -9,6 +9,7 @@ use rhythm_banking::prelude::*;
 use rhythm_banking::runner::CohortResult;
 use rhythm_obs::NoopRecorder;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
+use rhythm_simt::ir::MemSpace;
 use rhythm_verify::effects::infer_effects;
 use rhythm_verify::LaunchSpec;
 
@@ -31,32 +32,56 @@ fn opts() -> CohortOptions {
     }
 }
 
+/// The launch environment the cohort runner gives a `cohort`-lane cohort
+/// of `ty`: its layout and the matching `LaunchSpec`.
+fn launch_env(
+    workload: &Workload,
+    store_bytes: u32,
+    ty: RequestType,
+    cohort: u32,
+) -> (CohortLayout, LaunchSpec) {
+    let layout = CohortLayout::new(
+        cohort,
+        ty.response_buffer_bytes(),
+        SESSION_CAPACITY,
+        SALT,
+        store_bytes,
+        true,
+    );
+    let spec = LaunchSpec {
+        lanes: cohort,
+        params: Some(layout.params()),
+        global_bytes: Some(layout.total_bytes as u64),
+        shared_bytes: Some(1024),
+        local_bytes: Some(64),
+        const_bytes: Some(workload.pool.len() as u64),
+    };
+    (layout, spec)
+}
+
+/// Does any kernel of a `cohort`-lane `ty` cohort write or atomically
+/// update the session array? Inferred from the kernels' effect summaries,
+/// as `kernel_lint` infers its session-writer column.
+fn session_writer(workload: &Workload, store_bytes: u32, ty: RequestType, cohort: u32) -> bool {
+    let (layout, spec) = launch_env(workload, store_bytes, ty, cohort);
+    let regions = layout.regions();
+    let (lo, hi) = layout.session_span();
+    workload.cohort_steps(ty).any(|step| {
+        infer_effects(step.program(), &spec, &regions).mutates(MemSpace::Global, lo, hi)
+    })
+}
+
 /// Every banking kernel — parser, backend, image, and all per-type
 /// stages — must infer a bounded (non-⊤) global footprint under the same
 /// launch environment the cohort runner uses. A ⊤ kernel would turn the
-/// sanitizer into a no-op and make every cohort journal the session array.
+/// sanitizer into a no-op.
 #[test]
 fn all_banking_kernels_infer_bounded_footprints() {
     let workload = Workload::build();
     let store_bytes = BankStore::generate(128, 77).serialize_device().len() as u32;
     let mut seen = std::collections::BTreeSet::new();
     for ty in RequestType::ALL {
-        let layout = CohortLayout::new(
-            256,
-            ty.response_buffer_bytes(),
-            SESSION_CAPACITY,
-            SALT,
-            store_bytes,
-            true,
-        );
-        let spec = LaunchSpec {
-            lanes: 256,
-            params: Some(layout.params()),
-            global_bytes: Some(layout.total_bytes as u64),
-            shared_bytes: Some(1024),
-            local_bytes: Some(64),
-            const_bytes: Some(workload.pool.len() as u64),
-        };
+        let (layout, spec) = launch_env(&workload, store_bytes, ty, 256);
         let regions = layout.regions();
         let programs = [&workload.parser, &workload.backend, &workload.image]
             .into_iter()
@@ -74,18 +99,17 @@ fn all_banking_kernels_infer_bounded_footprints() {
     assert_eq!(seen.len(), 30, "expected the full 30-kernel workload");
 }
 
-/// The effect oracle classifies exactly the nominal session writers:
+/// The effect summaries classify exactly the nominal session writers:
 /// Login and Logout mutate the device session array, nothing else does.
-/// The verdict decides the undo journal `DeviceContext::run_cohort` opens,
-/// so both directions matter: a missed writer's session stores survive
-/// its fault, and a spurious writer journals a cohort that writes nothing.
+/// Both directions matter to the sanitizer's proof: a missed writer is a
+/// footprint that does not cover the kernel's stores, and a spurious one
+/// a footprint wider than they are.
 #[test]
 fn session_writer_oracle_matches_login_logout_exactly() {
     let workload = Workload::build();
     let store_bytes = BankStore::generate(128, 77).serialize_device().len() as u32;
-    let opts = opts();
     for ty in RequestType::ALL {
-        let writer = cohort_writes_sessions(&workload, store_bytes, ty, 64, &opts);
+        let writer = session_writer(&workload, store_bytes, ty, 64);
         assert_eq!(
             writer,
             ty.is_login() || ty.is_logout(),
@@ -181,7 +205,7 @@ fn sanitized_batch_matches_serial_bit_for_bit() {
     let mut read_only = 0;
     for (i, c) in cohorts.iter().enumerate() {
         let (ty, n) = (c[0].ty, c.len() as u32);
-        let writer = cohort_writes_sessions(&workload, store_bytes, ty, n, &sanitized);
+        let writer = session_writer(&workload, store_bytes, ty, n);
         let before = ctx.session_bytes().to_vec();
         ctx.run_cohort(&workload, &store, c, &gpu, &NoopRecorder)
             .unwrap_or_else(|e| panic!("cohort {i}: sanitized run failed: {e}"));

@@ -4,8 +4,8 @@
 //! sanitizer checking every kernel launch, must produce a byte-identical
 //! transcript at shard counts 1, 2, and 4. The pipelined page burst forms
 //! a multi-cohort batch, which the handler runs one cohort after another
-//! on its resident context; the effect proofs decide which of them open
-//! the session undo journal. (The file name is historical.)
+//! on its resident context, each under the session undo journal. (The
+//! file name is historical.)
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -12,8 +12,9 @@
 //! `effects` column (`r`/`w`/`a` exact, uppercase claimed, `T` ⊤, `-`
 //! absent), its lints (`effects-top-footprint` warning,
 //! `effects-out-of-extent` error) merge into the diagnostics, and
-//! `--effects-json` dumps the full per-kernel summaries plus the
-//! session-writer verdict the session undo journal is opened on.
+//! `--effects-json` dumps the full per-kernel summaries plus whether each
+//! kernel writes the session array (CI checks that exactly the Login and
+//! Logout kernels do).
 //!
 //! Usage: `kernel_lint [--json] [--effects-json] [--cohort N] [--verbose]`
 
@@ -238,7 +239,7 @@ fn print_json(
 
 /// Dump the joined effect summary of every kernel: the global footprint
 /// per access kind as `"top"` or a region list, whether any space is ⊤,
-/// and the session-writer verdict the session undo journal is opened on.
+/// and whether the kernel may write the session array.
 fn print_effects_json(
     cohort: u32,
     effects: &BTreeMap<String, KernelEffects>,

@@ -20,11 +20,8 @@ use rhythm_obs::NoopRecorder;
 use rhythm_platform::pcie::{titan_a_bytes_per_request, PcieModel};
 use rhythm_platform::presets::{TitanPlatform, TitanPreset};
 use rhythm_platform::PlatformResult;
-use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
-use rhythm_simt::mem::DeviceMemory;
 use rhythm_simt::stats::KernelStats;
-use rhythm_simt::transpose::{build_transpose_kernel, transpose_launch_lanes, TILE};
 
 /// Cohort size used for device measurements (scaled analytically to the
 /// paper's operating point).
@@ -221,10 +218,9 @@ pub fn titan_type_measurement(
 /// transpose the paper builds on (Ruetsch & Micikevicius, "Optimizing Matrix Transpose in CUDA"): vectorized
 /// accesses make it bandwidth-bound — one read plus one write of the
 /// matrix at DRAM speed, with a modest compute floor (two instructions
-/// per 4-byte vector). Our pedagogical IR transpose kernel
-/// ([`transpose_time_simulated`]) is byte-granular and loop-heavy, which
-/// a production CUDA kernel would not be; using it directly would
-/// overstate the transpose by ~50x.
+/// per 4-byte vector). Our pedagogical IR transpose kernel is
+/// byte-granular and loop-heavy, which a production CUDA kernel would not
+/// be; using it directly would overstate the transpose by ~50x.
 pub fn transpose_time(gpu: &Gpu, rows: u32, cols: u32) -> f64 {
     let c = gpu.config();
     let bytes = rows as f64 * cols as f64;
@@ -232,42 +228,6 @@ pub fn transpose_time(gpu: &Gpu, rows: u32, cols: u32) -> f64 {
     let warp_insts = bytes * 2.0 / (4.0 * 32.0);
     let compute_s = warp_insts / (c.sm_count as f64 * c.issue_width) / c.clock_hz;
     memory_s.max(compute_s) + c.launch_overhead_s
-}
-
-/// Device time of the IR transpose kernel, measured on a bounded matrix
-/// and scaled linearly in tiles (kept for ablations and correctness
-/// tests; see [`transpose_time`]).
-pub fn transpose_time_simulated(gpu: &Gpu, rows: u32, cols: u32) -> f64 {
-    let (mrows, mcols) = (rows.min(64), cols.min(1024));
-    let kernel = build_transpose_kernel();
-    let n = (mrows * mcols) as usize;
-    let mut mem = DeviceMemory::new(2 * n);
-    let lanes = transpose_launch_lanes(mrows, mcols);
-    let mut cfg = LaunchConfig::new(lanes, vec![0, n as u32, mrows, mcols]);
-    cfg.shared_bytes = TILE * TILE;
-    let pool = rhythm_simt::ConstPool::new();
-    let res = gpu
-        .launch(&kernel, &cfg, &mut mem, &pool, &NoopRecorder)
-        .expect("transpose measurement");
-
-    let measured_tiles = (mrows / TILE) as u64 * (mcols / TILE) as u64;
-    let target_tiles = (rows / TILE) as u64 * (cols / TILE) as u64;
-    let f = target_tiles as f64 / measured_tiles as f64;
-    let scaled = KernelStats {
-        lanes: rows * cols / TILE,
-        warps: (target_tiles * TILE as u64 / 32) as u32,
-        warp_instructions: (res.stats.warp_instructions as f64 * f) as u64,
-        lane_instructions: (res.stats.lane_instructions as f64 * f) as u64,
-        mem_accesses: (res.stats.mem_accesses as f64 * f) as u64,
-        mem_transactions: (res.stats.mem_transactions as f64 * f) as u64,
-        dram_bytes: (res.stats.dram_bytes as f64 * f) as u64,
-        const_replays: 0,
-        atomic_serializations: 0,
-        warp_cycles: (res.stats.warp_cycles as f64 * f) as u64,
-        max_warp_cycles: res.stats.max_warp_cycles,
-        divergence: res.stats.divergence.clone(),
-    };
-    gpu.sustained_time(&scaled)
 }
 
 /// Workload-level Titan result: weighted-harmonic-mean throughput plus a

@@ -279,11 +279,6 @@ impl<R> CohortPool<R> {
             .find(|c| c.state == CohortState::Free)
             .map(|c| c.id)
     }
-
-    /// All context states (for metrics).
-    pub fn states(&self) -> Vec<CohortState> {
-        self.contexts.iter().map(|c| c.state).collect()
-    }
 }
 
 #[cfg(test)]

@@ -132,11 +132,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|s| s.time)
-    }
 }
 
 #[cfg(test)]
@@ -225,15 +220,5 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 6);
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        let mut q = EventQueue::new();
-        q.schedule(2.0, ());
-        assert_eq!(q.peek_time(), Some(2.0));
-        assert_eq!(q.now(), 0.0);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 }

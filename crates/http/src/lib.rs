@@ -8,7 +8,7 @@
 //!   reserved-whitespace `Content-Length` backpatch,
 //! * [`padding`] — whitespace padding for warp write-pointer alignment and
 //!   the padded-vs-plain equivalence check used to validate kernels,
-//! * [`cookie`], [`query`], [`session`] — the supporting pieces.
+//! * [`cookie`], [`query`] — the supporting pieces.
 //!
 //! Everything here is deterministic, allocation-conscious, and shared by
 //! both the native (CPU) banking handlers and the validation harness for
@@ -39,11 +39,9 @@ pub mod padding;
 pub mod query;
 pub mod request;
 pub mod response;
-pub mod session;
 
 pub use cookie::Cookies;
 pub use error::ParseError;
 pub use query::Params;
 pub use request::{HttpRequest, Method};
 pub use response::{ResponseBuilder, RESERVED_CONTENT_LENGTH};
-pub use session::SessionStore;

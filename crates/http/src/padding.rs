@@ -10,8 +10,8 @@
 //!
 //! This module is the host-side mirror of that mechanism: given the
 //! per-lane dynamic fragment widths, it computes the padding each lane
-//! must emit, and provides helpers the native handlers and the validator
-//! use to produce/verify padded content.
+//! must emit, and provides the check the validator uses to compare padded
+//! content with plain content.
 
 /// Padding a lane must emit so its fragment reaches the cohort maximum.
 ///
@@ -44,24 +44,6 @@ pub fn cohort_padding(widths: &[usize]) -> (usize, Vec<usize>) {
     let max = widths.iter().copied().max().unwrap_or(0);
     let pads = widths.iter().map(|&w| max - w).collect();
     (max, pads)
-}
-
-/// Append `n` space characters to `buf`.
-pub fn write_padding(buf: &mut Vec<u8>, n: usize) {
-    buf.resize(buf.len() + n, b' ');
-}
-
-/// Write `fragment` followed by padding spaces up to `max` and then a
-/// newline — the canonical padded-line emission used after each dynamic
-/// HTML value.
-///
-/// # Panics
-///
-/// Panics if the fragment exceeds `max`.
-pub fn write_aligned_line(buf: &mut Vec<u8>, fragment: &[u8], max: usize) {
-    buf.extend_from_slice(fragment);
-    write_padding(buf, align_pad(fragment.len(), max));
-    buf.push(b'\n');
 }
 
 /// Check that `content` ignoring trailing spaces on each line equals
@@ -121,20 +103,11 @@ mod tests {
     }
 
     #[test]
-    fn aligned_line_layout() {
-        let mut buf = Vec::new();
-        write_aligned_line(&mut buf, b"$42", 6);
-        assert_eq!(buf, b"$42   \n");
-    }
-
-    #[test]
     fn padded_output_equals_unpadded_modulo_padding() {
-        let mut padded = Vec::new();
-        write_aligned_line(&mut padded, b"balance: 7", 16);
-        write_aligned_line(&mut padded, b"<hr>", 4);
+        let padded = b"balance: 7      \n<hr>\n";
         let plain = b"balance: 7\n<hr>\n";
-        assert!(eq_modulo_padding(&padded, plain));
-        assert!(!eq_modulo_padding(&padded, b"balance: 8\n<hr>\n"));
+        assert!(eq_modulo_padding(padded, plain));
+        assert!(!eq_modulo_padding(padded, b"balance: 8\n<hr>\n"));
     }
 
     #[test]

@@ -166,12 +166,6 @@ pub fn parsed_content_length(response: &[u8]) -> Option<usize> {
     None
 }
 
-/// Split a raw response into `(headers, body)` at the blank line.
-pub fn split_response(response: &[u8]) -> Option<(&[u8], &[u8])> {
-    let pos = response.windows(4).position(|w| w == b"\r\n\r\n")?;
-    Some((&response[..pos], &response[pos + 4..]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,8 +178,8 @@ mod tests {
         r.write(&vec![b'x'; 12345]);
         let out = r.finish();
         assert_eq!(parsed_content_length(&out), Some(12345));
-        let (_, body) = split_response(&out).unwrap();
-        assert_eq!(body.len(), 12345);
+        let head = out.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+        assert_eq!(out.len() - head - 4, 12345);
     }
 
     #[test]
@@ -231,14 +225,5 @@ mod tests {
     fn body_before_finish_headers_panics() {
         let mut r = ResponseBuilder::new(200, "OK");
         r.write(b"early");
-    }
-
-    #[test]
-    fn split_response_finds_blank_line() {
-        let raw = b"HTTP/1.1 200 OK\r\nA: b\r\n\r\nBODY";
-        let (head, body) = split_response(raw).unwrap();
-        assert!(head.ends_with(b"A: b"));
-        assert_eq!(body, b"BODY");
-        assert!(split_response(b"no blank line").is_none());
     }
 }

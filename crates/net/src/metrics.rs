@@ -1,13 +1,14 @@
-//! The live telemetry plane: per-shard metric registries and the
-//! cross-shard [`Telemetry`] aggregate behind `GET /metrics`.
+//! The live telemetry plane: per-shard metric state and the cross-shard
+//! [`Telemetry`] aggregate behind `GET /metrics`.
 //!
-//! Design rule: **zero cross-shard sharing on the hot path**. Each
-//! reactor owns one [`ShardMetrics`] and is its only writer; the only
-//! cross-thread traffic is a scraper *reading* another shard's registry
-//! at `/metrics` time. The reactor publishes its counters once per poll,
-//! at a consistent point, by overwriting one [`LiveSnapshot`] under a
-//! mutex; a scraper clones it under the same mutex. The snapshot is
-//! written whole, so the accounting invariant
+//! Design rule: **each shard's metrics are plain values under one lock
+//! its reactor owns**. The reactor is the only writer of its
+//! [`ShardMetrics`]; the only cross-thread traffic is a scraper taking
+//! that lock at `/metrics` time. The lock guards the published
+//! [`LiveSnapshot`], the per-cohort-key slots and the cohort-fill
+//! histogram; every record takes it once. The reactor publishes its
+//! counters once per poll, at a consistent point, by overwriting the
+//! snapshot whole, so the accounting invariant
 //!
 //! ```text
 //! requests == responses + shed_503 + unclassified + in_cohort
@@ -18,16 +19,16 @@
 //! shed_total`: [`NetStats::responses`] already counts delivered and
 //! dropped handler responses together, `shed_total = shed_503 +
 //! unclassified`, and `in_cohort` is the in-flight term that reaches zero
-//! once the pool drains.) Latency/fill distributions use
-//! [`AtomicHistogram`] — the shared-atomic-bucket variant — so they are
-//! readable mid-poll with per-bucket monotonicity.
+//! once the pool drains.) A scrape renders each shard from one locked
+//! copy, so a shard's counters, launches and histograms agree with each
+//! other.
 
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use rhythm_obs::{
-    chrome_trace_json, AtomicHistogram, Counter, FlightRecorder, Gauge, MetricKind, MetricRegistry,
-    MetricValue, PromText, StreamingHistogram,
+    chrome_trace_json, FlightRecorder, MetricKind, MetricRegistry, MetricValue, PromText,
+    StreamingHistogram,
 };
 
 use crate::server::NetStats;
@@ -102,34 +103,72 @@ pub struct LaunchView {
 /// seen), its request-latency histogram, and its launch counters (full
 /// vs timeout launch reason, requests, fill sum), which make the batching
 /// policy's behavior observable per key from `/metrics`.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct KeySlot {
-    name: OnceLock<String>,
-    latency: AtomicHistogram,
-    full: Counter,
-    timeout: Counter,
-    requests: Counter,
-    /// Single writer, so read-add-set is race-free.
-    fill_sum: Gauge,
+    name: Option<String>,
+    latency: StreamingHistogram,
+    full: u64,
+    timeout: u64,
+    requests: u64,
+    fill_sum: f64,
 }
 
 impl KeySlot {
     fn label(&self, i: usize) -> String {
-        self.name
-            .get()
-            .cloned()
-            .unwrap_or_else(|| format!("key_{i}"))
+        self.name.clone().unwrap_or_else(|| format!("key_{i}"))
     }
 }
 
-/// One reactor shard's metric registry: the published counter snapshot,
-/// the per-key slots, the cohort-fill histogram, and the shard's flight
-/// recorder. Written only by the owning reactor; read by anyone.
+/// Everything one shard's lock guards.
+#[derive(Clone, Debug)]
+struct ShardState {
+    live: LiveSnapshot,
+    keys: Vec<KeySlot>,
+    fill: StreamingHistogram,
+}
+
+impl ShardState {
+    /// The slot of cohort key `key`, labelled by `name` the first time.
+    fn key(&mut self, key: u32, name: impl FnOnce() -> String) -> &mut KeySlot {
+        let slot = &mut self.keys[(key as usize).min(KEY_SLOTS - 1)];
+        slot.name.get_or_insert_with(name);
+        slot
+    }
+
+    /// Per-key launch counters for keys that launched at least once.
+    fn launch_views(&self) -> Vec<LaunchView> {
+        self.keys
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.full + s.timeout > 0)
+            .map(|(i, s)| LaunchView {
+                name: s.label(i),
+                full: s.full,
+                timeout: s.timeout,
+                requests: s.requests,
+                fill_sum: s.fill_sum,
+            })
+            .collect()
+    }
+
+    /// Per-type latency histograms as `(type_name, histogram)`.
+    fn latency_views(&self) -> Vec<(String, StreamingHistogram)> {
+        self.keys
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.latency.count() > 0)
+            .map(|(i, s)| (s.label(i), s.latency.clone()))
+            .collect()
+    }
+}
+
+/// One reactor shard's metrics: the published counter snapshot, the
+/// per-key slots and the cohort-fill histogram under one lock, and the
+/// shard's flight recorder. Written only by the owning reactor; read by
+/// anyone.
 #[derive(Debug)]
 pub struct ShardMetrics {
-    live: Mutex<LiveSnapshot>,
-    keys: Box<[KeySlot]>,
-    fill: AtomicHistogram,
+    state: Mutex<ShardState>,
     flight: FlightRecorder,
 }
 
@@ -142,66 +181,60 @@ impl Default for ShardMetrics {
 impl ShardMetrics {
     /// A fresh, zeroed registry.
     pub fn new() -> Self {
+        let slot = KeySlot {
+            name: None,
+            // 1 µs floor, 8 sub-buckets per octave (≤ 9 % relative
+            // quantile error), 40 octaves (up to ~12 days).
+            latency: StreamingHistogram::with_octaves(1e-6, 8, 40),
+            full: 0,
+            timeout: 0,
+            requests: 0,
+            fill_sum: 0.0,
+        };
         ShardMetrics {
-            live: Mutex::default(),
-            keys: (0..KEY_SLOTS)
-                .map(|_| KeySlot {
-                    name: OnceLock::new(),
-                    latency: AtomicHistogram::for_latency_seconds(),
-                    full: Counter::new(),
-                    timeout: Counter::new(),
-                    requests: Counter::new(),
-                    fill_sum: Gauge::new(),
-                })
-                .collect(),
-            // Fill is in (0, 1]: 1/256 floor, 4 sub-buckets per octave,
-            // 9 octaves reach just past 1.0.
-            fill: AtomicHistogram::new(1.0 / 256.0, 4, 9),
+            state: Mutex::new(ShardState {
+                live: LiveSnapshot::default(),
+                keys: vec![slot; KEY_SLOTS],
+                // Fill is in (0, 1]: 1/256 floor, 4 sub-buckets per
+                // octave, 9 octaves reach just past 1.0.
+                fill: StreamingHistogram::with_octaves(1.0 / 256.0, 4, 9),
+            }),
             flight: FlightRecorder::new(FLIGHT_CAPACITY),
         }
     }
 
+    /// The shard's state, locked. A poisoned lock is still used, since
+    /// every write under it leaves the values whole.
+    fn lock(&self) -> MutexGuard<'_, ShardState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Publish the owning reactor's counters (end of poll). The lock is
-    /// held only to copy the snapshot in; a poisoned lock is still
-    /// written, since the value it guards is always whole.
+    /// held only to copy the snapshot in.
     pub fn publish(&self, stats: &NetStats, in_cohort: u64, connections: u64) {
         let snap = LiveSnapshot {
             stats: stats.clone(),
             in_cohort,
             connections,
         };
-        *self.live.lock().unwrap_or_else(PoisonError::into_inner) = snap;
+        self.lock().live = snap;
     }
 
     /// The last published snapshot.
     pub fn live(&self) -> LiveSnapshot {
-        self.live
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// The slot of cohort key `key`, labelled by `name` the first time.
-    fn key(&self, key: u32, name: impl FnOnce() -> String) -> &KeySlot {
-        let slot = &self.keys[(key as usize).min(KEY_SLOTS - 1)];
-        slot.name.get_or_init(name);
-        slot
+        self.lock().live.clone()
     }
 
     /// Record one request's end-to-end latency under its cohort type
     /// (`name` is only invoked the first time `key` is seen).
     pub fn record_latency(&self, key: u32, name: impl FnOnce() -> String, latency_s: f64) {
-        self.key(key, name).latency.record(latency_s);
+        self.lock().key(key, name).latency.record(latency_s);
     }
 
-    /// Record a cohort's fill ratio at launch.
-    pub fn record_fill(&self, fill: f64) {
-        self.fill.record(fill);
-    }
-
-    /// Record one cohort launch under its key: the launch reason (full
-    /// vs fill deadline), the member count, and the fill
-    /// ratio (`name` is only invoked the first time `key` is seen).
+    /// Record one cohort launch: its fill ratio in the cohort-fill
+    /// histogram and, under its key, the launch reason (full vs fill
+    /// deadline), the member count and the fill ratio (`name` is only
+    /// invoked the first time `key` is seen).
     pub fn record_launch(
         &self,
         key: u32,
@@ -210,45 +243,26 @@ impl ShardMetrics {
         requests: u64,
         fill: f64,
     ) {
-        let slot = self.key(key, name);
+        let mut state = self.lock();
+        state.fill.record(fill);
+        let slot = state.key(key, name);
         if by_timeout {
-            slot.timeout.inc();
+            slot.timeout += 1;
         } else {
-            slot.full.inc();
+            slot.full += 1;
         }
-        slot.requests.add(requests);
-        slot.fill_sum.set(slot.fill_sum.get() + fill);
+        slot.requests += requests;
+        slot.fill_sum += fill;
     }
 
     /// Per-key launch counters for keys that launched at least once.
     pub fn launch_views(&self) -> Vec<LaunchView> {
-        self.keys
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.full.get() + s.timeout.get() > 0)
-            .map(|(i, s)| LaunchView {
-                name: s.label(i),
-                full: s.full.get(),
-                timeout: s.timeout.get(),
-                requests: s.requests.get(),
-                fill_sum: s.fill_sum.get(),
-            })
-            .collect()
+        self.lock().launch_views()
     }
 
     /// Per-type latency snapshots as `(type_name, histogram)`.
     pub fn latency_views(&self) -> Vec<(String, StreamingHistogram)> {
-        self.keys
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.latency.count() > 0)
-            .map(|(i, s)| (s.label(i), s.latency.snapshot()))
-            .collect()
-    }
-
-    /// Snapshot of the cohort-fill distribution.
-    pub fn fill_snapshot(&self) -> StreamingHistogram {
-        self.fill.snapshot()
+        self.lock().latency_views()
     }
 
     /// The shard's flight recorder.
@@ -442,24 +456,14 @@ impl Telemetry {
 
     /// Per-type latency histograms merged across shards.
     pub fn latency_merged(&self) -> Vec<(String, StreamingHistogram)> {
-        let mut by_type: Vec<(String, StreamingHistogram)> = Vec::new();
-        for shard in &self.shards {
-            for (name, hist) in shard.latency_views() {
-                match by_type.iter_mut().find(|(n, _)| *n == name) {
-                    Some((_, acc)) => acc.merge(&hist),
-                    None => by_type.push((name, hist)),
-                }
-            }
-        }
-        by_type.sort_by(|a, b| a.0.cmp(&b.0));
-        by_type
+        merge_by_type(self.shards.iter().map(|s| s.latency_views()))
     }
 
     /// Render the whole plane as Prometheus text exposition: process
     /// gauges, per-shard counter/gauge families (`shard` label), merged
     /// latency and fill histograms, and every device registry's metrics.
     pub fn render_metrics(&self) -> String {
-        let snaps: Vec<LiveSnapshot> = self.shards.iter().map(|s| s.live()).collect();
+        let states: Vec<ShardState> = self.shards.iter().map(|s| s.lock().clone()).collect();
         let mut t = PromText::new();
         t.header(
             "rhythm_uptime_seconds",
@@ -472,15 +476,15 @@ impl Telemetry {
         for (suffix, help, get) in COUNTER_FAMILIES {
             let name = format!("rhythm_{suffix}");
             t.header(&name, help, MetricKind::Counter);
-            for (i, snap) in snaps.iter().enumerate() {
-                t.sample_u64(&name, &[("shard", &i.to_string())], get(snap));
+            for (i, state) in states.iter().enumerate() {
+                t.sample_u64(&name, &[("shard", &i.to_string())], get(&state.live));
             }
         }
         for (suffix, help, get) in GAUGE_FAMILIES {
             let name = format!("rhythm_{suffix}");
             t.header(&name, help, MetricKind::Gauge);
-            for (i, snap) in snaps.iter().enumerate() {
-                t.sample(&name, &[("shard", &i.to_string())], get(snap));
+            for (i, state) in states.iter().enumerate() {
+                t.sample(&name, &[("shard", &i.to_string())], get(&state.live));
             }
         }
         t.header(
@@ -488,11 +492,11 @@ impl Telemetry {
             "Sum of cohort fills at launch (mean fill = this / rhythm_cohorts_total)",
             MetricKind::Counter,
         );
-        for (i, snap) in snaps.iter().enumerate() {
+        for (i, state) in states.iter().enumerate() {
             t.sample(
                 "rhythm_cohort_fill_sum_total",
                 &[("shard", &i.to_string())],
-                snap.stats.fill_sum,
+                state.live.stats.fill_sum,
             );
         }
         // Per-cohort-key launch counters: how each key's cohorts
@@ -502,9 +506,9 @@ impl Telemetry {
             "Cohorts launched by cohort key and reason (full = cohort size reached, timeout = fill deadline)",
             MetricKind::Counter,
         );
-        for (i, shard) in self.shards.iter().enumerate() {
+        for (i, state) in states.iter().enumerate() {
             let si = i.to_string();
-            for v in shard.launch_views() {
+            for v in state.launch_views() {
                 t.sample_u64(
                     "rhythm_key_cohorts_total",
                     &[("shard", &si), ("type", &v.name), ("reason", "full")],
@@ -522,9 +526,9 @@ impl Telemetry {
             "Requests across cohort launches, by cohort key",
             MetricKind::Counter,
         );
-        for (i, shard) in self.shards.iter().enumerate() {
+        for (i, state) in states.iter().enumerate() {
             let si = i.to_string();
-            for v in shard.launch_views() {
+            for v in state.launch_views() {
                 t.sample_u64(
                     "rhythm_key_launched_requests_total",
                     &[("shard", &si), ("type", &v.name)],
@@ -537,9 +541,9 @@ impl Telemetry {
             "Sum of launch fill ratios by cohort key (mean = this / rhythm_key_cohorts_total)",
             MetricKind::Counter,
         );
-        for (i, shard) in self.shards.iter().enumerate() {
+        for (i, state) in states.iter().enumerate() {
             let si = i.to_string();
-            for v in shard.launch_views() {
+            for v in state.launch_views() {
                 t.sample(
                     "rhythm_key_fill_sum_total",
                     &[("shard", &si), ("type", &v.name)],
@@ -547,12 +551,10 @@ impl Telemetry {
                 );
             }
         }
-        // Distributions are merged across shards at scrape time — this is
-        // exactly StreamingHistogram::merge over AtomicHistogram
-        // snapshots.
+        // Distributions are merged across shards at scrape time.
         let mut fill = StreamingHistogram::new(1.0 / 256.0, 4);
-        for shard in &self.shards {
-            fill.merge(&shard.fill_snapshot());
+        for state in &states {
+            fill.merge(&state.fill);
         }
         t.header(
             "rhythm_cohort_fill",
@@ -565,7 +567,7 @@ impl Telemetry {
             "End-to-end request latency by request type, merged across shards",
             MetricKind::Histogram,
         );
-        for (ty, hist) in self.latency_merged() {
+        for (ty, hist) in merge_by_type(states.iter().map(ShardState::latency_views)) {
             t.histogram("rhythm_request_latency_seconds", &[("type", &ty)], &hist);
         }
         self.render_devices(&mut t);
@@ -653,6 +655,22 @@ impl Telemetry {
     }
 }
 
+/// `(type_name, histogram)` views from every shard, merged by type and
+/// sorted by name.
+fn merge_by_type(
+    shards: impl Iterator<Item = Vec<(String, StreamingHistogram)>>,
+) -> Vec<(String, StreamingHistogram)> {
+    let mut by_type: Vec<(String, StreamingHistogram)> = Vec::new();
+    for (name, hist) in shards.flatten() {
+        match by_type.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, acc)) => acc.merge(&hist),
+            None => by_type.push((name, hist)),
+        }
+    }
+    by_type.sort_by(|a, b| a.0.cmp(&b.0));
+    by_type
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -719,10 +737,10 @@ mod tests {
     fn poisoned_snapshot_lock_still_publishes_and_reads() {
         let shard = ShardMetrics::new();
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = shard.live.lock().unwrap();
+            let _guard = shard.state.lock().unwrap();
             panic!("poison the snapshot lock");
         }));
-        assert!(shard.live.is_poisoned());
+        assert!(shard.state.is_poisoned());
         let (stats, in_cohort) = consistent_stats(4);
         shard.publish(&stats, in_cohort, 2);
         let snap = shard.live();
@@ -752,7 +770,6 @@ mod tests {
             .record_latency(1, || "login.php".to_string(), 2e-3);
         t.shard(1)
             .record_latency(1, || "login.php".to_string(), 4e-3);
-        t.shard(0).record_fill(0.5);
         t.shard(0)
             .record_launch(1, || "login.php".to_string(), true, 16, 0.5);
         t.shard(0)

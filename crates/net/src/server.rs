@@ -1033,7 +1033,6 @@ impl<H: CohortHandler> Reactor<H> {
                 self.stats.full_launches += 1;
             }
             if self.config.telemetry {
-                self.metrics.record_fill(fill);
                 let handler = &self.handler;
                 self.metrics.record_launch(
                     key,

@@ -12,48 +12,6 @@
 //! octave (power of two). With the default `sub = 8` the relative error
 //! of any reported quantile is at most `2^(1/8) − 1 ≈ 9 %`.
 
-/// The bucket geometry both histogram types share: `sub` buckets per
-/// octave above `min_value`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct Geometry {
-    /// Lower bound of bucket 0; values at or below it underflow.
-    pub(crate) min_value: f64,
-    /// Sub-buckets per octave.
-    pub(crate) sub: u32,
-}
-
-impl Geometry {
-    /// # Panics
-    ///
-    /// Panics unless `min_value` is positive and finite and `sub ≥ 1`.
-    pub(crate) fn new(min_value: f64, sub: u32) -> Self {
-        assert!(
-            min_value > 0.0 && min_value.is_finite(),
-            "min_value must be positive and finite"
-        );
-        assert!(sub >= 1, "need at least one sub-bucket per octave");
-        Geometry { min_value, sub }
-    }
-
-    /// The bucket of `value` (above `min_value`) among `buckets`; values
-    /// past the top bucket clamp into it.
-    #[inline]
-    pub(crate) fn index(self, value: f64, buckets: usize) -> usize {
-        // log2(value / min) in units of 1/sub of an octave.
-        let i = ((value / self.min_value).log2() * self.sub as f64).floor();
-        if i >= buckets as f64 {
-            buckets - 1
-        } else {
-            i as usize
-        }
-    }
-
-    /// Upper edge of bucket `i` — the value reported for samples in it.
-    pub(crate) fn upper(self, i: usize) -> f64 {
-        self.min_value * 2f64.powf((i + 1) as f64 / self.sub as f64)
-    }
-}
-
 /// A streaming histogram over positive values with geometric buckets.
 ///
 /// Values ≤ the minimum trackable value land in an underflow bucket and
@@ -77,7 +35,14 @@ impl Geometry {
 /// ```
 #[derive(Clone, Debug)]
 pub struct StreamingHistogram {
-    geo: Geometry,
+    /// Lower bound of bucket 0; values at or below it underflow.
+    min_value: f64,
+    /// Sub-buckets per octave.
+    sub: u32,
+    /// Bucket cap: values past the top bucket clamp into it. Construction
+    /// time only — [`StreamingHistogram::record`] reads it, merging ignores
+    /// it.
+    max_buckets: usize,
     /// Bucket counts (grown lazily as larger values arrive).
     counts: Vec<u64>,
     /// Values ≤ `min_value` (including zero and negatives).
@@ -98,8 +63,33 @@ impl StreamingHistogram {
     ///
     /// Panics unless `min_value` is positive and finite and `sub ≥ 1`.
     pub fn new(min_value: f64, sub: u32) -> Self {
+        // 256 octaves cover any finite f64 ratio, so this cap only clamps
+        // `+inf` (which would otherwise index out of any vector we could
+        // allocate).
+        StreamingHistogram::with_octaves(min_value, sub, 256)
+    }
+
+    /// A histogram covering `[min_value, min_value · 2^octaves)` with `sub`
+    /// buckets per octave; larger values clamp into the top bucket.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `min_value` is positive and finite, `sub ≥ 1`, and
+    /// `1 ≤ octaves ≤ 256`.
+    pub fn with_octaves(min_value: f64, sub: u32, octaves: u32) -> Self {
+        assert!(
+            min_value > 0.0 && min_value.is_finite(),
+            "min_value must be positive and finite"
+        );
+        assert!(sub >= 1, "need at least one sub-bucket per octave");
+        assert!(
+            (1..=256).contains(&octaves),
+            "octaves must be in 1..=256 (256 covers any finite f64 ratio)"
+        );
         StreamingHistogram {
-            geo: Geometry::new(min_value, sub),
+            min_value,
+            sub,
+            max_buckets: octaves as usize * sub as usize,
             counts: Vec::new(),
             underflow: 0,
             rejected: 0,
@@ -117,13 +107,6 @@ impl StreamingHistogram {
         StreamingHistogram::new(1e-9, 8)
     }
 
-    /// Hard cap on bucket count: 256 octaves cover any finite f64 ratio,
-    /// so the cap only clamps `+inf` (which would otherwise index out of
-    /// any vector we could allocate).
-    fn max_buckets(&self) -> usize {
-        256 * self.geo.sub as usize
-    }
-
     /// Record one value.
     pub fn record(&mut self, value: f64) {
         if value.is_nan() {
@@ -134,11 +117,17 @@ impl StreamingHistogram {
         self.sum += value;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        if value <= self.geo.min_value {
+        if value <= self.min_value {
             self.underflow += 1;
             return;
         }
-        let i = self.geo.index(value, self.max_buckets());
+        // log2(value / min) in units of 1/sub of an octave.
+        let i = ((value / self.min_value).log2() * self.sub as f64).floor();
+        let i = if i >= self.max_buckets as f64 {
+            self.max_buckets - 1
+        } else {
+            i as usize
+        };
         if i >= self.counts.len() {
             self.counts.resize(i + 1, 0);
         }
@@ -193,56 +182,17 @@ impl StreamingHistogram {
         let target = ((q * self.count as f64).ceil() as u64).max(1);
         let mut seen = self.underflow;
         if target <= seen {
-            return self.geo.min_value.min(self.max).max(self.min);
+            return self.min_value.min(self.max).max(self.min);
         }
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if target <= seen {
                 // Clamp to the observed extremes so tiny samples don't
                 // report a bucket edge outside [min, max].
-                return self.geo.upper(i).min(self.max).max(self.min);
+                return self.upper(i).min(self.max).max(self.min);
             }
         }
         self.max
-    }
-
-    /// Reassemble a histogram from raw parts — the bridge from
-    /// [`crate::AtomicHistogram::snapshot`], which reads its atomic
-    /// buckets and rebuilds the equivalent single-writer histogram so
-    /// snapshots from different shards can [`StreamingHistogram::merge`].
-    ///
-    /// `min`/`max` follow the internal empty-state convention
-    /// (`+inf`/`-inf` when `count == 0`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid configuration (see [`StreamingHistogram::new`])
-    /// or if `counts` exceeds the maximum bucket count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        min_value: f64,
-        sub: u32,
-        counts: Vec<u64>,
-        underflow: u64,
-        rejected: u64,
-        count: u64,
-        sum: f64,
-        min: f64,
-        max: f64,
-    ) -> Self {
-        let mut h = StreamingHistogram::new(min_value, sub);
-        assert!(
-            counts.len() <= h.max_buckets(),
-            "counts exceed the bucket cap"
-        );
-        h.counts = counts;
-        h.underflow = underflow;
-        h.rejected = rejected;
-        h.count = count;
-        h.sum = sum;
-        h.min = min;
-        h.max = max;
-        h
     }
 
     /// Sum of the recorded values.
@@ -256,7 +206,7 @@ impl StreamingHistogram {
     ///
     /// Panics if the two histograms use different bucket configurations.
     pub fn merge(&mut self, other: &StreamingHistogram) {
-        assert_eq!(self.geo, other.geo, "mismatched histograms");
+        assert!(self.same_buckets(other), "mismatched histograms");
         if other.counts.len() > self.counts.len() {
             self.counts.resize(other.counts.len(), 0);
         }
@@ -283,7 +233,7 @@ impl StreamingHistogram {
     /// Panics if the two histograms use different bucket configurations.
     #[must_use]
     pub fn diff(&self, older: &StreamingHistogram) -> Self {
-        assert_eq!(self.geo, older.geo, "mismatched histograms");
+        assert!(self.same_buckets(older), "mismatched histograms");
         let mut out = self.clone();
         for (i, &c) in older.counts.iter().enumerate() {
             if i < out.counts.len() {
@@ -297,21 +247,31 @@ impl StreamingHistogram {
         out
     }
 
+    /// Whether `other` has the same bucket edges (the cap may differ).
+    fn same_buckets(&self, other: &StreamingHistogram) -> bool {
+        (self.min_value, self.sub) == (other.min_value, other.sub)
+    }
+
+    /// Upper edge of bucket `i` — the value reported for samples in it.
+    fn upper(&self, i: usize) -> f64 {
+        self.min_value * 2f64.powf((i + 1) as f64 / self.sub as f64)
+    }
+
     /// Non-empty buckets as `(lower_edge, upper_edge, count)`, lowest
     /// first; the underflow bucket appears as `(0, min_value, n)`.
     pub fn nonzero_buckets(&self) -> Vec<(f64, f64, u64)> {
         let mut out = Vec::new();
         if self.underflow > 0 {
-            out.push((0.0, self.geo.min_value, self.underflow));
+            out.push((0.0, self.min_value, self.underflow));
         }
         for (i, &c) in self.counts.iter().enumerate() {
             if c > 0 {
                 let lo = if i == 0 {
-                    self.geo.min_value
+                    self.min_value
                 } else {
-                    self.geo.upper(i - 1)
+                    self.upper(i - 1)
                 };
-                out.push((lo, self.geo.upper(i), c));
+                out.push((lo, self.upper(i), c));
             }
         }
         out

@@ -19,11 +19,12 @@
 //! * **[`StreamingHistogram`]** — HDR-style log-bucketed histograms
 //!   (O(1) per sample, mergeable, bounded relative quantile error) that
 //!   complement `rhythm-core`'s sorted-sample `LatencyStats`.
-//! * **Live metrics** — [`Counter`] / [`Gauge`] / [`AtomicHistogram`]
-//!   (the shared-atomic-bucket variant of [`StreamingHistogram`], with
-//!   the same bucket geometry) grouped in a [`MetricRegistry`], one per
-//!   reactor shard and one per device: lock-free relaxed atomics on the
-//!   hot path, scrape-time aggregation by merging snapshots.
+//! * **Live metrics** — [`Counter`] / [`Gauge`] (relaxed atomics) and
+//!   [`AtomicHistogram`] (a [`StreamingHistogram`] behind its owner's
+//!   mutex) grouped in a [`MetricRegistry`], one per device; a snapshot
+//!   is a clone taken under the lock, and scrapes aggregate by merging
+//!   snapshots. Reactor shards keep their own metrics the same way, as
+//!   plain values under one lock per shard (`rhythm-net`).
 //!   [`PromText`] renders a registry as Prometheus text exposition
 //!   (checked by [`validate_prometheus_text`]).
 //! * **Exporters** — [`chrome_trace_json`] is the one Chrome trace-event

@@ -1,26 +1,21 @@
-//! Live metrics: lock-free atomic counters and gauges, a
-//! shared-atomic-bucket streaming histogram, and a named
-//! [`MetricRegistry`].
+//! Live metrics: atomic counters and gauges, a locked histogram, and a
+//! named [`MetricRegistry`] — the device side of the live plane.
 //!
-//! [`StreamingHistogram`](crate::StreamingHistogram) is single-writer —
-//! ideal for offline reports, useless for a metric another thread wants
-//! to scrape mid-run. The types here are the live counterparts: every
-//! mutation is a relaxed atomic RMW on state owned by one registry, so a
-//! reactor shard (or a device handler) records on its hot path with no
-//! locks and no cross-shard cache traffic, while a scraper thread reads
-//! concurrently and at worst observes a value a few instructions stale.
+//! [`StreamingHistogram`](crate::StreamingHistogram) takes `&mut self`;
+//! [`AtomicHistogram`] puts one behind a mutex so the device handler that
+//! owns it records through a shared handle while a scraper thread clones
+//! it mid-run. [`Counter`] and [`Gauge`] are single relaxed atomics.
 //!
-//! The intended topology is **one registry per reactor shard and one per
-//! device**: writers never share a cache line with another writer, and
-//! cross-shard aggregation happens only at scrape time by merging
-//! [`AtomicHistogram::snapshot`]s (see
+//! The intended topology is **one registry per device**: each is written
+//! by its own shard's thread, and cross-shard aggregation happens only at
+//! scrape time by merging [`AtomicHistogram::snapshot`]s (see
 //! [`StreamingHistogram::merge`](crate::StreamingHistogram::merge)).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::hist::{Geometry, StreamingHistogram};
+use crate::hist::StreamingHistogram;
 use crate::prom::valid_metric_name;
 
 /// A monotonically increasing `u64` counter (relaxed atomics).
@@ -77,58 +72,30 @@ impl Gauge {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Raise the reading to `v` if larger (CAS loop; peak tracking).
-    pub fn fetch_max(&self, v: f64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        while v > f64::from_bits(cur) {
-            match self.0.compare_exchange_weak(
-                cur,
-                v.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(c) => cur = c,
-            }
-        }
-    }
-
     /// Current reading.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
-/// The shared-atomic-bucket variant of
-/// [`StreamingHistogram`](crate::StreamingHistogram): identical geometric
-/// bucket layout, but every bucket is an `AtomicU64`, so threads record
-/// concurrently without locks and a scraper snapshots mid-run.
+/// A [`StreamingHistogram`] behind a mutex, so its owner records through
+/// `&self` and a scraper snapshots it mid-run.
 ///
-/// Unlike the single-writer histogram the bucket array is allocated up
-/// front (`octaves × sub` buckets — resizing is not lock-free); values
-/// beyond the top bucket clamp into it, values at or below `min_value`
-/// land in the underflow bucket, NaN is rejected. [`snapshot`] yields a
-/// [`StreamingHistogram`] with the same configuration, so snapshots from
-/// different shards merge with
+/// The bucket array is capped at `octaves × sub` buckets
+/// ([`StreamingHistogram::with_octaves`]): values beyond the top bucket
+/// clamp into it, values at or below `min_value` land in the underflow
+/// bucket, NaN is rejected. [`snapshot`] clones the histogram under the
+/// lock, so every snapshot is one the owner held between two records
+/// (`count` always equals the underflow plus the bucket counts), and
+/// snapshots from different shards merge with
 /// [`merge`](crate::StreamingHistogram::merge).
 ///
-/// Concurrent reads are lock-free and may observe a count that includes a
-/// sample whose `sum` contribution has not landed yet (or vice versa);
-/// each individual field is always a value that existed at some recent
-/// instant, and per-bucket counts are monotone.
+/// The name predates the lock; it stays because the benchmark harness
+/// (`benchmark/`) calls it.
 ///
 /// [`snapshot`]: AtomicHistogram::snapshot
 #[derive(Debug)]
-pub struct AtomicHistogram {
-    geo: Geometry,
-    counts: Box<[AtomicU64]>,
-    underflow: AtomicU64,
-    rejected: AtomicU64,
-    count: AtomicU64,
-    sum_bits: AtomicU64,
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
-}
+pub struct AtomicHistogram(Mutex<StreamingHistogram>);
 
 impl AtomicHistogram {
     /// A histogram with `sub` buckets per octave covering
@@ -140,22 +107,9 @@ impl AtomicHistogram {
     /// Panics unless `min_value` is positive and finite, `sub ≥ 1`, and
     /// `1 ≤ octaves ≤ 256`.
     pub fn new(min_value: f64, sub: u32, octaves: u32) -> Self {
-        let geo = Geometry::new(min_value, sub);
-        assert!(
-            (1..=256).contains(&octaves),
-            "octaves must be in 1..=256 (256 covers any finite f64 ratio)"
-        );
-        let n = (octaves * sub) as usize;
-        AtomicHistogram {
-            geo,
-            counts: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            underflow: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0.0f64.to_bits()),
-            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-        }
+        AtomicHistogram(Mutex::new(StreamingHistogram::with_octaves(
+            min_value, sub, octaves,
+        )))
     }
 
     /// The configuration used for request latencies in seconds: 1 µs
@@ -165,96 +119,26 @@ impl AtomicHistogram {
         AtomicHistogram::new(1e-6, 8, 40)
     }
 
-    /// Lower bound of bucket 0 (as in [`StreamingHistogram`]).
-    pub fn min_value(&self) -> f64 {
-        self.geo.min_value
+    /// The histogram, locked; a poisoned lock still guards a whole value,
+    /// since each record is a few plain stores.
+    fn lock(&self) -> MutexGuard<'_, StreamingHistogram> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Sub-buckets per octave (as in [`StreamingHistogram`]).
-    pub fn sub(&self) -> u32 {
-        self.geo.sub
-    }
-
-    /// Record one value (relaxed atomics; callable from `&self`).
+    /// Record one value.
     pub fn record(&self, value: f64) {
-        if value.is_nan() {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        self.count.fetch_add(1, Ordering::Relaxed);
-        // f64 accumulation via CAS (uncontended in the one-registry-per-
-        // shard topology, so the loop almost always succeeds first try).
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let new = (f64::from_bits(cur) + value).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                new,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
-        }
-        let mut cur = self.min_bits.load(Ordering::Relaxed);
-        while value < f64::from_bits(cur) {
-            match self.min_bits.compare_exchange_weak(
-                cur,
-                value.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
-        }
-        let mut cur = self.max_bits.load(Ordering::Relaxed);
-        while value > f64::from_bits(cur) {
-            match self.max_bits.compare_exchange_weak(
-                cur,
-                value.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
-        }
-        if value <= self.geo.min_value {
-            self.underflow.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        self.counts[self.geo.index(value, self.counts.len())].fetch_add(1, Ordering::Relaxed);
+        self.lock().record(value);
     }
 
     /// Total recorded values (excluding rejected NaN samples).
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.lock().count()
     }
 
-    /// A point-in-time copy as a mergeable [`StreamingHistogram`] with
-    /// the same bucket configuration.
+    /// A point-in-time copy, mergeable with other snapshots of the same
+    /// bucket configuration.
     pub fn snapshot(&self) -> StreamingHistogram {
-        let mut counts: Vec<u64> = self
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        while counts.last() == Some(&0) {
-            counts.pop();
-        }
-        StreamingHistogram::from_parts(
-            self.geo.min_value,
-            self.geo.sub,
-            counts,
-            self.underflow.load(Ordering::Relaxed),
-            self.rejected.load(Ordering::Relaxed),
-            self.count.load(Ordering::Relaxed),
-            f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
-            f64::from_bits(self.min_bits.load(Ordering::Relaxed)),
-            f64::from_bits(self.max_bits.load(Ordering::Relaxed)),
-        )
+        self.lock().clone()
     }
 }
 
@@ -445,10 +329,6 @@ mod tests {
         assert_eq!(g.get(), 0.0);
         g.set(2.5);
         assert_eq!(g.get(), 2.5);
-        g.fetch_max(1.0);
-        assert_eq!(g.get(), 2.5);
-        g.fetch_max(7.0);
-        assert_eq!(g.get(), 7.0);
     }
 
     #[test]
@@ -545,5 +425,41 @@ mod tests {
     fn registry_rejects_invalid_name() {
         let r = MetricRegistry::new();
         let _ = r.counter("0bad-name", "nope");
+    }
+
+    #[test]
+    fn atomic_histogram_snapshots_are_whole_under_a_concurrent_writer() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let h = Arc::new(AtomicHistogram::for_latency_seconds());
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (h, stop) = (Arc::clone(&h), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut i = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    // Every fifth sample underflows.
+                    h.record((i % 5) as f64 * 1e-3);
+                    i += 1;
+                }
+                i
+            })
+        };
+        let (mut reads, mut seen) = (0u64, 0u64);
+        // Keep reading until the writer has been seen at work: the reader
+        // can finish 100 000 reads before the writer is scheduled.
+        while reads < 100_000 || seen == 0 {
+            reads += 1;
+            let snap = h.snapshot();
+            let in_buckets: u64 = snap.nonzero_buckets().iter().map(|&(_, _, c)| c).sum();
+            assert_eq!(
+                snap.count(),
+                in_buckets,
+                "torn snapshot after {reads} reads: count {} vs buckets {in_buckets}",
+                snap.count()
+            );
+            seen = snap.count();
+        }
+        stop.store(true, Ordering::Relaxed);
+        assert!(writer.join().unwrap() >= seen && seen > 0);
     }
 }

@@ -273,11 +273,6 @@ impl Op {
             Op::AtomicAdd { addr, src, .. } => vec![addr, src],
         }
     }
-
-    /// True if this op touches a memory space.
-    pub fn is_memory(&self) -> bool {
-        matches!(self, Op::Ld { .. } | Op::St { .. } | Op::AtomicAdd { .. })
-    }
 }
 
 /// Block terminator: every basic block ends in exactly one of these.
@@ -366,7 +361,6 @@ mod tests {
             offset: 1,
         };
         assert_eq!(st.dst(), None);
-        assert!(st.is_memory());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! This is the analyzer's answer to "what memory does this kernel touch?",
 //! computed once per (program, launch environment) and consumed by the
-//! cohort runner's session-writer verdict (`rhythm-banking`, which decides
-//! the session undo journal), the `kernel_lint` tool, and the runtime
-//! footprint sanitizer in the plan executor.
+//! `kernel_lint` tool (footprints and the session-writer column CI
+//! checks) and, through [`crate::Verifier::effects`], the runtime
+//! footprint sanitizer the cohort runner arms in the plan executor.
 //!
 //! # The region domain
 //!
@@ -250,7 +250,7 @@ impl KernelEffects {
     }
 
     /// May the kernel mutate a byte in `[lo, hi)` of `space`? This is the
-    /// session-array query the cohort runner's writer verdict asks.
+    /// session-array query behind `kernel_lint`'s session-writer column.
     pub fn mutates(&self, space: MemSpace, lo: u64, hi: u64) -> bool {
         self.space(space).mutates_range(lo, hi)
     }
