@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use rhythm_http::HttpRequest;
 use rhythm_net::CohortHandler;
-use rhythm_obs::{AtomicHistogram, Counter, Gauge, MetricRegistry, NoopRecorder};
+use rhythm_obs::{MetricId, MetricRegistry, NoopRecorder};
 use rhythm_simt::gpu::Gpu;
 use rhythm_simt::{plan_cache_stats, wide_copy_stats, WARP_SIZE};
 
@@ -44,36 +44,39 @@ fn banking_key_name(key: u32) -> String {
 /// Live SIMT device counters, registered into one shard's device
 /// [`MetricRegistry`] and updated after every cohort launch.
 ///
-/// All handles are relaxed atomics owned by the shard's registry, so the
-/// serving hot path records without locks and `/metrics` scrapes
-/// concurrently. The `rhythm_plan_cache_*` and `rhythm_wide_copy_*`
-/// counters mirror the executor's process-wide totals by absolute `set`
-/// (every shard publishes the same process total).
+/// Each cohort's changes are applied under the registry's one lock, so a
+/// `/metrics` scrape sees a cohort's counters, gauges and kernel-time
+/// sample together or not at all. The `rhythm_plan_cache_*` and
+/// `rhythm_wide_copy_*` counters mirror the executor's process-wide
+/// totals by absolute assignment (every shard publishes the same process
+/// total).
 #[derive(Debug)]
 pub struct DeviceMetrics {
-    launches: Arc<Counter>,
-    cohorts: Arc<Counter>,
-    served: Arc<Counter>,
-    faults: Arc<Counter>,
-    warp_cycles: Arc<Counter>,
-    warp_instructions: Arc<Counter>,
-    lane_instructions: Arc<Counter>,
-    branches: Arc<Counter>,
-    divergent_branches: Arc<Counter>,
-    plan_cache_hits: Arc<Counter>,
-    plan_cache_misses: Arc<Counter>,
-    wide_copy_commits: Arc<Counter>,
-    wide_copy_fallbacks: Arc<Counter>,
-    simd_efficiency: Arc<Gauge>,
-    divergence_rate: Arc<Gauge>,
-    kernel_seconds: Arc<AtomicHistogram>,
+    registry: Arc<MetricRegistry>,
+    launches: MetricId,
+    cohorts: MetricId,
+    served: MetricId,
+    faults: MetricId,
+    warp_cycles: MetricId,
+    warp_instructions: MetricId,
+    lane_instructions: MetricId,
+    branches: MetricId,
+    divergent_branches: MetricId,
+    plan_cache_hits: MetricId,
+    plan_cache_misses: MetricId,
+    wide_copy_commits: MetricId,
+    wide_copy_fallbacks: MetricId,
+    simd_efficiency: MetricId,
+    divergence_rate: MetricId,
+    kernel_seconds: MetricId,
 }
 
 impl DeviceMetrics {
     /// Register every device metric into `registry` (idempotent: a second
     /// registration returns handles to the same metrics).
-    pub fn register(registry: &MetricRegistry) -> Self {
+    pub fn register(registry: &Arc<MetricRegistry>) -> Self {
         DeviceMetrics {
+            registry: Arc::clone(registry),
             launches: registry.counter(
                 "rhythm_device_launches_total",
                 "Kernel launches executed on the device",
@@ -146,43 +149,43 @@ impl DeviceMetrics {
 
     /// Fold one completed cohort's launch results into the live counters.
     fn note_cohort(&self, result: &CohortResult, served: u64) {
-        self.cohorts.inc();
-        self.served.add(served);
-        self.launches.add(result.launches.len() as u64);
-        for (_, launch) in &result.launches {
-            let s = &launch.stats;
-            self.warp_cycles.add(s.warp_cycles);
-            self.warp_instructions.add(s.warp_instructions);
-            self.lane_instructions.add(s.lane_instructions);
-            self.branches.add(s.divergence.branches);
-            self.divergent_branches.add(s.divergence.divergent_branches);
-        }
-        self.kernel_seconds.record(result.kernel_time_s());
-        // Cumulative gauges derived from the counters just published, so
-        // the gauge is always consistent with the counters on the same
-        // scrape to within one cohort.
-        let warp = self.warp_instructions.get();
-        let lane = self.lane_instructions.get();
-        if warp > 0 {
-            self.simd_efficiency
-                .set(lane as f64 / (warp as f64 * WARP_SIZE as f64));
-        }
-        let branches = self.branches.get();
-        if branches > 0 {
-            self.divergence_rate
-                .set(self.divergent_branches.get() as f64 / branches as f64);
-        }
         let cache = plan_cache_stats();
-        self.plan_cache_hits.set(cache.hits);
-        self.plan_cache_misses.set(cache.misses);
         let copies = wide_copy_stats();
-        self.wide_copy_commits.set(copies.hits);
-        self.wide_copy_fallbacks.set(copies.misses);
+        self.registry.update(|m| {
+            *m.counter(self.cohorts) += 1;
+            *m.counter(self.served) += served;
+            *m.counter(self.launches) += result.launches.len() as u64;
+            for (_, launch) in &result.launches {
+                let s = &launch.stats;
+                *m.counter(self.warp_cycles) += s.warp_cycles;
+                *m.counter(self.warp_instructions) += s.warp_instructions;
+                *m.counter(self.lane_instructions) += s.lane_instructions;
+                *m.counter(self.branches) += s.divergence.branches;
+                *m.counter(self.divergent_branches) += s.divergence.divergent_branches;
+            }
+            m.histogram(self.kernel_seconds)
+                .record(result.kernel_time_s());
+            // Cumulative gauges derived from the counters just updated.
+            let warp = *m.counter(self.warp_instructions);
+            let lane = *m.counter(self.lane_instructions);
+            if warp > 0 {
+                *m.gauge(self.simd_efficiency) = lane as f64 / (warp as f64 * WARP_SIZE as f64);
+            }
+            let branches = *m.counter(self.branches);
+            if branches > 0 {
+                let divergent = *m.counter(self.divergent_branches);
+                *m.gauge(self.divergence_rate) = divergent as f64 / branches as f64;
+            }
+            *m.counter(self.plan_cache_hits) = cache.hits;
+            *m.counter(self.plan_cache_misses) = cache.misses;
+            *m.counter(self.wide_copy_commits) = copies.hits;
+            *m.counter(self.wide_copy_fallbacks) = copies.misses;
+        });
     }
 
     /// Record a faulted cohort.
     fn note_fault(&self) {
-        self.faults.inc();
+        self.registry.update(|m| *m.counter(self.faults) += 1);
     }
 }
 
@@ -341,7 +344,7 @@ impl SimtHandler {
     /// never alters responses: metered and bare execution stay
     /// bit-identical.
     #[must_use]
-    pub fn with_metrics(mut self, registry: &MetricRegistry) -> Self {
+    pub fn with_metrics(mut self, registry: &Arc<MetricRegistry>) -> Self {
         self.metrics = Some(DeviceMetrics::register(registry));
         self
     }
@@ -408,6 +411,7 @@ impl CohortHandler for SimtHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rhythm_obs::MetricValue;
     use rhythm_simt::gpu::GpuConfig;
 
     fn parse(raw: &[u8]) -> HttpRequest {
@@ -541,9 +545,80 @@ mod tests {
         assert_eq!((h.cohorts, h.served), (2, 4));
     }
 
+    /// A scrape never sees half a cohort: one thread folds a fixed
+    /// cohort result into the device registry over and over while this
+    /// one exports it, and every export has as many kernel-time samples
+    /// as cohorts and the cohort's launches for each.
+    #[test]
+    fn device_scrapes_are_whole_under_a_concurrent_writer() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::thread;
+
+        let opts = CohortOptions {
+            session_capacity: 64,
+            ..CohortOptions::default()
+        };
+        let store = BankStore::generate(16, 1);
+        let mut sessions = SessionArrayHost::new(64, opts.session_salt);
+        let reqs = crate::genreq::RequestGenerator::new(16, 3).uniform(
+            RequestType::AccountSummary,
+            4,
+            &mut sessions,
+        );
+        let gpu = Gpu::new(GpuConfig::gtx_titan());
+        let result = crate::runner::run_cohort_traced(
+            &Workload::build(),
+            &store,
+            &mut sessions,
+            &reqs,
+            &gpu,
+            &opts,
+            &NoopRecorder,
+        )
+        .expect("cohort runs");
+        let per_cohort = result.launches.len() as u64;
+        assert!(per_cohort > 1);
+
+        let registry = Arc::new(MetricRegistry::new());
+        let metrics = DeviceMetrics::register(&registry);
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let stop = Arc::clone(&stop);
+            thread::spawn(move || {
+                let mut cohorts = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    metrics.note_cohort(&result, 4);
+                    cohorts += 1;
+                }
+                cohorts
+            })
+        };
+        let (mut reads, mut seen) = (0u64, 0u64);
+        // Keep reading until the writer has been seen at work.
+        while reads < 100_000 || seen == 0 {
+            reads += 1;
+            let (mut cohorts, mut launches, mut kernel) = (0, 0, 0);
+            for e in registry.export() {
+                match (e.name.as_str(), e.value) {
+                    ("rhythm_device_cohorts_total", MetricValue::Counter(c)) => cohorts = c,
+                    ("rhythm_device_launches_total", MetricValue::Counter(c)) => launches = c,
+                    ("rhythm_device_kernel_seconds", MetricValue::Histogram(h)) => {
+                        kernel = h.count()
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(cohorts, kernel, "torn scrape after {reads} exports");
+            assert_eq!(launches, cohorts * per_cohort, "torn scrape after {reads}");
+            seen = cohorts;
+        }
+        stop.store(true, Ordering::Relaxed);
+        assert!(writer.join().unwrap() >= seen && seen > 0);
+    }
+
     #[test]
     fn device_metrics_track_cohorts() {
-        let registry = MetricRegistry::new();
+        let registry = Arc::new(MetricRegistry::new());
         let mut h = simt_handler().with_metrics(&registry);
 
         let login = parse(b"POST /bank/login.php HTTP/1.1\r\nContent-Length: 8\r\n\r\nuserid=5");
@@ -564,15 +639,16 @@ mod tests {
         assert_eq!(out.len(), 3);
 
         let metrics = DeviceMetrics::register(&registry);
-        assert_eq!(metrics.cohorts.get(), 4);
-        assert_eq!(metrics.served.get(), 4);
-        assert_eq!(metrics.faults.get(), 0);
-        assert!(metrics.launches.get() >= 4);
-        assert!(metrics.warp_instructions.get() > 0);
-        let eff = metrics.simd_efficiency.get();
-        assert!(eff > 0.0 && eff <= 1.0, "efficiency in (0, 1]: {eff}");
-        let kernel = metrics.kernel_seconds.snapshot();
-        assert_eq!(kernel.count(), 4);
+        registry.update(|m| {
+            assert_eq!(*m.counter(metrics.cohorts), 4);
+            assert_eq!(*m.counter(metrics.served), 4);
+            assert_eq!(*m.counter(metrics.faults), 0);
+            assert!(*m.counter(metrics.launches) >= 4);
+            assert!(*m.counter(metrics.warp_instructions) > 0);
+            let eff = *m.gauge(metrics.simd_efficiency);
+            assert!(eff > 0.0 && eff <= 1.0, "efficiency in (0, 1]: {eff}");
+            assert_eq!(m.histogram(metrics.kernel_seconds).count(), 4);
+        });
         assert_eq!(h.key_name(RequestType::Login.id()), "login.php");
         assert_eq!(h.key_name(999), "key_999");
     }

@@ -17,7 +17,6 @@ fn bench_pipeline_sim(c: &mut Criterion) {
         reader_timeout_s: 1e-3,
         pool_contexts: 8,
         device_slots: 32,
-        parser_instances: 1,
     };
     let pipeline = Pipeline::new(TableService::uniform(4, 2), config);
     let arrivals = uniform_arrivals(4096, 1e6, &[0, 1, 2, 3]);

@@ -36,7 +36,7 @@ use rhythm_banking::kernels::Workload;
 use rhythm_banking::layout::{CohortLayout, REQBUF_BYTES};
 use rhythm_banking::session_array::SessionArrayHost;
 use rhythm_banking::types::RequestType;
-use rhythm_bench::fmt::machine_block;
+use rhythm_bench::fmt::{json_f, machine_block};
 use rhythm_obs::NoopRecorder;
 use rhythm_simt::exec::legacy::execute_simt_legacy;
 use rhythm_simt::exec::simt::execute_simt;
@@ -448,12 +448,4 @@ fn main() {
         cache.hit_rate()
     );
     assert!(!rows.is_empty(), "no kernels measured");
-}
-
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
 }

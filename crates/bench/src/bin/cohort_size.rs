@@ -70,7 +70,6 @@ fn main() {
                 // a context until their formation timeout.
                 pool_contexts: 16,
                 device_slots: 32,
-                parser_instances: 1,
             };
             let pipeline = Pipeline::new(service, config);
             let arrivals = mixed_arrivals(400_000, tr.tput * 0.8, 7);

@@ -60,7 +60,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use rhythm_banking::prelude::*;
-use rhythm_bench::fmt::machine_block;
+use rhythm_bench::fmt::{json_f, machine_block};
 use rhythm_core::LatencyStats;
 use rhythm_net::{
     read_response, scan_response, send_request, CohortHandler, NetConfig, NetStats, ShardedServer,
@@ -843,14 +843,6 @@ fn run_gate(path: &str, throughput_rps: f64, mean_fill: f64) {
          ({}% of baseline {base_fill:.3})",
         (1.0 - GATE_NOISE_FRAC) * 100.0
     );
-}
-
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn phase_json(p: &PhaseResult) -> String {

@@ -1,5 +1,5 @@
-//! Plain-text table rendering and JSON string literals for experiment
-//! output.
+//! Plain-text table rendering and JSON string and number literals for
+//! experiment output.
 
 /// Render an aligned text table: a header row, a rule, then data rows.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -62,6 +62,16 @@ pub fn json_str(s: &str) -> String {
     rhythm_obs::json_escape(s, &mut out);
     out.push('"');
     out
+}
+
+/// `v` as a JSON number with six decimals, or `null` when it is not
+/// finite (JSON has no NaN or infinity).
+pub fn json_f(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.6}")
+    } else {
+        "null".to_string()
+    }
 }
 
 /// The machine a result was measured on — the fields every `benchmark/`
@@ -136,6 +146,13 @@ mod tests {
     fn json_strings_are_escaped() {
         assert_eq!(json_str("plain"), "\"plain\"");
         assert_eq!(json_str("a\"b\\c\n\u{1}"), r#""a\"b\\c\n\u0001""#);
+    }
+
+    #[test]
+    fn json_numbers_are_finite_or_null() {
+        assert_eq!(json_f(1.5), "1.500000");
+        assert_eq!(json_f(f64::NAN), "null");
+        assert_eq!(json_f(f64::INFINITY), "null");
     }
 
     #[test]

@@ -136,7 +136,6 @@ pub fn pipeline_report<R: rhythm_obs::Recorder + ?Sized>(
         // context until their formation timeout.
         pool_contexts: 16,
         device_slots: 32,
-        parser_instances: 1,
     };
     let pipeline = Pipeline::new(service, config);
     let arrivals = mixed_arrivals(requests, result.tput * load_fraction, 99);

@@ -41,11 +41,6 @@ pub struct PipelineConfig {
     /// Concurrent kernels the device sustains (32 with HyperQ, 1 on
     /// single-queue parts).
     pub device_slots: u32,
-    /// Concurrent parser instances (paper §3.1: "there may be one or more
-    /// instances, allowing for parallelism across and within stages";
-    /// §6.4: "multiple parsers … would further help in hiding parser
-    /// latency").
-    pub parser_instances: u32,
 }
 
 impl Default for PipelineConfig {
@@ -57,7 +52,6 @@ impl Default for PipelineConfig {
             reader_timeout_s: 10e-3,
             pool_contexts: 8,
             device_slots: 32,
-            parser_instances: 1,
         }
     }
 }
@@ -98,7 +92,6 @@ impl<S: Service> Pipeline<S> {
         assert!(config.read_batch > 0, "read batch must be nonzero");
         assert!(config.pool_contexts > 0, "need at least one context");
         assert!(config.device_slots > 0, "need at least one device slot");
-        assert!(config.parser_instances > 0, "need at least one parser");
         Pipeline { service, config }
     }
 
@@ -134,10 +127,10 @@ impl<S: Service> Pipeline<S> {
             CohortPool::new(cfg.pool_contexts, cfg.cohort_size as usize);
 
         // Reader state (double buffered: the front buffer keeps filling
-        // while parser instances drain read batches).
+        // while the parser drains a read batch).
         let mut reader: VecDeque<Req> = VecDeque::new();
         let mut reader_epoch: u64 = 0;
-        let mut parsers_busy: u32 = 0;
+        let mut parser_busy = false;
         let mut next_batch_id: u64 = 0;
         let mut inflight_batches: std::collections::HashMap<u64, Vec<Req>> =
             std::collections::HashMap::new();
@@ -253,7 +246,7 @@ impl<S: Service> Pipeline<S> {
         }
 
         // The reader span covers accumulation: first arrival of the batch
-        // to the moment it is handed to a parser instance.
+        // to the moment it is handed to the parser.
         macro_rules! trace_read_batch {
             ($q:expr, $batch:expr) => {{
                 if rec.enabled() {
@@ -273,11 +266,11 @@ impl<S: Service> Pipeline<S> {
 
         macro_rules! maybe_start_parse {
             ($q:expr) => {{
-                while parsers_busy < cfg.parser_instances && reader.len() as u32 >= cfg.read_batch {
+                if !parser_busy && reader.len() as u32 >= cfg.read_batch {
                     let n = cfg.read_batch as usize;
                     let batch: Vec<Req> = reader.drain(..n).collect();
                     reader_epoch += 1;
-                    parsers_busy += 1;
+                    parser_busy = true;
                     let dur = self.service.parse_latency(batch.len() as u32);
                     let id = next_batch_id;
                     next_batch_id += 1;
@@ -301,10 +294,10 @@ impl<S: Service> Pipeline<S> {
 
         macro_rules! flush_reader {
             ($q:expr) => {{
-                if parsers_busy < cfg.parser_instances && !reader.is_empty() {
+                if !parser_busy && !reader.is_empty() {
                     let batch: Vec<Req> = reader.drain(..).collect();
                     reader_epoch += 1;
-                    parsers_busy += 1;
+                    parser_busy = true;
                     let dur = self.service.parse_latency(batch.len() as u32);
                     let id = next_batch_id;
                     next_batch_id += 1;
@@ -483,14 +476,14 @@ impl<S: Service> Pipeline<S> {
                 Event::ReaderFlush { epoch } => {
                     if epoch == reader_epoch {
                         // The one pending flush for this epoch has fired;
-                        // if the parsers were all busy, ParserDone re-arms.
+                        // if the parser was busy, ParserDone re-arms.
                         flush_armed = None;
                         flush_reader!(q);
                     }
                 }
                 Event::ParserDone { batch } => {
                     device_busy -= 1;
-                    parsers_busy -= 1;
+                    parser_busy = false;
                     let batch = inflight_batches.remove(&batch).expect("batch in flight");
                     for req in batch {
                         dispatch_one!(q, req, false);
@@ -645,7 +638,6 @@ mod tests {
             reader_timeout_s: 1e-3,
             pool_contexts: 4,
             device_slots: 32,
-            parser_instances: 1,
         }
     }
 
@@ -836,37 +828,6 @@ mod tests {
         let _ = Pipeline::new(TableService::uniform(1, 1), cfg);
     }
 
-    /// With a parse-dominated service, more parser instances raise
-    /// throughput (paper §6.4: "multiple parsers … would further help in
-    /// hiding parser latency").
-    #[test]
-    fn multiple_parsers_hide_parser_latency() {
-        let mut svc = TableService::uniform(1, 1);
-        svc.parse_per_req = 5e-6; // parse-bound
-        svc.stage_per_req = 100e-9;
-        let run = |parsers: u32| {
-            let mut cfg = small_config();
-            cfg.parser_instances = parsers;
-            let p = Pipeline::new(svc.clone(), cfg);
-            let arrivals = uniform_arrivals(2048, 1e8, &[0]);
-            p.run(&arrivals, &NoopRecorder).makespan_s
-        };
-        let one = run(1);
-        let four = run(4);
-        assert!(
-            four < one * 0.6,
-            "4 parsers should overlap parse latency: 1 -> {one:.6}, 4 -> {four:.6}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one parser")]
-    fn zero_parsers_rejected() {
-        let mut cfg = small_config();
-        cfg.parser_instances = 0;
-        let _ = Pipeline::new(TableService::uniform(1, 1), cfg);
-    }
-
     /// A [`TableService`] wrapper that logs every stage-0 launch as
     /// `(key, cohort_len)`, so tests can observe cohort composition.
     #[derive(Clone, Debug)]
@@ -916,7 +877,6 @@ mod tests {
             reader_timeout_s: 1e-3,
             pool_contexts: 1,
             device_slots: 32,
-            parser_instances: 1,
         };
         let p = Pipeline::new(svc, cfg);
         // One parse batch; types 1 and 2 arrive interleaved in pairs and
@@ -964,7 +924,6 @@ mod tests {
             reader_timeout_s: 1e-3,
             pool_contexts: 1,
             device_slots: 32,
-            parser_instances: 1,
         };
         let p = Pipeline::new(svc, cfg);
         // r1 + r2 fill and retire a cohort at t = 0; r3 reopens the same
@@ -982,8 +941,8 @@ mod tests {
 
     /// Regression: arming the reader-flush timer once per epoch must not
     /// change behaviour relative to arming it on every arrival — and the
-    /// timer must still fire when a flush attempt finds all parser
-    /// instances busy (ParserDone re-arms it).
+    /// timer must still fire when a flush attempt finds the parser busy
+    /// (ParserDone re-arms it).
     #[test]
     fn reader_flush_fires_once_per_epoch() {
         let p = Pipeline::new(TableService::uniform(2, 2), small_config());

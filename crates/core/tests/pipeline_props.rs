@@ -15,7 +15,6 @@ fn config(cohort: u32, pool: u32, slots: u32, timeout_ms: f64) -> PipelineConfig
         reader_timeout_s: timeout_ms * 1e-3,
         pool_contexts: pool,
         device_slots: slots,
-        parser_instances: 1,
     }
 }
 

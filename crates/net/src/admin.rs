@@ -22,7 +22,7 @@ pub enum AdminRoute {
     Metrics,
     /// `GET /healthz` — a small JSON status document.
     Healthz,
-    /// `GET /trace` — the flight recorders' recent events as a Chrome
+    /// `GET /trace` — the shards' rings of recent events as a Chrome
     /// trace JSON document.
     Trace,
 }

@@ -38,9 +38,9 @@
 //!   one event sink: it aggregates one registry per shard (a counter
 //!   snapshot published whole under a mutex once per poll, per-key
 //!   latency histograms and launch counters, a cohort-fill histogram,
-//!   and an always-on flight recorder — a wall-clock
-//!   `rhythm_obs::Recorder` back end — holding cohort-batch spans,
-//!   sheds and a sampled poll heartbeat) and serves it through
+//!   and an always-on ring of recent events — a bounded
+//!   `rhythm_obs::TraceRecorder` — holding cohort-batch spans, sheds
+//!   and a sampled poll heartbeat) and serves it through
 //!   in-band admin endpoints ([`admin`]):
 //!   `GET /metrics` (Prometheus text), `GET /healthz`, and `GET /trace`
 //!   (Chrome trace of recent events). Admin requests are answered before

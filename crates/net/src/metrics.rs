@@ -1,14 +1,17 @@
 //! The live telemetry plane: per-shard metric state and the cross-shard
-//! [`Telemetry`] aggregate behind `GET /metrics`.
+//! [`Telemetry`] aggregate behind `GET /metrics` and `GET /trace`.
 //!
-//! Design rule: **each shard's metrics are plain values under one lock
-//! its reactor owns**. The reactor is the only writer of its
+//! Design rule: **every live value is a plain value under the lock of
+//! the thread that writes it**. The reactor is the only writer of its
 //! [`ShardMetrics`]; the only cross-thread traffic is a scraper taking
-//! that lock at `/metrics` time. The lock guards the published
-//! [`LiveSnapshot`], the per-cohort-key slots and the cohort-fill
-//! histogram; every record takes it once. The reactor publishes its
-//! counters once per poll, at a consistent point, by overwriting the
-//! snapshot whole, so the accounting invariant
+//! that shard's locks at `/metrics` or `/trace` time. One lock guards the
+//! published [`LiveSnapshot`], the per-cohort-key slots and the
+//! cohort-fill histogram, and every record takes it once; the shard's
+//! event ring is a bounded [`TraceRecorder`] behind its own lock. Each
+//! device's [`MetricRegistry`] is written by the same shard's thread, a
+//! cohort's updates under one lock. The reactor publishes its counters
+//! once per poll, at a consistent point, by overwriting the snapshot
+//! whole, so the accounting invariant
 //!
 //! ```text
 //! requests == responses + shed_503 + unclassified + in_cohort
@@ -19,21 +22,21 @@
 //! shed_total`: [`NetStats::responses`] already counts delivered and
 //! dropped handler responses together, `shed_total = shed_503 +
 //! unclassified`, and `in_cohort` is the in-flight term that reaches zero
-//! once the pool drains.) A scrape renders each shard from one locked
-//! copy, so a shard's counters, launches and histograms agree with each
-//! other.
+//! once the pool drains.) A scrape renders each shard and each device
+//! from one locked copy, so a shard's counters, launches and histograms
+//! agree with each other, and so do a device's.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use rhythm_obs::{
-    chrome_trace_json, FlightRecorder, MetricKind, MetricRegistry, MetricValue, PromText,
-    StreamingHistogram,
+    chrome_trace_json, MetricKind, MetricRegistry, MetricValue, PromText, StreamingHistogram,
+    TraceRecorder,
 };
 
 use crate::server::NetStats;
 
-/// Events each shard's flight recorder retains.
+/// Events each shard's ring retains.
 const FLIGHT_CAPACITY: usize = 4096;
 /// Distinct cohort keys with their own latency histogram and launch
 /// counters; higher keys share the last slot. Cohort keys are request
@@ -164,12 +167,12 @@ impl ShardState {
 
 /// One reactor shard's metrics: the published counter snapshot, the
 /// per-key slots and the cohort-fill histogram under one lock, and the
-/// shard's flight recorder. Written only by the owning reactor; read by
-/// anyone.
+/// shard's ring of recent events. Written only by the owning reactor;
+/// read by anyone.
 #[derive(Debug)]
 pub struct ShardMetrics {
     state: Mutex<ShardState>,
-    flight: FlightRecorder,
+    flight: TraceRecorder,
 }
 
 impl Default for ShardMetrics {
@@ -199,7 +202,7 @@ impl ShardMetrics {
                 // octave, 9 octaves reach just past 1.0.
                 fill: StreamingHistogram::with_octaves(1.0 / 256.0, 4, 9),
             }),
-            flight: FlightRecorder::new(FLIGHT_CAPACITY),
+            flight: TraceRecorder::bounded(FLIGHT_CAPACITY),
         }
     }
 
@@ -265,8 +268,8 @@ impl ShardMetrics {
         self.lock().latency_views()
     }
 
-    /// The shard's flight recorder.
-    pub fn flight(&self) -> &FlightRecorder {
+    /// The shard's ring of recent events (the newest 4 096, kept whole).
+    pub fn flight(&self) -> &TraceRecorder {
         &self.flight
     }
 }
@@ -642,8 +645,8 @@ impl Telemetry {
         )
     }
 
-    /// Render the `/trace` body: every shard's flight-recorder ring as
-    /// one Chrome trace JSON document (one process per shard).
+    /// Render the `/trace` body: every shard's event ring as one Chrome
+    /// trace JSON document (one process per shard).
     pub fn render_trace(&self) -> String {
         let shards: Vec<_> = self
             .shards
@@ -775,11 +778,11 @@ mod tests {
         t.shard(0)
             .record_launch(1, || "login.php".to_string(), false, 32, 1.0);
         let hits = t.device(0).counter("rhythm_plan_cache_hits_total", "hits");
-        hits.add(7);
+        t.device(0).update(|m| *m.counter(hits) += 7);
         let kern =
             t.device(1)
                 .histogram("rhythm_device_kernel_seconds", "kernel time", 1e-9, 8, 64);
-        kern.record(3e-4);
+        t.device(1).update(|m| m.histogram(kern).record(3e-4));
         let text = t.render_metrics();
         let check = rhythm_obs::validate_prometheus_text(&text).expect("valid exposition");
         assert!(check.families > 20, "families: {}", check.families);

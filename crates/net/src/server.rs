@@ -109,7 +109,7 @@ pub struct NetConfig {
     /// `Retry-After` seconds advertised on `503` sheds.
     pub retry_after_s: u32,
     /// Enable the live telemetry plane: per-poll counter publication, live
-    /// latency/fill histograms, the flight recorder, and the in-band
+    /// latency/fill histograms, the event ring, and the in-band
     /// admin endpoints (`/metrics`, `/healthz`, `/trace`). With `false`
     /// the reactor runs bare — no publication, no admin interception —
     /// which is the baseline for the metering-overhead gate. Responses on
@@ -458,6 +458,8 @@ pub struct Reactor<H> {
     /// [`NetConfig::fill_timeout`] in seconds, the unit cohort ages are
     /// kept in.
     fill_s: f64,
+    /// Turns taken, which sample the ring's `poll` heartbeat.
+    turns: u64,
 }
 
 /// Put a connection on the turn's touched list (once).
@@ -551,6 +553,7 @@ impl<H: CohortHandler> Reactor<H> {
             telemetry,
             metrics,
             fill_s,
+            turns: 0,
         })
     }
 
@@ -701,21 +704,20 @@ impl<H: CohortHandler> Reactor<H> {
             self.stats.idle_polls += 1;
         }
         self.publish_metrics();
-        if self.config.telemetry {
-            // Sampled heartbeat on the flight recorder's shard track, so
-            // a /trace dump shows the turn cadence without flooding the
-            // ring under load.
+        if self.config.telemetry && self.turns.is_multiple_of(256) {
+            // Sampled heartbeat on the ring's shard track, so a /trace
+            // dump shows the turn cadence without flooding the ring under
+            // load.
             let flight = self.metrics.flight();
-            if flight.tick(256) {
-                flight.instant(
-                    Clock::Wall,
-                    "shard",
-                    "poll",
-                    flight.wall_now_us(),
-                    &[("progress", ArgValue::U64(progress as u64))],
-                );
-            }
+            flight.instant(
+                Clock::Wall,
+                "shard",
+                "poll",
+                flight.wall_now_us(),
+                &[("progress", ArgValue::U64(progress as u64))],
+            );
         }
+        self.turns += 1;
         progress
     }
 

@@ -74,10 +74,8 @@ fn golden_telemetry() -> std::sync::Arc<Telemetry> {
 
     for d in 0..2 {
         let dev = t.device(d);
-        dev.counter("rhythm_device_cohorts_total", "Device cohorts run")
-            .add(3 + d as u64);
-        dev.gauge("rhythm_device_memory_bytes", "Device memory held")
-            .set(4096.0 * (d + 1) as f64);
+        let cohorts = dev.counter("rhythm_device_cohorts_total", "Device cohorts run");
+        let memory = dev.gauge("rhythm_device_memory_bytes", "Device memory held");
         let kern = dev.histogram(
             "rhythm_device_kernel_seconds",
             "Kernel wall time",
@@ -85,8 +83,12 @@ fn golden_telemetry() -> std::sync::Arc<Telemetry> {
             8,
             64,
         );
-        kern.record(3e-4 * (d + 1) as f64);
-        kern.record(5e-9);
+        dev.update(|m| {
+            *m.counter(cohorts) += 3 + d as u64;
+            *m.gauge(memory) = 4096.0 * (d + 1) as f64;
+            m.histogram(kern).record(3e-4 * (d + 1) as f64);
+            m.histogram(kern).record(5e-9);
+        });
     }
     t
 }

@@ -9,7 +9,7 @@
 //! track. [`TraceRecorder::chrome_json`] passes its two clock domains as
 //! two groups — pid 1 "pipeline (virtual time)" and pid 2
 //! "host (wall time)"; a live server's `/trace` passes one group per
-//! reactor shard's [`FlightRecorder`](crate::FlightRecorder). Events
+//! reactor shard's bounded ring ([`TraceRecorder::bounded`]). Events
 //! arrive sorted by track and timestamp, so per-track timestamps are
 //! non-decreasing by construction (a property the validator checks).
 
@@ -105,8 +105,7 @@ fn event(e: &TraceEvent, pid: usize, tid: u64, out: &mut String) {
 /// document: group `i` is process `i + 1`, and each distinct track in it
 /// a named thread (tids numbered across the document, in group order and
 /// then track order). Each group's events must be ordered by track, then
-/// timestamp — the order [`TraceRecorder::events`] and
-/// [`FlightRecorder::events`](crate::FlightRecorder::events) return.
+/// timestamp — the order [`TraceRecorder::events`] returns.
 pub fn chrome_trace_json(processes: &[(String, Vec<TraceEvent>)]) -> String {
     let mut next_tid = 0;
     let tids: Vec<BTreeMap<&str, u64>> = processes

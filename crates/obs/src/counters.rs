@@ -14,7 +14,7 @@
 //! Counters are observational, like the [`crate::Recorder`] trait: reading
 //! them never perturbs the measured system.
 
-use crate::metrics::Counter;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cumulative hit/miss counters for a keyed cache.
 ///
@@ -33,8 +33,8 @@ use crate::metrics::Counter;
 /// ```
 #[derive(Debug, Default)]
 pub struct CacheCounters {
-    hits: Counter,
-    misses: Counter,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 /// A point-in-time copy of a [`CacheCounters`].
@@ -75,29 +75,29 @@ impl CacheCounters {
     /// Fresh counters at zero (usable in `static` position).
     pub const fn new() -> Self {
         CacheCounters {
-            hits: Counter::new(),
-            misses: Counter::new(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
     /// Record one cache hit.
     #[inline]
     pub fn record_hit(&self) {
-        self.hits.inc();
+        self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one cache miss.
     #[inline]
     pub fn record_miss(&self) {
-        self.misses.inc();
+        self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Consistent-enough copy of the counters (each counter is read
     /// atomically; the pair is not a single atomic snapshot).
     pub fn snapshot(&self) -> CacheSnapshot {
         CacheSnapshot {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
         }
     }
 }
@@ -124,8 +124,8 @@ impl CacheCounters {
 /// ```
 #[derive(Debug, Default)]
 pub struct PoolCounters {
-    reused: Counter,
-    allocated: Counter,
+    reused: AtomicU64,
+    allocated: AtomicU64,
 }
 
 /// A point-in-time copy of a [`PoolCounters`].
@@ -163,27 +163,27 @@ impl PoolCounters {
     /// Fresh counters at zero (usable in `static` position).
     pub const fn new() -> Self {
         PoolCounters {
-            reused: Counter::new(),
-            allocated: Counter::new(),
+            reused: AtomicU64::new(0),
+            allocated: AtomicU64::new(0),
         }
     }
 
     /// Record a checkout served from the free list.
     #[inline]
     pub fn record_reused(&self) {
-        self.reused.inc();
+        self.reused.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a checkout that allocated a fresh object.
     #[inline]
     pub fn record_allocated(&self) {
-        self.allocated.inc();
+        self.allocated.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Consistent-enough copy of the counters.
     pub fn snapshot(&self) -> PoolSnapshot {
-        let reused = self.reused.get();
-        let allocated = self.allocated.get();
+        let reused = self.reused.load(Ordering::Relaxed);
+        let allocated = self.allocated.load(Ordering::Relaxed);
         PoolSnapshot {
             acquired: reused + allocated,
             reused,

@@ -1,82 +1,23 @@
-//! Live metrics: atomic counters and gauges, a locked histogram, and a
-//! named [`MetricRegistry`] — the device side of the live plane.
+//! Live metrics: a locked histogram and a named [`MetricRegistry`] —
+//! the device side of the live plane.
 //!
 //! [`StreamingHistogram`](crate::StreamingHistogram) takes `&mut self`;
-//! [`AtomicHistogram`] puts one behind a mutex so the device handler that
-//! owns it records through a shared handle while a scraper thread clones
-//! it mid-run. [`Counter`] and [`Gauge`] are single relaxed atomics.
+//! [`AtomicHistogram`] puts one behind a mutex so its owner records
+//! through a shared handle while a scraper thread clones it mid-run.
+//! A [`MetricRegistry`] is the same design for a set of named metrics:
+//! plain [`MetricValue`]s under one mutex, changed together by
+//! [`MetricRegistry::update`] and copied together by
+//! [`MetricRegistry::export`], so a scrape never sees half an update.
 //!
 //! The intended topology is **one registry per device**: each is written
 //! by its own shard's thread, and cross-shard aggregation happens only at
-//! scrape time by merging [`AtomicHistogram::snapshot`]s (see
+//! scrape time by merging histogram snapshots (see
 //! [`StreamingHistogram::merge`](crate::StreamingHistogram::merge)).
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::hist::StreamingHistogram;
 use crate::prom::valid_metric_name;
-
-/// A monotonically increasing `u64` counter (relaxed atomics).
-///
-/// Mutators never observe each other's intermediate state; readers get a
-/// value that was current at some recent instant.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A zeroed counter.
-    pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Overwrite with an absolute value. Intended for single-writer
-    /// publication of an externally accumulated monotonic total (e.g. a
-    /// process-wide cache's hit count); the writer is responsible for
-    /// monotonicity.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-}
-
-/// A last-value-wins `f64` gauge (stored as bits in an `AtomicU64`).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A gauge reading `0.0`.
-    pub const fn new() -> Self {
-        // 0u64 is the bit pattern of +0.0.
-        Gauge(AtomicU64::new(0))
-    }
-
-    /// Overwrite the reading.
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current reading.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
 
 /// A [`StreamingHistogram`] behind a mutex, so its owner records through
 /// `&self` and a scraper snapshots it mid-run.
@@ -197,29 +138,86 @@ pub struct MetricExport {
     pub value: MetricValue,
 }
 
+/// The handle of one metric in its [`MetricRegistry`], returned by
+/// registration and used to reach the metric inside
+/// [`MetricRegistry::update`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct MetricId(usize);
+
+/// A registry's metrics, borrowed under its lock by
+/// [`MetricRegistry::update`].
+///
+/// A [`MetricId`] indexes the registry that returned it. Each accessor
+/// panics when `id` names a metric of another kind.
 #[derive(Debug)]
-enum Slot {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<AtomicHistogram>),
+pub struct MetricValues<'a>(&'a mut [MetricExport]);
+
+impl MetricValues<'_> {
+    /// The counter `id`.
+    pub fn counter(&mut self, id: MetricId) -> &mut u64 {
+        match &mut self.0[id.0].value {
+            MetricValue::Counter(c) => c,
+            other => panic!("metric {id:?} is a {}", other.kind().as_str()),
+        }
+    }
+
+    /// The gauge `id`.
+    pub fn gauge(&mut self, id: MetricId) -> &mut f64 {
+        match &mut self.0[id.0].value {
+            MetricValue::Gauge(g) => g,
+            other => panic!("metric {id:?} is a {}", other.kind().as_str()),
+        }
+    }
+
+    /// The histogram `id`.
+    pub fn histogram(&mut self, id: MetricId) -> &mut StreamingHistogram {
+        match &mut self.0[id.0].value {
+            MetricValue::Histogram(h) => h,
+            other => panic!("metric {id:?} is a {}", other.kind().as_str()),
+        }
+    }
 }
 
-/// A named collection of live metrics.
+/// A named collection of live metrics: plain values under one mutex.
 ///
-/// Registration takes a lock (a `Mutex` around a name map) and returns an
-/// `Arc` handle; the hot path touches only the handle, never the
-/// registry. Register once at setup, record through the handle forever —
-/// the intended instantiation is one registry per reactor shard plus one
-/// per device, with scrape-time export via [`MetricRegistry::export`].
+/// Register once at setup and keep the returned [`MetricId`]s; the owner
+/// then applies each batch of changes under one lock with
+/// [`MetricRegistry::update`], and [`MetricRegistry::export`] copies every
+/// value under the same lock, so a scrape sees each update whole or not
+/// at all. The intended instantiation is one registry per device.
 #[derive(Debug, Default)]
-pub struct MetricRegistry {
-    slots: Mutex<BTreeMap<String, (String, Slot)>>,
-}
+pub struct MetricRegistry(Mutex<Vec<MetricExport>>);
 
 impl MetricRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         MetricRegistry::default()
+    }
+
+    /// The metrics, locked; a poisoned lock still guards whole values,
+    /// since every update is plain stores.
+    fn lock(&self) -> MutexGuard<'_, Vec<MetricExport>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Register `name` holding `value`, or fetch it if already registered
+    /// with the same kind.
+    fn register(&self, name: &str, help: &str, value: MetricValue) -> MetricId {
+        assert!(valid_metric_name(name), "invalid metric name {name:?}");
+        let mut metrics = self.lock();
+        if let Some(i) = metrics.iter().position(|m| m.name == name) {
+            assert!(
+                metrics[i].value.kind() == value.kind(),
+                "metric {name:?} already registered with another kind"
+            );
+            return MetricId(i);
+        }
+        metrics.push(MetricExport {
+            name: name.to_string(),
+            help: help.to_string(),
+            value,
+        });
+        MetricId(metrics.len() - 1)
     }
 
     /// Register (or fetch) a counter.
@@ -228,16 +226,8 @@ impl MetricRegistry {
     ///
     /// Panics on an invalid metric name or if `name` is already
     /// registered as a different kind.
-    pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        assert!(valid_metric_name(name), "invalid metric name {name:?}");
-        let mut slots = self.slots.lock().expect("registry poisoned");
-        let (_, slot) = slots
-            .entry(name.to_string())
-            .or_insert_with(|| (help.to_string(), Slot::Counter(Arc::new(Counter::new()))));
-        match slot {
-            Slot::Counter(c) => Arc::clone(c),
-            _ => panic!("metric {name:?} already registered with another kind"),
-        }
+    pub fn counter(&self, name: &str, help: &str) -> MetricId {
+        self.register(name, help, MetricValue::Counter(0))
     }
 
     /// Register (or fetch) a gauge.
@@ -246,16 +236,8 @@ impl MetricRegistry {
     ///
     /// Panics on an invalid metric name or if `name` is already
     /// registered as a different kind.
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        assert!(valid_metric_name(name), "invalid metric name {name:?}");
-        let mut slots = self.slots.lock().expect("registry poisoned");
-        let (_, slot) = slots
-            .entry(name.to_string())
-            .or_insert_with(|| (help.to_string(), Slot::Gauge(Arc::new(Gauge::new()))));
-        match slot {
-            Slot::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric {name:?} already registered with another kind"),
-        }
+    pub fn gauge(&self, name: &str, help: &str) -> MetricId {
+        self.register(name, help, MetricValue::Gauge(0.0))
     }
 
     /// Register (or fetch) a histogram with the given bucket geometry
@@ -272,64 +254,29 @@ impl MetricRegistry {
         min_value: f64,
         sub: u32,
         octaves: u32,
-    ) -> Arc<AtomicHistogram> {
-        assert!(valid_metric_name(name), "invalid metric name {name:?}");
-        let mut slots = self.slots.lock().expect("registry poisoned");
-        let (_, slot) = slots.entry(name.to_string()).or_insert_with(|| {
-            (
-                help.to_string(),
-                Slot::Histogram(Arc::new(AtomicHistogram::new(min_value, sub, octaves))),
-            )
-        });
-        match slot {
-            Slot::Histogram(h) => Arc::clone(h),
-            _ => panic!("metric {name:?} already registered with another kind"),
-        }
+    ) -> MetricId {
+        let hist = StreamingHistogram::with_octaves(min_value, sub, octaves);
+        self.register(name, help, MetricValue::Histogram(hist))
     }
 
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.slots.lock().expect("registry poisoned").len()
+    /// Apply `f` to the metrics under one lock: a scrape sees all of its
+    /// changes or none.
+    pub fn update<T>(&self, f: impl FnOnce(&mut MetricValues<'_>) -> T) -> T {
+        f(&mut MetricValues(&mut self.lock()))
     }
 
-    /// Whether no metrics are registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Point-in-time readings of every registered metric, sorted by name.
+    /// Every registered metric's value, copied under one lock, sorted by
+    /// name.
     pub fn export(&self) -> Vec<MetricExport> {
-        let slots = self.slots.lock().expect("registry poisoned");
-        slots
-            .iter()
-            .map(|(name, (help, slot))| MetricExport {
-                name: name.clone(),
-                help: help.clone(),
-                value: match slot {
-                    Slot::Counter(c) => MetricValue::Counter(c.get()),
-                    Slot::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Slot::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                },
-            })
-            .collect()
+        let mut metrics = self.lock().clone();
+        metrics.sort_by(|a, b| a.name.cmp(&b.name));
+        metrics
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_and_gauge_basics() {
-        let c = Counter::new();
-        c.inc();
-        c.add(41);
-        assert_eq!(c.get(), 42);
-        let g = Gauge::new();
-        assert_eq!(g.get(), 0.0);
-        g.set(2.5);
-        assert_eq!(g.get(), 2.5);
-    }
 
     #[test]
     fn atomic_histogram_matches_streaming_on_same_samples() {
@@ -392,24 +339,37 @@ mod tests {
         let c = r.counter("b_total", "a counter");
         let g = r.gauge("a_gauge", "a gauge");
         let h = r.histogram("c_seconds", "a histogram", 1e-6, 8, 40);
-        c.add(3);
-        g.set(1.5);
-        h.record(1e-3);
+        r.update(|m| {
+            *m.counter(c) += 3;
+            *m.gauge(g) = 1.5;
+            m.histogram(h).record(1e-3);
+        });
         // Re-registration returns the same underlying metric.
-        r.counter("b_total", "ignored").add(1);
-        assert_eq!(c.get(), 4);
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.counter("b_total", "ignored"), c);
+        assert_eq!(r.update(|m| *m.counter(c) + 1), 4);
         let exports = r.export();
         let names: Vec<&str> = exports.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["a_gauge", "b_total", "c_seconds"]);
+        match &exports[0].value {
+            MetricValue::Gauge(v) => assert_eq!(*v, 1.5),
+            other => panic!("expected gauge, got {other:?}"),
+        }
         match &exports[1].value {
-            MetricValue::Counter(v) => assert_eq!(*v, 4),
+            MetricValue::Counter(v) => assert_eq!(*v, 3),
             other => panic!("expected counter, got {other:?}"),
         }
         match &exports[2].value {
             MetricValue::Histogram(s) => assert_eq!(s.count(), 1),
             other => panic!("expected histogram, got {other:?}"),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "is a gauge")]
+    fn registry_handle_of_another_kind_panics() {
+        let r = MetricRegistry::new();
+        let g = r.gauge("x", "gauge");
+        r.update(|m| *m.counter(g) += 1);
     }
 
     #[test]
@@ -430,6 +390,7 @@ mod tests {
     #[test]
     fn atomic_histogram_snapshots_are_whole_under_a_concurrent_writer() {
         use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
         let h = Arc::new(AtomicHistogram::for_latency_seconds());
         let stop = Arc::new(AtomicBool::new(false));
         let writer = {

@@ -1,6 +1,6 @@
-//! The [`Recorder`] trait, the zero-cost [`NoopRecorder`] and the
-//! collecting [`TraceRecorder`] (the live ring,
-//! [`FlightRecorder`](crate::FlightRecorder), is the third back end).
+//! The [`Recorder`] trait, the zero-cost [`NoopRecorder`] and the one
+//! collecting back end, [`TraceRecorder`]: unbounded for an offline run,
+//! or [`TraceRecorder::bounded`] as a live server's ring of recent events.
 //!
 //! The trait is deliberately *observational*: a recorder can only be told
 //! about events, never queried by instrumented code for anything that
@@ -16,8 +16,8 @@
 //! * **Wall** — host wall time of launches and warps, measured against
 //!   the recorder's own origin via [`Recorder::wall_now_us`].
 
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::hist::StreamingHistogram;
@@ -216,6 +216,12 @@ pub fn s_to_us(seconds: f64) -> f64 {
 /// mutexes (one short critical section per event), then exports a Chrome
 /// trace ([`TraceRecorder::chrome_json`]) and a plain-text summary
 /// ([`TraceRecorder::summary`]).
+///
+/// [`TraceRecorder::new`] keeps every event, for an offline run.
+/// [`TraceRecorder::bounded`] keeps only the newest events, for a live
+/// server: each reactor shard owns one ring, and `/trace` reads it
+/// mid-run. Either keeps each event whole — every argument, every name,
+/// both clocks.
 #[derive(Debug)]
 pub struct TraceRecorder {
     inner: Mutex<Inner>,
@@ -225,8 +231,13 @@ pub struct TraceRecorder {
 
 #[derive(Debug)]
 struct Inner {
-    events: Vec<TraceEvent>,
+    /// The kept events, oldest first.
+    events: VecDeque<TraceEvent>,
+    /// Events recorded over the recorder's lifetime (the next event's
+    /// sequence number).
     seq: u64,
+    /// Events kept before the oldest is dropped.
+    capacity: usize,
 }
 
 impl Default for TraceRecorder {
@@ -236,16 +247,30 @@ impl Default for TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// A fresh recorder; its wall-clock origin is `now`.
+    /// A fresh recorder that keeps every event; its wall-clock origin is
+    /// `now`.
     pub fn new() -> Self {
+        Self::bounded(usize::MAX)
+    }
+
+    /// A fresh recorder that keeps the newest `capacity` events (min 1)
+    /// and drops the oldest; it still counts every event recorded.
+    pub fn bounded(capacity: usize) -> Self {
         TraceRecorder {
             inner: Mutex::new(Inner {
-                events: Vec::new(),
+                events: VecDeque::new(),
                 seq: 0,
+                capacity: capacity.max(1),
             }),
             hists: Mutex::new(BTreeMap::new()),
             origin: Instant::now(),
         }
+    }
+
+    /// The event buffer, locked; a poisoned lock still guards whole
+    /// events, since each is pushed complete.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn push(
@@ -260,10 +285,13 @@ impl TraceRecorder {
         if ts_us.is_nan() {
             return; // never corrupt the trace with unordered timestamps
         }
-        let mut inner = self.inner.lock().expect("trace buffer poisoned");
+        let mut inner = self.lock();
         let seq = inner.seq;
         inner.seq += 1;
-        inner.events.push(TraceEvent {
+        if inner.events.len() == inner.capacity {
+            inner.events.pop_front();
+        }
+        inner.events.push_back(TraceEvent {
             seq,
             clock,
             track: track.to_string(),
@@ -277,15 +305,10 @@ impl TraceRecorder {
         });
     }
 
-    /// Snapshot of the recorded events, ordered by track then timestamp
-    /// (the order the Chrome exporter writes them in).
+    /// Snapshot of the kept events, ordered by clock, track, then
+    /// timestamp (the order the Chrome exporter writes them in).
     pub fn events(&self) -> Vec<TraceEvent> {
-        let mut events = self
-            .inner
-            .lock()
-            .expect("trace buffer poisoned")
-            .events
-            .clone();
+        let mut events: Vec<TraceEvent> = self.lock().events.iter().cloned().collect();
         // Stable per-track time order: spans are pushed when they end, so
         // buffer order is not time order within a track.
         events.sort_by(|a, b| {
@@ -297,18 +320,25 @@ impl TraceRecorder {
         events
     }
 
-    /// Number of events recorded so far.
+    /// Number of events kept.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("trace buffer poisoned")
-            .events
-            .len()
+        self.lock().events.len()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Events recorded over the recorder's lifetime, kept or dropped.
+    pub fn recorded(&self) -> u64 {
+        self.lock().seq
+    }
+
+    /// Events dropped to keep the newest within the capacity.
+    pub fn dropped(&self) -> u64 {
+        let inner = self.lock();
+        inner.seq - inner.events.len() as u64
     }
 
     /// Snapshot of the named histogram, if any value was recorded for it.
@@ -453,5 +483,141 @@ mod tests {
         let b = r.wall_now_us();
         assert!(b >= a);
         assert!(a >= 0.0);
+    }
+
+    #[test]
+    fn ring_keeps_most_recent_events() {
+        let r = TraceRecorder::bounded(4);
+        for i in 0..10u64 {
+            r.span(
+                Clock::Wall,
+                "t",
+                "launch",
+                i as f64 * 10.0,
+                5.0,
+                &[("n", ArgValue::U64(i))],
+            );
+        }
+        assert_eq!(r.recorded(), 10);
+        assert_eq!(r.dropped(), 6);
+        let events = r.events();
+        assert_eq!(events.len(), 4);
+        let args: Vec<u64> = events
+            .iter()
+            .map(|e| match e.args[..] {
+                [(ref k, OwnedArg::U64(n))] if k == "n" => n,
+                _ => panic!("one U64 argument under its key: {:?}", e.args),
+            })
+            .collect();
+        assert_eq!(args, [6, 7, 8, 9], "oldest overwritten, order by ts");
+        assert!(events.iter().all(|e| e.name == "launch" && e.track == "t"));
+        assert_eq!(events[0].seq, 6, "sequence numbers count dropped events");
+    }
+
+    /// The ring keeps what it is given: any number of distinct names,
+    /// every argument of every type, and both clocks.
+    #[test]
+    fn bounded_ring_keeps_every_name_argument_and_clock() {
+        let r = TraceRecorder::bounded(1024);
+        for i in 0..300 {
+            r.instant(Clock::Wall, "t", &format!("e{i}"), i as f64, &[]);
+        }
+        r.span(
+            Clock::Wall,
+            "t",
+            "args",
+            400.0,
+            1.0,
+            &[
+                ("f", ArgValue::F64(2.5)),
+                ("s", ArgValue::Str("full")),
+                ("n", ArgValue::U64(7)),
+            ],
+        );
+        r.span(
+            Clock::Virtual,
+            "device",
+            "parser",
+            0.0,
+            3.0,
+            &[("modelled_time_s", ArgValue::F64(3e-6))],
+        );
+        assert_eq!((r.recorded(), r.dropped()), (302, 0));
+        let events = r.events();
+        assert_eq!(events.len(), 302);
+        assert!(matches!(events[0].clock, Clock::Virtual));
+        assert_eq!(events[0].name, "parser");
+        assert!(matches!(events[0].phase, Phase::Span { dur_us } if dur_us == 3.0));
+        assert!(matches!(events[0].args[..], [(ref k, OwnedArg::F64(v))]
+            if k == "modelled_time_s" && v == 3e-6));
+        for i in 0..300 {
+            assert_eq!(events[1 + i].name, format!("e{i}"));
+        }
+        let args = &events[301];
+        assert_eq!(args.name, "args");
+        assert!(matches!(args.args[..], [
+            (ref f, OwnedArg::F64(2.5)),
+            (ref s, OwnedArg::Str(ref full)),
+            (ref n, OwnedArg::U64(7)),
+        ] if f == "f" && s == "s" && full == "full" && n == "n"));
+    }
+
+    #[test]
+    fn dump_is_a_valid_chrome_trace() {
+        use crate::chrome::{chrome_trace_json, validate_chrome_trace};
+        let a = TraceRecorder::bounded(16);
+        let b = TraceRecorder::bounded(16);
+        a.span(
+            Clock::Wall,
+            "cohorts",
+            "cohorts x2",
+            100.0,
+            50.0,
+            &[("requests", ArgValue::U64(64))],
+        );
+        a.instant(Clock::Wall, "shard", "shed \"503\"", 120.0, &[]);
+        b.span(Clock::Wall, "shard", "poll", 10.0, 2.0, &[]);
+        let json = chrome_trace_json(&[
+            ("shard 0".to_string(), a.events()),
+            ("shard 1".to_string(), b.events()),
+        ]);
+        let check = validate_chrome_trace(&json).expect("valid trace");
+        assert_eq!(check.events, 3);
+        assert_eq!(check.tracks, 3);
+        assert!(check.names.iter().any(|n| n == "cohorts x2"));
+        assert!(check.names.iter().any(|n| n == "shed \"503\""));
+        assert!(json.contains("\"thread_name\",\"args\":{\"name\":\"cohorts\"}"));
+        assert!(json.contains("\"args\":{\"requests\":64}"));
+    }
+
+    #[test]
+    fn concurrent_dump_never_sees_torn_slots() {
+        let r = std::sync::Arc::new(TraceRecorder::bounded(8));
+        let writer = {
+            let r = std::sync::Arc::clone(&r);
+            std::thread::spawn(move || {
+                for i in 0..50_000u64 {
+                    // ts and arg move together; a torn read would pair a
+                    // new ts with an old arg.
+                    r.span(
+                        Clock::Wall,
+                        "t",
+                        "spin",
+                        i as f64,
+                        1.0,
+                        &[("i", ArgValue::U64(i))],
+                    );
+                }
+            })
+        };
+        for _ in 0..200 {
+            for e in r.events() {
+                let [(_, OwnedArg::U64(arg))] = e.args[..] else {
+                    panic!("argument lost: {:?}", e.args);
+                };
+                assert_eq!(e.ts_us, arg as f64, "torn event");
+            }
+        }
+        writer.join().unwrap();
     }
 }

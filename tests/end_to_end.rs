@@ -113,7 +113,6 @@ fn pipeline_conservation_across_configs() {
             reader_timeout_s: 1e-3,
             pool_contexts: pool,
             device_slots: slots,
-            parser_instances: 1,
         };
         let p = Pipeline::new(TableService::uniform(3, 2), config);
         let arrivals: Vec<(f64, u32)> = (0..1000)
