@@ -20,7 +20,7 @@ use rhythm_obs::{s_to_us, ArgValue, Clock, NoopRecorder, Recorder};
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::gpu::{Gpu, LaunchResult};
 use rhythm_simt::mem::DeviceMemory;
-use rhythm_simt::{ExecError, Program};
+use rhythm_simt::{ExecError, MemError, Program};
 use rhythm_verify::{LaunchSpec, Verifier};
 
 use crate::backend::BankStore;
@@ -28,6 +28,7 @@ use crate::genreq::GeneratedRequest;
 use crate::kernels::{CohortStep, Workload};
 use crate::layout::{
     CohortLayout, BREQ_BYTES, BRESP_BYTES, F_P0, F_P1, F_RESP_LEN, F_TOKEN, F_TYPE, REQBUF_BYTES,
+    STRUCT_WORDS,
 };
 use crate::session_array::SessionArrayHost;
 use crate::types::RequestType;
@@ -51,8 +52,11 @@ pub struct CohortResult {
     pub responses: Vec<Vec<u8>>,
     /// Per-kernel launch results in execution order `(name, result)`.
     pub launches: Vec<(String, LaunchResult)>,
-    /// The layout used (for byte accounting).
+    /// The layout the cohort was parsed in (for byte accounting).
     pub layout: CohortLayout,
+    /// Sub-cohorts that faulted, by type, while others ran: their members'
+    /// responses are empty and their session writes were undone.
+    pub faults: Vec<(RequestType, ExecError)>,
 }
 
 impl CohortResult {
@@ -205,14 +209,86 @@ fn read_responses(layout: &CohortLayout, mem: &DeviceMemory) -> Result<Vec<Vec<u
         .collect()
 }
 
-fn assert_uniform(reqs: &[GeneratedRequest]) -> RequestType {
-    assert!(!reqs.is_empty(), "empty cohort");
-    let ty = reqs[0].ty;
-    assert!(
-        reqs.iter().all(|r| r.ty == ty),
-        "mixed-type cohort passed to a type-specific process pipeline"
-    );
-    ty
+/// Per-lane parser output: `(type_id, token, p0, p1)`.
+pub type ParsedLane = (u32, u32, u32, u32);
+
+/// The parse step: scatter each request into its slot of `layout`, launch
+/// the parser over every lane, and read back each lane's parsed fields.
+fn parse_step<R: Recorder + ?Sized>(
+    workload: &Workload,
+    layout: &CohortLayout,
+    mem: &mut DeviceMemory,
+    reqs: &[GeneratedRequest],
+    gpu: &Gpu,
+    opts: &CohortOptions,
+    rec: &R,
+) -> Result<(LaunchResult, Vec<ParsedLane>), ExecError> {
+    write_requests(layout, mem, reqs)?;
+    let (parser, pool) = (&workload.parser, &workload.pool);
+    let cfg = kernel_cfg(&cohort_cfg(layout), opts, layout, parser, mem, pool);
+    let res = gpu.launch(parser, &cfg, mem, pool, rec)?;
+    let parsed = (0..layout.cohort)
+        .map(|lane| {
+            Ok((
+                layout.read_struct(mem, lane, F_TYPE)?,
+                layout.read_struct(mem, lane, F_TOKEN)?,
+                layout.read_struct(mem, lane, F_P0)?,
+                layout.read_struct(mem, lane, F_P1)?,
+            ))
+        })
+        .collect::<Result<_, MemError>>()?;
+    Ok((res, parsed))
+}
+
+/// Group a parsed cohort's lanes by the type the parser gave them: one
+/// `(type, lanes)` sub-cohort per type, in the arrival order of its first
+/// member, lanes in arrival order. A lane typed outside the 14 Banking
+/// types is in no sub-cohort.
+fn sub_cohorts(parsed: &[ParsedLane]) -> Vec<(RequestType, Vec<u32>)> {
+    let mut groups: Vec<(RequestType, Vec<u32>)> = Vec::new();
+    for (lane, &(id, ..)) in parsed.iter().enumerate() {
+        let Some(ty) = RequestType::from_id(id) else {
+            continue;
+        };
+        match groups.iter_mut().find(|(t, _)| *t == ty) {
+            Some((_, lanes)) => lanes.push(lane as u32),
+            None => groups.push((ty, vec![lane as u32])),
+        }
+    }
+    groups
+}
+
+/// A cohort's launches so far, laid back to back on the recorder's
+/// virtual-time `device` track: each launch's modelled latency extends
+/// the cursor and becomes a span there.
+struct DeviceTrack<'r, R: ?Sized> {
+    rec: &'r R,
+    t: f64,
+    launches: Vec<(String, LaunchResult)>,
+}
+
+impl<R: Recorder + ?Sized> DeviceTrack<'_, R> {
+    fn launched(&mut self, name: &str, res: LaunchResult, requests: u32) {
+        if self.rec.enabled() {
+            let (start, dur) = (s_to_us(self.t), s_to_us(res.time_s));
+            let args = [("requests", ArgValue::U64(requests as u64))];
+            self.rec
+                .span(Clock::Virtual, "device", name, start, dur, &args);
+        }
+        self.t += res.time_s;
+        self.launches.push((name.to_string(), res));
+    }
+
+    /// A host-served backend round: an instant, since it spends no
+    /// modelled device time.
+    fn host_backend(&self, requests: u32) {
+        if self.rec.enabled() {
+            let args = [("requests", ArgValue::U64(requests as u64))];
+            let now = s_to_us(self.t);
+            self.rec
+                .instant(Clock::Virtual, "device", "host_backend", now, &args);
+        }
+    }
 }
 
 /// One shard's resident device state: a single [`DeviceMemory`] whose head
@@ -292,11 +368,21 @@ impl DeviceContext {
         self.mem.journal_len()
     }
 
-    /// Run one uniform-type cohort through parse → process stages →
-    /// response against the resident state. `gpu` is launched on as given
-    /// (resolve [`CohortOptions`] into it beforehand); `store` must be the
-    /// store this context was built from (the host backend answers from
-    /// it).
+    /// Run one cohort against the resident state, in the paper's order:
+    /// the parser kernel runs over every lane, its `F_TYPE` splits the
+    /// lanes into one sub-cohort per request type, and each sub-cohort
+    /// runs its type's process → backend → response kernels. `gpu` is
+    /// launched on as given (resolve [`CohortOptions`] into it
+    /// beforehand); `store` must be the store this context was built from
+    /// (the host backend answers from it).
+    ///
+    /// Sub-cohorts run in the arrival order of their first member, lanes
+    /// in arrival order, and responses come back in input order. A uniform
+    /// cohort runs its stages in the layout it was parsed in; each
+    /// sub-cohort of a mixed cohort is re-cut to a layout of its own and
+    /// gets its lanes' parsed structs copied in. A lane the parser types
+    /// outside the 14 Banking types runs no stage and gets an empty
+    /// response.
     ///
     /// With tracing, in addition to the per-kernel and per-warp wall-time
     /// spans emitted by [`Gpu::launch`], the cohort's kernels are
@@ -309,15 +395,18 @@ impl DeviceContext {
     ///
     /// # Errors
     ///
-    /// Propagates kernel execution faults. A faulting cohort's session
-    /// writes never happened: every cohort runs with the device's undo
-    /// journal open over the session span and is rolled back on error —
-    /// work proportional to the bytes it wrote, not to the table.
+    /// A parser fault fails the whole cohort, and so does a fault in every
+    /// sub-cohort (a uniform cohort's one, say): the first fault is
+    /// returned. A fault in some sub-cohorts only is reported in
+    /// [`CohortResult::faults`], and their members' responses are empty.
+    /// The parse and each sub-cohort run under the device's undo journal
+    /// over the session span, so a faulting one's session writes never
+    /// happened — work proportional to the bytes it wrote, not to the
+    /// table.
     ///
     /// # Panics
     ///
-    /// Panics if `reqs` is empty or contains mixed request types (process
-    /// kernels are type-specific; the dispatcher forms uniform cohorts).
+    /// Panics if `reqs` is empty.
     pub fn run_cohort<R: Recorder + ?Sized>(
         &mut self,
         workload: &Workload,
@@ -326,11 +415,80 @@ impl DeviceContext {
         gpu: &Gpu,
         rec: &R,
     ) -> Result<CohortResult, ExecError> {
-        let ty = assert_uniform(reqs);
+        assert!(!reqs.is_empty(), "empty cohort");
+        let mut track = DeviceTrack {
+            rec,
+            t: 0.0,
+            launches: Vec::new(),
+        };
+        // Cut for the first member's page: a uniform cohort's stages then
+        // run where it was parsed.
+        let layout = self.cut(reqs.len() as u32, reqs[0].ty);
+        let parse = parse_step(workload, &layout, &mut self.mem, reqs, gpu, &self.opts, rec);
+        let (res, parsed) = match parse {
+            Ok(parsed) => parsed,
+            Err(e) => return self.journaled(Err(e)),
+        };
+        track.launched(
+            CohortStep::Parser(&workload.parser).name(),
+            res,
+            layout.cohort,
+        );
+        let groups = sub_cohorts(&parsed);
+        if let [(ty, lanes)] = &groups[..] {
+            if *ty == reqs[0].ty && lanes.len() == reqs.len() {
+                let run = self.launch_steps(workload, store, &layout, *ty, gpu, &mut track);
+                let responses = self.journaled(run)?;
+                return Ok(CohortResult {
+                    responses,
+                    launches: track.launches,
+                    layout,
+                    faults: Vec::new(),
+                });
+            }
+        }
+
+        // The parser stores no session byte: the sub-cohorts' journals
+        // are their own.
+        self.mem.commit_journal();
+        let structs = self
+            .mem
+            .slice(layout.struct_base, layout.cohort * STRUCT_WORDS * 4)?
+            .to_vec();
+        let mut responses = vec![Vec::new(); reqs.len()];
+        let mut faults = Vec::new();
+        for (ty, lanes) in &groups {
+            let sub = self.cut(lanes.len() as u32, *ty);
+            let run = copy_structs(&structs, &layout, lanes, &sub, &mut self.mem)
+                .and_then(|()| self.launch_steps(workload, store, &sub, *ty, gpu, &mut track));
+            match self.journaled(run) {
+                Ok(sub_responses) => {
+                    for (&lane, resp) in lanes.iter().zip(sub_responses) {
+                        responses[lane as usize] = resp;
+                    }
+                }
+                Err(e) => faults.push((*ty, e)),
+            }
+        }
+        if !groups.is_empty() && faults.len() == groups.len() {
+            return Err(faults.swap_remove(0).1);
+        }
+        Ok(CohortResult {
+            responses,
+            launches: track.launches,
+            layout,
+            faults,
+        })
+    }
+
+    /// Re-cut the image's tail to a `cohort`-lane layout with `ty`'s
+    /// response slots, open the undo journal over the session span, and
+    /// return the layout.
+    fn cut(&mut self, cohort: u32, ty: RequestType) -> CohortLayout {
         let layout = cohort_layout(
             &self.opts,
             self.store_bytes,
-            reqs.len() as u32,
+            cohort,
             ty.response_buffer_bytes(),
         );
         self.mem.recut(
@@ -341,63 +499,73 @@ impl DeviceContext {
         self.mem
             .begin_journal(layout.session_base, len)
             .expect("resident head holds the session array");
-        let result = self.launch_cohort(workload, store, &layout, reqs, gpu, rec);
-        match result {
+        layout
+    }
+
+    /// Close the journal [`DeviceContext::cut`] opened (held open over a
+    /// uniform cohort's parse and stages): keep what `run` stored if it
+    /// succeeded, undo it if it failed.
+    fn journaled<T>(&mut self, run: Result<T, ExecError>) -> Result<T, ExecError> {
+        match run {
             Ok(_) => self.mem.commit_journal(),
             Err(_) => self.mem.rollback_journal(),
         }
-        result
+        run
     }
 
-    /// Fill the request slots, launch the cohort's kernels in order, read
-    /// the responses back.
-    fn launch_cohort<R: Recorder + ?Sized>(
+    /// Launch `ty`'s process, backend and response kernels in order over
+    /// the parsed structs of `layout`, and read the responses back.
+    fn launch_steps<R: Recorder + ?Sized>(
         &mut self,
         workload: &Workload,
         store: &BankStore,
         layout: &CohortLayout,
-        reqs: &[GeneratedRequest],
+        ty: RequestType,
         gpu: &Gpu,
-        rec: &R,
-    ) -> Result<CohortResult, ExecError> {
+        track: &mut DeviceTrack<'_, R>,
+    ) -> Result<Vec<Vec<u8>>, ExecError> {
         let (opts, mem) = (&self.opts, &mut self.mem);
-        let requests = [("requests", ArgValue::U64(layout.cohort as u64))];
-        let mut launches = Vec::new();
-        // Virtual device-time cursor: a cohort's kernels execute back to
-        // back, so each launch's modelled latency extends the cursor and
-        // becomes a span on the `device` track.
-        let mut device_t = 0.0f64;
         let cfg = cohort_cfg(layout);
-        write_requests(layout, mem, reqs)?;
-        for step in workload.cohort_steps(reqs[0].ty) {
-            if let (CohortStep::Backend(_), BackendMode::Host) = (step, opts.backend) {
-                if rec.enabled() {
-                    let now = s_to_us(device_t);
-                    rec.instant(Clock::Virtual, "device", "host_backend", now, &requests);
+        for step in workload.cohort_steps(ty) {
+            match (step, opts.backend) {
+                (CohortStep::Parser(_), _) => continue,
+                (CohortStep::Backend(_), BackendMode::Host) => {
+                    track.host_backend(layout.cohort);
+                    host_backend_step(store, layout, mem)?;
+                    continue;
                 }
-                host_backend_step(store, layout, mem)?;
-                continue;
+                _ => {}
             }
             let program = step.program();
             let kcfg = kernel_cfg(&cfg, opts, layout, program, mem, &workload.pool);
-            let res = gpu.launch(program, &kcfg, mem, &workload.pool, rec)?;
-            if rec.enabled() {
-                let (start, dur) = (s_to_us(device_t), s_to_us(res.time_s));
-                rec.span(Clock::Virtual, "device", step.name(), start, dur, &requests);
-            }
-            device_t += res.time_s;
-            launches.push((step.name().to_string(), res));
+            let res = gpu.launch(program, &kcfg, mem, &workload.pool, track.rec)?;
+            track.launched(step.name(), res, layout.cohort);
         }
-        Ok(CohortResult {
-            responses: read_responses(layout, mem)?,
-            launches,
-            layout: layout.clone(),
-        })
+        read_responses(layout, mem)
     }
 }
 
-/// Run one uniform-type cohort copy-in/copy-out: upload `store` and
-/// `sessions` to a fresh [`DeviceContext`], run the cohort on it
+/// Copy the parsed structs of `lanes`, read from the `from` layout's
+/// struct region `structs`, into lanes `0..` of the `to` layout.
+fn copy_structs(
+    structs: &[u8],
+    from: &CohortLayout,
+    lanes: &[u32],
+    to: &CohortLayout,
+    mem: &mut DeviceMemory,
+) -> Result<(), ExecError> {
+    let mut words = Vec::with_capacity(lanes.len() * STRUCT_WORDS as usize * 4);
+    for field in 0..STRUCT_WORDS {
+        for &lane in lanes {
+            let at = (from.struct_addr(lane, field) - from.struct_base) as usize;
+            words.extend_from_slice(&structs[at..at + 4]);
+        }
+    }
+    Ok(mem.load(to.struct_base, &words)?)
+}
+
+/// Run one cohort copy-in/copy-out: upload `store` and `sessions` to a
+/// fresh [`DeviceContext`], run the cohort on it
 /// ([`DeviceContext::run_cohort`] — the routine the serving path runs on
 /// its resident context, with the same tracks on `rec`), and decode the
 /// session array back.
@@ -408,16 +576,16 @@ impl DeviceContext {
 ///
 /// `sessions` provides the pre-existing sessions (it must be the same
 /// array the requests' tokens were created in) and is updated to the
-/// device's post-cohort state; on a fault it is left untouched.
+/// device's post-cohort state; on an `Err` it is left untouched.
 ///
 /// # Errors
 ///
-/// Propagates kernel execution faults.
+/// As [`DeviceContext::run_cohort`].
 ///
 /// # Panics
 ///
-/// Panics if `reqs` is empty or contains mixed request types, or if
-/// `sessions.capacity()` disagrees with `opts.session_capacity`.
+/// Panics if `reqs` is empty, or if `sessions.capacity()` disagrees with
+/// `opts.session_capacity`.
 pub fn run_cohort_traced<R: Recorder + ?Sized>(
     workload: &Workload,
     store: &BankStore,
@@ -451,8 +619,7 @@ pub fn run_cohort_traced<R: Recorder + ?Sized>(
 /// # Panics
 ///
 /// If `sessions.capacity()` disagrees with `opts.session_capacity`, and per
-/// cohort on the same conditions as [`run_cohort_traced`] (non-empty,
-/// uniform-type).
+/// cohort on the same condition as [`run_cohort_traced`] (non-empty).
 pub fn run_cohorts_hyperq(
     workload: &Workload,
     store: &BankStore,
@@ -594,9 +761,6 @@ pub fn run_request_scalar(
     })
 }
 
-/// Per-lane parser output: `(type_id, token, p0, p1)`.
-pub type ParsedLane = (u32, u32, u32, u32);
-
 /// Run only the parser kernel over a (possibly mixed-type) cohort;
 /// returns the launch result plus the parsed `(type_id, token, p0, p1)`
 /// per lane.
@@ -622,18 +786,5 @@ pub fn run_parser_only(
         .expect("nonempty");
     let layout = cohort_layout(opts, 0, cohort, resp_size);
     let mut mem = DeviceMemory::new(layout.total_bytes as usize);
-    write_requests(&layout, &mut mem, reqs)?;
-    let (parser, pool) = (&workload.parser, &workload.pool);
-    let cfg = kernel_cfg(&cohort_cfg(&layout), opts, &layout, parser, &mem, pool);
-    let res = gpu.launch(parser, &cfg, &mut mem, pool, &NoopRecorder)?;
-    let mut parsed = Vec::with_capacity(reqs.len());
-    for lane in 0..cohort {
-        parsed.push((
-            layout.read_struct(&mem, lane, F_TYPE)?,
-            layout.read_struct(&mem, lane, F_TOKEN)?,
-            layout.read_struct(&mem, lane, F_P0)?,
-            layout.read_struct(&mem, lane, F_P1)?,
-        ));
-    }
-    Ok((res, parsed))
+    parse_step(workload, &layout, &mut mem, reqs, &gpu, opts, &NoopRecorder)
 }

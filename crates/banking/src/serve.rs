@@ -26,19 +26,31 @@ use crate::session_array::SessionArrayHost;
 use crate::templates::SESSION_COOKIE;
 use crate::types::RequestType;
 
-/// The cohort key of a wire request: its request type's id, as the paper
-/// groups cohorts. `None` for pages outside the 14 Banking types (shared
-/// by both handlers' [`CohortHandler::classify`]).
+/// The one cohort key of every Banking request. The parser kernel, not
+/// the host, splits a cohort by type; the type ids `0..14` below this key
+/// label each member's latency instead ([`CohortHandler::label_key`]).
+const BANKING_KEY: u32 = RequestType::ALL.len() as u32;
+
+/// [`BANKING_KEY`] for a page of the 14 Banking types, `None` for any
+/// other page (shared by both handlers' [`CohortHandler::classify`]).
 fn banking_classify(req: &HttpRequest) -> Option<u32> {
-    RequestType::from_file_name(req.file_name()).map(RequestType::id)
+    RequestType::from_file_name(req.file_name()).map(|_| BANKING_KEY)
 }
 
-/// Map a Banking cohort key to its page name for latency labels (shared
-/// by both handlers' [`CohortHandler::key_name`]).
+/// A member's latency label: its request type's id (shared by both
+/// handlers' [`CohortHandler::label_key`]).
+fn banking_label_key(key: u32, req: &HttpRequest) -> u32 {
+    RequestType::from_file_name(req.file_name()).map_or(key, RequestType::id)
+}
+
+/// Name the cohort key `banking` and each type id its page (shared by
+/// both handlers' [`CohortHandler::key_name`]).
 fn banking_key_name(key: u32) -> String {
-    RequestType::from_id(key)
-        .map(|t| t.file_name().to_string())
-        .unwrap_or_else(|| format!("key_{key}"))
+    match RequestType::from_id(key) {
+        Some(ty) => ty.file_name().to_string(),
+        None if key == BANKING_KEY => "banking".to_string(),
+        None => format!("key_{key}"),
+    }
 }
 
 /// Live SIMT device counters, registered into one shard's device
@@ -91,7 +103,7 @@ impl DeviceMetrics {
             ),
             faults: registry.counter(
                 "rhythm_device_faults_total",
-                "Cohorts that faulted on the device (answered with 500s)",
+                "Cohorts and sub-cohorts that faulted on the device (answered with 500s)",
             ),
             warp_cycles: registry.counter(
                 "rhythm_device_warp_cycles_total",
@@ -154,6 +166,7 @@ impl DeviceMetrics {
         self.registry.update(|m| {
             *m.counter(self.cohorts) += 1;
             *m.counter(self.served) += served;
+            *m.counter(self.faults) += result.faults.len() as u64;
             *m.counter(self.launches) += result.launches.len() as u64;
             for (_, launch) in &result.launches {
                 let s = &launch.stats;
@@ -241,6 +254,10 @@ impl CohortHandler for ScalarHandler {
         banking_classify(req)
     }
 
+    fn label_key(&self, key: u32, req: &HttpRequest) -> u32 {
+        banking_label_key(key, req)
+    }
+
     fn key_name(&self, key: u32) -> String {
         banking_key_name(key)
     }
@@ -262,8 +279,8 @@ impl CohortHandler for ScalarHandler {
 }
 
 /// Re-render each wire request into the canonical ≤512 B slot text the
-/// parser kernel consumes. The front end guarantees a single-key cohort,
-/// so the runner's uniformity requirement holds by construction.
+/// parser kernel consumes. A cohort mixes pages; the parser kernel splits
+/// it into per-type sub-cohorts.
 ///
 /// Replies are positional, so a request outside the 14 Banking types
 /// (which `classify` never lets into a cohort) must not simply drop out:
@@ -301,11 +318,12 @@ pub struct SimtHandler {
     gpu: Gpu,
     /// Cohorts executed on the device.
     pub cohorts: u64,
-    /// Requests served across all cohorts.
+    /// Requests answered across all cohorts.
     pub served: u64,
     /// Modelled device kernel time accumulated across cohorts.
     pub device_time_s: f64,
-    /// Cohorts that faulted on the device (answered with 500s).
+    /// Cohorts and sub-cohorts that faulted on the device (answered with
+    /// 500s).
     pub faults: u64,
     /// Live device counters (when attached to a telemetry registry).
     metrics: Option<DeviceMetrics>,
@@ -370,6 +388,10 @@ impl CohortHandler for SimtHandler {
         banking_classify(req)
     }
 
+    fn label_key(&self, key: u32, req: &HttpRequest) -> u32 {
+        banking_label_key(key, req)
+    }
+
     fn key_name(&self, key: u32) -> String {
         banking_key_name(key)
     }
@@ -386,13 +408,28 @@ impl CohortHandler for SimtHandler {
             .run_cohort(&self.workload, &self.store, &reqs, &self.gpu, &NoopRecorder);
         match run {
             Ok(result) => {
+                // A faulted sub-cohort's members were left empty.
+                let answered = result.responses.iter().filter(|r| !r.is_empty()).count();
                 self.cohorts += 1;
-                self.served += reqs.len() as u64;
+                self.served += answered as u64;
+                self.faults += result.faults.len() as u64;
                 self.device_time_s += result.kernel_time_s();
                 if let Some(m) = &self.metrics {
-                    m.note_cohort(&result, reqs.len() as u64);
+                    m.note_cohort(&result, answered as u64);
                 }
-                result.responses
+                // They get 500s; the context has undone their session
+                // writes.
+                result
+                    .responses
+                    .into_iter()
+                    .map(|r| {
+                        if r.is_empty() {
+                            rhythm_net::responses::internal_500()
+                        } else {
+                            r
+                        }
+                    })
+                    .collect()
             }
             Err(_) => {
                 // A device fault answers the whole cohort with 500s (the
@@ -439,7 +476,7 @@ mod tests {
 
         let login = parse(b"POST /bank/login.php HTTP/1.1\r\nContent-Length: 8\r\n\r\nuserid=3");
         let key = h.classify(&login).expect("login classifies");
-        assert_eq!(key, RequestType::Login.id());
+        assert_eq!(h.label_key(key, &login), RequestType::Login.id());
         let resp = h.execute(key, std::slice::from_ref(&login));
         assert_eq!(resp.len(), 1);
         let text = String::from_utf8(resp[0].clone()).unwrap();
@@ -501,19 +538,25 @@ mod tests {
         )
     }
 
-    /// Both handlers key cohorts by request type and nothing else, and
-    /// label each key with its page name.
+    /// Both handlers put every Banking page under one cohort key, named
+    /// `banking`, and label each member's latency by its page; a page
+    /// outside the 14 types has no key.
     #[test]
-    fn both_handlers_classify_by_type_id_and_name_keys_by_page() {
+    fn both_handlers_classify_one_key_and_label_members_by_page() {
         let scalar = ScalarHandler::new(BankStore::generate(16, 1), SessionArrayHost::new(64, 1));
         let simt = simt_handler();
         let handlers: [&dyn CohortHandler; 2] = [&scalar, &simt];
+        for h in handlers {
+            assert_eq!(h.key_name(BANKING_KEY), "banking");
+        }
         for ty in RequestType::ALL {
             let raw = raw_http(ty, 42, &[3, 5, 0, 0]);
             let req = parse(&raw);
             for h in handlers {
-                assert_eq!(h.classify(&req), Some(ty.id()), "{ty}");
-                assert_eq!(h.key_name(ty.id()), ty.file_name(), "{ty}");
+                assert_eq!(h.classify(&req), Some(BANKING_KEY), "{ty}");
+                let label = h.label_key(BANKING_KEY, &req);
+                assert_eq!(label, ty.id(), "{ty}");
+                assert_eq!(h.key_name(label), ty.file_name(), "{ty}");
             }
         }
         let unknown = parse(b"GET /bank/nope.php?userid=3 HTTP/1.1\r\nCookie: SID=42\r\n\r\n");
@@ -533,7 +576,7 @@ mod tests {
             |user: u32| parse(&raw_http(RequestType::AccountSummary, 0, &[user, 0, 0, 0]));
         let stray = parse(b"GET /bank/nope.php?userid=9 HTTP/1.1\r\n\r\n");
         let cohort = vec![summary(3), stray, summary(5)];
-        let key = RequestType::AccountSummary.id();
+        let key = BANKING_KEY;
 
         // No reply at any position, so none at the wrong one. (Dropping
         // the stray alone would put user 5's page at position 1.)
@@ -631,9 +674,9 @@ mod tests {
         let summary =
             parse(b"GET /bank/account_summary.php?userid=3 HTTP/1.1\r\nCookie: SID=7\r\n\r\n");
         let batch = vec![
-            (RequestType::Login.id(), vec![login.clone()]),
-            (RequestType::AccountSummary.id(), vec![summary.clone()]),
-            (RequestType::AccountSummary.id(), vec![summary]),
+            (BANKING_KEY, vec![login.clone()]),
+            (BANKING_KEY, vec![summary.clone()]),
+            (BANKING_KEY, vec![summary]),
         ];
         let out = h.execute_many(&batch);
         assert_eq!(out.len(), 3);

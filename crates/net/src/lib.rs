@@ -16,9 +16,9 @@
 //!   reads what was reported readable and writes what was answered; a
 //!   one-shot `timerfd` stands for the earliest fill deadline and an
 //!   `eventfd` for the acceptor's hand-off. Parsed requests are
-//!   dispatched into per-type cohort contexts from `rhythm-core`'s
-//!   [`rhythm_core::CohortPool`] (the Free → PartiallyFull → Full → Busy
-//!   FSM); cohorts launch on fill or on the formation timeout, all
+//!   dispatched by the handler's cohort key into cohort contexts from
+//!   `rhythm-core`'s [`rhythm_core::CohortPool`] (the Free →
+//!   PartiallyFull → Full → Busy FSM); cohorts launch on fill or on the formation timeout, all
 //!   launches marked in one turn go to the pluggable
 //!   [`server::CohortHandler`] as a single batch, and responses are
 //!   transposed back onto the originating connections in request order.

@@ -24,15 +24,16 @@ use crate::metrics::{ShardMetrics, Telemetry};
 use crate::responses;
 use crate::sys::{Interest, Poller, Timer, Waker};
 
-/// Executes one uniform-key cohort of parsed requests.
+/// Executes one cohort of parsed requests that share a cohort key.
 ///
 /// `rhythm-net` forms cohorts; what a cohort *does* is the workload's
 /// business. `rhythm-banking` implements this for the native (scalar) and
-/// SIMT device paths.
+/// SIMT device paths, with one key for every Banking page: its device path
+/// parses a cohort on the device and splits it by type there.
 pub trait CohortHandler {
-    /// Map a request to its cohort key (the paper groups by request
-    /// type). `None` means the request has no kernel — it is answered
-    /// immediately with [`CohortHandler::reject`] and never batched.
+    /// Map a request to its cohort key. `None` means the request has no
+    /// kernel — it is answered immediately with [`CohortHandler::reject`]
+    /// and never batched.
     fn classify(&self, req: &HttpRequest) -> Option<u32>;
 
     /// Execute one cohort of same-key requests, returning one raw HTTP
@@ -60,8 +61,17 @@ pub trait CohortHandler {
         responses::not_found_404()
     }
 
-    /// Human-readable name for a cohort key, used as the `type` label on
-    /// live latency histograms. Called at most once per key per shard.
+    /// The key that labels the latency of `req`, a member of a `key`
+    /// cohort; [`CohortHandler::key_name`] names it. The default is the
+    /// cohort key. A handler whose one key spans several pages can label
+    /// each member by its page instead.
+    fn label_key(&self, key: u32, _req: &HttpRequest) -> u32 {
+        key
+    }
+
+    /// Human-readable name for a cohort or label key, used as the `type`
+    /// label on live launch counters and latency histograms. Called at
+    /// most once per key per shard.
     fn key_name(&self, key: u32) -> String {
         format!("key_{key}")
     }
@@ -86,10 +96,8 @@ pub struct NetConfig {
     /// even if not full (paper: bounded extra delay).
     pub fill_timeout: Duration,
     /// Preallocated cohort contexts; running out sheds with `503`. One
-    /// context is open per distinct cohort key inside a fill window, so
-    /// the default (16) must cover the key population: the banking
-    /// workload has 14 request types, and with fewer contexts its Table 2
-    /// mix is shed at light load.
+    /// context is open per distinct cohort key inside a fill window, and
+    /// one more for each cohort that fills before its batch launches.
     pub pool_contexts: u32,
     /// Per-connection queued-output cap in bytes (write buffer plus
     /// out-of-order responses waiting for earlier sequences). A
@@ -407,7 +415,7 @@ impl Handoff {
 }
 
 /// The connection/cohort state machine of one reactor thread: admitted
-/// connections, per-type cohort contexts, and the run's counters.
+/// connections, per-key cohort contexts, and the run's counters.
 ///
 /// A reactor owns no listener — streams reach it over its hand-off
 /// channel from the [`crate::shard::ShardedServer`] acceptor, or through
@@ -415,9 +423,8 @@ impl Handoff {
 /// [`Reactor::turn`] takes one readiness report from the poller, reads
 /// the sockets it names, parses complete requests, dispatches them into
 /// cohort contexts, marks full or timed-out cohorts, launches the marked
-/// batch through the [`CohortHandler`] (one `execute_many` call, so
-/// device handlers can keep concurrent per-type launches in flight), and
-/// writes the connections that were answered.
+/// batch through the [`CohortHandler`] (one `execute_many` call, run on
+/// this thread), and writes the connections that were answered.
 #[derive(Debug)]
 pub struct Reactor<H> {
     config: NetConfig,
@@ -1086,13 +1093,14 @@ impl<H: CohortHandler> Reactor<H> {
                 cohort_replies.resize_with(n, responses::internal_500);
             }
             let members = self.pool.get_mut(id).release().unwrap_or_default();
-            for (m, resp) in members.into_iter().zip(cohort_replies) {
+            for (i, (m, resp)) in members.into_iter().zip(cohort_replies).enumerate() {
                 self.stats.responses += 1;
                 if self.config.telemetry {
                     let handler = &self.handler;
+                    let label = reqs.get(i).map_or(key, |req| handler.label_key(key, req));
                     self.metrics.record_latency(
-                        key,
-                        || handler.key_name(key),
+                        label,
+                        || handler.key_name(label),
                         m.arrived.elapsed().as_secs_f64(),
                     );
                 }
