@@ -199,7 +199,6 @@ pub fn run_image_cohort(
     transposed: bool,
 ) -> Result<ImageCohortResult, rhythm_simt::ExecError> {
     use crate::layout::{CohortLayout, F_RESP_LEN, F_TYPE, REQBUF_BYTES};
-    use rhythm_simt::exec::LaunchConfig;
     use rhythm_simt::mem::DeviceMemory;
 
     assert!(!requests.is_empty(), "empty image cohort");
@@ -209,9 +208,9 @@ pub fn run_image_cohort(
     // The image store replaces the bank store; it sits after the layout's
     // regions and its base/count override the store params.
     let store_base = layout.total_bytes;
-    let mut params = layout.params();
-    params[crate::layout::P_STORE_BASE as usize] = store_base;
-    params[crate::layout::P_STORE_USERS as usize] = images.len();
+    let mut cfg = layout.launch_config();
+    cfg.params[crate::layout::P_STORE_BASE as usize] = store_base;
+    cfg.params[crate::layout::P_STORE_USERS as usize] = images.len();
 
     let mut mem = DeviceMemory::new((layout.total_bytes + store_img.len() as u32) as usize);
     mem.load(store_base, &store_img)?;
@@ -225,13 +224,6 @@ pub fn run_image_cohort(
         )?;
     }
 
-    let cfg = LaunchConfig {
-        lanes: cohort,
-        params,
-        local_bytes: 64,
-        shared_bytes: 1024,
-        ..Default::default()
-    };
     let pool = &workload.pool;
     let parse = gpu.launch(&workload.parser, &cfg, &mut mem, pool, &NoopRecorder)?;
     let image = gpu.launch(&workload.image, &cfg, &mut mem, pool, &NoopRecorder)?;

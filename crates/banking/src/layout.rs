@@ -13,6 +13,7 @@
 //! layout — the instruction stream is identical, only the memory system
 //! sees the difference.
 
+use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::mem::DeviceMemory;
 use rhythm_simt::MemError;
 
@@ -265,6 +266,18 @@ impl CohortLayout {
         p[P_REQBUF_ESTRIDE as usize] = req_es;
         p[P_STORE_USERS as usize] = self.store_users;
         p
+    }
+
+    /// The launch shape every kernel of a cohort runs with: one lane per
+    /// request, [`Self::params`], 64 B of local and 1 KiB of shared memory.
+    pub fn launch_config(&self) -> LaunchConfig {
+        LaunchConfig {
+            lanes: self.cohort,
+            params: self.params(),
+            local_bytes: 64,
+            shared_bytes: 1024,
+            ..Default::default()
+        }
     }
 
     /// Address of word `field` of lane `lane`'s request struct (structs

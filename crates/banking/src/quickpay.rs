@@ -304,7 +304,6 @@ pub fn run_quickpay_cohort(
     transposed: bool,
 ) -> Result<(Vec<Vec<u8>>, u32), rhythm_simt::ExecError> {
     use crate::layout::CohortLayout;
-    use rhythm_simt::exec::LaunchConfig;
     use rhythm_simt::mem::DeviceMemory;
 
     assert!(!tokens.is_empty(), "empty quick-pay cohort");
@@ -324,13 +323,7 @@ pub fn run_quickpay_cohort(
     for (lane, &tok) in tokens.iter().enumerate() {
         layout.write_struct(&mut mem, lane as u32, F_TOKEN, tok)?;
     }
-    let cfg = LaunchConfig {
-        lanes: cohort,
-        params: layout.params(),
-        local_bytes: 64,
-        shared_bytes: 1024,
-        ..Default::default()
-    };
+    let cfg = layout.launch_config();
 
     let pool = &workload.pool;
     gpu.launch(&qp.setup, &cfg, &mut mem, pool, &NoopRecorder)?;

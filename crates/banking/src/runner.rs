@@ -73,7 +73,7 @@ pub struct CohortOptions {
     pub transposed: bool,
     /// Backend placement.
     pub backend: BackendMode,
-    /// Session array capacity (defaults to 4× cohort in [`Default`]).
+    /// Session array capacity in nodes (4096 in [`Default`]).
     pub session_capacity: u32,
     /// Session token salt.
     pub session_salt: u32,
@@ -175,17 +175,6 @@ fn session_bytes<'a>(mem: &'a DeviceMemory, layout: &CohortLayout) -> &'a [u8] {
     .expect("device image holds the session array")
 }
 
-/// The base launch config every kernel of a cohort starts from.
-fn cohort_cfg(layout: &CohortLayout) -> LaunchConfig {
-    LaunchConfig {
-        lanes: layout.cohort,
-        params: layout.params(),
-        local_bytes: 64,
-        shared_bytes: 1024,
-        ..Default::default()
-    }
-}
-
 /// Scatter each request's raw text into its request slot.
 fn write_requests(
     layout: &CohortLayout,
@@ -225,7 +214,7 @@ fn parse_step<R: Recorder + ?Sized>(
 ) -> Result<(LaunchResult, Vec<ParsedLane>), ExecError> {
     write_requests(layout, mem, reqs)?;
     let (parser, pool) = (&workload.parser, &workload.pool);
-    let cfg = kernel_cfg(&cohort_cfg(layout), opts, layout, parser, mem, pool);
+    let cfg = kernel_cfg(&layout.launch_config(), opts, layout, parser, mem, pool);
     let res = gpu.launch(parser, &cfg, mem, pool, rec)?;
     let parsed = (0..layout.cohort)
         .map(|lane| {
@@ -525,7 +514,7 @@ impl DeviceContext {
         track: &mut DeviceTrack<'_, R>,
     ) -> Result<Vec<Vec<u8>>, ExecError> {
         let (opts, mem) = (&self.opts, &mut self.mem);
-        let cfg = cohort_cfg(layout);
+        let cfg = layout.launch_config();
         for step in workload.cohort_steps(ty) {
             match (step, opts.backend) {
                 (CohortStep::Parser(_), _) => continue,
@@ -717,7 +706,7 @@ pub fn run_request_scalar(
     mem.load(layout.store_base, &store_img)?;
     mem.load(layout.session_base, &sessions.to_device_bytes())?;
     write_requests(&layout, &mut mem, std::slice::from_ref(req))?;
-    let cfg = cohort_cfg(&layout);
+    let cfg = layout.launch_config();
 
     let mut stats = rhythm_simt::ScalarStats::default();
     let mut trace = capture_trace.then(Vec::new);

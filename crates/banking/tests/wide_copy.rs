@@ -6,9 +6,11 @@
 use rhythm_banking::prelude::*;
 use rhythm_banking::templates::{page_spec, Action, RowAction};
 use rhythm_obs::NoopRecorder;
+use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
-use rhythm_simt::ir::{MemSpace, Op, Width};
-use rhythm_simt::{wide_copy_stats, ExecPlan};
+use rhythm_simt::ir::{BinOp, MemSpace, Op, Program, ProgramBuilder, Width};
+use rhythm_simt::mem::{ConstPool, DeviceMemory};
+use rhythm_simt::{execute_simt_legacy, wide_copy_stats, ExecPlan};
 
 #[test]
 fn static_fragments_are_annotated_and_always_commit() {
@@ -103,27 +105,58 @@ fn static_fragments_are_annotated_and_always_commit() {
     );
     assert_eq!(delta.misses, 0, "a static fragment was interpreted");
 
-    // Commits and fallbacks share a unit, one per loop entered: on a
-    // device whose transaction size is not a power of two no copy can
-    // commit, and the same cohort reads as many fallbacks as it read
-    // commits above, not one per interpreted byte.
-    let odd_gpu = Gpu::new(GpuConfig {
-        tx_bytes: 96,
-        ..GpuConfig::gtx_titan()
-    });
+    // Commits and fallbacks share a unit, one per loop entered: copy loops
+    // whose length differs across a warp's lanes cannot commit, and read
+    // one fallback per loop per warp, not one per interpreted byte.
+    let (loops, lanes) = (3u32, 64u32);
+    let mut pool = ConstPool::new();
+    let ragged = ragged_copy_kernel(&mut pool, loops, lanes);
+    let cfg = LaunchConfig::new(lanes, []);
+    let size = (lanes * loops * 32) as usize;
+    let mut mem_legacy = DeviceMemory::new(size);
+    let legacy = execute_simt_legacy(&ragged, &cfg, &mut mem_legacy, &pool).expect("legacy runs");
     let before = wide_copy_stats();
-    let mut s = sessions.clone();
-    let odd = run_cohort_traced(
-        &workload,
-        &store,
-        &mut s,
-        &cohort,
-        &odd_gpu,
-        &opts,
-        &NoopRecorder,
-    )
-    .expect("cohort runs");
-    let odd_delta = wide_copy_stats().since(&before);
-    assert_eq!(odd.responses, cold.responses);
-    assert_eq!((odd_delta.hits, odd_delta.misses), (0, delta.hits));
+    let mut mem = DeviceMemory::new(size);
+    let res = gpu
+        .launch(&ragged, &cfg, &mut mem, &pool, &NoopRecorder)
+        .expect("ragged copies run");
+    let ragged_delta = wide_copy_stats().since(&before);
+    assert_eq!(res.stats, legacy);
+    assert!(
+        mem.as_bytes() == mem_legacy.as_bytes(),
+        "fallback memory diverged"
+    );
+    assert_eq!(
+        (ragged_delta.hits, ragged_delta.misses),
+        (0, (loops * cfg.warps()) as u64)
+    );
+}
+
+/// `loops` copy loops of the shape [`ProgramBuilder::write_const_str`]
+/// emits, into a transposed buffer of `lanes` slots, except that odd lanes
+/// copy one byte more than even ones. Every header visit under the full
+/// mask sees two lengths, so the wide copy declines; once the even lanes
+/// leave, the odd lanes have nothing left to copy.
+fn ragged_copy_kernel(pool: &mut ConstPool, loops: u32, lanes: u32) -> Program {
+    let (off, len) = pool.intern_str("HTTP/1.1 200 OK\r\n");
+    let mut b = ProgramBuilder::new("ragged_copy");
+    let base = b.imm(0);
+    let gid = b.global_id();
+    let ls = b.imm(1);
+    let es = b.imm(lanes);
+    let cur = b.cursor(base, gid, ls, es);
+    let two = b.imm(2);
+    let odd = b.bin(BinOp::RemU, gid, two);
+    let short = b.imm(len - 1);
+    let n = b.bin(BinOp::Add, short, odd);
+    let src = b.imm(off);
+    for _ in 0..loops {
+        b.for_loop(n, |b, i| {
+            let a = b.bin(BinOp::Add, src, i);
+            let ch = b.ld_const_byte(a, 0);
+            b.cursor_write_byte(&cur, ch);
+        });
+    }
+    b.halt();
+    b.build().expect("ragged copy kernel builds")
 }

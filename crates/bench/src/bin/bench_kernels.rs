@@ -292,13 +292,7 @@ fn main() {
                 )
                 .unwrap();
         }
-        let cfg = LaunchConfig {
-            lanes: args.cohort,
-            params: layout.params(),
-            local_bytes: 64,
-            shared_bytes: 1024,
-            ..Default::default()
-        };
+        let cfg = layout.launch_config();
 
         // The cohort runner's device-backend launch sequence; each kernel
         // is measured in the memory state it actually sees there, and

@@ -85,12 +85,13 @@ fn main() -> ExitCode {
             store_bytes,
             true,
         );
+        let cfg = layout.launch_config();
         let spec = LaunchSpec {
-            lanes: cohort,
-            params: Some(layout.params()),
+            lanes: cfg.lanes,
+            params: Some(cfg.params),
             global_bytes: Some(layout.total_bytes as u64),
-            shared_bytes: Some(1024),
-            local_bytes: Some(64),
+            shared_bytes: Some(cfg.shared_bytes as u64),
+            local_bytes: Some(cfg.local_bytes as u64),
             const_bytes: Some(workload.pool.len() as u64),
         };
         let regions = layout.regions();

@@ -218,9 +218,9 @@ pub fn titan_type_measurement(
 /// transpose the paper builds on (Ruetsch & Micikevicius, "Optimizing Matrix Transpose in CUDA"): vectorized
 /// accesses make it bandwidth-bound — one read plus one write of the
 /// matrix at DRAM speed, with a modest compute floor (two instructions
-/// per 4-byte vector). Our pedagogical IR transpose kernel is
-/// byte-granular and loop-heavy, which a production CUDA kernel would not
-/// be; using it directly would overstate the transpose by ~50x.
+/// per 4-byte vector). A byte-granular, loop-heavy IR transpose kernel,
+/// which a production CUDA kernel would not be, would overstate the
+/// transpose by ~50x.
 pub fn transpose_time(gpu: &Gpu, rows: u32, cols: u32) -> f64 {
     let c = gpu.config();
     let bytes = rows as f64 * cols as f64;

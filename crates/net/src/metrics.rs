@@ -38,10 +38,10 @@ use crate::server::NetStats;
 
 /// Events each shard's ring retains.
 const FLIGHT_CAPACITY: usize = 4096;
-/// Distinct cohort keys with their own latency histogram and launch
-/// counters; higher keys share the last slot. Cohort keys are request
-/// type ids, so this covers the banking workload's 14 types with
-/// headroom.
+/// Distinct keys with their own latency histogram and launch counters;
+/// higher keys share the last slot. The banking workload uses 15: its 14
+/// request type ids label latencies, and its one cohort key (14) counts
+/// launches.
 const KEY_SLOTS: usize = 32;
 
 /// A consistent snapshot of one shard's live counters.

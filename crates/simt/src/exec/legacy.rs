@@ -291,7 +291,7 @@ impl WarpState {
                     )?;
                     self.set_reg(lane, dst, v);
                 }
-                charge_access(space, width, &addrs, launch, &mut self.segs, stats);
+                charge_access(space, width, &addrs, &mut self.segs, stats);
                 self.addrs = addrs;
             }
             Op::St {
@@ -320,7 +320,7 @@ impl WarpState {
                         gmem,
                     )?;
                 }
-                charge_access(space, width, &addrs, launch, &mut self.segs, stats);
+                charge_access(space, width, &addrs, &mut self.segs, stats);
                 self.addrs = addrs;
             }
             Op::WarpRedMax { dst, src } => {
@@ -383,7 +383,7 @@ impl WarpState {
                 }
                 // Cost: transactions as a word access plus serialization of
                 // duplicate addresses.
-                charge_access(space, Width::Word, &addrs, launch, &mut self.segs, stats);
+                charge_access(space, Width::Word, &addrs, &mut self.segs, stats);
                 self.segs.clear();
                 self.segs.extend(addrs.iter().map(|&(_, a)| a));
                 self.segs.sort_unstable();

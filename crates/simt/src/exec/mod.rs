@@ -125,8 +125,6 @@ pub struct LaunchConfig {
     pub local_bytes: u32,
     /// Per-warp shared memory in bytes.
     pub shared_bytes: u32,
-    /// Memory-transaction granularity for the coalescing model, in bytes.
-    pub tx_bytes: u32,
     /// Per-lane (scalar) / per-warp (SIMT) dynamic instruction budget;
     /// exceeding it aborts execution, guarding against runaway loops.
     pub max_instructions: u64,
@@ -141,8 +139,8 @@ pub struct LaunchConfig {
 
 impl LaunchConfig {
     /// A config for `lanes` lanes with the given params and the defaults
-    /// for everything else (256 B local, 1 KiB shared, 128 B transactions,
-    /// 1 G-instruction budget).
+    /// for everything else (256 B local, 1 KiB shared, 1 G-instruction
+    /// budget).
     ///
     /// Takes anything convertible into the params vector, so argless
     /// launch sites can write `LaunchConfig::new(lanes, [])` and skip the
@@ -174,7 +172,6 @@ impl Default for LaunchConfig {
             params: Vec::new(),
             local_bytes: 256,
             shared_bytes: 1024,
-            tx_bytes: 128,
             max_instructions: 1_000_000_000,
             sanitize: None,
         }
@@ -291,7 +288,6 @@ mod tests {
     #[test]
     fn default_config_sane() {
         let c = LaunchConfig::default();
-        assert_eq!(c.tx_bytes, 128);
         assert!(c.max_instructions > 0);
     }
 

@@ -49,6 +49,11 @@ use super::{AccessKind, ExecError, LaunchConfig, WARP_SIZE};
 /// DRAM sector granularity for traffic accounting (GDDR5 32-byte sectors).
 pub const SECTOR_BYTES: u32 = 32;
 
+/// Memory-transaction size of the modelled device's coalescing unit (the
+/// GTX Titan's 128-byte line). A power of two no smaller than a sector, so
+/// a transaction id is a sector id shifted right.
+pub const TX_BYTES: u32 = 128;
+
 /// [`WARP_SIZE`] as a usize, for slice arithmetic.
 pub(super) const LANES: usize = WARP_SIZE as usize;
 
@@ -535,7 +540,7 @@ fn uniform_reg(regs: &[u32], slot: RegSlot, mask: u32) -> Option<u32> {
 /// iteration-major [`DeviceView::store_strided`], so overlapping walks end
 /// as lockstep execution leaves them. The memory system is charged through
 /// the interpreter's own [`global_access_counts`], but only for one period:
-/// with `G = max(tx_bytes, SECTOR_BYTES)` and `P = G / gcd(es, G)`, every
+/// with `G = TX_BYTES` and `P = G / gcd(es, G)`, every
 /// address moves by `P * es`, a multiple of both granularities, each `P`
 /// iterations, so every transaction and sector id shifts by one constant
 /// and iteration `t + P` touches as many of each as iteration `t`. Only
@@ -574,7 +579,7 @@ fn try_wide_copy(
         // interpreted loop): the header is interpreted, not a fallback.
         return Ok(false);
     }
-    if one != 1 || !launch.tx_bytes.is_power_of_two() {
+    if one != 1 {
         return decline();
     }
     let trip = n - i0;
@@ -639,10 +644,10 @@ fn try_wide_copy(
     stats.warp_cycles += cost;
     stats.divergence.branches += trip as u64 + 1;
 
-    let g = launch.tx_bytes.max(SECTOR_BYTES);
-    // gcd(es, g) for a power-of-two g is es's lowest set bit capped at g
-    // (es = 0 gives g itself, hence a period of 1).
-    let period = g >> es.trailing_zeros().min(g.trailing_zeros());
+    // gcd(es, TX_BYTES) for the power-of-two TX_BYTES is es's lowest set
+    // bit capped at TX_BYTES (es = 0 gives TX_BYTES itself, hence a period
+    // of 1).
+    let period = TX_BYTES >> es.trailing_zeros().min(TX_BYTES.trailing_zeros());
     // Iteration `t` of the first period stands for `t, t + P, t + 2P, ...`:
     // once per whole period, and once more if the last, partial period
     // reaches it.
@@ -650,7 +655,7 @@ fn try_wide_copy(
     let measured = period.min(trip);
     let (mut ntx, mut nsec) = (0u64, 0u64);
     for t in 0..measured {
-        let (tx, sec) = global_access_counts(&addrs, Width::Byte, launch.tx_bytes, &mut bufs.segs);
+        let (tx, sec) = global_access_counts(&addrs, Width::Byte, &mut bufs.segs);
         let times = whole + (t < partial) as u64;
         ntx += times * tx;
         nsec += times * sec;
@@ -1135,7 +1140,7 @@ fn exec_decoded(
             let addrs = std::mem::take(&mut bufs.addrs);
             sanitize_addrs(launch, space, AccessKind::Read, width, &addrs)?;
             load_lanes(space, width, dst, &addrs, local_bytes, gmem, pool, bufs)?;
-            charge_access(space, width, &addrs, launch, &mut bufs.segs, stats);
+            charge_access(space, width, &addrs, &mut bufs.segs, stats);
             bufs.addrs = addrs;
         }
         DecodedOp::St {
@@ -1149,7 +1154,7 @@ fn exec_decoded(
             let addrs = std::mem::take(&mut bufs.addrs);
             sanitize_addrs(launch, space, AccessKind::Write, width, &addrs)?;
             store_lanes(space, width, src, &addrs, local_bytes, gmem, bufs)?;
-            charge_access(space, width, &addrs, launch, &mut bufs.segs, stats);
+            charge_access(space, width, &addrs, &mut bufs.segs, stats);
             bufs.addrs = addrs;
         }
         DecodedOp::WarpRedMax { dst, src } => {
@@ -1244,7 +1249,7 @@ fn exec_decoded(
             }
             // Cost: transactions as a word access plus serialization of
             // duplicate addresses.
-            charge_access(space, Width::Word, &addrs, launch, &mut bufs.segs, stats);
+            charge_access(space, Width::Word, &addrs, &mut bufs.segs, stats);
             bufs.segs.clear();
             bufs.segs.extend(addrs.iter().map(|&(_, a)| a));
             bufs.segs.sort_unstable();
@@ -1269,17 +1274,16 @@ pub(super) fn charge_access(
     space: MemSpace,
     width: Width,
     addrs: &[(u32, u32)],
-    launch: &LaunchConfig,
     segs: &mut Vec<u32>,
     stats: &mut KernelStats,
 ) {
     match space {
         MemSpace::Global => {
             stats.mem_accesses += 1;
-            // Transactions at `tx_bytes` granularity drive issue
+            // Transactions at `TX_BYTES` granularity drive issue
             // replays; DRAM traffic is counted in 32 B sectors so a
             // coalesced byte access is not charged a full line.
-            let (ntx, nsec) = global_access_counts(addrs, width, launch.tx_bytes, segs);
+            let (ntx, nsec) = global_access_counts(addrs, width, segs);
             stats.mem_transactions += ntx;
             stats.warp_cycles += ntx;
             stats.dram_bytes += nsec * SECTOR_BYTES as u64;
@@ -1321,30 +1325,18 @@ pub(super) fn charge_access(
 }
 
 /// Distinct `(transactions, sectors)` one warp access to global memory
-/// touches: `tx_bytes`-sized segments and [`SECTOR_BYTES`]-sized sectors.
+/// touches: [`TX_BYTES`]-sized segments and [`SECTOR_BYTES`]-sized sectors.
 /// `segs` is reusable scratch.
 ///
 /// Ascending addresses count in one pass. Anything else is sorted, once:
-/// when `tx_bytes` is a power of two no smaller than a sector, a
-/// transaction id is a sector id shifted right, so the sorted sector ids
+/// a transaction id is a sector id shifted right, so the sorted sector ids
 /// are also sorted by transaction and one walk counts both.
-fn global_access_counts(
-    addrs: &[(u32, u32)],
-    width: Width,
-    tx_bytes: u32,
-    segs: &mut Vec<u32>,
-) -> (u64, u64) {
-    if let Some(counts) = fused_segment_counts(addrs, width, tx_bytes) {
+fn global_access_counts(addrs: &[(u32, u32)], width: Width, segs: &mut Vec<u32>) -> (u64, u64) {
+    if let Some(counts) = fused_segment_counts(addrs, width) {
         return counts;
     }
-    if !tx_bytes.is_power_of_two() || tx_bytes < SECTOR_BYTES {
-        return (
-            distinct_segments_sorted(addrs, width, tx_bytes, segs),
-            distinct_segments_sorted(addrs, width, SECTOR_BYTES, segs),
-        );
-    }
     const SEC_SH: u32 = SECTOR_BYTES.trailing_zeros();
-    let tx_sh = tx_bytes.trailing_zeros() - SEC_SH;
+    const TX_SH: u32 = TX_BYTES.trailing_zeros() - SEC_SH;
     segs.clear();
     for &(_, a) in addrs {
         let first = a >> SEC_SH;
@@ -1362,7 +1354,7 @@ fn global_access_counts(
             continue;
         }
         nsec += 1;
-        ntx += (prev.map(|p: u32| p >> tx_sh) != Some(sec >> tx_sh)) as u64;
+        ntx += (prev.map(|p: u32| p >> TX_SH) != Some(sec >> TX_SH)) as u64;
         prev = Some(sec);
     }
     (ntx, nsec)
@@ -1370,8 +1362,7 @@ fn global_access_counts(
 
 /// Single-pass transaction and DRAM-sector counts for an access whose lane
 /// addresses are ascending — the coalesced common case. Returns `None` for
-/// descending/scattered addresses (or a non-power-of-two transaction
-/// size), which take the sort-based fallback.
+/// descending/scattered addresses, which take the sort-based fallback.
 ///
 /// Correctness of transition counting under ascending addresses: segment
 /// ids grow with the addresses and each access covers a contiguous id
@@ -1379,11 +1370,8 @@ fn global_access_counts(
 /// the highest id seen so far — any id at or below the running maximum
 /// that a later lane lands on was already counted.
 #[inline]
-fn fused_segment_counts(addrs: &[(u32, u32)], width: Width, ts: u32) -> Option<(u64, u64)> {
-    if !ts.is_power_of_two() {
-        return None;
-    }
-    let tx_sh = ts.trailing_zeros();
+fn fused_segment_counts(addrs: &[(u32, u32)], width: Width) -> Option<(u64, u64)> {
+    const TX_SH: u32 = TX_BYTES.trailing_zeros();
     const SEC_SH: u32 = SECTOR_BYTES.trailing_zeros();
     let w = width.bytes() - 1;
     let Some((&(_, first), rest)) = addrs.split_first() else {
@@ -1391,8 +1379,8 @@ fn fused_segment_counts(addrs: &[(u32, u32)], width: Width, ts: u32) -> Option<(
     };
     let end = first.wrapping_add(w);
     let mut prev = first;
-    let mut max_tx = end >> tx_sh;
-    let mut ntx = 1 + ((first >> tx_sh) != max_tx) as u64;
+    let mut max_tx = end >> TX_SH;
+    let mut ntx = 1 + ((first >> TX_SH) != max_tx) as u64;
     let mut max_sec = end >> SEC_SH;
     let mut nsec = 1 + ((first >> SEC_SH) != max_sec) as u64;
     for &(_, a) in rest {
@@ -1401,8 +1389,8 @@ fn fused_segment_counts(addrs: &[(u32, u32)], width: Width, ts: u32) -> Option<(
         }
         prev = a;
         let e = a.wrapping_add(w);
-        let f = a >> tx_sh;
-        let l = e >> tx_sh;
+        let f = a >> TX_SH;
+        let l = e >> TX_SH;
         if f > max_tx {
             ntx += 1 + (l != f) as u64;
             max_tx = l;
@@ -1421,44 +1409,6 @@ fn fused_segment_counts(addrs: &[(u32, u32)], width: Width, ts: u32) -> Option<(
         }
     }
     Some((ntx, nsec))
-}
-
-/// Distinct `gran`-byte segment ids touched by `addrs` (each access spans
-/// `width.bytes()`): materialize ids in the `segs` scratch, sort, dedup.
-fn distinct_segments_sorted(
-    addrs: &[(u32, u32)],
-    width: Width,
-    gran: u32,
-    segs: &mut Vec<u32>,
-) -> u64 {
-    // Power-of-two granularity (every real config) divides by shifting.
-    if gran.is_power_of_two() {
-        let sh = gran.trailing_zeros();
-        distinct_sorted_by(addrs, width, segs, move |a| a >> sh)
-    } else {
-        distinct_sorted_by(addrs, width, segs, move |a| a / gran)
-    }
-}
-
-/// [`distinct_segments_sorted`] with the address→segment map monomorphized.
-fn distinct_sorted_by(
-    addrs: &[(u32, u32)],
-    width: Width,
-    segs: &mut Vec<u32>,
-    seg_of: impl Fn(u32) -> u32,
-) -> u64 {
-    segs.clear();
-    for &(_, a) in addrs {
-        let first = seg_of(a);
-        let last = seg_of(a.wrapping_add(width.bytes() - 1));
-        segs.push(first);
-        if last != first {
-            segs.push(last);
-        }
-    }
-    segs.sort_unstable();
-    segs.dedup();
-    segs.len() as u64
 }
 
 pub(super) fn count_distinct(sorted: &[u32]) -> usize {
@@ -1493,6 +1443,29 @@ mod tests {
     use super::*;
     use crate::ir::{BinOp, ProgramBuilder, Reg};
     use rhythm_obs::NoopRecorder;
+
+    /// Reference counter for the cost model: distinct `gran`-byte segment
+    /// ids touched by `addrs` (each access spans `width.bytes()`),
+    /// materialized in `segs`, sorted and deduplicated.
+    fn distinct_segments_sorted(
+        addrs: &[(u32, u32)],
+        width: Width,
+        gran: u32,
+        segs: &mut Vec<u32>,
+    ) -> u64 {
+        segs.clear();
+        for &(_, a) in addrs {
+            let first = a / gran;
+            let last = a.wrapping_add(width.bytes() - 1) / gran;
+            segs.push(first);
+            if last != first {
+                segs.push(last);
+            }
+        }
+        segs.sort_unstable();
+        segs.dedup();
+        segs.len() as u64
+    }
 
     fn launch(p: &Program, lanes: u32, params: Vec<u32>, mem: &mut DeviceMemory) -> KernelStats {
         let pool = ConstPool::new();
@@ -2060,8 +2033,7 @@ mod tests {
     /// and reads the transaction count off the same sorted run. On random
     /// scattered accesses of both widths — word accesses straddling sector
     /// and transaction boundaries and wrapping the address space included —
-    /// it must equal the two independent sorts it replaced, at every
-    /// transaction size; sizes it does not cover keep the two sorts.
+    /// it must equal two independent sort-and-dedup counts.
     #[test]
     fn one_sort_counts_match_two_sorts() {
         let mut x = 0x9E37_79B9u32;
@@ -2085,17 +2057,15 @@ mod tests {
                 addrs.reverse(); // keep it off the ascending single-pass path
             }
             for width in [Width::Byte, Width::Word] {
-                for tx in [16u32, 32, 64, 96, 128, 256] {
-                    let two_sorts = (
-                        distinct_segments_sorted(&addrs, width, tx, &mut segs),
-                        distinct_segments_sorted(&addrs, width, SECTOR_BYTES, &mut segs),
-                    );
-                    assert_eq!(
-                        global_access_counts(&addrs, width, tx, &mut segs),
-                        two_sorts,
-                        "tx {tx}, {width:?}, addrs {addrs:?}"
-                    );
-                }
+                let two_sorts = (
+                    distinct_segments_sorted(&addrs, width, TX_BYTES, &mut segs),
+                    distinct_segments_sorted(&addrs, width, SECTOR_BYTES, &mut segs),
+                );
+                assert_eq!(
+                    global_access_counts(&addrs, width, &mut segs),
+                    two_sorts,
+                    "{width:?}, addrs {addrs:?}"
+                );
             }
         }
     }
@@ -2115,25 +2085,17 @@ mod tests {
             addrs.push((2 * i + 1, 4096 + i));
         }
         assert_eq!(
-            fused_segment_counts(&addrs, Width::Byte, 128),
+            fused_segment_counts(&addrs, Width::Byte),
             None,
             "interleaved runs must not take the ascending fast path"
         );
 
         // charge_access (which picks the path internally) must agree with
         // an explicit sorted-dedup reference on every counter.
-        let cfg = LaunchConfig::new(32, []);
         let mut segs = Vec::new();
         let mut stats = KernelStats::default();
-        charge_access(
-            MemSpace::Global,
-            Width::Byte,
-            &addrs,
-            &cfg,
-            &mut segs,
-            &mut stats,
-        );
-        let ntx = distinct_segments_sorted(&addrs, Width::Byte, cfg.tx_bytes, &mut segs);
+        charge_access(MemSpace::Global, Width::Byte, &addrs, &mut segs, &mut stats);
+        let ntx = distinct_segments_sorted(&addrs, Width::Byte, TX_BYTES, &mut segs);
         let nsec = distinct_segments_sorted(&addrs, Width::Byte, SECTOR_BYTES, &mut segs);
         assert_eq!(stats.mem_accesses, 1);
         assert_eq!(stats.mem_transactions, ntx);
@@ -2148,7 +2110,7 @@ mod tests {
         // stream do take the fast path and agree with the fallback.
         let mut sorted = addrs.clone();
         sorted.sort_unstable_by_key(|&(_, a)| a);
-        let fused = fused_segment_counts(&sorted, Width::Byte, cfg.tx_bytes)
+        let fused = fused_segment_counts(&sorted, Width::Byte)
             .expect("ascending stream should take the fast path");
         assert_eq!(fused, (ntx, nsec));
     }

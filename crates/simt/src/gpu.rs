@@ -64,8 +64,6 @@ pub struct GpuConfig {
     pub issue_width: f64,
     /// DRAM bandwidth in bytes/second.
     pub dram_bw: f64,
-    /// Memory transaction size in bytes (coalescing granularity).
-    pub tx_bytes: u32,
     /// Fixed per-kernel-launch overhead in seconds.
     pub launch_overhead_s: f64,
 }
@@ -86,20 +84,6 @@ impl GpuConfig {
             clock_hz: 837e6,
             issue_width: 2.5,
             dram_bw: 288e9,
-            tx_bytes: 128,
-            launch_overhead_s: 5e-6,
-        }
-    }
-
-    /// NVIDIA GTX 690 (one GK104 die): 8 SMX @ 915 MHz, 192 GB/s.
-    pub fn gtx_690() -> Self {
-        GpuConfig {
-            name: "GTX 690".into(),
-            sm_count: 8,
-            clock_hz: 915e6,
-            issue_width: 2.5,
-            dram_bw: 192e9,
-            tx_bytes: 128,
             launch_overhead_s: 5e-6,
         }
     }
@@ -178,9 +162,10 @@ impl Gpu {
 
     /// Execute a kernel and model its latency.
     ///
-    /// The launch's `tx_bytes` is overridden by the device configuration.
-    /// The warps execute in order on the caller's thread; the modelled time
-    /// is what the device would take running them in parallel.
+    /// Transactions are counted at the modelled device's coalescing
+    /// granularity, [`crate::exec::simt::TX_BYTES`]. The warps execute in
+    /// order on the caller's thread; the modelled time is what the device
+    /// would take running them in parallel.
     ///
     /// An enabled recorder gets one wall-time span per kernel on the
     /// `simt:kernel` track (named after the program, carrying lane/warp
@@ -202,10 +187,8 @@ impl Gpu {
         pool: &ConstPool,
         rec: &R,
     ) -> Result<LaunchResult, ExecError> {
-        let mut cfg = cfg.clone();
-        cfg.tx_bytes = self.config.tx_bytes;
         if let Some(gate) = &self.gate {
-            gate.check(program, &cfg, mem, pool)
+            gate.check(program, cfg, mem, pool)
                 .map_err(ExecError::Rejected)?;
         }
         let start_us = if rec.enabled() {
@@ -213,7 +196,7 @@ impl Gpu {
         } else {
             0.0
         };
-        let stats = execute_plan(&plan_for(program), &cfg, mem, pool, rec)?;
+        let stats = execute_plan(&plan_for(program), cfg, mem, pool, rec)?;
         let result = self.time(stats);
         if rec.enabled() {
             let now = rec.wall_now_us();

@@ -63,7 +63,6 @@ pub mod ir;
 pub mod mem;
 pub mod stats;
 pub mod streams;
-pub mod transpose;
 
 pub use exec::legacy::execute_simt_legacy;
 pub use exec::plan::{plan_cache_stats, plan_for, ExecPlan};

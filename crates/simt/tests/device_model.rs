@@ -2,6 +2,7 @@
 //! disassembly, timing-model algebra, and the launch API surface.
 
 use rhythm_obs::NoopRecorder;
+use rhythm_simt::exec::simt::TX_BYTES;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 use rhythm_simt::ir::{BinOp, Program, ProgramBuilder};
@@ -69,9 +70,9 @@ fn memory_bound_flag_tracks_regime() {
 }
 
 #[test]
-fn launch_respects_device_tx_bytes() {
-    // The launch overrides the config's tx_bytes with the device's, so
-    // transaction counts are device-defined.
+fn launch_counts_128_byte_transactions() {
+    // Transaction counts are the modelled device's: 128-byte segments
+    // (`TX_BYTES`), whatever launch config the caller passes.
     let gpu = Gpu::new(GpuConfig::gtx_titan());
     let mut b = ProgramBuilder::new("stride64");
     let gid = b.global_id();
@@ -81,12 +82,12 @@ fn launch_respects_device_tx_bytes() {
     b.halt();
     let p = b.build().unwrap();
     let mut mem = DeviceMemory::new(64 * 32);
-    let mut cfg = LaunchConfig::new(32, []);
-    cfg.tx_bytes = 7; // bogus; must be overridden to 128
+    let cfg = LaunchConfig::new(32, []);
     let res = gpu
         .launch(&p, &cfg, &mut mem, &ConstPool::new(), &NoopRecorder)
         .unwrap();
     // 32 lanes at stride 64 over 128-byte segments → 16 transactions.
+    assert_eq!(TX_BYTES, 128);
     assert_eq!(res.stats.mem_transactions, 16);
 }
 
@@ -107,16 +108,4 @@ fn underfilled_launches_cost_at_least_one_warp_critical_path() {
     let expected_floor =
         res.stats.max_warp_cycles as f64 / gpu.config().clock_hz + gpu.config().launch_overhead_s;
     assert!(res.time_s >= expected_floor - 1e-12);
-}
-
-#[test]
-fn gtx_690_is_slower_than_titan_for_same_stats() {
-    let titan = Gpu::new(GpuConfig::gtx_titan());
-    let g690 = Gpu::new(GpuConfig::gtx_690());
-    let stats = KernelStats {
-        warp_cycles: 50_000_000,
-        dram_bytes: 100_000_000,
-        ..Default::default()
-    };
-    assert!(g690.sustained_time(&stats) > titan.sustained_time(&stats));
 }

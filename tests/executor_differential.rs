@@ -21,7 +21,7 @@ use rhythm_banking::types::RequestType;
 use rhythm_obs::NoopRecorder;
 use rhythm_simt::exec::legacy::execute_simt_legacy;
 use rhythm_simt::exec::scalar::{execute_scalar, ScalarRun};
-use rhythm_simt::exec::simt::execute_simt;
+use rhythm_simt::exec::simt::{execute_simt, TX_BYTES};
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
 use rhythm_verify::corpus::build_kernel;
@@ -183,13 +183,13 @@ fn assert_plan_matches_legacy(
 }
 
 /// Wide copies from diverged cursors, swept over everything the periodic
-/// accounting depends on: element stride (zero, odd, sector- and
-/// transaction-sized, huge), transaction size, trip counts on both sides
-/// of the period `P = G / gcd(es, G)`, `G = max(tx_bytes, 32)` — a lone
-/// iteration, a partial period, exact periods, periods plus a remainder —
-/// a single lane, a full warp, and three warps ending in a partial mask.
-/// Small strides use a row-major layout whose 37-byte slots the longer
-/// copies overrun, so lanes' walks also overlap.
+/// accounting depends on: element stride (zero, odd, powers of two from a
+/// byte to past a transaction, huge), trip counts on both sides of the
+/// period `P = TX_BYTES / gcd(es, TX_BYTES)` — a lone iteration, a partial
+/// period, exact periods, periods plus a remainder — a single lane, a full
+/// warp, and three warps ending in a partial mask. The strides reach every
+/// period from 1 to 128. Small strides use a row-major layout whose 37-byte
+/// slots the longer copies overrun, so lanes' walks also overlap.
 #[test]
 fn diverged_cursor_copy_differential() {
     fn gcd(a: u32, b: u32) -> u32 {
@@ -200,34 +200,37 @@ fn diverged_cursor_copy_differential() {
         }
     }
     let commits_before = rhythm_simt::wide_copy_stats().hits;
-    for tx_bytes in [32u32, 64, 128, 256] {
-        for es in [0u32, 1, 3, 4, 32, 33, 128, 4096] {
-            let g = tx_bytes.max(32);
-            let period = g / gcd(es, g);
-            let mut trips = vec![1, period - 1, period, period + 1, 3 * period + 2, 1000];
-            trips.retain(|&t| t > 0);
-            trips.sort_unstable();
-            trips.dedup();
-            let ls = if es >= 32 { 1 } else { 37 };
-            for trip in trips {
-                let mut pool = ConstPool::new();
-                let program = diverged_copy_kernel(&mut pool, trip);
-                let warp_bytes = diverged_warp_bytes(ls, es, trip);
-                for lanes in [1u32, 32, 77] {
-                    let mut cfg = LaunchConfig::new(lanes, [warp_bytes, ls, es]);
-                    cfg.tx_bytes = tx_bytes;
-                    let size = (cfg.warps() * warp_bytes) as usize;
-                    assert_plan_matches_legacy(
-                        &program,
-                        &cfg,
-                        &pool,
-                        size,
-                        &format!("tx {tx_bytes}, es {es}, trip {trip}, lanes {lanes}"),
-                    );
-                }
+    let mut periods = std::collections::BTreeSet::new();
+    for es in [0u32, 1, 2, 3, 4, 8, 16, 32, 33, 64, 128, 4096] {
+        let period = TX_BYTES / gcd(es, TX_BYTES);
+        periods.insert(period);
+        let mut trips = vec![1, period - 1, period, period + 1, 3 * period + 2, 1000];
+        trips.retain(|&t| t > 0);
+        trips.sort_unstable();
+        trips.dedup();
+        let ls = if es >= 32 { 1 } else { 37 };
+        for trip in trips {
+            let mut pool = ConstPool::new();
+            let program = diverged_copy_kernel(&mut pool, trip);
+            let warp_bytes = diverged_warp_bytes(ls, es, trip);
+            for lanes in [1u32, 32, 77] {
+                let cfg = LaunchConfig::new(lanes, [warp_bytes, ls, es]);
+                let size = (cfg.warps() * warp_bytes) as usize;
+                assert_plan_matches_legacy(
+                    &program,
+                    &cfg,
+                    &pool,
+                    size,
+                    &format!("es {es}, trip {trip}, lanes {lanes}"),
+                );
             }
         }
     }
+    assert_eq!(
+        periods.into_iter().collect::<Vec<_>>(),
+        [1, 2, 4, 8, 16, 32, 64, 128],
+        "the strides must reach every period TX_BYTES allows"
+    );
     assert!(
         rhythm_simt::wide_copy_stats().hits > commits_before,
         "the sweep never took the wide-copy path"
@@ -392,13 +395,7 @@ fn banking_kernels_legacy_vs_predecoded_lockstep() {
                     )
                     .unwrap();
             }
-            let cfg = LaunchConfig {
-                lanes: cohort,
-                params: layout.params(),
-                local_bytes: 64,
-                shared_bytes: 1024,
-                ..Default::default()
-            };
+            let cfg = layout.launch_config();
 
             let mut mem_legacy = mem.clone();
             let mut mem_plan = mem;

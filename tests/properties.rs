@@ -11,7 +11,6 @@ use rhythm_simt::exec::simt::execute_simt;
 use rhythm_simt::exec::{scalar::execute_scalar, scalar::ScalarRun, LaunchConfig};
 use rhythm_simt::ir::{BinOp, ProgramBuilder};
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
-use rhythm_simt::transpose::{transpose_col_to_row, transpose_row_to_col};
 use rhythm_trace::myers::{is_supersequence, merge_pair};
 
 proptest! {
@@ -41,18 +40,6 @@ proptest! {
         prop_assert!(m.exact);
         prop_assert_eq!(m.merged, a.clone());
         prop_assert_eq!(m.distance, 0);
-    }
-
-    /// Transpose is an involution for any matrix shape.
-    #[test]
-    fn transpose_involution(rows in 1usize..24, cols in 1usize..24, seed in 0u64..1000) {
-        let n = rows * cols;
-        let src: Vec<u8> = (0..n).map(|i| ((i as u64 * 31 + seed) % 251) as u8).collect();
-        let mut t = vec![0u8; n];
-        let mut back = vec![0u8; n];
-        transpose_row_to_col(&src, &mut t, rows, cols);
-        transpose_col_to_row(&t, &mut back, rows, cols);
-        prop_assert_eq!(src, back);
     }
 
     /// URL encoding round-trips through decoding for arbitrary strings.
