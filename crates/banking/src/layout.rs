@@ -333,8 +333,11 @@ impl CohortLayout {
         self.read_lane_prefix(mem, base, slot, lane, slot)
     }
 
-    /// Gather the first `len` bytes of lane `lane`'s logical buffer. One
-    /// bounds check covers the whole gather.
+    /// Gather the first `len` bytes of lane `lane`'s logical buffer: one
+    /// bounds check, then one walk at the element stride
+    /// ([`DeviceMemory::read_strided`]). A row-major slot or a one-lane
+    /// cohort is one memcpy, and a transposed cohort of up to 8 lanes walks
+    /// at a compile-time constant stride.
     ///
     /// # Errors
     ///
@@ -348,7 +351,7 @@ impl CohortLayout {
         lane: u32,
         len: u32,
     ) -> Result<Vec<u8>, MemError> {
-        let (first, span, stride) = self.lane_span(base, slot, lane, len);
+        let (first, stride) = self.lane_walk(base, slot, lane);
         if len > slot {
             return Err(MemError::OutOfBounds {
                 space: rhythm_simt::ir::MemSpace::Global,
@@ -357,25 +360,19 @@ impl CohortLayout {
                 size: mem.len(),
             });
         }
-        let bytes = mem.slice(first, span)?;
-        Ok(bytes.iter().step_by(stride).copied().collect())
+        mem.read_strided(first, stride, len)
     }
 
-    /// Where the first `len` bytes of lane `lane`'s logical buffer lie:
-    /// the address of the first, the bytes from it up to and including the
-    /// last (saturating, so an overflowing span fails the bounds check),
-    /// and the step between consecutive ones.
-    fn lane_span(&self, base: u32, slot: u32, lane: u32, len: u32) -> (u32, u32, usize) {
+    /// Where lane `lane`'s logical buffer starts, and the step between its
+    /// consecutive bytes.
+    fn lane_walk(&self, base: u32, slot: u32, lane: u32) -> (u32, u32) {
         let (_, stride) = self.strides(slot);
-        let span = match len {
-            0 => 0,
-            _ => (len - 1).saturating_mul(stride).saturating_add(1),
-        };
-        (self.elem_addr(base, slot, lane, 0), span, stride as usize)
+        (self.elem_addr(base, slot, lane, 0), stride)
     }
 
     /// Scatter `data` into lane `lane`'s logical buffer, after one bounds
-    /// check of the span it lands in.
+    /// check of the span it lands in: the same walk as
+    /// [`Self::read_lane_prefix`], through [`DeviceMemory::write_strided`].
     ///
     /// # Errors
     ///
@@ -393,12 +390,8 @@ impl CohortLayout {
         data: &[u8],
     ) -> Result<(), MemError> {
         assert!(data.len() <= slot as usize, "lane data exceeds slot");
-        let (first, span, stride) = self.lane_span(base, slot, lane, data.len() as u32);
-        let bytes = mem.slice_mut(first, span)?;
-        for (dst, &b) in bytes.iter_mut().step_by(stride).zip(data) {
-            *dst = b;
-        }
-        Ok(())
+        let (first, stride) = self.lane_walk(base, slot, lane);
+        mem.write_strided(first, stride, data)
     }
 }
 
@@ -501,6 +494,48 @@ mod tests {
             assert!(l
                 .write_lane(&mut mem, l.resp_base, 64, 8, &[1; 64])
                 .is_err());
+        }
+    }
+
+    /// The lane walks against byte-by-byte ones at every element stride a
+    /// fixed-stride walk takes and two it does not (9, 32), in both
+    /// layouts: `read_lane_prefix` equals a gather through `elem_addr` at
+    /// lengths 0, 1 and the full slot, and `write_lane` stores exactly the
+    /// bytes a store through `elem_addr` would.
+    #[test]
+    fn lane_walks_match_byte_by_byte_ones() {
+        const SLOT: u32 = 128;
+        for cohort in (1..=9).chain([32]) {
+            for transposed in [false, true] {
+                let l = CohortLayout::new(cohort, SLOT, 8, 0, 0, transposed);
+                let what = format!("cohort {cohort} transposed {transposed}");
+                let mut mem = DeviceMemory::new(l.total_bytes as usize);
+                for a in l.resp_base..l.total_bytes {
+                    mem.write_byte(a, a % 251).unwrap();
+                }
+                let at = |lane, pos| l.elem_addr(l.resp_base, SLOT, lane, pos);
+                for lane in 0..cohort {
+                    for len in [0, 1, SLOT] {
+                        let by_byte: Vec<u8> = (0..len)
+                            .map(|pos| mem.read_byte(at(lane, pos)).unwrap() as u8)
+                            .collect();
+                        let walked = l.read_lane_prefix(&mem, l.resp_base, SLOT, lane, len);
+                        assert_eq!(walked.unwrap(), by_byte, "{what} lane {lane} len {len}");
+                    }
+                }
+                let data: Vec<u8> = (0..SLOT).map(|p| !(p as u8)).collect();
+                for len in [0, 1, SLOT as usize] {
+                    let lane = cohort / 2;
+                    let mut walked = mem.clone();
+                    l.write_lane(&mut walked, l.resp_base, SLOT, lane, &data[..len])
+                        .unwrap();
+                    let mut by_byte = mem.clone();
+                    for (pos, &b) in data[..len].iter().enumerate() {
+                        by_byte.write_byte(at(lane, pos as u32), b as u32).unwrap();
+                    }
+                    assert_eq!(walked, by_byte, "{what} write_lane len {len}");
+                }
+            }
         }
     }
 
