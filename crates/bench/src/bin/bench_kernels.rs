@@ -123,10 +123,9 @@ impl KernelRow {
     }
     /// Kernels that run ≥99% of lane-slots at full occupancy — i.e. the
     /// convergent fast paths handle essentially every issue. Divergent and
-    /// narrow kernels run masked: the pre-decoded engine's masked ALU loops
-    /// stop at the highest live lane, the legacy engine walks the live
-    /// lanes one at a time, so their ratio depends on the mask's shape and
-    /// is left out of the convergent summary.
+    /// narrow kernels run masked: both engines then walk the live lanes one
+    /// at a time, so their ratio measures dispatch and control flow rather
+    /// than the vector loops, and is left out of the convergent summary.
     fn convergent(&self) -> bool {
         self.simd_efficiency > 0.99
     }

@@ -18,11 +18,12 @@
 //! (`regs[r * 32 + lane]`), decode-time reconvergence points, convergent
 //! full-mask fast paths that process a register's 32 contiguous lanes in
 //! straight auto-vectorizable loops, masked ALU, move and branch loops
-//! that stop at the highest active lane (a 1-request cohort pays for one
-//! lane, not 32), and per-warp buffers leased from a process-wide
-//! [`warp arena`](warp_arena_stats) so steady-state launches allocate
-//! nothing. The warp scheduler and the memory cost model defined here are
-//! also what the legacy masked engine ([`super::legacy`], the
+//! that walk the mask's set bits (a 1-request cohort pays for one lane,
+//! not 32), block chains that run a warp from block to block for as long
+//! as its whole mask takes one path, and per-warp buffers leased from a
+//! process-wide [`warp arena`](warp_arena_stats) so steady-state launches
+//! allocate nothing. The warp scheduler and the memory cost model defined
+//! here are also what the legacy masked engine ([`super::legacy`], the
 //! differential-testing oracle and `bench_kernels` baseline) runs on, so
 //! the two produce bit-identical memory, stats, and errors.
 //!
@@ -311,6 +312,13 @@ impl Drop for WarpLease {
 // ---------------------------------------------------------------------------
 
 /// Execute one warp of a pre-decoded plan against leased buffers.
+///
+/// The reconvergence stack holds the warp's pending paths. Its top entry
+/// runs as a block chain: block after block for as long as its whole mask
+/// takes one path, back to the stack only where the stack has work to do
+/// (a halt, a divergent branch, the entry's reconvergence point, kernel
+/// exit). Which blocks run, under which masks and in which order is
+/// exactly what a trip through the stack per block would give.
 fn run_plan_warp(
     plan: &ExecPlan,
     launch: &LaunchConfig,
@@ -345,7 +353,7 @@ fn run_plan_warp(
     let mut stats = KernelStats::default();
     let mut halted: u32 = 0;
 
-    while let Some(top) = bufs.stack.last_mut() {
+    'stack: while let Some(top) = bufs.stack.last_mut() {
         top.mask &= !halted;
         if top.mask == 0 {
             bufs.stack.pop();
@@ -361,126 +369,128 @@ fn run_plan_warp(
                 "union entry surfaced at exit with live lanes",
             ));
         }
-        let mask = top.mask;
-        let cur = top.block;
-
-        // Recognized byte-copy loop header: commit the whole loop as one
-        // wide copy when the runtime preconditions hold (any failure falls
-        // through to byte-at-a-time interpretation, faults included).
-        if let Some(wc) = plan.wide_copy(cur) {
-            if try_wide_copy(wc, mask, launch, gmem, pool, bufs, &mut stats)? {
-                bufs.stack.last_mut().expect("stack nonempty").block = wc.exit;
-                continue;
-            }
-        }
-
-        let block = *plan.block(cur);
-        let ops = plan.block_ops(&block);
-        let nops = ops.len() as u64;
+        let StackEntry {
+            block: mut cur,
+            mask,
+            reconv,
+        } = *top;
         let lanes_on = mask.count_ones() as u64;
-        if stats.warp_instructions + nops <= launch.max_instructions {
-            // Whole block fits in the budget: batch the per-issue
-            // accounting. A prefix of per-op checks can only fail if the
-            // block total would, so this is exactly the per-op semantics.
-            stats.warp_instructions += nops;
-            stats.lane_instructions += nops * lanes_on;
-            stats.warp_cycles += nops;
-            for op in ops {
-                exec_decoded(
-                    op,
-                    mask,
-                    base,
-                    local_bytes,
-                    launch,
-                    gmem,
-                    pool,
-                    bufs,
-                    &mut stats,
-                )?;
-            }
-        } else {
-            // Budget trips inside this block: per-op accounting pins the
-            // fault to the exact instruction, matching the legacy engine.
-            for op in ops {
+
+        // Block chain: while the entry's whole mask takes one path (a jump,
+        // a uniform branch, a committed wide copy) run the next block here,
+        // without a trip through the stack. The chain hands back to the
+        // stack on a halt, a divergent branch, and at the entry's
+        // reconvergence point or kernel exit, which the checks above
+        // count, pop or reject exactly as if every block had gone through
+        // them. The mask cannot change inside a chain: only a halt adds to
+        // `halted`, and a halt ends the chain.
+        loop {
+            // Recognized byte-copy loop header: commit the whole loop as one
+            // wide copy when the runtime preconditions hold (any failure
+            // falls through to byte-at-a-time interpretation, faults
+            // included).
+            let copied = match plan.wide_copy(cur) {
+                Some(wc) if try_wide_copy(wc, mask, launch, gmem, pool, bufs, &mut stats)? => {
+                    Some(wc.exit)
+                }
+                _ => None,
+            };
+            if let Some(exit) = copied {
+                cur = exit;
+            } else {
+                let block = *plan.block(cur);
+                let ops = plan.block_ops(&block);
+                let nops = ops.len() as u64;
+                // Whole block fits in the budget: batch the per-issue
+                // accounting. A prefix of per-op checks can only fail if the
+                // block total would, so this is exactly the per-op
+                // semantics. Otherwise the budget trips inside this block:
+                // per-op accounting pins the fault to the exact
+                // instruction, matching the legacy engine.
+                let fits = stats.warp_instructions + nops <= launch.max_instructions;
+                if fits {
+                    stats.warp_instructions += nops;
+                    stats.lane_instructions += nops * lanes_on;
+                    stats.warp_cycles += nops;
+                }
+                for op in ops {
+                    if !fits {
+                        stats.warp_instructions += 1;
+                        stats.lane_instructions += lanes_on;
+                        stats.warp_cycles += 1;
+                        if stats.warp_instructions > launch.max_instructions {
+                            return Err(ExecError::Budget {
+                                executed: stats.warp_instructions,
+                            });
+                        }
+                    }
+                    exec_decoded(
+                        op,
+                        mask,
+                        base,
+                        local_bytes,
+                        launch,
+                        gmem,
+                        pool,
+                        bufs,
+                        &mut stats,
+                    )?;
+                }
+
+                // Terminator: also one issue, checked against the budget
+                // by the next block.
                 stats.warp_instructions += 1;
                 stats.lane_instructions += lanes_on;
                 stats.warp_cycles += 1;
-                if stats.warp_instructions > launch.max_instructions {
-                    return Err(ExecError::Budget {
-                        executed: stats.warp_instructions,
-                    });
-                }
-                exec_decoded(
-                    op,
-                    mask,
-                    base,
-                    local_bytes,
-                    launch,
-                    gmem,
-                    pool,
-                    bufs,
-                    &mut stats,
-                )?;
-            }
-        }
 
-        // Terminator: also one issue.
-        stats.warp_instructions += 1;
-        stats.lane_instructions += lanes_on;
-        stats.warp_cycles += 1;
-
-        match block.term {
-            DecodedTerm::Jmp(t) => {
-                let top = bufs.stack.last_mut().expect("stack nonempty");
-                top.block = t;
-            }
-            DecodedTerm::Halt => {
-                halted |= mask;
-            }
-            DecodedTerm::Br {
-                cond,
-                then_bb,
-                else_bb,
-                reconv,
-            } => {
-                stats.divergence.branches += 1;
-                // Condition scan over the live width: an inactive lane
-                // below it is read anyway (the AND with `mask` discards
-                // it), which keeps the loop branchless.
-                let mut mask_t = 0u32;
-                let c = lanes_of(&bufs.regs, cond, live_width(mask));
-                for (lane, &v) in c.iter().enumerate() {
-                    mask_t |= ((v != 0) as u32) << lane;
-                }
-                mask_t &= mask;
-                let mask_f = mask & !mask_t;
-                let top = bufs.stack.last_mut().expect("stack nonempty");
-                if mask_f == 0 {
-                    top.block = then_bb;
-                } else if mask_t == 0 {
-                    top.block = else_bb;
-                } else {
-                    stats.divergence.divergent_branches += 1;
-                    top.block = reconv;
-                    if else_bb != reconv {
-                        bufs.stack.push(StackEntry {
-                            block: else_bb,
-                            mask: mask_f,
-                            reconv,
-                        });
+                match block.term {
+                    DecodedTerm::Jmp(t) => cur = t,
+                    DecodedTerm::Halt => {
+                        halted |= mask;
+                        continue 'stack;
                     }
-                    if then_bb != reconv {
-                        bufs.stack.push(StackEntry {
-                            block: then_bb,
-                            mask: mask_t,
-                            reconv,
-                        });
+                    DecodedTerm::Br {
+                        cond,
+                        then_bb,
+                        else_bb,
+                        reconv: join,
+                    } => {
+                        stats.divergence.branches += 1;
+                        let mask_t = taken_lanes(&bufs.regs, cond, mask);
+                        let mask_f = mask & !mask_t;
+                        if mask_f == 0 {
+                            cur = then_bb;
+                        } else if mask_t == 0 {
+                            cur = else_bb;
+                        } else {
+                            stats.divergence.divergent_branches += 1;
+                            bufs.stack.last_mut().expect("stack nonempty").block = join;
+                            if else_bb != join {
+                                bufs.stack.push(StackEntry {
+                                    block: else_bb,
+                                    mask: mask_f,
+                                    reconv: join,
+                                });
+                            }
+                            if then_bb != join {
+                                bufs.stack.push(StackEntry {
+                                    block: then_bb,
+                                    mask: mask_t,
+                                    reconv: join,
+                                });
+                            }
+                            stats.divergence.max_stack_depth = stats
+                                .divergence
+                                .max_stack_depth
+                                .max(bufs.stack.len() as u32);
+                            continue 'stack;
+                        }
                     }
-                    stats.divergence.max_stack_depth = stats
-                        .divergence
-                        .max_stack_depth
-                        .max(bufs.stack.len() as u32);
                 }
+            }
+            if cur == reconv || cur == EXIT_BLOCK {
+                bufs.stack.last_mut().expect("stack nonempty").block = cur;
+                continue 'stack;
             }
         }
     }
@@ -710,28 +720,62 @@ fn read_lanes(regs: &[u32], slot: RegSlot) -> [u32; LANES] {
     v
 }
 
-/// The number of lanes a masked per-lane loop must visit: lanes `0..w`,
-/// where `w` is one past the highest active lane. Lanes from `w` up are
-/// inactive, so they cost nothing. A served cohort fills lanes `0..n`, so
-/// `w` is its width.
+/// Write `f(a[l], b[l])` to `dst[l]` for every active lane `l`: a full
+/// warp runs a fixed 32-lane loop over by-value copies of its sources
+/// (auto-vectorizable), any other mask walks its set bits, so a warp pays
+/// for the lanes it has. `f` is one operator's closure: callers dispatch on
+/// the operator once, outside both loops.
 #[inline(always)]
-fn live_width(mask: u32) -> usize {
-    (WARP_SIZE - mask.leading_zeros()) as usize
+fn map2(
+    regs: &mut [u32],
+    mask: u32,
+    dst: RegSlot,
+    a: RegSlot,
+    b: RegSlot,
+    f: impl Fn(u32, u32) -> u32,
+) {
+    if mask == u32::MAX {
+        let va = read_lanes(regs, a);
+        let vb = read_lanes(regs, b);
+        let d = &mut regs[dst as usize..dst as usize + LANES];
+        for ((dl, &x), &y) in d.iter_mut().zip(&va).zip(&vb) {
+            *dl = f(x, y);
+        }
+    } else {
+        let (dst, a, b) = (dst as usize, a as usize, b as usize);
+        for lane in iter_lanes(mask) {
+            let l = lane as usize;
+            regs[dst + l] = f(regs[a + l], regs[b + l]);
+        }
+    }
 }
 
-/// ALU evaluation into `d`, lane `l` from `va[l]` and `vb[l]`: dispatch on
-/// the operator once, then run a straight lane loop (auto-vectorizable).
-/// Shared by the convergent fast path ([`bin_full`], 32 lanes) and the
-/// masked path ([`blend_masked`], the live width).
+/// One-source [`map2`].
 #[inline(always)]
-fn bin_eval(d: &mut [u32], va: &[u32], vb: &[u32], op: BinOp) {
+fn map1(regs: &mut [u32], mask: u32, dst: RegSlot, a: RegSlot, f: impl Fn(u32) -> u32) {
+    if mask == u32::MAX {
+        let va = read_lanes(regs, a);
+        let d = &mut regs[dst as usize..dst as usize + LANES];
+        for (dl, &x) in d.iter_mut().zip(&va) {
+            *dl = f(x);
+        }
+    } else {
+        let (dst, a) = (dst as usize, a as usize);
+        for lane in iter_lanes(mask) {
+            let l = lane as usize;
+            regs[dst + l] = f(regs[a + l]);
+        }
+    }
+}
+
+/// ALU evaluation `dst = a op b` for the active lanes: dispatch on the
+/// operator once, then run [`map2`]'s lane loop for that operator alone.
+#[inline(always)]
+fn bin_eval(regs: &mut [u32], mask: u32, op: BinOp, dst: RegSlot, a: RegSlot, b: RegSlot) {
     macro_rules! lanes {
-        ($f:expr) => {{
-            let f = $f;
-            for ((dl, &x), &y) in d.iter_mut().zip(va).zip(vb) {
-                *dl = f(x, y);
-            }
-        }};
+        ($f:expr) => {
+            map2(regs, mask, dst, a, b, $f)
+        };
     }
     match op {
         BinOp::Add => lanes!(|x: u32, y: u32| x.wrapping_add(y)),
@@ -755,58 +799,32 @@ fn bin_eval(d: &mut [u32], va: &[u32], vb: &[u32], op: BinOp) {
     }
 }
 
-/// Unary ALU evaluation into `d` (see [`bin_eval`]).
+/// Unary ALU evaluation for the active lanes (see [`bin_eval`]).
 #[inline(always)]
-fn un_eval(d: &mut [u32], va: &[u32], op: UnOp) {
+fn un_eval(regs: &mut [u32], mask: u32, op: UnOp, dst: RegSlot, a: RegSlot) {
     match op {
-        UnOp::Not => {
-            for (dl, &x) in d.iter_mut().zip(va) {
-                *dl = !x;
-            }
-        }
-        UnOp::IsZero => {
-            for (dl, &x) in d.iter_mut().zip(va) {
-                *dl = (x == 0) as u32;
-            }
-        }
+        UnOp::Not => map1(regs, mask, dst, a, |x| !x),
+        UnOp::IsZero => map1(regs, mask, dst, a, |x| (x == 0) as u32),
     }
 }
 
-/// Convergent ALU fast path over contiguous SoA register slices.
-fn bin_full(regs: &mut [u32], op: BinOp, dst: RegSlot, a: RegSlot, b: RegSlot) {
-    let va = read_lanes(regs, a);
-    let vb = read_lanes(regs, b);
-    bin_eval(&mut regs[dst as usize..dst as usize + LANES], &va, &vb, op);
-}
-
-/// Convergent unary-ALU fast path (see [`bin_full`]).
-fn un_full(regs: &mut [u32], op: UnOp, dst: RegSlot, a: RegSlot) {
-    let va = read_lanes(regs, a);
-    un_eval(&mut regs[dst as usize..dst as usize + LANES], &va, op);
-}
-
-/// Masked register write: `eval(regs, v)` fills lanes `0..w` of a scratch
-/// array ([`live_width`]), and a branchless select blends them into `dst`
-/// under `mask`. ALU ops are total functions, so evaluating an inactive
-/// lane below `w` on stale inputs is harmless — the select discards it —
-/// and the straight loop plus select vectorizes where a sparse
-/// `iter_lanes` walk cannot.
+/// The active lanes whose `cond` register is nonzero: a branch's taken
+/// mask. A full warp scans its 32 lanes in a fixed loop, any other mask
+/// walks its set bits.
 #[inline(always)]
-fn blend_masked(regs: &mut [u32], dst: RegSlot, mask: u32, eval: impl FnOnce(&[u32], &mut [u32])) {
-    let w = live_width(mask);
-    let mut v = [0u32; LANES];
-    eval(regs, &mut v[..w]);
-    let d = &mut regs[dst as usize..dst as usize + w];
-    for (lane, (dl, &x)) in d.iter_mut().zip(&v[..w]).enumerate() {
-        let keep = 0u32.wrapping_sub((mask >> lane) & 1);
-        *dl = (x & keep) | (*dl & !keep);
+fn taken_lanes(regs: &[u32], cond: RegSlot, mask: u32) -> u32 {
+    let c = &regs[cond as usize..cond as usize + LANES];
+    let mut taken = 0u32;
+    if mask == u32::MAX {
+        for (lane, &v) in c.iter().enumerate() {
+            taken |= ((v != 0) as u32) << lane;
+        }
+    } else {
+        for lane in iter_lanes(mask) {
+            taken |= ((c[lane as usize] != 0) as u32) << lane;
+        }
     }
-}
-
-/// Lanes `0..w` of register `slot`.
-#[inline(always)]
-fn lanes_of(regs: &[u32], slot: RegSlot, w: usize) -> &[u32] {
-    &regs[slot as usize..slot as usize + w]
+    taken
 }
 
 /// Gather `(lane, address)` pairs for the active lanes of a memory op into
@@ -1038,8 +1056,11 @@ fn sanitize_addrs(
 ///
 /// When the mask covers the whole warp, ALU/broadcast ops take the dense
 /// fast paths; the masked `iter_lanes` fallback handles divergence and the
-/// partial last warp of a launch.
+/// partial last warp of a launch. Inlined into `run_plan_warp`'s block
+/// loop, its one call site: a one-lane op is a few instructions, and the
+/// call around it cost a fifth of a narrow parse.
 #[allow(clippy::too_many_arguments)] // internal hot loop; grouping would cost indirection
+#[inline(always)]
 fn exec_decoded(
     op: &DecodedOp,
     mask: u32,
@@ -1062,35 +1083,9 @@ fn exec_decoded(
                 }
             }
         }
-        DecodedOp::Mov { dst, src } => {
-            if full {
-                let v = read_lanes(&bufs.regs, src);
-                bufs.regs[dst as usize..dst as usize + LANES].copy_from_slice(&v);
-            } else {
-                blend_masked(&mut bufs.regs, dst, mask, |r, v| {
-                    v.copy_from_slice(lanes_of(r, src, v.len()))
-                });
-            }
-        }
-        DecodedOp::Bin { op, dst, a, b } => {
-            if full {
-                bin_full(&mut bufs.regs, op, dst, a, b);
-            } else {
-                blend_masked(&mut bufs.regs, dst, mask, |r, v| {
-                    let w = v.len();
-                    bin_eval(v, lanes_of(r, a, w), lanes_of(r, b, w), op)
-                });
-            }
-        }
-        DecodedOp::Un { op, dst, a } => {
-            if full {
-                un_full(&mut bufs.regs, op, dst, a);
-            } else {
-                blend_masked(&mut bufs.regs, dst, mask, |r, v| {
-                    un_eval(v, lanes_of(r, a, v.len()), op)
-                });
-            }
-        }
+        DecodedOp::Mov { dst, src } => map1(&mut bufs.regs, mask, dst, src, |x| x),
+        DecodedOp::Bin { op, dst, a, b } => bin_eval(&mut bufs.regs, mask, op, dst, a, b),
+        DecodedOp::Un { op, dst, a } => un_eval(&mut bufs.regs, mask, op, dst, a),
         DecodedOp::LaneId { dst } => {
             if full {
                 let d = &mut bufs.regs[dst as usize..dst as usize + LANES];
@@ -1784,31 +1779,43 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Run `p` on both engines; memory and every `KernelStats` field must
-    /// agree. Returns the plan engine's image.
-    fn plan_matches_legacy(p: &Program, lanes: u32) -> DeviceMemory {
+    /// Run `p` on both engines over `bytes` of zeroed memory; the result
+    /// (every `KernelStats` field, or the error) and the memory image must
+    /// agree. Returns the plan engine's.
+    fn engines_agree(
+        p: &Program,
+        cfg: &LaunchConfig,
+        bytes: usize,
+        what: &str,
+    ) -> (Result<KernelStats, ExecError>, DeviceMemory) {
         let pool = ConstPool::new();
-        let cfg = LaunchConfig::new(lanes, []);
-        let mut mem_legacy = DeviceMemory::new(lanes as usize * 16);
-        let legacy = execute_simt_legacy(p, &cfg, &mut mem_legacy, &pool).unwrap();
-        let mut mem_plan = DeviceMemory::new(lanes as usize * 16);
-        let plan = execute_simt(p, &cfg, &mut mem_plan, &pool, &NoopRecorder).unwrap();
-        assert_eq!(plan, legacy, "stats diverge");
+        let mut mem_legacy = DeviceMemory::new(bytes);
+        let legacy = execute_simt_legacy(p, cfg, &mut mem_legacy, &pool);
+        let mut mem_plan = DeviceMemory::new(bytes);
+        let plan = execute_simt(p, cfg, &mut mem_plan, &pool, &NoopRecorder);
+        assert_eq!(plan, legacy, "{what}: results diverge");
         assert_eq!(
             mem_plan.as_bytes(),
             mem_legacy.as_bytes(),
-            "memory diverges"
+            "{what}: memory diverges"
         );
-        mem_plan
+        (plan, mem_plan)
     }
 
-    /// Masked loops run lanes `0..w`, `w` one past the highest live lane.
-    /// A hole below `w` (lanes {0, 2} of 3: lane 1 is inside the bound but
-    /// inactive) must keep its registers, and the branch inside must
-    /// diverge on the two live lanes only.
+    /// Run `p` on both engines; memory and every `KernelStats` field must
+    /// agree. Returns the plan engine's image.
+    fn plan_matches_legacy(p: &Program, lanes: u32) -> DeviceMemory {
+        let cfg = LaunchConfig::new(lanes, []);
+        let (stats, mem) = engines_agree(p, &cfg, lanes as usize * 16, "masked_alu");
+        stats.unwrap();
+        mem
+    }
+
+    /// Masked ops walk the mask's set bits. A hole between live lanes
+    /// (lanes {0, 2} of 3: lane 1 is inactive) must keep its registers,
+    /// and the branch inside must diverge on the two live lanes only.
     #[test]
-    fn masked_ops_keep_an_inactive_lane_below_the_live_width() {
-        assert_eq!(live_width(0b101), 3);
+    fn masked_ops_keep_an_inactive_lane_between_live_lanes() {
         let p = masked_alu_kernel(|b, g| {
             let one = b.imm(1);
             b.bin(BinOp::Ne, g, one)
@@ -1820,12 +1827,10 @@ mod tests {
         assert_eq!(words(2), [27, 27, !27, 100], "lane 2 ran the then side");
     }
 
-    /// A branch that leaves only lane 31 live: one bit in the mask, yet
-    /// the live width is the whole warp, so the masked ops and the branch
-    /// scan must still reach lane 31 and leave lanes 0..31 alone.
+    /// A branch that leaves only lane 31 live: the masked ops and the
+    /// branch scan must reach lane 31 and leave lanes 0..31 alone.
     #[test]
     fn masked_ops_reach_lane_31_under_a_one_bit_mask() {
-        assert_eq!(live_width(1 << 31), 32);
         let p = masked_alu_kernel(|b, g| {
             let last = b.imm(31);
             b.bin(BinOp::Eq, g, last)
@@ -1835,6 +1840,221 @@ mod tests {
         assert_eq!(words(31), [114, 114, !114, 100]);
         for lane in 0..31 {
             assert_eq!(words(lane), [lane + 7, !(lane + 7), 0, lane], "lane {lane}");
+        }
+    }
+
+    const BIN_OPS: [BinOp; 18] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::DivU,
+        BinOp::RemU,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Shl,
+        BinOp::Shr,
+        BinOp::Min,
+        BinOp::Max,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::LtU,
+        BinOp::LeU,
+        BinOp::GtU,
+        BinOp::GeU,
+    ];
+
+    /// Words each lane of [`masked_ops_kernel`] stores: one per `BinOp`,
+    /// both `UnOp`s (into fresh registers), a `Mov`, and a branch's result.
+    const MASKED_WORDS: u32 = BIN_OPS.len() as u32 + 4;
+
+    /// Lanes whose bit is set in `live` run every `BinOp`, both `UnOp`s, a
+    /// `Mov` and a branch on per-lane operands; every lane then stores all
+    /// results. The `BinOp` and `Mov` destinations hold `0xDEAD_0000 | gid`
+    /// before, the `UnOp` ones zero, so a write to an inactive lane shows
+    /// in memory. The second operand is 0, 17 or 34: division by zero and
+    /// over-wide shifts included.
+    fn masked_ops_kernel(live: u32) -> Program {
+        let mut b = ProgramBuilder::new("masked_ops");
+        let g = b.global_id();
+        let lane = b.lane_id();
+        let k = b.imm(0x9E37_79B9);
+        let seven = b.imm(7);
+        let gk = b.bin(BinOp::Mul, g, k);
+        let x = b.bin(BinOp::Add, gk, seven);
+        let three = b.imm(3);
+        let seventeen = b.imm(17);
+        let gm3 = b.bin(BinOp::RemU, g, three);
+        let y = b.bin(BinOp::Mul, gm3, seventeen);
+        let bits = b.imm(live);
+        let shifted = b.bin(BinOp::Shr, bits, lane);
+        let one = b.imm(1);
+        let on = b.bin(BinOp::And, shifted, one);
+        let sentinel = b.imm(0xDEAD_0000);
+        let seed = b.bin(BinOp::Or, sentinel, g);
+        let dsts: Vec<Reg> = (0..BIN_OPS.len() + 2)
+            .map(|_| {
+                let r = b.reg();
+                b.mov(r, seed);
+                r
+            })
+            .collect();
+        let mut unary = Vec::new();
+        b.if_then(on, |b| {
+            for (&op, &d) in BIN_OPS.iter().zip(&dsts) {
+                b.bin_into(d, op, x, y);
+            }
+            unary.push(b.un(UnOp::Not, x));
+            unary.push(b.un(UnOp::IsZero, y));
+            let (moved, branched) = (dsts[BIN_OPS.len()], dsts[BIN_OPS.len() + 1]);
+            b.mov(moved, x);
+            let two = b.imm(2);
+            let bit1 = b.bin(BinOp::And, x, two);
+            b.if_then_else(
+                bit1,
+                |b| b.imm_into(branched, 100),
+                |b| b.imm_into(branched, 200),
+            );
+        });
+        let stride = b.imm(MASKED_WORDS * 4);
+        let addr = b.bin(BinOp::Mul, g, stride);
+        for (i, &r) in dsts.iter().chain(&unary).enumerate() {
+            b.st_global_word(addr, i as u32 * 4, r);
+        }
+        b.halt();
+        b.build().unwrap()
+    }
+
+    /// Masked `Mov`, every `BinOp`, both `UnOp`s and the branch scan walk
+    /// exactly the mask's set bits: a lone low lane, a lone lane 31, a hole,
+    /// every other lane and all but lane 31, at launch widths 1, 3 and 32.
+    /// Memory and every stats field equal the legacy engine's, active
+    /// lanes hold the operator's value and inactive ones their sentinel.
+    #[test]
+    fn masked_ops_walk_exactly_the_set_lanes() {
+        for live in [0b1, 1 << 31, 0b101, 0x5555_5555, 0x7FFF_FFFF] {
+            let p = masked_ops_kernel(live);
+            for width in [1u32, 3, 32] {
+                let what = format!("mask {live:#x}, width {width}");
+                let cfg = LaunchConfig::new(width, []);
+                let bytes = (width * MASKED_WORDS * 4) as usize;
+                let (stats, mem) = engines_agree(&p, &cfg, bytes, &what);
+                stats.unwrap();
+                for g in 0..width {
+                    let word = |i: u32| mem.read_word((g * MASKED_WORDS + i) * 4).unwrap();
+                    let x = g.wrapping_mul(0x9E37_79B9).wrapping_add(7);
+                    let y = g % 3 * 17;
+                    if live >> g & 1 == 1 {
+                        assert_eq!(word(0), x.wrapping_add(y), "{what}: lane {g} add");
+                        assert_eq!(word(3), x.checked_div(y).unwrap_or(u32::MAX));
+                        assert_eq!(word(8), x.wrapping_shl(y), "{what}: lane {g} shl");
+                        assert_eq!(word(18), x, "{what}: lane {g} mov");
+                        assert_eq!(word(20), !x, "{what}: lane {g} not");
+                        assert_eq!(word(21), (y == 0) as u32, "{what}: lane {g} is_zero");
+                    } else {
+                        for i in 0..=BIN_OPS.len() as u32 + 1 {
+                            assert_eq!(word(i), 0xDEAD_0000 | g, "{what}: lane {g} word {i}");
+                        }
+                        assert_eq!([word(20), word(21)], [0, 0], "{what}: lane {g} unary");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A uniform loop whose body is several blocks (a uniform branch per
+    /// iteration): every warp runs it as one block chain. Tripping the
+    /// instruction budget at every cut point must report the legacy
+    /// engine's `Budget { executed }` and leave its memory.
+    #[test]
+    fn budget_trips_inside_a_block_chain_like_the_legacy_engine() {
+        let mut b = ProgramBuilder::new("uniform_loop");
+        let g = b.global_id();
+        let acc = b.imm(0);
+        let n = b.imm(6);
+        let one = b.imm(1);
+        b.for_loop(n, |b, i| {
+            let odd = b.bin(BinOp::And, i, one);
+            b.if_then_else(
+                odd,
+                |b| b.bin_into(acc, BinOp::Add, acc, i),
+                |b| b.bin_into(acc, BinOp::Xor, acc, g),
+            );
+        });
+        let four = b.imm(4);
+        let addr = b.bin(BinOp::Mul, g, four);
+        b.st_global_word(addr, 0, acc);
+        b.halt();
+        let p = b.build().unwrap();
+        for width in [1u32, 3, 32] {
+            let bytes = width as usize * 4;
+            let full = engines_agree(&p, &LaunchConfig::new(width, []), bytes, "unlimited")
+                .0
+                .unwrap();
+            assert_eq!(full.divergence.divergent_branches, 0, "the loop is uniform");
+            let mut tripped = 0u64;
+            for cut in 1..=full.warp_instructions + 1 {
+                let mut cfg = LaunchConfig::new(width, []);
+                cfg.max_instructions = cut;
+                let what = format!("width {width}, budget {cut}");
+                if let Err(e) = engines_agree(&p, &cfg, bytes, &what).0 {
+                    assert!(matches!(e, ExecError::Budget { .. }), "{what}: {e}");
+                    tripped += 1;
+                }
+            }
+            // Every cut below `total - 1` trips: the final halt is an issue
+            // no later block checks, as on the legacy engine.
+            assert_eq!(tripped, full.warp_instructions - 2, "width {width}");
+        }
+    }
+
+    /// Nested divergence whose outer then-side, after its inner branch
+    /// rejoins, chains through a uniform branch and lands on the outer
+    /// join — its entry's reconvergence point — with a jump. The chain must
+    /// hand back to the stack there: reconvergences, stack depth and every
+    /// other field equal the legacy engine's.
+    #[test]
+    fn a_chain_stops_at_its_entrys_reconvergence_point() {
+        let mut b = ProgramBuilder::new("chain_to_reconv");
+        let g = b.global_id();
+        let one = b.imm(1);
+        let two = b.imm(2);
+        let bit0 = b.bin(BinOp::And, g, one);
+        let bit1 = b.bin(BinOp::And, g, two);
+        let out = b.imm(0);
+        b.if_then_else(
+            bit0,
+            |b| {
+                b.if_then_else(bit1, |b| b.imm_into(out, 10), |b| b.imm_into(out, 20));
+                let always = b.imm(1);
+                b.if_then(always, |b| b.bin_into(out, BinOp::Add, out, one));
+            },
+            |b| b.imm_into(out, 30),
+        );
+        let four = b.imm(4);
+        let addr = b.bin(BinOp::Mul, g, four);
+        b.st_global_word(addr, 0, out);
+        b.halt();
+        let p = b.build().unwrap();
+        for width in [1u32, 3, 32] {
+            let what = format!("width {width}");
+            let cfg = LaunchConfig::new(width, []);
+            let (stats, mem) = engines_agree(&p, &cfg, width as usize * 4, &what);
+            let stats = stats.unwrap();
+            if width > 3 {
+                // The bottom entry plus two per divergent level; the outer
+                // and the inner branch each pop twice.
+                assert_eq!(stats.divergence.max_stack_depth, 5, "{what}");
+                assert_eq!(stats.divergence.reconvergences, 4, "{what}");
+            }
+            for g in 0..width {
+                let expect = match g % 4 {
+                    1 => 21,
+                    3 => 11,
+                    _ => 30,
+                };
+                assert_eq!(mem.read_word(g * 4).unwrap(), expect, "{what}: lane {g}");
+            }
         }
     }
 
