@@ -14,7 +14,7 @@
 //! sees the difference.
 
 use rhythm_simt::exec::LaunchConfig;
-use rhythm_simt::mem::DeviceMemory;
+use rhythm_simt::mem::{DeviceMemory, LaneMajor};
 use rhythm_simt::MemError;
 
 /// Bytes per raw request slot (paper: 512 B requests).
@@ -224,6 +224,18 @@ impl CohortLayout {
         (lo, lo + bytes)
     }
 
+    /// The response buffer as the host keeps it lane-major
+    /// ([`DeviceMemory::recut`]): for a transposed cohort of two or more
+    /// lanes, where the device interleaves the lanes' bytes; `None` where
+    /// device order already is lane-major (row-major, or one lane).
+    pub fn response_lane_major(&self) -> Option<LaneMajor> {
+        (self.transposed && self.cohort >= 2).then_some(LaneMajor {
+            base: self.resp_base,
+            lanes: self.cohort,
+            slot: self.resp_size,
+        })
+    }
+
     /// `(lane_stride, elem_stride)` for a buffer of `slot` bytes under
     /// this layout.
     pub fn strides(&self, slot: u32) -> (u32, u32) {
@@ -335,9 +347,11 @@ impl CohortLayout {
 
     /// Gather the first `len` bytes of lane `lane`'s logical buffer: one
     /// bounds check, then one walk at the element stride
-    /// ([`DeviceMemory::read_strided`]). A row-major slot or a one-lane
-    /// cohort is one memcpy, and a transposed cohort of up to 8 lanes walks
-    /// at a compile-time constant stride.
+    /// ([`DeviceMemory::read_strided`]). A row-major slot, a one-lane
+    /// cohort, or a buffer the image keeps lane-major (a transposed
+    /// cohort's responses, [`Self::response_lane_major`]) is one memcpy;
+    /// a transposed buffer in device order of up to 8 lanes walks at a
+    /// compile-time constant stride.
     ///
     /// # Errors
     ///
@@ -443,6 +457,14 @@ mod tests {
         assert_eq!(row.strides(8192), (8192, 1));
         let col = CohortLayout::new(128, 8192, 128, 0, 0, true);
         assert_eq!(col.strides(8192), (1, 128));
+        assert_eq!(row.response_lane_major(), None, "row-major is lane-major");
+        let span = col.response_lane_major().expect("transposed responses");
+        assert_eq!(
+            (span.base, span.lanes, span.slot),
+            (col.resp_base, 128, 8192)
+        );
+        let one = CohortLayout::new(1, 8192, 128, 0, 0, true);
+        assert_eq!(one.response_lane_major(), None, "one lane is lane-major");
     }
 
     #[test]
@@ -499,17 +521,21 @@ mod tests {
 
     /// The lane walks against byte-by-byte ones at every element stride a
     /// fixed-stride walk takes and two it does not (9, 32), in both
-    /// layouts: `read_lane_prefix` equals a gather through `elem_addr` at
-    /// lengths 0, 1 and the full slot, and `write_lane` stores exactly the
-    /// bytes a store through `elem_addr` would.
+    /// layouts, with the response buffer in device order and kept
+    /// lane-major: `read_lane_prefix` equals a gather through `elem_addr`
+    /// at lengths 0, 1 and the full slot, and `write_lane` stores exactly
+    /// the bytes a store through `elem_addr` would.
     #[test]
     fn lane_walks_match_byte_by_byte_ones() {
         const SLOT: u32 = 128;
-        for cohort in (1..=9).chain([32]) {
-            for transposed in [false, true] {
+        for cohort in (1..=9).chain([32, 33]) {
+            for (transposed, lane_major) in [(false, false), (true, false), (true, true)] {
                 let l = CohortLayout::new(cohort, SLOT, 8, 0, 0, transposed);
-                let what = format!("cohort {cohort} transposed {transposed}");
-                let mut mem = DeviceMemory::new(l.total_bytes as usize);
+                let what =
+                    format!("cohort {cohort} transposed {transposed} lane-major {lane_major}");
+                let mut mem = DeviceMemory::new(0);
+                let span = l.response_lane_major().filter(|_| lane_major);
+                mem.recut(0, l.total_bytes as usize, span);
                 for a in l.resp_base..l.total_bytes {
                     mem.write_byte(a, a % 251).unwrap();
                 }

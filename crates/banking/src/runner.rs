@@ -471,8 +471,10 @@ impl DeviceContext {
     }
 
     /// Re-cut the image's tail to a `cohort`-lane layout with `ty`'s
-    /// response slots, open the undo journal over the session span, and
-    /// return the layout.
+    /// response slots — a transposed response buffer kept lane-major on
+    /// the host ([`CohortLayout::response_lane_major`]), so each lane's
+    /// static fragments and its read-back are one copy each — open the
+    /// undo journal over the session span, and return the layout.
     fn cut(&mut self, cohort: u32, ty: RequestType) -> CohortLayout {
         let layout = cohort_layout(
             &self.opts,
@@ -483,6 +485,7 @@ impl DeviceContext {
         self.mem.recut(
             layout.resident_bytes() as usize,
             layout.total_bytes as usize,
+            layout.response_lane_major(),
         );
         let len = SessionArrayHost::device_bytes(layout.session_capacity);
         self.mem

@@ -276,7 +276,10 @@ fn main() {
             store_img.len() as u32,
             true,
         );
-        let mut mem = DeviceMemory::new(layout.total_bytes as usize);
+        // Laid out as the cohort runner lays it: the response buffer
+        // lane-major on the host.
+        let mut mem = DeviceMemory::new(0);
+        mem.recut(0, layout.total_bytes as usize, layout.response_lane_major());
         mem.load(layout.store_base, &store_img).unwrap();
         mem.load(layout.session_base, &sessions.to_device_bytes())
             .unwrap();

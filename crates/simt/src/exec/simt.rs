@@ -548,15 +548,10 @@ fn uniform_reg(regs: &[u32], slot: RegSlot, mask: u32) -> Option<u32> {
 /// lanes' starts need not be adjacent, ordered, or in step (cursors
 /// diverge after any per-lane variable-length output). The stores are one
 /// iteration-major [`DeviceView::store_strided`], so overlapping walks end
-/// as lockstep execution leaves them. The memory system is charged through
-/// the interpreter's own [`global_access_counts`], but only for one period:
-/// with `G = TX_BYTES` and `P = G / gcd(es, G)`, every
-/// address moves by `P * es`, a multiple of both granularities, each `P`
-/// iterations, so every transaction and sector id shifts by one constant
-/// and iteration `t + P` touches as many of each as iteration `t`. Only
-/// the first `min(P, trip)` iterations are counted, each weighted by how
-/// often it recurs — `trip / P` whole periods plus the first `trip % P`
-/// iterations of one more.
+/// as lockstep execution leaves them. The memory system is charged what
+/// the interpreter's [`global_access_counts`] would charge its `trip`
+/// byte stores, summed in closed form ([`segments_touched`], once per
+/// granularity) rather than iteration by iteration.
 fn try_wide_copy(
     wc: &WideCopy,
     mask: u32,
@@ -608,8 +603,8 @@ fn try_wide_copy(
     // Per-lane store walk: lane writes start_l + t*es for t in 0..trip.
     // u128 math (pos + trip can reach 2^33, times a u32 stride) proves no
     // intermediate wraps u32, hence equals the interpreter's arithmetic.
-    let mut addrs = std::mem::take(&mut bufs.addrs);
-    addrs.clear();
+    let starts = &mut bufs.segs;
+    starts.clear();
     let glen = gmem.len() as u128;
     for lane in iter_lanes(mask) {
         let l = lane as usize;
@@ -627,21 +622,17 @@ fn try_wide_copy(
             .as_ref()
             .is_none_or(|spec| spec.covers(AccessKind::Write, start as u64, end as u64 + 1));
         if end > u32::MAX as u128 || end >= glen || !covered {
-            bufs.addrs = addrs;
             return decline();
         }
-        addrs.push((lane, start as u32));
+        starts.push(start as u32);
     }
 
     // All preconditions hold: the interpreted loop would run to completion
     // without faulting. Ascending starts stay ascending in every iteration
-    // (all move by the same `t * es`), so sorting once keeps the accounting
-    // below on the single-pass path; the stores do not care about order.
-    addrs.sort_unstable_by_key(|&(_, a)| a);
+    // (all move by the same `t * es`), which the accounting below relies
+    // on; the stores do not care about order.
+    starts.sort_unstable();
     let cbytes = pool.as_bytes();
-    let starts = &mut bufs.segs;
-    starts.clear();
-    starts.extend(addrs.iter().map(|&(_, a)| a));
     gmem.store_strided(starts, es, &cbytes[(src + i0) as usize..=src_last as usize])?;
 
     // Issue accounting, batched (12 per iteration: header op + branch + 9
@@ -654,32 +645,12 @@ fn try_wide_copy(
     stats.warp_cycles += cost;
     stats.divergence.branches += trip as u64 + 1;
 
-    // gcd(es, TX_BYTES) for the power-of-two TX_BYTES is es's lowest set
-    // bit capped at TX_BYTES (es = 0 gives TX_BYTES itself, hence a period
-    // of 1).
-    let period = TX_BYTES >> es.trailing_zeros().min(TX_BYTES.trailing_zeros());
-    // Iteration `t` of the first period stands for `t, t + P, t + 2P, ...`:
-    // once per whole period, and once more if the last, partial period
-    // reaches it.
-    let (whole, partial) = ((trip / period) as u64, trip % period);
-    let measured = period.min(trip);
-    let (mut ntx, mut nsec) = (0u64, 0u64);
-    for t in 0..measured {
-        let (tx, sec) = global_access_counts(&addrs, Width::Byte, &mut bufs.segs);
-        let times = whole + (t < partial) as u64;
-        ntx += times * tx;
-        nsec += times * sec;
-        if t + 1 < measured {
-            for e in &mut addrs {
-                e.1 += es;
-            }
-        }
-    }
+    let ntx = segments_touched(starts, es, trip, TX_BYTES);
+    let nsec = segments_touched(starts, es, trip, SECTOR_BYTES);
     stats.mem_accesses += trip as u64;
     stats.mem_transactions += ntx;
     stats.warp_cycles += ntx;
     stats.dram_bytes += nsec * SECTOR_BYTES as u64;
-    bufs.addrs = addrs;
 
     // Final register state for the active lanes, matching the interpreted
     // loop's last writes (wrapping where the interpreter wraps: `pos` and
@@ -708,6 +679,77 @@ fn try_wide_copy(
     }
     WIDE_COPY_COUNTERS.record_hit();
     Ok(true)
+}
+
+/// The distinct `g`-byte segments a wide copy's byte stores touch, summed
+/// over its `trip` iterations — what [`global_access_counts`] charges
+/// iteration by iteration, for `g` = [`TX_BYTES`] (transactions) or
+/// [`SECTOR_BYTES`] (sectors). In iteration `t` lane `i` stores at
+/// `starts[i] + t·es`, `starts` ascending, and every walk's last address
+/// is below 2³².
+///
+/// The lanes' segment ids `⌊(s + t·es)/g⌋` ascend with the starts in every
+/// iteration, so an iteration touches one segment plus one per adjacent
+/// pair whose ids differ. A pair `g` or more apart always differs: `trip`
+/// over the copy. A pair closer than `g` differs by exactly its ids'
+/// difference (0 or 1), so over a run of such pairs the differences
+/// telescope to the run's last id minus its first, and over the copy to
+/// `F(run end) − F(run start)` with `F(x) = Σ_{t<trip} ⌊(x + t·es)/g⌋`.
+/// `g` is a power of two, so the whole multiples of `g` in `es` cancel
+/// from that difference, each whole segment from one start to the other
+/// adds `trip`, and what remains is two floor sums ([`floor_sum`]) whose
+/// first reduction step is a shift and a mask.
+fn segments_touched(starts: &[u32], es: u32, trip: u32, g: u32) -> u64 {
+    let (n, k, mask) = (trip as u64, g.trailing_zeros(), g - 1);
+    let r = (es & mask) as u64;
+    // `Σ_{t<trip} ⌊(v + t·r)/g⌋` for `v < g`.
+    let below = |v: u32| {
+        let top = r * n + v as u64;
+        floor_sum(top >> k, r, g as u64, top & mask as u64)
+    };
+    // Ordered so that no partial difference is negative.
+    let spread = |from: u32, to: u32| match to - from {
+        0 => 0,
+        _ => n * ((to >> k) - (from >> k)) as u64 + below(to & mask) - below(from & mask),
+    };
+    let Some((&first, rest)) = starts.split_first() else {
+        return 0;
+    };
+    let (mut total, mut run, mut prev) = (trip as u64, first, first);
+    for &s in rest {
+        if s - prev >= g {
+            total += trip as u64 + spread(run, prev);
+            run = s;
+        }
+        prev = s;
+    }
+    total + spread(run, prev)
+}
+
+/// `Σ_{i<n} ⌊(a·i + b)/m⌋` for `m > 0` (any `m` when `n = 0`), in
+/// `O(log m)` steps: the Euclid-like reduction that peels off `⌊a/m⌋` and
+/// `⌊b/m⌋` and swaps the roles of `a` and `m` in the lattice-point count
+/// that remains. Exact in `u64` for `n < 2³²`, `m ≤ 2³²` and a sum below
+/// 2⁶⁴: every partial sum is at most the whole.
+fn floor_sum(mut n: u64, mut m: u64, mut a: u64, mut b: u64) -> u64 {
+    let mut sum = 0;
+    while n > 0 {
+        if a >= m {
+            sum += n * (n - 1) / 2 * (a / m);
+            a %= m;
+        }
+        if b >= m {
+            sum += n * (b / m);
+            b %= m;
+        }
+        let top = a * n + b;
+        if top < m {
+            break;
+        }
+        (n, b) = (top / m, top % m);
+        (m, a) = (a, m);
+    }
+    sum
 }
 
 /// Copy a register's 32 lanes into a stack array — one bounds check, and a
@@ -2286,6 +2328,63 @@ mod tests {
                     two_sorts,
                     "{width:?}, addrs {addrs:?}"
                 );
+            }
+        }
+    }
+
+    /// The wide copy's closed-form charge against the interpreter's own
+    /// count, iteration by iteration: for every start pattern a warp's
+    /// cursors take (in step, diverged by whole slots, duplicated,
+    /// scattered), element strides from 0 to past a transaction, trip
+    /// counts on both sides of one and of the 128-iteration period, and
+    /// 1–32 lanes, `segments_touched` must equal the sum over `t < trip`
+    /// of [`global_access_counts`] on the lanes' addresses `s + t·es`, at
+    /// both granularities. Walks end just below 2³² in some cases.
+    #[test]
+    fn wide_copy_charge_matches_per_iteration_counts() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x00C1_05ED);
+        let mut segs = Vec::new();
+        for lanes in [1u32, 2, 3, 5, 8, 32] {
+            for es in [0u32, 1, 2, 3, 5, 32, 33, 128, 4096, rng.gen_range(1..5000)] {
+                for trip in [1u32, 127, 128, 129, 1000, rng.gen_range(1..2000)] {
+                    // Room for every walk below 2³²; some cases end there.
+                    let room = u32::MAX - (trip - 1) * es - 3 * 128 * lanes;
+                    let base = if rng.gen_bool(0.2) {
+                        room
+                    } else {
+                        rng.gen_range(0..room.min(1 << 30))
+                    };
+                    let in_step: Vec<u32> = (0..lanes).map(|l| base + l).collect();
+                    let diverged: Vec<u32> = (0..lanes)
+                        .map(|l| base + l + lanes * rng.gen_range(0..3u32))
+                        .collect();
+                    let duplicated: Vec<u32> = (0..lanes).map(|l| base + l / 2 * 7).collect();
+                    let scattered: Vec<u32> = (0..lanes)
+                        .map(|_| base + rng.gen_range(0..3 * 128 * lanes))
+                        .collect();
+                    for mut starts in [in_step, diverged, duplicated, scattered] {
+                        starts.sort_unstable();
+                        let (mut ntx, mut nsec) = (0, 0);
+                        for t in 0..trip {
+                            let addrs: Vec<(u32, u32)> = starts
+                                .iter()
+                                .enumerate()
+                                .map(|(l, &s)| (l as u32, s + t * es))
+                                .collect();
+                            let (tx, sec) = global_access_counts(&addrs, Width::Byte, &mut segs);
+                            ntx += tx;
+                            nsec += sec;
+                        }
+                        let what = format!("starts {starts:?} es {es} trip {trip}");
+                        assert_eq!(segments_touched(&starts, es, trip, TX_BYTES), ntx, "{what}");
+                        assert_eq!(
+                            segments_touched(&starts, es, trip, SECTOR_BYTES),
+                            nsec,
+                            "{what}"
+                        );
+                    }
+                }
             }
         }
     }

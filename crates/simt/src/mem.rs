@@ -1,6 +1,5 @@
 //! Device memory: global DRAM image and the read-only constant pool.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -20,6 +19,10 @@ pub enum MemError {
     },
     /// Write (or atomic) to read-only constant memory.
     ReadOnly { space: MemSpace },
+    /// A host borrow or block copy of a range that overlaps the image's
+    /// lane-major region ([`DeviceMemory::recut`]), whose host order is
+    /// not device order.
+    LaneMajor { addr: u32, len: u32 },
 }
 
 impl fmt::Display for MemError {
@@ -35,6 +38,10 @@ impl fmt::Display for MemError {
                 "out-of-bounds {space:?} access at {addr:#x}+{len} (size {size})"
             ),
             MemError::ReadOnly { space } => write!(f, "write to read-only {space:?} memory"),
+            MemError::LaneMajor { addr, len } => write!(
+                f,
+                "host borrow of {addr:#x}+{len} overlaps the lane-major region"
+            ),
         }
     }
 }
@@ -58,29 +65,124 @@ impl std::error::Error for MemError {}
 /// ([`DeviceMemory::begin_journal`]): device-side stores into the span are
 /// logged so a faulting run can be undone in time proportional to what it
 /// wrote. The journal is bookkeeping, not content: an image clones with
-/// it, but compares and serialises as its bytes alone.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// it, but compares as its bytes alone.
+///
+/// An image can also keep one span **lane-major** on the host
+/// ([`LaneMajor`], declared by [`DeviceMemory::recut`]): the response
+/// buffer of a transposed cohort, where the device's byte `e` of lane `l`
+/// sits at `base + e·lanes + l` but the host stores it at
+/// `base + l·slot + e`, so that one lane's whole buffer is one contiguous
+/// run. Every accessor that takes a device address maps it (one range
+/// compare for addresses outside the span), so kernels, faults and the
+/// journal see device order; only [`DeviceMemory::as_bytes`] shows host
+/// order, and [`DeviceMemory::slice`], [`DeviceMemory::slice_mut`] and
+/// [`DeviceMemory::load`] refuse a range that overlaps the span.
+#[derive(Clone, Debug)]
 pub struct DeviceMemory {
     bytes: Vec<u8>,
-    #[serde(skip)]
     journal: Journal,
+    region: Region,
 }
 
 impl PartialEq for DeviceMemory {
+    /// Equal device images: the same bytes at every device address,
+    /// whichever span each keeps lane-major.
     fn eq(&self, other: &Self) -> bool {
-        self.bytes == other.bytes
+        if self.region == other.region {
+            return self.bytes == other.bytes;
+        }
+        self.len() == other.len()
+            && (0..self.len())
+                .all(|a| self.bytes[self.region.host(a)] == other.bytes[other.region.host(a)])
     }
 }
 
 impl Eq for DeviceMemory {}
 
-/// The undo log of one guarded run: `(address, byte it held)` for every
-/// byte stored inside `span`, in store order.
+/// The undo log of one guarded run: `(host index, byte it held)` for every
+/// byte stored inside `span` (device addresses), in store order.
 #[derive(Clone, Default, Debug)]
 struct Journal {
     /// Guarded byte range; empty while no journal is open.
     span: Range<usize>,
     log: Vec<(u32, u8)>,
+}
+
+/// A span of `lanes · slot` device bytes from `base` that the host keeps
+/// lane-major: the transposed buffer whose lane `l` owns the device bytes
+/// `base + e·lanes + l` for `e < slot`, stored as lane `l`'s `slot` bytes
+/// from host offset `base + l·slot`. Device and host span cover the same
+/// byte range, so bounds, lengths and everything outside it agree.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct LaneMajor {
+    /// First device (and host) address of the span.
+    pub base: u32,
+    /// Lanes interleaved in device order: the span's element stride.
+    pub lanes: u32,
+    /// Bytes per lane.
+    pub slot: u32,
+}
+
+/// The image's [`LaneMajor`] span in the form the accessors test and map:
+/// `len == 0` when there is none, which no address falls inside.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+struct Region {
+    base: usize,
+    len: usize,
+    lanes: u32,
+    slot: u32,
+}
+
+impl Region {
+    const NONE: Region = Region {
+        base: usize::MAX,
+        len: 0,
+        lanes: 1,
+        slot: 0,
+    };
+
+    fn of(lm: LaneMajor) -> Region {
+        Region {
+            base: lm.base as usize,
+            len: lm.lanes as usize * lm.slot as usize,
+            lanes: lm.lanes,
+            slot: lm.slot,
+        }
+    }
+
+    /// The host index of device address `a`: itself outside the span.
+    #[inline(always)]
+    fn host(&self, a: usize) -> usize {
+        let off = a.wrapping_sub(self.base);
+        if off < self.len {
+            // `off < len <= u32::MAX` (a 32-bit device span): 32-bit
+            // division.
+            let off = off as u32;
+            self.base
+                + (off % self.lanes) as usize * self.slot as usize
+                + (off / self.lanes) as usize
+        } else {
+            a
+        }
+    }
+
+    /// Does the access `[a, a + len)` overlap the span?
+    #[inline(always)]
+    fn touches(&self, a: usize, len: usize) -> bool {
+        a < self.base + self.len && a + len > self.base
+    }
+
+    /// The host index of a `len`-byte walk from device address `a` at
+    /// `stride` if the walk stays inside one lane's slot (then its bytes
+    /// are one contiguous host run): `stride` is the lane count, or the
+    /// walk is at most one byte.
+    #[inline]
+    fn lane_run(&self, a: usize, stride: u32, len: usize) -> Option<usize> {
+        let off = a.checked_sub(self.base).filter(|&off| off < self.len)? as u32;
+        let first = (off / self.lanes) as usize;
+        let fits = first + len <= self.slot as usize;
+        (fits && (stride == self.lanes || len <= 1)).then(|| self.host(a))
+    }
 }
 
 impl DeviceMemory {
@@ -89,6 +191,7 @@ impl DeviceMemory {
         DeviceMemory {
             bytes: vec![0; size],
             journal: Journal::default(),
+            region: Region::NONE,
         }
     }
 
@@ -113,9 +216,33 @@ impl DeviceMemory {
     /// use at the cost of zeroing the tail — while [`Self::len`], and with
     /// it every out-of-bounds fault, is exactly that of a fresh
     /// `DeviceMemory::new(size)`.
-    pub fn recut(&mut self, keep: usize, size: usize) {
+    ///
+    /// The image then keeps `lane_major`'s span, if any, lane-major (and
+    /// no other). The span lies in the zeroed tail, so declaring it moves
+    /// no byte; a previous span that reached into the kept head is put
+    /// back in device order first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane_major` starts below `keep` or ends past `size`.
+    pub fn recut(&mut self, keep: usize, size: usize, lane_major: Option<LaneMajor>) {
+        let old = std::mem::replace(&mut self.region, Region::NONE);
+        if old.base < keep && old.len > 0 {
+            let device: Vec<u8> = (old.base..old.base + old.len)
+                .map(|a| self.bytes[old.host(a)])
+                .collect();
+            self.bytes[old.base..old.base + old.len].copy_from_slice(&device);
+        }
         self.bytes.truncate(keep.min(size));
         self.bytes.resize(size, 0);
+        if let Some(lm) = lane_major {
+            let region = Region::of(lm);
+            assert!(
+                region.base >= keep && region.base + region.len <= size,
+                "lane-major span must lie in the re-cut tail"
+            );
+            self.region = region;
+        }
     }
 
     fn check(&self, addr: u32, len: u32) -> Result<usize, MemError> {
@@ -137,15 +264,36 @@ impl DeviceMemory {
         Ok(a)
     }
 
+    /// [`Self::check`] for a host borrow or block copy, which sees host
+    /// order: refused if it overlaps the lane-major span.
+    fn check_host_order(&self, addr: u32, len: u32) -> Result<usize, MemError> {
+        let a = self.check(addr, len)?;
+        if self.region.touches(a, len as usize) {
+            return Err(MemError::LaneMajor { addr, len });
+        }
+        Ok(a)
+    }
+
+    /// The byte at device address `a` (bounds already checked).
+    #[inline(always)]
+    fn byte(&self, a: usize) -> u8 {
+        self.bytes[self.region.host(a)]
+    }
+
     /// Read one byte (zero-extended).
     pub fn read_byte(&self, addr: u32) -> Result<u32, MemError> {
         let a = self.check(addr, 1)?;
-        Ok(self.bytes[a] as u32)
+        Ok(self.byte(a) as u32)
     }
 
     /// Read a little-endian word.
     pub fn read_word(&self, addr: u32) -> Result<u32, MemError> {
         let a = self.check(addr, 4)?;
+        if self.region.touches(a, 4) {
+            return Ok(u32::from_le_bytes(std::array::from_fn(|i| {
+                self.byte(a + i)
+            })));
+        }
         Ok(u32::from_le_bytes([
             self.bytes[a],
             self.bytes[a + 1],
@@ -169,14 +317,18 @@ impl DeviceMemory {
     /// Write one byte (low 8 bits of `value`).
     pub fn write_byte(&mut self, addr: u32, value: u32) -> Result<(), MemError> {
         let a = self.check_host_write(addr, 1)?;
-        self.bytes[a] = value as u8;
+        let h = self.region.host(a);
+        self.bytes[h] = value as u8;
         Ok(())
     }
 
     /// Write a little-endian word.
     pub fn write_word(&mut self, addr: u32, value: u32) -> Result<(), MemError> {
         let a = self.check_host_write(addr, 4)?;
-        self.bytes[a..a + 4].copy_from_slice(&value.to_le_bytes());
+        for (i, b) in value.to_le_bytes().into_iter().enumerate() {
+            let h = self.region.host(a + i);
+            self.bytes[h] = b;
+        }
         Ok(())
     }
 
@@ -184,9 +336,10 @@ impl DeviceMemory {
     ///
     /// # Errors
     ///
-    /// Fails if the range exceeds the allocation.
+    /// Fails if the range exceeds the allocation or overlaps the
+    /// lane-major span.
     pub fn slice(&self, addr: u32, len: u32) -> Result<&[u8], MemError> {
-        let a = self.check(addr, len)?;
+        let a = self.check_host_order(addr, len)?;
         Ok(&self.bytes[a..a + len as usize])
     }
 
@@ -194,24 +347,33 @@ impl DeviceMemory {
     ///
     /// # Errors
     ///
-    /// Fails if the range exceeds the allocation.
+    /// Fails if the range exceeds the allocation or overlaps the
+    /// lane-major span.
     pub fn slice_mut(&mut self, addr: u32, len: u32) -> Result<&mut [u8], MemError> {
+        self.check_host_order(addr, len)?;
         let a = self.check_host_write(addr, len)?;
         Ok(&mut self.bytes[a..a + len as usize])
     }
 
     /// Copy a host byte slice into global memory at `addr`.
+    ///
+    /// # Errors
+    ///
+    /// Fails, with nothing written, if the range exceeds the allocation or
+    /// overlaps the lane-major span.
     pub fn load(&mut self, addr: u32, data: &[u8]) -> Result<(), MemError> {
-        let a = self.check_host_write(addr, data.len() as u32)?;
-        self.bytes[a..a + data.len()].copy_from_slice(data);
+        self.slice_mut(addr, data.len() as u32)?
+            .copy_from_slice(data);
         Ok(())
     }
 
     /// Gather `len` bytes at `addr, addr + stride, addr + 2·stride, …`:
     /// one lane's buffer in a transposed layout (`stride` = the cohort
     /// width), or a plain copy at `stride == 1`. One bounds check covers
-    /// the whole walk; strides up to 8 run as a loop whose stride is a
-    /// compile-time constant, and 1 is one memcpy.
+    /// the whole walk. Inside the lane-major span a walk that stays in one
+    /// lane's slot is one `to_vec` of its host run, and any other walk
+    /// maps byte by byte; elsewhere strides up to 8 run as a loop whose
+    /// stride is a compile-time constant, and 1 is one memcpy.
     ///
     /// # Errors
     ///
@@ -224,12 +386,22 @@ impl DeviceMemory {
     pub fn read_strided(&self, addr: u32, stride: u32, len: u32) -> Result<Vec<u8>, MemError> {
         let span = strided_span(stride, len);
         let a = self.check(addr, span)?;
+        let len = len as usize;
+        if self.region.touches(a, span as usize) {
+            return Ok(match self.region.lane_run(a, stride, len) {
+                Some(h) => self.bytes[h..h + len].to_vec(),
+                None => (0..len)
+                    .map(|t| self.byte(a + t * stride as usize))
+                    .collect(),
+            });
+        }
         Ok(gather(&self.bytes[a..a + span as usize], stride as usize))
     }
 
     /// Scatter `data` to `addr, addr + stride, addr + 2·stride, …`, the
     /// host-side twin of [`Self::read_strided`]: one bounds check, then the
-    /// same fixed-stride walk (one `copy_from_slice` at `stride == 1`).
+    /// same walk (one `copy_from_slice` at `stride == 1`, or for a lane
+    /// run in the lane-major span).
     ///
     /// # Errors
     ///
@@ -241,11 +413,24 @@ impl DeviceMemory {
     pub fn write_strided(&mut self, addr: u32, stride: u32, data: &[u8]) -> Result<(), MemError> {
         let span = strided_span(stride, data.len() as u32);
         let a = self.check_host_write(addr, span)?;
+        if self.region.touches(a, span as usize) {
+            match self.region.lane_run(a, stride, data.len()) {
+                Some(h) => self.bytes[h..h + data.len()].copy_from_slice(data),
+                None => {
+                    for (t, &b) in data.iter().enumerate() {
+                        let h = self.region.host(a + t * stride as usize);
+                        self.bytes[h] = b;
+                    }
+                }
+            }
+            return Ok(());
+        }
         scatter(&mut self.bytes[a..a + span as usize], stride as usize, data);
         Ok(())
     }
 
-    /// The full backing image.
+    /// The full backing image, in host order: a lane-major span shows as
+    /// its lanes one after another, not as the device sees it.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
     }
@@ -290,8 +475,8 @@ impl DeviceMemory {
     /// span holds what it held at [`Self::begin_journal`].
     pub fn rollback_journal(&mut self) {
         self.journal.span = 0..0;
-        for (addr, old) in self.journal.log.drain(..).rev() {
-            self.bytes[addr as usize] = old;
+        for (h, old) in self.journal.log.drain(..).rev() {
+            self.bytes[h as usize] = old;
         }
     }
 
@@ -321,8 +506,11 @@ fn strided_span(stride: u32, len: u32) -> u32 {
 
 /// The widest stride a lane walk ([`scatter`], [`gather`], and
 /// [`DeviceView::store_strided`]'s lane-by-lane path) runs at a
-/// compile-time constant. Strides 2–8 are the transposed layouts of the
-/// cohorts a served time-out fills; there one lane's pass touches a
+/// compile-time constant, in the transposed buffers kept in device order
+/// (request slots, backend requests and responses; a response buffer is
+/// kept lane-major, where a lane's walk is one copy at any width).
+/// Strides 2–8 are the transposed layouts of the cohorts a served
+/// time-out fills; there one lane's pass touches a
 /// region that stays in cache, and its fixed-stride loop measured
 /// 0.41–0.45 ns/B against 1.0–1.9 ns/B for the iteration-major row loop.
 /// At 16–32 lanes each lane's pass streams the whole cohort region
@@ -438,22 +626,28 @@ impl DeviceView<'_> {
         self.0.read_word(addr)
     }
 
-    /// Store `byte` at `a`, first logging the byte it replaces if `a` is
-    /// guarded.
+    /// Store `byte` at device address `a`, first logging the byte it
+    /// replaces if `a` is guarded.
     #[inline]
     fn store_logged(&mut self, a: usize, byte: u8) {
-        let DeviceMemory { bytes, journal } = &mut *self.0;
+        let DeviceMemory {
+            bytes,
+            journal,
+            region,
+        } = &mut *self.0;
+        let h = region.host(a);
         if journal.span.contains(&a) {
-            journal.log.push((a as u32, bytes[a]));
+            journal.log.push((h as u32, bytes[h]));
         }
-        bytes[a] = byte;
+        bytes[h] = byte;
     }
 
     /// Store `src` at `a..` (bounds already checked), logging what it
-    /// overwrites if the range touches the guarded span.
+    /// overwrites if the range touches the guarded span, mapping each byte
+    /// if it touches the lane-major span.
     #[inline]
     fn store(&mut self, a: usize, src: &[u8]) {
-        if touches(&self.0.journal.span, a, src.len()) {
+        if touches(&self.0.journal.span, a, src.len()) || self.0.region.touches(a, src.len()) {
             for (i, &b) in src.iter().enumerate() {
                 self.store_logged(a + i, b);
             }
@@ -494,14 +688,23 @@ impl DeviceView<'_> {
     /// them. Within one iteration every store carries the same byte, so
     /// the order of `starts` cannot matter. When no two walks can share an
     /// address, order cannot matter at all, and each lane's walk is one
-    /// loop at a compile-time constant stride. That holds when
-    /// `stride == 1` and the ascending starts' spans are disjoint (one
-    /// lane, or row-major slots: one `copy_from_slice` per lane), and when
-    /// `2 <= stride <= 8` and the starts are distinct modulo `stride` (a
-    /// transposed cohort of up to 8 lanes, whose lane `l` owns the
-    /// addresses `≡ base + l`, in step or diverged). Every other splat —
-    /// congruent starts, `stride == 0`, overrunning row-major slots, wider
-    /// strides — stores iteration-major, row by row.
+    /// copy:
+    ///
+    /// - in the lane-major span, when every walk steps at the span's lane
+    ///   count, stays inside its lane's slot, and no two walks are in the
+    ///   same lane (a transposed cohort's wide copy, in step or diverged):
+    ///   one `copy_from_slice` per lane into its host run;
+    /// - elsewhere, when `stride == 1` and the ascending starts' spans are
+    ///   disjoint (one lane, or row-major slots: one `copy_from_slice` per
+    ///   lane), and when `2 <= stride <= 8` and the starts are distinct
+    ///   modulo `stride` (a transposed buffer of up to 8 lanes, whose lane
+    ///   `l` owns the addresses `≡ base + l`): one loop at a compile-time
+    ///   constant stride.
+    ///
+    /// Every other splat — congruent starts, `stride == 0`, walks that
+    /// overrun a slot, wider strides outside the span — stores
+    /// iteration-major, row by row (mapped byte by byte where it reaches
+    /// into the lane-major span).
     ///
     /// The highest address of the whole operation is checked once, before
     /// the first store. A splat that reaches into the journal's span
@@ -536,6 +739,15 @@ impl DeviceView<'_> {
         let guard = &self.0.journal.span;
         let journaled =
             highest as usize >= guard.start && starts.iter().any(|&s| (s as usize) < guard.end);
+        let region = self.0.region;
+        if highest as usize >= region.base
+            && starts
+                .iter()
+                .any(|&s| (s as usize) < region.base + region.len)
+        {
+            self.store_mapped(starts, stride, src, journaled);
+            return Ok(());
+        }
         // The lane walks return ahead of the byte loops: as one more arm
         // beside them a copy made the 2-lane byte loop measure 20–28 %
         // slower.
@@ -569,6 +781,46 @@ impl DeviceView<'_> {
         }
         Ok(())
     }
+
+    /// [`Self::store_strided`] for a splat (bounds already checked) that
+    /// reaches into the lane-major span: one `copy_from_slice` per walk
+    /// when [`lane_runs`] holds and no journal is open, else mapped byte
+    /// stores, iteration-major, journaled where guarded.
+    fn store_mapped(&mut self, starts: &[u32], stride: u32, src: &[u8], journaled: bool) {
+        let region = self.0.region;
+        if !journaled && lane_runs(&region, starts, stride, src.len()) {
+            for &start in starts {
+                let h = region.host(start as usize);
+                self.0.bytes[h..h + src.len()].copy_from_slice(src);
+            }
+            return;
+        }
+        for (t, &byte) in src.iter().enumerate() {
+            let row = t * stride as usize;
+            for &start in starts {
+                self.store_logged(row + start as usize, byte);
+            }
+        }
+    }
+}
+
+/// Is every `len`-byte walk from `starts` at `stride` a lane run of
+/// `region` ([`Region::lane_run`]) in a lane of its own, so that no two
+/// walks share an address? Lanes are told apart modulo 128 in one bitmask
+/// (a warp's lanes are consecutive), so two walks 128 lanes apart take the
+/// byte loop.
+fn lane_runs(region: &Region, starts: &[u32], stride: u32, len: usize) -> bool {
+    let mut seen = 0u128;
+    starts.iter().all(|&start| {
+        let a = start as usize;
+        if region.lane_run(a, stride, len).is_none() {
+            return false;
+        }
+        let bit = 1u128 << ((a - region.base) as u32 % region.lanes % 128);
+        let fresh = seen & bit == 0;
+        seen |= bit;
+        fresh
+    })
 }
 
 /// Can no two of the `len`-byte walks from ascending `starts` at `stride`
@@ -734,13 +986,13 @@ mod tests {
         m.load(0, b"head").unwrap();
         m.load(32, b"scratch").unwrap();
         let cap = m.capacity();
-        m.recut(8, 40);
+        m.recut(8, 40, None);
         assert_eq!(m.len(), 40);
         assert_eq!(m.slice(0, 4).unwrap(), b"head");
         assert!(m.slice(8, 32).unwrap().iter().all(|&b| b == 0));
         assert!(m.read_byte(40).is_err(), "extent is exact");
         assert_eq!(m.capacity(), cap);
-        m.recut(8, 64);
+        m.recut(8, 64, None);
         assert_eq!(m, {
             let mut fresh = DeviceMemory::new(64);
             fresh.load(0, b"head").unwrap();
@@ -1041,6 +1293,298 @@ mod tests {
         assert_eq!(copy, DeviceMemory::new(16), "the clone carries the journal");
         let mut small = DeviceMemory::new(16);
         assert!(small.begin_journal(8, 9).is_err(), "span is bounds-checked");
+    }
+
+    /// Where the equivalence tests' lane-major span starts, and the device
+    /// bytes after it: accesses straddle both edges.
+    const LM_BASE: u32 = 16;
+    const LM_TAIL: u32 = 16;
+
+    /// One access of the equivalence tests, applied alike to a
+    /// device-ordered image and a lane-major one.
+    #[derive(Clone, Debug)]
+    enum Access {
+        Byte(u32),
+        Word(u32),
+        HostByte(u32, u32),
+        HostWord(u32, u32),
+        ViewByte(u32, u32),
+        ViewWord(u32, u32),
+        Add(u32, u32),
+        Read(u32, u32, u32),
+        Write(u32, u32, Vec<u8>),
+        Splat(Vec<u32>, u32, Vec<u8>),
+    }
+
+    impl Access {
+        /// Run the access; what it read (or nothing), or its error.
+        fn apply(&self, m: &mut DeviceMemory) -> Result<Vec<u32>, MemError> {
+            Ok(match self {
+                Access::Byte(a) => vec![m.read_byte(*a)?, m.view().read_byte(*a)?],
+                Access::Word(a) => vec![m.read_word(*a)?, m.view().read_word(*a)?],
+                Access::HostByte(a, x) => m.write_byte(*a, *x).map(|()| vec![])?,
+                Access::HostWord(a, x) => m.write_word(*a, *x).map(|()| vec![])?,
+                Access::ViewByte(a, x) => m.view().write_byte(*a, *x).map(|()| vec![])?,
+                Access::ViewWord(a, x) => m.view().write_word(*a, *x).map(|()| vec![])?,
+                Access::Add(a, x) => vec![m.view().atomic_add_word(*a, *x)?],
+                Access::Read(a, stride, len) => m
+                    .read_strided(*a, *stride, *len)?
+                    .into_iter()
+                    .map(u32::from)
+                    .collect(),
+                Access::Write(a, stride, data) => {
+                    m.write_strided(*a, *stride, data).map(|()| vec![])?
+                }
+                Access::Splat(starts, stride, src) => m
+                    .view()
+                    .store_strided(starts, *stride, src)
+                    .map(|()| vec![])?,
+            })
+        }
+
+        /// A device store (what may run while a journal is open).
+        fn is_view_store(&self) -> bool {
+            matches!(
+                self,
+                Access::ViewByte(..) | Access::ViewWord(..) | Access::Add(..) | Access::Splat(..)
+            )
+        }
+    }
+
+    /// A random access over an image with `lm` at [`LM_BASE`]: addresses
+    /// anywhere (past the end included), at both span edges, or at a
+    /// lane's element; walks at the lane count (lane runs, in step,
+    /// diverged, congruent, and ones that overrun a slot or leave the
+    /// span) and at other strides.
+    fn random_access(lm: LaneMajor, rng: &mut rand::rngs::StdRng) -> Access {
+        use rand::Rng;
+        let (lanes, slot) = (lm.lanes, lm.slot);
+        let end = LM_BASE + lanes * slot;
+        let size = end + LM_TAIL;
+        let addr = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..4u32) {
+            0 => rng.gen_range(0..size + 5),
+            1 => LM_BASE - 4 + rng.gen_range(0..9),
+            2 => end - 4 + rng.gen_range(0..9),
+            _ => LM_BASE + rng.gen_range(0..slot) * lanes + rng.gen_range(0..lanes),
+        };
+        let stride = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..6u32) {
+            0 => 0,
+            1 => 1,
+            2 => lanes + 1,
+            3 => rng.gen_range(1..2 * lanes + 2),
+            _ => lanes,
+        };
+        let bytes = |rng: &mut rand::rngs::StdRng, len: u32| -> Vec<u8> {
+            (0..len).map(|_| rng.gen()).collect()
+        };
+        match rng.gen_range(0..10u32) {
+            0 => Access::Byte(addr(rng)),
+            1 => Access::Word(addr(rng)),
+            2 => Access::HostByte(addr(rng), rng.gen()),
+            3 => Access::HostWord(addr(rng), rng.gen()),
+            4 => Access::ViewByte(addr(rng), rng.gen()),
+            5 => Access::ViewWord(addr(rng), rng.gen()),
+            6 => Access::Add(addr(rng), rng.gen()),
+            // Host walks take a nonzero stride.
+            7 => Access::Read(addr(rng), stride(rng).max(1), rng.gen_range(0..slot + 3)),
+            8 => {
+                let len = rng.gen_range(0..slot + 3);
+                Access::Write(addr(rng), stride(rng).max(1), bytes(rng, len))
+            }
+            _ => {
+                // Lane `l` at element `e`; the walk's length fits the
+                // furthest start's slot, or overruns it by a byte or two.
+                let at = |l: u32, e: u32| LM_BASE + e * lanes + l;
+                let n = rng.gen_range(1..=lanes.min(32));
+                let first = rng.gen_range(0..lanes);
+                let e0 = rng.gen_range(0..slot);
+                let mut starts: Vec<u32> = match rng.gen_range(0..4u32) {
+                    0 => (0..n).map(|i| at((first + i) % lanes, e0)).collect(),
+                    1 => (0..n)
+                        .map(|i| at((first + i) % lanes, rng.gen_range(0..slot)))
+                        .collect(),
+                    2 => vec![at(first, e0), at(first, rng.gen_range(0..slot))],
+                    _ => (0..n).map(|_| addr(rng)).collect(),
+                };
+                if rng.gen_bool(0.5) {
+                    starts.reverse();
+                }
+                let deepest = starts
+                    .iter()
+                    .map(|&s| s.saturating_sub(LM_BASE) / lanes)
+                    .max()
+                    .unwrap_or(0);
+                let overrun = if rng.gen_bool(0.25) {
+                    rng.gen_range(1..3)
+                } else {
+                    0
+                };
+                let len = slot.saturating_sub(deepest) + overrun;
+                Access::Splat(starts, stride(rng), bytes(rng, len))
+            }
+        }
+    }
+
+    /// A lane-major image agrees with a device-ordered one at every device
+    /// address, whatever reads and writes them: bytes and words (words
+    /// straddling lanes and both span edges) through the image and through
+    /// a view, atomics, strided reads, writes and splats (lane runs, walks
+    /// that overrun a slot or leave the span, congruent and overlapping
+    /// splats), stores under an open journal that is then committed or
+    /// rolled back, and every out-of-bounds error, value for value.
+    #[test]
+    fn lane_major_span_agrees_with_device_order() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1A7E);
+        for lanes in [2u32, 3, 5, 8, 9, 32, 33, 96] {
+            for slot in [1u32, 7, 64] {
+                let lm = LaneMajor {
+                    base: LM_BASE,
+                    lanes,
+                    slot,
+                };
+                let size = (LM_BASE + lanes * slot + LM_TAIL) as usize;
+                let mut plain = DeviceMemory::new(size);
+                let mut laned = DeviceMemory::new(0);
+                laned.recut(0, size, Some(lm));
+                assert_eq!(laned.region, Region::of(lm));
+                for a in 0..size as u32 {
+                    let b = rng.gen::<u8>() as u32;
+                    plain.write_byte(a, b).unwrap();
+                    laned.write_byte(a, b).unwrap();
+                }
+                let what = format!("lanes {lanes} slot {slot}");
+                if slot > 1 {
+                    assert_ne!(laned.as_bytes(), plain.as_bytes(), "{what}: host order");
+                }
+                for round in 0..300 {
+                    let journal = rng.gen_bool(0.2).then(|| {
+                        let start = rng.gen_range(0..size as u32);
+                        (start, rng.gen_range(0..=size as u32 - start))
+                    });
+                    if let Some((start, len)) = journal {
+                        plain.begin_journal(start, len).unwrap();
+                        laned.begin_journal(start, len).unwrap();
+                    }
+                    for _ in 0..rng.gen_range(1..6) {
+                        let access = random_access(lm, &mut rng);
+                        if journal.is_some() && !access.is_view_store() {
+                            continue;
+                        }
+                        assert_eq!(
+                            access.apply(&mut laned),
+                            access.apply(&mut plain),
+                            "{what} round {round}: {access:?}"
+                        );
+                    }
+                    if journal.is_some() {
+                        assert_eq!(laned.journal_len(), plain.journal_len(), "{what}");
+                        if rng.gen_bool(0.5) {
+                            plain.rollback_journal();
+                            laned.rollback_journal();
+                        } else {
+                            plain.commit_journal();
+                            laned.commit_journal();
+                        }
+                    }
+                }
+                for a in 0..size as u32 + 4 {
+                    assert_eq!(laned.read_byte(a), plain.read_byte(a), "{what} byte {a}");
+                    assert_eq!(laned.read_word(a), plain.read_word(a), "{what} word {a}");
+                }
+                assert!(laned == plain, "{what}: compares in device order");
+                let last = LM_BASE + lanes * slot - 1;
+                laned
+                    .write_byte(last, plain.read_byte(last).unwrap() ^ 1)
+                    .unwrap();
+                assert!(laned != plain, "{what}: one device byte differs");
+            }
+        }
+    }
+
+    /// The walks a cohort runs in the span — a transposed wide copy of
+    /// every lane, in step and diverged, and each lane's read-back — are
+    /// the lanes' host runs.
+    #[test]
+    fn lane_runs_are_host_runs() {
+        for lanes in [2u32, 3, 33] {
+            let slot = 8;
+            let lm = LaneMajor {
+                base: LM_BASE,
+                lanes,
+                slot,
+            };
+            let mut m = DeviceMemory::new(0);
+            m.recut(0, (LM_BASE + lanes * slot) as usize, Some(lm));
+            let starts: Vec<u32> = (0..lanes).map(|l| LM_BASE + l + l % 2 * lanes).collect();
+            m.view().store_strided(&starts, lanes, b"abcdef").unwrap();
+            for l in 0..lanes {
+                let at = (LM_BASE + l * slot) as usize;
+                let host = &m.as_bytes()[at..at + slot as usize];
+                let expect: &[u8] = if l % 2 == 0 {
+                    b"abcdef\0\0"
+                } else {
+                    b"\0abcdef\0"
+                };
+                assert_eq!(host, expect, "lanes {lanes} lane {l}");
+                let read = m.read_strided(LM_BASE + l, lanes, slot).unwrap();
+                assert_eq!(read, expect, "lanes {lanes} lane {l} read back");
+            }
+        }
+    }
+
+    #[test]
+    fn host_borrows_refuse_the_lane_major_span() {
+        let lm = LaneMajor {
+            base: LM_BASE,
+            lanes: 3,
+            slot: 7,
+        };
+        let end = LM_BASE + 21;
+        let mut m = DeviceMemory::new(0);
+        m.recut(0, 64, Some(lm));
+        let refused = |addr, len| MemError::LaneMajor { addr, len };
+        assert_eq!(m.slice(LM_BASE - 4, 4).map(<[u8]>::len), Ok(4));
+        assert_eq!(
+            m.slice(LM_BASE - 3, 4).unwrap_err(),
+            refused(LM_BASE - 3, 4)
+        );
+        assert_eq!(m.slice(end - 1, 1).unwrap_err(), refused(end - 1, 1));
+        assert_eq!(
+            m.slice(end, 64 - end).map(<[u8]>::len),
+            Ok(64 - end as usize)
+        );
+        assert_eq!(m.slice_mut(LM_BASE, 1).unwrap_err(), refused(LM_BASE, 1));
+        assert_eq!(m.load(end - 2, b"ab").unwrap_err(), refused(end - 2, 2));
+        assert!(m.load(end, b"ab").is_ok());
+        assert!(
+            matches!(m.slice(60, 8), Err(MemError::OutOfBounds { .. })),
+            "out of bounds before lane-major"
+        );
+    }
+
+    /// A re-cut keeps the device bytes of a span that lies in the kept
+    /// head, and declares a new span only in the zeroed tail.
+    #[test]
+    fn recut_keeps_device_order_of_the_head() {
+        let lm = LaneMajor {
+            base: LM_BASE,
+            lanes: 4,
+            slot: 4,
+        };
+        let mut m = DeviceMemory::new(0);
+        m.recut(0, 48, Some(lm));
+        for a in 0..48 {
+            m.write_byte(a, a).unwrap();
+        }
+        m.recut(40, 64, None);
+        assert_eq!(m.region, Region::NONE);
+        let device: Vec<u8> = (0..40).chain([0; 24]).collect();
+        assert_eq!(m.as_bytes(), device);
+        m.recut(16, 48, Some(lm));
+        assert!((0..48).all(|a| m.read_byte(a) == Ok(if a < 16 { a } else { 0 })));
+        let result = std::panic::catch_unwind(move || m.recut(17, 48, Some(lm)));
+        assert!(result.is_err(), "a span below `keep` is refused");
     }
 
     #[test]
