@@ -666,19 +666,21 @@ fn host_backend_step(
 /// Result of one scalar (single-lane, CPU-model) request execution.
 #[derive(Clone, Debug)]
 pub struct ScalarRunResult {
-    /// Aggregate scalar statistics over parser + all process stages.
-    pub stats: rhythm_simt::ScalarStats,
+    /// Dynamic instructions over parser + all process stages: every
+    /// entered block's ops plus its terminator, as a CPU core would
+    /// execute them (a `WarpRedMax` is one instruction here).
+    pub instructions: u64,
     /// The raw response (header + body).
     pub response: Vec<u8>,
     /// Dynamic basic-block trace (parser + stages concatenated, with
-    /// block ids offset per kernel so different kernels never alias),
-    /// present when requested.
-    pub trace: Option<Vec<u32>>,
+    /// block ids offset per kernel so different kernels never alias).
+    pub trace: Vec<u32>,
 }
 
-/// Execute one request on the scalar executor — the paper's "standalone C
-/// version" measurement path (one CPU core, no batching, backend as a
-/// function call).
+/// Execute one request as one CPU core would — the paper's "standalone C
+/// version" measurement path (no batching, backend as a function call).
+/// Each kernel runs one lane at a time on the reference engine
+/// ([`rhythm_simt::execute_lanes`]).
 ///
 /// The request runs in a cohort-of-one layout; warp reductions degenerate
 /// to identity so no alignment padding is emitted, and the output matches
@@ -692,10 +694,7 @@ pub fn run_request_scalar(
     store: &BankStore,
     sessions: &mut SessionArrayHost,
     req: &GeneratedRequest,
-    capture_trace: bool,
 ) -> Result<ScalarRunResult, ExecError> {
-    use rhythm_simt::exec::scalar::{execute_scalar, ScalarRun};
-
     let store_img = store.serialize_device();
     let layout = CohortLayout::new(
         1,
@@ -711,35 +710,24 @@ pub fn run_request_scalar(
     write_requests(&layout, &mut mem, std::slice::from_ref(req))?;
     let cfg = layout.launch_config();
 
-    let mut stats = rhythm_simt::ScalarStats::default();
-    let mut trace = capture_trace.then(Vec::new);
-    let mut kernel_trace: Vec<u32> = Vec::new();
-    // Offset added to block ids per kernel so traces from different
-    // kernels never collide when merged.
-    let mut run_one = |program: &rhythm_simt::Program,
-                       offset: u32,
-                       mem: &mut DeviceMemory,
-                       stats: &mut rhythm_simt::ScalarStats,
-                       trace: &mut Option<Vec<u32>>|
-     -> Result<(), ExecError> {
-        kernel_trace.clear();
-        let t = trace.as_mut().map(|_| &mut kernel_trace);
-        let s = execute_scalar(&ScalarRun::new(program, 0), &cfg, mem, &workload.pool, t)?;
-        stats.merge(&s);
-        if let Some(out) = trace.as_mut() {
-            out.extend(kernel_trace.iter().map(|b| b + offset));
-        }
-        Ok(())
-    };
-
+    let mut instructions = 0u64;
+    let mut trace: Vec<u32> = Vec::new();
     for step in workload.cohort_steps(req.ty) {
-        match step {
-            CohortStep::Parser(p) => run_one(p, 0, &mut mem, &mut stats, &mut trace)?,
-            CohortStep::Stage(i, p) => {
-                let offset = 10_000 * (i as u32 + 1);
-                run_one(p, offset, &mut mem, &mut stats, &mut trace)?;
+        // Block ids are offset per kernel so traces from different kernels
+        // never collide when merged.
+        let (program, offset) = match step {
+            CohortStep::Parser(p) => (p, 0),
+            CohortStep::Stage(i, p) => (p, 10_000 * (i as u32 + 1)),
+            CohortStep::Backend(_) => {
+                host_backend_step(store, &layout, &mut mem)?;
+                continue;
             }
-            CohortStep::Backend(_) => host_backend_step(store, &layout, &mut mem)?,
+        };
+        let start = trace.len();
+        rhythm_simt::execute_lanes(program, &cfg, &mut mem, &workload.pool, Some(&mut trace))?;
+        for b in &mut trace[start..] {
+            instructions += program.block(*b).ops.len() as u64 + 1;
+            *b += offset;
         }
     }
 
@@ -747,7 +735,7 @@ pub fn run_request_scalar(
     *sessions = SessionArrayHost::from_device_bytes(session_bytes(&mem, &layout), sessions.salt());
 
     Ok(ScalarRunResult {
-        stats,
+        instructions,
         response,
         trace,
     })

@@ -19,8 +19,7 @@ fn scalar_matches_native_exactly() {
         let native = handle_native(&req.banking_request(), &store, &mut native_sessions);
 
         let mut scalar_sessions = sessions.clone();
-        let result =
-            run_request_scalar(&workload, &store, &mut scalar_sessions, &req, false).unwrap();
+        let result = run_request_scalar(&workload, &store, &mut scalar_sessions, &req).unwrap();
 
         // A cohort of one gets no padding, so equality is exact.
         assert_eq!(
@@ -31,7 +30,7 @@ fn scalar_matches_native_exactly() {
             String::from_utf8_lossy(&native[..native.len().min(400)])
         );
         assert_eq!(scalar_sessions.len(), native_sessions.len());
-        assert!(result.stats.instructions > 1000, "{ty}: counted work");
+        assert!(result.instructions > 1000, "{ty}: counted work");
     }
 }
 
@@ -46,8 +45,8 @@ fn instruction_counts_track_response_size() {
         let n = 5;
         for _ in 0..n {
             let req = generator.one(ty, &mut sessions);
-            let r = run_request_scalar(&workload, &store, &mut sessions, &req, false).unwrap();
-            total += r.stats.instructions;
+            let r = run_request_scalar(&workload, &store, &mut sessions, &req).unwrap();
+            total += r.instructions;
         }
         total as f64 / n as f64
     };
@@ -68,10 +67,8 @@ fn traces_are_captured_and_similar_across_requests() {
     let mut traces = Vec::new();
     for _ in 0..3 {
         let req = generator.one(RequestType::Transfer, &mut sessions);
-        let r = run_request_scalar(&workload, &store, &mut sessions, &req, true).unwrap();
-        let t = r.trace.expect("trace requested");
-        assert_eq!(t.len() as u64, r.stats.blocks, "trace length = blocks");
-        traces.push(t);
+        let r = run_request_scalar(&workload, &store, &mut sessions, &req).unwrap();
+        traces.push(r.trace);
     }
     let (merged, rep) = rhythm_trace::merge_traces(&traces, 20_000);
     assert!(rep.exact);
@@ -112,7 +109,7 @@ fn scalar_equals_cohort_modulo_padding() {
     .unwrap();
 
     let mut s2 = sessions.clone();
-    let scalar = run_request_scalar(&workload, &store, &mut s2, &cohort[0], false).unwrap();
+    let scalar = run_request_scalar(&workload, &store, &mut s2, &cohort[0]).unwrap();
 
     // Mask the content-length digits (padding changes the kernel's) and
     // compare lane 0.

@@ -8,10 +8,11 @@
 //!
 //! Emits `BENCH_simt.json` with the machine it ran on (the block every
 //! `benchmark/` result carries), per-kernel ops/s, warps/s, the
-//! legacy→pre-decoded speedup, the process-wide decode-cache hit rate and
-//! wide-copy commit/fallback totals, the host cost of a launch that does
-//! nothing (`launch_floor_us`), plus a convergent-kernel speedup summary
-//! (the tentpole claim: the convergent fast paths at least double
+//! legacy→pre-decoded speedup, the process-wide decode-cache hit rate,
+//! the wide-copy commit/fallback totals of each kernel's one bit-checked
+//! reference launch (the same at any host speed), the host cost of a
+//! launch that does nothing (`launch_floor_us`), plus a convergent-kernel
+//! speedup summary (the convergent fast paths at least double
 //! interpreter warp throughput).
 //!
 //! Every timed launch is bit-checked against the legacy engine's memory
@@ -37,7 +38,7 @@ use rhythm_banking::layout::{CohortLayout, REQBUF_BYTES};
 use rhythm_banking::session_array::SessionArrayHost;
 use rhythm_banking::types::RequestType;
 use rhythm_bench::fmt::{json_f, machine_block};
-use rhythm_obs::NoopRecorder;
+use rhythm_obs::{CacheSnapshot, NoopRecorder};
 use rhythm_simt::exec::legacy::execute_simt_legacy;
 use rhythm_simt::exec::simt::execute_simt;
 use rhythm_simt::exec::LaunchConfig;
@@ -106,6 +107,9 @@ struct KernelRow {
     runs: u32,
     legacy_s: f64,
     plan_s: f64,
+    /// Wide copies the bit-checked reference launch committed (`hits`) and
+    /// declined (`misses`): a property of the kernel, not of host speed.
+    copies: CacheSnapshot,
 }
 
 impl KernelRow {
@@ -164,8 +168,10 @@ fn measure_kernel(
     // Reference run fixes the expected output and the stats, and checks
     // the engines agree before any timing happens.
     let mut mem_plan = snapshot.clone();
+    let copies_before = wide_copy_stats();
     let stats = execute_simt(kernel, cfg, &mut mem_plan, pool, &NoopRecorder)
         .unwrap_or_else(|e| panic!("{ty}/{name} pre-decoded fault: {e}"));
+    let copies = wide_copy_stats().since(&copies_before);
     let mut mem_legacy = snapshot.clone();
     let legacy_stats = execute_simt_legacy(kernel, cfg, &mut mem_legacy, pool)
         .unwrap_or_else(|e| panic!("{ty}/{name} legacy fault: {e}"));
@@ -222,6 +228,7 @@ fn measure_kernel(
         runs: inner,
         legacy_s,
         plan_s,
+        copies,
     }
 }
 
@@ -332,7 +339,10 @@ fn main() {
     }
 
     let cache = plan_cache_stats();
-    let copies = wide_copy_stats();
+    let copies = CacheSnapshot {
+        hits: rows.iter().map(|r| r.copies.hits).sum(),
+        misses: rows.iter().map(|r| r.copies.misses).sum(),
+    };
     let launch_floor_us = launch_floor_us();
     let convergent: Vec<&KernelRow> = rows.iter().filter(|r| r.convergent()).collect();
     let min_speedup = convergent

@@ -25,9 +25,9 @@ fn main() {
         let mut traces = Vec::new();
         for _ in 0..traces_per_type {
             let req = generator.one(ty, &mut sessions);
-            let r = run_request_scalar(&h.workload, &h.store, &mut sessions, &req, true)
+            let r = run_request_scalar(&h.workload, &h.store, &mut sessions, &req)
                 .expect("scalar trace run");
-            traces.push(r.trace.expect("trace requested"));
+            traces.push(r.trace);
         }
         let (_, rep) = merge_traces(&traces, 200_000);
         let rel = rep.relative_to_ideal();

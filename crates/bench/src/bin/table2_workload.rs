@@ -1,7 +1,8 @@
 //! **Table 2** — SPECWeb Banking workload characteristics.
 //!
-//! Per request type: measured dynamic instructions per request (scalar
-//! executor, random requests), measured response body size, the Rhythm
+//! Per request type: measured dynamic instructions per request (the CPU
+//! model, one lane at a time on the reference engine; random requests),
+//! measured response body size, the Rhythm
 //! response-buffer size, the request mix, and backend accesses — next to
 //! the paper's reported columns.
 

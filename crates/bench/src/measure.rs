@@ -2,8 +2,9 @@
 //!
 //! All experiments are built from two primitives:
 //!
-//! * **scalar runs** of single requests (CPU model): dynamic instruction
-//!   counts feed the calibrated CPU presets;
+//! * **scalar runs** of single requests (CPU model: one lane at a time on
+//!   the reference engine): dynamic instruction counts feed the calibrated
+//!   CPU presets;
 //! * **cohort runs** on the SIMT engine (GPU model): per-stage kernel
 //!   latencies, transactions and divergence feed the Titan platform
 //!   models.
@@ -83,9 +84,9 @@ pub fn scalar_measurements(h: &Harness, samples: u32) -> Vec<ScalarMeasurement> 
             let mut body = 0u64;
             for _ in 0..samples {
                 let req = generator.one(ty, &mut sessions);
-                let r = run_request_scalar(&h.workload, &h.store, &mut sessions, &req, false)
+                let r = run_request_scalar(&h.workload, &h.store, &mut sessions, &req)
                     .expect("scalar run");
-                instr += r.stats.instructions;
+                instr += r.instructions;
                 let text = String::from_utf8_lossy(&r.response);
                 let body_start = text.find("\n\n").map(|p| p + 2).unwrap_or(0);
                 body += (r.response.len() - body_start) as u64;

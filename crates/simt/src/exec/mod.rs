@@ -1,13 +1,16 @@
-//! Kernel executors: scalar (CPU model) and SIMT warp-lockstep (GPU model).
+//! Kernel executors: the pre-decoded plan engine ([`simt`], the GPU model
+//! that serves requests) and the legacy masked engine ([`legacy`], the
+//! reference semantics, which also runs lanes one at a time as the CPU
+//! model).
 
 pub mod legacy;
 pub mod plan;
-pub mod scalar;
 pub mod simt;
 
 use std::fmt;
 use std::sync::Arc;
 
+use crate::ir::{MemSpace, Width};
 use crate::mem::MemError;
 
 /// Number of lanes executing in lockstep per warp, as on NVIDIA hardware.
@@ -125,8 +128,9 @@ pub struct LaunchConfig {
     pub local_bytes: u32,
     /// Per-warp shared memory in bytes.
     pub shared_bytes: u32,
-    /// Per-lane (scalar) / per-warp (SIMT) dynamic instruction budget;
-    /// exceeding it aborts execution, guarding against runaway loops.
+    /// Per-warp dynamic instruction budget (per lane under
+    /// [`legacy::execute_lanes`], where every warp is one lane); exceeding
+    /// it aborts execution, guarding against runaway loops.
     pub max_instructions: u64,
     /// Optional footprint sanitizer: when set, the plan executor checks
     /// every executed **global** access against this claimed static
@@ -267,6 +271,55 @@ impl From<MemError> for ExecError {
     fn from(e: MemError) -> Self {
         ExecError::Mem(e)
     }
+}
+
+/// Load `width` bytes at `addr` from a per-lane local or per-warp shared
+/// buffer, failing out of bounds as `space`.
+pub(crate) fn read_buf(
+    buf: &[u8],
+    space: MemSpace,
+    width: Width,
+    addr: u32,
+) -> Result<u32, MemError> {
+    let a = addr as usize;
+    let w = width.bytes() as usize;
+    if a + w > buf.len() {
+        return Err(MemError::OutOfBounds {
+            space,
+            addr,
+            len: w as u32,
+            size: buf.len(),
+        });
+    }
+    Ok(match width {
+        Width::Byte => buf[a] as u32,
+        Width::Word => u32::from_le_bytes([buf[a], buf[a + 1], buf[a + 2], buf[a + 3]]),
+    })
+}
+
+/// Store counterpart of [`read_buf`].
+pub(crate) fn write_buf(
+    buf: &mut [u8],
+    space: MemSpace,
+    width: Width,
+    addr: u32,
+    value: u32,
+) -> Result<(), MemError> {
+    let a = addr as usize;
+    let w = width.bytes() as usize;
+    if a + w > buf.len() {
+        return Err(MemError::OutOfBounds {
+            space,
+            addr,
+            len: w as u32,
+            size: buf.len(),
+        });
+    }
+    match width {
+        Width::Byte => buf[a] = value as u8,
+        Width::Word => buf[a..a + 4].copy_from_slice(&value.to_le_bytes()),
+    }
+    Ok(())
 }
 
 #[cfg(test)]

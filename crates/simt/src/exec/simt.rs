@@ -1,8 +1,8 @@
 //! SIMT executor: warps of 32 lanes in lockstep with stack-based
 //! reconvergence and a memory-coalescing transaction model.
 //!
-//! This is the substitute for real CUDA hardware: it executes the same
-//! kernel IR the scalar executor runs, but 32 lanes at a time, charging
+//! This is the substitute for real CUDA hardware: it executes the kernel
+//! IR 32 lanes at a time, charging
 //! * one issue cycle per warp instruction (the SIMT amortization win),
 //! * one extra cycle per global-memory transaction after coalescing
 //!   lane addresses into aligned segments (the data-layout effect), and
@@ -44,8 +44,7 @@ use crate::mem::{ConstPool, DeviceMemory, DeviceView, MemError};
 use crate::stats::KernelStats;
 
 use super::plan::{plan_for, DecodedOp, DecodedTerm, ExecPlan, RegSlot, WideCopy};
-use super::scalar::{read_buf, write_buf};
-use super::{AccessKind, ExecError, LaunchConfig, WARP_SIZE};
+use super::{read_buf, write_buf, AccessKind, ExecError, LaunchConfig, WARP_SIZE};
 
 /// DRAM sector granularity for traffic accounting (GDDR5 32-byte sectors).
 pub const SECTOR_BYTES: u32 = 32;
@@ -1608,10 +1607,11 @@ mod tests {
         assert!(stats.divergence.divergent_branches > 0);
     }
 
-    /// The scalar and SIMT executors must produce identical memory.
+    /// Lockstep warps and lanes run one at a time must produce identical
+    /// memory.
     #[test]
     fn scalar_simt_equivalence() {
-        use crate::exec::scalar::{execute_scalar, ScalarRun};
+        use crate::exec::legacy::execute_lanes;
         let mut b = ProgramBuilder::new("eq");
         let g = b.global_id();
         let three = b.imm(3);
@@ -1638,12 +1638,10 @@ mod tests {
         )
         .unwrap();
 
-        let mut mem_scalar = DeviceMemory::new(lanes as usize * 4);
-        let cfg = LaunchConfig::new(1, []);
-        for id in 0..lanes {
-            execute_scalar(&ScalarRun::new(&p, id), &cfg, &mut mem_scalar, &pool, None).unwrap();
-        }
-        assert_eq!(mem_simt.as_bytes(), mem_scalar.as_bytes());
+        let mut mem_lanes = DeviceMemory::new(lanes as usize * 4);
+        let cfg = LaunchConfig::new(lanes, []);
+        execute_lanes(&p, &cfg, &mut mem_lanes, &pool, None).unwrap();
+        assert_eq!(mem_simt.as_bytes(), mem_lanes.as_bytes());
     }
 
     #[test]

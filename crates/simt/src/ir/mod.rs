@@ -1,13 +1,15 @@
 //! The Rhythm kernel intermediate representation (IR).
 //!
 //! Server request handlers are written once in this small, explicit IR and
-//! then executed by two interpreters:
+//! then executed by two engines that agree on every op:
 //!
-//! * [`crate::exec::scalar`] — one lane at a time, modelling a general
-//!   purpose CPU core and emitting dynamic basic-block traces, and
-//! * [`crate::exec::simt`] — a warp of 32 lanes in lockstep, modelling a
-//!   GPU-style accelerator with a divergence stack and a memory-coalescing
-//!   transaction model.
+//! * [`crate::exec::simt`] — the pre-decoded engine: a warp of 32 lanes in
+//!   lockstep, modelling a GPU-style accelerator with a divergence stack
+//!   and a memory-coalescing transaction model, and
+//! * [`crate::exec::legacy`] — the reference engine, which runs the same
+//!   warps fully masked and also runs lanes one at a time
+//!   ([`crate::exec::legacy::execute_lanes`]), modelling a general purpose
+//!   CPU core and emitting dynamic basic-block traces.
 //!
 //! The IR is deliberately low level: all loops and string operations are
 //! expressed as explicit basic blocks so that dynamic instruction counts,
@@ -219,15 +221,15 @@ pub enum Op {
         addr: Reg,
         offset: u32,
     },
-    /// `dst = lane index within the warp` (0 for the scalar executor).
+    /// `dst = lane index within the warp` (0 when lanes run one at a time).
     LaneId { dst: Reg },
     /// `dst = global lane index within the launch` (the request slot).
     GlobalId { dst: Reg },
     /// `dst = launch parameter[index]`, broadcast to all lanes.
     Param { dst: Reg, index: u16 },
     /// Butterfly max-reduction across the active lanes of the warp:
-    /// every active lane receives `max(src)` over active lanes. The scalar
-    /// executor treats this as identity. Costs `log2(warp)` = 5 steps.
+    /// every active lane receives `max(src)` over active lanes, so on a
+    /// lane run alone it is the identity. Costs `log2(warp)` = 5 steps.
     WarpRedMax { dst: Reg, src: Reg },
     /// Atomic fetch-and-add on memory; `dst` receives the old value.
     /// Lanes hitting the same address serialize.

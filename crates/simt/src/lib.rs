@@ -16,10 +16,10 @@
 //! * **Device timing** — [`gpu`] converts measured cycles and DRAM traffic
 //!   into kernel latencies for a parameterized device (GTX Titan preset).
 //!
-//! The same IR also runs on a scalar interpreter ([`exec::scalar`]) that
-//! models a CPU core and emits dynamic basic-block traces — the paper's
-//! "standalone C implementation" counterpart, and the input to the
-//! request-similarity study.
+//! The same IR also runs one lane at a time on the reference engine
+//! ([`exec::legacy::execute_lanes`]), which models a CPU core and emits
+//! dynamic basic-block traces — the paper's "standalone C implementation"
+//! counterpart, and the input to the request-similarity study.
 //!
 //! ## Quick tour
 //!
@@ -64,11 +64,11 @@ pub mod mem;
 pub mod stats;
 pub mod streams;
 
-pub use exec::legacy::execute_simt_legacy;
+pub use exec::legacy::{execute_lanes, execute_simt_legacy};
 pub use exec::plan::{plan_cache_stats, plan_for, ExecPlan};
 pub use exec::simt::{warp_arena_stats, wide_copy_stats};
 pub use exec::{AccessKind, ExecError, FootprintSpec, GateRejection, LaunchConfig, WARP_SIZE};
 pub use gpu::{Gpu, GpuConfig, LaunchGate, LaunchResult};
 pub use ir::{Program, ProgramBuilder};
 pub use mem::{ConstPool, DeviceMemory, DeviceView, MemError};
-pub use stats::{DivergenceStats, KernelStats, ScalarStats};
+pub use stats::{DivergenceStats, KernelStats};

@@ -1,29 +1,6 @@
-//! Execution statistics reported by the scalar and SIMT executors.
+//! Execution statistics reported by the SIMT engines.
 
 use serde::{Deserialize, Serialize};
-
-/// Statistics from one scalar (single-lane) execution.
-#[derive(Clone, Default, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct ScalarStats {
-    /// Dynamic instructions executed (including terminators).
-    pub instructions: u64,
-    /// Dynamic loads from any memory space.
-    pub loads: u64,
-    /// Dynamic stores to any memory space.
-    pub stores: u64,
-    /// Basic blocks entered.
-    pub blocks: u64,
-}
-
-impl ScalarStats {
-    /// Fold another run's counters into this one.
-    pub fn merge(&mut self, other: &ScalarStats) {
-        self.instructions += other.instructions;
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.blocks += other.blocks;
-    }
-}
 
 /// Warp-divergence counters from a SIMT execution.
 #[derive(Clone, Default, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -127,24 +104,6 @@ impl KernelStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scalar_merge() {
-        let mut a = ScalarStats {
-            instructions: 10,
-            loads: 2,
-            stores: 3,
-            blocks: 4,
-        };
-        a.merge(&ScalarStats {
-            instructions: 1,
-            loads: 1,
-            stores: 1,
-            blocks: 1,
-        });
-        assert_eq!(a.instructions, 11);
-        assert_eq!(a.blocks, 5);
-    }
 
     #[test]
     fn divergence_rate() {

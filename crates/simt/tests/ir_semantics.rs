@@ -5,13 +5,13 @@
 //! * `DivU` by zero yields `u32::MAX`; `RemU` by zero yields the dividend.
 //! * `Width::Byte` loads zero-extend and stores write the low byte only.
 //! * `WarpRedMax` reduces over the *active* lanes of the warp, broadcasts
-//!   to those lanes, is the identity on the scalar executor, and costs
+//!   to those lanes, is the identity on a lane run alone, and costs
 //!   `log2(warp) = 5` warp issues.
 //! * `AtomicAdd` returns the old value, with same-address lanes
 //!   serialized in lane order.
 
 use rhythm_obs::NoopRecorder;
-use rhythm_simt::exec::scalar::{execute_scalar, ScalarRun};
+use rhythm_simt::exec::legacy::execute_lanes;
 use rhythm_simt::exec::simt::execute_simt;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::ir::{BinOp, MemSpace, Program, ProgramBuilder};
@@ -119,10 +119,7 @@ fn warp_red_max_is_identity_on_the_scalar_executor() {
 
     let pool = ConstPool::new();
     let mut mem = DeviceMemory::new(128);
-    let cfg = LaunchConfig::new(1, []);
-    for id in 0..32 {
-        execute_scalar(&ScalarRun::new(&p, id), &cfg, &mut mem, &pool, None).unwrap();
-    }
+    execute_lanes(&p, &LaunchConfig::new(32, []), &mut mem, &pool, None).unwrap();
     // Identity: each lane keeps its own value, nobody sees the max.
     for lane in 0..32usize {
         assert_eq!(word(&mem, lane * 4), lane as u32 * 3, "lane {lane}");

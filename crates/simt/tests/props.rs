@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use rhythm_obs::NoopRecorder;
-use rhythm_simt::exec::scalar::{execute_scalar, ScalarRun};
+use rhythm_simt::exec::legacy::execute_lanes;
 use rhythm_simt::exec::simt::execute_simt;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::ir::{
@@ -150,10 +150,7 @@ proptest! {
         let mut simt = DeviceMemory::new(lanes as usize * 4);
         execute_simt(&p, &LaunchConfig::new(lanes, []), &mut simt, &pool, &NoopRecorder).unwrap();
         let mut scalar = DeviceMemory::new(lanes as usize * 4);
-        let cfg = LaunchConfig::new(1, []);
-        for id in 0..lanes {
-            execute_scalar(&ScalarRun::new(&p, id), &cfg, &mut scalar, &pool, None).unwrap();
-        }
+        execute_lanes(&p, &LaunchConfig::new(lanes, []), &mut scalar, &pool, None).unwrap();
         prop_assert_eq!(simt.as_bytes(), scalar.as_bytes());
     }
 

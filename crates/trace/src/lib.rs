@@ -7,7 +7,8 @@
 //! merges traces of same-type requests with the UNIX `diff` utility; the
 //! merged length approximates lockstep (SIMD) execution and
 //! `Σ|trace| / |merged|` is the attainable speedup. Here the traces come
-//! from `rhythm-simt`'s scalar executor and the merge is a from-scratch
+//! from `rhythm-simt`'s reference engine running one lane at a time
+//! (`execute_lanes`) and the merge is a from-scratch
 //! Myers O(ND) diff ([`myers`]) with shortest-common-supersequence
 //! recovery, iterated pairwise over a trace group ([`merge`]).
 //!

@@ -8,8 +8,9 @@
 //!
 //! * the analyzer property tests assert these kernels lint clean (the gate
 //!   never rejects a constructively safe program), and
-//! * executor differential tests run them through the scalar, legacy-SIMT,
-//!   and pre-decoded engines, asserting bit-identical memory and stats.
+//! * executor differential tests run them lane by lane and in lockstep on
+//!   the legacy engine and on the pre-decoded engine, asserting
+//!   bit-identical memory and stats.
 //!
 //! The recipe bytes map to step kinds via `step % 6`, so any byte vector —
 //! e.g. one drawn by proptest — is a valid recipe.

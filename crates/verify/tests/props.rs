@@ -1,13 +1,14 @@
 //! Property: programs the analyzer admits actually behave. Random
 //! structured kernels that lint clean (no `Error` findings) execute
-//! bit-identically on the scalar reference executor and the SIMT executor
+//! bit-identically with their lanes run one at a time on the reference
+//! engine and in lockstep on the SIMT executor
 //! — i.e. the gate's admission criterion never admits a kernel whose
 //! lockstep execution diverges from its sequential semantics.
 
 use proptest::prelude::*;
 
 use rhythm_obs::NoopRecorder;
-use rhythm_simt::exec::scalar::{execute_scalar, ScalarRun};
+use rhythm_simt::exec::legacy::execute_lanes;
 use rhythm_simt::exec::simt::execute_simt;
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
@@ -36,28 +37,18 @@ proptest! {
             report
         );
 
-        // Scalar reference: one lane at a time.
+        // Sequential reference: one lane at a time.
         let pool = ConstPool::new();
         let cfg = LaunchConfig::new(LANES, []);
         let mut reference = DeviceMemory::new(MEM_BYTES);
-        let scalar_cfg = LaunchConfig::new(1, []);
-        for id in 0..LANES {
-            execute_scalar(
-                &ScalarRun::new(&program, id),
-                &scalar_cfg,
-                &mut reference,
-                &pool,
-                None,
-            )
-            .unwrap();
-        }
+        execute_lanes(&program, &cfg, &mut reference, &pool, None).unwrap();
 
         let mut mem = DeviceMemory::new(MEM_BYTES);
         execute_simt(&program, &cfg, &mut mem, &pool, &NoopRecorder).unwrap();
         prop_assert_eq!(
             mem.as_bytes(),
             reference.as_bytes(),
-            "SIMT diverged from scalar reference"
+            "SIMT diverged from the sequential reference"
         );
     }
 }

@@ -1,6 +1,7 @@
 //! Request-similarity study in miniature (the paper's Figure 2
-//! methodology): trace a few requests of one type on the scalar
-//! executor, merge the basic-block traces with a Myers diff, and see how
+//! methodology): trace a few requests of one type on the CPU model (one
+//! lane at a time on the reference engine), merge the basic-block traces
+//! with a Myers diff, and see how
 //! close lockstep execution gets to ideal speedup.
 //!
 //! ```sh
@@ -25,8 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut traces = Vec::new();
         for _ in 0..4 {
             let req = generator.one(ty, &mut sessions);
-            let run = run_request_scalar(&workload, &store, &mut sessions, &req, true)?;
-            traces.push(run.trace.expect("trace requested"));
+            let run = run_request_scalar(&workload, &store, &mut sessions, &req)?;
+            traces.push(run.trace);
         }
 
         let (merged, report) = merge_traces(&traces, 100_000);

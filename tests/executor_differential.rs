@@ -1,6 +1,7 @@
-//! Three-way executor differential: the scalar reference, the legacy
-//! masked SIMT engine, and the pre-decoded warp-vectorized engine must be
-//! bit-identical — memory images and (for the two SIMT engines) every
+//! Three-way executor differential: the sequential reference (the legacy
+//! engine running one lane at a time), the legacy masked SIMT engine in
+//! lockstep, and the pre-decoded warp-vectorized engine must be
+//! bit-identical — memory images and (for the two lockstep runs) every
 //! `KernelStats` counter — on random lint-clean kernels and on the real
 //! banking kernels, including wide-copy-eligible kernels and Budget-fault
 //! cases, where the partial image must match too.
@@ -19,15 +20,14 @@ use rhythm_banking::layout::{CohortLayout, REQBUF_BYTES};
 use rhythm_banking::session_array::SessionArrayHost;
 use rhythm_banking::types::RequestType;
 use rhythm_obs::NoopRecorder;
-use rhythm_simt::exec::legacy::execute_simt_legacy;
-use rhythm_simt::exec::scalar::{execute_scalar, ScalarRun};
+use rhythm_simt::exec::legacy::{execute_lanes, execute_simt_legacy};
 use rhythm_simt::exec::simt::{execute_simt, TX_BYTES};
 use rhythm_simt::exec::LaunchConfig;
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
 use rhythm_verify::corpus::build_kernel;
 
 proptest! {
-    /// Random structured kernels: scalar lane-at-a-time execution is the
+    /// Random structured kernels: lane-at-a-time execution is the
     /// semantic reference; both SIMT engines must reproduce its memory
     /// image exactly, and must agree with each other on every stats
     /// counter.
@@ -45,15 +45,11 @@ proptest! {
         let mem_bytes = lanes as usize * 4;
         let pool = ConstPool::new();
 
-        // Scalar reference.
-        let mut reference = DeviceMemory::new(mem_bytes);
-        let scalar_cfg = LaunchConfig::new(1, []);
-        for id in 0..lanes {
-            execute_scalar(&ScalarRun::new(&program, id), &scalar_cfg, &mut reference, &pool, None)
-                .unwrap();
-        }
-
+        // Sequential reference.
         let cfg = LaunchConfig::new(lanes, []);
+        let mut reference = DeviceMemory::new(mem_bytes);
+        execute_lanes(&program, &cfg, &mut reference, &pool, None).unwrap();
+
         let mut mem_l = DeviceMemory::new(mem_bytes);
         let sl = execute_simt_legacy(&program, &cfg, &mut mem_l, &pool).unwrap();
         let mut mem_p = DeviceMemory::new(mem_bytes);
@@ -61,11 +57,11 @@ proptest! {
 
         prop_assert_eq!(
             mem_l.as_bytes(), reference.as_bytes(),
-            "legacy SIMT diverged from scalar"
+            "legacy SIMT diverged from sequential lanes"
         );
         prop_assert_eq!(
             mem_p.as_bytes(), reference.as_bytes(),
-            "pre-decoded SIMT diverged from scalar"
+            "pre-decoded SIMT diverged from sequential lanes"
         );
         prop_assert_eq!(&sp, &sl, "engine stats diverged");
     }
@@ -338,10 +334,10 @@ fn diverged_copy_faults_commit_nothing() {
 /// the kernel stats after every single launch, for every request type, on
 /// three request seeds, at three cohort widths: 1 and 3 lanes (what a
 /// served time-out launch carries, so every masked loop runs at a live
-/// width below 32) and 48 (one full warp + one partial warp). (The scalar
-/// leg of the three-way proof for banking kernels is the existing
-/// cohort-vs-native differential suite; warp reductions make a
-/// lane-looped scalar run of a 48-lane cohort semantically different by
+/// width below 32) and 48 (one full warp + one partial warp). (The
+/// sequential leg of the three-way proof for banking kernels is the
+/// existing cohort-vs-native differential suite; warp reductions make a
+/// lane-at-a-time run of a 48-lane cohort semantically different by
 /// design.)
 #[test]
 fn banking_kernels_legacy_vs_predecoded_lockstep() {

@@ -8,7 +8,7 @@ use rhythm_http::query::{url_decode, url_encode};
 use rhythm_http::{HttpRequest, ResponseBuilder};
 use rhythm_obs::NoopRecorder;
 use rhythm_simt::exec::simt::execute_simt;
-use rhythm_simt::exec::{scalar::execute_scalar, scalar::ScalarRun, LaunchConfig};
+use rhythm_simt::exec::{legacy::execute_lanes, LaunchConfig};
 use rhythm_simt::ir::{BinOp, ProgramBuilder};
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
 use rhythm_trace::myers::{is_supersequence, merge_pair};
@@ -182,10 +182,7 @@ proptest! {
         execute_simt(&p, &LaunchConfig::new(lanes, []), &mut mem_simt, &pool, &NoopRecorder).unwrap();
 
         let mut mem_scalar = DeviceMemory::new(lanes as usize * 4);
-        let cfg = LaunchConfig::new(1, []);
-        for id in 0..lanes {
-            execute_scalar(&ScalarRun::new(&p, id), &cfg, &mut mem_scalar, &pool, None).unwrap();
-        }
+        execute_lanes(&p, &LaunchConfig::new(lanes, []), &mut mem_scalar, &pool, None).unwrap();
         prop_assert_eq!(mem_simt.as_bytes(), mem_scalar.as_bytes());
     }
 }
