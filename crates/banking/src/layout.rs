@@ -85,14 +85,10 @@ pub const PARAM_COUNT: usize = 24;
 pub const F_TYPE: u32 = 0;
 /// Session token from the cookie (0 when absent).
 pub const F_TOKEN: u32 = 1;
-/// Positional parameters p0..p3 (p0 = userid).
+/// Positional parameters p0..p3 at `F_P0 + i` (p0 = userid).
 pub const F_P0: u32 = 2;
 /// See [`F_P0`].
 pub const F_P1: u32 = 3;
-/// See [`F_P0`].
-pub const F_P2: u32 = 4;
-/// See [`F_P0`].
-pub const F_P3: u32 = 5;
 /// Status: 0 = ok, 1 = forbidden (error paths, paper §4.4).
 pub const F_STATUS: u32 = 6;
 /// Response length in bytes (set by the response-generation stage).
@@ -307,21 +303,6 @@ impl CohortLayout {
         mem.read_word(self.struct_addr(lane, field))
     }
 
-    /// Write a struct field into device memory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates out-of-bounds access.
-    pub fn write_struct(
-        &self,
-        mem: &mut DeviceMemory,
-        lane: u32,
-        field: u32,
-        value: u32,
-    ) -> Result<(), MemError> {
-        mem.write_word(self.struct_addr(lane, field), value)
-    }
-
     /// Byte address of element `pos` of lane `lane` within the buffer at
     /// `base` with `slot` bytes per lane.
     pub fn elem_addr(&self, base: u32, slot: u32, lane: u32, pos: u32) -> u32 {
@@ -350,8 +331,8 @@ impl CohortLayout {
     /// ([`DeviceMemory::read_strided`]). A row-major slot, a one-lane
     /// cohort, or a buffer the image keeps lane-major (a transposed
     /// cohort's responses, [`Self::response_lane_major`]) is one memcpy;
-    /// a transposed buffer in device order of up to 8 lanes walks at a
-    /// compile-time constant stride.
+    /// a transposed buffer in device order steps through its bytes at the
+    /// cohort's width.
     ///
     /// # Errors
     ///
@@ -519,14 +500,15 @@ mod tests {
         }
     }
 
-    /// The lane walks against byte-by-byte ones at every element stride a
-    /// fixed-stride walk takes and two it does not (9, 32), in both
-    /// layouts, with the response buffer in device order and kept
-    /// lane-major: `read_lane_prefix` equals a gather through `elem_addr`
-    /// at lengths 0, 1 and the full slot, and `write_lane` stores exactly
-    /// the bytes a store through `elem_addr` would.
+    /// A lane's reads and writes against byte-by-byte ones at element
+    /// strides 1–9, 32 and 33 (one memcpy at stride 1 or in a lane-major
+    /// run, a step through the bytes otherwise), in both layouts, with the
+    /// response buffer in device order and kept lane-major:
+    /// `read_lane_prefix` equals a gather through `elem_addr` at lengths 0,
+    /// 1 and the full slot, and `write_lane` stores exactly the bytes a
+    /// store through `elem_addr` would.
     #[test]
-    fn lane_walks_match_byte_by_byte_ones() {
+    fn lane_accesses_match_byte_by_byte_ones() {
         const SLOT: u32 = 128;
         for cohort in (1..=9).chain([32, 33]) {
             for (transposed, lane_major) in [(false, false), (true, false), (true, true)] {
@@ -569,8 +551,8 @@ mod tests {
     fn struct_fields_roundtrip() {
         let l = CohortLayout::new(16, 1024, 16, 0, 0, true);
         let mut mem = DeviceMemory::new(l.total_bytes as usize);
-        l.write_struct(&mut mem, 5, F_TOKEN, 0xFEED).unwrap();
-        l.write_struct(&mut mem, 5, F_P0, 42).unwrap();
+        mem.write_word(l.struct_addr(5, F_TOKEN), 0xFEED).unwrap();
+        mem.write_word(l.struct_addr(5, F_P0), 42).unwrap();
         assert_eq!(l.read_struct(&mem, 5, F_TOKEN).unwrap(), 0xFEED);
         assert_eq!(l.read_struct(&mem, 5, F_P0).unwrap(), 42);
         assert_eq!(l.read_struct(&mem, 4, F_TOKEN).unwrap(), 0);

@@ -47,7 +47,6 @@ pub mod images;
 pub mod kernels;
 pub mod layout;
 pub mod native;
-pub mod quickpay;
 pub mod runner;
 pub mod serve;
 pub mod session_array;
@@ -62,7 +61,6 @@ pub mod prelude {
     pub use crate::kernels::Workload;
     pub use crate::layout::CohortLayout;
     pub use crate::native::{handle_native, BankingRequest};
-    pub use crate::quickpay::{handle_quickpay_native, run_quickpay_cohort, QuickPay};
     pub use crate::runner::{
         run_cohort_traced, run_cohorts_hyperq, run_parser_only, run_request_scalar, BackendMode,
         CohortOptions, DeviceContext, ScalarRunResult,

@@ -151,11 +151,14 @@ impl WarpState {
         }
     }
 
+    /// Start a warp of `count` lanes: zero the registers and local memory
+    /// of those lanes (no mask reaches a lane past them) and all of shared
+    /// memory.
     fn reset(&mut self, base: u32, count: u32) {
         self.base = base;
         self.count = count;
-        self.regs.fill(0);
-        self.local.fill(0);
+        self.regs[..count as usize * self.num_regs].fill(0);
+        self.local[..count as usize * self.local_bytes].fill(0);
         self.shared.fill(0);
     }
 
@@ -646,21 +649,30 @@ mod tests {
         assert_eq!(mem.slice(0, 1).unwrap(), b"0");
     }
 
+    /// Every lane starts from zeroed registers and local memory: lane k
+    /// leaves a nonzero register and local byte in the one-lane warp's
+    /// slots, and lane k + 1 reads both as zero.
     #[test]
-    fn read_decimal_parses() {
-        let mut b = ProgramBuilder::new("atoi");
-        let a = b.imm(0);
-        let (v, len) = b.read_decimal_global(a);
-        let out = b.imm(16);
-        b.st_global_word(out, 0, v);
-        b.st_global_word(out, 4, len);
+    fn each_lane_starts_zeroed() {
+        let mut b = ProgramBuilder::new("fresh");
+        let r = b.reg();
+        let zero = b.imm(0);
+        let byte = b.ld_local_byte(zero, 0);
+        let g = b.global_id();
+        let eight = b.imm(8);
+        let out = b.bin(BinOp::Mul, g, eight);
+        b.st_global_word(out, 0, r);
+        b.st_global_word(out, 4, byte);
+        let one = b.imm(1);
+        let mark = b.bin(BinOp::Add, g, one);
+        b.mov(r, mark);
+        b.st_local_byte(zero, 0, mark);
         b.halt();
         let p = b.build().unwrap();
-        let mut mem = DeviceMemory::new(32);
-        mem.load(0, b"3804|rest").unwrap();
-        run(&p, &mut mem, 1, vec![]);
-        assert_eq!(mem.read_word(16).unwrap(), 3804);
-        assert_eq!(mem.read_word(20).unwrap(), 4);
+        let mut mem = DeviceMemory::new(4 * 8);
+        mem.load(0, &[0xFF; 4 * 8]).unwrap();
+        run(&p, &mut mem, 4, vec![]);
+        assert_eq!(mem.as_bytes(), [0; 4 * 8]);
     }
 
     #[test]

@@ -525,48 +525,6 @@ impl ProgramBuilder {
         self.imm(0)
     }
 
-    /// Parse an unsigned decimal number from global memory starting at
-    /// `addr`, stopping at the first non-digit. Returns `(value, len)`.
-    pub fn read_decimal_global(&mut self, addr: Reg) -> (Reg, Reg) {
-        let value = self.imm(0);
-        let len = self.imm(0);
-        let ten = self.imm(10);
-        let one = self.imm(1);
-        let zero_ch = self.imm(b'0' as u32);
-        let nine_ch = self.imm(b'9' as u32);
-        let cont = self.imm(1);
-        self.while_loop(
-            |b| b.mov_out(cont),
-            |b| {
-                let a = b.bin(BinOp::Add, addr, len);
-                let ch = b.ld_global_byte(a, 0);
-                let ge = b.bin(BinOp::GeU, ch, zero_ch);
-                let le = b.bin(BinOp::LeU, ch, nine_ch);
-                let is_digit = b.bin(BinOp::And, ge, le);
-                b.if_then_else(
-                    is_digit,
-                    |b| {
-                        let d = b.bin(BinOp::Sub, ch, zero_ch);
-                        let scaled = b.bin(BinOp::Mul, value, ten);
-                        b.bin_into(value, BinOp::Add, scaled, d);
-                        b.bin_into(len, BinOp::Add, len, one);
-                    },
-                    |b| {
-                        b.imm_into(cont, 0);
-                    },
-                );
-            },
-        );
-        (value, len)
-    }
-
-    /// Copy of a register as a loop condition (helper for `while cont`).
-    fn mov_out(&mut self, r: Reg) -> Reg {
-        let d = self.reg();
-        self.mov(d, r);
-        d
-    }
-
     /// Multiplicative xor-shift hash of `x` (4 instructions), used by the
     /// session array and backend record addressing.
     pub fn hash_u32(&mut self, x: Reg) -> Reg {
@@ -671,15 +629,6 @@ mod tests {
         b.write_const_str(&cur, 0, 5);
         let v = b.imm(1234);
         b.write_decimal(&cur, v, 0);
-        b.halt();
-        assert!(b.build().is_ok());
-    }
-
-    #[test]
-    fn read_decimal_builds() {
-        let mut b = ProgramBuilder::new("k");
-        let a = b.imm(0);
-        let (_v, _l) = b.read_decimal_global(a);
         b.halt();
         assert!(b.build().is_ok());
     }

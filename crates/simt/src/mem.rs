@@ -504,34 +504,12 @@ fn strided_span(stride: u32, len: u32) -> u32 {
     }
 }
 
-/// The widest stride a lane walk ([`scatter`], [`gather`], and
-/// [`DeviceView::store_strided`]'s lane-by-lane path) runs at a
-/// compile-time constant, in the transposed buffers kept in device order
-/// (request slots, backend requests and responses; a response buffer is
-/// kept lane-major, where a lane's walk is one copy at any width).
-/// Strides 2–8 are the transposed layouts of the cohorts a served
-/// time-out fills; there one lane's pass touches a
-/// region that stays in cache, and its fixed-stride loop measured
-/// 0.41–0.45 ns/B against 1.0–1.9 ns/B for the iteration-major row loop.
-/// At 16–32 lanes each lane's pass streams the whole cohort region
-/// through the cache once, and a lane walk measured 1.4–1.6 ns/B against
-/// 0.8–0.9 ns/B for the row loop, so wider strides keep the row loop.
-const LANE_WALK_MAX: u32 = 8;
-
 /// `walk[t · n] = src[t]` for every `t`, where `walk` is exactly
-/// `strided_span(n, src.len())` bytes. Strides 1 ..= [`LANE_WALK_MAX`] run
-/// at a compile-time constant (1 is one `copy_from_slice`); any other
-/// stride steps through `walk`.
+/// `strided_span(n, src.len())` bytes: one `copy_from_slice` at stride 1,
+/// else a step through `walk`.
 fn scatter(walk: &mut [u8], n: usize, src: &[u8]) {
     match n {
         1 => walk.copy_from_slice(src),
-        2 => scatter_n::<2>(walk, src),
-        3 => scatter_n::<3>(walk, src),
-        4 => scatter_n::<4>(walk, src),
-        5 => scatter_n::<5>(walk, src),
-        6 => scatter_n::<6>(walk, src),
-        7 => scatter_n::<7>(walk, src),
-        8 => scatter_n::<8>(walk, src),
         _ => walk
             .iter_mut()
             .step_by(n)
@@ -540,43 +518,14 @@ fn scatter(walk: &mut [u8], n: usize, src: &[u8]) {
     }
 }
 
-/// [`scatter`] at `N ≥ 2`: a non-empty walk is `src.len() - 1` whole rows
-/// of `N` bytes and a last partial row of one, which takes the last byte.
-fn scatter_n<const N: usize>(walk: &mut [u8], src: &[u8]) {
-    let (rows, last) = walk.as_chunks_mut::<N>();
-    for (row, &b) in rows.iter_mut().zip(src) {
-        row[0] = b;
-    }
-    if let (Some(d), Some(&b)) = (last.first_mut(), src.get(rows.len())) {
-        *d = b;
-    }
-}
-
 /// `out[t] = bytes[t · n]` for every `t`, where `bytes` is exactly
-/// `strided_span(n, len)` bytes: the inverse of [`scatter`], dispatched the
-/// same way (1 is one `to_vec`, a memcpy).
+/// `strided_span(n, len)` bytes: the inverse of [`scatter`] (1 is one
+/// `to_vec`, a memcpy).
 fn gather(bytes: &[u8], n: usize) -> Vec<u8> {
     match n {
         1 => bytes.to_vec(),
-        2 => gather_n::<2>(bytes),
-        3 => gather_n::<3>(bytes),
-        4 => gather_n::<4>(bytes),
-        5 => gather_n::<5>(bytes),
-        6 => gather_n::<6>(bytes),
-        7 => gather_n::<7>(bytes),
-        8 => gather_n::<8>(bytes),
         _ => bytes.iter().step_by(n).copied().collect(),
     }
-}
-
-/// [`gather`] at `N ≥ 2`: the first byte of each whole row, then the last
-/// partial row's one byte.
-fn gather_n<const N: usize>(bytes: &[u8]) -> Vec<u8> {
-    let (rows, last) = bytes.as_chunks::<N>();
-    let mut out = Vec::with_capacity(rows.len() + last.len());
-    out.extend(rows.iter().map(|row| row[0]));
-    out.extend(last.first());
-    out
 }
 
 /// A [`DeviceMemory`] image as the device sees it during a launch.
@@ -695,16 +644,13 @@ impl DeviceView<'_> {
     ///   same lane (a transposed cohort's wide copy, in step or diverged):
     ///   one `copy_from_slice` per lane into its host run;
     /// - elsewhere, when `stride == 1` and the ascending starts' spans are
-    ///   disjoint (one lane, or row-major slots: one `copy_from_slice` per
-    ///   lane), and when `2 <= stride <= 8` and the starts are distinct
-    ///   modulo `stride` (a transposed buffer of up to 8 lanes, whose lane
-    ///   `l` owns the addresses `≡ base + l`): one loop at a compile-time
-    ///   constant stride.
+    ///   disjoint (one lane, or row-major slots): one `copy_from_slice` per
+    ///   lane.
     ///
-    /// Every other splat — congruent starts, `stride == 0`, walks that
-    /// overrun a slot, wider strides outside the span — stores
-    /// iteration-major, row by row (mapped byte by byte where it reaches
-    /// into the lane-major span).
+    /// Every other splat — `stride == 0`, walks that overlap or overrun a
+    /// slot, any wider stride outside the span — stores iteration-major,
+    /// row by row (mapped byte by byte where it reaches into the
+    /// lane-major span).
     ///
     /// The highest address of the whole operation is checked once, before
     /// the first store. A splat that reaches into the journal's span
@@ -748,14 +694,13 @@ impl DeviceView<'_> {
             self.store_mapped(starts, stride, src, journaled);
             return Ok(());
         }
-        // The lane walks return ahead of the byte loops: as one more arm
+        // The copies return ahead of the byte loops: as one more arm
         // beside them a copy made the 2-lane byte loop measure 20–28 %
         // slower.
         if !journaled && disjoint_walks(starts, stride, src.len()) {
-            let span = strided_span(stride, src.len() as u32) as usize;
             for &start in starts {
                 let start = start as usize;
-                scatter(&mut self.0.bytes[start..start + span], stride as usize, src);
+                self.0.bytes[start..start + src.len()].copy_from_slice(src);
             }
             return Ok(());
         }
@@ -823,27 +768,14 @@ fn lane_runs(region: &Region, starts: &[u32], stride: u32, len: usize) -> bool {
     })
 }
 
-/// Can no two of the `len`-byte walks from ascending `starts` at `stride`
-/// share an address, with the stride one a lane walk takes? At stride 1
-/// the spans must not overlap; at 2 ..= [`LANE_WALK_MAX`] a walk only
-/// meets addresses congruent to its start, so the starts must be distinct
-/// modulo the stride (one bitmask pass).
+/// Is every `len`-byte walk from ascending `starts` at `stride` a run of
+/// consecutive bytes (`stride == 1`) that no other walk overlaps, so each
+/// is one copy?
 fn disjoint_walks(starts: &[u32], stride: u32, len: usize) -> bool {
-    match stride {
-        1 => starts
+    stride == 1
+        && starts
             .windows(2)
-            .all(|w| w[1].checked_sub(w[0]) >= Some(len as u32)),
-        2..=LANE_WALK_MAX => {
-            let mut seen = 0u64;
-            starts.iter().all(|&s| {
-                let bit = 1 << (s % stride);
-                let fresh = seen & bit == 0;
-                seen |= bit;
-                fresh
-            })
-        }
-        _ => false,
-    }
+            .all(|w| w[1].checked_sub(w[0]) >= Some(len as u32))
 }
 
 /// Read-only constant memory holding interned template strings.
@@ -1055,9 +987,9 @@ mod tests {
     /// of the warp masked off, row-major slots — and the layouts where
     /// order decides the result: stride 0 (each walk rewrites one address),
     /// in-step rows that overlap, walks congruent modulo the stride (which
-    /// must keep the iteration-major row loop), and a walk overrunning into
-    /// its neighbour's range. The in-step warps also run under an open
-    /// journal, which logs every byte it overwrites. Each case stores
+    /// share addresses), and a walk overrunning into its neighbour's
+    /// range. The in-step warps also run under an open journal, which
+    /// logs every byte it overwrites. Each case stores
     /// fragments of 0, 1, 11, 16 and 16 758 bytes (the filler after a
     /// `Rows` table), none two adjacent bytes alike, so a walk that drops
     /// or reorders a store shows.
