@@ -8,7 +8,7 @@
 
 use rhythm_banking::prelude::*;
 use rhythm_bench::fmt::{kreqs, render_table, time_s};
-use rhythm_bench::latency::{pipeline_report, titan_latency_s};
+use rhythm_bench::latency::{latency, paper_config};
 use rhythm_bench::measure::{titan_result, titan_type_measurement, Harness};
 use rhythm_obs::NoopRecorder;
 use rhythm_platform::presets::TitanPlatform;
@@ -53,31 +53,10 @@ fn main() {
     // via the pipeline with Titan B stage latencies.
     eprintln!("[cohort] measuring Titan B for the pipeline model ...");
     let tr = titan_result(&h, TitanPlatform::B);
-    let _ = titan_latency_s(&tr);
     let mut rows = Vec::new();
     for cohort in [256u32, 1024, 4096, 8192] {
-        let mut report = {
-            use rhythm_bench::latency::{mixed_arrivals, MeasuredService};
-            use rhythm_core::pipeline::{Pipeline, PipelineConfig};
-            let service = MeasuredService::from_titan(&tr);
-            let config = PipelineConfig {
-                cohort_size: cohort,
-                read_batch: cohort,
-                formation_timeout_s: 50e-3,
-                reader_timeout_s: 10e-3,
-                // Mixed traffic over 14 types needs more contexts than the
-                // paper's single-type-in-isolation runs (8): rare types hold
-                // a context until their formation timeout.
-                pool_contexts: 16,
-                device_slots: 32,
-            };
-            let pipeline = Pipeline::new(service, config);
-            let arrivals = mixed_arrivals(400_000, tr.tput * 0.8, 7);
-            pipeline.run(&arrivals, &NoopRecorder)
-        };
-        if report.completed == 0 {
-            report.makespan_s = 0.0;
-        }
+        let config = paper_config(cohort, 50e-3, 32);
+        let report = latency(&tr, config, 0.8, 400_000, 7, &NoopRecorder);
         rows.push(vec![
             format!("{cohort}"),
             time_s(report.latency.mean),
@@ -102,5 +81,4 @@ fn main() {
     );
     println!("paper: at ~1M req/s arrival rates, cohort formation times are negligible;");
     println!("       larger cohorts raise response latency");
-    let _ = pipeline_report(&tr, 0.5, 10_000, &NoopRecorder); // exercised for the doc example
 }

@@ -9,9 +9,8 @@
 //! 32 device slots.
 
 use rhythm_bench::fmt::{render_table, time_s};
-use rhythm_bench::latency::{mixed_arrivals, MeasuredService};
-use rhythm_bench::measure::{titan_result, Harness};
-use rhythm_core::pipeline::{Pipeline, PipelineConfig};
+use rhythm_bench::latency::{latency, paper_config};
+use rhythm_bench::measure::{titan_result, Harness, PAPER_COHORT};
 use rhythm_obs::NoopRecorder;
 use rhythm_platform::presets::TitanPlatform;
 use rhythm_simt::streams::{schedule, StreamOp};
@@ -65,21 +64,8 @@ fn main() {
     let tr = titan_result(&h, TitanPlatform::B);
     let mut rows = Vec::new();
     for slots in [1u32, 32] {
-        let service = MeasuredService::from_titan(&tr);
-        let config = PipelineConfig {
-            cohort_size: 4096,
-            read_batch: 4096,
-            formation_timeout_s: 20e-3,
-            reader_timeout_s: 10e-3,
-            // Mixed traffic over 14 types needs more contexts than the
-            // paper's single-type-in-isolation runs (8): rare types hold
-            // a context until their formation timeout.
-            pool_contexts: 16,
-            device_slots: slots,
-        };
-        let pipeline = Pipeline::new(service, config);
-        let arrivals = mixed_arrivals(400_000, tr.tput * 0.8, 3);
-        let r = pipeline.run(&arrivals, &NoopRecorder);
+        let config = paper_config(PAPER_COHORT, 20e-3, slots);
+        let r = latency(&tr, config, 0.8, 400_000, 3, &NoopRecorder);
         rows.push(vec![
             format!("{slots}"),
             format!("{:.0}K", r.throughput() / 1e3),
