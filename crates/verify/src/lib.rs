@@ -9,10 +9,8 @@
 //! divergence taint, race detection, bounds checking, coalescing lints,
 //! and hygiene (see [`rules::rule_id`] for the catalogue).
 //!
-//! Three integration layers:
+//! Two integration layers:
 //!
-//! * [`BuildVerified::build_verified`] — builder-level: build *and* lint
-//!   in one step, failing on `Error`-severity findings.
 //! * [`Verifier`] — a [`LaunchGate`] for [`rhythm_simt::gpu::Gpu`]: every
 //!   launch is checked against its concrete launch environment (lane
 //!   count, parameter vector, memory extents) and rejected with
@@ -53,7 +51,7 @@ use std::sync::{Arc, Mutex};
 
 use rhythm_simt::exec::{GateRejection, LaunchConfig};
 use rhythm_simt::gpu::LaunchGate;
-use rhythm_simt::ir::{BuildError, MemSpace, Program, ProgramBuilder};
+use rhythm_simt::ir::{MemSpace, Program};
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
 
 use dataflow::Analysis;
@@ -264,62 +262,6 @@ pub fn verify_program(program: &Program, spec: &LaunchSpec) -> Report {
     Report {
         program: program.name().to_string(),
         diagnostics,
-    }
-}
-
-/// Failure from [`BuildVerified::build_verified`].
-#[derive(Clone, Debug)]
-pub enum BuildVerifyError {
-    /// The builder itself failed (unterminated block, validation error).
-    Build(BuildError),
-    /// The program built but the analyzer found `Error`-severity
-    /// findings; the full report is attached.
-    Rejected(Report),
-}
-
-impl fmt::Display for BuildVerifyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BuildVerifyError::Build(e) => write!(f, "build failed: {e}"),
-            BuildVerifyError::Rejected(r) => {
-                write!(
-                    f,
-                    "program rejected by static analysis ({} error(s)): {}",
-                    r.count(Severity::Error),
-                    r.errors()
-                        .next()
-                        .map(|d| d.message.as_str())
-                        .unwrap_or("<none>")
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for BuildVerifyError {}
-
-/// Extension trait adding a verified build path to
-/// [`rhythm_simt::ir::ProgramBuilder`].
-pub trait BuildVerified {
-    /// Build the program, then verify it against `spec`; `Error`-severity
-    /// findings reject the build.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildVerifyError::Build`] when construction fails,
-    /// [`BuildVerifyError::Rejected`] when the analyzer finds errors.
-    fn build_verified(self, spec: &LaunchSpec) -> Result<Program, BuildVerifyError>;
-}
-
-impl BuildVerified for ProgramBuilder {
-    fn build_verified(self, spec: &LaunchSpec) -> Result<Program, BuildVerifyError> {
-        let program = self.build().map_err(BuildVerifyError::Build)?;
-        let report = verify_program(&program, spec);
-        if report.is_launchable() {
-            Ok(program)
-        } else {
-            Err(BuildVerifyError::Rejected(report))
-        }
     }
 }
 
