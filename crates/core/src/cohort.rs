@@ -10,7 +10,9 @@
 //! Contexts are preallocated in a fixed-size [`CohortPool`] (the paper
 //! implements the pool as static arrays to avoid allocation and
 //! synchronization overheads); running out of Free contexts is a
-//! structural hazard that stalls the pipeline.
+//! structural hazard that stalls the pipeline. The pool also states the
+//! formation rule both drivers follow, once: [`CohortPool::admit`] and
+//! the deadline of [`CohortPool::is_due`].
 //!
 //! FSM transitions are **fallible, not panicking**: a dispatcher driving
 //! live traffic must be able to shed or re-queue a request that hits a
@@ -125,9 +127,9 @@ impl<R> CohortContext<R> {
         &self.members
     }
 
-    /// Time the first request was added (for timeout accounting).
-    pub fn opened_at(&self) -> f64 {
-        self.opened_at
+    /// The formation deadline of a PartiallyFull context, else `None`.
+    fn deadline(&self, timeout: f64) -> Option<f64> {
+        (self.state == CohortState::PartiallyFull).then_some(self.opened_at + timeout)
     }
 
     /// Occupancy as a fraction of capacity.
@@ -205,6 +207,17 @@ impl<R> CohortContext<R> {
     }
 }
 
+/// What [`CohortPool::admit`] did with a request.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct Admitted {
+    /// The context the request joined.
+    pub id: ContextId,
+    /// The request opened the context: it was Free before.
+    pub opened: bool,
+    /// The context is now Full, ready to launch.
+    pub full: bool,
+}
+
 /// Fixed pool of cohort contexts.
 pub struct CohortPool<R> {
     contexts: Vec<CohortContext<R>>,
@@ -279,6 +292,48 @@ impl<R> CohortPool<R> {
             .find(|c| c.state == CohortState::Free)
             .map(|c| c.id)
     }
+
+    /// Add `request` to the open context for `key`, else to a Free one.
+    ///
+    /// # Errors
+    ///
+    /// Hands the request back when no context can take it: every context
+    /// is Full, Busy or accumulating another key. No context changes.
+    pub fn admit(&mut self, request: R, key: u32, now: f64) -> Result<Admitted, R> {
+        let Some(id) = self.open_for(key).or_else(|| self.acquire()) else {
+            return Err(request);
+        };
+        let ctx = &mut self.contexts[id as usize];
+        let opened = ctx.state == CohortState::Free;
+        // Defensive: the lookup only finds contexts that accept `key`.
+        ctx.add(request, key, now).map_err(|rej| rej.request)?;
+        Ok(Admitted {
+            id,
+            opened,
+            full: ctx.state == CohortState::Full,
+        })
+    }
+
+    /// Whether context `id` is PartiallyFull and its formation `timeout`
+    /// has expired by `now`.
+    pub fn is_due(&self, id: ContextId, now: f64, timeout: f64) -> bool {
+        self.get(id).deadline(timeout).is_some_and(|due| due <= now)
+    }
+
+    /// The PartiallyFull contexts whose formation `timeout` has expired by
+    /// `now`, in id order.
+    pub fn due(&self, now: f64, timeout: f64) -> impl Iterator<Item = ContextId> + '_ {
+        (0..self.len() as ContextId).filter(move |&id| self.is_due(id, now, timeout))
+    }
+
+    /// The earliest formation deadline of a PartiallyFull context: from
+    /// exactly this time on it is in [`CohortPool::due`].
+    pub fn next_due(&self, timeout: f64) -> Option<f64> {
+        self.contexts
+            .iter()
+            .filter_map(|c| c.deadline(timeout))
+            .min_by(f64::total_cmp)
+    }
 }
 
 #[cfg(test)]
@@ -287,14 +342,23 @@ mod tests {
 
     #[test]
     fn lifecycle_free_partial_full_busy_free() {
-        let mut c: CohortContext<u32> = CohortContext::new(0, 2);
-        assert_eq!(c.state(), CohortState::Free);
+        let mut pool: CohortPool<u32> = CohortPool::new(1, 2);
+        assert_eq!(pool.get(0).state(), CohortState::Free);
+        assert_eq!(pool.next_due(0.5), None, "a Free context is never due");
+        let c = pool.get_mut(0);
         c.add(10, 3, 1.0).unwrap();
         assert_eq!(c.state(), CohortState::PartiallyFull);
-        assert_eq!(c.opened_at(), 1.0);
         assert_eq!(c.key(), 3);
+        assert_eq!(
+            pool.next_due(0.5),
+            Some(1.5),
+            "due a timeout after the first add"
+        );
+        let c = pool.get_mut(0);
         c.add(11, 3, 1.5).unwrap();
         assert_eq!(c.state(), CohortState::Full);
+        assert_eq!(pool.next_due(0.5), None, "a Full context launches on fill");
+        let c = pool.get_mut(0);
         c.launch().unwrap();
         assert_eq!(c.state(), CohortState::Busy);
         let members = c.release().unwrap();
@@ -413,5 +477,91 @@ mod tests {
         pool.get_mut(id).add(1, 7, 0.0).unwrap();
         assert_eq!(pool.get(id).state(), CohortState::Full);
         assert_eq!(pool.open_for(7), None, "full context no longer open");
+    }
+
+    #[test]
+    fn admit_prefers_the_open_context() {
+        let mut pool: CohortPool<u32> = CohortPool::new(3, 4);
+        let a = pool.admit(1, 7, 0.0).unwrap();
+        let b = pool.admit(2, 8, 0.0).unwrap();
+        assert_ne!(a.id, b.id);
+        let c = pool.admit(3, 7, 0.5).unwrap();
+        assert_eq!(c.id, a.id, "joins the open context, not a Free one");
+        assert!(!c.opened);
+        assert_eq!(pool.get(a.id).members(), &[1, 3]);
+        assert_eq!(pool.free_count(), 1);
+    }
+
+    #[test]
+    fn admit_reports_opened_and_full() {
+        let mut pool: CohortPool<u32> = CohortPool::new(2, 2);
+        let first = pool.admit(1, 7, 0.0).unwrap();
+        assert_eq!(
+            (first.opened, first.full),
+            (true, false),
+            "Free→PartiallyFull"
+        );
+        let second = pool.admit(2, 7, 0.0).unwrap();
+        assert_eq!(second.id, first.id);
+        assert_eq!(
+            (second.opened, second.full),
+            (false, true),
+            "PartiallyFull→Full"
+        );
+
+        let mut single: CohortPool<u32> = CohortPool::new(1, 1);
+        let only = single.admit(1, 7, 0.0).unwrap();
+        assert_eq!((only.opened, only.full), (true, true), "Free→Full");
+        assert_eq!(single.get(only.id).state(), CohortState::Full);
+    }
+
+    #[test]
+    fn admit_never_chooses_a_full_context() {
+        let mut pool: CohortPool<u32> = CohortPool::new(2, 1);
+        let a = pool.admit(1, 7, 0.0).unwrap();
+        let b = pool.admit(2, 7, 0.0).unwrap();
+        assert_ne!(a.id, b.id, "the Full context is passed over for a Free one");
+        assert!(b.opened && b.full);
+        assert_eq!(pool.get(a.id).members(), &[1]);
+    }
+
+    #[test]
+    fn admit_on_exhaustion_hands_the_request_back() {
+        let mut pool: CohortPool<u32> = CohortPool::new(2, 2);
+        pool.admit(1, 7, 0.0).unwrap(); // PartiallyFull on key 7
+        let busy = pool.admit(2, 8, 0.0).unwrap().id;
+        pool.admit(3, 8, 0.0).unwrap();
+        pool.get_mut(busy).launch().unwrap();
+        let snapshot = |pool: &CohortPool<u32>| -> Vec<_> {
+            let fields = |c: &CohortContext<u32>| (c.state, c.key, c.members.clone(), c.opened_at);
+            pool.contexts.iter().map(fields).collect()
+        };
+        let before = snapshot(&pool);
+        assert_eq!(pool.admit(4, 9, 1.0), Err(4), "same request handed back");
+        assert_eq!(snapshot(&pool), before, "no context changed");
+    }
+
+    /// `due` and `next_due` state one deadline: a context is due at
+    /// exactly `next_due`, and not one float step before it. (Computing
+    /// the mark as `now - opened >= timeout` and the wake-up as `opened +
+    /// timeout` disagreed at the deadline, e.g. for `opened = 84.743…`
+    /// with a 2 ms time-out.)
+    #[test]
+    fn due_agrees_with_next_due() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let prev_float = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let mut rng = StdRng::seed_from_u64(0x5EED_0047);
+        let mut pairs = vec![(84.74337369372327, 0.002)];
+        pairs.extend((0..1_000).map(|_| (rng.gen_range(0.0..100.0), rng.gen_range(1e-4..0.1))));
+        for (opened, timeout) in pairs {
+            let mut pool: CohortPool<u32> = CohortPool::new(2, 2);
+            let id = pool.admit(1, 7, opened).unwrap().id;
+            let due = pool.next_due(timeout).expect("a forming cohort is due");
+            assert!(pool.is_due(id, due, timeout));
+            assert_eq!(pool.due(due, timeout).collect::<Vec<_>>(), vec![id]);
+            let early = prev_float(due);
+            assert!(!pool.is_due(id, early, timeout), "{opened} + {timeout}");
+            assert_eq!(pool.due(early, timeout).count(), 0, "{opened} + {timeout}");
+        }
     }
 }

@@ -16,7 +16,7 @@
 //! * Running out of Free contexts is a structural hazard: dispatch stalls
 //!   until a context is released (paper §3.1).
 
-use crate::cohort::{CohortPool, CohortState, ContextId};
+use crate::cohort::{Admitted, CohortPool, ContextId};
 use crate::events::EventQueue;
 use crate::metrics::{LatencyStats, PipelineReport};
 use crate::service::Service;
@@ -67,7 +67,7 @@ enum Event {
     Arrival { ty: u32 },
     ReaderFlush { epoch: u64 },
     ParserDone,
-    CohortTimeout { ctx: ContextId, generation: u64 },
+    CohortTimeout { ctx: ContextId },
     StageDone { ctx: ContextId, stage: u32 },
     BackendDone { ctx: ContextId, stage: u32 },
     ResponseDone { ctx: ContextId },
@@ -153,12 +153,6 @@ struct Run<'a, S, R: ?Sized> {
     device_queue: VecDeque<(f64, Event)>,
     /// Dispatch overflow while the pool is exhausted, oldest first.
     backlog: VecDeque<Req>,
-    /// Per-context open generation: bumped each time a Free context is
-    /// opened for a new cohort. A CohortTimeout only fires for the
-    /// generation it was armed against, so a timeout scheduled for a
-    /// released-and-reopened context can never launch the new cohort
-    /// early, even when both opens happen at the same virtual time.
-    generations: Vec<u64>,
     latencies: Vec<f64>,
     fill_sum: f64,
     report: PipelineReport,
@@ -179,7 +173,6 @@ impl<'a, S: Service, R: Recorder + ?Sized> Run<'a, S, R> {
             device_busy: 0,
             device_queue: VecDeque::new(),
             backlog: VecDeque::new(),
-            generations: vec![0; cfg.pool_contexts as usize],
             latencies: Vec::new(),
             fill_sum: 0.0,
             report: PipelineReport::default(),
@@ -211,10 +204,9 @@ impl<'a, S: Service, R: Recorder + ?Sized> Run<'a, S, R> {
                 // the flush timer for whatever remains in the reader.
                 self.read();
             }
-            Event::CohortTimeout { ctx, generation } => {
-                if self.pool.get(ctx).state() == CohortState::PartiallyFull
-                    && self.generations[ctx as usize] == generation
-                {
+            // A stale timer launches a reopened cohort only at its deadline.
+            Event::CohortTimeout { ctx } => {
+                if self.pool.is_due(ctx, now, self.cfg.formation_timeout_s) {
                     self.launch_cohort(ctx, true);
                 }
             }
@@ -358,32 +350,15 @@ impl<'a, S: Service, R: Recorder + ?Sized> Run<'a, S, R> {
     /// a re-stall puts it back at the FRONT (it is still the oldest
     /// stalled request) and does not count a second stall.
     fn dispatch(&mut self, req: Req, from_backlog: bool) -> bool {
-        let ctx = match self.pool.open_for(req.ty) {
-            Some(c) => Some(c),
-            None => self.pool.acquire(),
-        };
-        // A request the chosen context refuses (defensively unreachable:
-        // open_for/acquire guarantee an accepting context) is re-queued
-        // exactly like a pool-exhaustion stall instead of panicking the
-        // event loop.
-        let stalled = match ctx {
-            Some(id) => {
-                let fresh = self.pool.get(id).state() == CohortState::Free;
-                match self.pool.get_mut(id).add(req, req.ty, self.q.now()) {
-                    Ok(()) => {
-                        self.added(id, req.ty, fresh);
-                        return true;
-                    }
-                    Err(rej) => rej.request,
-                }
-            }
-            None => req,
-        };
+        if let Ok(admitted) = self.pool.admit(req, req.ty, self.q.now()) {
+            self.added(admitted, req.ty);
+            return true;
+        }
         if from_backlog {
-            self.backlog.push_front(stalled);
+            self.backlog.push_front(req);
         } else {
             self.report.dispatch_stalls += 1;
-            self.backlog.push_back(stalled);
+            self.backlog.push_back(req);
         }
         self.counter("dispatch", "backlog_depth", self.backlog.len() as f64);
         if !from_backlog {
@@ -393,29 +368,22 @@ impl<'a, S: Service, R: Recorder + ?Sized> Run<'a, S, R> {
         false
     }
 
-    /// A request of type `ty` joined context `id`; `fresh` when it opened
-    /// the context. Arms the formation timeout of a new cohort and
-    /// launches a full one.
-    fn added(&mut self, id: ContextId, ty: u32, fresh: bool) {
-        if fresh {
-            self.generations[id as usize] += 1;
-            let generation = self.generations[id as usize];
-            let timeout = Event::CohortTimeout {
-                ctx: id,
-                generation,
-            };
+    /// A request of type `ty` was admitted. Arms the formation timeout of
+    /// a cohort it opened and launches one it filled.
+    fn added(&mut self, Admitted { id, opened, full }: Admitted, ty: u32) {
+        if opened {
+            let timeout = Event::CohortTimeout { ctx: id };
             self.q.schedule_in(self.cfg.formation_timeout_s, timeout);
         }
-        let full = self.pool.get(id).state() == CohortState::Full;
         if self.rec.enabled() {
             let track = format!("ctx{id}");
             let ts = s_to_us(self.q.now());
-            let fill = self.pool.get(id).members().len() as f64 / self.cfg.cohort_size as f64;
-            if fresh {
+            let fill = self.pool.get(id).fill();
+            if opened {
                 let args = [("type", ArgValue::U64(ty as u64))];
                 self.rec.begin(Clock::Virtual, &track, "form", ts, &args);
             }
-            let name = match (fresh, full) {
+            let name = match (opened, full) {
                 (true, true) => "Free→Full",
                 (true, false) => "Free→PartiallyFull",
                 (false, true) => "PartiallyFull→Full",
@@ -445,7 +413,7 @@ impl<'a, S: Service, R: Recorder + ?Sized> Run<'a, S, R> {
         }
         self.report.cohorts_launched += 1;
         self.report.timeout_launches += u64::from(timeout);
-        let fill = len as f64 / self.cfg.cohort_size as f64;
+        let fill = self.pool.get(id).fill();
         self.fill_sum += fill;
         if self.rec.enabled() {
             let track = format!("ctx{id}");
@@ -872,16 +840,10 @@ mod tests {
         );
     }
 
-    /// Regression: a formation timeout armed for an earlier occupancy of
-    /// a context must not fire for a later cohort in the same context.
-    /// With a zero-latency service and `read_batch = 1`, a context can be
-    /// opened, filled, launched, completed, released, and reopened at the
-    /// same virtual time — the old `opened_at` f64 comparison aliased the
-    /// two occupancies, so the stale timer passed the identity check. The
-    /// per-context generation counter keeps stale timers inert by
-    /// construction.
-    #[test]
-    fn stale_timeout_does_not_alias_reopened_context() {
+    /// One context of cohort 2 fed one request per parse, over a service
+    /// that takes no time: a cohort can open, fill, run and be released
+    /// at one virtual instant.
+    fn instant_one_context() -> Pipeline<TableService> {
         let mut svc = TableService::uniform(1, 1);
         svc.parse_per_req = 0.0;
         svc.stage_per_req = 0.0;
@@ -896,18 +858,50 @@ mod tests {
             pool_contexts: 1,
             device_slots: 32,
         };
-        let p = Pipeline::new(svc, cfg);
+        Pipeline::new(svc, cfg)
+    }
+
+    /// Regression: a formation timeout armed for an earlier occupancy of
+    /// a context must not fire early for a later cohort in the same
+    /// context. Here the context is opened, filled, launched, completed,
+    /// released and reopened at the same virtual time. The timeout checks
+    /// the pool's deadline for the context's current occupancy
+    /// (`CohortPool::is_due`), so the stale timer can launch the reopened
+    /// cohort no earlier than that cohort's own timer would.
+    #[test]
+    fn stale_timeout_does_not_alias_reopened_context() {
+        let p = instant_one_context();
         // r1 + r2 fill and retire a cohort at t = 0; r3 reopens the same
         // context at t = 0 with the first occupancy's timer still queued.
         let arrivals = [(0.0, 0), (0.0, 0), (0.0, 0)];
         let a = p.run(&arrivals, &NoopRecorder);
         assert_eq!(a.completed, 3);
         assert_eq!(a.cohorts_launched, 2);
-        // Only the second occupancy's own timer launches the partial
-        // cohort; the stale timer is a no-op.
+        // The partial cohort launches once, at its own deadline.
         assert_eq!(a.timeout_launches, 1);
+        assert_eq!(a.makespan_s, 1e-3);
         let b = p.run(&arrivals, &NoopRecorder);
         assert_eq!(a, b, "aliased-timer schedule must stay deterministic");
+    }
+
+    /// Regression: a context reopened *later* than the occupancy a
+    /// pending timer was armed for. The stale timer fires at 1 ms, before
+    /// the reopened cohort is due, and must leave it forming; the cohort
+    /// launches at its own deadline, 1.4 ms.
+    #[test]
+    fn stale_timeout_leaves_a_later_cohort_forming() {
+        let p = instant_one_context();
+        let arrivals = [(0.0, 0), (0.0, 0), (0.4e-3, 0)];
+        let r = p.run(&arrivals, &NoopRecorder);
+        assert_eq!(r.completed, 3);
+        assert_eq!(r.cohorts_launched, 2);
+        assert_eq!(r.timeout_launches, 1);
+        assert_eq!(r.makespan_s, 0.4e-3 + 1e-3, "launched at its deadline");
+        assert!(
+            r.latency.max >= 1e-3,
+            "the third request waited its full time-out: {}",
+            r.latency.max
+        );
     }
 
     /// Regression: arming the reader-flush timer once per epoch must not

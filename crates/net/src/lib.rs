@@ -18,10 +18,14 @@
 //!   `eventfd` for the acceptor's hand-off. Parsed requests are
 //!   dispatched by the handler's cohort key into cohort contexts from
 //!   `rhythm-core`'s [`rhythm_core::CohortPool`] (the Free →
-//!   PartiallyFull → Full → Busy FSM); cohorts launch on fill or on the formation timeout, all
-//!   launches marked in one turn go to the pluggable
-//!   [`server::CohortHandler`] as a single batch, and responses are
-//!   transposed back onto the originating connections in request order.
+//!   PartiallyFull → Full → Busy FSM). The pool's formation rule decides
+//!   where a request goes ([`rhythm_core::CohortPool::admit`]) and when a
+//!   forming cohort is due ([`rhythm_core::CohortPool::due`]), the same
+//!   rule the `rhythm-core` pipeline model follows; cohorts launch on
+//!   fill or on the formation timeout, all launches marked in one turn go
+//!   to the pluggable [`server::CohortHandler`] as a single batch, and
+//!   responses are transposed back onto the originating connections in
+//!   request order.
 //! * [`shard::ShardedServer`] is the one server type: an acceptor hands
 //!   connections round-robin to one reactor thread per handler. Bound
 //!   with a single handler it is the paper's single event loop; with N,

@@ -167,7 +167,7 @@ pub struct NetStats {
     pub fill_sum: f64,
     /// Sum of cohort sizes at launch (requests per launch).
     pub launched_requests: u64,
-    /// Requests shed with `503` (pool exhausted or FSM refusal).
+    /// Requests shed with `503` (no cohort context could take them).
     pub shed_503: u64,
     /// Requests rejected with `413` (size cap).
     pub too_large_413: u64,
@@ -175,7 +175,7 @@ pub struct NetStats {
     pub bad_request_400: u64,
     /// Requests the handler refused to classify (`404` by default).
     pub unclassified: u64,
-    /// Fallible-FSM refusals survived without panicking.
+    /// Cohort launches the FSM refused, survived without panicking.
     pub fsm_rejections: u64,
     /// Idle/half-open connections reaped by the read deadline.
     pub reaped_idle: u64,
@@ -910,9 +910,9 @@ impl<H: CohortHandler> Reactor<H> {
         parsed
     }
 
-    /// Dispatch one parsed request into a cohort context, shedding with
-    /// `503` when no context can take it. Never panics: FSM refusals
-    /// (which the guarded lookup makes unreachable) shed the request too.
+    /// Dispatch one parsed request through [`CohortPool::admit`], which
+    /// hands back what no context can take; that is shed with `503` if
+    /// flushing this turn's launches frees no context for it either.
     fn dispatch(&mut self, p: Pending, req: HttpRequest) {
         let Some(key) = self.handler.classify(&req) else {
             self.stats.unclassified += 1;
@@ -921,36 +921,25 @@ impl<H: CohortHandler> Reactor<H> {
             return;
         };
         let now_s = self.epoch.elapsed().as_secs_f64();
-        let mut ctx = self.pool.open_for(key).or_else(|| self.pool.acquire());
-        if ctx.is_none() {
-            // Every context is occupied but some may only be waiting for
-            // this turn's batched launch (already marked Full, or past
-            // the deadline): flush the batch to free them instead of
-            // shedding a request the old immediate-launch server would
-            // have taken.
+        let admitted = self.pool.admit(p, key, now_s).or_else(|p| {
+            // Some occupied contexts may only be waiting for this turn's
+            // batched launch (Full, or past the deadline): flush it to
+            // free them rather than shed.
             self.mark_launchable();
-            if !self.launchable.is_empty() {
-                self.flush_launches();
-                ctx = self.pool.open_for(key).or_else(|| self.pool.acquire());
+            if self.flush_launches() {
+                self.pool.admit(p, key, now_s)
+            } else {
+                Err(p)
             }
-        }
-        let Some(id) = ctx else {
-            self.shed(p);
-            return;
-        };
-        match self.pool.get_mut(id).add(p, key, now_s) {
-            Ok(()) => {
-                self.requests[id as usize].push(req);
-                if self.pool.get(id).state() == CohortState::Full {
-                    self.launchable.push((id, false));
+        });
+        match admitted {
+            Ok(a) => {
+                self.requests[a.id as usize].push(req);
+                if a.full {
+                    self.launchable.push((a.id, false));
                 }
             }
-            Err(rej) => {
-                // One bad dispatch must never take down the loop: the
-                // refused request is shed like a pool-exhaustion stall.
-                self.stats.fsm_rejections += 1;
-                self.shed(rej.request);
-            }
+            Err(p) => self.shed(p),
         }
     }
 
@@ -965,38 +954,22 @@ impl<H: CohortHandler> Reactor<H> {
         self.route(p.conn, p.seq, resp);
     }
 
-    /// Mark PartiallyFull cohorts older than the fill time-out for this
-    /// turn's launch batch, as "timeout" launches. (A cohort launches as
-    /// "full" only through the FSM's own Full transition in
-    /// [`Reactor::dispatch`].)
+    /// Mark the cohorts past their fill time-out ([`CohortPool::due`])
+    /// for this turn's launch batch, as "timeout" launches. (A cohort
+    /// launches as "full" only when [`Reactor::dispatch`] fills it.)
     fn mark_launchable(&mut self) {
         let now_s = self.epoch.elapsed().as_secs_f64();
-        for id in 0..self.pool.len() as ContextId {
-            let ctx = self.pool.get(id);
-            if ctx.state() == CohortState::PartiallyFull && now_s - ctx.opened_at() >= self.fill_s {
-                self.launchable.push((id, true));
-            }
-        }
+        let due = self.pool.due(now_s, self.fill_s).map(|id| (id, true));
+        self.launchable.extend(due);
     }
 
-    /// When the earliest PartiallyFull cohort's fill deadline falls, in
-    /// seconds since `epoch`; `None` when no cohort is forming. The same
-    /// cohort always gives the same value.
-    fn earliest_due_s(&self) -> Option<f64> {
-        (0..self.pool.len() as ContextId)
-            .filter(|&id| self.pool.get(id).state() == CohortState::PartiallyFull)
-            .map(|id| self.pool.get(id).opened_at() + self.fill_s)
-            .min_by(f64::total_cmp)
-    }
-
-    /// Make sure the timer fires by the earliest fill deadline. It is
-    /// armed only when that deadline is earlier than what is armed, or
-    /// the last arming has fired: a forming cohort costs one arming
-    /// (arming and cancelling are the expensive calls here), a cohort
-    /// that fills early leaves one spurious firing behind, and an idle
-    /// reactor holds no timer.
+    /// Make sure the timer fires by [`CohortPool::next_due`], armed only
+    /// when that is earlier than what is armed, or the last arming has
+    /// fired: a forming cohort costs one arming (arming and cancelling
+    /// are the expensive calls here), a cohort that fills early leaves
+    /// one spurious firing behind, and an idle reactor holds no timer.
     fn arm_timer(&mut self) {
-        let Some(due_s) = self.earliest_due_s() else {
+        let Some(due_s) = self.pool.next_due(self.fill_s) else {
             return;
         };
         if self.timer_due_s.is_some_and(|armed_s| armed_s <= due_s) {
@@ -1263,7 +1236,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(15));
         let third_sent = send("/late");
         assert!(reactor.turn(true), "the third request forms a new cohort");
-        assert!(reactor.earliest_due_s().unwrap() > armed_s);
+        assert!(reactor.pool.next_due(reactor.fill_s).unwrap() > armed_s);
         assert_eq!(reactor.timer_due_s, Some(armed_s), "nothing was re-armed");
 
         assert!(!reactor.turn(true), "the stale firing finds nothing due");
