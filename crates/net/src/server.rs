@@ -924,10 +924,11 @@ impl<H: CohortHandler> Reactor<H> {
         let admitted = self.pool.admit(p, key, now_s).or_else(|p| {
             // Some occupied contexts may only be waiting for this turn's
             // batched launch (Full, or past the deadline): flush it to
-            // free them rather than shed.
+            // free them rather than shed. The flush runs the batch, so
+            // the retry reads the clock again.
             self.mark_launchable();
             if self.flush_launches() {
-                self.pool.admit(p, key, now_s)
+                self.pool.admit(p, key, self.epoch.elapsed().as_secs_f64())
             } else {
                 Err(p)
             }
@@ -1257,5 +1258,58 @@ mod tests {
             got.extend_from_slice(&chunk[..n]);
         }
         assert!(got.ends_with(b"X-Path: /late\r\n\r\n"));
+    }
+
+    /// Echo that takes a millisecond per launch and records when it ends.
+    #[derive(Default)]
+    struct SlowEcho {
+        done: Option<Instant>,
+    }
+
+    impl CohortHandler for SlowEcho {
+        fn classify(&self, _req: &HttpRequest) -> Option<u32> {
+            Some(0)
+        }
+
+        fn execute(&mut self, key: u32, requests: &[HttpRequest]) -> Vec<Vec<u8>> {
+            std::thread::sleep(Duration::from_millis(1));
+            self.done = Some(Instant::now());
+            Echo.execute(key, requests)
+        }
+    }
+
+    /// A cohort opened by the retry after a pool-exhaustion flush is
+    /// stamped after that flush ran, so its fill deadline is not early by
+    /// the batch's duration.
+    #[test]
+    fn cohort_opened_after_an_exhaustion_flush_is_stamped_after_it() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let config = NetConfig {
+            cohort_size: 2,
+            pool_contexts: 1,
+            fill_timeout: Duration::from_millis(30),
+            ..NetConfig::default()
+        };
+        let mut reactor = Reactor::new(config, SlowEcho::default()).unwrap();
+        reactor.admit(accepted);
+        client
+            .write_all(b"GET /a HTTP/1.1\r\nHost: t\r\n\r\nGET /b HTTP/1.1\r\nHost: t\r\n\r\nGET /c HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        // The third request finds the one context Full, and the flush that
+        // frees it launches the first two.
+        while reactor.stats().requests < 3 {
+            assert!(reactor.turn(true));
+        }
+        assert_eq!(reactor.stats().full_launches, 1);
+        assert_eq!(reactor.stats().shed_503, 0);
+        let flushed_s =
+            (reactor.handler().done.expect("the flush launched") - reactor.epoch).as_secs_f64();
+        let opened_s = reactor.pool.next_due(reactor.fill_s).unwrap() - reactor.fill_s;
+        assert!(
+            opened_s >= flushed_s,
+            "cohort stamped at {opened_s} s, before the flush ended at {flushed_s} s"
+        );
     }
 }

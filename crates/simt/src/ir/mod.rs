@@ -79,16 +79,6 @@ pub enum MemSpace {
     Local,
 }
 
-impl MemSpace {
-    /// All memory spaces, in declaration order.
-    pub const ALL: [MemSpace; 4] = [
-        MemSpace::Global,
-        MemSpace::Shared,
-        MemSpace::Const,
-        MemSpace::Local,
-    ];
-}
-
 /// Access width for loads and stores.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub enum Width {

@@ -93,8 +93,6 @@ pub fn apply_step(b: &mut ProgramBuilder, acc: Reg, step: u8) {
 /// Effect-inference firing kernel: a store whose address is exactly
 /// lane-affine (`global[gid * stride + offset]`), so its summary is a
 /// single exact strided region `[offset, offset + stride·(lanes-1) + 4)`.
-/// With distinct `offset` ranges, two such kernels form the disjoint /
-/// overlapping writer pairs the `interferes` oracle is tested against.
 pub fn strided_writer(name: &str, stride: u32, offset: u32) -> Program {
     let mut b = ProgramBuilder::new(name);
     let gid = b.global_id();

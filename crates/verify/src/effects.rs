@@ -25,22 +25,12 @@
 //!   when no declared region contains `lo`. Claims are exactly what the
 //!   runtime footprint sanitizer discharges: every executed access is
 //!   checked against the claimed footprint, so an escape is a loud
-//!   soundness failure rather than a silently wrong schedule.
+//!   soundness failure rather than a silently wrong proof.
 //!
 //! When an access has neither a decomposable address nor an anchor nor a
 //! known extent, the whole (space, kind) footprint collapses to an
 //! explicit ⊤ ([`SpaceFootprint::Top`]): the kernel may touch anything,
 //! and every disjointness query involving it conservatively fails.
-//!
-//! # Interference
-//!
-//! [`interferes`] is the scheduler-facing oracle: two kernels may conflict
-//! iff, in some space, a write/atomic footprint of one overlaps a
-//! read/write/atomic footprint of the other (write-write and read-write
-//! hazards). Overlap is decided on the materialized byte intervals —
-//! deliberately stride-insensitive, so interleaved-but-disjoint stride
-//! patterns still count as conflicting. Imprecision only ever *serializes*
-//! more, never less.
 
 use std::sync::Arc;
 
@@ -278,37 +268,6 @@ impl KernelEffects {
             g.atomics.intervals(),
         )
     }
-}
-
-/// True when the two kernels may conflict: in some memory space, a
-/// write/atomic footprint of one overlaps a read/write/atomic footprint
-/// of the other. Disjoint (non-interfering) kernels may run concurrently
-/// in any order with bit-identical results.
-pub fn interferes(a: &KernelEffects, b: &KernelEffects) -> bool {
-    fn fp_overlap(x: &SpaceFootprint, y: &SpaceFootprint) -> bool {
-        if x.is_empty() || y.is_empty() {
-            return false;
-        }
-        match (x.regions(), y.regions()) {
-            (Some(xr), Some(yr)) => xr.iter().any(|g| yr.iter().any(|h| g.overlaps(h.lo, h.hi))),
-            // At least one side is ⊤ and neither is empty.
-            _ => true,
-        }
-    }
-    for space in MemSpace::ALL {
-        let (sa, sb) = (a.space(space), b.space(space));
-        for (wr, rd) in [(sa, sb), (sb, sa)] {
-            for wkind in [AccessKind::Write, AccessKind::Atomic] {
-                let w = wr.of(wkind);
-                for rkind in [AccessKind::Read, AccessKind::Write, AccessKind::Atomic] {
-                    if fp_overlap(w, rd.of(rkind)) {
-                        return true;
-                    }
-                }
-            }
-        }
-    }
-    false
 }
 
 /// Declared memory regions of a launch's **global** space: disjoint
@@ -778,27 +737,5 @@ mod tests {
         let fx = infer_effects(&p, &spec(4, 1 << 20), &RegionMap::new(vec![(0, 256)]));
         let w = fx.space(MemSpace::Global).writes.regions().unwrap();
         assert_eq!((w[0].lo, w[0].hi, w[0].exact), (0, 256, false));
-    }
-
-    #[test]
-    fn interference_is_interval_based() {
-        let writer = |name: &str, offset: u32| {
-            let mut b = ProgramBuilder::new(name);
-            let gid = b.global_id();
-            let four = b.imm(4);
-            let scaled = b.bin(BinOp::Mul, gid, four);
-            let v = b.imm(1);
-            b.st_global_word(scaled, offset, v);
-            b.halt();
-            b.build().unwrap()
-        };
-        let s = spec(8, 4096);
-        let rm = RegionMap::default();
-        let a = infer_effects(&writer("a", 0), &s, &rm);
-        let b_ = infer_effects(&writer("b", 64), &s, &rm);
-        let c = infer_effects(&writer("c", 4), &s, &rm);
-        assert!(!interferes(&a, &b_)); // [0,32) vs [64,96)
-        assert!(interferes(&a, &c)); // [0,32) vs [4,36): intervals overlap
-        assert!(interferes(&a, &a));
     }
 }

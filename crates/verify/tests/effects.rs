@@ -1,7 +1,7 @@
-//! Effect-summary engine: corpus verdicts, the `interferes` oracle, lint
-//! rules, Verifier caching, and the soundness property the whole tentpole
-//! rests on — every executed global access of a lint-clean kernel lies
-//! inside its inferred footprint, with the runtime sanitizer as oracle.
+//! Effect-summary engine: corpus verdicts, lint rules, Verifier caching,
+//! and the soundness property the engine rests on — every executed global
+//! access of a lint-clean kernel lies inside its inferred footprint, with
+//! the runtime sanitizer as oracle.
 
 use std::sync::Arc;
 
@@ -14,7 +14,7 @@ use rhythm_simt::ir::MemSpace;
 use rhythm_simt::mem::{ConstPool, DeviceMemory};
 use rhythm_simt::ExecError;
 use rhythm_verify::corpus::{build_kernel, data_dependent_writer, strided_writer};
-use rhythm_verify::effects::{effect_lints, infer_effects, interferes, RegionMap};
+use rhythm_verify::effects::{effect_lints, infer_effects, RegionMap};
 use rhythm_verify::rules::rule_id;
 use rhythm_verify::{verify_program, LaunchSpec, Severity, Verifier};
 
@@ -41,23 +41,6 @@ fn strided_writer_summary_is_exact_and_closed() {
     assert!(g.reads.is_empty());
     assert!(g.atomics.is_empty());
     assert!(effect_lints(&p, &spec_with(8, 4096), &RegionMap::default()).is_empty());
-}
-
-#[test]
-fn interferes_separates_disjoint_from_overlapping_writer_pairs() {
-    let s = spec_with(8, 4096);
-    let rm = RegionMap::default();
-    // a writes [0, 32), b writes [256, 288): disjoint.
-    let a = infer_effects(&strided_writer("a", 4, 0), &s, &rm);
-    let b = infer_effects(&strided_writer("b", 4, 256), &s, &rm);
-    assert!(!interferes(&a, &b));
-    // c writes [16, 48): overlaps a.
-    let c = infer_effects(&strided_writer("c", 4, 16), &s, &rm);
-    assert!(interferes(&a, &c));
-    // A ⊤ writer interferes with any non-empty footprint.
-    let top = infer_effects(&data_dependent_writer(), &LaunchSpec::lanes(8), &rm);
-    assert!(top.space(MemSpace::Global).writes.is_top());
-    assert!(interferes(&top, &a));
 }
 
 #[test]

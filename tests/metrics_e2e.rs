@@ -1,7 +1,8 @@
 //! End-to-end acceptance of the live telemetry plane over real sockets:
 //! `/metrics` counters must exactly match the loadgen's totals at shard
-//! counts {1, 2, 4}, the admin documents must validate, the SIMT device
-//! counters must surface per shard, and metered execution must stay
+//! counts {1, 2, 4}, the admin documents must validate, closed-loop
+//! clients on the device path must launch only full cohorts, the SIMT
+//! device counters must surface per shard, and metered execution must stay
 //! byte-identical to bare (`telemetry: false`) execution on both the
 //! scalar and SIMT serving paths.
 
@@ -167,6 +168,15 @@ fn metrics_counters_match_loadgen_totals_across_shard_counts() {
         );
         assert_eq!(sum_family(&body, "rhythm_responses_total"), sent);
         assert_eq!(sum_family(&body, "rhythm_shed_503_total"), 0);
+        // A second scrape of the live server reads no lower: the counters
+        // are monotone.
+        let (status, again) = admin_get(addr, "/metrics");
+        assert_eq!(status, 200);
+        assert!(
+            sum_family(&again, "rhythm_requests_total")
+                >= sum_family(&body, "rhythm_requests_total"),
+            "{shards} shard(s): requests counter fell between scrapes"
+        );
 
         let (status, health) = admin_get(addr, "/healthz");
         assert_eq!(status, 200);
@@ -183,6 +193,52 @@ fn metrics_counters_match_loadgen_totals_across_shard_counts() {
         let run = join.join().expect("server");
         assert_eq!(run.total().requests, sent);
     }
+}
+
+/// Closed-loop clients on the device path: four synchronous clients each
+/// log in and send 12 GETs to one shard whose cohorts hold four and whose
+/// fill time-out (30 s) never expires in the run, so every cohort launches
+/// full. Every answer is 200, every launch batches four requests, nothing
+/// is shed, refused or dropped, and the reactor only turns when it has
+/// work.
+#[test]
+fn closed_loop_simt_clients_launch_only_full_cohorts() {
+    let config = NetConfig {
+        cohort_size: 4,
+        fill_timeout: Duration::from_secs(30),
+        ..NetConfig::default()
+    };
+    let started = Instant::now();
+    let server = ShardedServer::bind("127.0.0.1:0", config, vec![simt_handler()]).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let stop = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&stop);
+    let join = std::thread::spawn(move || server.run(&flag));
+
+    let (clients, gets) = (4u32, 12usize);
+    std::thread::scope(|scope| {
+        for c in 0..clients {
+            // `conversation` sets a read timeout and asserts each 200.
+            scope.spawn(move || conversation(addr, c, gets));
+        }
+    });
+    stop.store(true, Ordering::Relaxed);
+    let run = join.join().expect("server");
+    let wall_s = started.elapsed().as_secs_f64();
+
+    let total = run.total();
+    assert_eq!(total.requests, u64::from(clients) * (gets as u64 + 1));
+    assert_eq!(total.full_launches, total.cohorts);
+    assert_eq!(total.timeout_launches, 0);
+    assert_eq!(total.mean_requests_per_launch(), 4.0);
+    assert_eq!(total.shed_503, 0);
+    assert_eq!(total.fsm_rejections, 0);
+    assert_eq!(total.responses_dropped, 0);
+    let idle_per_s = total.idle_polls as f64 / wall_s.max(1.0) / run.shards.len() as f64;
+    assert!(
+        idle_per_s < 50.0,
+        "{idle_per_s:.0} idle polls per shard per second"
+    );
 }
 
 /// SIMT device counters surface in the exposition when the handler is
