@@ -62,8 +62,8 @@ pub mod prelude {
     pub use crate::layout::CohortLayout;
     pub use crate::native::{handle_native, BankingRequest};
     pub use crate::runner::{
-        run_cohort_traced, run_cohorts_hyperq, run_parser_only, run_request_scalar, BackendMode,
-        CohortOptions, DeviceContext, ScalarRunResult,
+        run_cohort_traced, run_cohorts_hyperq, BackendMode, CohortOptions, DeviceContext,
+        ScalarRunResult,
     };
     pub use crate::serve::{banking_request_from_http, DeviceMetrics, ScalarHandler, SimtHandler};
     pub use crate::session_array::SessionArrayHost;

@@ -3,17 +3,19 @@
 //! statistics.
 //!
 //! [`DeviceContext`] holds what stays on the device between cohorts (the
-//! session array and the store image) and runs cohorts against it; the
-//! serving path keeps one per shard. [`run_cohort_traced`] is the
-//! copy-in/copy-out form of the same routine — a fresh context per cohort
-//! — used by the differential tests and the offline figure bins. Every
-//! device cohort runs through [`DeviceContext::run_cohort`], on the
-//! caller's thread. The full
+//! session array and the store image) and the device itself, resolved
+//! once against the context's [`CohortOptions`], and runs cohorts against
+//! it; the serving path keeps one per shard. The parser probe
+//! ([`DeviceContext::parse`]) and the CPU model
+//! ([`DeviceContext::run_request_scalar`]) run on the same resident image.
+//! [`run_cohort_traced`] is the copy-in/copy-out form of the same routine
+//! — a fresh context per cohort — used by the differential tests and the
+//! offline figure bins. Every device cohort runs through
+//! [`DeviceContext::run_cohort`], on the caller's thread. The full
 //! event-driven pipeline (with cohort formation, timeouts and overlapping
 //! cohorts) lives in `rhythm-core`; this runner executes already-formed
 //! cohorts to completion.
 
-use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use rhythm_obs::{s_to_us, ArgValue, Clock, NoopRecorder, Recorder};
@@ -136,45 +138,6 @@ fn shared_verifier() -> Arc<Verifier> {
     VERIFIER.get_or_init(|| Arc::new(Verifier::new())).clone()
 }
 
-/// The device to launch on: `gpu` itself, or — when
-/// [`CohortOptions::verify`] is set and `gpu` has no gate — a copy behind
-/// the shared verify gate. The serving path resolves it once per handler,
-/// the oracle once per call.
-pub(crate) fn effective_gpu<'a>(gpu: &'a Gpu, opts: &CohortOptions) -> Cow<'a, Gpu> {
-    if opts.verify && gpu.gate().is_none() {
-        Cow::Owned(gpu.clone().with_gate(shared_verifier()))
-    } else {
-        Cow::Borrowed(gpu)
-    }
-}
-
-/// The layout of a `cohort`-request cohort with `resp_size`-byte response
-/// slots under `opts`, over a `store_bytes`-byte store image.
-fn cohort_layout(
-    opts: &CohortOptions,
-    store_bytes: u32,
-    cohort: u32,
-    resp_size: u32,
-) -> CohortLayout {
-    CohortLayout::new(
-        cohort,
-        resp_size,
-        opts.session_capacity,
-        opts.session_salt,
-        store_bytes,
-        opts.transposed,
-    )
-}
-
-/// The session array inside a device image laid out by `layout`.
-fn session_bytes<'a>(mem: &'a DeviceMemory, layout: &CohortLayout) -> &'a [u8] {
-    mem.slice(
-        layout.session_base,
-        SessionArrayHost::device_bytes(layout.session_capacity),
-    )
-    .expect("device image holds the session array")
-}
-
 /// Scatter each request's raw text into its request slot.
 fn write_requests(
     layout: &CohortLayout,
@@ -200,34 +163,6 @@ fn read_responses(layout: &CohortLayout, mem: &DeviceMemory) -> Result<Vec<Vec<u
 
 /// Per-lane parser output: `(type_id, token, p0, p1)`.
 pub type ParsedLane = (u32, u32, u32, u32);
-
-/// The parse step: scatter each request into its slot of `layout`, launch
-/// the parser over every lane, and read back each lane's parsed fields.
-fn parse_step<R: Recorder + ?Sized>(
-    workload: &Workload,
-    layout: &CohortLayout,
-    mem: &mut DeviceMemory,
-    reqs: &[GeneratedRequest],
-    gpu: &Gpu,
-    opts: &CohortOptions,
-    rec: &R,
-) -> Result<(LaunchResult, Vec<ParsedLane>), ExecError> {
-    write_requests(layout, mem, reqs)?;
-    let (parser, pool) = (&workload.parser, &workload.pool);
-    let cfg = kernel_cfg(&layout.launch_config(), opts, layout, parser, mem, pool);
-    let res = gpu.launch(parser, &cfg, mem, pool, rec)?;
-    let parsed = (0..layout.cohort)
-        .map(|lane| {
-            Ok((
-                layout.read_struct(mem, lane, F_TYPE)?,
-                layout.read_struct(mem, lane, F_TOKEN)?,
-                layout.read_struct(mem, lane, F_P0)?,
-                layout.read_struct(mem, lane, F_P1)?,
-            ))
-        })
-        .collect::<Result<_, MemError>>()?;
-    Ok((res, parsed))
-}
 
 /// Group a parsed cohort's lanes by the type the parser gave them: one
 /// `(type, lanes)` sub-cohort per type, in the arrival order of its first
@@ -280,10 +215,10 @@ impl<R: Recorder + ?Sized> DeviceTrack<'_, R> {
     }
 }
 
-/// One shard's resident device state: a single [`DeviceMemory`] whose head
-/// holds the session array and the store image — written once, here — and
-/// whose tail is the current cohort's request/struct/breq/bresp/response
-/// buffers.
+/// One shard's resident device state: the device to launch on, and a
+/// single [`DeviceMemory`] whose head holds the session array and the
+/// store image — written once, here — and whose tail is the current
+/// cohort's request/struct/breq/bresp/response buffers.
 ///
 /// Per cohort the tail is re-cut ([`DeviceMemory::recut`]) to the cohort's
 /// own [`CohortLayout`]: the image is exactly `layout.total_bytes` long (so
@@ -295,55 +230,75 @@ impl<R: Recorder + ?Sized> DeviceTrack<'_, R> {
 #[derive(Debug)]
 pub struct DeviceContext {
     opts: CohortOptions,
+    /// The device, behind the shared verify gate when
+    /// [`CohortOptions::verify`] is set and it has no gate of its own.
+    gpu: Gpu,
     mem: DeviceMemory,
-    store_bytes: u32,
+    /// The resident head's layout (a cohort of no lanes).
+    head: CohortLayout,
 }
 
 impl DeviceContext {
-    /// Upload `store` and `sessions` to a new context.
+    /// Upload `store` and `sessions` to a new context that launches on
+    /// `gpu`, resolved once against `opts`: when [`CohortOptions::verify`]
+    /// is set and `gpu` has no gate of its own, every launch goes through
+    /// the process-wide verify gate.
     ///
     /// # Panics
     ///
     /// Panics if `sessions.capacity()` disagrees with
     /// `opts.session_capacity`.
-    pub fn new(store: &BankStore, sessions: &SessionArrayHost, opts: &CohortOptions) -> Self {
+    pub fn new(
+        store: &BankStore,
+        sessions: &SessionArrayHost,
+        gpu: &Gpu,
+        opts: &CohortOptions,
+    ) -> Self {
         assert_eq!(
             sessions.capacity(),
             opts.session_capacity,
             "session array capacity must match options"
         );
-        let store_img = store.serialize_device();
-        let store_bytes = store_img.len() as u32;
-        let head = cohort_layout(opts, store_bytes, 0, 0);
+        let gpu = if opts.verify && gpu.gate().is_none() {
+            gpu.clone().with_gate(shared_verifier())
+        } else {
+            gpu.clone()
+        };
+        let head = CohortLayout::new(
+            0,
+            0,
+            opts.session_capacity,
+            opts.session_salt,
+            store.device_bytes(),
+            opts.transposed,
+        );
         let mut mem = DeviceMemory::new(head.resident_bytes() as usize);
         mem.load(head.session_base, &sessions.to_device_bytes())
             .expect("resident head holds the session array");
-        mem.load(head.store_base, &store_img)
+        mem.load(head.store_base, &store.serialize_device())
             .expect("resident head holds the store image");
         DeviceContext {
             opts: opts.clone(),
+            gpu,
             mem,
-            store_bytes,
+            head,
         }
-    }
-
-    /// The options this context lays cohorts out with.
-    pub fn opts(&self) -> &CohortOptions {
-        &self.opts
     }
 
     /// The device session array, as bytes.
     pub fn session_bytes(&self) -> &[u8] {
-        session_bytes(
-            &self.mem,
-            &cohort_layout(&self.opts, self.store_bytes, 0, 0),
-        )
+        self.mem
+            .slice(
+                self.head.session_base,
+                SessionArrayHost::device_bytes(self.head.session_capacity),
+            )
+            .expect("resident head holds the session array")
     }
 
     /// The device session array, decoded (a copy: the device array stays
     /// the live one).
     pub fn sessions(&self) -> SessionArrayHost {
-        SessionArrayHost::from_device_bytes(self.session_bytes(), self.opts.session_salt)
+        SessionArrayHost::from_device_bytes(self.session_bytes(), self.head.session_salt)
     }
 
     /// Bytes the context's device allocation can hold without growing.
@@ -360,10 +315,9 @@ impl DeviceContext {
     /// Run one cohort against the resident state, in the paper's order:
     /// the parser kernel runs over every lane, its `F_TYPE` splits the
     /// lanes into one sub-cohort per request type, and each sub-cohort
-    /// runs its type's process → backend → response kernels. `gpu` is
-    /// launched on as given (resolve [`CohortOptions`] into it
-    /// beforehand); `store` must be the store this context was built from
-    /// (the host backend answers from it).
+    /// runs its type's process → backend → response kernels, on the
+    /// context's device. `store` must be the store this context was built
+    /// from (the host backend answers from it).
     ///
     /// Sub-cohorts run in the arrival order of their first member, lanes
     /// in arrival order, and responses come back in input order. A uniform
@@ -401,7 +355,6 @@ impl DeviceContext {
         workload: &Workload,
         store: &BankStore,
         reqs: &[GeneratedRequest],
-        gpu: &Gpu,
         rec: &R,
     ) -> Result<CohortResult, ExecError> {
         assert!(!reqs.is_empty(), "empty cohort");
@@ -412,9 +365,8 @@ impl DeviceContext {
         };
         // Cut for the first member's page: a uniform cohort's stages then
         // run where it was parsed.
-        let layout = self.cut(reqs.len() as u32, reqs[0].ty);
-        let parse = parse_step(workload, &layout, &mut self.mem, reqs, gpu, &self.opts, rec);
-        let (res, parsed) = match parse {
+        let layout = self.cut(reqs.len() as u32, reqs[0].ty, self.opts.transposed);
+        let (res, parsed) = match self.parse_step(workload, &layout, reqs, rec) {
             Ok(parsed) => parsed,
             Err(e) => return self.journaled(Err(e)),
         };
@@ -426,7 +378,7 @@ impl DeviceContext {
         let groups = sub_cohorts(&parsed);
         if let [(ty, lanes)] = &groups[..] {
             if *ty == reqs[0].ty && lanes.len() == reqs.len() {
-                let run = self.launch_steps(workload, store, &layout, *ty, gpu, &mut track);
+                let run = self.launch_steps(workload, store, &layout, *ty, &mut track);
                 let responses = self.journaled(run)?;
                 return Ok(CohortResult {
                     responses,
@@ -447,9 +399,9 @@ impl DeviceContext {
         let mut responses = vec![Vec::new(); reqs.len()];
         let mut faults = Vec::new();
         for (ty, lanes) in &groups {
-            let sub = self.cut(lanes.len() as u32, *ty);
+            let sub = self.cut(lanes.len() as u32, *ty, self.opts.transposed);
             let run = copy_structs(&structs, &layout, lanes, &sub, &mut self.mem)
-                .and_then(|()| self.launch_steps(workload, store, &sub, *ty, gpu, &mut track));
+                .and_then(|()| self.launch_steps(workload, store, &sub, *ty, &mut track));
             match self.journaled(run) {
                 Ok(sub_responses) => {
                     for (&lane, resp) in lanes.iter().zip(sub_responses) {
@@ -470,17 +422,44 @@ impl DeviceContext {
         })
     }
 
+    /// Run only the parser kernel over a (possibly mixed-type) cohort:
+    /// the cut, parse and journal that begin [`Self::run_cohort`], without
+    /// its tracks. Returns the launch result plus the parsed
+    /// `(type_id, token, p0, p1)` per lane.
+    ///
+    /// # Errors
+    ///
+    /// Propagates kernel execution faults.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reqs` is empty.
+    pub fn parse(
+        &mut self,
+        workload: &Workload,
+        reqs: &[GeneratedRequest],
+    ) -> Result<(LaunchResult, Vec<ParsedLane>), ExecError> {
+        assert!(!reqs.is_empty(), "empty cohort");
+        let layout = self.cut(reqs.len() as u32, reqs[0].ty, self.opts.transposed);
+        let parse = self.parse_step(workload, &layout, reqs, &NoopRecorder);
+        self.journaled(parse)
+    }
+
     /// Re-cut the image's tail to a `cohort`-lane layout with `ty`'s
-    /// response slots — a transposed response buffer kept lane-major on
-    /// the host ([`CohortLayout::response_lane_major`]), so each lane's
-    /// static fragments and its read-back are one copy each — open the
-    /// undo journal over the session span, and return the layout.
-    fn cut(&mut self, cohort: u32, ty: RequestType) -> CohortLayout {
-        let layout = cohort_layout(
-            &self.opts,
-            self.store_bytes,
+    /// response slots, `transposed` or row-major — a transposed response
+    /// buffer kept lane-major on the host
+    /// ([`CohortLayout::response_lane_major`]), so each lane's static
+    /// fragments and its read-back are one copy each — open the undo
+    /// journal over the session span, and return the layout.
+    fn cut(&mut self, cohort: u32, ty: RequestType, transposed: bool) -> CohortLayout {
+        let head = &self.head;
+        let layout = CohortLayout::new(
             cohort,
             ty.response_buffer_bytes(),
+            head.session_capacity,
+            head.session_salt,
+            head.store_bytes,
+            transposed,
         );
         self.mem.recut(
             layout.resident_bytes() as usize,
@@ -505,6 +484,34 @@ impl DeviceContext {
         run
     }
 
+    /// The parse step: scatter each request into its slot of `layout`,
+    /// launch the parser over every lane, and read back each lane's parsed
+    /// fields.
+    fn parse_step<R: Recorder + ?Sized>(
+        &mut self,
+        workload: &Workload,
+        layout: &CohortLayout,
+        reqs: &[GeneratedRequest],
+        rec: &R,
+    ) -> Result<(LaunchResult, Vec<ParsedLane>), ExecError> {
+        let (opts, gpu, mem) = (&self.opts, &self.gpu, &mut self.mem);
+        write_requests(layout, mem, reqs)?;
+        let (parser, pool) = (&workload.parser, &workload.pool);
+        let cfg = kernel_cfg(&layout.launch_config(), opts, layout, parser, mem, pool);
+        let res = gpu.launch(parser, &cfg, mem, pool, rec)?;
+        let parsed = (0..layout.cohort)
+            .map(|lane| {
+                Ok((
+                    layout.read_struct(mem, lane, F_TYPE)?,
+                    layout.read_struct(mem, lane, F_TOKEN)?,
+                    layout.read_struct(mem, lane, F_P0)?,
+                    layout.read_struct(mem, lane, F_P1)?,
+                ))
+            })
+            .collect::<Result<_, MemError>>()?;
+        Ok((res, parsed))
+    }
+
     /// Launch `ty`'s process, backend and response kernels in order over
     /// the parsed structs of `layout`, and read the responses back.
     fn launch_steps<R: Recorder + ?Sized>(
@@ -513,10 +520,9 @@ impl DeviceContext {
         store: &BankStore,
         layout: &CohortLayout,
         ty: RequestType,
-        gpu: &Gpu,
         track: &mut DeviceTrack<'_, R>,
     ) -> Result<Vec<Vec<u8>>, ExecError> {
-        let (opts, mem) = (&self.opts, &mut self.mem);
+        let (opts, gpu, mem) = (&self.opts, &self.gpu, &mut self.mem);
         let cfg = layout.launch_config();
         for step in workload.cohort_steps(ty) {
             match (step, opts.backend) {
@@ -587,9 +593,8 @@ pub fn run_cohort_traced<R: Recorder + ?Sized>(
     opts: &CohortOptions,
     rec: &R,
 ) -> Result<CohortResult, ExecError> {
-    let gpu = effective_gpu(gpu, opts);
-    let mut ctx = DeviceContext::new(store, sessions, opts);
-    let result = ctx.run_cohort(workload, store, reqs, &gpu, rec)?;
+    let mut ctx = DeviceContext::new(store, sessions, gpu, opts);
+    let result = ctx.run_cohort(workload, store, reqs, rec)?;
     *sessions = ctx.sessions();
     Ok(result)
 }
@@ -620,11 +625,10 @@ pub fn run_cohorts_hyperq(
     gpu: &Gpu,
     opts: &CohortOptions,
 ) -> Vec<Result<CohortResult, ExecError>> {
-    let gpu = effective_gpu(gpu, opts);
-    let mut ctx = DeviceContext::new(store, sessions, opts);
+    let mut ctx = DeviceContext::new(store, sessions, gpu, opts);
     let results = cohorts
         .iter()
-        .map(|reqs| ctx.run_cohort(workload, store, reqs, &gpu, &NoopRecorder))
+        .map(|reqs| ctx.run_cohort(workload, store, reqs, &NoopRecorder))
         .collect();
     *sessions = ctx.sessions();
     results
@@ -677,39 +681,59 @@ pub struct ScalarRunResult {
     pub trace: Vec<u32>,
 }
 
-/// Execute one request as one CPU core would — the paper's "standalone C
-/// version" measurement path (no batching, backend as a function call).
-/// Each kernel runs one lane at a time on the reference engine
-/// ([`rhythm_simt::execute_lanes`]).
-///
-/// The request runs in a cohort-of-one layout; warp reductions degenerate
-/// to identity so no alignment padding is emitted, and the output matches
-/// [`crate::native::handle_native`] exactly.
-///
-/// # Errors
-///
-/// Propagates kernel execution faults.
-pub fn run_request_scalar(
+impl DeviceContext {
+    /// Execute one request as one CPU core would — the paper's "standalone
+    /// C version" measurement path (no batching, backend as a function
+    /// call): each kernel runs one lane at a time on the reference engine
+    /// ([`rhythm_simt::execute_lanes`]), not on the context's device, in a
+    /// row-major cohort-of-one cut of the resident image. Warp reductions
+    /// degenerate to identity, so no alignment padding is emitted and the
+    /// output matches [`crate::native::handle_native`] exactly.
+    ///
+    /// `sessions` replaces the resident session array first (the caller
+    /// may have created sessions since the last call) and receives its
+    /// state after the request; on an `Err` it is left untouched.
+    ///
+    /// # Errors
+    ///
+    /// Propagates kernel execution faults.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sessions`' capacity or salt disagrees with the
+    /// context's options.
+    pub fn run_request_scalar(
+        &mut self,
+        workload: &Workload,
+        store: &BankStore,
+        sessions: &mut SessionArrayHost,
+        req: &GeneratedRequest,
+    ) -> Result<ScalarRunResult, ExecError> {
+        assert_eq!(
+            (sessions.capacity(), sessions.salt()),
+            (self.head.session_capacity, self.head.session_salt),
+            "session array must match the context's options"
+        );
+        self.mem
+            .load(self.head.session_base, &sessions.to_device_bytes())?;
+        let layout = self.cut(1, req.ty, false);
+        let run = scalar_steps(workload, store, &layout, &mut self.mem, req);
+        let run = self.journaled(run)?;
+        *sessions = self.sessions();
+        Ok(run)
+    }
+}
+
+/// The CPU model's kernels for `req`, one lane at a time in `layout`.
+fn scalar_steps(
     workload: &Workload,
     store: &BankStore,
-    sessions: &mut SessionArrayHost,
+    layout: &CohortLayout,
+    mem: &mut DeviceMemory,
     req: &GeneratedRequest,
 ) -> Result<ScalarRunResult, ExecError> {
-    let store_img = store.serialize_device();
-    let layout = CohortLayout::new(
-        1,
-        req.ty.response_buffer_bytes(),
-        sessions.capacity(),
-        sessions.salt(),
-        store_img.len() as u32,
-        false,
-    );
-    let mut mem = DeviceMemory::new(layout.total_bytes as usize);
-    mem.load(layout.store_base, &store_img)?;
-    mem.load(layout.session_base, &sessions.to_device_bytes())?;
-    write_requests(&layout, &mut mem, std::slice::from_ref(req))?;
+    write_requests(layout, mem, std::slice::from_ref(req))?;
     let cfg = layout.launch_config();
-
     let mut instructions = 0u64;
     let mut trace: Vec<u32> = Vec::new();
     for step in workload.cohort_steps(req.ty) {
@@ -719,52 +743,20 @@ pub fn run_request_scalar(
             CohortStep::Parser(p) => (p, 0),
             CohortStep::Stage(i, p) => (p, 10_000 * (i as u32 + 1)),
             CohortStep::Backend(_) => {
-                host_backend_step(store, &layout, &mut mem)?;
+                host_backend_step(store, layout, mem)?;
                 continue;
             }
         };
         let start = trace.len();
-        rhythm_simt::execute_lanes(program, &cfg, &mut mem, &workload.pool, Some(&mut trace))?;
+        rhythm_simt::execute_lanes(program, &cfg, mem, &workload.pool, Some(&mut trace))?;
         for b in &mut trace[start..] {
             instructions += program.block(*b).ops.len() as u64 + 1;
             *b += offset;
         }
     }
-
-    let response = read_responses(&layout, &mem)?.remove(0);
-    *sessions = SessionArrayHost::from_device_bytes(session_bytes(&mem, &layout), sessions.salt());
-
     Ok(ScalarRunResult {
         instructions,
-        response,
+        response: read_responses(layout, mem)?.remove(0),
         trace,
     })
-}
-
-/// Run only the parser kernel over a (possibly mixed-type) cohort;
-/// returns the launch result plus the parsed `(type_id, token, p0, p1)`
-/// per lane.
-///
-/// # Errors
-///
-/// Propagates kernel execution faults.
-pub fn run_parser_only(
-    workload: &Workload,
-    reqs: &[GeneratedRequest],
-    gpu: &Gpu,
-    opts: &CohortOptions,
-) -> Result<(LaunchResult, Vec<ParsedLane>), ExecError> {
-    assert!(!reqs.is_empty(), "empty cohort");
-    let gpu = effective_gpu(gpu, opts);
-    let cohort = reqs.len() as u32;
-    // Parser doesn't touch responses/store; use the largest response size
-    // so the layout is valid for any type.
-    let resp_size = RequestType::ALL
-        .iter()
-        .map(|t| t.response_buffer_bytes())
-        .max()
-        .expect("nonempty");
-    let layout = cohort_layout(opts, 0, cohort, resp_size);
-    let mut mem = DeviceMemory::new(layout.total_bytes as usize);
-    parse_step(workload, &layout, &mut mem, reqs, &gpu, opts, &NoopRecorder)
 }

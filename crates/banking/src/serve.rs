@@ -21,7 +21,7 @@ use crate::backend::BankStore;
 use crate::genreq::{raw_http, GeneratedRequest};
 use crate::kernels::Workload;
 use crate::native::{handle_native, BankingRequest};
-use crate::runner::{effective_gpu, CohortOptions, CohortResult, DeviceContext};
+use crate::runner::{CohortOptions, CohortResult, DeviceContext};
 use crate::session_array::SessionArrayHost;
 use crate::templates::SESSION_COOKIE;
 use crate::types::RequestType;
@@ -313,9 +313,6 @@ pub struct SimtHandler {
     workload: Workload,
     store: BankStore,
     ctx: DeviceContext,
-    /// The device, behind the verify gate when [`CohortOptions::verify`]
-    /// is set.
-    gpu: Gpu,
     /// Cohorts executed on the device.
     pub cohorts: u64,
     /// Requests answered across all cohorts.
@@ -345,8 +342,7 @@ impl SimtHandler {
         opts: CohortOptions,
     ) -> Self {
         SimtHandler {
-            ctx: DeviceContext::new(&store, &sessions, &opts),
-            gpu: effective_gpu(&gpu, &opts).into_owned(),
+            ctx: DeviceContext::new(&store, &sessions, &gpu, &opts),
             workload,
             store,
             cohorts: 0,
@@ -405,7 +401,7 @@ impl CohortHandler for SimtHandler {
         }
         let run = self
             .ctx
-            .run_cohort(&self.workload, &self.store, &reqs, &self.gpu, &NoopRecorder);
+            .run_cohort(&self.workload, &self.store, &reqs, &NoopRecorder);
         match run {
             Ok(result) => {
                 // A faulted sub-cohort's members were left empty.
@@ -512,7 +508,7 @@ mod tests {
             Gpu::new(GpuConfig::gtx_titan()),
             opts,
         );
-        let mut native_sessions = SessionArrayHost::new(64, h.ctx.opts().session_salt);
+        let mut native_sessions = SessionArrayHost::new(64, CohortOptions::default().session_salt);
 
         let login = parse(b"POST /bank/login.php HTTP/1.1\r\nContent-Length: 8\r\n\r\nuserid=5");
         let key = h.classify(&login).expect("classifies");

@@ -212,7 +212,7 @@ fn host_and_device_backends_agree() {
 
 #[test]
 fn parser_kernel_extracts_fields_from_mixed_cohort() {
-    let (workload, _store, gpu) = harness();
+    let (workload, store, gpu) = harness();
     let mut sessions = SessionArrayHost::new(4096, SALT);
     let mut generator = RequestGenerator::new(512, 11);
     let cohort = generator.mixed(128, &mut sessions);
@@ -221,7 +221,9 @@ fn parser_kernel_extracts_fields_from_mixed_cohort() {
         session_capacity: 4096,
         ..opts(true)
     };
-    let (res, parsed) = run_parser_only(&workload, &cohort, &gpu, &o).unwrap();
+    let (res, parsed) = DeviceContext::new(&store, &sessions, &gpu, &o)
+        .parse(&workload, &cohort)
+        .unwrap();
     for (lane, (r, (ty_id, token, p0, p1))) in cohort.iter().zip(&parsed).enumerate() {
         assert_eq!(*ty_id, r.ty.id(), "lane {lane} type");
         assert_eq!(*token, r.token, "lane {lane} token");

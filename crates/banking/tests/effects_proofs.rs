@@ -78,7 +78,7 @@ fn session_writer(workload: &Workload, store_bytes: u32, ty: RequestType, cohort
 #[test]
 fn all_banking_kernels_infer_bounded_footprints() {
     let workload = Workload::build();
-    let store_bytes = BankStore::generate(128, 77).serialize_device().len() as u32;
+    let store_bytes = BankStore::generate(128, 77).device_bytes();
     let mut seen = std::collections::BTreeSet::new();
     for ty in RequestType::ALL {
         let (layout, spec) = launch_env(&workload, store_bytes, ty, 256);
@@ -107,7 +107,7 @@ fn all_banking_kernels_infer_bounded_footprints() {
 #[test]
 fn session_writer_oracle_matches_login_logout_exactly() {
     let workload = Workload::build();
-    let store_bytes = BankStore::generate(128, 77).serialize_device().len() as u32;
+    let store_bytes = BankStore::generate(128, 77).device_bytes();
     for ty in RequestType::ALL {
         let writer = session_writer(&workload, store_bytes, ty, 64);
         assert_eq!(
@@ -200,14 +200,14 @@ fn sanitized_batch_matches_serial_bit_for_bit() {
 
     // What a read-only verdict promises: the cohort leaves every session
     // byte of the resident context as it found it.
-    let store_bytes = store.serialize_device().len() as u32;
-    let mut ctx = DeviceContext::new(&store, &sessions, &sanitized);
+    let store_bytes = store.device_bytes();
+    let mut ctx = DeviceContext::new(&store, &sessions, &gpu, &sanitized);
     let mut read_only = 0;
     for (i, c) in cohorts.iter().enumerate() {
         let (ty, n) = (c[0].ty, c.len() as u32);
         let writer = session_writer(&workload, store_bytes, ty, n);
         let before = ctx.session_bytes().to_vec();
-        ctx.run_cohort(&workload, &store, c, &gpu, &NoopRecorder)
+        ctx.run_cohort(&workload, &store, c, &NoopRecorder)
             .unwrap_or_else(|e| panic!("cohort {i}: sanitized run failed: {e}"));
         if !writer {
             assert!(

@@ -82,7 +82,7 @@ fn native(
 /// replies equal the native handlers' modulo padding, in input order; the
 /// session array equals a serial native run in arrival order; and the
 /// cohort's first launch is the parser over every lane, counting exactly
-/// what `run_parser_only` counts on the same requests.
+/// what `DeviceContext::parse` counts on the same requests.
 #[test]
 fn mixed_cohorts_match_native_in_input_order() {
     let workload = Workload::build();
@@ -91,9 +91,9 @@ fn mixed_cohorts_match_native_in_input_order() {
     let opts = opts(true);
     for (n, seed) in [(1, 1), (3, 2), (32, 3), (40, 4)] {
         let (reqs, sessions) = mixed_cohort(n, seed);
-        let mut ctx = DeviceContext::new(&store, &sessions, &opts);
+        let mut ctx = DeviceContext::new(&store, &sessions, &gpu, &opts);
         let result = ctx
-            .run_cohort(&workload, &store, &reqs, &gpu, &NoopRecorder)
+            .run_cohort(&workload, &store, &reqs, &NoopRecorder)
             .unwrap_or_else(|e| panic!("c{n}: {e}"));
 
         let mut host = sessions.clone();
@@ -111,7 +111,7 @@ fn mixed_cohorts_match_native_in_input_order() {
             "c{n}: session array differs from the serial native run"
         );
 
-        let (parser, parsed) = run_parser_only(&workload, &reqs, &gpu, &opts).unwrap();
+        let (parser, parsed) = ctx.parse(&workload, &reqs).unwrap();
         let (name, launch) = &result.launches[0];
         assert_eq!(name, "parser", "c{n}");
         assert_eq!(launch.stats, parser.stats, "c{n}: parser launch");

@@ -6,8 +6,9 @@
 //! digit fails here.
 //!
 //! The file ends with the CPU model: one line per request type, from a
-//! second fixed seed, with `run_request_scalar`'s instruction count, the
-//! length and FNV-1a hash of its block trace, and the response length.
+//! second fixed seed, with `DeviceContext::run_request_scalar`'s
+//! instruction count, the length and FNV-1a hash of its block trace, and
+//! the response length.
 
 use rhythm_banking::prelude::*;
 use rhythm_obs::NoopRecorder;
@@ -52,10 +53,13 @@ fn render() -> String {
         }
     }
     let mut generator = RequestGenerator::new(128, 41);
+    let empty = SessionArrayHost::new(CAPACITY, SALT);
+    let mut ctx = DeviceContext::new(&store, &empty, &gpu, &opts);
     for ty in RequestType::ALL {
-        let mut sessions = SessionArrayHost::new(CAPACITY, SALT);
+        let mut sessions = empty.clone();
         let req = generator.one(ty, &mut sessions);
-        let r = run_request_scalar(&workload, &store, &mut sessions, &req)
+        let r = ctx
+            .run_request_scalar(&workload, &store, &mut sessions, &req)
             .unwrap_or_else(|e| panic!("{} cpu: {e:?}", ty.file_name()));
         out += &format!(
             "{} cpu instructions={} trace_len={} trace_fnv={:#018x} response_len={}\n",

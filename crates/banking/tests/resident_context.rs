@@ -66,18 +66,12 @@ fn differential(rounds: usize, sanitize: bool, seed: u64) {
     let opts = opts(CAPACITY, sanitize);
     let (cohorts, initial) = seeded_cohorts(rounds, CAPACITY, seed);
 
-    // `run_cohort_traced` resolves the options into the device per call; the
-    // context takes a device that already has them. Default options only
-    // add the shared verify gate.
-    let gated = gpu
-        .clone()
-        .with_gate(Arc::new(rhythm_verify::Verifier::new()));
-    let mut ctx = DeviceContext::new(&store, &initial, &opts);
+    let mut ctx = DeviceContext::new(&store, &initial, &gpu, &opts);
     let mut chained = initial;
     for (i, reqs) in cohorts.iter().enumerate() {
         let what = format!("cohort {i}: {} × {}", reqs[0].ty, reqs.len());
         let resident = ctx
-            .run_cohort(&workload, &store, reqs, &gated, &NoopRecorder)
+            .run_cohort(&workload, &store, reqs, &NoopRecorder)
             .unwrap_or_else(|e| panic!("{what} on the context: {e}"));
         let oracle = run_cohort_traced(
             &workload,
@@ -148,10 +142,10 @@ fn fault_after_session_writes_restores_the_array() {
     let lost = generator.uniform(RequestType::Login, 5, &mut table);
     let next = generator.uniform(RequestType::Login, 2, &mut table);
 
-    let mut hit = DeviceContext::new(&store, &table, &opts);
-    let mut clean = DeviceContext::new(&store, &table, &opts);
+    let mut hit = DeviceContext::new(&store, &table, &gpu, &opts);
+    let mut clean = DeviceContext::new(&store, &table, &gpu, &opts);
     let run = |ctx: &mut DeviceContext, w: &Workload, reqs: &[GeneratedRequest]| {
-        ctx.run_cohort(w, &store, reqs, &gpu, &NoopRecorder)
+        ctx.run_cohort(w, &store, reqs, &NoopRecorder)
     };
     for ctx in [&mut hit, &mut clean] {
         run(ctx, &workload, &first).expect("first logins");
@@ -222,13 +216,13 @@ fn two_warp_cohorts_faulting_in_warp_1_leave_no_trace() {
         let warm = generator.uniform(RequestType::Login, 7, &mut table);
         let clean = generator.uniform(ty, 64, &mut table);
         let lost = generator.uniform(ty, 64, &mut table);
-        let mut ctx = DeviceContext::new(&store, &table, &opts);
+        let mut ctx = DeviceContext::new(&store, &table, &gpu, &opts);
         let layout = ctx
-            .run_cohort(&workload, &store, &warm, &gpu, &NoopRecorder)
+            .run_cohort(&workload, &store, &warm, &NoopRecorder)
             .expect("warm-up logins")
             .layout;
         let live = ctx.sessions().len();
-        ctx.run_cohort(&workload, &store, &clean, &gpu, &NoopRecorder)
+        ctx.run_cohort(&workload, &store, &clean, &NoopRecorder)
             .unwrap_or_else(|e| panic!("{what}: clean cohort: {e}"));
         assert_eq!(ctx.sessions().len(), change(live), "{what}: clean cohort");
         if !writer {
@@ -240,7 +234,7 @@ fn two_warp_cohorts_faulting_in_warp_1_leave_no_trace() {
         let before = ctx.session_bytes().to_vec();
         let live = ctx.sessions().len();
         assert!(
-            ctx.run_cohort(&poisoned, &store, &lost, &gpu, &NoopRecorder)
+            ctx.run_cohort(&poisoned, &store, &lost, &NoopRecorder)
                 .is_err(),
             "{what}: warp 1 faults"
         );
@@ -250,7 +244,7 @@ fn two_warp_cohorts_faulting_in_warp_1_leave_no_trace() {
         );
 
         // Unpoisoned, the same cohort goes through.
-        ctx.run_cohort(&workload, &store, &lost, &gpu, &NoopRecorder)
+        ctx.run_cohort(&workload, &store, &lost, &NoopRecorder)
             .unwrap_or_else(|e| panic!("{what}: clean rerun: {e}"));
         assert_eq!(ctx.sessions().len(), change(live), "{what}: clean rerun");
     }
@@ -270,10 +264,10 @@ fn login_cohort_journal_is_proportional_to_its_writes_not_the_table() {
     let mut table = SessionArrayHost::new(CAPACITY, SALT);
     let cold = generator.uniform(RequestType::Login, 32, &mut table);
     let warm = generator.uniform(RequestType::Login, 32, &mut table);
-    let mut ctx = DeviceContext::new(&store, &table, &opts);
+    let mut ctx = DeviceContext::new(&store, &table, &gpu, &opts);
     assert!(ctx.session_bytes().len() >= 1 << 20);
     for reqs in [&cold, &warm] {
-        ctx.run_cohort(&workload, &store, reqs, &gpu, &NoopRecorder)
+        ctx.run_cohort(&workload, &store, reqs, &NoopRecorder)
             .expect("logins");
     }
     assert_eq!(ctx.sessions().len(), 64);

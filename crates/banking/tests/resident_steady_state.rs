@@ -29,10 +29,10 @@ fn second_pass_allocates_nothing() {
         .map(|(ty, n)| generator.uniform(ty, n, &mut sessions))
         .collect();
 
-    let mut ctx = DeviceContext::new(&store, &sessions, &opts);
+    let mut ctx = DeviceContext::new(&store, &sessions, &gpu, &opts);
     let pass = |ctx: &mut DeviceContext| {
         for reqs in &cohorts {
-            ctx.run_cohort(&workload, &store, reqs, &gpu, &NoopRecorder)
+            ctx.run_cohort(&workload, &store, reqs, &NoopRecorder)
                 .expect("cohort runs");
         }
     };

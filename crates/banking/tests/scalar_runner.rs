@@ -3,13 +3,27 @@
 use rhythm_banking::prelude::*;
 use rhythm_http::padding::eq_modulo_padding;
 use rhythm_obs::NoopRecorder;
+use rhythm_simt::gpu::{Gpu, GpuConfig};
 
 const SALT: u32 = 0x5EED_0001;
+
+/// A context over `store` for `capacity`-slot session tables, to run the
+/// CPU model on.
+fn context(store: &BankStore, capacity: u32) -> DeviceContext {
+    let opts = CohortOptions {
+        session_capacity: capacity,
+        session_salt: SALT,
+        ..Default::default()
+    };
+    let empty = SessionArrayHost::new(capacity, SALT);
+    DeviceContext::new(store, &empty, &Gpu::new(GpuConfig::gtx_titan()), &opts)
+}
 
 #[test]
 fn scalar_matches_native_exactly() {
     let workload = Workload::build();
     let store = BankStore::generate(64, 3);
+    let mut ctx = context(&store, 256);
     for ty in RequestType::ALL {
         let mut sessions = SessionArrayHost::new(256, SALT);
         let mut generator = RequestGenerator::new(64, ty.id() as u64 + 40);
@@ -19,7 +33,9 @@ fn scalar_matches_native_exactly() {
         let native = handle_native(&req.banking_request(), &store, &mut native_sessions);
 
         let mut scalar_sessions = sessions.clone();
-        let result = run_request_scalar(&workload, &store, &mut scalar_sessions, &req).unwrap();
+        let result = ctx
+            .run_request_scalar(&workload, &store, &mut scalar_sessions, &req)
+            .unwrap();
 
         // A cohort of one gets no padding, so equality is exact.
         assert_eq!(
@@ -38,14 +54,17 @@ fn scalar_matches_native_exactly() {
 fn instruction_counts_track_response_size() {
     let workload = Workload::build();
     let store = BankStore::generate(64, 3);
-    let count = |ty: RequestType| -> f64 {
+    let mut ctx = context(&store, 256);
+    let mut count = |ty: RequestType| -> f64 {
         let mut sessions = SessionArrayHost::new(256, SALT);
         let mut generator = RequestGenerator::new(64, 99);
         let mut total = 0u64;
         let n = 5;
         for _ in 0..n {
             let req = generator.one(ty, &mut sessions);
-            let r = run_request_scalar(&workload, &store, &mut sessions, &req).unwrap();
+            let r = ctx
+                .run_request_scalar(&workload, &store, &mut sessions, &req)
+                .unwrap();
             total += r.instructions;
         }
         total as f64 / n as f64
@@ -62,12 +81,15 @@ fn instruction_counts_track_response_size() {
 fn traces_are_captured_and_similar_across_requests() {
     let workload = Workload::build();
     let store = BankStore::generate(64, 3);
+    let mut ctx = context(&store, 256);
     let mut sessions = SessionArrayHost::new(256, SALT);
     let mut generator = RequestGenerator::new(64, 7);
     let mut traces = Vec::new();
     for _ in 0..3 {
         let req = generator.one(RequestType::Transfer, &mut sessions);
-        let r = run_request_scalar(&workload, &store, &mut sessions, &req).unwrap();
+        let r = ctx
+            .run_request_scalar(&workload, &store, &mut sessions, &req)
+            .unwrap();
         traces.push(r.trace);
     }
     let (merged, rep) = rhythm_trace::merge_traces(&traces, 20_000);
@@ -82,7 +104,6 @@ fn traces_are_captured_and_similar_across_requests() {
 
 #[test]
 fn scalar_equals_cohort_modulo_padding() {
-    use rhythm_simt::gpu::{Gpu, GpuConfig};
     let workload = Workload::build();
     let store = BankStore::generate(64, 3);
     let gpu = Gpu::new(GpuConfig::gtx_titan());
@@ -109,7 +130,9 @@ fn scalar_equals_cohort_modulo_padding() {
     .unwrap();
 
     let mut s2 = sessions.clone();
-    let scalar = run_request_scalar(&workload, &store, &mut s2, &cohort[0]).unwrap();
+    let scalar = DeviceContext::new(&store, &sessions, &gpu, &opts)
+        .run_request_scalar(&workload, &store, &mut s2, &cohort[0])
+        .unwrap();
 
     // Mask the content-length digits (padding changes the kernel's) and
     // compare lane 0.

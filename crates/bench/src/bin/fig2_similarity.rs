@@ -19,13 +19,15 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut min_rel: f64 = 1.0;
+    let mut ctx = h.context(1024);
     for ty in RequestType::ALL {
         let mut sessions = SessionArrayHost::new(1024, SALT);
         let mut generator = RequestGenerator::new(USERS, 500 + ty.id() as u64);
         let mut traces = Vec::new();
         for _ in 0..traces_per_type {
             let req = generator.one(ty, &mut sessions);
-            let r = run_request_scalar(&h.workload, &h.store, &mut sessions, &req)
+            let r = ctx
+                .run_request_scalar(&h.workload, &h.store, &mut sessions, &req)
                 .expect("scalar trace run");
             traces.push(r.trace);
         }

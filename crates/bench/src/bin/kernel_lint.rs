@@ -65,7 +65,7 @@ fn main() -> ExitCode {
     }
 
     let workload = Workload::build();
-    let store_bytes = BankStore::generate(NUM_USERS, 1).serialize_device().len() as u32;
+    let store_bytes = BankStore::generate(NUM_USERS, 1).device_bytes();
 
     // Lint each kernel against every launch environment it can actually
     // see (the layout differs per request type via the response slot

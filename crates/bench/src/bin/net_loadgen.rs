@@ -38,7 +38,8 @@
 //!   `<path>` and fail if either regressed beyond the noise threshold.
 //! * `--no-telemetry` — run the server with the telemetry plane disabled
 //!   (the bare baseline for overhead comparisons).
-//! * `--out <path>` — result file (default `BENCH_net.json`).
+//! * `--out <path>` — result file (default `target/BENCH_net.json`; the
+//!   checked-in baseline is regenerated with `--out BENCH_net.json`).
 //!
 //! Every run asserts zero dropped responses.
 
@@ -83,7 +84,7 @@ fn parse_args() -> Args {
         conns: 64,
         rate: 8000.0,
         duration_s: 3.0,
-        out: "BENCH_net.json".to_string(),
+        out: "target/BENCH_net.json".to_string(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -696,6 +697,11 @@ fn main() {
         load.stats.idle_polls,
         load.stats.reads_paused,
     );
+    // The default lies under `target/`, which a run outside the workspace
+    // root may not have.
+    if let Some(dir) = std::path::Path::new(&args.out).parent() {
+        std::fs::create_dir_all(dir).expect("create the result file's directory");
+    }
     std::fs::write(&args.out, &json).expect("write result file");
     println!("results written to {}", args.out);
 

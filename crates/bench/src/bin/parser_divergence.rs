@@ -13,12 +13,7 @@ use rhythm_simt::WARP_SIZE;
 fn main() {
     let h = Harness::new();
     let cohort = 2048usize;
-
-    let opts = CohortOptions {
-        session_capacity: 4 * cohort as u32,
-        session_salt: SALT,
-        ..Default::default()
-    };
+    let mut ctx = h.context(4 * cohort as u32);
 
     let mut rows = Vec::new();
     let mut results = Vec::new();
@@ -31,7 +26,7 @@ fn main() {
             generator.uniform(RequestType::Login, cohort, &mut sessions)
         };
         eprintln!("[parser] running {label} ...");
-        let (res, parsed) = run_parser_only(&h.workload, &reqs, &h.gpu, &opts).expect("parser");
+        let (res, parsed) = ctx.parse(&h.workload, &reqs).expect("parser");
         // Verify correctness on the way.
         for (r, (ty_id, ..)) in reqs.iter().zip(&parsed) {
             assert_eq!(*ty_id, r.ty.id(), "parser must classify correctly");

@@ -54,6 +54,18 @@ impl Harness {
             gpu: Gpu::new(GpuConfig::gtx_titan()),
         }
     }
+
+    /// A device context over the store, on the device, for `capacity`-slot
+    /// session tables salted [`SALT`] (it starts with an empty one).
+    pub fn context(&self, capacity: u32) -> DeviceContext {
+        let opts = CohortOptions {
+            session_capacity: capacity,
+            session_salt: SALT,
+            ..Default::default()
+        };
+        let empty = SessionArrayHost::new(capacity, SALT);
+        DeviceContext::new(&self.store, &empty, &self.gpu, &opts)
+    }
 }
 
 impl Default for Harness {
@@ -75,6 +87,7 @@ pub struct ScalarMeasurement {
 
 /// Measure mean scalar instructions per request for every type.
 pub fn scalar_measurements(h: &Harness, samples: u32) -> Vec<ScalarMeasurement> {
+    let mut ctx = h.context(4096);
     RequestType::ALL
         .iter()
         .map(|&ty| {
@@ -84,7 +97,8 @@ pub fn scalar_measurements(h: &Harness, samples: u32) -> Vec<ScalarMeasurement> 
             let mut body = 0u64;
             for _ in 0..samples {
                 let req = generator.one(ty, &mut sessions);
-                let r = run_request_scalar(&h.workload, &h.store, &mut sessions, &req)
+                let r = ctx
+                    .run_request_scalar(&h.workload, &h.store, &mut sessions, &req)
                     .expect("scalar run");
                 instr += r.instructions;
                 let text = String::from_utf8_lossy(&r.response);

@@ -9,24 +9,35 @@
 //! ```
 
 use rhythm_banking::prelude::*;
+use rhythm_simt::gpu::{Gpu, GpuConfig};
 use rhythm_trace::merge_traces;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = Workload::build();
     let store = BankStore::generate(64, 11);
+    let opts = CohortOptions {
+        session_capacity: 512,
+        session_salt: 0xBEEF,
+        ..Default::default()
+    };
+    let empty = SessionArrayHost::new(opts.session_capacity, opts.session_salt);
+    // The CPU model runs on the context's resident store image; the
+    // device itself is not launched on.
+    let gpu = Gpu::new(GpuConfig::gtx_titan());
+    let mut ctx = DeviceContext::new(&store, &empty, &gpu, &opts);
 
     for ty in [
         RequestType::Login,
         RequestType::AccountSummary,
         RequestType::BillPayStatusOutput,
     ] {
-        let mut sessions = SessionArrayHost::new(512, 0xBEEF);
+        let mut sessions = empty.clone();
         let mut generator = RequestGenerator::new(64, ty.id() as u64);
 
         let mut traces = Vec::new();
         for _ in 0..4 {
             let req = generator.one(ty, &mut sessions);
-            let run = run_request_scalar(&workload, &store, &mut sessions, &req)?;
+            let run = ctx.run_request_scalar(&workload, &store, &mut sessions, &req)?;
             traces.push(run.trace);
         }
 

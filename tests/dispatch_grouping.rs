@@ -43,7 +43,9 @@ fn mixed_stream_groups_into_correct_cohorts() {
         session_capacity: 2048,
         ..Default::default()
     };
-    let (_, parsed) = run_parser_only(&workload, &stream, &gpu, &opts).unwrap();
+    let (_, parsed) = DeviceContext::new(&store, &sessions, &gpu, &opts)
+        .parse(&workload, &stream)
+        .unwrap();
     for (r, (ty_id, ..)) in stream.iter().zip(&parsed) {
         assert_eq!(*ty_id, r.ty.id());
     }

@@ -89,7 +89,9 @@ fn measured_stats_flow_into_platform_model() {
 
     // The i7 at the paper's calibration, on this type's instruction count.
     let mut s2 = sessions.clone();
-    let scalar = run_request_scalar(&workload, &store, &mut s2, &cohort[0]).unwrap();
+    let scalar = DeviceContext::new(&store, &sessions, &gpu, &opts)
+        .run_request_scalar(&workload, &store, &mut s2, &cohort[0])
+        .unwrap();
     let i7 = CpuPreset::i7_8w();
     // Unit conversion: IR instructions are denser than the paper's x86.
     let x86_equiv = scalar.instructions as f64 * 429_563.0 / 195_000.0;
