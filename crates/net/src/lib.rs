@@ -12,18 +12,18 @@
 //!   buffering.
 //! * [`server::Reactor`] is the readiness-driven connection/cohort state
 //!   machine over nonblocking `std::net` sockets: each turn makes one
-//!   level-triggered `epoll` wait (with no timeout, or none at all),
-//!   reads what was reported readable and writes what was answered; a
-//!   one-shot `timerfd` stands for the earliest fill deadline and an
-//!   `eventfd` for the acceptor's hand-off. Parsed requests are
-//!   dispatched by the handler's cohort key into cohort contexts from
-//!   `rhythm-core`'s [`rhythm_core::CohortPool`] (the Free →
+//!   level-triggered `epoll` wait (with no timeout, or none at all), reads
+//!   what was reported readable and writes what was answered; it reads the
+//!   clock once per wake, a one-shot `timerfd` stands for its next fill
+//!   deadline or reap and an `eventfd` for the acceptor's hand-off. Parsed
+//!   requests are dispatched by the handler's cohort key into cohort
+//!   contexts from `rhythm-core`'s [`rhythm_core::CohortPool`] (the Free →
 //!   PartiallyFull → Full → Busy FSM). The pool's formation rule decides
 //!   where a request goes ([`rhythm_core::CohortPool::admit`]) and when a
 //!   forming cohort is due ([`rhythm_core::CohortPool::due`]), the same
-//!   rule the `rhythm-core` pipeline model follows; cohorts launch on
-//!   fill or on the formation timeout, all launches marked in one turn go
-//!   to the pluggable [`server::CohortHandler`] as a single batch, and
+//!   rule the `rhythm-core` pipeline model follows; cohorts launch on fill
+//!   or on the formation timeout, all launches marked in one turn go to
+//!   the pluggable [`server::CohortHandler`] as a single batch, and
 //!   responses are transposed back onto the originating connections in
 //!   request order.
 //! * [`shard::ShardedServer`] is the one server type: an acceptor hands
@@ -59,8 +59,8 @@
 //!
 //! **Linux only.** The reactor waits on `epoll`, `eventfd` and `timerfd`
 //! through the glibc `std` already links (the private `sys` module: the
-//! crate's only `unsafe`, and the one seam a virtual-time transport would
-//! replace). There is no portable fallback.
+//! crate's only `unsafe`) which, with the reactor's one clock read, is
+//! the seam a virtual-time transport would replace. No portable fallback.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

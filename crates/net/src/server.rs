@@ -182,10 +182,10 @@ pub struct NetStats {
     /// Connections with queued output reaped because the peer stopped
     /// reading for a full read-deadline.
     pub reaped_stalled: u64,
-    /// Turns that made no progress, whatever woke them: an expired timer
-    /// with nothing due, the acceptor's reaping tick, or — the failure
-    /// this counter exists to expose — readiness the reactor keeps being
-    /// told about and does nothing with.
+    /// Turns that made no progress, whatever woke them: a timer firing
+    /// with no cohort due (a reap pass included), or — the failure this
+    /// counter exists to expose — readiness the reactor keeps being told
+    /// about and does nothing with.
     pub idle_polls: u64,
     /// Times a connection entered the backpressure pause: its queued
     /// output reached [`NetConfig::max_queued_bytes`], so it stopped being
@@ -270,7 +270,7 @@ struct Connection {
     ready: BTreeMap<u64, Vec<u8>>,
     /// Bytes held in `ready` (backpressure accounting).
     ready_bytes: usize,
-    last_activity: Instant,
+    last_activity: f64,
     /// Stop reading; close once drained (fatal parse error sent).
     closing: bool,
     /// Peer closed its write side.
@@ -290,7 +290,7 @@ struct Connection {
 }
 
 impl Connection {
-    fn new(stream: TcpStream, max_request_bytes: usize) -> Self {
+    fn new(stream: TcpStream, max_request_bytes: usize, now_s: f64) -> Self {
         Connection {
             stream,
             acc: RequestAccumulator::new(max_request_bytes),
@@ -300,7 +300,7 @@ impl Connection {
             next_to_send: 0,
             ready: BTreeMap::new(),
             ready_bytes: 0,
-            last_activity: Instant::now(),
+            last_activity: now_s,
             closing: false,
             eof: false,
             dead: false,
@@ -383,7 +383,8 @@ impl Connection {
 struct Pending {
     conn: u64,
     seq: u64,
-    arrived: Instant,
+    /// The wake that found the request, in the reactor's clock.
+    arrived: f64,
 }
 
 /// Poller tokens of the reactor's own two descriptors; connection ids
@@ -408,7 +409,7 @@ impl Handoff {
         self.waker.wake();
     }
 
-    /// End the reactor's wait so it looks at the clock and the stop flag.
+    /// End the reactor's wait so it looks at the stop flag.
     pub(crate) fn wake(&self) {
         self.waker.wake();
     }
@@ -437,10 +438,12 @@ pub struct Reactor<H> {
     next_conn_id: u64,
     stats: NetStats,
     epoch: Instant,
+    /// The one clock: seconds since `epoch` at the last clock read.
+    now_s: f64,
     /// Contexts marked launchable this turn: `(context, by_timeout)`.
     launchable: Vec<(ContextId, bool)>,
     poller: Poller,
-    /// Fires at the earliest fill deadline of a forming cohort.
+    /// Fires at the earliest fill deadline or, if sooner, the next reap.
     timer: Timer,
     /// When the timer's current arming fires, in seconds since `epoch`;
     /// `None` once it has fired.
@@ -453,8 +456,8 @@ pub struct Reactor<H> {
     touched: Vec<u64>,
     /// Connections whose parse quantum ran out with bytes left over.
     backlog: Vec<u64>,
-    /// When every connection was last checked against the read deadline.
-    last_reap: Instant,
+    /// When the next pass checks connections against the read deadline.
+    next_reap_s: f64,
     /// The cross-shard telemetry plane this reactor publishes into (a
     /// standalone single-shard plane until
     /// [`Reactor::attach_telemetry`] rebinds it).
@@ -477,9 +480,9 @@ fn touch(conn: &mut Connection, id: u64, touched: &mut Vec<u64>) {
     }
 }
 
-/// Write as much queued output as the socket takes; returns whether any
-/// went out.
-fn write_out(conn: &mut Connection, stats: &mut NetStats) -> bool {
+/// Write as much queued output as the socket takes, stamping activity at
+/// `now_s`; returns whether any went out.
+fn write_out(conn: &mut Connection, now_s: f64, stats: &mut NetStats) -> bool {
     let mut progress = false;
     while !conn.out_drained() {
         match conn.stream.write(&conn.out[conn.out_pos..]) {
@@ -490,7 +493,7 @@ fn write_out(conn: &mut Connection, stats: &mut NetStats) -> bool {
             Ok(n) => {
                 conn.out_pos += n;
                 stats.bytes_out += n as u64;
-                conn.last_activity = Instant::now();
+                conn.last_activity = now_s;
                 progress = true;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -548,6 +551,7 @@ impl<H: CohortHandler> Reactor<H> {
             next_conn_id: 0,
             stats: NetStats::default(),
             epoch: Instant::now(),
+            now_s: 0.0,
             launchable: Vec::new(),
             poller,
             timer,
@@ -556,7 +560,7 @@ impl<H: CohortHandler> Reactor<H> {
             handoff: Handoff { streams, waker },
             touched: Vec::new(),
             backlog: Vec::new(),
-            last_reap: Instant::now(),
+            next_reap_s: 0.0,
             telemetry,
             metrics,
             fill_s,
@@ -587,11 +591,6 @@ impl<H: CohortHandler> Reactor<H> {
         &self.stats
     }
 
-    /// The reactor's configuration.
-    pub fn config(&self) -> &NetConfig {
-        &self.config
-    }
-
     /// Borrow the workload handler.
     pub fn handler(&self) -> &H {
         &self.handler
@@ -608,8 +607,8 @@ impl<H: CohortHandler> Reactor<H> {
     }
 
     /// Take ownership of an accepted stream: admit it (non-blocking, slot
-    /// accounting, registered for reading) or shed it with `503` when
-    /// this reactor is at its connection cap.
+    /// accounting, registered for reading, a reap pass due on the timer)
+    /// or shed it with `503` when this reactor is at its connection cap.
     pub fn admit(&mut self, stream: TcpStream) {
         if self.conns.len() >= self.config.max_connections {
             // Over the cap: shed at the door with an explicit retry hint
@@ -628,11 +627,22 @@ impl<H: CohortHandler> Reactor<H> {
             return;
         }
         let _ = stream.set_nodelay(true);
+        self.read_clock();
+        if self.conns.is_empty() {
+            // A pass over no connection, to set when the next is due.
+            self.reap_stale();
+        }
         self.stats.accepted += 1;
         self.next_conn_id += 1;
-        self.conns
-            .insert(id, Connection::new(stream, self.config.max_request_bytes));
+        let conn = Connection::new(stream, self.config.max_request_bytes, self.now_s);
+        self.conns.insert(id, conn);
         self.stats.peak_connections = self.stats.peak_connections.max(self.conns.len());
+        self.arm_timer();
+    }
+
+    /// Set `now_s`: the reactor's one read of the time.
+    fn read_clock(&mut self) {
+        self.now_s = self.epoch.elapsed().as_secs_f64();
     }
 
     /// One service iteration that never waits: [`Reactor::turn`] with
@@ -644,7 +654,7 @@ impl<H: CohortHandler> Reactor<H> {
     /// One service iteration; returns whether anything progressed.
     ///
     /// With `block` the turn first waits — with no timeout — until a
-    /// socket is ready, the fill timer fires or the acceptor wakes it;
+    /// socket is ready, its timer fires or the acceptor wakes it;
     /// without, and whenever work is already in hand (a marked cohort, a
     /// connection whose parse quantum ran out), it only collects what is
     /// ready now.
@@ -688,6 +698,7 @@ impl<H: CohortHandler> Reactor<H> {
                 }
             }
         }
+        self.read_clock();
         if woken {
             // Drained before the channel is emptied: a stream sent after
             // this point raises the wake again.
@@ -780,7 +791,7 @@ impl<H: CohortHandler> Reactor<H> {
             let mut progress = false;
             for conn in self.conns.values_mut() {
                 if !conn.dead {
-                    progress |= write_out(conn, &mut self.stats);
+                    progress |= write_out(conn, self.now_s, &mut self.stats);
                 }
             }
             if !progress {
@@ -827,7 +838,7 @@ impl<H: CohortHandler> Reactor<H> {
                     Ok(n) => {
                         conn.acc.feed(&chunk[..n]);
                         self.stats.bytes_in += n as u64;
-                        conn.last_activity = Instant::now();
+                        conn.last_activity = self.now_s;
                         *progress = true;
                         if n < chunk.len() {
                             // A short read emptied the socket; if more
@@ -883,7 +894,7 @@ impl<H: CohortHandler> Reactor<H> {
                         let routing = Pending {
                             conn: id,
                             seq,
-                            arrived: Instant::now(),
+                            arrived: self.now_s,
                         };
                         parsed.push((routing, req));
                     }
@@ -920,15 +931,14 @@ impl<H: CohortHandler> Reactor<H> {
             self.route(p.conn, p.seq, resp);
             return;
         };
-        let now_s = self.epoch.elapsed().as_secs_f64();
-        let admitted = self.pool.admit(p, key, now_s).or_else(|p| {
+        let admitted = self.pool.admit(p, key, self.now_s).or_else(|p| {
             // Some occupied contexts may only be waiting for this turn's
             // batched launch (Full, or past the deadline): flush it to
-            // free them rather than shed. The flush runs the batch, so
-            // the retry reads the clock again.
+            // free them rather than shed. The flush runs the batch and
+            // reads the clock after it, so the retry stamps that time.
             self.mark_launchable();
             if self.flush_launches() {
-                self.pool.admit(p, key, self.epoch.elapsed().as_secs_f64())
+                self.pool.admit(p, key, self.now_s)
             } else {
                 Err(p)
             }
@@ -959,27 +969,26 @@ impl<H: CohortHandler> Reactor<H> {
     /// for this turn's launch batch, as "timeout" launches. (A cohort
     /// launches as "full" only when [`Reactor::dispatch`] fills it.)
     fn mark_launchable(&mut self) {
-        let now_s = self.epoch.elapsed().as_secs_f64();
-        let due = self.pool.due(now_s, self.fill_s).map(|id| (id, true));
+        let due = self.pool.due(self.now_s, self.fill_s).map(|id| (id, true));
         self.launchable.extend(due);
     }
 
-    /// Make sure the timer fires by [`CohortPool::next_due`], armed only
-    /// when that is earlier than what is armed, or the last arming has
-    /// fired: a forming cohort costs one arming (arming and cancelling
-    /// are the expensive calls here), a cohort that fills early leaves
-    /// one spurious firing behind, and an idle reactor holds no timer.
+    /// Make sure the timer fires by [`CohortPool::next_due`] or, while a
+    /// connection is held, the next reap, armed only when that is earlier
+    /// than what is armed, or the last arming has fired: a forming cohort
+    /// costs one arming (arming and cancelling are the expensive calls
+    /// here), and a cohort that fills early leaves one spurious firing.
     fn arm_timer(&mut self) {
-        let Some(due_s) = self.pool.next_due(self.fill_s) else {
-            return;
-        };
-        if self.timer_due_s.is_some_and(|armed_s| armed_s <= due_s) {
+        let mut due_s = self.pool.next_due(self.fill_s).unwrap_or(f64::INFINITY);
+        if !self.conns.is_empty() {
+            due_s = due_s.min(self.next_reap_s);
+        }
+        if due_s == f64::INFINITY || self.timer_due_s.is_some_and(|armed_s| armed_s <= due_s) {
             return;
         }
-        let wait_s = (due_s - self.epoch.elapsed().as_secs_f64()).max(0.0);
-        // A microsecond late rather than a nanosecond early: firing
-        // before the mark pass agrees the deadline has passed would waste
-        // the turn.
+        let wait_s = (due_s - self.now_s).max(0.0);
+        // Late rather than early (from the last clock read, and 1 µs over):
+        // firing before the mark pass agrees would waste the turn.
         let wait = Duration::from_secs_f64(wait_s) + Duration::from_micros(1);
         if self.timer.arm(wait).is_ok() {
             self.timer_due_s = Some(due_s);
@@ -1054,6 +1063,7 @@ impl<H: CohortHandler> Reactor<H> {
                 &[("requests", ArgValue::U64(total as u64))],
             );
         }
+        self.read_clock();
         if replies.len() < batch.len() {
             // A handler that answered fewer cohorts than launched is a
             // bug it survives: the missing cohorts get padded 500s below.
@@ -1075,7 +1085,7 @@ impl<H: CohortHandler> Reactor<H> {
                     self.metrics.record_latency(
                         label,
                         || handler.key_name(label),
-                        m.arrived.elapsed().as_secs_f64(),
+                        self.now_s - m.arrived,
                     );
                 }
                 self.route(m.conn, m.seq, resp);
@@ -1115,7 +1125,7 @@ impl<H: CohortHandler> Reactor<H> {
             };
             conn.touched = false;
             if !conn.dead {
-                progress |= write_out(conn, &mut self.stats);
+                progress |= write_out(conn, self.now_s, &mut self.stats);
             }
             let mut keep = !conn.finished();
             if keep {
@@ -1142,17 +1152,16 @@ impl<H: CohortHandler> Reactor<H> {
     /// Drop idle/half-open peers past the read deadline and stalled
     /// readers that accepted no queued output for a full deadline. This
     /// is the only pass over every connection, so it runs once per eighth
-    /// of the deadline; the acceptor's tick guarantees a turn that often.
+    /// of the deadline; the timer guarantees a turn that often.
     fn reap_stale(&mut self) {
-        let deadline = self.config.read_deadline;
-        let now = Instant::now();
-        if now.duration_since(self.last_reap) < deadline / 8 {
+        let (now_s, deadline_s) = (self.now_s, self.config.read_deadline.as_secs_f64());
+        if now_s < self.next_reap_s {
             return;
         }
-        self.last_reap = now;
+        self.next_reap_s = now_s + deadline_s / 8.0;
         let stats = &mut self.stats;
         self.conns.retain(|_, c| {
-            if now.duration_since(c.last_activity) < deadline {
+            if now_s - c.last_activity < deadline_s {
                 return true;
             }
             if c.out_drained() && c.outstanding() == 0 {
@@ -1258,6 +1267,42 @@ mod tests {
             got.extend_from_slice(&chunk[..n]);
         }
         assert!(got.ends_with(b"X-Path: /late\r\n\r\n"));
+    }
+
+    /// A silent connection is reaped by the reactor's own timer: no
+    /// acceptor and no peer ever wakes this reactor, so every blocking
+    /// turn after the admission is a reap pass's firing, and the
+    /// connection goes at the first pass a deadline after it arrived.
+    #[test]
+    fn silent_connection_is_reaped_on_the_reactors_own_timer() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let config = NetConfig {
+            read_deadline: Duration::from_millis(40),
+            ..NetConfig::default()
+        };
+        let mut reactor = Reactor::new(config, Echo).unwrap();
+        reactor.admit(accepted);
+        let (done, stats) = std::sync::mpsc::channel();
+        let turning = std::thread::spawn(move || {
+            while reactor.stats().reaped_idle == 0 {
+                reactor.turn(true);
+            }
+            done.send(reactor.stats().clone()).unwrap();
+        });
+        let stats = stats
+            .recv_timeout(Duration::from_secs(2))
+            .expect("a blocking turn never returned: nothing woke the reactor");
+        turning.join().unwrap();
+        assert_eq!(stats.reaped_idle, 1);
+        // Eight passes per deadline, one of which may come a little
+        // early for a connection admitted just after the last.
+        assert!(
+            stats.idle_polls <= 8 + 2,
+            "{} idle turns to reap one connection",
+            stats.idle_polls
+        );
     }
 
     /// Echo that takes a millisecond per launch and records when it ends.

@@ -14,11 +14,10 @@
 //! the handoff channel (and the wake descriptor that says it has mail).
 //!
 //! Nothing here polls: every reactor waits in its poller until a socket,
-//! its fill timer or the acceptor gives it something to do, and the
-//! acceptor waits on the listener. The acceptor's wait carries the
-//! server's one periodic timer (`ACCEPT_TICK`, 10 ms), which is how the
-//! stop flag is noticed and how idle reactors get a clock to reap stale
-//! connections by.
+//! its own timer (a fill deadline or a reap pass) or the acceptor (a
+//! stream, or the stop) gives it something to do, and the acceptor waits
+//! on the listener with the server's one periodic timer (`ACCEPT_TICK`,
+//! 10 ms), which is how it notices the stop flag.
 //!
 //! ```text
 //!             accept()        mpsc + eventfd (round-robin)
@@ -30,15 +29,14 @@
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::metrics::Telemetry;
 use crate::server::{CohortHandler, Handoff, NetConfig, NetStats, Reactor};
 use crate::sys::{Interest, Poller};
 
 /// How long the acceptor waits on a quiet listener before it looks at the
-/// stop flag and the reaping clock — the bound on how long `stop` takes
-/// to reach every shard.
+/// stop flag — the bound on how long `stop` takes to reach every shard.
 const ACCEPT_TICK: Duration = Duration::from_millis(10);
 
 /// Result of a sharded run: each shard's counters and handler, in shard
@@ -164,7 +162,6 @@ impl<H: CohortHandler + Send> ShardedServer<H> {
             ..
         } = self;
         let handoffs: Vec<Handoff> = reactors.iter().map(Reactor::handoff).collect();
-        let reap_tick = reactors[0].config().read_deadline / 8;
 
         let shards = std::thread::scope(|scope| {
             let joins: Vec<_> = reactors
@@ -176,7 +173,6 @@ impl<H: CohortHandler + Send> ShardedServer<H> {
             // streams over the shard channels. Admission control (the
             // connection cap, 503 shed) happens in the owning reactor.
             let mut next = 0usize;
-            let mut last_wake = Instant::now();
             while !stop.load(Ordering::Relaxed) {
                 // Which descriptor is ready is not in question; a failed
                 // wait just goes on to try the listener.
@@ -196,12 +192,6 @@ impl<H: CohortHandler + Send> ShardedServer<H> {
                             break;
                         }
                     }
-                }
-                if last_wake.elapsed() >= reap_tick {
-                    // A reactor nobody talks to would never look at the
-                    // clock; stale connections are reaped on this beat.
-                    last_wake = Instant::now();
-                    handoffs.iter().for_each(Handoff::wake);
                 }
             }
             handoffs.iter().for_each(Handoff::wake);

@@ -393,8 +393,8 @@ fn two_connections_interleave_into_shared_cohorts() {
 /// reactor — is launched by the deadline's own firing. The request is
 /// queued in the socket *before* the run loop starts, so the cohort's
 /// fill wait is the only latency left to measure: 25 ms, where a reactor
-/// that waited for its next outside wake-up would sit until the
-/// acceptor's reaping tick (1.25 s at the default read deadline).
+/// that waited for any other firing would sit until its next reap pass
+/// (1.25 s at the default read deadline).
 #[test]
 fn lone_request_launches_on_the_fill_timer() {
     let config = NetConfig {

@@ -341,8 +341,8 @@ fn pipeline_deeper_than_the_parse_quantum_needs_no_further_input() {
             cohort_size: 4,
             fill_timeout: Duration::from_millis(1),
             max_parse_per_poll: 4,
-            // No reaping tick inside the clients' 5 s read timeout: the
-            // reactor has only itself to rely on.
+            // No reap pass inside the clients' 5 s read timeout, so no
+            // firing of the reactor's timer can stand in for the backlog.
             read_deadline: Duration::from_secs(80),
             ..NetConfig::default()
         },

@@ -211,11 +211,14 @@ impl DeviceMemory {
     }
 
     /// Re-cut the image to exactly `size` bytes: the first `keep` bytes
-    /// survive, everything after them reads as zero. The allocation is
-    /// reused, so a resident image whose tail is scratch can be re-cut per
-    /// use at the cost of zeroing the tail — while [`Self::len`], and with
-    /// it every out-of-bounds fault, is exactly that of a fresh
-    /// `DeviceMemory::new(size)`.
+    /// survive, everything after them reads as zero. Within the
+    /// allocation's capacity the allocation is reused, so a resident image
+    /// whose tail is scratch can be re-cut per use at the cost of zeroing
+    /// the tail; past it the head moves into a fresh zeroed allocation,
+    /// whose zero pages cost no fill, with room to grow into so a context
+    /// stepping up through cut sizes moves its head once per doubling.
+    /// Either way [`Self::len`], and with it every out-of-bounds fault, is
+    /// exactly that of a fresh `DeviceMemory::new(size)`.
     ///
     /// The image then keeps `lane_major`'s span, if any, lane-major (and
     /// no other). The span lies in the zeroed tail, so declaring it moves
@@ -233,8 +236,16 @@ impl DeviceMemory {
                 .collect();
             self.bytes[old.base..old.base + old.len].copy_from_slice(&device);
         }
-        self.bytes.truncate(keep.min(size));
-        self.bytes.resize(size, 0);
+        let head = keep.min(size).min(self.bytes.len());
+        if size > self.bytes.capacity() {
+            let mut grown = vec![0; size.max(2 * self.bytes.capacity())];
+            grown[..head].copy_from_slice(&self.bytes[..head]);
+            grown.truncate(size);
+            self.bytes = grown;
+        } else {
+            self.bytes.truncate(head);
+            self.bytes.resize(size, 0);
+        }
         if let Some(lm) = lane_major {
             let region = Region::of(lm);
             assert!(
@@ -930,6 +941,43 @@ mod tests {
             fresh.load(0, b"head").unwrap();
             fresh
         });
+    }
+
+    /// Re-cut after a cohort wrote every byte of the old tail, to a larger
+    /// cut (past the allocation), an equal and a smaller one: each image is
+    /// the fresh one of its size with the same head loaded.
+    #[test]
+    fn recut_past_the_allocation_matches_a_fresh_image() {
+        const HEAD: usize = 24;
+        let lm = LaneMajor {
+            base: 32,
+            lanes: 4,
+            slot: 8,
+        };
+        let mut m = DeviceMemory::new(HEAD);
+        m.load(0, &[0xA5; HEAD]).unwrap();
+        let mut cap = m.capacity();
+        for size in [96, 4096, 4096, 72] {
+            m.recut(HEAD, size, Some(lm));
+            let mut fresh = DeviceMemory::new(size);
+            fresh.load(0, &[0xA5; HEAD]).unwrap();
+            assert_eq!(m, fresh, "re-cut to {size} bytes");
+            assert_eq!(m.as_bytes()[HEAD..], fresh.as_bytes()[HEAD..]);
+            assert!(m.capacity() >= size.max(cap), "capacity never shrinks");
+            cap = m.capacity();
+            for a in HEAD..size {
+                m.write_byte(a as u32, 0xFF).unwrap();
+            }
+        }
+        m.recut(HEAD, cap + 1, None);
+        assert!(m.capacity() >= 2 * cap, "growth is amortised");
+        let mut short = DeviceMemory::new(8);
+        short.recut(16, 4096, None);
+        assert_eq!(
+            short,
+            DeviceMemory::new(4096),
+            "a head past the image is zero"
+        );
     }
 
     #[test]
