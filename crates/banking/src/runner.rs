@@ -246,8 +246,10 @@ impl DeviceContext {
     ///
     /// # Panics
     ///
-    /// Panics if `sessions.capacity()` disagrees with
-    /// `opts.session_capacity`.
+    /// Panics if `sessions.capacity()` or `sessions.salt()` disagrees with
+    /// `opts.session_capacity` or `opts.session_salt`: the kernels invert
+    /// tokens with the options' salt, so a table built with another salt
+    /// would answer every token minted on the host with 403.
     pub fn new(
         store: &BankStore,
         sessions: &SessionArrayHost,
@@ -255,9 +257,9 @@ impl DeviceContext {
         opts: &CohortOptions,
     ) -> Self {
         assert_eq!(
-            sessions.capacity(),
-            opts.session_capacity,
-            "session array capacity must match options"
+            (sessions.capacity(), sessions.salt()),
+            (opts.session_capacity, opts.session_salt),
+            "session array capacity and salt must match options"
         );
         let gpu = if opts.verify && gpu.gate().is_none() {
             gpu.clone().with_gate(shared_verifier())

@@ -332,8 +332,9 @@ impl SimtHandler {
     ///
     /// # Panics
     ///
-    /// Panics if `sessions.capacity()` disagrees with
-    /// `opts.session_capacity` (the cohort runner requires them equal).
+    /// Panics if `sessions.capacity()` or `sessions.salt()` disagrees with
+    /// `opts.session_capacity` or `opts.session_salt` (the device context
+    /// requires them equal).
     pub fn new(
         workload: Workload,
         store: BankStore,

@@ -109,6 +109,18 @@ fn persistent_context_matches_chained_run_cohort_sanitized() {
     differential(15, true, 0x5A17);
 }
 
+/// A session table built with another salt than the options' is refused
+/// at construction: the kernels invert tokens with the options' salt, so
+/// every token minted into that table would answer 403 on the device.
+#[test]
+#[should_panic(expected = "session array capacity and salt must match options")]
+fn context_refuses_a_session_table_with_another_salt() {
+    let store = BankStore::generate(USERS, 77);
+    let gpu = Gpu::new(GpuConfig::gtx_titan());
+    let table = SessionArrayHost::new(64, SALT ^ 1);
+    DeviceContext::new(&store, &table, &gpu, &opts(64, false));
+}
+
 /// A kernel that stores far outside device memory.
 fn wild_store() -> Program {
     let mut b = ProgramBuilder::new("wild_store");

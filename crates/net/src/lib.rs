@@ -40,9 +40,9 @@
 //!   event loop.
 //! * The live telemetry plane ([`metrics::Telemetry`]) is the crate's
 //!   one event sink: it aggregates one registry per shard (a counter
-//!   snapshot published whole under a mutex once per poll, per-key
-//!   latency histograms and launch counters, a cohort-fill histogram,
-//!   and an always-on ring of recent events — a bounded
+//!   snapshot, per-label latency histograms and a cohort-fill histogram,
+//!   written together under one mutex once per reactor turn, and an
+//!   always-on ring of recent events — a bounded
 //!   `rhythm_obs::TraceRecorder` — holding cohort-batch spans, sheds
 //!   and a sampled poll heartbeat) and serves it through
 //!   in-band admin endpoints ([`admin`]):
@@ -80,6 +80,6 @@ mod sys;
 pub use admin::{admin_route, AdminRoute};
 pub use client::{read_response, scan_response, send_request, RawResponse};
 pub use conn::RequestAccumulator;
-pub use metrics::{LaunchView, LiveSnapshot, ShardMetrics, Telemetry};
+pub use metrics::{LiveSnapshot, ShardMetrics, Telemetry};
 pub use server::{CohortHandler, NetConfig, NetStats, Reactor};
 pub use shard::{ShardedRun, ShardedServer};

@@ -5,26 +5,29 @@
 //! the thread that writes it**. The reactor is the only writer of its
 //! [`ShardMetrics`]; the only cross-thread traffic is a scraper taking
 //! that shard's locks at `/metrics` or `/trace` time. One lock guards the
-//! published [`LiveSnapshot`], the per-cohort-key slots and the
-//! cohort-fill histogram, and every record takes it once; the shard's
-//! event ring is a bounded [`TraceRecorder`] behind its own lock. Each
-//! device's [`MetricRegistry`] is written by the same shard's thread, a
-//! cohort's updates under one lock. The reactor publishes its counters
-//! once per poll, at a consistent point, by overwriting the snapshot
-//! whole, so the accounting invariant
+//! published [`LiveSnapshot`], the per-label latency histograms and the
+//! cohort-fill histogram, and the reactor takes it once per turn: it
+//! buffers the turn's launch fills and response latencies and publishes
+//! them with its counters in one [`ShardMetrics::publish`]. The shard's
+//! event ring is a bounded [`TraceRecorder`] behind its own lock, written
+//! as events happen. Each device's [`MetricRegistry`] is written by the
+//! same shard's thread, a cohort's updates under one lock. Because the
+//! snapshot is overwritten whole at a consistent point, the accounting
+//! invariant
 //!
 //! ```text
 //! requests == responses + shed_503 + unclassified + in_cohort
 //! ```
 //!
-//! holds on *every* [`LiveSnapshot`], not just at quiescence. (In the
-//! issue's phrasing `requests = delivered + responses_dropped +
-//! shed_total`: [`NetStats::responses`] already counts delivered and
-//! dropped handler responses together, `shed_total = shed_503 +
-//! unclassified`, and `in_cohort` is the in-flight term that reaches zero
-//! once the pool drains.) A scrape renders each shard and each device
-//! from one locked copy, so a shard's counters, launches and histograms
-//! agree with each other, and so do a device's.
+//! holds on *every* [`LiveSnapshot`], not just at quiescence. (Read as
+//! `requests = delivered + responses_dropped + shed_total`:
+//! [`NetStats::responses`] already counts delivered and dropped handler
+//! responses together, `shed_total = shed_503 + unclassified`, and
+//! `in_cohort` is the in-flight term that reaches zero once the pool
+//! drains.) A scrape renders each shard and each device from one locked
+//! copy, so a shard's counters and histograms agree with each other
+//! (latency samples = `responses`, fill samples = `cohorts`), and so do a
+//! device's.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -38,10 +41,9 @@ use crate::server::NetStats;
 
 /// Events each shard's ring retains.
 const FLIGHT_CAPACITY: usize = 4096;
-/// Distinct keys with their own latency histogram and launch counters;
-/// higher keys share the last slot. The banking workload uses 15: its 14
-/// request type ids label latencies, and its one cohort key (14) counts
-/// launches.
+/// Distinct label keys with their own latency histogram; higher keys
+/// share the last slot. The banking workload labels latencies with its 14
+/// request type ids.
 const KEY_SLOTS: usize = 32;
 
 /// A consistent snapshot of one shard's live counters.
@@ -86,34 +88,12 @@ impl LiveSnapshot {
     }
 }
 
-/// One cohort key's launch counters, as reported by
-/// [`ShardMetrics::launch_views`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct LaunchView {
-    /// The cohort key's label (the handler's `key_name`).
-    pub name: String,
-    /// Cohorts of this key launched full.
-    pub full: u64,
-    /// Cohorts of this key launched by the fill deadline.
-    pub timeout: u64,
-    /// Requests across this key's launches.
-    pub requests: u64,
-    /// Sum of launch fill ratios (mean fill = this / (full + timeout)).
-    pub fill_sum: f64,
-}
-
-/// One cohort key's slot: its label (set the first time the key is
-/// seen), its request-latency histogram, and its launch counters (full
-/// vs timeout launch reason, requests, fill sum), which make the batching
-/// policy's behavior observable per key from `/metrics`.
+/// One label key's slot: its label (set the first time the key is seen)
+/// and its request-latency histogram.
 #[derive(Clone, Debug)]
 struct KeySlot {
     name: Option<String>,
     latency: StreamingHistogram,
-    full: u64,
-    timeout: u64,
-    requests: u64,
-    fill_sum: f64,
 }
 
 impl KeySlot {
@@ -131,27 +111,11 @@ struct ShardState {
 }
 
 impl ShardState {
-    /// The slot of cohort key `key`, labelled by `name` the first time.
+    /// The slot of label key `key`, labelled by `name` the first time.
     fn key(&mut self, key: u32, name: impl FnOnce() -> String) -> &mut KeySlot {
         let slot = &mut self.keys[(key as usize).min(KEY_SLOTS - 1)];
         slot.name.get_or_insert_with(name);
         slot
-    }
-
-    /// Per-key launch counters for keys that launched at least once.
-    fn launch_views(&self) -> Vec<LaunchView> {
-        self.keys
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.full + s.timeout > 0)
-            .map(|(i, s)| LaunchView {
-                name: s.label(i),
-                full: s.full,
-                timeout: s.timeout,
-                requests: s.requests,
-                fill_sum: s.fill_sum,
-            })
-            .collect()
     }
 
     /// Per-type latency histograms as `(type_name, histogram)`.
@@ -166,9 +130,9 @@ impl ShardState {
 }
 
 /// One reactor shard's metrics: the published counter snapshot, the
-/// per-key slots and the cohort-fill histogram under one lock, and the
-/// shard's ring of recent events. Written only by the owning reactor;
-/// read by anyone.
+/// per-label latency slots and the cohort-fill histogram under one lock,
+/// and the shard's ring of recent events. Written only by the owning
+/// reactor; read by anyone.
 #[derive(Debug)]
 pub struct ShardMetrics {
     state: Mutex<ShardState>,
@@ -189,10 +153,6 @@ impl ShardMetrics {
             // 1 µs floor, 8 sub-buckets per octave (≤ 9 % relative
             // quantile error), 40 octaves (up to ~12 days).
             latency: StreamingHistogram::with_octaves(1e-6, 8, 40),
-            full: 0,
-            timeout: 0,
-            requests: 0,
-            fill_sum: 0.0,
         };
         ShardMetrics {
             state: Mutex::new(ShardState {
@@ -212,55 +172,31 @@ impl ShardMetrics {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Publish the owning reactor's counters (end of poll). The lock is
-    /// held only to copy the snapshot in.
-    pub fn publish(&self, stats: &NetStats, in_cohort: u64, connections: u64) {
-        let snap = LiveSnapshot {
-            stats: stats.clone(),
-            in_cohort,
-            connections,
-        };
-        self.lock().live = snap;
+    /// Publish one reactor turn under one lock: the counter snapshot
+    /// `live` and the turn's samples, each launched cohort's fill in
+    /// `fills` and each response's `(label key, latency in seconds)` in
+    /// `latencies`. `name` names a label key the first time this shard
+    /// sees it.
+    pub fn publish(
+        &self,
+        live: LiveSnapshot,
+        fills: &[f64],
+        latencies: &[(u32, f64)],
+        name: impl Fn(u32) -> String,
+    ) {
+        let mut state = self.lock();
+        state.live = live;
+        for &fill in fills {
+            state.fill.record(fill);
+        }
+        for &(key, latency_s) in latencies {
+            state.key(key, || name(key)).latency.record(latency_s);
+        }
     }
 
     /// The last published snapshot.
     pub fn live(&self) -> LiveSnapshot {
         self.lock().live.clone()
-    }
-
-    /// Record one request's end-to-end latency under its cohort type
-    /// (`name` is only invoked the first time `key` is seen).
-    pub fn record_latency(&self, key: u32, name: impl FnOnce() -> String, latency_s: f64) {
-        self.lock().key(key, name).latency.record(latency_s);
-    }
-
-    /// Record one cohort launch: its fill ratio in the cohort-fill
-    /// histogram and, under its key, the launch reason (full vs fill
-    /// deadline), the member count and the fill ratio (`name` is only
-    /// invoked the first time `key` is seen).
-    pub fn record_launch(
-        &self,
-        key: u32,
-        name: impl FnOnce() -> String,
-        by_timeout: bool,
-        requests: u64,
-        fill: f64,
-    ) {
-        let mut state = self.lock();
-        state.fill.record(fill);
-        let slot = state.key(key, name);
-        if by_timeout {
-            slot.timeout += 1;
-        } else {
-            slot.full += 1;
-        }
-        slot.requests += requests;
-        slot.fill_sum += fill;
-    }
-
-    /// Per-key launch counters for keys that launched at least once.
-    pub fn launch_views(&self) -> Vec<LaunchView> {
-        self.lock().launch_views()
     }
 
     /// Per-type latency snapshots as `(type_name, histogram)`.
@@ -502,58 +438,6 @@ impl Telemetry {
                 state.live.stats.fill_sum,
             );
         }
-        // Per-cohort-key launch counters: how each key's cohorts
-        // launched (full vs fill deadline) and how full they were.
-        t.header(
-            "rhythm_key_cohorts_total",
-            "Cohorts launched by cohort key and reason (full = cohort size reached, timeout = fill deadline)",
-            MetricKind::Counter,
-        );
-        for (i, state) in states.iter().enumerate() {
-            let si = i.to_string();
-            for v in state.launch_views() {
-                t.sample_u64(
-                    "rhythm_key_cohorts_total",
-                    &[("shard", &si), ("type", &v.name), ("reason", "full")],
-                    v.full,
-                );
-                t.sample_u64(
-                    "rhythm_key_cohorts_total",
-                    &[("shard", &si), ("type", &v.name), ("reason", "timeout")],
-                    v.timeout,
-                );
-            }
-        }
-        t.header(
-            "rhythm_key_launched_requests_total",
-            "Requests across cohort launches, by cohort key",
-            MetricKind::Counter,
-        );
-        for (i, state) in states.iter().enumerate() {
-            let si = i.to_string();
-            for v in state.launch_views() {
-                t.sample_u64(
-                    "rhythm_key_launched_requests_total",
-                    &[("shard", &si), ("type", &v.name)],
-                    v.requests,
-                );
-            }
-        }
-        t.header(
-            "rhythm_key_fill_sum_total",
-            "Sum of launch fill ratios by cohort key (mean = this / rhythm_key_cohorts_total)",
-            MetricKind::Counter,
-        );
-        for (i, state) in states.iter().enumerate() {
-            let si = i.to_string();
-            for v in state.launch_views() {
-                t.sample(
-                    "rhythm_key_fill_sum_total",
-                    &[("shard", &si), ("type", &v.name)],
-                    v.fill_sum,
-                );
-            }
-        }
         // Distributions are merged across shards at scrape time.
         let mut fill = StreamingHistogram::new(1.0 / 256.0, 4);
         for state in &states {
@@ -693,6 +577,16 @@ mod tests {
         (stats, in_cohort)
     }
 
+    /// Publish counters alone, with no samples.
+    fn publish(shard: &ShardMetrics, stats: &NetStats, in_cohort: u64, connections: u64) {
+        let live = LiveSnapshot {
+            stats: stats.clone(),
+            in_cohort,
+            connections,
+        };
+        shard.publish(live, &[], &[], |k| format!("key_{k}"));
+    }
+
     #[test]
     fn statscell_snapshot_is_never_torn() {
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -706,7 +600,7 @@ mod tests {
                 while !stop.load(Ordering::Relaxed) {
                     step += 1;
                     let (stats, in_cohort) = consistent_stats(step);
-                    shard.publish(&stats, in_cohort, step % 3);
+                    publish(&shard, &stats, in_cohort, step % 3);
                 }
                 step
             })
@@ -745,7 +639,7 @@ mod tests {
         }));
         assert!(shard.state.is_poisoned());
         let (stats, in_cohort) = consistent_stats(4);
-        shard.publish(&stats, in_cohort, 2);
+        publish(&shard, &stats, in_cohort, 2);
         let snap = shard.live();
         assert_eq!(snap.stats, stats);
         assert!(snap.accounting_balanced());
@@ -756,8 +650,8 @@ mod tests {
         let t = Telemetry::new(2);
         let (s0, ic0) = consistent_stats(5);
         let (s1, ic1) = consistent_stats(9);
-        t.shard(0).publish(&s0, ic0, 1);
-        t.shard(1).publish(&s1, ic1, 2);
+        publish(t.shard(0), &s0, ic0, 1);
+        publish(t.shard(1), &s1, ic1, 2);
         let total = t.total();
         assert_eq!(total.stats.requests, s0.requests + s1.requests);
         assert_eq!(total.connections, 3);
@@ -768,15 +662,15 @@ mod tests {
     fn rendered_metrics_validate_and_carry_per_shard_labels() {
         let t = Telemetry::new(2);
         let (s0, ic0) = consistent_stats(3);
-        t.shard(0).publish(&s0, ic0, 1);
-        t.shard(0)
-            .record_latency(1, || "login.php".to_string(), 2e-3);
+        let live = LiveSnapshot {
+            stats: s0,
+            in_cohort: ic0,
+            connections: 1,
+        };
+        let login = |_| "login.php".to_string();
+        t.shard(0).publish(live, &[0.5, 1.0], &[(1, 2e-3)], login);
         t.shard(1)
-            .record_latency(1, || "login.php".to_string(), 4e-3);
-        t.shard(0)
-            .record_launch(1, || "login.php".to_string(), true, 16, 0.5);
-        t.shard(0)
-            .record_launch(1, || "login.php".to_string(), false, 32, 1.0);
+            .publish(LiveSnapshot::default(), &[], &[(1, 4e-3)], login);
         let hits = t.device(0).counter("rhythm_plan_cache_hits_total", "hits");
         t.device(0).update(|m| *m.counter(hits) += 7);
         let kern =
@@ -790,21 +684,8 @@ mod tests {
         assert!(text.contains("rhythm_requests_total{shard=\"1\"} 0"));
         assert!(text.contains("type=\"login.php\""));
         assert!(text.contains("rhythm_request_latency_seconds_count{type=\"login.php\"} 2"));
-        assert!(text.contains(
-            "rhythm_key_cohorts_total{shard=\"0\",type=\"login.php\",reason=\"full\"} 1"
-        ));
-        assert!(text.contains(
-            "rhythm_key_cohorts_total{shard=\"0\",type=\"login.php\",reason=\"timeout\"} 1"
-        ));
-        assert!(
-            text.contains("rhythm_key_launched_requests_total{shard=\"0\",type=\"login.php\"} 48")
-        );
-        assert!(text.contains("rhythm_key_fill_sum_total{shard=\"0\",type=\"login.php\"} 1.5"));
-        let views = t.shard(0).launch_views();
-        assert_eq!(views.len(), 1);
-        assert_eq!(views[0].full, 1);
-        assert_eq!(views[0].timeout, 1);
-        assert_eq!(views[0].requests, 48);
+        assert!(text.contains("rhythm_cohort_fill_count 2"));
+        assert!(text.contains("rhythm_cohort_fill_sum 1.5"));
         assert!(text.contains("rhythm_plan_cache_hits_total{shard=\"0\"} 7"));
         assert!(text.contains("rhythm_device_kernel_seconds_count 1"));
 

@@ -16,15 +16,18 @@ fn plain(status: u16, reason: &str, extra: &[(&str, &str)], body: &str) -> Vec<u
     r.finish()
 }
 
-/// `503 Service Unavailable` with a `Retry-After` — emitted when the
-/// cohort pool is exhausted or the connection cap is hit (overload
-/// shedding; clients should back off and retry).
-pub fn shed_503(retry_after_s: u32) -> Vec<u8> {
+/// `Retry-After` seconds advertised on `503` sheds.
+pub const RETRY_AFTER_S: u32 = 1;
+
+/// `503 Service Unavailable` with a `Retry-After` of [`RETRY_AFTER_S`] —
+/// emitted when the cohort pool is exhausted or the connection cap is hit
+/// (overload shedding; clients should back off and retry).
+pub fn shed_503() -> Vec<u8> {
     plain(
         503,
         "Service Unavailable",
         &[
-            ("Retry-After", &retry_after_s.to_string()),
+            ("Retry-After", &RETRY_AFTER_S.to_string()),
             ("Connection", "close"),
         ],
         "server overloaded, retry later",
@@ -73,9 +76,9 @@ mod tests {
 
     #[test]
     fn canned_responses_are_well_formed() {
-        let shed = String::from_utf8(shed_503(2)).unwrap();
+        let shed = String::from_utf8(shed_503()).unwrap();
         assert!(shed.starts_with("HTTP/1.1 503 "));
-        assert!(shed.contains("Retry-After: 2\r\n"));
+        assert!(shed.contains("Retry-After: 1\r\n"));
         assert!(shed.contains("Content-Length: "));
 
         let large = String::from_utf8(too_large_413()).unwrap();

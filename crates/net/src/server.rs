@@ -20,7 +20,7 @@ use rhythm_obs::{ArgValue, Clock, Recorder};
 
 use crate::admin;
 use crate::conn::RequestAccumulator;
-use crate::metrics::{ShardMetrics, Telemetry};
+use crate::metrics::{LiveSnapshot, ShardMetrics, Telemetry};
 use crate::responses;
 use crate::sys::{Interest, Poller, Timer, Waker};
 
@@ -69,9 +69,8 @@ pub trait CohortHandler {
         key
     }
 
-    /// Human-readable name for a cohort or label key, used as the `type`
-    /// label on live launch counters and latency histograms. Called at
-    /// most once per key per shard.
+    /// Human-readable name for a label key, used as the `type` label on
+    /// live latency histograms. Called at most once per key per shard.
     fn key_name(&self, key: u32) -> String {
         format!("key_{key}")
     }
@@ -114,8 +113,6 @@ pub struct NetConfig {
     /// default — it only binds on pipelines deeper than several cohorts
     /// per turn.
     pub max_parse_per_poll: usize,
-    /// `Retry-After` seconds advertised on `503` sheds.
-    pub retry_after_s: u32,
     /// Enable the live telemetry plane: per-poll counter publication, live
     /// latency/fill histograms, the event ring, and the in-band
     /// admin endpoints (`/metrics`, `/healthz`, `/trace`). With `false`
@@ -136,7 +133,6 @@ impl Default for NetConfig {
             pool_contexts: 16,
             max_queued_bytes: 256 * 1024,
             max_parse_per_poll: 256,
-            retry_after_s: 1,
             telemetry: true,
         }
     }
@@ -468,6 +464,10 @@ pub struct Reactor<H> {
     /// [`NetConfig::fill_timeout`] in seconds, the unit cohort ages are
     /// kept in.
     fill_s: f64,
+    /// This turn's launch fills and responses' `(label key, latency)`,
+    /// published with its counters (only with telemetry on).
+    fills: Vec<f64>,
+    latencies: Vec<(u32, f64)>,
     /// Turns taken, which sample the ring's `poll` heartbeat.
     turns: u64,
 }
@@ -564,6 +564,8 @@ impl<H: CohortHandler> Reactor<H> {
             telemetry,
             metrics,
             fill_s,
+            fills: Vec::new(),
+            latencies: Vec::new(),
             turns: 0,
         })
     }
@@ -616,7 +618,7 @@ impl<H: CohortHandler> Reactor<H> {
             self.stats.rejected_over_cap += 1;
             let mut s = stream;
             let _ = s.set_nonblocking(false);
-            let _ = s.write_all(&responses::shed_503(self.config.retry_after_s));
+            let _ = s.write_all(&responses::shed_503());
             let _ = s.shutdown(Shutdown::Both);
             return;
         }
@@ -755,22 +757,30 @@ impl<H: CohortHandler> Reactor<H> {
             .sum()
     }
 
-    /// Publish a consistent counter snapshot into the shard's registry
-    /// (end of every turn, and after drain). This is the point at
-    /// which `requests == responses + shed_503 + unclassified +
+    /// Publish a consistent counter snapshot and the turn's buffered
+    /// samples into the shard's registry under one lock (end of every
+    /// turn, and after drain), then empty the buffers. This is the point
+    /// at which `requests == responses + shed_503 + unclassified +
     /// in_cohort` must balance.
-    fn publish_metrics(&self) {
+    fn publish_metrics(&mut self) {
         if !self.config.telemetry {
             return;
         }
-        let in_cohort = self.in_cohort();
-        debug_assert_eq!(
-            self.stats.requests,
-            self.stats.responses + self.stats.shed_503 + self.stats.unclassified + in_cohort,
-            "accounting invariant broken at publish"
+        let live = LiveSnapshot {
+            stats: self.stats.clone(),
+            in_cohort: self.in_cohort(),
+            connections: self.conns.len() as u64,
+        };
+        debug_assert!(
+            live.accounting_balanced(),
+            "accounting invariant broken at publish: residual {}",
+            live.accounting_residual()
         );
+        let handler = &self.handler;
         self.metrics
-            .publish(&self.stats, in_cohort, self.conns.len() as u64);
+            .publish(live, &self.fills, &self.latencies, |k| handler.key_name(k));
+        self.fills.clear();
+        self.latencies.clear();
     }
 
     /// After the stop flag: admit what the acceptor had already handed
@@ -961,8 +971,7 @@ impl<H: CohortHandler> Reactor<H> {
             let flight = self.metrics.flight();
             flight.instant(Clock::Wall, "shard", "shed 503", flight.wall_now_us(), &[]);
         }
-        let resp = responses::shed_503(self.config.retry_after_s);
-        self.route(p.conn, p.seq, resp);
+        self.route(p.conn, p.seq, responses::shed_503());
     }
 
     /// Mark the cohorts past their fill time-out ([`CohortPool::due`])
@@ -1025,14 +1034,7 @@ impl<H: CohortHandler> Reactor<H> {
                 self.stats.full_launches += 1;
             }
             if self.config.telemetry {
-                let handler = &self.handler;
-                self.metrics.record_launch(
-                    key,
-                    || handler.key_name(key),
-                    by_timeout,
-                    n as u64,
-                    fill,
-                );
+                self.fills.push(fill);
             }
             // The members' requests move into the batch; only their
             // routing stays behind in the context.
@@ -1080,13 +1082,10 @@ impl<H: CohortHandler> Reactor<H> {
             for (i, (m, resp)) in members.into_iter().zip(cohort_replies).enumerate() {
                 self.stats.responses += 1;
                 if self.config.telemetry {
-                    let handler = &self.handler;
-                    let label = reqs.get(i).map_or(key, |req| handler.label_key(key, req));
-                    self.metrics.record_latency(
-                        label,
-                        || handler.key_name(label),
-                        self.now_s - m.arrived,
-                    );
+                    let label = reqs
+                        .get(i)
+                        .map_or(key, |req| self.handler.label_key(key, req));
+                    self.latencies.push((label, self.now_s - m.arrived));
                 }
                 self.route(m.conn, m.seq, resp);
             }

@@ -1,10 +1,10 @@
 //! The `/metrics` golden file: freezes the whole document
 //! [`Telemetry::render_metrics`] renders over a fixed two-shard state —
-//! published counters, per-key latencies and launches, the cohort-fill
-//! histogram, and device counters, gauges and a histogram — byte for
-//! byte. The uptime sample is the one live value and is masked.
+//! published counters, per-label latencies, the cohort-fill histogram,
+//! and device counters, gauges and a histogram — byte for byte. The
+//! uptime sample is the one live value and is masked.
 
-use rhythm_net::{NetStats, Telemetry};
+use rhythm_net::{LiveSnapshot, NetStats, Telemetry};
 
 /// Shard `i`'s published counters: every field distinct and nonzero.
 fn stats(i: u64) -> NetStats {
@@ -37,40 +37,43 @@ fn stats(i: u64) -> NetStats {
     }
 }
 
-/// One launch of `n` requests under `key` on `shard`, with its fill.
-fn launch(t: &Telemetry, shard: usize, key: u32, name: &str, by_timeout: bool, n: u64, fill: f64) {
-    t.shard(shard)
-        .record_launch(key, || name.to_string(), by_timeout, n, fill);
+/// The name of each label key the golden document uses.
+fn name(key: u32) -> String {
+    match key {
+        1 => "login.php",
+        3 => "transfer.php",
+        5 => "logout.php",
+        40 => "wide.php",
+        41 => "wider.php",
+        _ => unreachable!("key {key} has no name"),
+    }
+    .to_string()
 }
 
 fn golden_telemetry() -> std::sync::Arc<Telemetry> {
     let t = Telemetry::new(2);
-    for i in 0..2 {
-        t.shard(i)
-            .publish(&stats(i as u64), 77 + i as u64, 5 + i as u64);
-    }
     // Latencies: shared and per-shard keys, an underflow, a NaN, a value
     // past the top bucket, and keys 40 and 41 folded into the last slot.
-    let latencies: &[(usize, u32, &str, f64)] = &[
-        (0, 1, "login.php", 2e-3),
-        (0, 1, "login.php", 2.5e-3),
-        (1, 1, "login.php", 4e-3),
-        (0, 3, "transfer.php", 1.25e-4),
-        (0, 3, "transfer.php", 0.0),
-        (0, 3, "transfer.php", f64::NAN),
-        (1, 3, "transfer.php", 7e-2),
-        (1, 5, "logout.php", 1e9),
-        (1, 40, "wide.php", 3e-5),
-        (1, 41, "wider.php", 6e-5),
+    let latencies: [&[(u32, f64)]; 2] = [
+        &[
+            (1, 2e-3),
+            (1, 2.5e-3),
+            (3, 1.25e-4),
+            (3, 0.0),
+            (3, f64::NAN),
+        ],
+        &[(1, 4e-3), (3, 7e-2), (5, 1e9), (40, 3e-5), (41, 6e-5)],
     ];
-    for &(shard, key, name, s) in latencies {
-        t.shard(shard).record_latency(key, || name.to_string(), s);
+    // Launch fills of each shard's cohorts.
+    let fills: [&[f64]; 2] = [&[0.5, 1.0, 0.09375], &[0.03125, 0.0625]];
+    for i in 0..2 {
+        let live = LiveSnapshot {
+            stats: stats(i as u64),
+            in_cohort: 77 + i as u64,
+            connections: 5 + i as u64,
+        };
+        t.shard(i).publish(live, fills[i], latencies[i], name);
     }
-    launch(&t, 0, 1, "login.php", true, 16, 0.5);
-    launch(&t, 0, 1, "login.php", false, 32, 1.0);
-    launch(&t, 0, 3, "transfer.php", true, 3, 0.09375);
-    launch(&t, 1, 1, "login.php", true, 1, 0.03125);
-    launch(&t, 1, 41, "wider.php", true, 2, 0.0625);
 
     for d in 0..2 {
         let dev = t.device(d);

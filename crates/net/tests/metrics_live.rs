@@ -1,15 +1,18 @@
 //! Live telemetry plane under load: the accounting invariant on every
-//! concurrent scrape, counter monotonicity, in-band admin endpoints, and
-//! the bare (`telemetry: false`) baseline.
+//! concurrent scrape, samples that agree with counters on every rendered
+//! document, counter monotonicity, in-band admin endpoints, and the bare
+//! (`telemetry: false`) baseline.
 
-use std::net::{SocketAddr, TcpStream};
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use rhythm_http::{HttpRequest, ResponseBuilder};
 use rhythm_net::{
-    read_response, send_request, CohortHandler, NetConfig, ShardedRun, ShardedServer,
+    read_response, send_request, CohortHandler, NetConfig, Reactor, ShardedRun, ShardedServer,
+    Telemetry,
 };
 
 /// Echoes the request path; classifies every path by its first character.
@@ -45,6 +48,31 @@ fn get(path: &str) -> Vec<u8> {
     format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").into_bytes()
 }
 
+/// The sum of every sample of `family` in a Prometheus document (lines
+/// `family{...} v` and `family v`).
+fn sum_of(doc: &str, family: &str) -> f64 {
+    doc.lines()
+        .filter_map(|l| l.strip_prefix(family))
+        .filter(|rest| rest.starts_with('{') || rest.starts_with(' '))
+        .filter_map(|rest| rest.rsplit(' ').next()?.parse::<f64>().ok())
+        .sum()
+}
+
+/// Every response has its latency sample and every launch its fill
+/// sample in a rendered `/metrics` document.
+fn assert_samples_match_counters(doc: &str) {
+    assert_eq!(
+        sum_of(doc, "rhythm_request_latency_seconds_count"),
+        sum_of(doc, "rhythm_responses_total"),
+        "latency samples != responses in:\n{doc}"
+    );
+    assert_eq!(
+        sum_of(doc, "rhythm_cohort_fill_count"),
+        sum_of(doc, "rhythm_cohorts_total"),
+        "fill samples != cohorts in:\n{doc}"
+    );
+}
+
 fn config() -> NetConfig {
     NetConfig {
         cohort_size: 4,
@@ -55,9 +83,11 @@ fn config() -> NetConfig {
 }
 
 /// Drive a sharded server with concurrent closed-loop clients while a
-/// scraper thread reads every shard's live snapshot as fast as it can:
-/// the accounting invariant must hold on every single read, and
-/// per-shard `requests` must be monotone.
+/// scraper thread reads every shard's live snapshot and renders the whole
+/// `/metrics` document as fast as it can: the accounting invariant must
+/// hold on every single read, per-shard `requests` must be monotone, and
+/// every document's latency and fill samples must match its responses and
+/// cohorts.
 #[test]
 fn accounting_invariant_holds_on_every_concurrent_scrape() {
     let shards = 2;
@@ -92,6 +122,7 @@ fn accounting_invariant_holds_on_every_concurrent_scrape() {
                     );
                     *seen = snap.stats.requests;
                 }
+                assert_samples_match_counters(&telemetry.render_metrics());
                 scrapes += 1;
             }
             scrapes
@@ -132,6 +163,68 @@ fn accounting_invariant_holds_on_every_concurrent_scrape() {
     assert!(total.accounting_balanced());
     assert_eq!(run.total().requests, sent);
     assert_eq!(run.total(), total.stats, "published == final counters");
+}
+
+/// Echoes like [`EchoHandler`], rendering `/metrics` from inside every
+/// cohort it executes.
+struct ScrapingHandler {
+    telemetry: Arc<Telemetry>,
+    documents: Vec<String>,
+}
+
+impl CohortHandler for ScrapingHandler {
+    fn classify(&self, _req: &HttpRequest) -> Option<u32> {
+        Some(0)
+    }
+
+    fn execute(&mut self, key: u32, requests: &[HttpRequest]) -> Vec<Vec<u8>> {
+        self.documents.push(self.telemetry.render_metrics());
+        EchoHandler.execute(key, requests)
+    }
+}
+
+/// A scrape in the middle of a turn sees the shard as of the end of the
+/// last turn, samples and counters alike. With one context of one
+/// request, the second of two requests read in the same turn finds the
+/// pool exhausted, so the turn launches and answers the first cohort
+/// before it runs the second, whose handler renders `/metrics`.
+#[test]
+fn a_scrape_inside_a_turn_sees_samples_with_their_counters() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (accepted, _) = listener.accept().unwrap();
+    let telemetry = Telemetry::new(1);
+    let handler = ScrapingHandler {
+        telemetry: Arc::clone(&telemetry),
+        documents: Vec::new(),
+    };
+    let config = NetConfig {
+        cohort_size: 1,
+        pool_contexts: 1,
+        ..NetConfig::default()
+    };
+    let mut reactor = Reactor::new(config, handler).unwrap();
+    reactor.attach_telemetry(&telemetry, 0);
+    reactor.admit(accepted);
+    client.write_all(&[get("/a"), get("/b")].concat()).unwrap();
+
+    assert!(reactor.turn(true));
+    assert_eq!(
+        reactor.stats().requests,
+        2,
+        "both requests read in one turn"
+    );
+    assert_eq!(reactor.stats().cohorts, 2);
+    assert_eq!(reactor.stats().shed_503, 0);
+    let documents = &reactor.handler().documents;
+    assert_eq!(documents.len(), 2, "one scrape per cohort");
+    for doc in documents {
+        assert_samples_match_counters(doc);
+    }
+    // The turn's end publishes both cohorts at once.
+    let after = telemetry.render_metrics();
+    assert_samples_match_counters(&after);
+    assert_eq!(sum_of(&after, "rhythm_responses_total"), 2.0);
 }
 
 /// The in-band admin endpoints answer on a workload connection, render
